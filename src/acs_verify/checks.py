@@ -6,11 +6,14 @@ context with the scenario payload, resolved sample points, numeric
 tolerances and two deterministic random streams: builders derive the
 scenario's objects from the scenario seed (so every check sees the same
 manifold or chart), while probe vectors come from a per-check stream.
-Pass/fail is uniform: max_residual <= tolerance, with indicator residuals
-(0 or 1) for verdict-match and control checks.
+Pass/fail is uniform: a check passes when it saw at least one sample and
+its max_residual is finite and <= tolerance, with indicator residuals
+(0 or 1) for verdict-match and control checks. Runners fold residuals
+with worst_of, which keeps a NaN that max would drop.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
@@ -238,6 +241,18 @@ def _local_structure(emb: GraphEmbedding, chart: DistributionChart):
     return SimpleNamespace(value=field.value, field=field)
 
 
+def worst_of(*values):
+    """Largest of the values, or NaN when any of them is NaN.
+
+    Python's max keeps its first argument unless a later one compares
+    greater, so max(0.0, nan) is 0.0 and a NaN residual would vanish
+    from a running fold; this keeps it, and the check then fails.
+    """
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values)
+
+
 def _relative(diff: float, scale: float) -> float:
     return diff / max(scale, 1e-12)
 
@@ -255,12 +270,12 @@ def _check_dimension_tables(ctx: CheckContext) -> CheckResult:
     worst = 0
     table = {(1, 4): 46, (2, 8): 168, (1, 2): 14}
     for (n, k), expect in table.items():
-        worst = max(worst, abs(dimension_universal(n, k) - expect))
+        worst = worst_of(worst, abs(dimension_universal(n, k) - expect))
     for n in (1, 2, 3):
-        worst = max(worst, abs(dimension_universal(n, 4 * n) - (38 * n * n + 8 * n)))
+        worst = worst_of(worst, abs(dimension_universal(n, 4 * n) - (38 * n * n + 8 * n)))
     sym = {(1, 1, 3): 52, (1, 2, 3): 178, (2, 1, 5): 142}
     for (n, b, k), expect in sym.items():
-        worst = max(worst, abs(dimension_symplectic(n, b, k) - expect))
+        worst = worst_of(worst, abs(dimension_symplectic(n, b, k) - expect))
     return CheckResult(float(worst), len(table) + 3 + len(sym))
 
 
@@ -275,7 +290,7 @@ def _check_reconstruction(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     for x in pts:
         jf = induced_structure_at(x, m, ctx.tol)
-        worst = max(worst, float(np.max(np.abs(jf - m.j.value(x)))))
+        worst = worst_of(worst, float(np.max(np.abs(jf - m.j.value(x)))))
     return CheckResult(worst, int(len(pts)))
 
 
@@ -290,10 +305,9 @@ def _check_fiber_reality(ctx: CheckContext) -> CheckResult:
     wedge_cap = int(ctx.payload.get("reality_samples", 5))
     worst = 0.0
     for i, x in enumerate(pts):
-        point = build_fiber(x, m, ctx.tol)
-        point.validate(ctx.tol)
+        point = build_fiber(x, m, ctx.tol)  # validates the point
         if i < wedge_cap:
-            worst = max(worst, 1.0 - plucker_reality_certificate(point, ctx.tol))
+            worst = worst_of(worst, 1.0 - plucker_reality_certificate(point, ctx.tol))
     return CheckResult(worst, int(len(pts)))
 
 
@@ -312,12 +326,12 @@ def _check_versality(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     for x in pts:
         rep = versality_check(x, m, tol=ctx.tol)
-        worst = max(worst, float(rep["fiber_membership_residual"]))
-        worst = max(worst, float(abs(rep["surj_rank"] - rep["target_rank"])))
+        worst = worst_of(worst, float(rep["fiber_membership_residual"]))
+        worst = worst_of(worst, float(abs(rep["surj_rank"] - rep["target_rank"])))
         if not rep["inj"]:
-            worst = max(worst, 1.0)
+            worst = worst_of(worst, 1.0)
         if rep["sv_gap"] < 1e-6:
-            worst = max(worst, 1.0)
+            worst = worst_of(worst, 1.0)
     return CheckResult(worst, int(len(pts)))
 
 
@@ -338,7 +352,7 @@ def _check_isotropy(ctx: CheckContext) -> CheckResult:
         dbar, _ = dbar_embedding(x, m, frame, jf, ctx.tol)
         sub = isotropy_subspace(dbar, chart.big_n, ctx.tol)
         ok, pairing = isotropy_test(torsion_at(chart, tol=ctx.tol), sub, m.n, ctx.tol)
-        worst = max(worst, pairing if ok else max(pairing, 1.0))
+        worst = worst_of(worst, pairing if ok else max(pairing, 1.0))
     return CheckResult(worst, int(len(pts)))
 
 
@@ -357,7 +371,7 @@ def _check_nijenhuis_flat(ctx: CheckContext) -> CheckResult:
         zeta = ctx.rng.reals(2 * m.n)
         eta = ctx.rng.reals(2 * m.n)
         val = nijenhuis_direct(jf_field, x, zeta, eta)
-        worst = max(worst, float(np.max(np.abs(val))))
+        worst = worst_of(worst, float(np.max(np.abs(val))))
     return CheckResult(worst, probes)
 
 
@@ -384,7 +398,7 @@ def _check_torsion_double_entry(ctx: CheckContext) -> CheckResult:
         direct = torsion_at(chart, tol=ctx.tol)
         oracle = frame_bracket_oracle(chart)
         scale = max(direct.norm(), oracle.norm())
-        worst = max(worst, _relative(
+        worst = worst_of(worst, _relative(
             float(np.max(np.abs(direct.theta - oracle.theta))), scale))
     return CheckResult(worst, count)
 
@@ -399,7 +413,7 @@ def _check_torsion_antisymmetry(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     for chart in _random_chart_draws(ctx, count):
         theta = torsion_at(chart, tol=ctx.tol).theta
-        worst = max(worst, float(np.max(
+        worst = worst_of(worst, float(np.max(
             np.abs(theta + np.transpose(theta, (0, 2, 1))), initial=0.0)))
     return CheckResult(worst, count)
 
@@ -424,7 +438,7 @@ def _check_nijenhuis_identity(ctx: CheckContext) -> CheckResult:
             via_theta = nijenhuis_via_torsion(emb, chart, zp, zeta, eta, ctx.tol)
             direct = nijenhuis_direct(struct, x, zeta, eta)
             scale = max(1.0, float(np.max(np.abs(direct))))
-            worst = max(worst, _relative(
+            worst = worst_of(worst, _relative(
                 float(np.max(np.abs(via_theta - direct))), scale))
     return CheckResult(worst, instances * pairs)
 
@@ -448,9 +462,9 @@ def _check_variation_formula(ctx: CheckContext) -> CheckResult:
         ratio = errs[1e-3] / max(errs[1e-4], 1e-15)
         # linear convergence: a decade of t divides the error by ~10;
         # the terminal (finest-step) error is the certified residual
-        worst = max(worst, errs[1e-4])
+        worst = worst_of(worst, errs[1e-4])
         if not 8.0 <= ratio <= 12.0:
-            worst = max(worst, 1.0)
+            worst = worst_of(worst, 1.0)
     return CheckResult(worst, instances * 2)
 
 
@@ -467,7 +481,7 @@ def _check_variation_anticommutation(ctx: CheckContext) -> CheckResult:
         zp = emb.base
         jf = induced_jf(emb, chart, zp, ctx.tol)
         djf = variation_djf(emb, chart, var, zp, ctx.tol)
-        worst = max(worst, float(np.max(np.abs(jf @ djf + djf @ jf))))
+        worst = worst_of(worst, float(np.max(np.abs(jf @ djf + djf @ jf))))
     return CheckResult(worst, instances)
 
 
@@ -490,7 +504,7 @@ def _check_foliation_rank(ctx: CheckContext) -> CheckResult:
     theta = torsion_at(chart, tol=ctx.tol)
     etas = ctx.rng.complex_matrix(2, 2, 1.0)
     rep = versality_rank_from_parts(theta, etas, rank_rtol=ctx.tol.rank_rtol)
-    worst = max(worst, float(rep["surj_rank"]))
+    worst = worst_of(worst, float(rep["surj_rank"]))
     return CheckResult(worst, len(samples))
 
 
@@ -526,7 +540,7 @@ def _check_pseudoholomorphic_rank(ctx: CheckContext) -> CheckResult:
     sv = rep["singular_values"]
     floor = max(float(theta.norm()), 1e-12)
     rank = int(np.sum(sv > ctx.tol.rank_rtol * floor))
-    worst = max(worst, float(rank))
+    worst = worst_of(worst, float(rank))
     return CheckResult(worst, 1)
 
 
@@ -554,7 +568,7 @@ def _check_lvmb_condition_i(ctx: CheckContext) -> CheckResult:
         poly = check_condition_i_polygon(data)
         for a, b in zip(rep["pairs"], poly["pairs"]):
             if a["overlap"] != b["overlap"]:
-                worst = max(worst, 1.0)
+                worst = worst_of(worst, 1.0)
     return CheckResult(worst, len(rep["pairs"]))
 
 
@@ -587,10 +601,10 @@ def _check_lvmb_killing(ctx: CheckContext) -> CheckResult:
     checked = 0
     for j in range(data.m):
         for l in range(j, data.m):
-            worst = max(worst, kf.bracket_exact(j, l))
+            worst = worst_of(worst, kf.bracket_exact(j, l))
             for _ in range(5):
                 z = ctx.rng.complex_matrix(data.big_n + 1, 1, 1.0)[:, 0]
-                worst = max(worst, float(np.max(np.abs(kf.bracket_fd(j, l, z)))))
+                worst = worst_of(worst, float(np.max(np.abs(kf.bracket_fd(j, l, z)))))
                 checked += 1
     return CheckResult(worst, checked)
 
@@ -639,8 +653,8 @@ def _symplectic_reports(ctx: CheckContext):
 )
 def _check_symplectic_compat(ctx: CheckContext) -> CheckResult:
     reports = _symplectic_reports(ctx)
-    worst = max(max(r["max_residual_compatibility"], r["jsq_residual"])
-                for r in reports)
+    worst = worst_of(*(v for r in reports
+                       for v in (r["max_residual_compatibility"], r["jsq_residual"])))
     return CheckResult(float(worst), len(reports))
 
 
@@ -651,7 +665,7 @@ def _check_symplectic_compat(ctx: CheckContext) -> CheckResult:
 )
 def _check_symplectic_pullback(ctx: CheckContext) -> CheckResult:
     reports = _symplectic_reports(ctx)
-    worst = max(r["max_residual_pullback"] for r in reports)
+    worst = worst_of(*(r["max_residual_pullback"] for r in reports))
     return CheckResult(float(worst), len(reports))
 
 
@@ -683,7 +697,7 @@ def _check_structure_squares(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     for x in pts:
         jm = j.value(x)
-        worst = max(worst, float(np.max(np.abs(jm @ jm + eye))))
+        worst = worst_of(worst, float(np.max(np.abs(jm @ jm + eye))))
     return CheckResult(worst, int(len(pts)))
 
 
@@ -704,7 +718,8 @@ def _check_nijenhuis_two_routes(ctx: CheckContext) -> CheckResult:
         direct = nijenhuis_direct(j, x, zeta, eta)
         oracle = nijenhuis_fd_oracle(j, x, zeta, eta)
         scale = max(1.0, float(np.max(np.abs(direct))))
-        worst = max(worst, _relative(float(np.max(np.abs(direct - oracle))), scale))
+        worst = worst_of(worst, _relative(
+            float(np.max(np.abs(direct - oracle))), scale))
     return CheckResult(worst, probes)
 
 
@@ -735,5 +750,5 @@ def _check_tensoriality(ctx: CheckContext) -> CheckResult:
         zeta = ctx.rng.reals(d)
         eta = ctx.rng.reals(d)
         _, _, dev = verify_tensoriality(j, x, zeta, eta, phi, psi)
-        worst = max(worst, float(dev))
+        worst = worst_of(worst, float(dev))
     return CheckResult(worst, probes)

@@ -1,7 +1,7 @@
 """Tolerance policy for rank decisions, algebraic identities and FD cross-checks."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -12,14 +12,6 @@ class Tolerances:
     alg_atol: float = 1e-9
     # relative tolerance when one side of a comparison is finite-difference based
     fd_rtol: float = 1e-4
-
-    def scaled(self, factor: float) -> "Tolerances":
-        return replace(
-            self,
-            rank_rtol=self.rank_rtol * factor,
-            alg_atol=self.alg_atol * factor,
-            fd_rtol=self.fd_rtol * factor,
-        )
 
 
 DEFAULT = Tolerances()

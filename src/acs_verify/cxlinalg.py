@@ -62,12 +62,11 @@ def realify_basis(cols: np.ndarray) -> np.ndarray:
     complex r-dimensional span yields 2r real columns.
     """
     cols = np.asarray(cols, dtype=complex)
-    pieces = []
-    for j in range(cols.shape[1]):
-        u = cols[:, j]
-        pieces.append(realify_vector(u))
-        pieces.append(realify_vector(1j * u))
-    return np.stack(pieces, axis=1)
+    icols = 1j * cols
+    out = np.empty((2 * cols.shape[0], 2 * cols.shape[1]))
+    out[:, 0::2] = np.concatenate([cols.real, cols.imag])
+    out[:, 1::2] = np.concatenate([icols.real, icols.imag])
+    return out
 
 
 def nullspace(M: np.ndarray, rtol: float) -> np.ndarray:

@@ -75,7 +75,3 @@ class DegenerateHull(VerifyError):
 
 class SchemaError(VerifyError):
     """Scenario file fails JSON parsing or schema validation."""
-
-
-class NumericalFailure(VerifyError):
-    """A check could not produce a verdict (solver breakdown, overflow)."""

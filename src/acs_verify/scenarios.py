@@ -14,6 +14,7 @@ records independent of execution order and thread count.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import zlib
@@ -118,7 +119,9 @@ def _worker_count() -> int:
 def run_check(check: Check, ctx: CheckContext, tolerance: float,
               timings: bool) -> dict:
     """One record per check; a VerifyError inside a runner is a recorded
-    failure, not a crash, so the rest of the batch still reports."""
+    failure under its class name, not a crash, so the rest of the batch
+    still reports. A check that saw no sample or a non-finite residual
+    fails."""
     t0 = time.perf_counter()
     record = {
         "name": check.name,
@@ -129,14 +132,19 @@ def run_check(check: Check, ctx: CheckContext, tolerance: float,
     }
     try:
         result = check.runner(ctx)
-        record["max_residual"] = float(result.max_residual)
-        record["samples_checked"] = int(result.samples_checked)
-        record["status"] = "pass" if result.max_residual <= tolerance else "fail"
+        residual = float(result.max_residual)
+        samples = int(result.samples_checked)
+        finite = math.isfinite(residual)
+        # a non-finite residual is written as null to keep the line strict JSON
+        record["max_residual"] = residual if finite else None
+        record["samples_checked"] = samples
+        passed = samples >= 1 and finite and residual <= tolerance
+        record["status"] = "pass" if passed else "fail"
     except VerifyError as exc:
         record["max_residual"] = None
         record["samples_checked"] = 0
         record["status"] = "fail"
-        record["error"] = f"NumericalFailure: {exc}"
+        record["error"] = f"{type(exc).__name__}: {exc}"
     if timings:
         record["wall_time"] = time.perf_counter() - t0
     return record
@@ -146,6 +154,9 @@ def run_scenario(doc: dict, tol_scale: float = 1.0,
                  sample_cap: int | None = None, seed: int | None = None,
                  timings: bool = False) -> tuple[list[dict], dict]:
     validate_scenario(doc)
+    if sample_cap is not None and sample_cap < 1:
+        raise SchemaError(
+            f"sample cap (--samples) must be a positive integer, got {sample_cap}")
     kind = doc["kind"]
     run_seed = int(doc["seed"] if seed is None else seed)
     tol = resolve_tolerances(doc)

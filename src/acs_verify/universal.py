@@ -32,11 +32,8 @@ import scipy.linalg
 from .config import DEFAULT, Tolerances
 from .cxlinalg import (
     ComplexSubspace,
-    LinearComplexStructure,
     complexify_vector,
     direct_sum_test,
-    eigen_split,
-    intersect,
     nullspace,
     realify_basis,
     realify_vector,
@@ -59,7 +56,6 @@ from .errors import (
     NotTransverse,
     RankDeficientEmbedding,
     ShapeMismatch,
-    UnbalancedEigenspaces,
 )
 from .fields import AlmostComplexField, TorusChart, TrigPolyField
 from .rng import SplitMix64
@@ -228,8 +224,23 @@ class DistributionFiber:
 def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> UniversalPoint:
     """Assemble the 5-tuple over base sample x.
 
+    In the frame F = [diag | anti | n1 | n2] of R^{2k} the doubled
+    structure is the block matrix J(x) (+) -J(x) (+) taut, so its
+    eigenspaces are read off the blocks instead of a 2k x 2k SVD:
+
+        Sig' = F (ker(J - i) (+) ker(J + i) (+) T+),  T+ = span{(e_j, -i e_j)}
+        S'   = F (0 (+) ker(J + i) (+) T+)
+
+    and Sig'' / S'' swap the two kernels and use T- = span{(e_j, i e_j)}.
+    One unpivoted QR of F [S part | quotient part] per sign yields nested
+    orthonormal bases: the first k - n columns span S', all k span Sig'.
+    Each kernel of J(x) -+ i comes from its own SVD, never from
+    conjugating the other, so the reality tests in validate compare two
+    independent computations.
+
     Raises RankDeficientEmbedding when dg(x) loses rank and
-    EigenSplitFailure when the eigenspace extraction misbehaves.
+    EigenSplitFailure when J(x) is not a complex structure or the
+    eigenspace extraction misbehaves.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     n, k = m.n, m.k
@@ -241,35 +252,44 @@ def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> Univers
     if nx.shape[1] != k - 2 * n:
         raise RankDeficientEmbedding("normal complement has wrong dimension")
     jx = m.j.value(x)
+    eye = np.eye(2 * n)
+    resid = np.max(np.abs(jx @ jx + eye))
+    if resid > 1e3 * tol.alg_atol:
+        raise EigenSplitFailure(f"||J^2 + Id|| = {resid:.3e} at x={x.tolist()}")
+    ker_plus = nullspace(jx - 1j * eye, tol.rank_rtol)
+    ker_minus = nullspace(jx + 1j * eye, tol.rank_rtol)
+    if ker_plus.shape[1] != n or ker_minus.shape[1] != n:
+        raise EigenSplitFailure(
+            f"eigenspace dims of J ({ker_plus.shape[1]}, {ker_minus.shape[1]}), "
+            f"expected ({n}, {n})"
+        )
 
-    zeros_tx = np.zeros_like(dg)
     zeros_nx = np.zeros_like(nx)
-    diag = np.vstack([dg, dg])
-    anti = np.vstack([dg, -dg])
-    n1 = np.vstack([nx, zeros_nx])
-    n2 = np.vstack([zeros_nx, nx])
-    frame = np.concatenate([diag, anti, n1, n2], axis=1)
-
+    frame = np.concatenate([
+        np.vstack([dg, dg]),
+        np.vstack([dg, -dg]),
+        np.vstack([nx, zeros_nx]),
+        np.vstack([zeros_nx, nx]),
+    ], axis=1)
     taut_dim = k - 2 * n
-    taut = np.block([
-        [np.zeros((taut_dim, taut_dim)), -np.eye(taut_dim)],
-        [np.eye(taut_dim), np.zeros((taut_dim, taut_dim))],
-    ])
-    blocks = scipy.linalg.block_diag(jx, -jx, taut)
-    jtilde = np.linalg.solve(frame.T, (frame @ blocks).T).T
 
-    try:
-        split = eigen_split(LinearComplexStructure(jtilde, tol), tol)
-    except (UnbalancedEigenspaces, NotAComplexStructure) as exc:
-        raise EigenSplitFailure(str(exc)) from exc
+    def nested(s_kernel, quot_kernel, taut_sign):
+        # frame coordinates: S part (anti block kernel, taut eigenvectors)
+        # first, then the quotient part in the diag block
+        cols = np.zeros((2 * k, k), dtype=complex)
+        cols[2 * n:4 * n, :n] = s_kernel
+        cols[4 * n:4 * n + taut_dim, n:k - n] = np.eye(taut_dim)
+        cols[4 * n + taut_dim:, n:k - n] = taut_sign * 1j * np.eye(taut_dim)
+        cols[:2 * n, k - n:] = quot_kernel
+        q, r = np.linalg.qr(frame @ cols)
+        diag = np.abs(np.diag(r))
+        if diag.min() <= tol.rank_rtol * diag.max():
+            raise EigenSplitFailure("eigenspace columns are numerically dependent")
+        return ComplexSubspace(q[:, :k - n]), ComplexSubspace(q)
 
-    s_cols = np.concatenate([anti, n1, n2], axis=1).astype(complex)
-    s_space = ComplexSubspace.from_columns(s_cols, tol)
-    sp = intersect(split.plus_i, s_space, tol)
-    spp = intersect(split.minus_i, s_space, tol)
-
-    point = UniversalPoint(n, k, m.doubled_point(x), sp, spp,
-                           split.plus_i, split.minus_i)
+    sp, sigp = nested(ker_minus, ker_plus, -1.0)
+    spp, sigpp = nested(ker_plus, ker_minus, 1.0)
+    point = UniversalPoint(n, k, m.doubled_point(x), sp, spp, sigp, sigpp)
     point.validate(tol)
     return point
 
@@ -304,7 +324,8 @@ def _induced_at(x, m: PointwiseACManifold,
                 tol: Tolerances = DEFAULT) -> tuple[np.ndarray, float]:
     point = build_fiber(x, m, tol)
     fiber = DistributionFiber(point, tol).horizontal_part
-    dg2k = np.vstack([m.dg(x), m.dg(x)])
+    dg = m.dg(x)
+    dg2k = np.vstack([dg, dg])
     jf, sigma = _induced_from_parts(dg2k, fiber, tol)
     resid = np.max(np.abs(jf @ jf + np.eye(jf.shape[0])))
     if resid > 1e3 * tol.alg_atol:
@@ -320,12 +341,6 @@ def induced_structure_at(x, m: PointwiseACManifold,
     is that the result reproduces m.j.value(x).
     """
     return _induced_at(x, m, tol)[0]
-
-
-def transversality_sigma(x, m: PointwiseACManifold,
-                         tol: Tolerances = DEFAULT) -> float:
-    """Smallest singular value of the joint base/fiber system at x."""
-    return _induced_at(x, m, tol)[1]
 
 
 def induced_structure_field(m: PointwiseACManifold,
@@ -573,30 +588,35 @@ def _fiber_frame_coords(cols_real: np.ndarray, n: int) -> tuple[np.ndarray, floa
     return np.stack(out, axis=1), worst
 
 
-def versality_rank_from_parts(theta: TorsionTensor, etas: np.ndarray,
-                              head_map: np.ndarray | None = None,
-                              rank_rtol: float = 1e-8) -> dict:
-    """Rank data of the pairing u -> theta(dbar f ., u) out of the fiber.
+def versality_pairing(theta: TorsionTensor, etas: np.ndarray,
+                      head_map: np.ndarray | None = None) -> np.ndarray:
+    """Real matrix of u -> theta(dbar f ., u), one column per real fiber
+    direction u in (e_1 .. e_m, i e_1 .. i e_m); the row (a, r) holds
+    component a of the realified (and, with head_map, pulled back) value
+    at tangent direction r.
 
     etas holds the fiber frame coordinates of dbar f over the realified
     tangent basis (complex (N-n) x 2n). head_map, when given, is the
     realified invertible map through which values are pulled back to the
-    base tangent space; it cannot change the rank.
+    base tangent space.
     """
-    m_dim = theta.theta.shape[1]
+    # theta is complex bilinear, so the i e_j half is i times the e_j half
+    half = 2.0 * np.einsum("ijk,jr->irk", theta.theta, etas)
+    q = np.concatenate([half, 1j * half], axis=2)
+    values = np.concatenate([q.real, q.imag], axis=0)
+    if head_map is not None:
+        values = np.linalg.solve(
+            head_map, values.reshape(values.shape[0], -1)).reshape(values.shape)
+    return values.reshape(-1, values.shape[2])
+
+
+def versality_rank_from_parts(theta: TorsionTensor, etas: np.ndarray,
+                              head_map: np.ndarray | None = None,
+                              rank_rtol: float = 1e-8) -> dict:
+    """Rank data of the pairing u -> theta(dbar f ., u) out of the fiber
+    (see versality_pairing); head_map cannot change the rank."""
     two_n = etas.shape[1]
-    cols = []
-    for b in range(2 * m_dim):
-        u = complexify_vector(np.eye(2 * m_dim)[:, b])
-        mat = np.zeros((two_n, two_n))
-        for r in range(two_n):
-            q = theta.apply(etas[:, r], u)
-            qr = realify_vector(q)
-            if head_map is not None:
-                qr = np.linalg.solve(head_map, qr)
-            mat[:, r] = qr
-        cols.append(mat.reshape(-1))
-    pairing = np.stack(cols, axis=1)
+    pairing = versality_pairing(theta, etas, head_map)
     sv = np.linalg.svd(pairing, compute_uv=False)
     top = float(sv[0]) if sv.size else 0.0
     rank = int(np.sum(sv > rank_rtol * top)) if top > 0 else 0

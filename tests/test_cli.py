@@ -1,14 +1,26 @@
 import json
+import math
 
 import pytest
 
-from acs_verify.checks import REGISTRY, all_checks, checks_for
+from acs_verify.checks import (
+    REGISTRY,
+    Check,
+    CheckContext,
+    CheckResult,
+    all_checks,
+    checks_for,
+    worst_of,
+)
 from acs_verify.cli import main
-from acs_verify.errors import SchemaError
+from acs_verify.config import DEFAULT
+from acs_verify.errors import EigenSplitFailure, SchemaError
+from acs_verify.rng import SplitMix64
 from acs_verify.scenarios import (
     bundled_scenario_names,
     find_scenario,
     parse_scenario,
+    run_check,
     run_scenario,
     serialize_report,
 )
@@ -133,6 +145,60 @@ def test_run_sample_cap_limits_work(capsys):
     records, _ = parse_report(out)
     squares = [r for r in records if r["name"] == "structure_squares_to_minus_id"]
     assert squares[0]["samples_checked"] <= 4
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_run_rejects_non_positive_sample_cap(capsys, cap):
+    code, out, err = run_lines(capsys, ["run", "universal_n1_k4", "--samples", cap])
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "--samples" in err
+
+
+def test_run_check_without_samples_fails(tmp_path, capsys):
+    doc = parse_scenario(find_scenario("universal_n1_k4"))
+    doc["payload"]["versality_samples"] = []
+    doc["checks"] = ["universal_versality"]
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_lines(capsys, ["run", str(path)])
+    assert code == 1
+    records, aggregate = parse_report(out)
+    assert records[0]["samples_checked"] == 0
+    assert records[0]["status"] == "fail" and not aggregate["passed"]
+
+
+def test_worst_of_keeps_nan():
+    assert max(0.0, math.nan) == 0.0  # the fold worst_of replaces
+    assert math.isnan(worst_of(0.0, math.nan))
+    assert math.isnan(worst_of(math.nan, 0.0))
+    assert worst_of(0.0, 2.0, 1.0) == 2.0
+
+
+def record_of(runner, tolerance=1.0):
+    check = Check("probe_check", "fields", "probe", tolerance, runner)
+    ctx = CheckContext(payload={}, tol=DEFAULT, seed=0, rng=SplitMix64(0),
+                       samples=None, sample_cap=None)
+    return run_check(check, ctx, tolerance, timings=False)
+
+
+def test_run_check_fails_non_finite_or_empty_results():
+    assert record_of(lambda ctx: CheckResult(0.5, 1))["status"] == "pass"
+    for residual, samples in ((math.nan, 3), (math.inf, 3), (0.0, 0)):
+        rec = record_of(lambda ctx, r=residual, s=samples: CheckResult(r, s))
+        assert rec["status"] == "fail"
+        assert rec["samples_checked"] == samples
+        json.dumps(rec, allow_nan=False)  # stays strict JSON
+    assert record_of(lambda ctx: CheckResult(math.nan, 3))["max_residual"] is None
+
+
+def test_run_check_records_error_class():
+    def runner(ctx):
+        raise EigenSplitFailure("eigenspace columns are numerically dependent")
+
+    rec = record_of(runner)
+    assert rec["status"] == "fail" and rec["max_residual"] is None
+    assert rec["error"] == ("EigenSplitFailure: eigenspace columns are "
+                            "numerically dependent")
 
 
 def test_run_malformed_json_reports_line_and_column(tmp_path, capsys):

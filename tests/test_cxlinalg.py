@@ -39,6 +39,26 @@ def test_realify_matrix_is_multiplicative():
     )
 
 
+def test_realify_basis_matches_column_loop_bytewise():
+    # the reference is the column-by-column definition; signed zeros and
+    # non-finite entries must come out bit for bit the same
+    special = np.array([0.0, -0.0, 1.0, -2.5, np.inf, np.nan])
+    cols = SplitMix64(8).complex_matrix(7, 5)
+    cols.real[:6, 0] = special
+    cols.imag[:6, 1] = special
+    cols[4, 2] = complex(-0.0, 0.0)
+    with np.errstate(invalid="ignore"):
+        ref = np.stack([
+            piece
+            for j in range(cols.shape[1])
+            for piece in (cx.realify_vector(cols[:, j]),
+                          cx.realify_vector(1j * cols[:, j]))
+        ], axis=1)
+        got = cx.realify_basis(cols)
+    assert got.shape == (14, 10)
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_standard_structure_is_multiplication_by_i():
     j = cx.standard_structure(3)
     z = SplitMix64(3).complex_vector(3)

@@ -11,7 +11,20 @@ import numpy as np
 import pytest
 
 from acs_verify.config import DEFAULT
-from acs_verify.cxlinalg import ComplexSubspace, direct_sum_test, standard_structure
+import scipy.linalg
+
+from acs_verify.cxlinalg import (
+    ComplexSubspace,
+    LinearComplexStructure,
+    complexify_vector,
+    direct_sum_test,
+    eigen_split,
+    intersect,
+    nullspace,
+    realify_vector,
+    standard_structure,
+    subspace_eq,
+)
 from acs_verify.distribution import (
     TorsionTensor,
     frame_bracket_oracle,
@@ -27,6 +40,7 @@ from acs_verify.errors import (
 )
 from acs_verify.fields import (
     AlmostComplexField,
+    CallableMatrixField,
     TorusChart,
     TrigPolyField,
     nijenhuis_direct,
@@ -55,6 +69,7 @@ from acs_verify.universal import (
     symplectic_pointwise_model,
     universal_chart,
     versality_check,
+    versality_pairing,
     versality_rank_from_parts,
 )
 
@@ -142,6 +157,54 @@ def test_build_fiber_rejects_rank_deficient_embedding():
     m = PointwiseACManifold(1, 4, g, AlmostComplexField.standard(1))
     with pytest.raises(RankDeficientEmbedding):
         build_fiber(np.zeros(2), m)
+
+
+def eigen_split_fiber(x, m):
+    """(S', S'', Sig', Sig'') by the generic route: the 2k x 2k doubled
+    structure Jt = F B F^-1, SVD kernels of Jt -+ i, intersections with S."""
+    n, k = m.n, m.k
+    dg = m.dg(x)
+    nx = nullspace(dg.T, DEFAULT.rank_rtol).real
+    zeros_nx = np.zeros_like(nx)
+    anti = np.vstack([dg, -dg])
+    n1 = np.vstack([nx, zeros_nx])
+    n2 = np.vstack([zeros_nx, nx])
+    frame = np.concatenate([np.vstack([dg, dg]), anti, n1, n2], axis=1)
+    jx = m.j.value(x)
+    blocks = scipy.linalg.block_diag(jx, -jx, standard_structure(k - 2 * n))
+    jtilde = frame @ blocks @ np.linalg.inv(frame)
+    split = eigen_split(LinearComplexStructure(jtilde))
+    s_space = ComplexSubspace.from_columns(np.concatenate([anti, n1, n2], axis=1))
+    return (intersect(split.plus_i, s_space), intersect(split.minus_i, s_space),
+            split.plus_i, split.minus_i)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_build_fiber_matches_eigen_split_oracle(n):
+    m = perturbed_manifold(n)
+    rng = SplitMix64(30 + n)
+    for _ in range(6):
+        x = rng.reals(2 * n, 0.0, 2.0 * np.pi)
+        p = build_fiber(x, m)
+        assert (p.sp.dim, p.sigp.dim) == (3 * n, 4 * n)
+        for got, want in zip((p.sp, p.spp, p.sigp, p.sigpp), eigen_split_fiber(x, m)):
+            assert subspace_eq(got, want)
+
+
+def test_build_fiber_rejects_point_where_j_is_not_complex():
+    # J^2 = -Id everywhere except at one sample, which the field's own
+    # two-point validation does not visit
+    j0 = standard_structure(1)
+    bad = np.array([0.5, 0.7])
+
+    def fn(x):
+        return 2.0 * j0 if np.array_equal(x, bad) else j0
+
+    j = AlmostComplexField(TorusChart(2), CallableMatrixField(2, (2, 2), fn))
+    m = PointwiseACManifold(1, 4, default_torus_embedding(1), j)
+    build_fiber(np.array([0.5, 0.8]), m)
+    with pytest.raises(EigenSplitFailure):
+        build_fiber(bad, m)
 
 
 def test_universal_point_validate_catches_tampering():
@@ -335,6 +398,40 @@ def test_versality_controls_report_rank_zero():
     assert versality_rank_from_parts(
         theta, np.zeros_like(etas)
     )["surj_rank"] == 0
+
+
+def pairing_by_columns(theta, etas, head_map=None):
+    """The versality pairing one TorsionTensor.apply at a time."""
+    m_dim = theta.theta.shape[1]
+    two_n = etas.shape[1]
+    cols = []
+    for b in range(2 * m_dim):
+        u = complexify_vector(np.eye(2 * m_dim)[:, b])
+        mat = np.zeros((two_n, two_n))
+        for r in range(two_n):
+            qr = realify_vector(theta.apply(etas[:, r], u))
+            if head_map is not None:
+                qr = np.linalg.solve(head_map, qr)
+            mat[:, r] = qr
+        cols.append(mat.reshape(-1))
+    return np.stack(cols, axis=1)
+
+
+def test_versality_pairing_matches_per_column_apply():
+    m = perturbed_manifold(1)
+    x = np.array([2.0, 1.3])
+    p = build_fiber(x, m)
+    frame = ChartFrame(p)
+    dbar, df = dbar_embedding(x, m, frame, induced_structure_at(x, m))
+    etas, _ = _fiber_frame_coords(dbar, 1)
+    theta = torsion_at(universal_chart(p))
+    head_map = np.vstack([df[:1, :], df[frame.big_n: frame.big_n + 1, :]])
+    for hm in (None, head_map):
+        want = pairing_by_columns(theta, etas, hm)
+        got = versality_pairing(theta, etas, hm)
+        assert got.shape == want.shape == (4, 2 * (frame.big_n - 1))
+        assert np.max(np.abs(want)) > 1e-3
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
