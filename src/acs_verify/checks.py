@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from .config import Tolerances
-from .cxlinalg import complexify_vector, realify_vector
+from .cxlinalg import realify_vector
 from .distribution import (
     DistributionChart,
     PolynomialMatrixMap,
@@ -35,11 +34,12 @@ from .distribution import (
 from .errors import SchemaError
 from .fields import (
     AlmostComplexField,
-    CallableMatrixField,
     TorusChart,
     TrigPolyField,
     nijenhuis_direct,
     nijenhuis_fd_oracle,
+    nijenhuis_from_jet,
+    structure_jet,
     verify_tensoriality,
 )
 from .induced import (
@@ -49,7 +49,8 @@ from .induced import (
     dbar_f,
     dbar_f_fiber_coords,
     induced_jf,
-    nijenhuis_via_torsion,
+    induced_jf_field,
+    nijenhuis_torsion_map,
     random_crpoly,
     variation_djf,
     variation_fd_oracle,
@@ -227,18 +228,6 @@ def _graph_params(ctx: CheckContext):
     else:
         big_n = int(big_n)
     return n, big_n, float(ctx.payload.get("amplitude", 0.8))
-
-
-def _local_structure(emb: GraphEmbedding, chart: DistributionChart):
-    """Induced structure as a pointwise field on the realified chart."""
-    n = emb.n
-
-    def fn(x):
-        return induced_jf(emb, chart, complexify_vector(x),
-                          require_normalized=False)
-
-    field = CallableMatrixField(2 * n, (2 * n, 2 * n), fn, h=1e-5)
-    return SimpleNamespace(value=field.value, field=field)
 
 
 def worst_of(*values):
@@ -429,14 +418,16 @@ def _check_nijenhuis_identity(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     for _ in range(instances):
         chart, emb, _ = build_graph_scenario(ctx.rng, *_graph_params(ctx))
-        struct = _local_structure(emb, chart)
         zp = emb.base
-        x = realify_vector(zp)
+        # both routes depend on the pair only through a last cheap step:
+        # build each once per instance, then loop over the pairs
+        via_torsion = nijenhuis_torsion_map(emb, chart, zp, ctx.tol)
+        jet = structure_jet(induced_jf_field(emb, chart), realify_vector(zp))
         for _ in range(pairs):
             zeta = ctx.rng.reals(2 * emb.n)
             eta = ctx.rng.reals(2 * emb.n)
-            via_theta = nijenhuis_via_torsion(emb, chart, zp, zeta, eta, ctx.tol)
-            direct = nijenhuis_direct(struct, x, zeta, eta)
+            via_theta = via_torsion(zeta, eta)
+            direct = nijenhuis_from_jet(jet, zeta, eta)
             scale = max(1.0, float(np.max(np.abs(direct))))
             worst = worst_of(worst, _relative(
                 float(np.max(np.abs(via_theta - direct))), scale))

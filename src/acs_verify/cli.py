@@ -20,10 +20,10 @@ from .lvmb import LvmbData, check_condition_i, check_condition_ii
 from .scenarios import (
     bundled_scenario_names,
     find_scenario,
-    load_schema,
     parse_scenario,
     run_scenario,
     serialize_report,
+    validate_document,
 )
 
 
@@ -89,7 +89,7 @@ def cmd_lvmb_check(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
-        jsonschema.validate(doc, load_schema("lvmb_input.schema.json"))
+        validate_document(doc, "lvmb_input.schema.json")
     except jsonschema.ValidationError as exc:
         raise SchemaError(f"input invalid: {exc.message}") from exc
     try:

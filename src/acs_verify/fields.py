@@ -310,8 +310,8 @@ class ConjugatedStructureField:
         return np.linalg.solve(t.T, (t @ self.j0).T).T
 
     def partial_value(self, i: int, x) -> np.ndarray:
+        j = self.value(x)
         t = self.t_field.value(x)
-        j = np.linalg.solve(t.T, (t @ self.j0).T).T
         ti = self.t_field.partial_value(i, x)
         return np.linalg.solve(t.T, (ti @ self.j0 - j @ ti).T).T
 
@@ -384,32 +384,47 @@ class AlmostComplexField:
 # Nijenhuis tensor
 # ---------------------------------------------------------------------------
 
-def _directional_dj(j_field, x, w):
-    """sum_i w_i d_i J(x)."""
+def structure_jet(j, x):
+    """(J(x), [d_0 J(x), ..., d_{2n-1} J(x)]): every value the four-bracket
+    formula reads at x, each evaluated once."""
+    jm = j.value(x)
+    return jm, [j.field.partial_value(i, x) for i in range(jm.shape[0])]
+
+
+def _directional_dj(partials, w):
+    """sum_i w_i d_i J(x) from the partials of a jet."""
     w = np.asarray(w, dtype=float).reshape(-1)
     out = np.zeros((w.shape[0], w.shape[0]))
     for i, wi in enumerate(w):
         if wi != 0.0:
-            out += wi * j_field.partial_value(i, x)
+            out += wi * partials[i]
     return out
 
 
-def nijenhuis_direct(j: AlmostComplexField, x, zeta, eta) -> np.ndarray:
-    """N_J(zeta, eta) at x from the four-bracket definition.
+def nijenhuis_from_jet(jet, zeta, eta) -> np.ndarray:
+    """N_J(zeta, eta) at the point of a structure_jet, from the
+    four-bracket definition.
 
     For constant extensions of the input vectors the brackets collapse to
     directional derivatives of J:
 
         N = -dJ(J zeta) eta + dJ(J eta) zeta + J dJ(zeta) eta - J dJ(eta) zeta
     """
+    jm, partials = jet
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     eta = np.asarray(eta, dtype=float).reshape(-1)
-    jm = j.value(x)
-    out = -_directional_dj(j.field, x, jm @ zeta) @ eta
-    out += _directional_dj(j.field, x, jm @ eta) @ zeta
-    out += jm @ (_directional_dj(j.field, x, zeta) @ eta)
-    out -= jm @ (_directional_dj(j.field, x, eta) @ zeta)
+    out = -_directional_dj(partials, jm @ zeta) @ eta
+    out += _directional_dj(partials, jm @ eta) @ zeta
+    out += jm @ (_directional_dj(partials, zeta) @ eta)
+    out -= jm @ (_directional_dj(partials, eta) @ zeta)
     return out
+
+
+def nijenhuis_direct(j: AlmostComplexField, x, zeta, eta) -> np.ndarray:
+    """N_J(zeta, eta) at x from the four-bracket definition; to evaluate
+    many pairs at one point, build the jet once and call
+    nijenhuis_from_jet."""
+    return nijenhuis_from_jet(structure_jet(j, x), zeta, eta)
 
 
 def nijenhuis_fd_oracle(j: AlmostComplexField, x, zeta, eta, h: float = 1e-5) -> np.ndarray:
@@ -474,7 +489,7 @@ def verify_tensoriality(
     def grad(f):
         return np.array([f.partial_value(i, x)[0, 0] for i in range(j.chart.dim)])
 
-    jm = j.value(x)
+    jm, partials = structure_jet(j, x)
     dphi = grad(phi)
     dpsi = grad(psi)
 
@@ -484,7 +499,7 @@ def verify_tensoriality(
 
     def through_j(vec, dscal):
         cols = [
-            dscal[i] * (jm @ vec) + j.partial_value(i, x) @ vec
+            dscal[i] * (jm @ vec) + partials[i] @ vec
             for i in range(j.chart.dim)
         ]
         return jm @ vec, np.stack(cols, axis=1)
@@ -503,5 +518,5 @@ def verify_tensoriality(
         + jm @ bracket(v_val, v_jac, jw_val, jw_jac)
         + jm @ bracket(jv_val, jv_jac, w_val, w_jac)
     )
-    n_const = nijenhuis_direct(j, x, zeta, eta)
+    n_const = nijenhuis_from_jet((jm, partials), zeta, eta)
     return n_const, n_mod, float(np.max(np.abs(n_const - n_mod)))

@@ -15,6 +15,8 @@ and never reuse the closed forms.
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from .config import DEFAULT, Tolerances
@@ -31,6 +33,7 @@ from .errors import (
     NotTransverse,
     ShapeMismatch,
 )
+from .fields import CallableMatrixField
 from .rng import SplitMix64
 
 
@@ -352,10 +355,10 @@ def fiber_real_basis(chart: DistributionChart, z) -> np.ndarray:
     return realify_basis(cols)
 
 
-def _joint_solve(emb: GraphEmbedding, chart: DistributionChart, zp, rhs,
-                 tol: Tolerances):
-    """Solve [dF | fiber-basis] x = rhs; first 2n rows of x are the chart
-    component of the projection along the fiber."""
+def _joint_matrix(emb: GraphEmbedding, chart: DistributionChart, zp,
+                  tol: Tolerances) -> np.ndarray:
+    """[dF | fiber-basis] at zp, square of size 2N; raises NotTransverse
+    when the graph and the fiber fail to span the chart."""
     df = emb.df_real(zp)
     fiber = fiber_real_basis(chart, emb.f_value(zp))
     joint = np.concatenate([df, fiber], axis=1)
@@ -364,7 +367,14 @@ def _joint_solve(emb: GraphEmbedding, chart: DistributionChart, zp, rhs,
         raise NotTransverse(
             f"graph and fiber fail to span the chart (sigma_min={s[-1]:.3e})"
         )
-    return np.linalg.solve(joint, rhs)
+    return joint
+
+
+def _joint_solve(emb: GraphEmbedding, chart: DistributionChart, zp, rhs,
+                 tol: Tolerances):
+    """Solve [dF | fiber-basis] x = rhs; first 2n rows of x are the chart
+    component of the projection along the fiber."""
+    return np.linalg.solve(_joint_matrix(emb, chart, zp, tol), rhs)
 
 
 def _check_normalized(emb: GraphEmbedding, chart: DistributionChart,
@@ -419,6 +429,21 @@ def induced_jf_quotient(
     return _joint_solve(emb, chart, zp, rhs, tol)[: 2 * emb.n, :]
 
 
+def induced_jf_field(emb: GraphEmbedding, chart: DistributionChart):
+    """J_f as a duck-typed field on the realified z'-chart (value and
+    field.partial_value), for the four-bracket Nijenhuis evaluation:
+    partials are central differences of induced_jf, so that route never
+    sees theta or dbar f."""
+    n = emb.n
+
+    def fn(x):
+        return induced_jf(emb, chart, complexify_vector(x),
+                          require_normalized=False)
+
+    field = CallableMatrixField(2 * n, (2 * n, 2 * n), fn, h=1e-5)
+    return SimpleNamespace(value=field.value, field=field)
+
+
 def dbar_f(
     emb: GraphEmbedding,
     chart: DistributionChart,
@@ -466,6 +491,14 @@ def dbar_f_fiber_coords(
     return etas, residual
 
 
+def _quotient_rhs(emb: GraphEmbedding, q_repr) -> np.ndarray:
+    """Realified (q, 0) in the chart of C^N."""
+    return realify_vector(
+        np.concatenate([np.asarray(q_repr, dtype=complex).reshape(-1),
+                        np.zeros(emb.big_n - emb.n)])
+    )
+
+
 def pullback_quotient(
     emb: GraphEmbedding,
     chart: DistributionChart,
@@ -474,12 +507,7 @@ def pullback_quotient(
     tol: Tolerances = DEFAULT,
 ) -> np.ndarray:
     """Chart vector xi with dF(xi) = (q, 0) mod fiber (realified output)."""
-    n = emb.n
-    rhs = realify_vector(
-        np.concatenate([np.asarray(q_repr, dtype=complex).reshape(-1),
-                        np.zeros(emb.big_n - n)])
-    )
-    return _joint_solve(emb, chart, zp, rhs, tol)[: 2 * n]
+    return _joint_solve(emb, chart, zp, _quotient_rhs(emb, q_repr), tol)[: 2 * emb.n]
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +631,36 @@ def variation_fd_oracle(
 # Nijenhuis tensor through the torsion
 # ---------------------------------------------------------------------------
 
+def nijenhuis_torsion_map(
+    emb: GraphEmbedding,
+    chart: DistributionChart,
+    zp,
+    tol: Tolerances = DEFAULT,
+):
+    """The map (zeta_r, eta_r) -> N_{J_f}(zeta, eta) at one point zp.
+
+    J_f, dbar f in fiber coordinates, theta and the joint matrix
+    [dF | fiber] depend on zp only, so they are built here once. Each
+    call is one torsion contraction and one solve: the operations of
+    pullback_quotient(4 theta(dbar f . zeta, dbar f . eta)), in its order,
+    so the result is bitwise the same.
+    """
+    zp = np.asarray(zp, dtype=complex).reshape(-1)
+    jf = induced_jf(emb, chart, zp, tol, require_normalized=False)
+    etas, _ = dbar_f_fiber_coords(emb, chart, zp, jf, tol)
+    theta = torsion_via_frames(chart, emb.f_value(zp))
+    joint = _joint_matrix(emb, chart, zp, tol)
+    two_n = 2 * emb.n
+
+    def nijenhuis(zeta_r, eta_r) -> np.ndarray:
+        eta_1 = etas @ np.asarray(zeta_r, dtype=float).reshape(-1)
+        eta_2 = etas @ np.asarray(eta_r, dtype=float).reshape(-1)
+        q_repr = 4.0 * theta.apply(eta_1, eta_2)
+        return np.linalg.solve(joint, _quotient_rhs(emb, q_repr))[:two_n]
+
+    return nijenhuis
+
+
 def nijenhuis_via_torsion(
     emb: GraphEmbedding,
     chart: DistributionChart,
@@ -613,14 +671,7 @@ def nijenhuis_via_torsion(
 ) -> np.ndarray:
     """N_{J_f}(zeta, eta) = 4 theta(dbar f . zeta, dbar f . eta), pulled
     back to the chart; realified 2n-vector."""
-    zp = np.asarray(zp, dtype=complex).reshape(-1)
-    jf = induced_jf(emb, chart, zp, tol, require_normalized=False)
-    etas, _ = dbar_f_fiber_coords(emb, chart, zp, jf, tol)
-    theta = torsion_via_frames(chart, emb.f_value(zp))
-    eta_1 = etas @ np.asarray(zeta_r, dtype=float).reshape(-1)
-    eta_2 = etas @ np.asarray(eta_r, dtype=float).reshape(-1)
-    q_repr = 4.0 * theta.apply(eta_1, eta_2)
-    return pullback_quotient(emb, chart, zp, q_repr, tol)
+    return nijenhuis_torsion_map(emb, chart, zp, tol)(zeta_r, eta_r)
 
 
 def transversality_report(

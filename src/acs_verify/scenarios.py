@@ -40,6 +40,24 @@ def load_schema(name: str) -> dict:
     return _SCHEMA_CACHE[name]
 
 
+_VALIDATORS: dict = {}
+
+
+def validate_document(doc, name: str) -> None:
+    """Raise the ValidationError jsonschema.validate would raise for doc
+    against the bundled schema name. The validator is built on first use,
+    so the schema is checked against its meta-schema once per process,
+    not on every validation."""
+    if name not in _VALIDATORS:
+        schema = load_schema(name)
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        _VALIDATORS[name] = cls(schema)
+    error = jsonschema.exceptions.best_match(_VALIDATORS[name].iter_errors(doc))
+    if error is not None:
+        raise error
+
+
 def bundled_scenario_names() -> list[str]:
     root = resources.files("acs_verify").joinpath("scenarios")
     return sorted(
@@ -63,16 +81,59 @@ def find_scenario(ref: str) -> str:
     )
 
 
+def _schema_error(exc: jsonschema.ValidationError, prefix=()) -> SchemaError:
+    path = "/".join(str(p) for p in (*prefix, *exc.absolute_path)) or "<root>"
+    return SchemaError(f"scenario invalid at {path}: {exc.message}")
+
+
 def validate_scenario(doc) -> None:
-    schema = load_schema("scenario.schema.json")
+    """Reject a scenario before any check runs: the schema, then the
+    check filter, then what the checks of its kind read from payload and
+    samples."""
     try:
-        jsonschema.validate(doc, schema)
+        validate_document(doc, "scenario.schema.json")
     except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise SchemaError(f"scenario invalid at {path}: {exc.message}") from exc
-    samples = doc.get("samples")
-    if samples and "dims" in samples and samples["dims"] != len(samples["counts"]):
+        raise _schema_error(exc) from exc
+    samples = doc.get("samples", {})
+    if "dims" in samples and samples["dims"] != len(samples["counts"]):
         raise SchemaError("samples.dims must equal len(samples.counts)")
+    if len({len(row) for row in samples.get("points", [])}) > 1:
+        raise SchemaError("samples.points rows must all have the same length")
+    checks_for(doc["kind"], doc.get("checks"))
+    _validate_payload(doc)
+
+
+def _validate_payload(doc) -> None:
+    """What the checks of a kind read without a default must be there, and
+    universal and fields sample points live on T^{2n}."""
+    kind = doc["kind"]
+    payload = doc.get("payload", {})
+    if kind == "lvmb":
+        if "data" not in payload:
+            raise SchemaError("lvmb scenarios need payload.data")
+        try:
+            validate_document(payload["data"], "lvmb_input.schema.json")
+        except jsonschema.ValidationError as exc:
+            raise _schema_error(exc, ("payload", "data")) from exc
+    if kind == "universal" and "n" not in payload:
+        raise SchemaError("universal scenarios need payload.n")
+    if kind == "induced" and payload.get("n", 1) > 4 and "N" not in payload:
+        # N is drawn from n+2..6 when absent
+        raise SchemaError("induced scenarios with payload.n > 4 need payload.N")
+    if kind not in ("universal", "fields"):
+        return
+    n = int(payload.get("n", 1))
+    samples = doc.get("samples", {})
+    dims = [len(row) for row in samples.get("points", [])]
+    if "dims" in samples:
+        dims.append(samples["dims"])
+    if kind == "universal":
+        dims += [len(row) for row in payload.get("versality_samples", [])]
+    for d in dims:
+        if d != 2 * n:
+            raise SchemaError(
+                f"a {kind} scenario with n={n} needs sample points with "
+                f"2n={2 * n} coordinates, got {d}")
 
 
 def parse_scenario(text: str) -> dict:

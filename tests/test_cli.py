@@ -1,6 +1,7 @@
 import json
 import math
 
+import jsonschema
 import pytest
 
 from acs_verify.checks import (
@@ -16,13 +17,17 @@ from acs_verify.cli import main
 from acs_verify.config import DEFAULT
 from acs_verify.errors import EigenSplitFailure, SchemaError
 from acs_verify.rng import SplitMix64
+from acs_verify import scenarios
 from acs_verify.scenarios import (
     bundled_scenario_names,
     find_scenario,
+    load_schema,
     parse_scenario,
     run_check,
     run_scenario,
     serialize_report,
+    validate_document,
+    validate_scenario,
 )
 
 
@@ -254,6 +259,102 @@ def test_run_dims_counts_mismatch_rejected(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run_lines(capsys, ["run", str(path)])
     assert code == 2 and "dims" in err
+
+
+def run_doc(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return run_lines(capsys, ["run", str(path)])
+
+
+def assert_one_line_rejection(code, out, err, needle):
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and needle in err
+
+
+@pytest.mark.parametrize("kind, payload, needle", [
+    ("universal", {}, "payload.n"),
+    ("lvmb", {}, "payload.data"),
+    ("lvmb", {"data": {"m": 1, "N": 3, "E": [[0, 1, 2]]}}, "payload/data"),
+    ("fields", {"structure": {"conjugation": {"degree": 2}}}, "epsilon"),
+    ("universal", {"n": 1, "embedding": {"trig": {"terms": []}}}, "shape"),
+    ("symplectic", {"draws": "x"}, "payload/draws"),
+    ("induced", {"n": 5}, "payload.N"),
+    ("lvmb", {"data": {"m": 1, "N": 3, "E": [[0, 1, 2]],
+                       "ell": [[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]]]},
+              "expect": True}, "payload/expect"),
+], ids=["universal-without-n", "lvmb-without-data", "lvmb-data-without-ell",
+        "conjugation-without-epsilon", "trig-without-shape", "count-as-string",
+        "induced-large-n-without-N", "expect-not-object"])
+def test_run_unreadable_payload_exits_two(tmp_path, capsys, kind, payload, needle):
+    doc = {"id": "x", "kind": kind, "seed": 1, "payload": payload}
+    assert_one_line_rejection(*run_doc(tmp_path, capsys, doc), needle)
+
+
+@pytest.mark.parametrize("kind, payload, samples", [
+    ("universal", {"n": 1}, {"points": [[0.1, 0.2, 0.3]]}),
+    ("fields", {"n": 1}, {"points": [[0.1, 0.2, 0.3]]}),
+    ("universal", {"n": 1, "versality_samples": [[0.1, 0.2, 0.3]]}, None),
+], ids=["universal-points", "fields-points", "universal-versality"])
+def test_run_sample_points_of_wrong_dimension_exit_two(tmp_path, capsys, kind,
+                                                       payload, samples):
+    doc = {"id": "x", "kind": kind, "seed": 1, "payload": payload}
+    if samples is not None:
+        doc["samples"] = samples
+    assert_one_line_rejection(*run_doc(tmp_path, capsys, doc), "2n=2")
+
+
+def test_run_ragged_sample_points_exit_two(tmp_path, capsys):
+    doc = {"id": "x", "kind": "induced", "seed": 1,
+           "checks": ["foliation_rank_control"],
+           "samples": {"points": [[0.1], [0.1, 0.2]]}}
+    assert_one_line_rejection(*run_doc(tmp_path, capsys, doc), "same length")
+
+
+INVALID_DOCUMENTS = [
+    ("scenario.schema.json", {"id": "x", "kind": "universal", "seed": -1}),
+    ("scenario.schema.json", {"id": "bad id", "kind": "fields", "seed": 1}),
+    ("scenario.schema.json", {"id": "x", "kind": "nope", "seed": 1, "extra": 0}),
+    ("scenario.schema.json", {"id": "x", "kind": "fields", "seed": 1,
+                              "samples": {"dims": 2, "counts": [2, 2],
+                                          "points": [[0.1, 0.2]]}}),
+    ("scenario.schema.json", {"id": "x", "kind": "induced", "seed": 1,
+                              "payload": {"n": 0},
+                              "tolerances": {"checks": {"a": -1}}}),
+    ("lvmb_input.schema.json", {"m": 1, "N": 3, "E": [[0, 1, 2]]}),
+    ("lvmb_input.schema.json", {"m": 1, "N": 3, "E": [],
+                                "ell": [[[0.0, 1.0, 2.0]], [[0.0, 0.0]]]}),
+    ("lvmb_input.schema.json", [1, 2]),
+]
+
+
+@pytest.mark.parametrize("name, doc", INVALID_DOCUMENTS)
+def test_cached_validator_raises_what_jsonschema_validate_raises(name, doc):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, load_schema(name))
+    for _ in range(2):
+        with pytest.raises(jsonschema.ValidationError) as got:
+            validate_document(doc, name)
+        assert got.value.message == want.value.message
+        assert list(got.value.absolute_path) == list(want.value.absolute_path)
+
+
+def test_schema_is_checked_against_its_meta_schema_once(monkeypatch):
+    monkeypatch.setattr(scenarios, "_VALIDATORS", {})
+    cls = jsonschema.validators.validator_for(load_schema("scenario.schema.json"))
+    original = cls.check_schema
+    calls = []
+
+    def counted(klass, schema, *args, **kwargs):
+        calls.append(schema.get("title"))
+        return original(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", classmethod(counted))
+    doc = parse_scenario(find_scenario("lvmb_pass"))
+    for _ in range(3):
+        validate_scenario(doc)
+        validate_document(doc["payload"]["data"], "lvmb_input.schema.json")
+    assert sorted(calls) == ["Combinatorial admissibility input", "Verification scenario"]
 
 
 def test_per_check_tolerance_override():

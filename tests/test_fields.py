@@ -210,3 +210,54 @@ def test_tensoriality_modulated_extensions():
     _, n_mod2, dev2 = fl.verify_tensoriality(j, x, zeta, eta, phi2, psi)
     assert dev2 < 1e-10
     assert np.max(np.abs(n_mod - n_mod2)) < 1e-10
+
+
+def _nijenhuis_per_direction(j, x, zeta, eta):
+    """Reference copy of the four-bracket evaluation before jets: every
+    directional derivative calls partial_value again, skipping zero
+    weights."""
+
+    def directional_dj(w):
+        out = np.zeros((w.shape[0], w.shape[0]))
+        for i, wi in enumerate(w):
+            if wi != 0.0:
+                out += wi * j.field.partial_value(i, x)
+        return out
+
+    jm = j.value(x)
+    out = -directional_dj(jm @ zeta) @ eta
+    out += directional_dj(jm @ eta) @ zeta
+    out += jm @ (directional_dj(zeta) @ eta)
+    out -= jm @ (directional_dj(eta) @ zeta)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["conjugated", "callable"])
+def test_nijenhuis_from_jet_matches_per_direction_loop_bitwise(kind):
+    rng = SplitMix64(35)
+    a = fl.TrigPolyField.random(4, (4, 4), rng, max_degree=2, n_terms=3, amplitude=0.5)
+    j = fl.AlmostComplexField.conjugated(a, eps=0.1)
+    if kind == "callable":
+        j = fl.AlmostComplexField(fl.TorusChart(4),
+                                  fl.CallableMatrixField(4, (4, 4), j.value))
+    x = rng.reals(4, 0.0, 2.0 * np.pi)
+    jet = fl.structure_jet(j, x)
+    probes = [(rng.reals(4), rng.reals(4)) for _ in range(5)]
+    probes.append((np.array([1.0, 0.0, 0.0, -0.5]), np.array([0.0, 2.0, 0.0, 0.0])))
+    for zeta, eta in probes:
+        ref = _nijenhuis_per_direction(j, x, zeta, eta)
+        assert np.array_equal(fl.nijenhuis_from_jet(jet, zeta, eta), ref)
+        assert np.array_equal(fl.nijenhuis_direct(j, x, zeta, eta), ref)
+
+
+def test_conjugated_partial_value_is_unchanged_bitwise():
+    rng = SplitMix64(36)
+    a = fl.TrigPolyField.random(2, (2, 2), rng, max_degree=2, n_terms=3, amplitude=0.5)
+    j = fl.ConjugatedStructureField(a, eps=0.1)
+    x = np.array([0.3, 1.1])
+    t = j.t_field.value(x)
+    jm = np.linalg.solve(t.T, (t @ j.j0).T).T
+    for i in range(2):
+        ti = j.t_field.partial_value(i, x)
+        ref = np.linalg.solve(t.T, (ti @ j.j0 - jm @ ti).T).T
+        assert np.array_equal(j.partial_value(i, x), ref)

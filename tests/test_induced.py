@@ -5,19 +5,21 @@ quotient construction for J_F, deformed-graph finite differences for the
 variation, and the four-bracket Nijenhuis evaluation on the realified
 chart for the torsion identity.
 """
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
+from acs_verify import induced
+from acs_verify.checks import REGISTRY, CheckContext, build_graph_scenario
+from acs_verify.config import DEFAULT
 from acs_verify.cxlinalg import complexify_vector, realify_vector, standard_structure
 from acs_verify.distribution import (
     DistributionChart,
     PolynomialMatrixMap,
     random_polynomial_chart,
+    torsion_via_frames,
 )
 from acs_verify.errors import NotNormalized, NotTransverse
-from acs_verify.fields import CallableMatrixField, nijenhuis_direct
+from acs_verify.fields import nijenhuis_direct
 from acs_verify.induced import (
     CRPolyMap,
     GraphEmbedding,
@@ -29,7 +31,9 @@ from acs_verify.induced import (
     embedding_from_json,
     embedding_to_json,
     induced_jf,
+    induced_jf_field,
     induced_jf_quotient,
+    nijenhuis_torsion_map,
     nijenhuis_via_torsion,
     pullback_quotient,
     random_crpoly,
@@ -304,22 +308,9 @@ def test_variation_transport_term_is_load_bearing():
     assert 7.0 < errs[0] / errs[1] < 13.0
 
 
-def local_structure(emb, chart):
-    """Duck-typed field x -> J_F for the realified chart, FD partials."""
-    n = emb.n
-
-    def fn(x):
-        return induced_jf(
-            emb, chart, complexify_vector(x), require_normalized=False
-        )
-
-    field = CallableMatrixField(2 * n, (2 * n, 2 * n), fn, h=1e-5)
-    return SimpleNamespace(value=field.value, field=field)
-
-
 def test_nijenhuis_identity_seed19():
     chart, emb, _, rng = scenario_seed(19)
-    struct = local_structure(emb, chart)
+    struct = induced_jf_field(emb, chart)
     for zp in [np.array([0.0 + 0.0j]), np.array([0.08 - 0.05j])]:
         x = realify_vector(zp)
         for _ in range(12):
@@ -329,6 +320,55 @@ def test_nijenhuis_identity_seed19():
             direct = nijenhuis_direct(struct, x, zeta, eta)
             scale = max(1.0, float(np.max(np.abs(direct))))
             assert np.max(np.abs(via_theta - direct)) / scale < 1e-4
+
+
+@pytest.mark.parametrize("n, big_n", [(1, 3), (2, 5)])
+def test_nijenhuis_torsion_map_matches_per_pair_route_bitwise(n, big_n):
+    rng = SplitMix64(83 + n)
+    for _ in range(2):
+        chart, emb, _ = build_graph_scenario(rng, n, big_n)
+        zp = emb.base
+        via_map = nijenhuis_torsion_map(emb, chart, zp)
+        # the per-pair route as it reads without the map: every point
+        # quantity rebuilt, then one pullback through the joint solve
+        jf = induced_jf(emb, chart, zp, require_normalized=False)
+        etas, _ = dbar_f_fiber_coords(emb, chart, zp, jf)
+        theta = torsion_via_frames(chart, emb.f_value(zp))
+        for _ in range(6):
+            zeta = rng.reals(2 * n)
+            eta = rng.reals(2 * n)
+            got = via_map(zeta, eta)
+            q_repr = 4.0 * theta.apply(etas @ zeta, etas @ eta)
+            assert np.array_equal(got, nijenhuis_via_torsion(emb, chart, zp, zeta, eta))
+            assert np.array_equal(got, pullback_quotient(emb, chart, zp, q_repr))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("pairs", [1, 9])
+def test_nijenhuis_identity_differentiates_jf_once_per_instance(monkeypatch, n, pairs):
+    calls = []
+    original = induced.induced_jf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(induced, "induced_jf", counted)
+    ctx = CheckContext(payload={"instances": 1, "pairs": pairs, "n": n, "N": n + 2},
+                       tol=DEFAULT, seed=5, rng=SplitMix64(5), samples=None,
+                       sample_cap=None)
+    result = REGISTRY["nijenhuis_identity"].runner(ctx)
+    assert result.samples_checked == pairs and result.max_residual < 1e-4
+    # one J_f for the torsion map, one value and two per partial for the jet
+    assert 0 < len(calls) <= 2 + 2 * (2 * n)
+
+
+def test_nijenhuis_torsion_map_rejects_non_transverse_graph():
+    # a = 4 z_1 with g = conj(z') is tangent to the fiber at z' = 0.25
+    chart = poly_chart(1, 2, {(0, 0): ((1, 0), 4.0)})
+    emb = graph_with(1, 2, {0: [((0,), (1,), 1.0)]})
+    with pytest.raises(NotTransverse):
+        nijenhuis_torsion_map(emb, chart, np.array([0.25 + 0j]))
 
 
 def test_nijenhuis_vanishes_for_integrable_cases():
@@ -348,7 +388,7 @@ def test_nijenhuis_vanishes_for_integrable_cases():
     emb2 = graph_with(1, 3, {0: [((0,), (1,), 0.3)], 1: [((0,), (1,), 0.2)]})
     out2 = nijenhuis_via_torsion(emb2, foliation, zp, rng.reals(2), rng.reals(2))
     assert np.max(np.abs(out2)) < 1e-12
-    struct = local_structure(emb2, foliation)
+    struct = induced_jf_field(emb2, foliation)
     direct = nijenhuis_direct(struct, realify_vector(zp), rng.reals(2), rng.reals(2))
     assert np.max(np.abs(direct)) < 1e-6
 
