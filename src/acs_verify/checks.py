@@ -10,16 +10,19 @@ Pass/fail is uniform: a check passes when it saw at least one sample and
 its max_residual is finite and <= tolerance, with indicator residuals
 (0 or 1) for verdict-match and control checks. Runners fold residuals
 with worst_of, which keeps a NaN that max would drop.
+
+The checks of one run share a RunMemo of the constructions that draw
+from no check's rng: the manifold, the LVMB data and the set of sample
+points whose fiber has been built and validated.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .config import Tolerances
+from .config import Tolerances, worst_of
 from .cxlinalg import realify_vector
 from .distribution import (
     DistributionChart,
@@ -90,6 +93,49 @@ class CheckResult:
     samples_checked: int
 
 
+class RunMemo:
+    """Constructions shared by the checks of one run (one payload, one
+    seed), dropped when the run returns.
+
+    It holds only what the payload and the scenario seed determine, so a
+    check sees the same object it would have built itself: the manifold,
+    the LVMB data, and the keys of the sample points whose fiber has been
+    built and validated. The fibers themselves are not held: they cost
+    about 5.8 KB each, and a point is cheap to rebuild. A build that
+    raises stores nothing, so the next check to need it raises the same
+    error.
+    """
+
+    def __init__(self):
+        self._manifold = None
+        self._lvmb_data = None
+        self._validated_points: set[bytes] = set()
+
+    def manifold(self, payload: dict, seed: int) -> PointwiseACManifold:
+        if self._manifold is None:
+            self._manifold = build_manifold(payload, seed)
+        return self._manifold
+
+    def lvmb_data(self, payload: dict) -> LvmbData:
+        if self._lvmb_data is None:
+            self._lvmb_data = LvmbData.from_json_dict(payload["data"])
+        return self._lvmb_data
+
+    def fiber(self, x, m: PointwiseACManifold, tol: Tolerances):
+        """build_fiber(x, m, tol), which validates the point, recording x
+        once it has returned."""
+        point = build_fiber(x, m, tol)
+        self._validated_points.add(_point_key(x))
+        return point
+
+    def validated(self, x) -> bool:
+        return _point_key(x) in self._validated_points
+
+
+def _point_key(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
 @dataclass(frozen=True)
 class CheckContext:
     payload: dict
@@ -98,6 +144,10 @@ class CheckContext:
     rng: SplitMix64
     samples: np.ndarray | None
     sample_cap: int | None
+    memo: RunMemo = field(default_factory=RunMemo, compare=False, repr=False)
+
+    def manifold(self) -> PointwiseACManifold:
+        return self.memo.manifold(self.payload, self.seed)
 
     def points(self, default_counts):
         if self.samples is not None:
@@ -230,18 +280,6 @@ def _graph_params(ctx: CheckContext):
     return n, big_n, float(ctx.payload.get("amplitude", 0.8))
 
 
-def worst_of(*values):
-    """Largest of the values, or NaN when any of them is NaN.
-
-    Python's max keeps its first argument unless a later one compares
-    greater, so max(0.0, nan) is 0.0 and a NaN residual would vanish
-    from a running fold; this keeps it, and the check then fails.
-    """
-    if any(math.isnan(v) for v in values):
-        return math.nan
-    return max(values)
-
-
 def _relative(diff: float, scale: float) -> float:
     return diff / max(scale, 1e-12)
 
@@ -274,11 +312,12 @@ def _check_dimension_tables(ctx: CheckContext) -> CheckResult:
     1e-8,
 )
 def _check_reconstruction(ctx: CheckContext) -> CheckResult:
-    m = build_manifold(ctx.payload, ctx.seed)
+    m = ctx.manifold()
     pts = ctx.points(default_counts=[10] * (2 * m.n))
     worst = 0.0
     for x in pts:
-        jf = induced_structure_at(x, m, ctx.tol)
+        point = ctx.memo.fiber(x, m, ctx.tol)
+        jf = induced_structure_at(x, m, ctx.tol, point=point)
         worst = worst_of(worst, float(np.max(np.abs(jf - m.j.value(x)))))
     return CheckResult(worst, int(len(pts)))
 
@@ -289,14 +328,19 @@ def _check_reconstruction(ctx: CheckContext) -> CheckResult:
     1e-9,
 )
 def _check_fiber_reality(ctx: CheckContext) -> CheckResult:
-    m = build_manifold(ctx.payload, ctx.seed)
+    m = ctx.manifold()
     pts = ctx.points(default_counts=[6] * (2 * m.n))
     wedge_cap = int(ctx.payload.get("reality_samples", 5))
     worst = 0.0
     for i, x in enumerate(pts):
-        point = build_fiber(x, m, ctx.tol)  # validates the point
+        # building a fiber validates it (S'' = conj S', Sigma'' = conj
+        # Sigma'); a point another check of this run has built and
+        # validated needs building again only for its Plucker test
         if i < wedge_cap:
+            point = ctx.memo.fiber(x, m, ctx.tol)
             worst = worst_of(worst, 1.0 - plucker_reality_certificate(point, ctx.tol))
+        elif not ctx.memo.validated(x):
+            ctx.memo.fiber(x, m, ctx.tol)
     return CheckResult(worst, int(len(pts)))
 
 
@@ -306,7 +350,7 @@ def _check_fiber_reality(ctx: CheckContext) -> CheckResult:
     1e-8,
 )
 def _check_versality(ctx: CheckContext) -> CheckResult:
-    m = build_manifold(ctx.payload, ctx.seed)
+    m = ctx.manifold()
     explicit = ctx.payload.get("versality_samples")
     if explicit is not None:
         pts = np.asarray(explicit, dtype=float)
@@ -330,14 +374,14 @@ def _check_versality(ctx: CheckContext) -> CheckResult:
     1e-9, opt_in=True,
 )
 def _check_isotropy(ctx: CheckContext) -> CheckResult:
-    m = build_manifold(ctx.payload, ctx.seed)
+    m = ctx.manifold()
     pts = ctx.points(default_counts=[3] * (2 * m.n))[: ctx.count(3)]
     worst = 0.0
     for x in pts:
-        point = build_fiber(x, m, ctx.tol)
+        point = ctx.memo.fiber(x, m, ctx.tol)
         frame = ChartFrame(point, tol=ctx.tol)
         chart = universal_chart(point, tol=ctx.tol)
-        jf = induced_structure_at(x, m, ctx.tol)
+        jf = induced_structure_at(x, m, ctx.tol, point=point)
         dbar, _ = dbar_embedding(x, m, frame, jf, ctx.tol)
         sub = isotropy_subspace(dbar, chart.big_n, ctx.tol)
         ok, pairing = isotropy_test(torsion_at(chart, tol=ctx.tol), sub, m.n, ctx.tol)
@@ -351,7 +395,7 @@ def _check_isotropy(ctx: CheckContext) -> CheckResult:
     1e-8, opt_in=True,
 )
 def _check_nijenhuis_flat(ctx: CheckContext) -> CheckResult:
-    m = build_manifold(ctx.payload, ctx.seed)
+    m = ctx.manifold()
     jf_field = induced_structure_field(m, ctx.tol)
     probes = ctx.count(int(ctx.payload.get("probes", 5)))
     worst = 0.0
@@ -540,7 +584,7 @@ def _check_pseudoholomorphic_rank(ctx: CheckContext) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _lvmb_data(ctx: CheckContext) -> LvmbData:
-    return LvmbData.from_json_dict(ctx.payload["data"])
+    return ctx.memo.lvmb_data(ctx.payload)
 
 
 @register(
@@ -617,6 +661,7 @@ def _check_lvmb_closure(ctx: CheckContext) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _symplectic_reports(ctx: CheckContext):
+    # draws from the check's own rng, so it stays out of the run memo
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     j0 = np.array([[0.0, -1.0], [1.0, 0.0]])
     gamma = np.block([

@@ -20,7 +20,6 @@ from .lvmb import LvmbData, check_condition_i, check_condition_ii
 from .scenarios import (
     bundled_scenario_names,
     find_scenario,
-    parse_scenario,
     run_scenario,
     serialize_report,
     validate_document,
@@ -62,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    doc = parse_scenario(find_scenario(args.scenario))
+    # run_scenario validates the document
+    doc = json.loads(find_scenario(args.scenario))
     records, aggregate = run_scenario(
         doc, tol_scale=args.tol_scale, sample_cap=args.samples,
         seed=args.seed, timings=args.timings)

@@ -1,6 +1,8 @@
-"""Tolerance policy for rank decisions, algebraic identities and FD cross-checks."""
+"""Tolerance policy for rank decisions, algebraic identities and FD
+cross-checks, and the residual fold that compares against it."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -15,3 +17,16 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
+
+
+def worst_of(*values):
+    """Largest of the values, or NaN when any of them is NaN.
+
+    Python's max keeps its first argument unless a later one compares
+    greater, so max(0.0, nan) is 0.0 and a NaN residual would vanish
+    from a running fold; this keeps it, and a tolerance test on the
+    result then fails.
+    """
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values)

@@ -25,7 +25,7 @@ import itertools
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, worst_of
 from .cxlinalg import ComplexSubspace
 from .errors import (
     DimensionMismatch,
@@ -445,7 +445,7 @@ def is_foliation(
     worst = 0.0
     for z in sample_points:
         local = recenter(chart, z)
-        worst = max(worst, torsion_at(local, tol=tol).norm())
+        worst = worst_of(worst, torsion_at(local, tol=tol).norm())
     return worst <= tol.fd_rtol, worst
 
 
@@ -474,7 +474,7 @@ def isotropy_test(
     for p in range(subspace.dim):
         for q in range(p + 1, subspace.dim):
             val = theta.apply(cols[:, p], cols[:, q])
-            worst = max(worst, float(np.max(np.abs(val), initial=0.0)))
+            worst = worst_of(worst, float(np.max(np.abs(val), initial=0.0)))
     return worst <= 1e3 * tol.alg_atol, worst
 
 

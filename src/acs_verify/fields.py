@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, worst_of
 from .errors import DimensionMismatch, NotAComplexStructure, ShapeMismatch
 from .rng import SplitMix64
 
@@ -374,8 +374,8 @@ class AlmostComplexField:
         eye = np.eye(2 * self.n)
         for x in points:
             j = self.value(x)
-            worst = max(worst, float(np.max(np.abs(j @ j + eye))))
-        if worst > 1e3 * self.tol.alg_atol:
+            worst = worst_of(worst, float(np.max(np.abs(j @ j + eye))))
+        if not worst <= 1e3 * self.tol.alg_atol:  # NaN fails too
             raise NotAComplexStructure(f"||J(x)^2 + Id|| = {worst:.3e}")
         return worst
 

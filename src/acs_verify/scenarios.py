@@ -7,9 +7,10 @@ check plus an aggregate, ready for byte-deterministic serialization
 (sorted keys, compact separators, wall times omitted by default).
 
 Object builders inside checks derive everything from the scenario seed,
-so every check of a run sees the same construction; probe randomness
-comes from a per-check stream keyed by the check name, which makes the
-records independent of execution order and thread count.
+so every check of a run sees the same construction, built once per run
+in the run's memo; probe randomness comes from a per-check stream keyed
+by the check name, which makes the records independent of execution
+order. Checks run one after another.
 """
 from __future__ import annotations
 
@@ -18,13 +19,12 @@ import math
 import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import jsonschema
 import numpy as np
 
-from .checks import Check, CheckContext, checks_for
+from .checks import Check, CheckContext, RunMemo, checks_for
 from .config import DEFAULT, Tolerances
 from .errors import SchemaError, VerifyError
 from .fields import TorusChart
@@ -86,10 +86,12 @@ def _schema_error(exc: jsonschema.ValidationError, prefix=()) -> SchemaError:
     return SchemaError(f"scenario invalid at {path}: {exc.message}")
 
 
-def validate_scenario(doc) -> None:
+def validate_scenario(doc, memo: RunMemo | None = None) -> None:
     """Reject a scenario before any check runs: the schema, then the
     check filter, then what the checks of its kind read from payload and
-    samples."""
+    samples. A construction built to validate the payload (the LVMB
+    data) goes into memo when one is given, so the run does not build it
+    again."""
     try:
         validate_document(doc, "scenario.schema.json")
     except jsonschema.ValidationError as exc:
@@ -100,12 +102,13 @@ def validate_scenario(doc) -> None:
     if len({len(row) for row in samples.get("points", [])}) > 1:
         raise SchemaError("samples.points rows must all have the same length")
     checks_for(doc["kind"], doc.get("checks"))
-    _validate_payload(doc)
+    _validate_payload(doc, RunMemo() if memo is None else memo)
 
 
-def _validate_payload(doc) -> None:
-    """What the checks of a kind read without a default must be there, and
-    universal and fields sample points live on T^{2n}."""
+def _validate_payload(doc, memo: RunMemo) -> None:
+    """What the checks of a kind read without a default must be there and
+    be accepted by the constructors that read it, and universal and
+    fields sample points live on T^{2n}."""
     kind = doc["kind"]
     payload = doc.get("payload", {})
     if kind == "lvmb":
@@ -115,11 +118,21 @@ def _validate_payload(doc) -> None:
             validate_document(payload["data"], "lvmb_input.schema.json")
         except jsonschema.ValidationError as exc:
             raise _schema_error(exc, ("payload", "data")) from exc
+        try:
+            memo.lvmb_data(payload)
+        except VerifyError as exc:
+            raise SchemaError(f"payload.data rejected: {exc}") from exc
     if kind == "universal" and "n" not in payload:
         raise SchemaError("universal scenarios need payload.n")
-    if kind == "induced" and payload.get("n", 1) > 4 and "N" not in payload:
-        # N is drawn from n+2..6 when absent
-        raise SchemaError("induced scenarios with payload.n > 4 need payload.N")
+    if kind == "induced":
+        # absent dimensions are drawn: n from 1..2, N from n+2..6
+        n = payload.get("n")
+        if n is not None and n > 4 and "N" not in payload:
+            raise SchemaError("induced scenarios with payload.n > 4 need payload.N")
+        if "N" in payload and payload["N"] <= (2 if n is None else n):
+            raise SchemaError(
+                f"induced scenarios need payload.N > n (n is 1..2 when absent), "
+                f"got N={payload['N']}" + ("" if n is None else f" and n={n}"))
     if kind not in ("universal", "fields"):
         return
     n = int(payload.get("n", 1))
@@ -169,14 +182,6 @@ def check_tolerance(check: Check, doc: dict, tol_scale: float) -> float:
     return float(override.get(check.name, check.tolerance)) * tol_scale
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ACS_VERIFY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise SchemaError("ACS_VERIFY_THREADS must be an integer") from None
-
-
 def run_check(check: Check, ctx: CheckContext, tolerance: float,
               timings: bool) -> dict:
     """One record per check; a VerifyError inside a runner is a recorded
@@ -214,7 +219,8 @@ def run_check(check: Check, ctx: CheckContext, tolerance: float,
 def run_scenario(doc: dict, tol_scale: float = 1.0,
                  sample_cap: int | None = None, seed: int | None = None,
                  timings: bool = False) -> tuple[list[dict], dict]:
-    validate_scenario(doc)
+    memo = RunMemo()
+    validate_scenario(doc, memo)
     if sample_cap is not None and sample_cap < 1:
         raise SchemaError(
             f"sample cap (--samples) must be a positive integer, got {sample_cap}")
@@ -227,21 +233,13 @@ def run_scenario(doc: dict, tol_scale: float = 1.0,
         raise SchemaError(f"no checks registered for kind {kind!r}")
     payload = doc.get("payload", {})
 
-    jobs = []
+    records = []
     for check in selected:
         rng = SplitMix64(run_seed ^ zlib.crc32(check.name.encode()))
         ctx = CheckContext(payload=payload, tol=tol, seed=run_seed, rng=rng,
-                           samples=samples, sample_cap=sample_cap)
-        jobs.append((check, ctx, check_tolerance(check, doc, tol_scale)))
-
-    workers = _worker_count()
-    if workers == 1:
-        records = [run_check(c, ctx, t, timings) for c, ctx, t in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_check, c, ctx, t, timings)
-                       for c, ctx, t in jobs]
-            records = [f.result() for f in futures]
+                           samples=samples, sample_cap=sample_cap, memo=memo)
+        records.append(run_check(check, ctx, check_tolerance(check, doc, tol_scale),
+                                 timings))
 
     failed = sum(1 for r in records if r["status"] != "pass")
     aggregate = {

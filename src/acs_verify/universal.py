@@ -29,7 +29,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, worst_of
 from .cxlinalg import (
     ComplexSubspace,
     complexify_vector,
@@ -320,9 +320,10 @@ def _induced_from_parts(dg2k: np.ndarray, fiber: ComplexSubspace,
     return sol[:two_n, :], sigma_min
 
 
-def _induced_at(x, m: PointwiseACManifold,
-                tol: Tolerances = DEFAULT) -> tuple[np.ndarray, float]:
-    point = build_fiber(x, m, tol)
+def _induced_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
+                point: UniversalPoint | None = None) -> tuple[np.ndarray, float]:
+    if point is None:
+        point = build_fiber(x, m, tol)
     fiber = DistributionFiber(point, tol).horizontal_part
     dg = m.dg(x)
     dg2k = np.vstack([dg, dg])
@@ -333,14 +334,16 @@ def _induced_at(x, m: PointwiseACManifold,
     return jf, sigma
 
 
-def induced_structure_at(x, m: PointwiseACManifold,
-                         tol: Tolerances = DEFAULT) -> np.ndarray:
+def induced_structure_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
+                         point: UniversalPoint | None = None) -> np.ndarray:
     """Structure induced on T_x X by the quotient at the fiber point.
 
-    Certifies J^2 = -Id before returning; the content of the construction
-    is that the result reproduces m.j.value(x).
+    point, when given, must be build_fiber(x, m, tol); a caller that has
+    just built it saves building it again. Certifies J^2 = -Id before
+    returning; the content of the construction is that the result
+    reproduces m.j.value(x).
     """
-    return _induced_at(x, m, tol)[0]
+    return _induced_at(x, m, tol, point)[0]
 
 
 def induced_structure_field(m: PointwiseACManifold,
@@ -366,7 +369,7 @@ def reconstruction_report(m: PointwiseACManifold, counts,
     min_sigma = float("inf")
     for x in pts:
         jf, sigma = _induced_at(x, m, tol)
-        worst = max(worst, float(np.max(np.abs(jf - m.j.value(x)))))
+        worst = worst_of(worst, float(np.max(np.abs(jf - m.j.value(x)))))
         min_sigma = min(min_sigma, sigma)
     return {
         "max_deviation": worst,
@@ -583,7 +586,7 @@ def _fiber_frame_coords(cols_real: np.ndarray, n: int) -> tuple[np.ndarray, floa
     worst = 0.0
     for r in range(cols_real.shape[1]):
         vec = complexify_vector(cols_real[:, r])
-        worst = max(worst, float(np.max(np.abs(vec[:n]), initial=0.0)))
+        worst = worst_of(worst, float(np.max(np.abs(vec[:n]), initial=0.0)))
         out.append(vec[n:])
     return np.stack(out, axis=1), worst
 
@@ -638,7 +641,7 @@ def versality_check(x, m: PointwiseACManifold, mixer: SplitMix64 | None = None,
     point = build_fiber(x, m, tol)
     frame = ChartFrame(point, mixer, tol)
     chart = universal_chart(point, mixer, tol)
-    jf = induced_structure_at(x, m, tol)
+    jf = induced_structure_at(x, m, tol, point=point)
     dbar, df = dbar_embedding(x, m, frame, jf, tol)
 
     sv = np.linalg.svd(dbar, compute_uv=False)

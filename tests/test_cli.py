@@ -110,15 +110,6 @@ def test_run_is_byte_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_run_threaded_report_matches_serial(tmp_path, capsys, monkeypatch):
-    serial, threaded = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
-    assert main(["run", "lvmb_pass", "--out", str(serial)]) == 0
-    monkeypatch.setenv("ACS_VERIFY_THREADS", "4")
-    assert main(["run", "lvmb_pass", "--out", str(threaded)]) == 0
-    capsys.readouterr()
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 def test_run_tolerance_tightening_fails_controlled(capsys):
     code, out, _ = run_lines(capsys, ["run", "fields_basic",
                                       "--tol-scale", "1e-12"])
@@ -289,6 +280,40 @@ def assert_one_line_rejection(code, out, err, needle):
 def test_run_unreadable_payload_exits_two(tmp_path, capsys, kind, payload, needle):
     doc = {"id": "x", "kind": kind, "seed": 1, "payload": payload}
     assert_one_line_rejection(*run_doc(tmp_path, capsys, doc), needle)
+
+
+ELL4 = [[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]]]
+
+
+@pytest.mark.parametrize("kind, payload, needle", [
+    ("lvmb", {"data": {"m": 1, "N": 3, "E": [[0, 1, 2], [0, 1]], "ell": ELL4}},
+     "3 distinct indices"),
+    ("lvmb", {"data": {"m": 1, "N": 3, "E": [[0, 1, 4]], "ell": ELL4}},
+     "indices must lie in 0..3"),
+    ("lvmb", {"data": {"m": 1, "N": 3, "E": [[0, 1, 2]], "ell": ELL4[:3]}},
+     "ell must supply 4 forms"),
+    ("induced", {"n": 2, "N": 2}, "payload.N > n"),
+    ("induced", {"n": 3, "N": 1}, "payload.N > n"),
+    ("induced", {"N": 2}, "payload.N > n"),
+], ids=["lvmb-member-too-small", "lvmb-index-out-of-range", "lvmb-ell-too-short",
+        "induced-N-equals-n", "induced-N-below-n", "induced-N-below-drawn-n"])
+def test_run_payload_its_constructors_reject_exits_two(tmp_path, capsys, kind,
+                                                        payload, needle):
+    # schema-valid, but every check would fail on it: exit 2, not 1
+    doc = {"id": "x", "kind": kind, "seed": 1, "payload": payload}
+    assert_one_line_rejection(*run_doc(tmp_path, capsys, doc), needle)
+    if kind == "lvmb":
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(payload["data"]))
+        code, _, err = run_lines(capsys, ["lvmb-check", str(path)])
+        assert code == 2 and "input rejected" in err and needle in err
+
+
+def test_run_induced_payload_with_N_above_n_is_accepted(tmp_path, capsys):
+    doc = {"id": "x", "kind": "induced", "seed": 1, "payload": {"n": 1, "N": 2},
+           "checks": ["torsion_antisymmetry", "variation_anticommutation"]}
+    code, out, err = run_doc(tmp_path, capsys, doc)
+    assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("kind, payload, samples", [

@@ -7,11 +7,13 @@ polynomial calculus and the circle rule are validated independently.
 import numpy as np
 import pytest
 
+from acs_verify import distribution
 from acs_verify.cxlinalg import ComplexSubspace, subspace_eq
 from acs_verify.distribution import (
     CallableHolomorphicMap,
     DistributionChart,
     PolynomialMatrixMap,
+    TorsionTensor,
     chart_from_json,
     chart_to_json,
     coordinate_plane_subspaces,
@@ -356,3 +358,19 @@ def test_serialization_roundtrip():
         z = 0.3 * rng.complex_vector(5)
         assert np.array_equal(clone.a_value(z), chart.a_value(z))
     assert chart_to_json(clone) == data
+
+
+def test_is_foliation_keeps_a_nan_torsion(monkeypatch):
+    # max(0.0, nan) is 0.0: a plain max fold would call this a foliation
+    nan_theta = TorsionTensor(np.full((1, 2, 2), np.nan))
+    monkeypatch.setattr(distribution, "torsion_at", lambda chart, tol=None: nan_theta)
+    ok, worst = is_foliation(foliation_chart_n1(), [np.zeros(3), 0.1 * np.ones(3)])
+    assert not ok and np.isnan(worst)
+
+
+def test_isotropy_test_keeps_a_nan_pairing():
+    theta = TorsionTensor(np.full((2, 2, 2), np.nan))
+    fiber = np.zeros((4, 2), dtype=complex)
+    fiber[2, 0] = fiber[3, 1] = 1.0
+    ok, worst = isotropy_test(theta, ComplexSubspace(fiber), 2)
+    assert not ok and np.isnan(worst)

@@ -261,3 +261,14 @@ def test_conjugated_partial_value_is_unchanged_bitwise():
         ti = j.t_field.partial_value(i, x)
         ref = np.linalg.solve(t.T, (ti @ j.j0 - jm @ ti).T).T
         assert np.array_equal(j.partial_value(i, x), ref)
+
+
+def test_validate_rejects_a_nan_structure():
+    # max(0.0, nan) is 0.0, and nan > tolerance is False: both let NaN pass
+    nan_field = fl.CallableMatrixField(2, (2, 2), lambda x: np.full((2, 2), np.nan))
+    with pytest.raises(NotAComplexStructure):
+        fl.AlmostComplexField(fl.TorusChart(2), nan_field)
+    j = fl.AlmostComplexField.standard(1)
+    j.field = nan_field
+    with pytest.raises(NotAComplexStructure):
+        j.validate([np.zeros(2)])

@@ -10,6 +10,7 @@ import types
 import numpy as np
 import pytest
 
+from acs_verify import universal
 from acs_verify.config import DEFAULT
 import scipy.linalg
 
@@ -581,3 +582,28 @@ def test_manifold_json_roundtrip_constant():
     back = manifold_from_json(manifold_to_json(m))
     x = np.array([0.9, 2.2])
     assert np.max(np.abs(back.j.value(x) - m.j.value(x))) < 1e-14
+
+
+def test_fiber_frame_coords_keeps_a_nan_head_component():
+    # max(0.0, nan) is 0.0: a plain max fold would certify membership
+    cols = np.zeros((6, 2))
+    cols[0, 0] = np.nan
+    _, head_resid = _fiber_frame_coords(cols, 1)
+    assert np.isnan(head_resid)
+
+
+def test_reconstruction_report_keeps_a_nan_deviation(monkeypatch):
+    monkeypatch.setattr(universal, "_induced_at",
+                        lambda x, m, tol: (np.full((2, 2), np.nan), 1.0))
+    rep = reconstruction_report(PointwiseACManifold.default_torus(1), (2, 2))
+    assert np.isnan(rep["max_deviation"])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_induced_structure_at_from_a_built_point_is_bitwise_equal(n):
+    m = perturbed_manifold(n)
+    for x in TorusChart(2 * n).grid([2] * (2 * n))[:3]:
+        point = build_fiber(x, m, DEFAULT)
+        assert np.array_equal(
+            induced_structure_at(x, m, DEFAULT, point=point),
+            induced_structure_at(x, m, DEFAULT))
