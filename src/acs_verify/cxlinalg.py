@@ -59,13 +59,15 @@ def realify_basis(cols: np.ndarray) -> np.ndarray:
     """Real basis of the realified span of complex columns.
 
     Each complex column u contributes realify(u) and realify(i*u), so a
-    complex r-dimensional span yields 2r real columns.
+    complex r-dimensional span yields 2r real columns. A stack of column
+    sets (..., d, r) realifies matrix by matrix.
     """
     cols = np.asarray(cols, dtype=complex)
     icols = 1j * cols
-    out = np.empty((2 * cols.shape[0], 2 * cols.shape[1]))
-    out[:, 0::2] = np.concatenate([cols.real, cols.imag])
-    out[:, 1::2] = np.concatenate([icols.real, icols.imag])
+    rows, width = cols.shape[-2:]
+    out = np.empty(cols.shape[:-2] + (2 * rows, 2 * width))
+    out[..., 0::2] = np.concatenate([cols.real, cols.imag], axis=-2)
+    out[..., 1::2] = np.concatenate([icols.real, icols.imag], axis=-2)
     return out
 
 

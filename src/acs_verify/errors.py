@@ -49,6 +49,10 @@ class InvalidParams(VerifyError):
     pass
 
 
+class Infeasible(InvalidParams):
+    """A linear program whose constraints no point satisfies."""
+
+
 class RankDeficientEmbedding(VerifyError):
     pass
 

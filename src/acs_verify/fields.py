@@ -11,8 +11,9 @@ Derivatives act frequency-wise and products expand through the
 product-to-sum identities, so brackets of trig-poly fields are again
 trig-poly fields with no approximation beyond float rounding.
 
-Almost complex structure fields J(x) only need pointwise values and first
-partials, which a small protocol captures; perturbed structures built by
+Almost complex structure fields J(x) only need pointwise values, the same
+values stacked over many points (`values`), and first partials, which a
+small protocol captures; perturbed structures built by
 conjugation (Id + eps A(x)) J0 (Id + eps A(x))^-1 are not trig polynomials
 but still evaluate and differentiate exactly through the product rule.
 
@@ -49,6 +50,14 @@ class TorusChart:
         axes = [TWO_PI * (np.arange(c) + phase) / c for c in counts]
         pts = np.array(list(itertools.product(*axes)))
         return pts.reshape(-1, self.dim)
+
+
+def _rows(xs, d: int) -> np.ndarray:
+    """Points as the rows of a float array (one point may come alone)."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape[-1:] != (d,):
+        raise DimensionMismatch(f"points must have {d} coordinates")
+    return xs.reshape(-1, d)
 
 
 def _canonical(freq):
@@ -145,6 +154,21 @@ class TrigPolyField:
             out += c * np.cos(ang) + s * np.sin(ang)
         return out
 
+    def values(self, xs) -> np.ndarray:
+        """value(x) for every row x of xs, stacked (rows, *shape).
+
+        Each entry is bitwise equal to value(x): np.vecdot takes every
+        angle with the dot kernel np.dot uses (the summation order and
+        any fused multiply-add of the BLAS build carry over), and the
+        terms are added in the same order.
+        """
+        xs = _rows(xs, self.d)
+        out = np.zeros((xs.shape[0],) + self.shape)
+        for freq, (c, s) in self.terms.items():
+            ang = np.vecdot(np.asarray(freq, dtype=float), xs)[:, None, None]
+            out += c * np.cos(ang) + s * np.sin(ang)
+        return out
+
     def partial(self, i: int) -> "TrigPolyField":
         """Exact partial derivative along coordinate i."""
         terms = {}
@@ -171,6 +195,13 @@ class TrigPolyField:
             raise ShapeMismatch("jacobian_value expects a column field")
         cols = [self.partial_value(i, x)[:, 0] for i in range(self.d)]
         return np.stack(cols, axis=1)
+
+    def jacobian_values(self, xs) -> np.ndarray:
+        """jacobian_value(x) for every row x of xs, stacked (rows, r, d)."""
+        if self.shape[1] != 1:
+            raise ShapeMismatch("jacobian_values expects a column field")
+        cols = [p.values(xs)[:, :, 0] for p in self._partials()]
+        return np.stack(cols, axis=2)
 
     # -- exact arithmetic --------------------------------------------------
 
@@ -309,6 +340,13 @@ class ConjugatedStructureField:
         t = self.t_field.value(x)
         return np.linalg.solve(t.T, (t @ self.j0).T).T
 
+    def values(self, xs) -> np.ndarray:
+        """value(x) for every row x of xs, stacked; the products and
+        solves run on the stack, one matrix at a time as in value."""
+        t = self.t_field.values(xs)
+        tt = np.swapaxes(t, 1, 2)
+        return np.swapaxes(np.linalg.solve(tt, np.swapaxes(t @ self.j0, 1, 2)), 1, 2)
+
     def partial_value(self, i: int, x) -> np.ndarray:
         j = self.value(x)
         t = self.t_field.value(x)
@@ -331,6 +369,9 @@ class CallableMatrixField:
 
     def value(self, x) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)))
+
+    def values(self, xs) -> np.ndarray:
+        return np.stack([self.value(x) for x in _rows(xs, self.d)])
 
     def partial_value(self, i: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -365,6 +406,10 @@ class AlmostComplexField:
 
     def value(self, x) -> np.ndarray:
         return self.field.value(x)
+
+    def values(self, xs) -> np.ndarray:
+        """J at every row of xs, stacked (rows, 2n, 2n)."""
+        return self.field.values(xs)
 
     def partial_value(self, i: int, x) -> np.ndarray:
         return self.field.partial_value(i, x)

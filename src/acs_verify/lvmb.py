@@ -23,7 +23,7 @@ import itertools
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import DegenerateHull, InvalidParams
+from .errors import DegenerateHull, Infeasible, InvalidParams
 
 MARGIN = 1e-9
 
@@ -90,9 +90,10 @@ class LvmbData:
 def simplex_solve(c, a, b, tol: float = 1e-11):
     """Bland-rule two-phase simplex for small dense problems.
 
-    Returns (x, value). Raises InvalidParams on infeasibility; the callers
-    never build unbounded programs (the margin variable is boxed by the
-    convexity rows).
+    Returns (x, value). Raises Infeasible when no x satisfies the
+    constraints and InvalidParams when the objective is unbounded; the
+    callers never build unbounded programs (the margin variable is boxed
+    by the convexity rows).
     """
     a = np.asarray(a, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
@@ -137,7 +138,7 @@ def simplex_solve(c, a, b, tol: float = 1e-11):
 
     pivot(cols + rows)
     if tab[rows, -1] < -1e3 * tol:
-        raise InvalidParams("linear program is infeasible")
+        raise Infeasible("linear program is infeasible")
 
     # drive leftover artificials out of the basis where possible
     for i in range(rows):
@@ -179,10 +180,13 @@ def _require_full_dimensional(points: np.ndarray, group, tol: Tolerances) -> Non
         raise DegenerateHull(f"hull of {list(group)} has empty interior")
 
 
-def hull_overlap_lp(p1: np.ndarray, p2: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
+def hull_overlap_lp(p1: np.ndarray, p2: np.ndarray
+                    ) -> tuple[bool, float | None, np.ndarray | None]:
     """Maximize eps with sum_i w_i p_i = sum_j v_j q_j, weights >= eps,
     each block summing to 1. Positive optimum certifies open overlap for
-    full-dimensional hulls; the witness is the common point."""
+    full-dimensional hulls; the witness is the common point. The program
+    is infeasible exactly when the closed hulls share no point; the
+    margin is then None."""
     n1, dim = p1.shape
     n2 = p2.shape[0]
     cols = 1 + n1 + n2
@@ -199,7 +203,10 @@ def hull_overlap_lp(p1: np.ndarray, p2: np.ndarray) -> tuple[bool, float, np.nda
     b[dim + 1] = 1.0
     c = np.zeros(cols)
     c[0] = -1.0
-    x, value = simplex_solve(c, a, b)
+    try:
+        x, value = simplex_solve(c, a, b)
+    except Infeasible:
+        return False, None, None
     eps = -value
     if eps < MARGIN:
         return False, eps, None
@@ -212,7 +219,8 @@ def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
     """Open-overlap condition over all unordered pairs from E, self-pairs
     included (a set must overlap itself, which is exactly the requirement
     that its hull has nonempty interior). Degenerate hulls are recorded
-    and count as failure."""
+    and count as failure, and so do disjoint hulls (margin None, note
+    "hulls are disjoint")."""
     pairs = []
     ok = True
     for i1, i2 in itertools.combinations_with_replacement(range(len(data.family)), 2):
@@ -228,6 +236,8 @@ def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
             entry["margin"] = eps
             entry["witness"] = None if witness is None else [float(v) for v in witness]
             entry["degenerate"] = False
+            if eps is None:
+                entry["note"] = "hulls are disjoint"
         except DegenerateHull as exc:
             entry["overlap"] = False
             entry["margin"] = 0.0

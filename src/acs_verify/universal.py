@@ -38,7 +38,6 @@ from .cxlinalg import (
     realify_basis,
     realify_vector,
     standard_structure,
-    subspace_eq,
 )
 from .distribution import (
     CallableHolomorphicMap,
@@ -145,16 +144,6 @@ class PointwiseACManifold:
             j = AlmostComplexField.standard(n)
         return cls(n, 4 * n, default_torus_embedding(n), j)
 
-    def g_value(self, x) -> np.ndarray:
-        return self.g.value(x)[:, 0]
-
-    def dg(self, x) -> np.ndarray:
-        return self.g.jacobian_value(x)
-
-    def doubled_point(self, x) -> np.ndarray:
-        gx = self.g_value(x)
-        return np.concatenate([gx, gx]).astype(complex)
-
 
 # ---------------------------------------------------------------------------
 # fiber points
@@ -172,31 +161,56 @@ class UniversalPoint:
         self.sigp = sigp
         self.sigpp = sigpp
 
-    def validate(self, tol: Tolerances = DEFAULT, real: bool = True) -> None:
-        k, n = self.k, self.n
-        if self.z.shape[0] != 2 * k:
-            raise DimensionMismatch("base point must live in C^{2k}")
-        dims = (self.sp.dim, self.spp.dim, self.sigp.dim, self.sigpp.dim)
-        if dims != (k - n, k - n, k, k):
-            raise EigenSplitFailure(
-                f"subspace dimensions {dims}, expected {(k - n, k - n, k, k)}"
-            )
-        if not self.sigp.contains(self.sp, tol):
-            raise EigenSplitFailure("S' is not contained in Sigma'")
-        if not self.sigpp.contains(self.spp, tol):
-            raise EigenSplitFailure("S'' is not contained in Sigma''")
-        ok, sigma = direct_sum_test(self.sigp, self.sigpp, tol)
-        if not ok:
-            raise EigenSplitFailure(
-                f"Sigma' and Sigma'' do not split C^{{2k}} (sigma_min={sigma:.3e})"
-            )
-        if real:
-            if not subspace_eq(self.spp, self.sp.conjugate(), tol):
-                raise EigenSplitFailure("S'' is not the conjugate of S'")
-            if not subspace_eq(self.sigpp, self.sigp.conjugate(), tol):
-                raise EigenSplitFailure("Sigma'' is not the conjugate of Sigma'")
-            if np.max(np.abs(self.z.imag), initial=0.0) > 1e3 * tol.alg_atol:
-                raise EigenSplitFailure("base point is not real")
+    def validate(self, tol: Tolerances = DEFAULT) -> None:
+        """validate_fibers on this point alone."""
+        validate_fibers(self.n, self.k, self.z[None], self.sp.basis[None],
+                        self.spp.basis[None], self.sigp.basis[None],
+                        self.sigpp.basis[None], tol)
+
+
+def _raise_first(bad: np.ndarray, error) -> None:
+    """Raise error(i) for the first stacked point i where bad holds."""
+    if np.any(bad):
+        raise error(int(np.argmax(bad)))
+
+
+def _projectors(bases: np.ndarray) -> np.ndarray:
+    return bases @ np.swapaxes(bases.conj(), 1, 2)
+
+
+def validate_fibers(n: int, k: int, z, sp, spp, sigp, sigpp,
+                    tol: Tolerances = DEFAULT) -> None:
+    """Certify stacked 5-tuples (one point per leading index; the subspaces
+    as orthonormal bases). The tests, in order: the shapes, S' in Sig' and
+    S'' in Sig'', Sig' (+) Sig'' = C^{2k}, S'' = conj S' and
+    Sig'' = conj Sig' by projector distance, and z real. Each runs on
+    the whole stack; the first point that fails raises EigenSplitFailure
+    (DimensionMismatch for a shape), with the message the same test gives
+    a stack of one."""
+    guard = 1e3 * tol.alg_atol
+    if z.shape[1] != 2 * k:
+        raise DimensionMismatch("base point must live in C^{2k}")
+    dims = (sp.shape[2], spp.shape[2], sigp.shape[2], sigpp.shape[2])
+    if dims != (k - n, k - n, k, k):
+        raise EigenSplitFailure(
+            f"subspace dimensions {dims}, expected {(k - n, k - n, k, k)}"
+        )
+    if any(b.shape[1] != 2 * k for b in (sp, spp, sigp, sigpp)):
+        raise DimensionMismatch("ambient dimensions differ")
+    for big, small, name in ((sigp, sp, "S' is not contained in Sigma'"),
+                             (sigpp, spp, "S'' is not contained in Sigma''")):
+        resid = small - _projectors(big) @ small
+        inside = np.max(np.abs(resid), axis=(1, 2), initial=0.0) <= guard
+        _raise_first(~inside, lambda i: EigenSplitFailure(name))
+    s = np.linalg.svd(np.concatenate([sigp, sigpp], axis=2), compute_uv=False)
+    _raise_first(~(s[:, -1] > tol.rank_rtol * s[:, 0]), lambda i: EigenSplitFailure(
+        f"Sigma' and Sigma'' do not split C^{{2k}} (sigma_min={s[i, -1]:.3e})"))
+    for a, b, name in ((spp, sp, "S'' is not the conjugate of S'"),
+                       (sigpp, sigp, "Sigma'' is not the conjugate of Sigma'")):
+        gap = np.linalg.norm(_projectors(a) - _projectors(b.conj()), 2, axis=(1, 2))
+        _raise_first(~(gap <= guard), lambda i: EigenSplitFailure(name))
+    _raise_first(np.max(np.abs(z.imag), axis=1, initial=0.0) > guard,
+                 lambda i: EigenSplitFailure("base point is not real"))
 
 
 class DistributionFiber:
@@ -221,8 +235,106 @@ class DistributionFiber:
         return comp
 
 
-def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> UniversalPoint:
-    """Assemble the 5-tuple over base sample x.
+# Rows per stacked call of build_fibers and of the reconstruction sweep.
+# Peak memory grows with it: against chunks of one row, the peak RSS of a
+# universal_n2_k8 run rose by under 0.1 MB at 32 rows, 0.5 MB at 64,
+# 2.3 MB at 128 and 7.2 MB at 256, while the time fell no further.
+FIBER_CHUNK = 32
+
+
+def over_chunks(xs, stacked):
+    """Yield stacked(rows)[j] for every row of xs in order, FIBER_CHUNK
+    rows per call of stacked.
+
+    When a call raises, its rows are redone one at a time, so the first
+    bad row raises exactly what stacked raises for that row alone, and
+    every row before it has been yielded; that is the behaviour of a
+    loop over the rows. Any exception triggers the redo (a guard's, a
+    LAPACK error, or one raised by a callable field), since the redo
+    raises it again at the row that caused it.
+    """
+    for start in range(0, len(xs), FIBER_CHUNK):
+        rows = xs[start:start + FIBER_CHUNK]
+        try:
+            results = stacked(rows)
+        except Exception:
+            if len(rows) == 1:
+                raise
+            results = (stacked(rows[j:j + 1])[0] for j in range(len(rows)))
+        yield from results
+
+
+def _kernels(mats: np.ndarray, rtol: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """cxlinalg.nullspace of every matrix of a stack: the last dim right
+    singular vectors, and the kernel dimension the rank cutoff gives each
+    matrix (the bases are the kernels where that equals dim)."""
+    _, s, vh = np.linalg.svd(mats)
+    found = mats.shape[2] - np.sum(s > rtol * s[:, :1], axis=1)
+    return np.swapaxes(vh[:, mats.shape[2] - dim:].conj(), 1, 2), found
+
+
+def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
+                tol: Tolerances) -> list[UniversalPoint]:
+    """The validated 5-tuples over the rows of xs, every step on the stack;
+    the first row at which a guard fires raises."""
+    n, k = m.n, m.k
+    rtol = tol.rank_rtol
+    taut_dim = k - 2 * n
+    dg = m.g.jacobian_values(xs)
+    sv = np.linalg.svd(dg, compute_uv=False)
+    _raise_first(sv[:, 2 * n - 1] <= rtol * sv[:, 0], lambda i: RankDeficientEmbedding(
+        f"dg has rank < {2 * n} at x={xs[i].tolist()}"))
+    nx, found = _kernels(np.swapaxes(dg, 1, 2), rtol, taut_dim)
+    nx = nx.real
+    _raise_first(found != taut_dim, lambda i: RankDeficientEmbedding(
+        "normal complement has wrong dimension"))
+    jx = m.j.values(xs)
+    eye = np.eye(2 * n)
+    resid = np.max(np.abs(jx @ jx + eye), axis=(1, 2))
+    _raise_first(resid > 1e3 * tol.alg_atol, lambda i: EigenSplitFailure(
+        f"||J^2 + Id|| = {resid[i]:.3e} at x={xs[i].tolist()}"))
+    ker_plus, plus_dim = _kernels(jx - 1j * eye, rtol, n)
+    ker_minus, minus_dim = _kernels(jx + 1j * eye, rtol, n)
+    _raise_first((plus_dim != n) | (minus_dim != n), lambda i: EigenSplitFailure(
+        f"eigenspace dims of J ({plus_dim[i]}, {minus_dim[i]}), expected ({n}, {n})"))
+
+    zeros_nx = np.zeros_like(nx)
+    frame = np.concatenate([
+        np.concatenate([dg, dg], axis=1),
+        np.concatenate([dg, -dg], axis=1),
+        np.concatenate([nx, zeros_nx], axis=1),
+        np.concatenate([zeros_nx, nx], axis=1),
+    ], axis=2)
+
+    def nested(s_kernel, quot_kernel, taut_sign):
+        # frame coordinates: S part (anti block kernel, taut eigenvectors)
+        # first, then the quotient part in the diag block
+        cols = np.zeros((len(xs), 2 * k, k), dtype=complex)
+        cols[:, 2 * n:4 * n, :n] = s_kernel
+        cols[:, 4 * n:4 * n + taut_dim, n:k - n] = np.eye(taut_dim)
+        cols[:, 4 * n + taut_dim:, n:k - n] = taut_sign * 1j * np.eye(taut_dim)
+        cols[:, :2 * n, k - n:] = quot_kernel
+        q, r = np.linalg.qr(frame @ cols)
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        _raise_first(diag.min(axis=1) <= rtol * diag.max(axis=1), lambda i: EigenSplitFailure(
+            "eigenspace columns are numerically dependent"))
+        return q
+
+    sigp = nested(ker_minus, ker_plus, -1.0)
+    sigpp = nested(ker_plus, ker_minus, 1.0)
+    gx = m.g.values(xs)[:, :, 0]
+    z = np.concatenate([gx, gx], axis=1).astype(complex)
+    sp, spp = sigp[:, :, :k - n], sigpp[:, :, :k - n]
+    validate_fibers(n, k, z, sp, spp, sigp, sigpp, tol)
+    return [
+        UniversalPoint(n, k, z[i], ComplexSubspace(sp[i]), ComplexSubspace(spp[i]),
+                       ComplexSubspace(sigp[i]), ComplexSubspace(sigpp[i]))
+        for i in range(len(xs))
+    ]
+
+
+def build_fibers(xs, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
+    """Yield the validated 5-tuple over every row x of xs, in order.
 
     In the frame F = [diag | anti | n1 | n2] of R^{2k} the doubled
     structure is the block matrix J(x) (+) -J(x) (+) taut, so its
@@ -235,103 +347,68 @@ def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> Univers
     One unpivoted QR of F [S part | quotient part] per sign yields nested
     orthonormal bases: the first k - n columns span S', all k span Sig'.
     Each kernel of J(x) -+ i comes from its own SVD, never from
-    conjugating the other, so the reality tests in validate compare two
-    independent computations.
+    conjugating the other, so the reality tests of validate_fibers
+    compare two independent computations.
 
-    Raises RankDeficientEmbedding when dg(x) loses rank and
+    The rows are built FIBER_CHUNK at a time: g, dg and J are evaluated
+    for the chunk at once, and every SVD, QR, product and test runs on
+    the stacked (chunk, ., .) arrays, each matrix as it would alone. A
+    chunk in which a guard fires is rebuilt one row at a time (see
+    over_chunks), so the first bad row raises the error a loop over the
+    rows raises there: RankDeficientEmbedding when dg(x) loses rank,
     EigenSplitFailure when J(x) is not a complex structure or the
     eigenspace extraction misbehaves.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    n, k = m.n, m.k
-    dg = m.dg(x)
-    sv = np.linalg.svd(dg, compute_uv=False)
-    if sv.size < 2 * n or sv[2 * n - 1] <= tol.rank_rtol * sv[0]:
-        raise RankDeficientEmbedding(f"dg has rank < {2 * n} at x={x.tolist()}")
-    nx = nullspace(dg.T, tol.rank_rtol).real
-    if nx.shape[1] != k - 2 * n:
-        raise RankDeficientEmbedding("normal complement has wrong dimension")
-    jx = m.j.value(x)
-    eye = np.eye(2 * n)
-    resid = np.max(np.abs(jx @ jx + eye))
-    if resid > 1e3 * tol.alg_atol:
-        raise EigenSplitFailure(f"||J^2 + Id|| = {resid:.3e} at x={x.tolist()}")
-    ker_plus = nullspace(jx - 1j * eye, tol.rank_rtol)
-    ker_minus = nullspace(jx + 1j * eye, tol.rank_rtol)
-    if ker_plus.shape[1] != n or ker_minus.shape[1] != n:
-        raise EigenSplitFailure(
-            f"eigenspace dims of J ({ker_plus.shape[1]}, {ker_minus.shape[1]}), "
-            f"expected ({n}, {n})"
-        )
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    return over_chunks(xs, lambda rows: _fiber_rows(rows, m, tol))
 
-    zeros_nx = np.zeros_like(nx)
-    frame = np.concatenate([
-        np.vstack([dg, dg]),
-        np.vstack([dg, -dg]),
-        np.vstack([nx, zeros_nx]),
-        np.vstack([zeros_nx, nx]),
-    ], axis=1)
-    taut_dim = k - 2 * n
 
-    def nested(s_kernel, quot_kernel, taut_sign):
-        # frame coordinates: S part (anti block kernel, taut eigenvectors)
-        # first, then the quotient part in the diag block
-        cols = np.zeros((2 * k, k), dtype=complex)
-        cols[2 * n:4 * n, :n] = s_kernel
-        cols[4 * n:4 * n + taut_dim, n:k - n] = np.eye(taut_dim)
-        cols[4 * n + taut_dim:, n:k - n] = taut_sign * 1j * np.eye(taut_dim)
-        cols[:2 * n, k - n:] = quot_kernel
-        q, r = np.linalg.qr(frame @ cols)
-        diag = np.abs(np.diag(r))
-        if diag.min() <= tol.rank_rtol * diag.max():
-            raise EigenSplitFailure("eigenspace columns are numerically dependent")
-        return ComplexSubspace(q[:, :k - n]), ComplexSubspace(q)
-
-    sp, sigp = nested(ker_minus, ker_plus, -1.0)
-    spp, sigpp = nested(ker_plus, ker_minus, 1.0)
-    point = UniversalPoint(n, k, m.doubled_point(x), sp, spp, sigp, sigpp)
-    point.validate(tol)
-    return point
+def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> UniversalPoint:
+    """The validated 5-tuple over one base sample: build_fibers of one row."""
+    return next(build_fibers(x, m, tol))
 
 
 # ---------------------------------------------------------------------------
 # induced structure through the quotient
 # ---------------------------------------------------------------------------
 
-def _induced_from_parts(dg2k: np.ndarray, fiber: ComplexSubspace,
-                        tol: Tolerances = DEFAULT) -> tuple[np.ndarray, float]:
-    """Solve [dG | fiber] x = i . dG in realified coordinates; the head
-    rows of x express multiplication by i of the quotient classes back in
-    base coordinates. Returns (J, sigma_min of the joint system)."""
-    two_n = dg2k.shape[1]
-    two_k = dg2k.shape[0]
-    dg_real = np.vstack([dg2k, np.zeros_like(dg2k)])
-    joint = np.concatenate([dg_real, realify_basis(fiber.basis)], axis=1)
-    if joint.shape[0] != joint.shape[1]:
+def _induced_from_parts(dg2k: np.ndarray, fibers: np.ndarray,
+                        tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Solve [dG | fiber] x = i . dG in realified coordinates for each
+    stacked point (dg2k: (rows, 2k, 2n); fibers: complex bases
+    (rows, 2k, 2k - n)); the head rows of x express multiplication by i of
+    the quotient classes back in base coordinates. Returns the stacked J."""
+    two_n = dg2k.shape[2]
+    two_k = dg2k.shape[1]
+    dg_real = np.concatenate([dg2k, np.zeros_like(dg2k)], axis=1)
+    joint = np.concatenate([dg_real, realify_basis(fibers)], axis=2)
+    if joint.shape[1] != joint.shape[2]:
         raise DimensionMismatch("fiber does not have complementary dimension")
     sv = np.linalg.svd(joint, compute_uv=False)
-    sigma_min = float(sv[-1])
-    if sigma_min <= tol.rank_rtol * sv[0]:
-        raise NotTransverse(
-            f"base tangent meets the fiber (sigma_min={sigma_min:.3e})"
-        )
+    _raise_first(sv[:, -1] <= tol.rank_rtol * sv[:, 0], lambda i: NotTransverse(
+        f"base tangent meets the fiber (sigma_min={sv[i, -1]:.3e})"))
     rhs = standard_structure(two_k) @ dg_real
-    sol = np.linalg.solve(joint, rhs)
-    return sol[:two_n, :], sigma_min
+    return np.linalg.solve(joint, rhs)[:, :two_n, :]
 
 
-def _induced_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
-                point: UniversalPoint | None = None) -> tuple[np.ndarray, float]:
-    if point is None:
-        point = build_fiber(x, m, tol)
-    fiber = DistributionFiber(point, tol).horizontal_part
-    dg = m.dg(x)
-    dg2k = np.vstack([dg, dg])
-    jf, sigma = _induced_from_parts(dg2k, fiber, tol)
-    resid = np.max(np.abs(jf @ jf + np.eye(jf.shape[0])))
-    if resid > 1e3 * tol.alg_atol:
-        raise NotAComplexStructure(f"||J_f^2 + Id|| = {resid:.3e}")
-    return jf, sigma
+def induced_structures(xs, points, m: PointwiseACManifold,
+                       tol: Tolerances = DEFAULT) -> np.ndarray:
+    """induced_structure_at(x, m, tol, point=p) for every row x of xs and
+    its fiber p = build_fiber(x, m, tol), stacked (rows, 2n, 2n).
+
+    The horizontal part S' (+) Sigma'' of each fiber is orthonormalized
+    by its own pivoted QR; the joint SVD, the solve and the J^2 = -Id
+    guard run on the stack. The first row at which a guard fires raises;
+    over_chunks turns that into the error of a loop over the rows.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    fibers = np.stack([DistributionFiber(p, tol).horizontal_part.basis for p in points])
+    dg = m.g.jacobian_values(xs)
+    jf = _induced_from_parts(np.concatenate([dg, dg], axis=1), fibers, tol)
+    resid = np.max(np.abs(jf @ jf + np.eye(jf.shape[1])), axis=(1, 2))
+    _raise_first(resid > 1e3 * tol.alg_atol, lambda i: NotAComplexStructure(
+        f"||J_f^2 + Id|| = {resid[i]:.3e}"))
+    return jf
 
 
 def induced_structure_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
@@ -343,7 +420,9 @@ def induced_structure_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
     returning; the content of the construction is that the result
     reproduces m.j.value(x).
     """
-    return _induced_at(x, m, tol, point)[0]
+    if point is None:
+        point = build_fiber(x, m, tol)
+    return induced_structures(x, [point], m, tol)[0]
 
 
 def induced_structure_field(m: PointwiseACManifold,
@@ -357,25 +436,6 @@ def induced_structure_field(m: PointwiseACManifold,
     field = CallableMatrixField(two_n, (two_n, two_n),
                                 lambda x: induced_structure_at(x, m, tol))
     return AlmostComplexField(TorusChart(two_n), field, tol)
-
-
-def reconstruction_report(m: PointwiseACManifold, counts,
-                          tol: Tolerances = DEFAULT) -> dict:
-    """Sweep a deterministic grid and compare induced against input
-    structures; returns the worst deviation and conditioning floor."""
-    chart = TorusChart(2 * m.n)
-    pts = chart.grid(counts)
-    worst = 0.0
-    min_sigma = float("inf")
-    for x in pts:
-        jf, sigma = _induced_at(x, m, tol)
-        worst = worst_of(worst, float(np.max(np.abs(jf - m.j.value(x)))))
-        min_sigma = min(min_sigma, sigma)
-    return {
-        "max_deviation": worst,
-        "min_sigma": min_sigma,
-        "points_checked": int(pts.shape[0]),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -438,6 +438,35 @@ def test_lvmb_check_edge_sharing_family_fails(tmp_path, capsys):
     assert not verdict["condition_i"] and verdict["condition_ii"]
 
 
+DISJOINT = {
+    "m": 1,
+    "N": 5,
+    "E": [[0, 1, 2], [3, 4, 5]],
+    "ell": [[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]],
+            [[10.0, 10.0]], [[11.0, 10.0]], [[10.0, 11.0]]],
+}
+
+
+def test_lvmb_check_disjoint_hulls_fail_condition_i(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(DISJOINT))
+    code, out, err = run_lines(capsys, ["lvmb-check", str(path)])
+    assert code == 1 and err == ""
+    verdict = json.loads(out)
+    assert verdict["condition_i"] is False
+    cross = verdict["witnesses"]["pairs"][1]
+    assert (cross["overlap"], cross["margin"], cross["witness"]) == (False, None, None)
+    assert cross["note"] == "hulls are disjoint"
+
+
+def test_run_expecting_disjoint_hulls_passes():
+    doc = parse_scenario(find_scenario("lvmb_fail"))
+    doc["payload"] = {"data": DISJOINT, "expect": {"condition_i": False}}
+    records, aggregate = run_scenario(doc)
+    assert aggregate["passed"], records
+    assert [r["error"] for r in records] == [None] * len(records)
+
+
 def test_lvmb_check_schema_violation_exits_two(tmp_path, capsys):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({"m": 1, "N": 3, "E": [[0, 1, 2]]}))

@@ -272,3 +272,52 @@ def test_validate_rejects_a_nan_structure():
     j.field = nan_field
     with pytest.raises(NotAComplexStructure):
         j.validate([np.zeros(2)])
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation
+# ---------------------------------------------------------------------------
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def four_frequency_field(rng, shape):
+    # every frequency has four nonzero entries, so each angle sums four
+    # products and its rounding depends on the summation
+    terms = {}
+    for freq in ((1, -2, 3, 1), (2, 1, -1, 3), (3, 3, 2, -4)):
+        terms[freq] = (rng.real_matrix(*shape, 1.0), rng.real_matrix(*shape, 1.0))
+    return fl.TrigPolyField(4, shape, terms)
+
+
+def test_trig_values_and_jacobian_values_match_pointwise_bitwise():
+    rng = SplitMix64(41)
+    fields = [four_frequency_field(rng, (3, 2)),
+              fl.TrigPolyField.random(4, (5, 1), rng, max_degree=4, n_terms=4)]
+    column = four_frequency_field(rng, (6, 1))
+    xs = np.array([rng.reals(4, -7.0, 7.0) for _ in range(40)])
+    for f in fields + [column]:
+        got = f.values(xs)
+        for x, row in zip(xs, got):
+            assert same_bits(row, f.value(x))
+    for f in (fields[1], column):
+        got = f.jacobian_values(xs)
+        for x, row in zip(xs, got):
+            assert same_bits(row, f.jacobian_value(x))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_conjugated_values_match_pointwise_bitwise(n):
+    rng = SplitMix64(43 + n)
+    a = fl.TrigPolyField.random(2 * n, (2 * n, 2 * n), rng, max_degree=3, n_terms=4)
+    j = fl.AlmostComplexField.conjugated(a, 0.2)
+    xs = fl.TorusChart(2 * n).grid([5] * (2 * n))
+    for x, row in zip(xs, j.values(xs)):
+        assert same_bits(row, j.value(x))
+
+
+def test_values_reject_points_of_the_wrong_dimension():
+    f = fl.TrigPolyField.constant(2, np.eye(2))
+    with pytest.raises(fl.DimensionMismatch):
+        f.values(np.zeros((3, 4)))

@@ -7,7 +7,7 @@ random families.
 import numpy as np
 import pytest
 
-from acs_verify.errors import DegenerateHull, InvalidParams
+from acs_verify.errors import DegenerateHull, Infeasible, InvalidParams
 from acs_verify.lvmb import (
     LvmbData,
     check_condition_i,
@@ -81,8 +81,15 @@ def test_simplex_detects_infeasible():
     c = np.array([1.0, 1.0])
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 3.0])
-    with pytest.raises(InvalidParams):
+    with pytest.raises(Infeasible):
         simplex_solve(c, a, b)
+
+
+def test_simplex_unbounded_program_is_an_error_but_not_infeasible():
+    # min -x  s.t.  x - y = 0: feasible, and x grows without bound
+    with pytest.raises(InvalidParams) as raised:
+        simplex_solve(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
+    assert not isinstance(raised.value, Infeasible)
 
 
 def test_simplex_agrees_with_scipy_on_random_programs():
@@ -127,6 +134,19 @@ def test_condition_i_edge_sharing_hulls_fail():
     assert not cross["overlap"]
     poly = check_condition_i_polygon(d)
     assert not poly["ok"]
+
+
+def test_condition_i_disjoint_hulls_fail_without_witness():
+    far = 10 + 10j
+    d = data_m1([0, 1, 1j, far, far + 1, far + 1j], [[0, 1, 2], [3, 4, 5]], big_n=5)
+    rep = check_condition_i(d)
+    assert not rep["ok"]
+    cross = [p for p in rep["pairs"] if p["j1"] != p["j2"]]
+    assert cross == [{"j1": [0, 1, 2], "j2": [3, 4, 5], "overlap": False,
+                      "margin": None, "witness": None, "degenerate": False,
+                      "note": "hulls are disjoint"}]
+    assert [p["overlap"] for p in check_condition_i_polygon(d)["pairs"]] == [
+        p["overlap"] for p in rep["pairs"]]
 
 
 def test_condition_i_overlapping_variant_passes():

@@ -5,9 +5,13 @@ so each test sees how often a construction is really built.
 import numpy as np
 import pytest
 
-from acs_verify import checks
+import oracles
+from acs_verify import checks, scenarios, universal
 from acs_verify.cli import main
+from acs_verify.config import DEFAULT
+from acs_verify.cxlinalg import standard_structure
 from acs_verify.errors import EigenSplitFailure
+from acs_verify.fields import AlmostComplexField, CallableMatrixField, TorusChart
 from acs_verify.lvmb import LvmbData
 from acs_verify.scenarios import (
     find_scenario,
@@ -16,7 +20,7 @@ from acs_verify.scenarios import (
     run_scenario,
     serialize_report,
 )
-from acs_verify.universal import UniversalPoint
+from acs_verify.universal import PointwiseACManifold, default_torus_embedding
 
 ALL_UNIVERSAL = ["universal_dimension_tables", "universal_reconstruction",
                  "universal_fiber_reality", "universal_versality",
@@ -64,24 +68,44 @@ def test_lvmb_data_is_built_once_per_lvmb_run(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def count_rows(monkeypatch):
+    """Rows handed to build_fibers by the checks, and rows that passed
+    through the stacked validator, in call order."""
+    built, validated = [], []
+    build, validate = checks.build_fibers, universal.validate_fibers
+
+    def counted_build(xs, m, tol):
+        built.extend(np.atleast_2d(np.asarray(xs, dtype=float)))
+        return build(xs, m, tol)
+
+    def counted_validate(n, k, z, *rest):
+        validated.extend(z)
+        return validate(n, k, z, *rest)
+
+    monkeypatch.setattr(checks, "build_fibers", counted_build)
+    monkeypatch.setattr(universal, "validate_fibers", counted_validate)
+    return built, validated
+
+
 def test_fiber_reality_alone_builds_and_validates_every_point(monkeypatch):
     doc = universal_doc(["universal_fiber_reality"])
-    built = count_calls(monkeypatch, checks, "build_fiber")
-    validated = count_calls(monkeypatch, UniversalPoint, "validate")
+    built, validated = count_rows(monkeypatch)
     records, aggregate = run_scenario(doc)
     pts = resolve_samples(doc, None)
     assert aggregate["passed"] and records[0]["samples_checked"] == len(pts)
-    assert [np.asarray(args[0]).tobytes() for args in built] == [x.tobytes() for x in pts]
+    assert [x.tobytes() for x in built] == [x.tobytes() for x in pts]
     assert len(validated) == len(pts)
 
 
 def test_fiber_reality_after_reconstruction_rebuilds_only_plucker_points(monkeypatch):
     doc = universal_doc(["universal_reconstruction", "universal_fiber_reality"])
-    built = count_calls(monkeypatch, checks, "build_fiber")
+    built, validated = count_rows(monkeypatch)
     run_scenario(doc)
     pts = resolve_samples(doc, None)
     wedge = doc["payload"].get("reality_samples", 5)
     assert len(built) == len(pts) + wedge
+    assert [x.tobytes() for x in built[len(pts):]] == [x.tobytes() for x in pts[:wedge]]
+    assert len(validated) == len(pts) + wedge
 
 
 def test_memo_leaves_reports_unchanged():
@@ -92,25 +116,98 @@ def test_memo_leaves_reports_unchanged():
         assert alone == [record]
 
 
-@pytest.mark.parametrize("order", [
+def capture_memos(monkeypatch):
+    """The RunMemo of every run_scenario call, in order."""
+    memos = []
+    monkeypatch.setattr(scenarios, "RunMemo",
+                        lambda: memos.append(checks.RunMemo()) or memos[-1])
+    return memos
+
+
+BOTH_ORDERS = pytest.mark.parametrize("order", [
     ["universal_reconstruction", "universal_fiber_reality"],
     ["universal_fiber_reality", "universal_reconstruction"],
 ])
+
+
+@BOTH_ORDERS
 def test_failed_fiber_gives_the_same_error_in_both_checks(monkeypatch, order):
     doc = universal_doc(order)
     m = checks.build_manifold(doc["payload"], doc["seed"])
-    bad = m.doubled_point(resolve_samples(doc, None)[7])
-    original = UniversalPoint.validate
+    gx = m.g.value(resolve_samples(doc, None)[7])[:, 0]
+    bad = np.concatenate([gx, gx]).astype(complex)
+    original = universal.validate_fibers
 
-    def failing(self, tol, real=True):
-        if np.array_equal(self.z, bad):
+    def failing(n, k, z, *rest):
+        if any(np.array_equal(row, bad) for row in z):
             raise EigenSplitFailure("tampered point")
-        return original(self, tol, real)
+        return original(n, k, z, *rest)
 
-    monkeypatch.setattr(UniversalPoint, "validate", failing)
+    monkeypatch.setattr(universal, "validate_fibers", failing)
+    memos = capture_memos(monkeypatch)
     records, aggregate = run_scenario(doc)
     assert not aggregate["passed"]
     assert [r["error"] for r in records] == ["EigenSplitFailure: tampered point"] * 2
+    pts = resolve_samples(doc, None)
+    assert [memos[0].validated(x) for x in pts] == [i < 7 for i in range(len(pts))]
+
+
+BAD_INDEX = 7  # in the middle of the first chunk
+
+
+def manifold_failing_at(x_bad):
+    """The default n = 1 torus whose J squares to -4 Id at x_bad only (the
+    field's own two-point validation does not visit it)."""
+    j0 = standard_structure(1)
+
+    def fn(x):
+        return 2.0 * j0 if np.array_equal(x, x_bad) else j0
+
+    j = AlmostComplexField(TorusChart(2), CallableMatrixField(2, (2, 2), fn))
+    return PointwiseACManifold(1, 4, default_torus_embedding(1), j)
+
+
+def test_failed_chunk_raises_the_oracle_error_and_records_the_points_before():
+    pts = TorusChart(2).grid([6, 6])
+    assert len(pts) > universal.FIBER_CHUNK > BAD_INDEX
+    m = manifold_failing_at(pts[BAD_INDEX])
+    with pytest.raises(EigenSplitFailure) as want:
+        oracles.build_fiber(pts[BAD_INDEX], m)
+    assert "x=[" in str(want.value)
+    memo = checks.RunMemo()
+    got = []
+    with pytest.raises(EigenSplitFailure) as raised:
+        for point in memo.fibers(pts, m, DEFAULT):
+            got.append(point)
+    assert str(raised.value) == str(want.value)
+    assert [memo.validated(x) for x in pts] == [i < BAD_INDEX for i in range(len(pts))]
+    for x, point in zip(pts, got):
+        assert point.sigp.basis.tobytes() == oracles.build_fiber(x, m).sigp.basis.tobytes()
+
+
+@BOTH_ORDERS
+def test_failed_chunk_gives_the_oracle_error_in_both_checks(monkeypatch, order):
+    doc = universal_doc(order)
+    pts = resolve_samples(doc, None)
+    m = manifold_failing_at(pts[BAD_INDEX])
+    with pytest.raises(EigenSplitFailure) as want:
+        oracles.build_fiber(pts[BAD_INDEX], m)
+    monkeypatch.setattr(checks, "build_manifold", lambda payload, seed: m)
+    memos = capture_memos(monkeypatch)
+    records, aggregate = run_scenario(doc)
+    assert not aggregate["passed"]
+    assert [r["error"] for r in records] == [f"EigenSplitFailure: {want.value}"] * 2
+    assert [memos[0].validated(x) for x in pts] == [i < BAD_INDEX for i in range(len(pts))]
+
+
+def test_fields_structure_is_built_once_per_fields_run(monkeypatch):
+    calls = count_calls(monkeypatch, checks, "build_structure")
+    doc = parse_scenario(find_scenario("fields_basic"))
+    records, _ = run_scenario(doc)
+    assert len(records) == 3
+    assert len(calls) == 1
+    for record in records:
+        assert run_scenario({**doc, "checks": [record["name"]]})[0] == [record]
 
 
 def test_symplectic_reports_stay_per_check(monkeypatch):

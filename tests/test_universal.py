@@ -10,6 +10,7 @@ import types
 import numpy as np
 import pytest
 
+import oracles
 from acs_verify import universal
 from acs_verify.config import DEFAULT
 import scipy.linalg
@@ -47,6 +48,7 @@ from acs_verify.fields import (
     nijenhuis_direct,
 )
 from acs_verify.rng import SplitMix64
+from oracles import reconstruction_report
 from acs_verify.universal import (
     ChartFrame,
     DistributionFiber,
@@ -66,7 +68,6 @@ from acs_verify.universal import (
     manifold_to_json,
     plucker_reality_certificate,
     random_compatible_symplectic,
-    reconstruction_report,
     symplectic_pointwise_model,
     universal_chart,
     versality_check,
@@ -164,7 +165,7 @@ def eigen_split_fiber(x, m):
     """(S', S'', Sig', Sig'') by the generic route: the 2k x 2k doubled
     structure Jt = F B F^-1, SVD kernels of Jt -+ i, intersections with S."""
     n, k = m.n, m.k
-    dg = m.dg(x)
+    dg = m.g.jacobian_value(x)
     nx = nullspace(dg.T, DEFAULT.rank_rtol).real
     zeros_nx = np.zeros_like(nx)
     anti = np.vstack([dg, -dg])
@@ -269,13 +270,13 @@ def test_not_transverse_when_fiber_swallows_base_direction():
     x = np.array([0.5, 0.7])
     p = build_fiber(x, m)
     fib = DistributionFiber(p).horizontal_part
-    dg2k = np.vstack([m.dg(x), m.dg(x)])
+    dg2k = np.vstack([m.g.jacobian_value(x), m.g.jacobian_value(x)])
     bad_cols = np.concatenate(
         [dg2k[:, :1].astype(complex), fib.basis[:, :-1]], axis=1
     )
     bad = ComplexSubspace.from_columns(bad_cols)
     with pytest.raises(NotTransverse):
-        _induced_from_parts(dg2k, bad)
+        _induced_from_parts(dg2k[None], bad.basis[None])
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +594,7 @@ def test_fiber_frame_coords_keeps_a_nan_head_component():
 
 
 def test_reconstruction_report_keeps_a_nan_deviation(monkeypatch):
-    monkeypatch.setattr(universal, "_induced_at",
+    monkeypatch.setattr(oracles, "induced_at",
                         lambda x, m, tol: (np.full((2, 2), np.nan), 1.0))
     rep = reconstruction_report(PointwiseACManifold.default_torus(1), (2, 2))
     assert np.isnan(rep["max_deviation"])
@@ -607,3 +608,71 @@ def test_induced_structure_at_from_a_built_point_is_bitwise_equal(n):
         assert np.array_equal(
             induced_structure_at(x, m, DEFAULT, point=point),
             induced_structure_at(x, m, DEFAULT))
+
+
+# ---------------------------------------------------------------------------
+# the stacked route against the per-point oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_fiber_bits(point, want):
+    assert same_bits(point.z, want.z)
+    for name in ("sp", "spp", "sigp", "sigpp"):
+        assert same_bits(getattr(point, name).basis, getattr(want, name).basis), name
+
+
+@pytest.mark.parametrize("n, counts", [(1, [6, 7]), (2, [3, 3, 3, 3])])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stacked_fibers_and_jf_match_the_oracle_bitwise(n, counts, seed):
+    m = perturbed_manifold(n, seed=seed)
+    pts = TorusChart(2 * n).grid(counts)
+    assert len(pts) % universal.FIBER_CHUNK != 0
+    points = list(universal.build_fibers(pts, m))
+    assert len(points) == len(pts)
+    for start in range(0, len(pts), universal.FIBER_CHUNK):
+        rows = pts[start:start + universal.FIBER_CHUNK]
+        chunk = points[start:start + universal.FIBER_CHUNK]
+        jfs = universal.induced_structures(rows, chunk, m)
+        for x, point, jf in zip(rows, chunk, jfs):
+            want = oracles.build_fiber(x, m)
+            assert_fiber_bits(point, want)
+            assert same_bits(jf, oracles.induced_at(x, m, point=want)[0])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_chunk_of_one_matches_the_oracle_bitwise(n):
+    m = perturbed_manifold(n, seed=5)
+    for x in TorusChart(2 * n).grid([2] * (2 * n))[:4]:
+        assert_fiber_bits(build_fiber(x, m), oracles.build_fiber(x, m))
+        assert same_bits(induced_structure_at(x, m), oracles.induced_at(x, m)[0])
+
+
+def test_reconstruction_check_matches_the_oracle_sweep():
+    from acs_verify.checks import build_manifold
+    from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
+
+    doc = parse_scenario(find_scenario("universal_n1_k4"))
+    doc["checks"] = ["universal_reconstruction"]
+    [record], _ = run_scenario(doc)
+    rep = reconstruction_report(build_manifold(doc["payload"], doc["seed"]),
+                                doc["samples"]["counts"])
+    assert record["samples_checked"] == rep["points_checked"]
+    assert record["max_residual"] == rep["max_deviation"]
+
+
+def test_validate_fibers_rejects_the_first_tampered_point_of_a_stack():
+    m = perturbed_manifold(1)
+    points = list(universal.build_fibers(TorusChart(2).grid([2, 2]), m))
+    stack = [np.stack([getattr(p, name).basis for p in points])
+             for name in ("sp", "spp", "sigp", "sigpp")]
+    z = np.stack([p.z for p in points])
+    universal.validate_fibers(1, 4, z, *stack)
+    z[2, 0] += 1e-3j  # the third base point leaves the real locus
+    with pytest.raises(EigenSplitFailure, match="base point is not real"):
+        universal.validate_fibers(1, 4, z, *stack)
+    stack[3][1] = stack[2][1]  # Sigma'' := Sigma' at the second point
+    with pytest.raises(EigenSplitFailure, match="S'' is not contained"):
+        universal.validate_fibers(1, 4, z, *stack)
