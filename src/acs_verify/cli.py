@@ -20,6 +20,7 @@ from .lvmb import LvmbData, check_condition_i, check_condition_ii
 from .scenarios import (
     bundled_scenario_names,
     find_scenario,
+    load_json,
     run_scenario,
     serialize_report,
     validate_document,
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     # run_scenario validates the document
-    doc = json.loads(find_scenario(args.scenario))
+    doc = load_json(find_scenario(args.scenario))
     records, aggregate = run_scenario(
         doc, tol_scale=args.tol_scale, sample_cap=args.samples,
         seed=args.seed, timings=args.timings)
@@ -87,7 +88,7 @@ def cmd_list_checks() -> int:
 
 def cmd_lvmb_check(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = load_json(fh.read())
     try:
         validate_document(doc, "lvmb_input.schema.json")
     except jsonschema.ValidationError as exc:

@@ -22,7 +22,6 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     DimensionMismatch,
     NotAComplexStructure,
-    NotComplementary,
     RankDeficient,
     UnbalancedEigenspaces,
 )
@@ -41,11 +40,6 @@ def complexify_vector(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(-1)
     m = v.shape[0] // 2
     return v[:m] + 1j * v[m:]
-
-
-def realify_matrix(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
-    return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
 def standard_structure(m: int) -> np.ndarray:
@@ -141,12 +135,6 @@ class ComplexSubspace:
     def conjugate(self) -> "ComplexSubspace":
         return ComplexSubspace(self.basis.conj())
 
-    def contains(self, other: "ComplexSubspace", tol: Tolerances = DEFAULT) -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        resid = other.basis - self.projector() @ other.basis
-        return bool(np.max(np.abs(resid), initial=0.0) <= 1e3 * tol.alg_atol)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"ComplexSubspace(dim={self.dim}, ambient={self.ambient_dim})"
 
@@ -183,22 +171,6 @@ def direct_sum_test(
     dims_ok = a.dim + b.dim == a.ambient_dim
     rank_ok = s.size > 0 and sigma_min > tol.rank_rtol * s[0]
     return dims_ok and rank_ok, sigma_min
-
-
-def project_mod(
-    v: np.ndarray, d: ComplexSubspace, q: ComplexSubspace, tol: Tolerances = DEFAULT
-) -> np.ndarray:
-    """Component of v along q in the splitting ambient = q (+) d.
-
-    Solves the joint system [q.basis | d.basis] (alpha, beta) = v and
-    returns q.basis @ alpha, so v - result lies in d.
-    """
-    ok, _ = direct_sum_test(q, d, tol)
-    if not ok:
-        raise NotComplementary("q and d do not split the ambient space")
-    joint = np.concatenate([q.basis, d.basis], axis=1)
-    coeff = np.linalg.solve(joint, np.asarray(v, dtype=complex).reshape(-1))
-    return q.basis @ coeff[: q.dim]
 
 
 def intersect(
@@ -270,18 +242,3 @@ def eigen_split(J: LinearComplexStructure, tol: Tolerances = DEFAULT) -> RealSpl
             f"eigenspace dims ({plus.shape[1]}, {minus.shape[1]}), expected ({m}, {m})"
         )
     return RealSplitting(ComplexSubspace(plus), ComplexSubspace(minus), tol)
-
-
-def reassemble(split: RealSplitting) -> np.ndarray:
-    """Rebuild the complexified matrix i*P_plus + (-i)*P_minus.
-
-    P_plus / P_minus are the projectors onto each eigenspace along the
-    other, computed from the joint basis. Round-tripping eigen_split
-    through reassemble recovers J up to solver rounding.
-    """
-    joint = np.concatenate([split.plus_i.basis, split.minus_i.basis], axis=1)
-    inv = np.linalg.inv(joint)
-    r = split.plus_i.dim
-    p_plus = joint[:, :r] @ inv[:r]
-    p_minus = joint[:, r:] @ inv[r:]
-    return 1j * p_plus - 1j * p_minus

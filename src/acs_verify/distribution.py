@@ -21,8 +21,6 @@ cancellation of plain small-h differencing.
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .config import DEFAULT, Tolerances, worst_of
@@ -30,7 +28,6 @@ from .cxlinalg import ComplexSubspace
 from .errors import (
     DimensionMismatch,
     DomainError,
-    GraphConditionFails,
     InvalidParams,
     NotASubspaceOfFiber,
     NotNormalized,
@@ -149,30 +146,6 @@ class PolynomialMatrixMap:
                     cell[zero] = cell.get(zero, 0.0 + 0.0j) + delta[i, j]
         return PolynomialMatrixMap(self.n_vars, self.rows, self.cols, entries)
 
-    def to_json_monomials(self) -> list:
-        out = []
-        for (i, j) in sorted(self.entries):
-            for powers in sorted(self.entries[(i, j)]):
-                coeff = self.entries[(i, j)][powers]
-                out.append(
-                    {
-                        "i": i,
-                        "j": j,
-                        "powers": list(powers),
-                        "coeff": [coeff.real, coeff.imag],
-                    }
-                )
-        return out
-
-    @classmethod
-    def from_json_monomials(cls, n_vars, rows, cols, monomials) -> "PolynomialMatrixMap":
-        entries: dict = {}
-        for m in monomials:
-            cell = entries.setdefault((int(m["i"]), int(m["j"])), {})
-            key = tuple(int(p) for p in m["powers"])
-            cell[key] = cell.get(key, 0.0 + 0.0j) + complex(m["coeff"][0], m["coeff"][1])
-        return cls(n_vars, rows, cols, entries)
-
 
 def circle_rule_jacobian(fn, z, n_vars: int, h: float = 0.05, points: int = 8) -> np.ndarray:
     """Holomorphic derivative of a matrix-valued callable by the circle rule.
@@ -253,18 +226,6 @@ class DistributionChart:
 
     def a_jacobian(self, z) -> np.ndarray:
         return self.amap.jacobian(self._check_domain(z))
-
-    def fiber_at(self, z, tol: Tolerances = DEFAULT) -> ComplexSubspace:
-        a = self.a_value(z)
-        cols = np.concatenate([a, np.eye(self.fiber_dim, dtype=complex)], axis=0)
-        return ComplexSubspace.from_columns(cols, tol)
-
-    def frame_vector(self, z, j: int) -> np.ndarray:
-        a = self.a_value(z)
-        v = np.zeros(self.big_n, dtype=complex)
-        v[self.n + j] = 1.0
-        v[: self.n] = a[:, j]
-        return v
 
 
 class TorsionTensor:
@@ -361,7 +322,7 @@ def frame_bracket_oracle(chart: DistributionChart, z=None, h: float = 1e-4) -> T
 
 
 # ---------------------------------------------------------------------------
-# recentering and presentation changes
+# recentering
 # ---------------------------------------------------------------------------
 
 def recenter(chart: DistributionChart, new_center) -> DistributionChart:
@@ -388,50 +349,6 @@ def recenter(chart: DistributionChart, new_center) -> DistributionChart:
 
         new_map = CallableHolomorphicMap(big_n, n, m, fn)
     return DistributionChart(n, big_n, new_map, center=None, radius=chart.radius)
-
-
-def graph_form(fiber: ComplexSubspace, n: int) -> np.ndarray:
-    """Matrix B with fiber = {(B eta, eta)}; fails if the projection to the
-    last N-n coordinates is singular."""
-    big_n = fiber.ambient_dim
-    m = big_n - n
-    if fiber.dim != m:
-        raise DimensionMismatch("fiber dimension must be N - n")
-    lower = fiber.basis[n:, :]
-    upper = fiber.basis[:n, :]
-    s = np.linalg.svd(lower, compute_uv=False)
-    if s.size == 0 or s[-1] <= 1e-10 * max(1.0, s[0]):
-        raise GraphConditionFails(
-            "fiber is not a graph over the last N-n coordinates"
-        )
-    return upper @ np.linalg.inv(lower)
-
-
-def transform_linear(chart: DistributionChart, l_matrix: np.ndarray) -> DistributionChart:
-    """Push the distribution forward through an invertible linear map.
-
-    The new presentation re-graphs L . D_{L^-1 w} over the last N-n
-    coordinates; GraphConditionFails surfaces at evaluation points where
-    that projection degenerates.
-    """
-    l_matrix = np.asarray(l_matrix, dtype=complex)
-    n, m, big_n = chart.n, chart.fiber_dim, chart.big_n
-    l_inverse = np.linalg.inv(l_matrix)
-    inner = chart.amap
-
-    def fn(w):
-        z = l_inverse @ w
-        a = inner.value(z)
-        basis = l_matrix @ np.concatenate([a, np.eye(m, dtype=complex)], axis=0)
-        lower = basis[n:, :]
-        s = np.linalg.svd(lower, compute_uv=False)
-        if s[-1] <= 1e-10 * max(1.0, s[0]):
-            raise GraphConditionFails("transformed fiber loses the graph form")
-        return basis[:n, :] @ np.linalg.inv(lower)
-
-    new_center = l_matrix @ chart.center
-    new_map = CallableHolomorphicMap(big_n, n, m, fn, h=0.02)
-    return DistributionChart(n, big_n, new_map, center=new_center, radius=chart.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +396,7 @@ def isotropy_test(
 
 
 # ---------------------------------------------------------------------------
-# random charts and serialization
+# random charts
 # ---------------------------------------------------------------------------
 
 def random_polynomial_chart(
@@ -505,33 +422,3 @@ def random_polynomial_chart(
             entries[(i, j)] = cell
     amap = PolynomialMatrixMap(big_n, n, big_n - n, entries)
     return DistributionChart(n, big_n, amap)
-
-
-def chart_to_json(chart: DistributionChart) -> dict:
-    if not isinstance(chart.amap, PolynomialMatrixMap):
-        raise InvalidParams("only polynomial charts serialize")
-    return {
-        "n": chart.n,
-        "N": chart.big_n,
-        "monomials": chart.amap.to_json_monomials(),
-    }
-
-
-def chart_from_json(data: dict) -> DistributionChart:
-    n = int(data["n"])
-    big_n = int(data["N"])
-    amap = PolynomialMatrixMap.from_json_monomials(
-        big_n, n, big_n - n, data["monomials"]
-    )
-    return DistributionChart(n, big_n, amap)
-
-
-def coordinate_plane_subspaces(n: int, m: int):
-    """All coordinate n-planes inside the fiber, as subspaces of C^{n+m}."""
-    out = []
-    for combo in itertools.combinations(range(m), n):
-        cols = np.zeros((n + m, n), dtype=complex)
-        for idx, j in enumerate(combo):
-            cols[n + j, idx] = 1.0
-        out.append((combo, ComplexSubspace(cols)))
-    return out

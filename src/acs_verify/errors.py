@@ -25,15 +25,7 @@ class UnbalancedEigenspaces(VerifyError):
     pass
 
 
-class NotComplementary(VerifyError):
-    pass
-
-
 class NotNormalized(VerifyError):
-    pass
-
-
-class GraphConditionFails(VerifyError):
     pass
 
 

@@ -7,9 +7,8 @@ integer frequency:
 
 Frequencies are canonicalized so the first nonzero component is positive
 (sin picks up the sign flip) and the zero frequency carries no sin part.
-Derivatives act frequency-wise and products expand through the
-product-to-sum identities, so brackets of trig-poly fields are again
-trig-poly fields with no approximation beyond float rounding.
+Derivatives act frequency-wise, so partials of trig-poly fields are
+again trig-poly fields with no approximation beyond float rounding.
 
 Almost complex structure fields J(x) only need pointwise values, the same
 values stacked over many points (`values`), and first partials, which a
@@ -117,10 +116,6 @@ class TrigPolyField:
         return cls(d, matrix.shape, {zero: (matrix, np.zeros(matrix.shape))})
 
     @classmethod
-    def zero(cls, d: int, shape) -> "TrigPolyField":
-        return cls.constant(d, np.zeros(shape))
-
-    @classmethod
     def random(
         cls,
         d: int,
@@ -189,15 +184,9 @@ class TrigPolyField:
             object.__setattr__(self, "_partial_fields", cached)
         return cached
 
-    def jacobian_value(self, x) -> np.ndarray:
-        """For column fields (r, 1): the (r, d) matrix of partials at x."""
-        if self.shape[1] != 1:
-            raise ShapeMismatch("jacobian_value expects a column field")
-        cols = [self.partial_value(i, x)[:, 0] for i in range(self.d)]
-        return np.stack(cols, axis=1)
-
     def jacobian_values(self, xs) -> np.ndarray:
-        """jacobian_value(x) for every row x of xs, stacked (rows, r, d)."""
+        """For column fields (r, 1): the (r, d) matrix of partials at every
+        row x of xs, stacked (rows, r, d)."""
         if self.shape[1] != 1:
             raise ShapeMismatch("jacobian_values expects a column field")
         cols = [p.values(xs)[:, :, 0] for p in self._partials()]
@@ -219,9 +208,6 @@ class TrigPolyField:
             terms[k] = (cc + c, ss + s)
         return TrigPolyField(self.d, self.shape, terms)
 
-    def __sub__(self, other: "TrigPolyField") -> "TrigPolyField":
-        return self + other.scale(-1.0)
-
     def scale(self, factor: float) -> "TrigPolyField":
         return TrigPolyField(
             self.d,
@@ -229,41 +215,7 @@ class TrigPolyField:
             {k: (factor * c, factor * s) for k, (c, s) in self.terms.items()},
         )
 
-    def matmul(self, other: "TrigPolyField") -> "TrigPolyField":
-        """Exact product field via the product-to-sum identities."""
-        if self.d != other.d:
-            raise DimensionMismatch("fields live on different tori")
-        if self.shape[1] != other.shape[0]:
-            raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        out_shape = (self.shape[0], other.shape[1])
-        acc: dict = {}
-
-        def add(freq, c, s):
-            key, sign = _canonical(freq)
-            cc, ss = acc.get(key, (np.zeros(out_shape), np.zeros(out_shape)))
-            acc[key] = (cc + c, ss + sign * s)
-
-        for f1, (c1, s1) in self.terms.items():
-            for f2, (c2, s2) in other.terms.items():
-                plus = tuple(a + b for a, b in zip(f1, f2))
-                minus = tuple(a - b for a, b in zip(f1, f2))
-                cc = c1 @ c2
-                csn = c1 @ s2
-                sc = s1 @ c2
-                ssn = s1 @ s2
-                add(minus, 0.5 * (cc + ssn), 0.5 * (sc - csn))
-                add(plus, 0.5 * (cc - ssn), 0.5 * (sc + csn))
-        return TrigPolyField(self.d, out_shape, acc)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        terms = []
-        for freq, (c, s) in sorted(self.terms.items()):
-            terms.append(
-                {"freq": list(freq), "cos": c.tolist(), "sin": s.tolist()}
-            )
-        return {"shape": list(self.shape), "terms": terms}
+    # -- reading scenario payloads ----------------------------------------
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrigPolyField":
@@ -281,32 +233,6 @@ class TrigPolyField:
         if d is None:
             raise ShapeMismatch("field must carry at least one term")
         return cls(d, shape, terms)
-
-
-def jacobian_field(v: TrigPolyField) -> TrigPolyField:
-    """Matrix field of partials of a column field: column i is d_i v."""
-    if v.shape[1] != 1:
-        raise ShapeMismatch("jacobian_field expects a column field")
-    r = v.shape[0]
-    acc: dict = {}
-    for i in range(v.d):
-        p = v.partial(i)
-        for freq, (c, s) in p.terms.items():
-            cc, ss = acc.get(freq, (np.zeros((r, v.d)), np.zeros((r, v.d))))
-            cc = cc.copy()
-            ss = ss.copy()
-            cc[:, i] += c[:, 0]
-            ss[:, i] += s[:, 0]
-            acc[freq] = (cc, ss)
-    return TrigPolyField(v.d, (r, v.d), acc)
-
-
-def lie_bracket(v: TrigPolyField, w: TrigPolyField) -> TrigPolyField:
-    """[V, W] = DW . V - DV . W, exact for trig-poly fields."""
-    v._binary_shape_check(w)
-    if v.shape[1] != 1:
-        raise ShapeMismatch("bracket expects column fields")
-    return jacobian_field(w).matmul(v) - jacobian_field(v).matmul(w)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +256,6 @@ class ConjugatedStructureField:
             raise DimensionMismatch("structure dimension must be even")
         self.d = a_field.d
         self.shape = a_field.shape
-        self.eps = float(eps)
         from .cxlinalg import standard_structure
 
         self.j0 = np.asarray(j0, dtype=float) if j0 is not None else standard_structure(n2 // 2)
@@ -352,10 +277,6 @@ class ConjugatedStructureField:
         t = self.t_field.value(x)
         ti = self.t_field.partial_value(i, x)
         return np.linalg.solve(t.T, (ti @ self.j0 - j @ ti).T).T
-
-    def to_json_dict(self) -> dict:
-        a = self.t_field + TrigPolyField.constant(self.d, -np.eye(self.shape[0]))
-        return {"conjugation": {"epsilon": self.eps, "A": a.scale(1.0 / self.eps).to_json_dict()}}
 
 
 class CallableMatrixField:

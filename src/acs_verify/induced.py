@@ -24,7 +24,6 @@ from .cxlinalg import complexify_vector, realify_basis, realify_vector, standard
 from .distribution import (
     DistributionChart,
     PolynomialMatrixMap,
-    TorsionTensor,
     torsion_via_frames,
 )
 from .errors import (
@@ -208,31 +207,6 @@ class CRPolyMap:
                     else:
                         cell[t] = val
         return CRPolyMap(self.n_vars, self.rows, other.cols, entries)
-
-    def to_json_terms(self) -> list:
-        out = []
-        for (i, j) in sorted(self.entries):
-            for (za, zb) in sorted(self.entries[(i, j)]):
-                c = self.entries[(i, j)][(za, zb)]
-                out.append(
-                    {
-                        "i": i,
-                        "j": j,
-                        "pz": list(za),
-                        "pzb": list(zb),
-                        "coeff": [c.real, c.imag],
-                    }
-                )
-        return out
-
-    @classmethod
-    def from_json_terms(cls, n_vars, rows, cols, terms) -> "CRPolyMap":
-        entries: dict = {}
-        for t in terms:
-            cell = entries.setdefault((int(t["i"]), int(t["j"])), {})
-            key = (tuple(int(p) for p in t["pz"]), tuple(int(p) for p in t["pzb"]))
-            cell[key] = cell.get(key, 0j) + complex(t["coeff"][0], t["coeff"][1])
-        return cls(n_vars, rows, cols, entries)
 
 
 def compose_graph(poly: PolynomialMatrixMap, g: CRPolyMap) -> CRPolyMap:
@@ -672,61 +646,3 @@ def nijenhuis_via_torsion(
     """N_{J_f}(zeta, eta) = 4 theta(dbar f . zeta, dbar f . eta), pulled
     back to the chart; realified 2n-vector."""
     return nijenhuis_torsion_map(emb, chart, zp, tol)(zeta_r, eta_r)
-
-
-def transversality_report(
-    emb: GraphEmbedding,
-    chart: DistributionChart,
-    sample_points,
-    tol: Tolerances = DEFAULT,
-) -> dict:
-    """Per-point transversality of the graph against the fiber."""
-    per_point = []
-    min_sigma = np.inf
-    for idx, zp in enumerate(sample_points):
-        zp = np.asarray(zp, dtype=complex).reshape(-1)
-        df = emb.df_real(zp)
-        fiber = fiber_real_basis(chart, emb.f_value(zp))
-        q_m = np.linalg.qr(df)[0]
-        q_d = np.linalg.qr(fiber)[0]
-        s = np.linalg.svd(np.concatenate([q_m, q_d], axis=1), compute_uv=False)
-        sigma = float(s[-1])
-        ok = bool(sigma > tol.rank_rtol * s[0])
-        per_point.append({"index": idx, "transverse": ok, "sigma_min": sigma})
-        min_sigma = min(min_sigma, sigma)
-    return {
-        "per_point": per_point,
-        "min_sigma": float(min_sigma),
-        "all_transverse": all(p["transverse"] for p in per_point),
-    }
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def embedding_to_json(emb: GraphEmbedding) -> dict:
-    return {
-        "n": emb.n,
-        "N": emb.big_n,
-        "base": [[z.real, z.imag] for z in emb.base],
-        "g": emb.g.to_json_terms(),
-    }
-
-
-def embedding_from_json(data: dict) -> GraphEmbedding:
-    n = int(data["n"])
-    big_n = int(data["N"])
-    g = CRPolyMap.from_json_terms(n, big_n - n, 1, data["g"])
-    base = [complex(p[0], p[1]) for p in data.get("base", [[0.0, 0.0]] * n)]
-    return GraphEmbedding(n, big_n, g, base=base)
-
-
-def variation_to_json(var: VariationData) -> dict:
-    return {"eta": var.eta.to_json_terms(), "v": var.v.to_json_terms()}
-
-
-def variation_from_json(data: dict, n: int, m: int) -> VariationData:
-    eta = CRPolyMap.from_json_terms(n, m, 1, data["eta"])
-    v = CRPolyMap.from_json_terms(n, n, 1, data["v"])
-    return VariationData(eta, v)

@@ -66,14 +66,6 @@ class LvmbData:
         pts = self.ell[list(group), :]
         return np.concatenate([pts.real, pts.imag], axis=1)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "N": self.big_n,
-            "E": [list(group) for group in self.family],
-            "ell": [[[float(c.real), float(c.imag)] for c in row] for row in self.ell],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "LvmbData":
         ell = [
@@ -86,6 +78,22 @@ class LvmbData:
 # ---------------------------------------------------------------------------
 # dense two-phase simplex (min c.x, A x = b, x >= 0)
 # ---------------------------------------------------------------------------
+
+def _eliminate(tab: np.ndarray, basis: list, leave: int, enter: int) -> None:
+    """Pivot the tableau in place on (leave, enter): scale the leaving
+    row, then clear the entering column of every other row.
+
+    All rows are cleared with one outer product and the leaving row is
+    then put back, so every other row gets exactly the row-by-row update
+    tab[i] -= tab[i, enter] * tab[leave], and the leaving row keeps its
+    -0.0 entries, which x - 0 * x would turn into 0.0.
+    """
+    tab[leave] /= tab[leave, enter]
+    row = tab[leave].copy()
+    tab -= np.outer(tab[:, enter], row)
+    tab[leave] = row
+    basis[leave] = enter
+
 
 def simplex_solve(c, a, b, tol: float = 1e-11):
     """Bland-rule two-phase simplex for small dense problems.
@@ -130,11 +138,7 @@ def simplex_solve(c, a, b, tol: float = 1e-11):
             if not ratios:
                 raise InvalidParams("linear program is unbounded")
             _, _, leave = min(ratios)
-            tab[leave] /= tab[leave, enter]
-            for i in range(rows + 1):
-                if i != leave:
-                    tab[i] -= tab[i, enter] * tab[leave]
-            basis[leave] = enter
+            _eliminate(tab, basis, leave, enter)
 
     pivot(cols + rows)
     if tab[rows, -1] < -1e3 * tol:
@@ -145,11 +149,7 @@ def simplex_solve(c, a, b, tol: float = 1e-11):
         if basis[i] >= cols:
             for j in range(cols):
                 if abs(tab[i, j]) > tol:
-                    tab[i] /= tab[i, j]
-                    for r in range(rows + 1):
-                        if r != i:
-                            tab[r] -= tab[r, j] * tab[i]
-                    basis[i] = j
+                    _eliminate(tab, basis, i, j)
                     break
 
     # phase 2 objective row
@@ -215,38 +215,43 @@ def hull_overlap_lp(p1: np.ndarray, p2: np.ndarray
     return True, eps, witness
 
 
-def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
-    """Open-overlap condition over all unordered pairs from E, self-pairs
-    included (a set must overlap itself, which is exactly the requirement
-    that its hull has nonempty interior). Degenerate hulls are recorded
-    and count as failure, and so do disjoint hulls (margin None, note
-    "hulls are disjoint")."""
+def _over_pairs(data: LvmbData, verdict, degenerate: dict) -> dict:
+    """Condition (i) over all unordered pairs from E, self-pairs included
+    (a set must overlap itself, which is exactly the requirement that its
+    hull has nonempty interior), in one fixed order so two routes can be
+    compared entrywise. verdict(g1, g2) gives the fields of one pair; a
+    DegenerateHull it raises is recorded with the degenerate fields and
+    counts as failure."""
     pairs = []
-    ok = True
     for i1, i2 in itertools.combinations_with_replacement(range(len(data.family)), 2):
         g1, g2 = data.family[i1], data.family[i2]
-        entry = {"j1": list(g1), "j2": list(g2)}
+        entry = {"j1": list(g1), "j2": list(g2), "degenerate": False}
         try:
-            p1 = data.hull_points(g1)
-            p2 = data.hull_points(g2)
-            _require_full_dimensional(p1, g1, tol)
-            _require_full_dimensional(p2, g2, tol)
-            overlap, eps, witness = hull_overlap_lp(p1, p2)
-            entry["overlap"] = overlap
-            entry["margin"] = eps
-            entry["witness"] = None if witness is None else [float(v) for v in witness]
-            entry["degenerate"] = False
-            if eps is None:
-                entry["note"] = "hulls are disjoint"
+            entry.update(verdict(g1, g2))
         except DegenerateHull as exc:
-            entry["overlap"] = False
-            entry["margin"] = 0.0
-            entry["witness"] = None
-            entry["degenerate"] = True
-            entry["note"] = str(exc)
-        ok = ok and entry["overlap"]
+            entry.update(degenerate, overlap=False, degenerate=True, note=str(exc))
         pairs.append(entry)
-    return {"ok": ok, "pairs": pairs}
+    return {"ok": all(entry["overlap"] for entry in pairs), "pairs": pairs}
+
+
+def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
+    """Open-overlap condition by the LP, pair by pair (see _over_pairs).
+    Degenerate hulls fail with margin 0, and so do disjoint hulls (margin
+    None, note "hulls are disjoint")."""
+
+    def verdict(g1, g2) -> dict:
+        p1 = data.hull_points(g1)
+        p2 = data.hull_points(g2)
+        _require_full_dimensional(p1, g1, tol)
+        _require_full_dimensional(p2, g2, tol)
+        overlap, eps, witness = hull_overlap_lp(p1, p2)
+        entry = {"overlap": overlap, "margin": eps,
+                 "witness": None if witness is None else [float(v) for v in witness]}
+        if eps is None:
+            entry["note"] = "hulls are disjoint"
+        return entry
+
+    return _over_pairs(data, verdict, {"margin": 0.0, "witness": None})
 
 
 # ---------------------------------------------------------------------------
@@ -330,30 +335,16 @@ def polygon_overlap_oracle(p1: np.ndarray, p2: np.ndarray,
 
 
 def check_condition_i_polygon(data: LvmbData) -> dict:
-    """Condition (i) by the 2-D oracle; m = 1 only. Same pair order as the
-    LP route so reports can be compared entrywise."""
+    """Condition (i) by the 2-D oracle; m = 1 only. Same pairs, in the
+    same order, as the LP route; degenerate hulls fail with area 0."""
     if data.m != 1:
         raise InvalidParams("polygon oracle only covers m = 1")
-    pairs = []
-    ok = True
-    for i1, i2 in itertools.combinations_with_replacement(range(len(data.family)), 2):
-        g1, g2 = data.family[i1], data.family[i2]
-        entry = {"j1": list(g1), "j2": list(g2)}
-        try:
-            overlap, area = polygon_overlap_oracle(
-                data.hull_points(g1), data.hull_points(g2)
-            )
-            entry["overlap"] = overlap
-            entry["area"] = area
-            entry["degenerate"] = False
-        except DegenerateHull as exc:
-            entry["overlap"] = False
-            entry["area"] = 0.0
-            entry["degenerate"] = True
-            entry["note"] = str(exc)
-        ok = ok and entry["overlap"]
-        pairs.append(entry)
-    return {"ok": ok, "pairs": pairs}
+
+    def verdict(g1, g2) -> dict:
+        overlap, area = polygon_overlap_oracle(data.hull_points(g1), data.hull_points(g2))
+        return {"overlap": overlap, "area": area}
+
+    return _over_pairs(data, verdict, {"area": 0.0})
 
 
 # ---------------------------------------------------------------------------

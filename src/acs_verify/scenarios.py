@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 import zlib
 from importlib import resources
@@ -31,6 +32,32 @@ from .fields import TorusChart
 from .rng import SplitMix64
 
 _SCHEMA_CACHE: dict = {}
+
+
+def _non_finite(literal: str):
+    raise SchemaError(f"non-finite number {literal} in JSON input")
+
+
+def _in_range(parse):
+    """A JSON number parser that refuses literals beyond the range of a
+    double: Python would read 1e999 as inf."""
+    def number(text: str):
+        try:
+            value = parse(text)
+        except ValueError:  # an integer literal of over 4300 digits
+            value = math.inf
+        if abs(value) > sys.float_info.max:
+            raise SchemaError(f"number {text[:40]} in JSON input is out of range")
+        return value
+    return number
+
+
+def load_json(text: str):
+    """json.loads for every input document. NaN, Infinity and numbers
+    that overflow a double are refused: a non-finite tolerance passes any
+    residual, and NaN is not strict JSON."""
+    return json.loads(text, parse_constant=_non_finite,
+                      parse_float=_in_range(float), parse_int=_in_range(int))
 
 
 def load_schema(name: str) -> dict:
@@ -150,7 +177,7 @@ def _validate_payload(doc, memo: RunMemo) -> None:
 
 
 def parse_scenario(text: str) -> dict:
-    doc = json.loads(text)  # JSONDecodeError carries line and column
+    doc = load_json(text)  # JSONDecodeError carries line and column
     validate_scenario(doc)
     return doc
 
@@ -224,6 +251,9 @@ def run_scenario(doc: dict, tol_scale: float = 1.0,
     if sample_cap is not None and sample_cap < 1:
         raise SchemaError(
             f"sample cap (--samples) must be a positive integer, got {sample_cap}")
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        raise SchemaError(
+            f"tolerance scale (--tol-scale) must be finite and > 0, got {tol_scale}")
     kind = doc["kind"]
     run_seed = int(doc["seed"] if seed is None else seed)
     tol = resolve_tolerances(doc)

@@ -33,7 +33,6 @@ from .config import DEFAULT, Tolerances, worst_of
 from .cxlinalg import (
     ComplexSubspace,
     complexify_vector,
-    direct_sum_test,
     nullspace,
     realify_basis,
     realify_vector,
@@ -138,12 +137,6 @@ class PointwiseACManifold:
         self.g = g
         self.j = j
 
-    @classmethod
-    def default_torus(cls, n: int, j: AlmostComplexField | None = None) -> "PointwiseACManifold":
-        if j is None:
-            j = AlmostComplexField.standard(n)
-        return cls(n, 4 * n, default_torus_embedding(n), j)
-
 
 # ---------------------------------------------------------------------------
 # fiber points
@@ -213,26 +206,14 @@ def validate_fibers(n: int, k: int, z, sp, spp, sigp, sigpp,
                  lambda i: EigenSplitFailure("base point is not real"))
 
 
-class DistributionFiber:
-    """Ambient-velocity part S' (+) Sigma'' of the distribution at a point."""
-
-    def __init__(self, base: UniversalPoint, tol: Tolerances = DEFAULT):
-        self.base = base
-        cols = np.concatenate([base.sp.basis, base.sigpp.basis], axis=1)
-        self.horizontal_part = ComplexSubspace.from_columns(cols, tol)
-        if self.horizontal_part.dim != 2 * base.k - base.n:
-            raise EigenSplitFailure("horizontal part has wrong codimension")
-
-    def quotient_frame(self, tol: Tolerances = DEFAULT) -> ComplexSubspace:
-        """Complement of S' inside Sigma'; maps isomorphically onto the
-        quotient C^{2k} / (S' (+) Sigma'')."""
-        proj = self.base.sp.projector()
-        cols = self.base.sigp.basis - proj @ self.base.sigp.basis
-        comp = ComplexSubspace.from_spanning_set(cols, tol)
-        ok, _ = direct_sum_test(comp, self.horizontal_part, tol)
-        if not ok:
-            raise EigenSplitFailure("quotient frame does not complement the fiber")
-        return comp
+def horizontal_basis(point: UniversalPoint, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Orthonormal basis of the ambient-velocity part S' (+) Sigma'' of
+    the distribution at a fiber point."""
+    cols = np.concatenate([point.sp.basis, point.sigpp.basis], axis=1)
+    part = ComplexSubspace.from_columns(cols, tol)
+    if part.dim != 2 * point.k - point.n:
+        raise EigenSplitFailure("horizontal part has wrong codimension")
+    return part.basis
 
 
 # Rows per stacked call of build_fibers and of the reconstruction sweep.
@@ -402,7 +383,7 @@ def induced_structures(xs, points, m: PointwiseACManifold,
     over_chunks turns that into the error of a loop over the rows.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    fibers = np.stack([DistributionFiber(p, tol).horizontal_part.basis for p in points])
+    fibers = np.stack([horizontal_basis(p, tol) for p in points])
     dg = m.g.jacobian_values(xs)
     jf = _induced_from_parts(np.concatenate([dg, dg], axis=1), fibers, tol)
     resid = np.max(np.abs(jf @ jf + np.eye(jf.shape[1])), axis=(1, 2))
@@ -627,13 +608,11 @@ def embedding_differential(x, m: PointwiseACManifold, frame: ChartFrame,
     return np.stack(cols, axis=1)
 
 
-def dbar_embedding(x, m: PointwiseACManifold, frame: ChartFrame,
-                   jf: np.ndarray | None = None,
+def dbar_embedding(x, m: PointwiseACManifold, frame: ChartFrame, jf: np.ndarray,
                    tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
     """Conjugate-linear part (df + i df J_f)/2 of the chart differential,
-    realified (2N x 2n); returns (dbar, df)."""
-    if jf is None:
-        jf = induced_structure_at(x, m, tol)
+    realified (2N x 2n), for jf = induced_structure_at(x, m, tol);
+    returns (dbar, df)."""
     df = embedding_differential(x, m, frame, tol=tol)
     return 0.5 * (df + standard_structure(frame.big_n) @ df @ jf), df
 
@@ -865,34 +844,3 @@ def random_compatible_symplectic(rng: SplitMix64, n: int, extra: int):
     base = np.concatenate([t[:, :n], t[:, m:m + n]], axis=1)
     embed = base @ np.linalg.inv(tdb)
     return om, jx, gamma, embed
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def manifold_to_json(m: PointwiseACManifold) -> dict:
-    field = m.j.field
-    if hasattr(field, "to_json_dict"):
-        j_data = field.to_json_dict()
-    else:
-        raise ShapeMismatch("structure field does not serialize")
-    return {"n": m.n, "k": m.k, "g": m.g.to_json_dict(), "J": j_data}
-
-
-def manifold_from_json(data: dict) -> PointwiseACManifold:
-    from .fields import ConjugatedStructureField
-
-    n = int(data["n"])
-    k = int(data["k"])
-    g = TrigPolyField.from_json_dict(data["g"])
-    j_data = data["J"]
-    if "conjugation" in j_data:
-        spec = j_data["conjugation"]
-        field = ConjugatedStructureField(
-            TrigPolyField.from_json_dict(spec["A"]), float(spec["epsilon"])
-        )
-        j = AlmostComplexField(TorusChart(field.d), field)
-    else:
-        j = AlmostComplexField(TorusChart(2 * n), TrigPolyField.from_json_dict(j_data))
-    return PointwiseACManifold(n, k, g, j)

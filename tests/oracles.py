@@ -1,4 +1,5 @@
-"""Per-point reference routes, kept out of the library as test oracles.
+"""Reference routes and helpers that only the tests use, kept out of the
+library.
 
 `build_fiber` and `induced_at` are the one-point-at-a-time constructions
 the library's stacked route (`universal.build_fibers`,
@@ -6,27 +7,69 @@ the library's stacked route (`universal.build_fibers`,
 LAPACK and field evaluations (`value`, `jacobian_value`), so the tests
 can compare the stacked route against them bit for bit.
 `reconstruction_report` sweeps a grid through them.
+
+The rest are small constructions the tests build their cases from or
+check the library against: subspace containment, realified matrices and
+the reassembly of an eigen splitting, chart fibers and frame vectors, a
+linear change of chart, coordinate planes, the exact product and Lie
+bracket of trig-poly fields, the per-point jacobian of a column field,
+and the product-of-circles torus with the standard structure.
 """
+import itertools
+
 import numpy as np
 
 from acs_verify.config import DEFAULT, Tolerances, worst_of
 from acs_verify.cxlinalg import (
     ComplexSubspace,
+    RealSplitting,
     direct_sum_test,
     nullspace,
     realify_basis,
     standard_structure,
     subspace_eq,
 )
+from acs_verify.distribution import CallableHolomorphicMap, DistributionChart
 from acs_verify.errors import (
     DimensionMismatch,
     EigenSplitFailure,
     NotAComplexStructure,
     NotTransverse,
     RankDeficientEmbedding,
+    ShapeMismatch,
 )
-from acs_verify.fields import TorusChart
-from acs_verify.universal import PointwiseACManifold, UniversalPoint
+from acs_verify.fields import AlmostComplexField, TorusChart, TrigPolyField, _canonical
+from acs_verify.universal import (
+    PointwiseACManifold,
+    UniversalPoint,
+    default_torus_embedding,
+)
+
+
+def default_torus(n: int) -> PointwiseACManifold:
+    """T^{2n} in R^{4n} by the product-of-circles embedding, with the
+    standard structure."""
+    return PointwiseACManifold(n, 4 * n, default_torus_embedding(n),
+                               AlmostComplexField.standard(n))
+
+
+def jacobian_value(field: TrigPolyField, x) -> np.ndarray:
+    """For a column field (r, 1): the (r, d) matrix of partials at one
+    point x (`TrigPolyField.jacobian_values` stacks it over many)."""
+    if field.shape[1] != 1:
+        raise ShapeMismatch("jacobian_value expects a column field")
+    cols = [field.partial_value(i, x)[:, 0] for i in range(field.d)]
+    return np.stack(cols, axis=1)
+
+
+def contains(big: ComplexSubspace, small: ComplexSubspace,
+             tol: Tolerances = DEFAULT) -> bool:
+    """small lies in big: projecting its basis onto big moves it by at
+    most 1e3 alg_atol."""
+    if small.ambient_dim != big.ambient_dim:
+        raise DimensionMismatch("ambient dimensions differ")
+    resid = small.basis - big.projector() @ small.basis
+    return bool(np.max(np.abs(resid), initial=0.0) <= 1e3 * tol.alg_atol)
 
 
 def validate(point: UniversalPoint, tol: Tolerances = DEFAULT) -> None:
@@ -39,9 +82,9 @@ def validate(point: UniversalPoint, tol: Tolerances = DEFAULT) -> None:
         raise EigenSplitFailure(
             f"subspace dimensions {dims}, expected {(k - n, k - n, k, k)}"
         )
-    if not point.sigp.contains(point.sp, tol):
+    if not contains(point.sigp, point.sp, tol):
         raise EigenSplitFailure("S' is not contained in Sigma'")
-    if not point.sigpp.contains(point.spp, tol):
+    if not contains(point.sigpp, point.spp, tol):
         raise EigenSplitFailure("S'' is not contained in Sigma''")
     ok, sigma = direct_sum_test(point.sigp, point.sigpp, tol)
     if not ok:
@@ -61,7 +104,7 @@ def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> Univers
     `build_fibers` for the block construction it follows)."""
     x = np.asarray(x, dtype=float).reshape(-1)
     n, k = m.n, m.k
-    dg = m.g.jacobian_value(x)
+    dg = jacobian_value(m.g, x)
     sv = np.linalg.svd(dg, compute_uv=False)
     if sv.size < 2 * n or sv[2 * n - 1] <= tol.rank_rtol * sv[0]:
         raise RankDeficientEmbedding(f"dg has rank < {2 * n} at x={x.tolist()}")
@@ -121,7 +164,7 @@ def induced_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
     fiber = ComplexSubspace.from_columns(cols, tol)
     if fiber.dim != 2 * point.k - point.n:
         raise EigenSplitFailure("horizontal part has wrong codimension")
-    dg = m.g.jacobian_value(np.asarray(x, dtype=float).reshape(-1))
+    dg = jacobian_value(m.g, np.asarray(x, dtype=float).reshape(-1))
     dg2k = np.vstack([dg, dg])
     two_n = dg2k.shape[1]
     two_k = dg2k.shape[0]
@@ -154,3 +197,131 @@ def reconstruction_report(m: PointwiseACManifold, counts,
         "min_sigma": min_sigma,
         "points_checked": int(pts.shape[0]),
     }
+
+
+def realify_matrix(M: np.ndarray) -> np.ndarray:
+    """The real block matrix [[P, -Q], [Q, P]] of M = P + iQ."""
+    M = np.asarray(M, dtype=complex)
+    return np.block([[M.real, -M.imag], [M.imag, M.real]])
+
+
+def reassemble(split: RealSplitting) -> np.ndarray:
+    """Rebuild the complexified matrix i*P_plus + (-i)*P_minus.
+
+    P_plus / P_minus are the projectors onto each eigenspace along the
+    other, computed from the joint basis. Round-tripping eigen_split
+    through reassemble recovers J up to solver rounding.
+    """
+    joint = np.concatenate([split.plus_i.basis, split.minus_i.basis], axis=1)
+    inv = np.linalg.inv(joint)
+    r = split.plus_i.dim
+    p_plus = joint[:, :r] @ inv[:r]
+    p_minus = joint[:, r:] @ inv[r:]
+    return 1j * p_plus - 1j * p_minus
+
+
+def fiber_at(chart: DistributionChart, z, tol: Tolerances = DEFAULT) -> ComplexSubspace:
+    """The fiber {(a(z) eta, eta)} of a chart at z."""
+    a = chart.a_value(z)
+    cols = np.concatenate([a, np.eye(chart.fiber_dim, dtype=complex)], axis=0)
+    return ComplexSubspace.from_columns(cols, tol)
+
+
+def frame_vector(chart: DistributionChart, z, j: int) -> np.ndarray:
+    """The frame vector e_j(z) = unit_{n+j} + sum_i a[i, j](z) unit_i."""
+    a = chart.a_value(z)
+    v = np.zeros(chart.big_n, dtype=complex)
+    v[chart.n + j] = 1.0
+    v[: chart.n] = a[:, j]
+    return v
+
+
+def transform_linear(chart: DistributionChart, l_matrix: np.ndarray) -> DistributionChart:
+    """Push the distribution forward through an invertible linear map.
+
+    The new presentation re-graphs L . D_{L^-1 w} over the last N-n
+    coordinates; a ValueError surfaces at evaluation points where that
+    projection degenerates.
+    """
+    l_matrix = np.asarray(l_matrix, dtype=complex)
+    n, m, big_n = chart.n, chart.fiber_dim, chart.big_n
+    l_inverse = np.linalg.inv(l_matrix)
+    inner = chart.amap
+
+    def fn(w):
+        z = l_inverse @ w
+        a = inner.value(z)
+        basis = l_matrix @ np.concatenate([a, np.eye(m, dtype=complex)], axis=0)
+        lower = basis[n:, :]
+        s = np.linalg.svd(lower, compute_uv=False)
+        if s[-1] <= 1e-10 * max(1.0, s[0]):
+            raise ValueError("transformed fiber loses the graph form")
+        return basis[:n, :] @ np.linalg.inv(lower)
+
+    new_center = l_matrix @ chart.center
+    new_map = CallableHolomorphicMap(big_n, n, m, fn, h=0.02)
+    return DistributionChart(n, big_n, new_map, center=new_center, radius=chart.radius)
+
+
+def coordinate_plane_subspaces(n: int, m: int):
+    """All coordinate n-planes inside the fiber, as subspaces of C^{n+m}."""
+    out = []
+    for combo in itertools.combinations(range(m), n):
+        cols = np.zeros((n + m, n), dtype=complex)
+        for idx, j in enumerate(combo):
+            cols[n + j, idx] = 1.0
+        out.append((combo, ComplexSubspace(cols)))
+    return out
+
+
+def trig_matmul(left: TrigPolyField, right: TrigPolyField) -> TrigPolyField:
+    """Exact product field via the product-to-sum identities."""
+    if left.d != right.d:
+        raise DimensionMismatch("fields live on different tori")
+    if left.shape[1] != right.shape[0]:
+        raise ShapeMismatch(f"cannot multiply {left.shape} by {right.shape}")
+    out_shape = (left.shape[0], right.shape[1])
+    acc: dict = {}
+
+    def add(freq, c, s):
+        key, sign = _canonical(freq)
+        cc, ss = acc.get(key, (np.zeros(out_shape), np.zeros(out_shape)))
+        acc[key] = (cc + c, ss + sign * s)
+
+    for f1, (c1, s1) in left.terms.items():
+        for f2, (c2, s2) in right.terms.items():
+            plus = tuple(a + b for a, b in zip(f1, f2))
+            minus = tuple(a - b for a, b in zip(f1, f2))
+            cc = c1 @ c2
+            csn = c1 @ s2
+            sc = s1 @ c2
+            ssn = s1 @ s2
+            add(minus, 0.5 * (cc + ssn), 0.5 * (sc - csn))
+            add(plus, 0.5 * (cc - ssn), 0.5 * (sc + csn))
+    return TrigPolyField(left.d, out_shape, acc)
+
+
+def jacobian_field(v: TrigPolyField) -> TrigPolyField:
+    """Matrix field of partials of a column field: column i is d_i v."""
+    if v.shape[1] != 1:
+        raise ShapeMismatch("jacobian_field expects a column field")
+    r = v.shape[0]
+    acc: dict = {}
+    for i in range(v.d):
+        p = v.partial(i)
+        for freq, (c, s) in p.terms.items():
+            cc, ss = acc.get(freq, (np.zeros((r, v.d)), np.zeros((r, v.d))))
+            cc = cc.copy()
+            ss = ss.copy()
+            cc[:, i] += c[:, 0]
+            ss[:, i] += s[:, 0]
+            acc[freq] = (cc, ss)
+    return TrigPolyField(v.d, (r, v.d), acc)
+
+
+def lie_bracket(v: TrigPolyField, w: TrigPolyField) -> TrigPolyField:
+    """[V, W] = DW . V - DV . W, exact for trig-poly fields."""
+    v._binary_shape_check(w)
+    if v.shape[1] != 1:
+        raise ShapeMismatch("bracket expects column fields")
+    return trig_matmul(jacobian_field(w), v) + trig_matmul(jacobian_field(v), w).scale(-1.0)

@@ -150,6 +150,51 @@ def test_run_rejects_non_positive_sample_cap(capsys, cap):
     assert len(err.strip().splitlines()) == 1 and "--samples" in err
 
 
+WRONG_EXPECT = {"id": "wrong", "kind": "lvmb", "seed": 0, "payload": {
+    "data": {"m": 1, "N": 2, "E": [[0, 1, 2]], "ell": [[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]]},
+    "expect": {"condition_i": False}}}
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "-inf", "0", "-1"])
+def test_run_rejects_a_tolerance_scale_that_is_not_finite_and_positive(
+        tmp_path, capsys, scale):
+    # the expectation is wrong, so no tolerance scale may turn it into a pass
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(WRONG_EXPECT))
+    code, out, err = run_lines(capsys, ["run", str(path), f"--tol-scale={scale}"])
+    assert_one_line_rejection(code, out, err, "--tol-scale")
+    with pytest.raises(SchemaError):
+        run_scenario(WRONG_EXPECT, tol_scale=float(scale))
+
+
+def with_override(literal):
+    text = json.dumps(WRONG_EXPECT)
+    return text[:-1] + ', "tolerances": {"checks": {"lvmb_condition_i": %s}}}' % literal
+
+
+@pytest.mark.parametrize("literal, needle", [
+    ("1e999", "out of range"), ("-1e999", "out of range"), ("1" + "0" * 400, "out of range"),
+    ("1" * 5000, "out of range"), ("NaN", "non-finite number NaN"),
+    ("Infinity", "non-finite number Infinity"), ("-Infinity", "non-finite number -Infinity"),
+], ids=["1e999", "-1e999", "int-1e400", "int-5000-digits", "NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_in_the_input_exit_two(tmp_path, capsys, literal, needle):
+    path = tmp_path / "override.json"
+    path.write_text(with_override(literal))
+    assert_one_line_rejection(*run_lines(capsys, ["run", str(path)]), needle)
+    with pytest.raises(SchemaError, match=needle):
+        parse_scenario(with_override(literal))
+    data = json.dumps(WRONG_EXPECT["payload"]["data"]).replace("1.0", literal, 1)
+    path.write_text(data)
+    assert_one_line_rejection(*run_lines(capsys, ["lvmb-check", str(path)]), needle)
+
+
+def test_finite_overrides_still_read_as_before():
+    doc = parse_scenario(with_override("1e300"))
+    assert doc["tolerances"]["checks"]["lvmb_condition_i"] == 1e300
+    assert isinstance(parse_scenario(with_override("7"))["tolerances"]["checks"][
+        "lvmb_condition_i"], int)
+
+
 def test_run_check_without_samples_fails(tmp_path, capsys):
     doc = parse_scenario(find_scenario("universal_n1_k4"))
     doc["payload"]["versality_samples"] = []

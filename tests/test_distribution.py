@@ -14,27 +14,22 @@ from acs_verify.distribution import (
     DistributionChart,
     PolynomialMatrixMap,
     TorsionTensor,
-    chart_from_json,
-    chart_to_json,
-    coordinate_plane_subspaces,
     frame_bracket_oracle,
-    graph_form,
     is_foliation,
     isotropy_test,
     random_polynomial_chart,
     recenter,
     torsion_at,
     torsion_via_frames,
-    transform_linear,
 )
 from acs_verify.errors import (
     DomainError,
-    GraphConditionFails,
     InvalidParams,
     NotASubspaceOfFiber,
     NotNormalized,
 )
 from acs_verify.rng import SplitMix64
+from oracles import coordinate_plane_subspaces, fiber_at, frame_vector, transform_linear
 
 
 def monomial_chart(n, big_n, assignments):
@@ -152,7 +147,7 @@ def test_recenter_zeroes_a_and_preserves_fibers():
             [chart.a_value(z), np.eye(3, dtype=complex)], axis=0
         )
         pushed = ComplexSubspace.from_columns(shear @ old_cols)
-        assert subspace_eq(local.fiber_at(w), pushed)
+        assert subspace_eq(fiber_at(local, w), pushed)
 
 
 def test_recenter_constant_chart():
@@ -184,18 +179,6 @@ def test_frame_route_matches_recentered_torsion():
         assert np.max(np.abs(via_frames.theta - oracle.theta)) / scale < 1e-6
 
 
-def test_graph_form_roundtrip_and_failure():
-    b = np.array([[0.3 + 1j, -0.2], [0.0, 0.5j]])
-    cols = np.concatenate([b, np.eye(2, dtype=complex)], axis=0)
-    fiber = ComplexSubspace.from_columns(cols)
-    assert np.max(np.abs(graph_form(fiber, 2) - b)) < 1e-12
-    # vertical line in C^2 spanned by the first coordinate: not a graph
-    # over the second
-    bad = ComplexSubspace.from_columns(np.array([[1.0], [0.0]], dtype=complex))
-    with pytest.raises(GraphConditionFails):
-        graph_form(bad, 1)
-
-
 def foliation_chart_n1():
     # columns of a share one constant direction: a(z) = (z_0^2, 0.5j z_0^2),
     # which keeps every frame bracket inside the distribution
@@ -213,7 +196,7 @@ def frobenius_defect(chart, z, h=1e-5):
     is an oracle for is_foliation that never recenters anything.
     """
     big_n, m = chart.big_n, chart.fiber_dim
-    frames = [lambda p, j=j: chart.frame_vector(p, j) for j in range(m)]
+    frames = [lambda p, j=j: frame_vector(chart, p, j) for j in range(m)]
     jacs = []
     for v in frames:
         jac = np.zeros((big_n, big_n), dtype=complex)
@@ -222,7 +205,7 @@ def frobenius_defect(chart, z, h=1e-5):
             step[b] = h
             jac[:, b] = (v(z + step) - v(z - step)) / (2 * h)
         jacs.append(jac)
-    proj = chart.fiber_at(z).projector()
+    proj = fiber_at(chart, z).projector()
     worst = 0.0
     for j in range(m):
         for k in range(j + 1, m):
@@ -253,7 +236,7 @@ def test_base_dependent_columns_can_still_twist():
     defect = frobenius_defect(chart, z)
     coeff = -0.5j * 0.4**4  # bracket = coeff * d/dz_0 before reduction
     bracket = np.array([coeff, 0.0, 0.0])
-    proj = chart.fiber_at(z).projector()
+    proj = fiber_at(chart, z).projector()
     expected = np.max(np.abs(bracket - proj @ bracket))
     assert abs(defect - expected) < 1e-6
     theta = torsion_via_frames(chart, z)
@@ -346,18 +329,6 @@ def test_circle_rule_matches_exact_jacobian():
     wrapped = CallableHolomorphicMap(5, 2, 3, amap.value)
     z = 0.2 * rng.complex_vector(5)
     assert np.max(np.abs(wrapped.jacobian(z) - amap.jacobian(z))) < 1e-12
-
-
-def test_serialization_roundtrip():
-    rng = SplitMix64(53)
-    chart = random_polynomial_chart(2, 5, rng)
-    data = chart_to_json(chart)
-    assert data["n"] == 2 and data["N"] == 5
-    clone = chart_from_json(data)
-    for _ in range(3):
-        z = 0.3 * rng.complex_vector(5)
-        assert np.array_equal(clone.a_value(z), chart.a_value(z))
-    assert chart_to_json(clone) == data
 
 
 def test_is_foliation_keeps_a_nan_torsion(monkeypatch):

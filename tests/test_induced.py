@@ -28,8 +28,6 @@ from acs_verify.induced import (
     dbar_f,
     dbar_f_fiber_coords,
     deformed_embedding,
-    embedding_from_json,
-    embedding_to_json,
     induced_jf,
     induced_jf_field,
     induced_jf_quotient,
@@ -37,7 +35,6 @@ from acs_verify.induced import (
     nijenhuis_via_torsion,
     pullback_quotient,
     random_crpoly,
-    transversality_report,
     variation_djf,
     variation_fd_oracle,
 )
@@ -393,25 +390,12 @@ def test_nijenhuis_vanishes_for_integrable_cases():
     assert np.max(np.abs(direct)) < 1e-6
 
 
-def test_transversality_report():
-    # clean split: horizontal graph against vertical fiber
-    emb = graph_with(1, 2, {})
-    chart = poly_chart(1, 2, {})
-    report = transversality_report(emb, chart, [np.zeros(1), np.array([0.2j])])
-    assert report["all_transverse"]
-    assert abs(report["min_sigma"] - 1.0) < 1e-12
-
-    # constructed tangency: a = 4 z_1 with g = conj(z') degenerates at 0.25
-    chart2 = poly_chart(1, 2, {(0, 0): ((1, 0), 4.0)})
-    emb2 = graph_with(1, 2, {0: [((0,), (1,), 1.0)]})
-    report2 = transversality_report(
-        emb2, chart2, [np.zeros(1), np.array([0.25 + 0j])]
-    )
-    assert report2["per_point"][0]["transverse"]
-    assert not report2["per_point"][1]["transverse"]
-    assert not report2["all_transverse"]
+def test_induced_jf_not_transverse_at_constructed_tangency():
+    # a = 4 z_1 with g = conj(z') makes the graph tangent to the fiber at 0.25
+    chart = poly_chart(1, 2, {(0, 0): ((1, 0), 4.0)})
+    emb = graph_with(1, 2, {0: [((0,), (1,), 1.0)]})
     with pytest.raises(NotTransverse):
-        induced_jf(emb2, chart2, np.array([0.25 + 0j]), require_normalized=False)
+        induced_jf(emb, chart, np.array([0.25 + 0j]), require_normalized=False)
 
 
 def test_deformed_embedding_at_zero_t_is_identity():
@@ -423,14 +407,3 @@ def test_deformed_embedding_at_zero_t_is_identity():
     assert np.max(np.abs(
         vtilde.value_vector(emb.base) - var.v.value_vector(emb.base)
     )) < 1e-12
-
-
-def test_embedding_serialization_roundtrip():
-    rng = SplitMix64(79)
-    g = random_crpoly(2, 1, 1, rng, degree=2)
-    emb = GraphEmbedding(1, 3, g, base=np.array([0.1 - 0.05j]))
-    data = embedding_to_json(emb)
-    clone = embedding_from_json(data)
-    zp = np.array([0.2 + 0.1j])
-    assert np.array_equal(clone.f_value(zp), emb.f_value(zp))
-    assert embedding_to_json(clone) == data

@@ -10,6 +10,7 @@ import pytest
 from acs_verify.errors import DegenerateHull, Infeasible, InvalidParams
 from acs_verify.lvmb import (
     LvmbData,
+    _eliminate,
     check_condition_i,
     check_condition_i_polygon,
     check_condition_ii,
@@ -55,11 +56,13 @@ def test_lvmb_data_canonicalizes_family():
     assert d.family == ((0, 1, 2), (1, 2, 3))
 
 
-def test_lvmb_json_roundtrip():
-    d = data_m1([0, 1, 1j, 0.25 + 0.25j], [[0, 1, 2], [1, 2, 3]])
-    back = LvmbData.from_json_dict(d.to_json_dict())
-    assert back.family == d.family
-    assert np.array_equal(back.ell, d.ell)
+def test_lvmb_from_json_dict_reads_a_literal_document():
+    doc = {"m": 1, "N": 3, "E": [[2, 1, 0], [1, 2, 3]],
+           "ell": [[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]], [[0.25, -0.5]]]}
+    d = LvmbData.from_json_dict(doc)
+    assert (d.m, d.big_n) == (1, 3)
+    assert d.family == ((0, 1, 2), (1, 2, 3))
+    assert np.array_equal(d.ell, np.array([[0], [1], [1j], [0.25 - 0.5j]]))
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +77,41 @@ def test_simplex_small_known_optimum():
     x, value = simplex_solve(c, a, b)
     assert abs(value + 4.0) < 1e-12
     assert np.max(np.abs(a @ x - b)) < 1e-12
+
+
+def eliminate_row_by_row(tab, leave, enter):
+    tab[leave] /= tab[leave, enter]
+    for i in range(tab.shape[0]):
+        if i != leave:
+            tab[i] -= tab[i, enter] * tab[leave]
+
+
+def test_eliminate_matches_the_row_by_row_update_bitwise():
+    rng = SplitMix64(61)
+    for _ in range(300):
+        rows, cols = rng.integer(2, 7), rng.integer(2, 9)
+        tab = rng.real_matrix(rows, cols, 3.0)
+        # exact and signed zeros, which the tableaus of hull_overlap_lp carry
+        tab[tab > 2.0] = 0.0
+        tab[tab < -2.0] = -0.0
+        leave, enter = rng.integer(0, rows - 1), rng.integer(0, cols - 1)
+        if tab[leave, enter] == 0.0:
+            tab[leave, enter] = -0.75
+        expected = tab.copy()
+        eliminate_row_by_row(expected, leave, enter)
+        basis = list(range(rows))
+        _eliminate(tab, basis, leave, enter)
+        assert tab.tobytes() == expected.tobytes()
+        assert basis[leave] == enter
+
+
+def test_simplex_pivot_leaves_the_leaving_row_bitwise_alone():
+    # x0 = b0 = -0.0 stays basic from the first pivot on; the row-by-row
+    # elimination never touches the pivot row, so the sign bit survives,
+    # where subtracting 0 * row from it would give +0.0
+    x, value = simplex_solve([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [-0.0, 1.0])
+    assert x.tolist() == [0.0, 1.0] and value == 1.0
+    assert np.signbit(x[0])
 
 
 def test_simplex_detects_infeasible():
@@ -170,6 +208,24 @@ def test_condition_i_degenerate_hull_flagged():
     assert rep["pairs"][0]["degenerate"]
     with pytest.raises(DegenerateHull):
         polygon_overlap_oracle(d.hull_points((0, 1, 2)), d.hull_points((0, 1, 2)))
+
+
+def test_both_routes_record_a_degenerate_hull_in_the_same_pair_order():
+    # forms 0, 1, 2 are collinear; (1, 2, 3) is a genuine triangle
+    d = data_m1([0, 1, 2, 1j], [[0, 1, 2], [1, 2, 3]], big_n=3)
+    lp = check_condition_i(d)
+    poly = check_condition_i_polygon(d)
+    assert not lp["ok"] and not poly["ok"]
+    assert lp["pairs"][0] == {
+        "j1": [0, 1, 2], "j2": [0, 1, 2], "overlap": False, "margin": 0.0,
+        "witness": None, "degenerate": True,
+        "note": "hull of [0, 1, 2] has empty interior"}
+    assert poly["pairs"][0] == {
+        "j1": [0, 1, 2], "j2": [0, 1, 2], "overlap": False, "area": 0.0,
+        "degenerate": True, "note": "hull has empty interior"}
+    keys = [(p["j1"], p["j2"], p["overlap"], p["degenerate"]) for p in lp["pairs"]]
+    assert keys == [(p["j1"], p["j2"], p["overlap"], p["degenerate"]) for p in poly["pairs"]]
+    assert keys[-1] == ([1, 2, 3], [1, 2, 3], True, False)
 
 
 def test_condition_i_lp_agrees_with_polygon_oracle_random():
