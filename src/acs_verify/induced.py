@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, worst_of
 from .cxlinalg import complexify_vector, realify_basis, realify_vector, standard_structure
 from .distribution import (
     DistributionChart,
@@ -459,7 +459,7 @@ def dbar_f_fiber_coords(
         vec = complexify_vector(mat[:, r])
         eta = vec[n:]
         etas[:, r] = eta
-        residual = max(
+        residual = worst_of(
             residual, float(np.max(np.abs(vec[:n] - a @ eta), initial=0.0))
         )
     return etas, residual

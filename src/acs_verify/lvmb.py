@@ -83,14 +83,14 @@ def _eliminate(tab: np.ndarray, basis: list, leave: int, enter: int) -> None:
     """Pivot the tableau in place on (leave, enter): scale the leaving
     row, then clear the entering column of every other row.
 
-    All rows are cleared with one outer product and the leaving row is
-    then put back, so every other row gets exactly the row-by-row update
-    tab[i] -= tab[i, enter] * tab[leave], and the leaving row keeps its
-    -0.0 entries, which x - 0 * x would turn into 0.0.
+    All rows are cleared with one broadcast product and the leaving row
+    is then put back, so every other row gets exactly the row-by-row
+    update tab[i] -= tab[i, enter] * tab[leave], and the leaving row keeps
+    its -0.0 entries, which x - 0 * x would turn into 0.0.
     """
     tab[leave] /= tab[leave, enter]
     row = tab[leave].copy()
-    tab -= np.outer(tab[:, enter], row)
+    tab -= tab[:, enter, None] * row
     tab[leave] = row
     basis[leave] = enter
 
@@ -120,20 +120,25 @@ def simplex_solve(c, a, b, tol: float = 1e-11):
     basis = list(range(cols, cols + rows))
     tab[rows] -= tab[:rows].sum(axis=0)
 
+    # Pivot choice reads the tableau as Python floats, one .tolist() per
+    # row or column: IEEE division and comparison give the same choices
+    # as numpy scalars, without a numpy scalar read per entry.
     def pivot(limit):
         while True:
-            reduced = tab[rows, :limit]
+            basic = set(basis)
             enter = -1
-            for j in range(limit):
-                if j not in basis and reduced[j] < -tol:
+            for j, reduced in enumerate(tab[rows, :limit].tolist()):
+                if reduced < -tol and j not in basic:
                     enter = j
                     break
             if enter < 0:
                 return
+            column = tab[:rows, enter].tolist()
+            rhs = tab[:rows, -1].tolist()
             ratios = [
-                (tab[i, -1] / tab[i, enter], basis[i], i)
+                (rhs[i] / column[i], basis[i], i)
                 for i in range(rows)
-                if tab[i, enter] > tol
+                if column[i] > tol
             ]
             if not ratios:
                 raise InvalidParams("linear program is unbounded")
@@ -147,8 +152,8 @@ def simplex_solve(c, a, b, tol: float = 1e-11):
     # drive leftover artificials out of the basis where possible
     for i in range(rows):
         if basis[i] >= cols:
-            for j in range(cols):
-                if abs(tab[i, j]) > tol:
+            for j, entry in enumerate(tab[i, :cols].tolist()):
+                if abs(entry) > tol:
                     _eliminate(tab, basis, i, j)
                     break
 
@@ -237,13 +242,29 @@ def _over_pairs(data: LvmbData, verdict, degenerate: dict) -> dict:
 def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
     """Open-overlap condition by the LP, pair by pair (see _over_pairs).
     Degenerate hulls fail with margin 0, and so do disjoint hulls (margin
-    None, note "hulls are disjoint")."""
+    None, note "hulls are disjoint").
+
+    Each set's points and full-dimensionality verdict are computed once
+    per call and shared by every pair it is in; a degenerate set keeps
+    its message and raises it again, g1 before g2, in each of its pairs.
+    """
+    hulls = {}
+
+    def hull(group) -> tuple[np.ndarray, str | None]:
+        if group not in hulls:
+            points, note = data.hull_points(group), None
+            try:
+                _require_full_dimensional(points, group, tol)
+            except DegenerateHull as exc:
+                note = str(exc)
+            hulls[group] = points, note
+        return hulls[group]
 
     def verdict(g1, g2) -> dict:
-        p1 = data.hull_points(g1)
-        p2 = data.hull_points(g2)
-        _require_full_dimensional(p1, g1, tol)
-        _require_full_dimensional(p2, g2, tol)
+        (p1, note1), (p2, note2) = hull(g1), hull(g2)
+        for note in (note1, note2):
+            if note is not None:
+                raise DegenerateHull(note)
         overlap, eps, witness = hull_overlap_lp(p1, p2)
         entry = {"overlap": overlap, "margin": eps,
                  "witness": None if witness is None else [float(v) for v in witness]}

@@ -7,6 +7,10 @@ the library's stacked route (`universal.build_fibers`,
 LAPACK and field evaluations (`value`, `jacobian_value`), so the tests
 can compare the stacked route against them bit for bit.
 `reconstruction_report` sweeps a grid through them.
+`simplex_solve_loop` is the Bland simplex as it was before pivot choice
+read the tableau as Python floats: it scans the reduced costs and the
+ratio column one numpy scalar at a time and eliminates with an outer
+product, so the tests can hold `lvmb.simplex_solve` to it bit for bit.
 
 The rest are small constructions the tests build their cases from or
 check the library against: subspace containment, realified matrices and
@@ -33,6 +37,8 @@ from acs_verify.distribution import CallableHolomorphicMap, DistributionChart
 from acs_verify.errors import (
     DimensionMismatch,
     EigenSplitFailure,
+    Infeasible,
+    InvalidParams,
     NotAComplexStructure,
     NotTransverse,
     RankDeficientEmbedding,
@@ -325,3 +331,79 @@ def lie_bracket(v: TrigPolyField, w: TrigPolyField) -> TrigPolyField:
     if v.shape[1] != 1:
         raise ShapeMismatch("bracket expects column fields")
     return trig_matmul(jacobian_field(w), v) + trig_matmul(jacobian_field(v), w).scale(-1.0)
+
+
+def _eliminate_outer(tab: np.ndarray, basis: list, leave: int, enter: int) -> None:
+    tab[leave] /= tab[leave, enter]
+    row = tab[leave].copy()
+    tab -= np.outer(tab[:, enter], row)
+    tab[leave] = row
+    basis[leave] = enter
+
+
+def simplex_solve_loop(c, a, b, tol: float = 1e-11):
+    """Bland-rule two-phase simplex, choosing each pivot by a per-column
+    scan of numpy scalars and a tuple ratio test (see the module notes)."""
+    a = np.asarray(a, dtype=float).copy()
+    b = np.asarray(b, dtype=float).copy()
+    c = np.asarray(c, dtype=float)
+    rows, cols = a.shape
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+
+    # phase 1 tableau with one artificial per row
+    tab = np.zeros((rows + 1, cols + rows + 1))
+    tab[:rows, :cols] = a
+    tab[:rows, cols:cols + rows] = np.eye(rows)
+    tab[:rows, -1] = b
+    tab[rows, cols:cols + rows] = 1.0
+    basis = list(range(cols, cols + rows))
+    tab[rows] -= tab[:rows].sum(axis=0)
+
+    def pivot(limit):
+        while True:
+            reduced = tab[rows, :limit]
+            enter = -1
+            for j in range(limit):
+                if j not in basis and reduced[j] < -tol:
+                    enter = j
+                    break
+            if enter < 0:
+                return
+            ratios = [
+                (tab[i, -1] / tab[i, enter], basis[i], i)
+                for i in range(rows)
+                if tab[i, enter] > tol
+            ]
+            if not ratios:
+                raise InvalidParams("linear program is unbounded")
+            _, _, leave = min(ratios)
+            _eliminate_outer(tab, basis, leave, enter)
+
+    pivot(cols + rows)
+    if tab[rows, -1] < -1e3 * tol:
+        raise Infeasible("linear program is infeasible")
+
+    # drive leftover artificials out of the basis where possible
+    for i in range(rows):
+        if basis[i] >= cols:
+            for j in range(cols):
+                if abs(tab[i, j]) > tol:
+                    _eliminate_outer(tab, basis, i, j)
+                    break
+
+    # phase 2 objective row
+    tab[rows, :] = 0.0
+    tab[rows, :cols] = c
+    for i in range(rows):
+        if basis[i] < cols:
+            tab[rows] -= c[basis[i]] * tab[i]
+    tab[:, cols:cols + rows] = 0.0  # retire artificial columns
+    pivot(cols)
+
+    x = np.zeros(cols)
+    for i in range(rows):
+        if basis[i] < cols:
+            x[basis[i]] = tab[i, -1]
+    return x, float(c @ x)

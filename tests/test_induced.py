@@ -202,6 +202,24 @@ def test_dbar_image_in_fiber_seed13():
         assert residual < 1e-8
 
 
+def test_dbar_fiber_residual_keeps_a_nan(monkeypatch):
+    # the membership residual is folded over the 2n basis vectors; a NaN
+    # from the chart must reach the caller, not vanish in the fold
+    rng = SplitMix64(13)
+    chart = random_polynomial_chart(2, 5, rng, amplitude=0.6)
+    g = random_crpoly(3, 1, 2, rng, degree=2, amplitude=0.4)
+    emb = GraphEmbedding(2, 5, g)
+    zp = 0.1 * rng.complex_vector(2)
+    jf = induced_jf_quotient(emb, chart, zp)
+    etas, residual = dbar_f_fiber_coords(emb, chart, zp, jf)
+    assert np.isfinite(residual)
+    a_value = chart.a_value
+    monkeypatch.setattr(chart, "a_value", lambda z: a_value(z) * np.nan)
+    tampered, residual = dbar_f_fiber_coords(emb, chart, zp, jf)
+    assert np.isnan(residual)
+    assert tampered.tobytes() == etas.tobytes()
+
+
 def scenario_seed(seed, n=1, big_n=3):
     # constant terms keep eta and v nonzero at the base point, where the
     # closed-form variation lives; random_crpoly alone vanishes there

@@ -4,9 +4,13 @@ The LP route for the overlap condition is cross-checked against an exact
 2-D polygon oracle on every m = 1 instance here, including 20 seeded
 random families.
 """
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from acs_verify import lvmb
 from acs_verify.errors import DegenerateHull, Infeasible, InvalidParams
 from acs_verify.lvmb import (
     LvmbData,
@@ -23,6 +27,7 @@ from acs_verify.lvmb import (
     simplex_solve,
 )
 from acs_verify.rng import SplitMix64
+from oracles import simplex_solve_loop
 
 
 def data_m1(ell, family, big_n=None):
@@ -151,6 +156,78 @@ def test_simplex_agrees_with_scipy_on_random_programs():
         hits += 1
 
 
+def solver_outcome(solve, c, a, b):
+    """x and value as bytes (signed zeros count), or the error class."""
+    try:
+        x, value = solve(c, a, b)
+    except (Infeasible, InvalidParams) as exc:
+        return type(exc)
+    return x.tobytes(), np.float64(value).tobytes()
+
+
+def random_family(rng, m, big_n, n_sets):
+    forms = rng.complex_matrix(big_n + 1, m, 1.0)
+    family = []
+    for _ in range(n_sets):
+        idx = set()
+        while len(idx) < 2 * m + 1:
+            idx.add(rng.integer(0, big_n))
+        family.append(idx)
+    return LvmbData(m, big_n, family, forms)
+
+
+def overlap_programs(monkeypatch, point_pairs):
+    """The (c, a, b) that hull_overlap_lp hands the simplex, pair by pair."""
+    programs = []
+
+    def record(c, a, b):
+        programs.append((c.copy(), a.copy(), b.copy()))
+        return simplex_solve_loop(c, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lvmb, "simplex_solve", record)
+        for p1, p2 in point_pairs:
+            hull_overlap_lp(p1, p2)
+    return programs
+
+
+def test_simplex_matches_the_scalar_loop_oracle_bitwise(monkeypatch):
+    rng = SplitMix64(47)
+    point_pairs = []
+    for m, big_n in ((1, 4), (1, 6), (2, 6), (2, 8)):
+        for _ in range(3):
+            d = random_family(rng, m, big_n, 4)
+            point_pairs += [
+                (d.hull_points(g1), d.hull_points(g2))
+                for g1, g2 in itertools.combinations_with_replacement(d.family, 2)
+            ]
+    far = data_m1([0, 1, 1j, 10, 11, 10 + 1j], [[0, 1, 2], [3, 4, 5]], big_n=5)
+    point_pairs.append((far.hull_points((0, 1, 2)), far.hull_points((3, 4, 5))))
+    programs = overlap_programs(monkeypatch, point_pairs)
+    # Bland's leaving rule breaks the ratio tie at 1.0 between row 0
+    # (basic column 4) and row 2 (basic column 1) on the basis index; the
+    # second program ties at 0 and returns a signed zero
+    programs.append(([0.0, 1.0, 1.0, -1.0],
+                     [[-1.0, 0.0, 2.0, 2.0], [1.0, 2.0, 1.0, 0.0], [0.0, 2.0, 1.0, -1.0]],
+                     [2.0, 2.0, 1.0]))
+    programs.append(([0.0, -1.0], [[-1.0, 0.0], [2.0, 1.0]], [0.0, 0.0]))
+    for _ in range(200):
+        rows = rng.integer(1, 4)
+        cols = rows + rng.integer(0, 4)
+        a = rng.real_matrix(rows, cols, 1.0)
+        a[np.abs(a) < 0.3] = 0.0
+        # half of them feasible by construction, the rest as drawn
+        b = a @ np.abs(rng.reals(cols)) if rng.integer(0, 1) else rng.reals(rows)
+        programs.append((rng.reals(cols), a, b))
+    outcomes = []
+    for c, a, b in programs:
+        expected = solver_outcome(simplex_solve_loop, c, a, b)
+        assert solver_outcome(simplex_solve, c, a, b) == expected, (c, a, b)
+        outcomes.append(expected if isinstance(expected, type) else "solved")
+    kinds = Counter(outcomes)
+    assert kinds["solved"] >= 150 and kinds[Infeasible] >= 1 and kinds[InvalidParams] >= 1
+
+
 # ---------------------------------------------------------------------------
 # condition (i)
 # ---------------------------------------------------------------------------
@@ -226,6 +303,52 @@ def test_both_routes_record_a_degenerate_hull_in_the_same_pair_order():
     keys = [(p["j1"], p["j2"], p["overlap"], p["degenerate"]) for p in lp["pairs"]]
     assert keys == [(p["j1"], p["j2"], p["overlap"], p["degenerate"]) for p in poly["pairs"]]
     assert keys[-1] == ([1, 2, 3], [1, 2, 3], True, False)
+
+
+def test_condition_i_checks_each_hull_once_and_keeps_degenerate_records(monkeypatch):
+    # (1, 2, 3) and (2, 3, 5) are collinear; each is in pairs as g1, as g2
+    # and, in one pair, together, where the note names g1
+    d = data_m1([1j, 0, 1, 2, 1 - 1j, 3], [[0, 1, 2], [1, 2, 3], [2, 3, 4], [2, 3, 5]])
+    calls = Counter()
+    require = lvmb._require_full_dimensional
+
+    def counted(points, group, tol):
+        calls[tuple(group)] += 1
+        return require(points, group, tol)
+
+    monkeypatch.setattr(lvmb, "_require_full_dimensional", counted)
+
+    def flat(j1, j2, note):
+        return {"j1": j1, "j2": j2, "overlap": False, "margin": 0.0, "witness": None,
+                "degenerate": True, "note": f"hull of {note} has empty interior"}
+
+    third = 1.0 / 3.0
+    expected = [
+        {"j1": [0, 1, 2], "j2": [0, 1, 2], "overlap": True, "margin": third,
+         "witness": [third, third], "degenerate": False},
+        flat([0, 1, 2], [1, 2, 3], [1, 2, 3]),
+        {"j1": [0, 1, 2], "j2": [2, 3, 4], "overlap": False, "margin": -0.0,
+         "witness": None, "degenerate": False},
+        flat([0, 1, 2], [2, 3, 5], [2, 3, 5]),
+        flat([1, 2, 3], [1, 2, 3], [1, 2, 3]),
+        flat([1, 2, 3], [2, 3, 4], [1, 2, 3]),
+        flat([1, 2, 3], [2, 3, 5], [1, 2, 3]),
+        {"j1": [2, 3, 4], "j2": [2, 3, 4], "overlap": True, "margin": third,
+         "witness": [1.0 + third, -third], "degenerate": False},
+        flat([2, 3, 4], [2, 3, 5], [2, 3, 5]),
+        flat([2, 3, 5], [2, 3, 5], [2, 3, 5]),
+    ]
+    for _ in range(2):
+        calls.clear()
+        rep = check_condition_i(d)
+        assert not rep["ok"]
+        assert rep["pairs"] == expected
+        assert calls == {group: 1 for group in d.family}
+    # the polygon route decides degeneracy by its own hulls
+    calls.clear()
+    poly = check_condition_i_polygon(d)
+    assert not calls
+    assert [p["degenerate"] for p in poly["pairs"]] == [p["degenerate"] for p in expected]
 
 
 def test_condition_i_lp_agrees_with_polygon_oracle_random():
