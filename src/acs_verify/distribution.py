@@ -249,25 +249,14 @@ class TorsionTensor:
 def torsion_at(
     chart: DistributionChart, z0=None, tol: Tolerances = DEFAULT
 ) -> TorsionTensor:
-    """Torsion tensor at a normalized point (requires a(z0) = 0).
-
-    With a(z0) = 0 the frame fields reduce to coordinate fields at z0 and
-    the tensor is the antisymmetrized first derivative of a in the fiber
-    directions.
-    """
+    """Torsion tensor at a normalized point (requires a(z0) = 0): the
+    frame route of torsion_via_frames, whose frame fields reduce to
+    coordinate fields at z0."""
     z0 = chart.center if z0 is None else z0
     a0 = chart.a_value(z0)
     if np.max(np.abs(a0), initial=0.0) > 1e3 * tol.alg_atol:
         raise NotNormalized("a(z0) != 0; re-center the chart first")
-    jac = chart.a_jacobian(z0)
-    n, m = chart.n, chart.fiber_dim
-    theta = np.zeros((n, m, m), dtype=complex)
-    for j in range(m):
-        for k in range(j + 1, m):
-            val = 0.5 * (jac[:, k, n + j] - jac[:, j, n + k])
-            theta[:, j, k] = val
-            theta[:, k, j] = -val
-    return TorsionTensor(theta)
+    return _frame_torsion(chart, z0, a0)
 
 
 def torsion_via_frames(chart: DistributionChart, z) -> TorsionTensor:
@@ -278,21 +267,21 @@ def torsion_via_frames(chart: DistributionChart, z) -> TorsionTensor:
     quotient representative v' - a(z) v'' (the frame brackets are already
     purely vertical, so no correction is needed).
     """
-    a = chart.a_value(z)
+    return _frame_torsion(chart, z, chart.a_value(z))
+
+
+def _frame_torsion(chart: DistributionChart, z, a: np.ndarray) -> TorsionTensor:
+    """torsion_via_frames at z, given a = a(z)."""
     jac = chart.a_jacobian(z)
-    n, m = chart.n, chart.fiber_dim
-    # e_j(h) = dh/dz_{n+j} + sum_l a[l, j] dh/dz_l
-    frame_deriv = np.empty((n, m, m), dtype=complex)
-    for j in range(m):
-        frame_deriv[:, :, j] = jac[:, :, n + j] + np.einsum(
-            "icl,l->ic", jac[:, :, : n], a[:, j]
-        )
-    theta = np.zeros((n, m, m), dtype=complex)
-    for j in range(m):
-        for k in range(j + 1, m):
-            val = 0.5 * (frame_deriv[:, k, j] - frame_deriv[:, j, k])
-            theta[:, j, k] = val
-            theta[:, k, j] = -val
+    n = chart.n
+    # e_j(h) = dh/dz_{n+j} + sum_l a[l, j] dh/dz_l, written over the fresh
+    # jacobian's fiber columns, which become the frame derivatives D
+    for j in range(chart.fiber_dim):
+        jac[:, :, n + j] += np.einsum("icl,l->ic", jac[:, :, :n], a[:, j])
+    frame_deriv = jac[:, :, n:]
+    # theta = (D^T - D) / 2, halved in place: no array beside jac and theta
+    theta = np.subtract(np.swapaxes(frame_deriv, 1, 2), frame_deriv)
+    theta *= 0.5
     return TorsionTensor(theta)
 
 

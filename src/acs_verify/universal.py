@@ -206,16 +206,6 @@ def validate_fibers(n: int, k: int, z, sp, spp, sigp, sigpp,
                  lambda i: EigenSplitFailure("base point is not real"))
 
 
-def horizontal_basis(point: UniversalPoint, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Orthonormal basis of the ambient-velocity part S' (+) Sigma'' of
-    the distribution at a fiber point."""
-    cols = np.concatenate([point.sp.basis, point.sigpp.basis], axis=1)
-    part = ComplexSubspace.from_columns(cols, tol)
-    if part.dim != 2 * point.k - point.n:
-        raise EigenSplitFailure("horizontal part has wrong codimension")
-    return part.basis
-
-
 # Rows per stacked call of build_fibers and of the reconstruction sweep.
 # Peak memory grows with it: against chunks of one row, the peak RSS of a
 # universal_n2_k8 run rose by under 0.1 MB at 32 rows, 0.5 MB at 64,
@@ -377,13 +367,17 @@ def induced_structures(xs, points, m: PointwiseACManifold,
     """induced_structure_at(x, m, tol, point=p) for every row x of xs and
     its fiber p = build_fiber(x, m, tol), stacked (rows, 2n, 2n).
 
-    The horizontal part S' (+) Sigma'' of each fiber is orthonormalized
-    by its own pivoted QR; the joint SVD, the solve and the J^2 = -Id
-    guard run on the stack. The first row at which a guard fires raises;
-    over_chunks turns that into the error of a loop over the rows.
+    The joint solve reads S' (+) Sigma'' as the columns [S' | Sigma''] of
+    the validated bases: its head J_f does not depend on the fiber basis,
+    and the columns, part of [Sigma' | Sigma''] whose sigma_min
+    validate_fibers certified, are independent by interlacing. The joint
+    SVD, the solve and the J^2 = -Id guard run on the stack; the first
+    row at which a guard fires raises, and over_chunks turns that into
+    the error of a loop over the rows.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    fibers = np.stack([horizontal_basis(p, tol) for p in points])
+    fibers = np.stack([np.concatenate([p.sp.basis, p.sigpp.basis], axis=1)
+                       for p in points])
     dg = m.g.jacobian_values(xs)
     jf = _induced_from_parts(np.concatenate([dg, dg], axis=1), fibers, tol)
     resid = np.max(np.abs(jf @ jf + np.eye(jf.shape[1])), axis=(1, 2))
@@ -572,11 +566,9 @@ class ChartFrame:
         ])
 
 
-def universal_chart(point: UniversalPoint, mixer: SplitMix64 | None = None,
-                    tol: Tolerances = DEFAULT) -> DistributionChart:
-    """Corank-n chart of the distribution at the fiber point, centered so
-    the chart form vanishes at the origin."""
-    frame = ChartFrame(point, mixer, tol)
+def universal_chart(frame: ChartFrame) -> DistributionChart:
+    """Corank-n chart of the distribution in the frame's coordinates,
+    centered so the chart form vanishes at the origin."""
     amap = CallableHolomorphicMap(frame.big_n, frame.n,
                                   frame.big_n - frame.n, frame.a_matrix)
     return DistributionChart(frame.n, frame.big_n, amap, radius=0.4)
@@ -679,7 +671,7 @@ def versality_check(x, m: PointwiseACManifold, mixer: SplitMix64 | None = None,
     rank of the torsion pairing at one base sample."""
     point = build_fiber(x, m, tol)
     frame = ChartFrame(point, mixer, tol)
-    chart = universal_chart(point, mixer, tol)
+    chart = universal_chart(frame)
     jf = induced_structure_at(x, m, tol, point=point)
     dbar, df = dbar_embedding(x, m, frame, jf, tol)
 

@@ -6,7 +6,13 @@ the library's stacked route (`universal.build_fibers`,
 `universal.induced_structures`) replaced. They call only per-point
 LAPACK and field evaluations (`value`, `jacobian_value`), so the tests
 can compare the stacked route against them bit for bit.
-`reconstruction_report` sweeps a grid through them.
+`induced_at` reads the horizontal columns [S' | Sigma''] as the library
+does; `horizontal_qr_basis` is the pivoted-QR orthonormalization of
+them that the library dropped, kept so a test can hold the two routes to
+the same J_f. `reconstruction_report` sweeps a grid through them.
+`torsion_via_frames_loop` is the frame route of the chart torsion with
+the per-(j, k) antisymmetrization loop that `torsion_via_frames`
+replaced by one array subtraction.
 `simplex_solve_loop` is the Bland simplex as it was before pivot choice
 read the tableau as Python floats: it scans the reduced costs and the
 ratio column one numpy scalar at a time and eliminates with an outer
@@ -33,7 +39,11 @@ from acs_verify.cxlinalg import (
     standard_structure,
     subspace_eq,
 )
-from acs_verify.distribution import CallableHolomorphicMap, DistributionChart
+from acs_verify.distribution import (
+    CallableHolomorphicMap,
+    DistributionChart,
+    TorsionTensor,
+)
 from acs_verify.errors import (
     DimensionMismatch,
     EigenSplitFailure,
@@ -160,22 +170,36 @@ def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> Univers
     return point
 
 
+def horizontal_qr_basis(point: UniversalPoint, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Orthonormal basis of S' (+) Sigma'' by a pivoted QR of [S' | Sigma''],
+    with its codimension guard: the route the library took before it read
+    the horizontal columns straight from the validated fiber bases."""
+    cols = np.concatenate([point.sp.basis, point.sigpp.basis], axis=1)
+    part = ComplexSubspace.from_columns(cols, tol)
+    if part.dim != 2 * point.k - point.n:
+        raise EigenSplitFailure("horizontal part has wrong codimension")
+    return part.basis
+
+
 def induced_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
-               point: UniversalPoint | None = None) -> tuple[np.ndarray, float]:
+               point: UniversalPoint | None = None,
+               horizontal=None) -> tuple[np.ndarray, float]:
     """(J_f, sigma_min of the joint system) at x through the quotient, one
-    point at a time."""
+    point at a time. horizontal(point, tol) gives the columns spanning
+    S' (+) Sigma''; by default they are [S' | Sigma''] as the library reads
+    them."""
     if point is None:
         point = build_fiber(x, m, tol)
-    cols = np.concatenate([point.sp.basis, point.sigpp.basis], axis=1)
-    fiber = ComplexSubspace.from_columns(cols, tol)
-    if fiber.dim != 2 * point.k - point.n:
-        raise EigenSplitFailure("horizontal part has wrong codimension")
+    if horizontal is None:
+        fiber = np.concatenate([point.sp.basis, point.sigpp.basis], axis=1)
+    else:
+        fiber = horizontal(point, tol)
     dg = jacobian_value(m.g, np.asarray(x, dtype=float).reshape(-1))
     dg2k = np.vstack([dg, dg])
     two_n = dg2k.shape[1]
     two_k = dg2k.shape[0]
     dg_real = np.vstack([dg2k, np.zeros_like(dg2k)])
-    joint = np.concatenate([dg_real, realify_basis(fiber.basis)], axis=1)
+    joint = np.concatenate([dg_real, realify_basis(fiber)], axis=1)
     sv = np.linalg.svd(joint, compute_uv=False)
     sigma = float(sv[-1])
     if sigma <= tol.rank_rtol * sv[0]:
@@ -224,6 +248,26 @@ def reassemble(split: RealSplitting) -> np.ndarray:
     p_plus = joint[:, :r] @ inv[:r]
     p_minus = joint[:, r:] @ inv[r:]
     return 1j * p_plus - 1j * p_minus
+
+
+def torsion_via_frames_loop(chart: DistributionChart, z) -> TorsionTensor:
+    """Torsion at z by the frame route, antisymmetrizing the frame
+    derivatives one (j, k) pair at a time."""
+    a = chart.a_value(z)
+    jac = chart.a_jacobian(z)
+    n, m = chart.n, chart.fiber_dim
+    frame_deriv = np.empty((n, m, m), dtype=complex)
+    for j in range(m):
+        frame_deriv[:, :, j] = jac[:, :, n + j] + np.einsum(
+            "icl,l->ic", jac[:, :, : n], a[:, j]
+        )
+    theta = np.zeros((n, m, m), dtype=complex)
+    for j in range(m):
+        for k in range(j + 1, m):
+            val = 0.5 * (frame_deriv[:, k, j] - frame_deriv[:, j, k])
+            theta[:, j, k] = val
+            theta[:, k, j] = -val
+    return TorsionTensor(theta)
 
 
 def fiber_at(chart: DistributionChart, z, tol: Tolerances = DEFAULT) -> ComplexSubspace:

@@ -223,7 +223,7 @@ def test_criterion_07_integrable_isotropy(capsys):
         for x in TorusChart(2 * n).grid(counts):
             point = build_fiber(x, m)
             frame = ChartFrame(point)
-            chart = universal_chart(point)
+            chart = universal_chart(frame)
             jf = induced_structure_at(x, m)
             dbar, _ = dbar_embedding(x, m, frame, jf)
             sub = isotropy_subspace(dbar, chart.big_n)

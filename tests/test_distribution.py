@@ -29,6 +29,7 @@ from acs_verify.errors import (
     NotNormalized,
 )
 from acs_verify.rng import SplitMix64
+import oracles
 from oracles import coordinate_plane_subspaces, fiber_at, frame_vector, transform_linear
 
 
@@ -177,6 +178,33 @@ def test_frame_route_matches_recentered_torsion():
         assert np.max(np.abs(via_frames.theta - via_recenter.theta)) / scale < 1e-10
         oracle = frame_bracket_oracle(chart, z1)
         assert np.max(np.abs(via_frames.theta - oracle.theta)) / scale < 1e-6
+
+
+@pytest.mark.parametrize("n, big_n", [(1, 3), (1, 5), (2, 4), (2, 6)])
+def test_frame_torsion_matches_the_pairwise_loop(n, big_n):
+    # == treats 0.0 and -0.0 alike, the one difference the two
+    # antisymmetrizations may show
+    rng = SplitMix64(60 + 10 * n + big_n)
+    nonzero = 0
+    for _ in range(4):
+        chart = random_polynomial_chart(n, big_n, rng, amplitude=0.7)
+        for z in (chart.center, 0.3 * rng.complex_vector(big_n)):
+            got = torsion_via_frames(chart, z).theta
+            want = oracles.torsion_via_frames_loop(chart, z).theta
+            assert np.array_equal(got, want)
+            nonzero += int(np.count_nonzero(want))
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("n, big_n", [(1, 3), (2, 5)])
+def test_torsion_at_is_the_frame_route_bitwise(n, big_n):
+    rng = SplitMix64(80 + n)
+    for _ in range(4):
+        chart = random_polynomial_chart(n, big_n, rng, amplitude=0.7)
+        for normalized in (chart, recenter(chart, 0.2 * rng.complex_vector(big_n))):
+            got = torsion_at(normalized).theta
+            want = torsion_via_frames(normalized, normalized.center).theta
+            assert got.tobytes() == want.tobytes()
 
 
 def foliation_chart_n1():

@@ -425,3 +425,38 @@ def test_deformed_embedding_at_zero_t_is_identity():
     assert np.max(np.abs(
         vtilde.value_vector(emb.base) - var.v.value_vector(emb.base)
     )) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# torsion_double_entry on the bundled induced_nijenhuis
+# ---------------------------------------------------------------------------
+
+def _induced_nijenhuis_records(seed=None):
+    from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
+
+    records, _ = run_scenario(parse_scenario(find_scenario("induced_nijenhuis")),
+                              seed=seed)
+    return {r["name"]: r for r in records}
+
+
+@pytest.mark.parametrize("seed", [4, 6, 9])
+def test_torsion_double_entry_passes_where_the_torsion_is_zero(seed):
+    # the oracle's truncation error, about 4e-9, once set the scale of a
+    # zero torsion and read as residual 1.0
+    record = _induced_nijenhuis_records(seed)["torsion_double_entry"]
+    assert record["status"] == "pass"
+    assert record["max_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda theta: np.transpose(theta, (0, 2, 1)),
+    lambda theta: 1.01 * theta,
+], ids=["transposed", "scaled"])
+def test_torsion_at_mutants_fail_induced_nijenhuis(monkeypatch, mutate):
+    from acs_verify import checks
+    from acs_verify.distribution import TorsionTensor
+
+    torsion_at = checks.torsion_at
+    monkeypatch.setattr(checks, "torsion_at", lambda chart, tol=DEFAULT:
+                        TorsionTensor(mutate(torsion_at(chart, tol=tol).theta)))
+    assert _induced_nijenhuis_records()["torsion_double_entry"]["status"] == "fail"

@@ -31,6 +31,7 @@ from acs_verify.distribution import (
     frame_bracket_oracle,
     isotropy_test,
     torsion_at,
+    torsion_via_frames,
 )
 from acs_verify.errors import (
     EigenSplitFailure,
@@ -59,7 +60,6 @@ from acs_verify.universal import (
     default_torus_embedding,
     dimension_symplectic,
     dimension_universal,
-    horizontal_basis,
     induced_structure_at,
     induced_structure_field,
     isotropy_subspace,
@@ -214,14 +214,6 @@ def test_universal_point_validate_catches_tampering():
         p.validate()
 
 
-def test_horizontal_basis_is_orthonormal_with_corank_n():
-    m = perturbed_manifold(1)
-    p = build_fiber(np.array([1.1, 0.2]), m)
-    basis = horizontal_basis(p)
-    assert basis.shape == (8, 7)
-    assert np.max(np.abs(basis.conj().T @ basis - np.eye(7))) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # induced structure through the quotient
 # ---------------------------------------------------------------------------
@@ -263,7 +255,7 @@ def test_not_transverse_when_fiber_swallows_base_direction():
     m = perturbed_manifold(1)
     x = np.array([0.5, 0.7])
     p = build_fiber(x, m)
-    fib = horizontal_basis(p)
+    fib = np.concatenate([p.sp.basis, p.sigpp.basis], axis=1)
     dg2k = np.vstack([oracles.jacobian_value(m.g, x), oracles.jacobian_value(m.g, x)])
     bad_cols = np.concatenate(
         [dg2k[:, :1].astype(complex), fib[:, :-1]], axis=1
@@ -300,7 +292,7 @@ def test_plucker_certificate_rejects_quadric_point():
 def test_universal_chart_centered_with_model_dimension():
     m = perturbed_manifold(1)
     p = build_fiber(np.array([0.5, 0.7]), m)
-    chart = universal_chart(p)
+    chart = universal_chart(ChartFrame(p))
     assert chart.big_n == dimension_universal(1, 4)
     assert chart.fiber_dim == chart.big_n - 1
     a0 = chart.a_value(np.zeros(chart.big_n))
@@ -317,7 +309,7 @@ def test_universal_chart_small_parameters():
     g = TrigPolyField(2, (2, 1), terms)
     m = PointwiseACManifold(1, 2, g, AlmostComplexField.standard(1))
     p = build_fiber(np.array([0.4, 0.3]), m)
-    chart = universal_chart(p)
+    chart = universal_chart(ChartFrame(p))
     assert chart.big_n == dimension_universal(1, 2)
     theta = torsion_at(chart)
     assert theta.theta.shape == (1, 13, 13)
@@ -326,7 +318,7 @@ def test_universal_chart_small_parameters():
 def test_universal_chart_torsion_double_entry():
     m = perturbed_manifold(1)
     p = build_fiber(np.array([0.5, 0.7]), m)
-    chart = universal_chart(p)
+    chart = universal_chart(ChartFrame(p))
     direct = torsion_at(chart)
     oracle = frame_bracket_oracle(chart)
     assert direct.norm() > 0.1  # the distribution is nowhere a foliation
@@ -377,12 +369,41 @@ def test_versality_rank_invariant_under_chart_rechoice():
     assert mixed["sv_gap"] >= 1e-6
 
 
+def test_versality_check_builds_one_chart_frame(monkeypatch):
+    built = []
+    init = ChartFrame.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChartFrame, "__init__", counting)
+    m = perturbed_manifold(1)
+    for mixer in (None, SplitMix64(5)):
+        built.clear()
+        versality_check(np.array([0.5, 0.7]), m, mixer=mixer)
+        assert len(built) == 1
+
+
+def test_frame_torsion_matches_the_loop_on_a_universal_chart():
+    p = build_fiber(np.array([0.5, 0.7]), perturbed_manifold(1))
+    chart = universal_chart(ChartFrame(p))
+    off_center = 0.05 * SplitMix64(8).complex_matrix(chart.big_n, 1, 1.0)[:, 0]
+    for z in (chart.center, off_center):
+        got = torsion_via_frames(chart, z).theta
+        want = oracles.torsion_via_frames_loop(chart, z).theta
+        assert np.max(np.abs(want)) > 0.1
+        assert np.array_equal(got, want)
+    assert same_bits(torsion_at(chart).theta,
+                     torsion_via_frames(chart, chart.center).theta)
+
+
 def test_versality_controls_report_rank_zero():
     m = perturbed_manifold(1)
     x = np.array([0.5, 0.7])
     p = build_fiber(x, m)
     frame = ChartFrame(p)
-    chart = universal_chart(p)
+    chart = universal_chart(frame)
     jf = induced_structure_at(x, m)
     dbar, _ = dbar_embedding(x, m, frame, jf)
     etas, _ = _fiber_frame_coords(dbar, 1)
@@ -420,7 +441,7 @@ def test_versality_pairing_matches_per_column_apply():
     frame = ChartFrame(p)
     dbar, df = dbar_embedding(x, m, frame, induced_structure_at(x, m))
     etas, _ = _fiber_frame_coords(dbar, 1)
-    theta = torsion_at(universal_chart(p))
+    theta = torsion_at(universal_chart(frame))
     head_map = np.vstack([df[:1, :], df[frame.big_n: frame.big_n + 1, :]])
     for hm in (None, head_map):
         want = pairing_by_columns(theta, etas, hm)
@@ -439,7 +460,7 @@ def test_isotropy_constant_j_n1():
     x = np.array([0.5, 0.7])
     p = build_fiber(x, m)
     frame = ChartFrame(p)
-    chart = universal_chart(p)
+    chart = universal_chart(frame)
     dbar, _ = dbar_embedding(x, m, frame, induced_structure_at(x, m))
     sub = isotropy_subspace(dbar, chart.big_n)
     assert sub.dim == 1
@@ -453,7 +474,7 @@ def test_isotropy_constant_j_n2_nonvacuous():
     x = np.array([0.3, 1.1, 2.0, 0.7])
     p = build_fiber(x, m)
     frame = ChartFrame(p)
-    chart = universal_chart(p)
+    chart = universal_chart(frame)
     theta = torsion_at(chart)
     assert theta.norm() > 0.1
     dbar, _ = dbar_embedding(x, m, frame, induced_structure_at(x, m))
@@ -615,6 +636,44 @@ def test_stacked_fibers_and_jf_match_the_oracle_bitwise(n, counts, seed):
             want = oracles.build_fiber(x, m)
             assert_fiber_bits(point, want)
             assert same_bits(jf, oracles.induced_at(x, m, point=want)[0])
+
+
+@pytest.mark.parametrize("n, counts", [(1, [6, 7]), (2, [3, 3, 3, 3])])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_horizontal_columns_give_the_jf_of_their_pivoted_qr(n, counts, seed):
+    # J_f is the head of the joint solve, which no change of the fiber
+    # basis moves: [S' | Sigma''] and its orthonormalization agree
+    m = perturbed_manifold(n, seed=seed)
+    pts = TorusChart(2 * n).grid(counts)
+    points = list(universal.build_fibers(pts, m))
+    jfs = universal.induced_structures(pts, points, m)
+    for x, point, jf in zip(pts, points, jfs):
+        via_qr, _ = oracles.induced_at(x, m, point=point,
+                                       horizontal=oracles.horizontal_qr_basis)
+        assert np.max(np.abs(jf - via_qr)) <= 1e-13
+
+
+def test_fiber_whose_horizontal_columns_drop_rank_never_reaches_jf(monkeypatch):
+    from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
+
+    validate = universal.validate_fibers
+
+    def swallow(n, k, z, sp, spp, sigp, sigpp, tol=DEFAULT):
+        sigpp[:, :, 0] = sp[:, :, 0]  # Sigma'' takes in a direction of S'
+        s = np.linalg.svd(np.concatenate([sp, sigpp], axis=2), compute_uv=False)
+        assert np.all(s[:, -1] <= 1e-12 * s[:, 0])
+        validate(n, k, z, sp, spp, sigp, sigpp, tol)
+
+    solves = []
+    monkeypatch.setattr(universal, "validate_fibers", swallow)
+    monkeypatch.setattr(universal, "_induced_from_parts",
+                        lambda *args: solves.append(args))
+    doc = parse_scenario(find_scenario("universal_n1_k4"))
+    doc["checks"] = ["universal_reconstruction"]
+    [record], _ = run_scenario(doc)
+    assert record["status"] == "fail"
+    assert record["error"].startswith("EigenSplitFailure")
+    assert solves == []
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,0 +1,104 @@
+"""Compare the reports of the bundled scenarios between two source trees.
+
+    python tools/compare_reports.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that each hold an `acs_verify`
+package (the `src` directory of a checkout). Every bundled scenario of
+NEW_SRC is run against each tree at its own seed and at `--seed` 1, 2 and
+3, through `acs_verify.cli.main`, one fresh interpreter per tree with
+OPENBLAS_NUM_THREADS=1.
+
+For each check record that differs between the trees, one tab-separated
+row is printed:
+
+    scenario  seed  check  old max_residual  new max_residual
+
+A summary line goes to stderr. The exit code is 1 when any record's
+`status`, `error` or `samples_checked` differs, or a report holds a
+check the other lacks; otherwise 0, also when residuals moved.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+SEEDS = (None, 1, 2, 3)
+VERDICT_FIELDS = ("status", "error", "samples_checked")
+
+# Runs in the child interpreter: argv[1] is the tree, argv[2] the list of
+# (scenario, seed) runs as JSON. Prints {"scenario seed": report} as JSON.
+RUNNER = r"""
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from acs_verify.cli import main
+out = {}
+for name, seed in json.loads(sys.argv[2]):
+    argv = ["run", name] + ([] if seed is None else ["--seed", str(seed)])
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(argv)
+    out[f"{name} {seed}"] = buf.getvalue()
+print(json.dumps(out))
+"""
+
+
+def scenario_names(src: str) -> list[str]:
+    root = os.path.join(src, "acs_verify", "scenarios")
+    return sorted(f[:-5] for f in os.listdir(root) if f.endswith(".json"))
+
+
+def run_tree(src: str, runs: list) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNNER, os.path.abspath(src), json.dumps(runs)],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def records(report: str) -> dict:
+    out = {}
+    for line in report.splitlines():
+        rec = json.loads(line)
+        if "name" in rec:
+            out[rec["name"]] = rec
+    return out
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    old_src, new_src = argv
+    runs = [(name, seed) for name in scenario_names(new_src) for seed in SEEDS]
+    old, new = run_tree(old_src, runs), run_tree(new_src, runs)
+    verdicts_differ = False
+    identical = 0
+    for name, seed in runs:
+        key = f"{name} {seed}"
+        if old[key] == new[key]:
+            identical += 1
+            continue
+        old_recs, new_recs = records(old[key]), records(new[key])
+        if old_recs.keys() != new_recs.keys():
+            verdicts_differ = True
+        for check in sorted(old_recs.keys() | new_recs.keys()):
+            a, b = old_recs.get(check), new_recs.get(check)
+            if a == b:
+                continue
+            if a is None or b is None or any(a[f] != b[f] for f in VERDICT_FIELDS):
+                verdicts_differ = True
+            print("\t".join([name, "default" if seed is None else str(seed), check,
+                             repr(a and a["max_residual"]),
+                             repr(b and b["max_residual"])]))
+    print(f"{identical} of {len(runs)} reports byte-identical; verdicts "
+          + ("differ" if verdicts_differ else "agree"), file=sys.stderr)
+    return 1 if verdicts_differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
