@@ -350,8 +350,10 @@ def _check_fiber_reality(ctx: CheckContext) -> CheckResult:
     pts = ctx.points(default_counts=[6] * (2 * m.n))
     wedge_cap = int(ctx.payload.get("reality_samples", 5))
     worst = 0.0
+    # |sum p_I^2| <= sum |p_I|^2, so a certificate above 1 is as wrong as
+    # one below it
     for point in ctx.memo.fibers(pts[:wedge_cap], m, ctx.tol):
-        worst = worst_of(worst, 1.0 - plucker_reality_certificate(point, ctx.tol))
+        worst = worst_of(worst, abs(1.0 - plucker_reality_certificate(point, ctx.tol)))
     # building a fiber validates it (S'' = conj S', Sigma'' = conj
     # Sigma'); a point another check of this run has built and validated
     # needs building again only for its Plucker test

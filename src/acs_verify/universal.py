@@ -19,12 +19,11 @@ Everything here is pointwise linear algebra: subspaces are represented by
 orthonormal complex bases, charts on the flag factors use graph
 coordinates over fixed complements, and derivatives of the point family
 x -> fiber data are taken by Richardson-extrapolated central differences
-of basis-independent chart coordinates.
+of basis-independent chart coordinates. The chart form of the
+distribution is rational in the graph coordinates and is differentiated
+exactly.
 """
 from __future__ import annotations
-
-import itertools
-import math
 
 import numpy as np
 import scipy.linalg
@@ -39,7 +38,6 @@ from .cxlinalg import (
     standard_structure,
 )
 from .distribution import (
-    CallableHolomorphicMap,
     DistributionChart,
     TorsionTensor,
     torsion_at,
@@ -419,23 +417,19 @@ def induced_structure_field(m: PointwiseACManifold,
 
 def plucker_reality_certificate(point: UniversalPoint,
                                 tol: Tolerances = DEFAULT) -> float:
-    """|sum p_I^2| / sum |p_I|^2 for the wedge coordinates of S' (+) S''.
+    """|sum p_I^2| / sum |p_I|^2 for the wedge coordinates p_I of S' (+) S''.
 
     Equals 1 for a genuinely real subspace (coordinates proportional to a
     real vector) and 0 on the quadric that a real point can never meet.
+    With B = [S' | S''], p_I is the maximal minor of B on the rows I, so
+    by Cauchy-Binet sum p_I^2 = det(B^T B) and sum |p_I|^2 = det(B^H B):
+    two determinants of size 2(k - n) instead of C(2k, 2(k - n)) minors.
     """
     basis = np.concatenate([point.sp.basis, point.spp.basis], axis=1)
-    rows, cols = basis.shape
-    if math.comb(rows, cols) > 100000:
-        raise InvalidParams("wedge coordinate count too large to enumerate")
-    coords = np.array([
-        np.linalg.det(basis[list(sel), :])
-        for sel in itertools.combinations(range(rows), cols)
-    ])
-    norm2 = float(np.sum(np.abs(coords) ** 2))
+    norm2 = float(np.linalg.det(basis.conj().T @ basis).real)
     if norm2 <= tol.alg_atol:
         raise EigenSplitFailure("wedge coordinates vanish; basis degenerate")
-    return float(abs(np.sum(coords ** 2)) / norm2)
+    return float(abs(np.linalg.det(basis.T @ basis)) / norm2)
 
 
 # ---------------------------------------------------------------------------
@@ -507,34 +501,73 @@ class ChartFrame:
             start += s
         return out
 
-    def subspaces_at(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Bases of S'(z) and Sigma''(z) for chart vector z; these span
-        the ambient-velocity part of the distribution there."""
+    def _joint(self, z):
+        """joint(z) = [quot | S'(z) | Sigma''(z)] at chart vector z, whose
+        columns after quot span the ambient-velocity part of the
+        distribution there: S'(z) = tilted graph with tilted = B' + B'' vp
+        and graph = [I; up], and Sigma''(z) = B'' + B' vpp. Returns
+        (joint, tilted, graph)."""
         k, n = self.k, self.n
         _, _, s_up, _, s_vp, s_vpp = self.slices()
         up = np.asarray(z[s_up], dtype=complex).reshape(n, k - n)
         vp = np.asarray(z[s_vp], dtype=complex).reshape(k, k)
         vpp = np.asarray(z[s_vpp], dtype=complex).reshape(k, k)
-        graph_small = np.concatenate([np.eye(k - n, dtype=complex), up], axis=0)
-        sp_basis = (self.b_sigp + self.b_sigpp @ vp) @ graph_small
-        sigpp_basis = self.b_sigpp + self.b_sigp @ vpp
-        return sp_basis, sigpp_basis
+        tilted = self.b_sigp + self.b_sigpp @ vp
+        graph = np.concatenate([np.eye(k - n, dtype=complex), up], axis=0)
+        joint = np.concatenate(
+            [self.quot, tilted @ graph, self.b_sigpp + self.b_sigp @ vpp], axis=1)
+        return joint, tilted, graph
+
+    @staticmethod
+    def _guard(sv: np.ndarray) -> None:
+        if sv[-1] <= 1e-8 * sv[0]:
+            raise ChartDegeneracy("moved fiber no longer splits the ambient space")
 
     def a_matrix(self, z) -> np.ndarray:
         """Chart form of the distribution: quotient velocities as a
         function of the remaining ones, zero on the graph directions."""
         n = self.n
-        big_n = self.big_n
-        sp_basis, sigpp_basis = self.subspaces_at(z)
-        bf = np.concatenate([sp_basis, sigpp_basis], axis=1)
-        joint = np.concatenate([self.quot, bf], axis=1)
-        sv = np.linalg.svd(joint, compute_uv=False)
-        if sv[-1] <= 1e-8 * sv[0]:
-            raise ChartDegeneracy("moved fiber no longer splits the ambient space")
+        joint, _, _ = self._joint(z)
+        self._guard(np.linalg.svd(joint, compute_uv=False))
         alpha = np.linalg.solve(joint, self.rest)[:n, :]
-        out = np.zeros((n, big_n - n), dtype=complex)
+        out = np.zeros((n, self.big_n - n), dtype=complex)
         out[:, : self.rest.shape[1]] = -alpha
         return out
+
+    def a_jacobian(self, z) -> np.ndarray:
+        """Exact holomorphic derivative of a_matrix at chart vector z,
+        shape (n, N - n, N).
+
+        a = -(joint^-1 rest)[:n], so with P the first n rows of joint^-1
+        and R = joint^-1 rest, d_b a = P (d_b joint) R. joint depends on
+        z only through S'(z) = (B' + B'' vp)[I; up] and
+        Sigma''(z) = B'' + B' vpp, which are affine in vp and vpp and
+        bilinear in (vp, up); so each d_b joint is one column times one
+        unit row, and the Jacobian is three outer products. The quotient,
+        ambient and upp coordinates do not enter joint: their partials are
+        exactly zero. One SVD of joint(z) gives both a_matrix's guard and
+        the inverse.
+        """
+        k, n = self.k, self.n
+        _, _, s_up, _, s_vp, s_vpp = self.slices()
+        joint, tilted, graph = self._joint(z)
+        u, sv, vh = np.linalg.svd(joint)
+        self._guard(sv)
+        inv = (vh.conj().T / sv) @ u.conj().T
+        p = inv[:n]
+        r = inv @ self.rest
+        cols = self.rest.shape[1]
+        jac = np.zeros((n, self.big_n - n, self.big_n), dtype=complex)
+        # d/d up[i, j]: column n + j of joint gains tilted[:, k - n + i]
+        jac[:, :cols, s_up] = np.einsum(
+            "pi,jc->pcij", p @ tilted[:, k - n:], r[n:k]).reshape(n, cols, -1)
+        # d/d vp[i, j]: columns n .. k of joint gain B''[:, i] graph[j]
+        jac[:, :cols, s_vp] = np.einsum(
+            "pi,jc->pcij", p @ self.b_sigpp, graph @ r[n:k]).reshape(n, cols, -1)
+        # d/d vpp[i, j]: column k + j of joint gains B'[:, i]
+        jac[:, :cols, s_vpp] = np.einsum(
+            "pi,jc->pcij", p @ self.b_sigp, r[k:]).reshape(n, cols, -1)
+        return jac
 
     def coordinates(self, z_amb, sp, spp, sigp, sigpp) -> np.ndarray:
         """Chart vector of a nearby 5-tuple; depends only on the
@@ -566,12 +599,27 @@ class ChartFrame:
         ])
 
 
+class FrameChartMap:
+    """The chart form of a ChartFrame as a holomorphic matrix map: value
+    is a_matrix, jacobian the exact a_jacobian."""
+
+    def __init__(self, frame: ChartFrame):
+        self.frame = frame
+        self.n_vars = frame.big_n
+        self.rows = frame.n
+        self.cols = frame.big_n - frame.n
+
+    def value(self, z) -> np.ndarray:
+        return self.frame.a_matrix(z)
+
+    def jacobian(self, z) -> np.ndarray:
+        return self.frame.a_jacobian(z)
+
+
 def universal_chart(frame: ChartFrame) -> DistributionChart:
     """Corank-n chart of the distribution in the frame's coordinates,
     centered so the chart form vanishes at the origin."""
-    amap = CallableHolomorphicMap(frame.big_n, frame.n,
-                                  frame.big_n - frame.n, frame.a_matrix)
-    return DistributionChart(frame.n, frame.big_n, amap, radius=0.4)
+    return DistributionChart(frame.n, frame.big_n, FrameChartMap(frame), radius=0.4)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ can compare the stacked route against them bit for bit.
 does; `horizontal_qr_basis` is the pivoted-QR orthonormalization of
 them that the library dropped, kept so a test can hold the two routes to
 the same J_f. `reconstruction_report` sweeps a grid through them.
+`plucker_certificate_by_minors` is the reality certificate by
+enumeration of the wedge coordinates, which
+`universal.plucker_reality_certificate` replaced by two Cauchy-Binet
+determinants; it stops at C(2k, 2(k - n)) = 100000 minors.
 `torsion_via_frames_loop` is the frame route of the chart torsion with
 the per-(j, k) antisymmetrization loop that `torsion_via_frames`
 replaced by one array subtraction.
@@ -26,6 +30,7 @@ bracket of trig-poly fields, the per-point jacobian of a column field,
 and the product-of-circles torus with the standard structure.
 """
 import itertools
+import math
 
 import numpy as np
 
@@ -227,6 +232,24 @@ def reconstruction_report(m: PointwiseACManifold, counts,
         "min_sigma": min_sigma,
         "points_checked": int(pts.shape[0]),
     }
+
+
+def plucker_certificate_by_minors(point: UniversalPoint,
+                                  tol: Tolerances = DEFAULT) -> float:
+    """|sum p_I^2| / sum |p_I|^2 over every maximal minor p_I of
+    [S' | S''], enumerated one determinant at a time."""
+    basis = np.concatenate([point.sp.basis, point.spp.basis], axis=1)
+    rows, cols = basis.shape
+    if math.comb(rows, cols) > 100000:
+        raise InvalidParams("wedge coordinate count too large to enumerate")
+    coords = np.array([
+        np.linalg.det(basis[list(sel), :])
+        for sel in itertools.combinations(range(rows), cols)
+    ])
+    norm2 = float(np.sum(np.abs(coords) ** 2))
+    if norm2 <= tol.alg_atol:
+        raise EigenSplitFailure("wedge coordinates vanish; basis degenerate")
+    return float(abs(np.sum(coords ** 2)) / norm2)
 
 
 def realify_matrix(M: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from acs_verify.cli import main
 from acs_verify.config import DEFAULT
 from acs_verify.errors import EigenSplitFailure, SchemaError
 from acs_verify.rng import SplitMix64
-from acs_verify import scenarios
+from acs_verify import checks, scenarios
 from acs_verify.scenarios import (
     bundled_scenario_names,
     find_scenario,
@@ -86,6 +86,19 @@ def test_bundled_scenarios_are_discoverable():
 # ---------------------------------------------------------------------------
 # run: reports and exit codes
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cert, passed", [(1.5, False), (0.5, False), (1.0, True)])
+def test_fiber_reality_fails_a_certificate_off_one_on_either_side(
+        monkeypatch, capsys, cert, passed):
+    # |sum p_I^2| <= sum |p_I|^2, so a certificate above 1 is a fault too
+    monkeypatch.setattr(checks, "plucker_reality_certificate", lambda point, tol: cert)
+    code, out, _ = run_lines(capsys, ["run", "universal_n1_k4"])
+    records, aggregate = parse_report(out)
+    reality = next(r for r in records if r["name"] == "universal_fiber_reality")
+    assert reality["status"] == ("pass" if passed else "fail")
+    assert reality["max_residual"] == abs(1.0 - cert)
+    assert code == (0 if passed else 1)
+
 
 def test_run_bundled_scenario_report_shape(capsys):
     code, out, _ = run_lines(capsys, ["run", "lvmb_pass"])

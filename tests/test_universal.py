@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from acs_verify import universal
+from acs_verify import distribution, universal
 from acs_verify.config import DEFAULT
 import scipy.linalg
 
@@ -28,6 +28,7 @@ from acs_verify.cxlinalg import (
 )
 from acs_verify.distribution import (
     TorsionTensor,
+    circle_rule_jacobian,
     frame_bracket_oracle,
     isotropy_test,
     torsion_at,
@@ -49,6 +50,7 @@ from acs_verify.fields import (
 )
 from acs_verify.rng import SplitMix64
 from oracles import reconstruction_report
+from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
 from acs_verify.universal import (
     ChartFrame,
     PointwiseACManifold,
@@ -285,9 +287,54 @@ def test_plucker_certificate_rejects_quadric_point():
     assert plucker_reality_certificate(fake) < 1e-10
 
 
+def unreal_point(n, k, seed):
+    """A stand-in point whose S'' is a random subspace, not conj S', so
+    its certificate lies strictly between 0 and 1."""
+    rng = SplitMix64(seed)
+    return types.SimpleNamespace(
+        sp=ComplexSubspace.from_columns(rng.complex_matrix(2 * k, k - n)),
+        spp=ComplexSubspace.from_columns(rng.complex_matrix(2 * k, k - n)))
+
+
+def test_plucker_certificate_matches_minor_enumeration():
+    points = [build_fiber(x, m)
+              for m in (perturbed_manifold(1), perturbed_manifold(2))
+              for x in TorusChart(2 * m.n).grid([2] * (2 * m.n))[:3]]
+    points += [unreal_point(1, 4, seed) for seed in (1, 2, 3)]
+    points += [unreal_point(2, 8, seed) for seed in (1, 2)]
+    certs = []
+    for p in points:
+        cert = plucker_reality_certificate(p)
+        assert abs(cert - oracles.plucker_certificate_by_minors(p)) <= 1e-13
+        certs.append(cert)
+    assert min(certs) < 0.9 and max(certs) > 1.0 - 1e-13
+
+
+def test_plucker_certificate_at_n3():
+    # C(24, 18) = 134596 minors: the enumeration refuses, the
+    # determinants do not
+    p = build_fiber(np.array([0.3, 1.1, 2.0, 4.5, 0.7, 3.6]), perturbed_manifold(3))
+    with pytest.raises(InvalidParams):
+        oracles.plucker_certificate_by_minors(p)
+    cert = plucker_reality_certificate(p)
+    assert np.isfinite(cert) and abs(cert - 1.0) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # graph charts at a fiber point
 # ---------------------------------------------------------------------------
+
+def seeded_frame(n, seed, mixed):
+    """A chart frame over a seeded base point of the perturbed torus,
+    with a seeded re-choice of complements when mixed."""
+    rng = SplitMix64(seed)
+    p = build_fiber(rng.reals(2 * n, 0.0, 2.0 * np.pi), perturbed_manifold(n, seed=seed))
+    return ChartFrame(p, SplitMix64(100 + seed) if mixed else None)
+
+
+def off_center(frame, seed):
+    return 0.05 * SplitMix64(200 + seed).complex_matrix(frame.big_n, 1, 1.0)[:, 0]
+
 
 def test_universal_chart_centered_with_model_dimension():
     m = perturbed_manifold(1)
@@ -315,10 +362,9 @@ def test_universal_chart_small_parameters():
     assert theta.theta.shape == (1, 13, 13)
 
 
-def test_universal_chart_torsion_double_entry():
-    m = perturbed_manifold(1)
-    p = build_fiber(np.array([0.5, 0.7]), m)
-    chart = universal_chart(ChartFrame(p))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_universal_chart_torsion_double_entry(n):
+    chart = universal_chart(seeded_frame(n, n, True))
     direct = torsion_at(chart)
     oracle = frame_bracket_oracle(chart)
     assert direct.norm() > 0.1  # the distribution is nowhere a foliation
@@ -326,6 +372,66 @@ def test_universal_chart_torsion_double_entry():
     assert np.max(np.abs(direct.theta - oracle.theta)) / scale < 1e-6
     flipped = -np.transpose(direct.theta, (0, 2, 1))
     assert np.array_equal(direct.theta, flipped)
+
+
+CIRCLE_H = 0.005
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_jacobian_matches_the_circle_rule(n, seed):
+    # Error model of the circle rule. joint(z) is affine in each chart
+    # coordinate z_b with a rank-one slope u v^T, so by Sherman-Morrison
+    # a(z + t e_b) = a(z) + t c_b / (1 + beta_b t), with c_b the exact
+    # partial and beta_b = v^T joint^-1 u, |beta_b| <= |u||v| / sigma_min.
+    # The 8-point rule of radius h then has truncation error
+    # |c_b| (beta_b h)^8 / (1 - (beta_b h)^8), under 3e-14 relative for
+    # beta h <= 0.02, and a rounding error of about
+    # kappa eps (|a(z)| / h + |c_b|), kappa the condition number of
+    # joint: under 1e-13 relative for kappa <= 10, |z| <= 0.1 and
+    # h = 0.005. The bound 1e-12 relative covers both; the test asserts
+    # the conditions the model needs.
+    for mixed in (False, True):
+        frame = seeded_frame(n, seed, mixed)
+        for z in (np.zeros(frame.big_n, dtype=complex), off_center(frame, seed)):
+            joint, tilted, graph = frame._joint(z)
+            sv = np.linalg.svd(joint, compute_uv=False)
+            # |u| is a column of tilted, B' or B''; |v| is 1 or a row of graph
+            uv = max(np.linalg.norm(b, axis=0).max()
+                     for b in (tilted, frame.b_sigp, frame.b_sigpp))
+            uv *= max(1.0, np.linalg.norm(graph, axis=1).max())
+            assert uv / sv[-1] * CIRCLE_H <= 0.02 and sv[0] / sv[-1] <= 10.0
+            assert np.max(np.abs(z)) <= 0.1
+            exact = frame.a_jacobian(z)
+            rule = circle_rule_jacobian(frame.a_matrix, z, frame.big_n, h=CIRCLE_H)
+            scale = np.max(np.abs(exact))
+            assert scale > 0.5
+            assert np.max(np.abs(exact - rule)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_jacobian_is_exactly_zero_off_the_graph_coordinates(n):
+    # joint(z) reads only up, vp and vpp; a is zero past the rest block
+    frame = seeded_frame(n, 1, True)
+    quot, amb, _, s_upp, _, _ = frame.slices()
+    for z in (np.zeros(frame.big_n, dtype=complex), off_center(frame, 1)):
+        jac = frame.a_jacobian(z)
+        assert jac.shape == (n, frame.big_n - n, frame.big_n)
+        for block in (quot, amb, s_upp):
+            assert not np.any(jac[:, :, block])
+        assert not np.any(jac[:, frame.rest.shape[1]:, :])
+        assert np.max(np.abs(jac[:, :frame.rest.shape[1], :])) > 0.5
+
+
+def test_universal_checks_never_call_the_circle_rule(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("circle rule called")
+
+    monkeypatch.setattr(distribution, "circle_rule_jacobian", refuse)
+    doc = parse_scenario(find_scenario("universal_n1_k4_const"))
+    records, aggregate = run_scenario(doc, sample_cap=2)
+    assert aggregate["passed"]
+    assert {"universal_versality", "universal_isotropy"} <= {r["name"] for r in records}
 
 
 def test_chart_coordinates_vanish_at_center():

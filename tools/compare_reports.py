@@ -3,10 +3,11 @@
     python tools/compare_reports.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that each hold an `acs_verify`
-package (the `src` directory of a checkout). Every bundled scenario of
-NEW_SRC is run against each tree at its own seed and at `--seed` 1, 2 and
-3, through `acs_verify.cli.main`, one fresh interpreter per tree with
-OPENBLAS_NUM_THREADS=1.
+package (the `src` directory of a checkout). Every scenario that both
+trees bundle is run against each tree at its own seed and at `--seed` 1,
+2 and 3, through `acs_verify.cli.main`, one fresh interpreter per tree
+with OPENBLAS_NUM_THREADS=1. A scenario that only one tree bundles is
+named on stderr and not compared.
 
 For each check record that differs between the trees, one tab-separated
 row is printed:
@@ -49,6 +50,13 @@ def scenario_names(src: str) -> list[str]:
     return sorted(f[:-5] for f in os.listdir(root) if f.endswith(".json"))
 
 
+def match_scenarios(old: list[str], new: list[str]) -> tuple[list, list, list]:
+    """The scenario names both lists hold, those only old holds, and those
+    only new holds, each sorted."""
+    return (sorted(set(old) & set(new)), sorted(set(old) - set(new)),
+            sorted(set(new) - set(old)))
+
+
 def run_tree(src: str, runs: list) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -74,7 +82,13 @@ def main(argv=None) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     old_src, new_src = argv
-    runs = [(name, seed) for name in scenario_names(new_src) for seed in SEEDS]
+    shared, only_old, only_new = match_scenarios(scenario_names(old_src),
+                                                 scenario_names(new_src))
+    for tree, names in (("old", only_old), ("new", only_new)):
+        if names:
+            print(f"only in the {tree} tree, not compared: " + ", ".join(names),
+                  file=sys.stderr)
+    runs = [(name, seed) for name in shared for seed in SEEDS]
     old, new = run_tree(old_src, runs), run_tree(new_src, runs)
     verdicts_differ = False
     identical = 0
