@@ -25,8 +25,8 @@ import numpy as np
 from .config import Tolerances, worst_of
 from .cxlinalg import realify_vector
 from .distribution import (
+    CRPolyMap,
     DistributionChart,
-    PolynomialMatrixMap,
     frame_bracket_oracle,
     is_foliation,
     isotropy_test,
@@ -46,7 +46,6 @@ from .fields import (
     verify_tensoriality,
 )
 from .induced import (
-    CRPolyMap,
     GraphEmbedding,
     VariationData,
     dbar_f,
@@ -268,7 +267,7 @@ def build_graph_scenario(rng: SplitMix64, n: int = 1, big_n: int = 3,
     g = random_crpoly(big_n - n, 1, n, rng, degree=2, amplitude=0.4)
     emb = GraphEmbedding(n, big_n, g)
     shift = chart.a_value(emb.f_value(emb.base))
-    chart = DistributionChart(n, big_n, chart.amap.shift_constant(-shift))
+    chart = DistributionChart(n, big_n, chart.amap + CRPolyMap.constant(big_n, -shift))
     eta = random_crpoly(big_n - n, 1, n, rng, degree=2, amplitude=0.5)
     eta = eta + CRPolyMap.constant(n, rng.complex_matrix(big_n - n, 1, 0.4))
     v = random_crpoly(n, 1, n, rng, degree=2, amplitude=0.5)
@@ -548,9 +547,10 @@ def _check_variation_anticommutation(ctx: CheckContext) -> CheckResult:
 def _check_foliation_rank(ctx: CheckContext) -> CheckResult:
     # a = z1^2 (1, i/2): constant direction times one scalar, so the
     # frame brackets cancel exactly and the plane field integrates
-    amap = PolynomialMatrixMap(3, 1, 2, {
-        (0, 0): {(2, 0, 0): 1.0},
-        (0, 1): {(2, 0, 0): 0.5j},
+    z1_squared = ((2, 0, 0), (0, 0, 0))
+    amap = CRPolyMap(3, 1, 2, {
+        (0, 0): {z1_squared: 1.0},
+        (0, 1): {z1_squared: 0.5j},
     })
     chart = DistributionChart(1, 3, amap)
     samples = [np.zeros(3, dtype=complex), np.array([0.2, 0.1j, -0.1 + 0.05j])]
@@ -583,7 +583,7 @@ def _check_pseudoholomorphic_rank(ctx: CheckContext) -> CheckResult:
     g = CRPolyMap(n, big_n - n, 1, entries)
     emb = GraphEmbedding(n, big_n, g)
     shift = chart.a_value(emb.f_value(emb.base))
-    chart = DistributionChart(n, big_n, chart.amap.shift_constant(-shift))
+    chart = DistributionChart(n, big_n, chart.amap + CRPolyMap.constant(big_n, -shift))
     zp = emb.base
     jf = induced_jf(emb, chart, zp, ctx.tol)
     etas, _ = dbar_f_fiber_coords(emb, chart, zp, jf, ctx.tol)

@@ -1,8 +1,8 @@
 """Holomorphic distributions presented by graph charts, and their torsion.
 
-A distribution of complex codimension n near a base point is presented by
-a holomorphic matrix map a(z) with a(center) = 0: the fiber at z is
-spanned by the frame
+A distribution of complex codimension n is presented on a chart centered
+at the origin by a holomorphic matrix map a(z) with a(0) = 0: the fiber
+at z is spanned by the frame
 
     e_j(z) = unit_{n+j} + sum_i a[i, j](z) unit_i,      j = 0..N-n-1,
 
@@ -14,10 +14,14 @@ at the center, antisymmetric in (j, k) by construction; the associated
 bilinear map is theta(eta, lambda) = da(eta) lambda - da(lambda) eta with
 values in the quotient C^n.
 
-Polynomial maps carry exact derivatives (and exact recentering through
-affine substitution); black-box holomorphic callables are differentiated
-by an m-point circle rule, which keeps the step size large and avoids the
-cancellation of plain small-h differencing.
+All polynomial data is one type, CRPolyMap, a matrix of polynomials in
+z and conj(z); a polynomial chart map is one with no conj powers, so it
+carries an exact holomorphic derivative. CRPolyMap.substitute covers
+both exact recentering (an affine substitution) and the pullback of the
+chart form to a graph z'' = g(z', conj z'). Black-box holomorphic
+callables are differentiated by an m-point circle rule, which keeps the
+step size large and avoids the cancellation of plain small-h
+differencing.
 """
 from __future__ import annotations
 
@@ -37,23 +41,29 @@ from .rng import SplitMix64
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial maps
+# polynomials in (z, conj z)
 # ---------------------------------------------------------------------------
 
-def _poly_mult(p: dict, q: dict) -> dict:
+def _term_mult(p: dict, q: dict) -> dict:
     out: dict = {}
-    for pa, pc in p.items():
-        for qa, qc in q.items():
-            key = tuple(x + y for x, y in zip(pa, qa))
-            out[key] = out.get(key, 0.0 + 0.0j) + pc * qc
+    for (pa, pb), pc in p.items():
+        for (qa, qb), qc in q.items():
+            key = (
+                tuple(x + y for x, y in zip(pa, qa)),
+                tuple(x + y for x, y in zip(pb, qb)),
+            )
+            out[key] = out.get(key, 0j) + pc * qc
     return out
 
 
-class PolynomialMatrixMap:
-    """Matrix of polynomials C^N -> C^{rows x cols}, exact calculus.
+class CRPolyMap:
+    """Matrix of polynomials in z and conj(z) over C^n.
 
-    entries[(i, j)] maps an exponent tuple of length N to a complex
-    coefficient.
+    entries[(i, j)] maps a pair (z-powers, conj-powers) to a complex
+    coefficient. Closed under +, scalar multiple, matrix product,
+    conjugation, substitution and the Wirtinger derivatives, all of
+    which are exact. A chart map of a distribution is one with no conj
+    powers.
     """
 
     def __init__(self, n_vars: int, rows: int, cols: int, entries: dict):
@@ -61,90 +71,190 @@ class PolynomialMatrixMap:
         self.rows = int(rows)
         self.cols = int(cols)
         self.entries: dict = {}
-        for (i, j), mono in entries.items():
+        for (i, j), terms in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeMismatch(f"entry index ({i}, {j}) out of range")
             cell = self.entries.setdefault((i, j), {})
-            for powers, coeff in mono.items():
-                if len(powers) != n_vars:
+            for (za, zb), coeff in terms.items():
+                if len(za) != n_vars or len(zb) != n_vars:
                     raise DimensionMismatch("exponent length must equal n_vars")
-                key = tuple(int(p) for p in powers)
-                val = cell.get(key, 0.0 + 0.0j) + complex(coeff)
+                key = (tuple(int(p) for p in za), tuple(int(p) for p in zb))
+                val = cell.get(key, 0j) + complex(coeff)
                 if val == 0:
                     cell.pop(key, None)
                 else:
                     cell[key] = val
 
+    @classmethod
+    def constant(cls, n_vars: int, array) -> "CRPolyMap":
+        array = np.atleast_2d(np.asarray(array, dtype=complex))
+        zero = (tuple([0] * n_vars), tuple([0] * n_vars))
+        entries = {}
+        for i in range(array.shape[0]):
+            for j in range(array.shape[1]):
+                if array[i, j] != 0:
+                    entries[(i, j)] = {zero: array[i, j]}
+        return cls(n_vars, array.shape[0], array.shape[1], entries)
+
     def value(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex).reshape(-1)
+        zc = z.conj()
         out = np.zeros((self.rows, self.cols), dtype=complex)
-        for (i, j), mono in self.entries.items():
-            acc = 0.0 + 0.0j
-            for powers, coeff in mono.items():
+        for (i, j), terms in self.entries.items():
+            acc = 0j
+            for (za, zb), coeff in terms.items():
                 term = coeff
-                for var, p in enumerate(powers):
+                for var, p in enumerate(za):
                     if p:
                         term *= z[var] ** p
+                for var, p in enumerate(zb):
+                    if p:
+                        term *= zc[var] ** p
                 acc += term
             out[i, j] = acc
         return out
 
+    def value_vector(self, z) -> np.ndarray:
+        if self.cols != 1:
+            raise ShapeMismatch("value_vector needs a column map")
+        return self.value(z)[:, 0]
+
     def jacobian(self, z) -> np.ndarray:
-        """Exact holomorphic derivative, shape (rows, cols, n_vars)."""
+        """Exact holomorphic derivative of a chart map (no conj powers),
+        shape (rows, cols, n_vars)."""
         z = np.asarray(z, dtype=complex).reshape(-1)
         out = np.zeros((self.rows, self.cols, self.n_vars), dtype=complex)
-        for (i, j), mono in self.entries.items():
-            for powers, coeff in mono.items():
-                for var, p in enumerate(powers):
+        for (i, j), terms in self.entries.items():
+            for (za, _), coeff in terms.items():
+                for var, p in enumerate(za):
                     if p == 0:
                         continue
                     term = coeff * p
-                    for var2, p2 in enumerate(powers):
+                    for var2, p2 in enumerate(za):
                         pw = p2 - 1 if var2 == var else p2
                         if pw:
                             term *= z[var2] ** pw
                     out[i, j, var] += term
         return out
 
-    def compose_affine(self, m: np.ndarray, c: np.ndarray) -> "PolynomialMatrixMap":
-        """Exact substitution z = M w + c."""
-        m = np.asarray(m, dtype=complex)
-        c = np.asarray(c, dtype=complex).reshape(-1)
-        lin = []
-        zero = tuple([0] * self.n_vars)
-        for beta in range(self.n_vars):
-            form = {}
-            if c[beta] != 0:
-                form[zero] = complex(c[beta])
-            for gamma in range(self.n_vars):
-                if m[beta, gamma] != 0:
-                    key = tuple(1 if g == gamma else 0 for g in range(self.n_vars))
-                    form[key] = complex(m[beta, gamma])
-            lin.append(form if form else {zero: 0.0 + 0.0j})
-        new_entries: dict = {}
-        for (i, j), mono in self.entries.items():
-            cell: dict = {}
-            for powers, coeff in mono.items():
-                prod = {zero: complex(coeff)}
-                for beta, p in enumerate(powers):
-                    for _ in range(p):
-                        prod = _poly_mult(prod, lin[beta])
-                for key, val in prod.items():
-                    cell[key] = cell.get(key, 0.0 + 0.0j) + val
-            new_entries[(i, j)] = cell
-        return PolynomialMatrixMap(self.n_vars, self.rows, self.cols, new_entries)
+    def substitute(self, subs: "CRPolyMap") -> "CRPolyMap":
+        """Exact substitution z = subs(w) into a chart map (no conj
+        powers), for a column map subs of height n_vars; the result lives
+        over the variables w of subs and may hold conj(w) powers.
 
-    def shift_constant(self, delta: np.ndarray) -> "PolynomialMatrixMap":
-        """Add a constant matrix to the map."""
-        delta = np.asarray(delta, dtype=complex)
-        zero = tuple([0] * self.n_vars)
+        Each monomial starts at its coefficient and is multiplied by
+        subs[b] once per power of z_b, in variable order.
+        """
+        if subs.rows != self.n_vars or subs.cols != 1:
+            raise ShapeMismatch("subs must be a column of height n_vars")
+        forms = [subs.entries.get((b, 0), {}) for b in range(self.n_vars)]
+        one = (tuple([0] * subs.n_vars), tuple([0] * subs.n_vars))
+        entries: dict = {}
+        for key, terms in self.entries.items():
+            cell = entries.setdefault(key, {})
+            for (za, _), coeff in terms.items():
+                prod = {one: complex(coeff)}
+                for b, p in enumerate(za):
+                    for _ in range(p):
+                        prod = _term_mult(prod, forms[b])
+                for t, c in prod.items():
+                    cell[t] = cell.get(t, 0j) + c
+        return CRPolyMap(subs.n_vars, self.rows, self.cols, entries)
+
+    def conjugate(self) -> "CRPolyMap":
+        entries = {}
+        for key, terms in self.entries.items():
+            entries[key] = {(zb, za): c.conjugate() for (za, zb), c in terms.items()}
+        return CRPolyMap(self.n_vars, self.rows, self.cols, entries)
+
+    def holo_partial(self, var: int) -> "CRPolyMap":
+        entries: dict = {}
+        for key, terms in self.entries.items():
+            cell: dict = {}
+            for (za, zb), coeff in terms.items():
+                if za[var] == 0:
+                    continue
+                na = list(za)
+                na[var] -= 1
+                k = (tuple(na), zb)
+                cell[k] = cell.get(k, 0j) + coeff * za[var]
+            if cell:
+                entries[key] = cell
+        return CRPolyMap(self.n_vars, self.rows, self.cols, entries)
+
+    def anti_partial(self, var: int) -> "CRPolyMap":
+        entries: dict = {}
+        for key, terms in self.entries.items():
+            cell: dict = {}
+            for (za, zb), coeff in terms.items():
+                if zb[var] == 0:
+                    continue
+                nb = list(zb)
+                nb[var] -= 1
+                k = (za, tuple(nb))
+                cell[k] = cell.get(k, 0j) + coeff * zb[var]
+            if cell:
+                entries[key] = cell
+        return CRPolyMap(self.n_vars, self.rows, self.cols, entries)
+
+    def holo_jacobian_map(self) -> "CRPolyMap":
+        """For a column map, the (rows x n_vars) matrix of dz derivatives."""
+        if self.cols != 1:
+            raise ShapeMismatch("jacobian map needs a column map")
+        entries: dict = {}
+        for var in range(self.n_vars):
+            part = self.holo_partial(var)
+            for (i, _), terms in part.entries.items():
+                entries[(i, var)] = dict(terms)
+        return CRPolyMap(self.n_vars, self.rows, self.n_vars, entries)
+
+    def anti_jacobian_map(self) -> "CRPolyMap":
+        if self.cols != 1:
+            raise ShapeMismatch("jacobian map needs a column map")
+        entries: dict = {}
+        for var in range(self.n_vars):
+            part = self.anti_partial(var)
+            for (i, _), terms in part.entries.items():
+                entries[(i, var)] = dict(terms)
+        return CRPolyMap(self.n_vars, self.rows, self.n_vars, entries)
+
+    def __add__(self, other: "CRPolyMap") -> "CRPolyMap":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeMismatch("shapes differ")
         entries = {k: dict(v) for k, v in self.entries.items()}
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if delta[i, j] != 0:
-                    cell = entries.setdefault((i, j), {})
-                    cell[zero] = cell.get(zero, 0.0 + 0.0j) + delta[i, j]
-        return PolynomialMatrixMap(self.n_vars, self.rows, self.cols, entries)
+        for key, terms in other.entries.items():
+            cell = entries.setdefault(key, {})
+            for t, c in terms.items():
+                cell[t] = cell.get(t, 0j) + c
+        return CRPolyMap(self.n_vars, self.rows, self.cols, entries)
+
+    def scale(self, c) -> "CRPolyMap":
+        entries = {
+            key: {t: complex(c) * v for t, v in terms.items()}
+            for key, terms in self.entries.items()
+        }
+        return CRPolyMap(self.n_vars, self.rows, self.cols, entries)
+
+    def __sub__(self, other: "CRPolyMap") -> "CRPolyMap":
+        return self + other.scale(-1.0)
+
+    def matmul(self, other: "CRPolyMap") -> "CRPolyMap":
+        if self.cols != other.rows:
+            raise ShapeMismatch("inner dimensions differ")
+        entries: dict = {}
+        for (i, j), left in self.entries.items():
+            for k in range(other.cols):
+                right = other.entries.get((j, k))
+                if not right:
+                    continue
+                cell = entries.setdefault((i, k), {})
+                for t, c in _term_mult(left, right).items():
+                    val = cell.get(t, 0j) + c
+                    if val == 0:
+                        cell.pop(t, None)
+                    else:
+                        cell[t] = val
+        return CRPolyMap(self.n_vars, self.rows, other.cols, entries)
 
 
 def circle_rule_jacobian(fn, z, n_vars: int, h: float = 0.05, points: int = 8) -> np.ndarray:
@@ -190,23 +300,21 @@ class CallableHolomorphicMap:
 # ---------------------------------------------------------------------------
 
 class DistributionChart:
-    """Codimension-n holomorphic distribution on a chart of C^N."""
+    """Codimension-n holomorphic distribution on a chart of C^N centered
+    at the origin."""
 
-    def __init__(self, n: int, big_n: int, amap, center=None, radius: float = 0.5):
+    def __init__(self, n: int, big_n: int, amap, radius: float = 0.5):
         if not (1 <= n < big_n):
             raise InvalidParams("need 1 <= n < N")
         if amap.rows != n or amap.cols != big_n - n or amap.n_vars != big_n:
             raise ShapeMismatch("a must map C^N to C^{n x (N-n)}")
+        if isinstance(amap, CRPolyMap) and any(
+                any(zb) for terms in amap.entries.values() for _, zb in terms):
+            raise ShapeMismatch("a chart map has no conj(z) powers")
         self.n = n
         self.big_n = big_n
         self.amap = amap
-        self.center = (
-            np.zeros(big_n, dtype=complex)
-            if center is None
-            else np.asarray(center, dtype=complex).reshape(-1)
-        )
-        if self.center.shape[0] != big_n:
-            raise DimensionMismatch("center must live in C^N")
+        self.center = np.zeros(big_n, dtype=complex)
         self.radius = float(radius)
 
     @property
@@ -276,8 +384,7 @@ def _frame_torsion(chart: DistributionChart, z, a: np.ndarray) -> TorsionTensor:
     n = chart.n
     # e_j(h) = dh/dz_{n+j} + sum_l a[l, j] dh/dz_l, written over the fresh
     # jacobian's fiber columns, which become the frame derivatives D
-    for j in range(chart.fiber_dim):
-        jac[:, :, n + j] += np.einsum("icl,l->ic", jac[:, :, :n], a[:, j])
+    jac[:, :, n:] += np.einsum("icl,lj->icj", jac[:, :, :n], a)
     frame_deriv = jac[:, :, n:]
     # theta = (D^T - D) / 2, halved in place: no array beside jac and theta
     theta = np.subtract(np.swapaxes(frame_deriv, 1, 2), frame_deriv)
@@ -327,9 +434,18 @@ def recenter(chart: DistributionChart, new_center) -> DistributionChart:
     n, m, big_n = chart.n, chart.fiber_dim, chart.big_n
     l_inv = np.eye(big_n, dtype=complex)
     l_inv[:n, n:] = a1
-    if isinstance(chart.amap, PolynomialMatrixMap):
-        composed = chart.amap.compose_affine(l_inv, z1).shift_constant(-a1)
-        new_map = composed
+    if isinstance(chart.amap, CRPolyMap):
+        # z = L^-1 w + z1; each row lists the constant first, then
+        # w_0..w_{N-1}, which fixes the summation order of the new map
+        zero = (0,) * big_n
+        subs = {}
+        for b in range(big_n):
+            form = {(zero, zero): z1[b]}
+            for g in range(big_n):
+                form[(zero[:g] + (1,) + zero[g + 1:], zero)] = l_inv[b, g]
+            subs[(b, 0)] = form
+        new_map = chart.amap.substitute(CRPolyMap(big_n, big_n, 1, subs)) + \
+            CRPolyMap.constant(big_n, -a1)
     else:
         inner = chart.amap
 
@@ -337,7 +453,7 @@ def recenter(chart: DistributionChart, new_center) -> DistributionChart:
             return inner.value(z1 + l_inv @ w) - a1
 
         new_map = CallableHolomorphicMap(big_n, n, m, fn)
-    return DistributionChart(n, big_n, new_map, center=None, radius=chart.radius)
+    return DistributionChart(n, big_n, new_map, radius=chart.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +523,8 @@ def random_polynomial_chart(
                 for _ in range(deg):
                     powers[rng.integer(0, big_n - 1)] += 1
                 coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * amplitude
-                cell[tuple(powers)] = cell.get(tuple(powers), 0j) + coeff
+                key = (tuple(powers), (0,) * big_n)
+                cell[key] = cell.get(key, 0j) + coeff
             entries[(i, j)] = cell
-    amap = PolynomialMatrixMap(big_n, n, big_n - n, entries)
+    amap = CRPolyMap(big_n, n, big_n - n, entries)
     return DistributionChart(n, big_n, amap)

@@ -8,8 +8,10 @@ conjugate-linear differential dbar f, the first variation of J_f under a
 deformation of the embedding, and the Nijenhuis tensor of J_F through
 the torsion of D.
 
-g and all deformation data are polynomials in (z', conj z'), so every
-derivative used by the closed-form routes is exact; the finite
+g and all deformation data are polynomials in (z', conj z'), the
+CRPolyMap of the distribution module, so every derivative used by the
+closed-form routes is exact, and the chart form pulls back to the graph
+exactly as a(F(z')) = a.substitute(z = (z', g(z'))). The finite
 difference oracles re-run the geometric construction on deformed data
 and never reuse the closed forms.
 """
@@ -22,8 +24,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances, worst_of
 from .cxlinalg import complexify_vector, realify_basis, realify_vector, standard_structure
 from .distribution import (
+    CRPolyMap,
     DistributionChart,
-    PolynomialMatrixMap,
     torsion_via_frames,
 )
 from .errors import (
@@ -37,207 +39,8 @@ from .rng import SplitMix64
 
 
 # ---------------------------------------------------------------------------
-# polynomials in (z, conj z)
+# random graph data
 # ---------------------------------------------------------------------------
-
-def _term_mult(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for (pa, pb), pc in p.items():
-        for (qa, qb), qc in q.items():
-            key = (
-                tuple(x + y for x, y in zip(pa, qa)),
-                tuple(x + y for x, y in zip(pb, qb)),
-            )
-            out[key] = out.get(key, 0j) + pc * qc
-    return out
-
-
-class CRPolyMap:
-    """Matrix of polynomials in z and conj(z) over C^n.
-
-    entries[(i, j)] maps a pair (z-powers, conj-powers) to a complex
-    coefficient. Closed under +, scalar multiple, matrix product,
-    conjugation and the Wirtinger derivatives, all of which are exact.
-    """
-
-    def __init__(self, n_vars: int, rows: int, cols: int, entries: dict):
-        self.n_vars = int(n_vars)
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.entries: dict = {}
-        for (i, j), terms in entries.items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ShapeMismatch(f"entry index ({i}, {j}) out of range")
-            cell = self.entries.setdefault((i, j), {})
-            for (za, zb), coeff in terms.items():
-                if len(za) != n_vars or len(zb) != n_vars:
-                    raise DimensionMismatch("exponent length must equal n_vars")
-                key = (tuple(int(p) for p in za), tuple(int(p) for p in zb))
-                val = cell.get(key, 0j) + complex(coeff)
-                if val == 0:
-                    cell.pop(key, None)
-                else:
-                    cell[key] = val
-
-    @classmethod
-    def constant(cls, n_vars: int, array) -> "CRPolyMap":
-        array = np.atleast_2d(np.asarray(array, dtype=complex))
-        zero = (tuple([0] * n_vars), tuple([0] * n_vars))
-        entries = {}
-        for i in range(array.shape[0]):
-            for j in range(array.shape[1]):
-                if array[i, j] != 0:
-                    entries[(i, j)] = {zero: array[i, j]}
-        return cls(n_vars, array.shape[0], array.shape[1], entries)
-
-    def value(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        zc = z.conj()
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for (i, j), terms in self.entries.items():
-            acc = 0j
-            for (za, zb), coeff in terms.items():
-                term = coeff
-                for var, p in enumerate(za):
-                    if p:
-                        term *= z[var] ** p
-                for var, p in enumerate(zb):
-                    if p:
-                        term *= zc[var] ** p
-                acc += term
-            out[i, j] = acc
-        return out
-
-    def value_vector(self, z) -> np.ndarray:
-        if self.cols != 1:
-            raise ShapeMismatch("value_vector needs a column map")
-        return self.value(z)[:, 0]
-
-    def conjugate(self) -> "CRPolyMap":
-        entries = {}
-        for key, terms in self.entries.items():
-            entries[key] = {(zb, za): c.conjugate() for (za, zb), c in terms.items()}
-        return CRPolyMap(self.n_vars, self.rows, self.cols, entries)
-
-    def holo_partial(self, var: int) -> "CRPolyMap":
-        entries: dict = {}
-        for key, terms in self.entries.items():
-            cell: dict = {}
-            for (za, zb), coeff in terms.items():
-                if za[var] == 0:
-                    continue
-                na = list(za)
-                na[var] -= 1
-                k = (tuple(na), zb)
-                cell[k] = cell.get(k, 0j) + coeff * za[var]
-            if cell:
-                entries[key] = cell
-        return CRPolyMap(self.n_vars, self.rows, self.cols, entries)
-
-    def anti_partial(self, var: int) -> "CRPolyMap":
-        entries: dict = {}
-        for key, terms in self.entries.items():
-            cell: dict = {}
-            for (za, zb), coeff in terms.items():
-                if zb[var] == 0:
-                    continue
-                nb = list(zb)
-                nb[var] -= 1
-                k = (za, tuple(nb))
-                cell[k] = cell.get(k, 0j) + coeff * zb[var]
-            if cell:
-                entries[key] = cell
-        return CRPolyMap(self.n_vars, self.rows, self.cols, entries)
-
-    def holo_jacobian_map(self) -> "CRPolyMap":
-        """For a column map, the (rows x n_vars) matrix of dz derivatives."""
-        if self.cols != 1:
-            raise ShapeMismatch("jacobian map needs a column map")
-        entries: dict = {}
-        for var in range(self.n_vars):
-            part = self.holo_partial(var)
-            for (i, _), terms in part.entries.items():
-                entries[(i, var)] = dict(terms)
-        return CRPolyMap(self.n_vars, self.rows, self.n_vars, entries)
-
-    def anti_jacobian_map(self) -> "CRPolyMap":
-        if self.cols != 1:
-            raise ShapeMismatch("jacobian map needs a column map")
-        entries: dict = {}
-        for var in range(self.n_vars):
-            part = self.anti_partial(var)
-            for (i, _), terms in part.entries.items():
-                entries[(i, var)] = dict(terms)
-        return CRPolyMap(self.n_vars, self.rows, self.n_vars, entries)
-
-    def __add__(self, other: "CRPolyMap") -> "CRPolyMap":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("shapes differ")
-        entries = {k: dict(v) for k, v in self.entries.items()}
-        for key, terms in other.entries.items():
-            cell = entries.setdefault(key, {})
-            for t, c in terms.items():
-                cell[t] = cell.get(t, 0j) + c
-        return CRPolyMap(self.n_vars, self.rows, self.cols, entries)
-
-    def scale(self, c) -> "CRPolyMap":
-        entries = {
-            key: {t: complex(c) * v for t, v in terms.items()}
-            for key, terms in self.entries.items()
-        }
-        return CRPolyMap(self.n_vars, self.rows, self.cols, entries)
-
-    def __sub__(self, other: "CRPolyMap") -> "CRPolyMap":
-        return self + other.scale(-1.0)
-
-    def matmul(self, other: "CRPolyMap") -> "CRPolyMap":
-        if self.cols != other.rows:
-            raise ShapeMismatch("inner dimensions differ")
-        entries: dict = {}
-        for (i, j), left in self.entries.items():
-            for k in range(other.cols):
-                right = other.entries.get((j, k))
-                if not right:
-                    continue
-                cell = entries.setdefault((i, k), {})
-                for t, c in _term_mult(left, right).items():
-                    val = cell.get(t, 0j) + c
-                    if val == 0:
-                        cell.pop(t, None)
-                    else:
-                        cell[t] = val
-        return CRPolyMap(self.n_vars, self.rows, other.cols, entries)
-
-
-def compose_graph(poly: PolynomialMatrixMap, g: CRPolyMap) -> CRPolyMap:
-    """Exact pullback of a holomorphic polynomial map through z = (w, g(w)).
-
-    poly lives on C^N with N = n + rows(g); the result is a CRPolyMap on
-    C^n because g may involve conj(w).
-    """
-    n = g.n_vars
-    m = g.rows
-    if poly.n_vars != n + m:
-        raise DimensionMismatch("variable counts do not match the graph split")
-    zero = (tuple([0] * n), tuple([0] * n))
-    g_scalar = [g.entries.get((l, 0), {}) for l in range(m)]
-    entries: dict = {}
-    for (i, j), mono in poly.entries.items():
-        cell = entries.setdefault((i, j), {})
-        for powers, coeff in mono.items():
-            base = (tuple(powers[:n]), tuple([0] * n))
-            prod = {base: complex(coeff)}
-            for l in range(m):
-                for _ in range(powers[n + l]):
-                    prod = _term_mult(prod, g_scalar[l])
-            for key, val in prod.items():
-                acc = cell.get(key, 0j) + val
-                if acc == 0:
-                    cell.pop(key, None)
-                else:
-                    cell[key] = acc
-    return CRPolyMap(n, poly.rows, poly.cols, entries)
-
 
 def random_crpoly(
     rows: int,
@@ -563,12 +366,16 @@ def deformed_embedding(
     where vtilde = v + a(F) eta is the chart flow that re-graphs the
     moved submanifold over z'.
     """
-    if not isinstance(chart.amap, PolynomialMatrixMap):
+    if not isinstance(chart.amap, CRPolyMap):
         raise ShapeMismatch("deformations need a polynomial chart")
-    a_on_graph = compose_graph(chart.amap, emb.g)
+    # z = F(w) = (w, g(w))
+    n = emb.n
+    zero = (0,) * n
+    graph = {(i, 0): {(zero[:i] + (1,) + zero[i + 1:], zero): 1.0} for i in range(n)}
+    graph.update({(n + l, 0): terms for (l, _), terms in emb.g.entries.items()})
+    a_on_graph = chart.amap.substitute(CRPolyMap(n, emb.big_n, 1, graph))
     a_eta = a_on_graph.matmul(var.eta)
-    dg_a_eta = emb.g.holo_jacobian_map().matmul(a_eta) + \
-        emb.g.anti_jacobian_map().matmul(a_eta.conjugate())
+    dg_a_eta = emb._pg.matmul(a_eta) + emb._qg.matmul(a_eta.conjugate())
     g_t = emb.g + (var.eta - dg_a_eta).scale(t)
     vtilde = var.v + a_eta
     return GraphEmbedding(emb.n, emb.big_n, g_t, base=emb.base), vtilde

@@ -14,9 +14,14 @@ the same J_f. `reconstruction_report` sweeps a grid through them.
 enumeration of the wedge coordinates, which
 `universal.plucker_reality_certificate` replaced by two Cauchy-Binet
 determinants; it stops at C(2k, 2(k - n)) = 100000 minors.
-`torsion_via_frames_loop` is the frame route of the chart torsion with
-the per-(j, k) antisymmetrization loop that `torsion_via_frames`
-replaced by one array subtraction.
+`embedding_differential_by_points` is the Richardson differential of
+the chart coordinates with one `build_fiber` per point, which
+`universal.embedding_differential` replaced by one stacked build.
+`frame_derivatives_by_column` adds the frame correction to the chart
+Jacobian one fiber column at a time, which `torsion_via_frames` replaced
+by one einsum; `torsion_via_frames_loop` is the frame route of the chart
+torsion on those derivatives with the per-(j, k) antisymmetrization loop
+that `torsion_via_frames` replaced by one array subtraction.
 `simplex_solve_loop` is the Bland simplex as it was before pivot choice
 read the tableau as Python floats: it scans the reduced costs and the
 ratio column one numpy scalar at a time and eliminates with an outer
@@ -41,6 +46,7 @@ from acs_verify.cxlinalg import (
     direct_sum_test,
     nullspace,
     realify_basis,
+    realify_vector,
     standard_structure,
     subspace_eq,
 )
@@ -61,6 +67,7 @@ from acs_verify.errors import (
 )
 from acs_verify.fields import AlmostComplexField, TorusChart, TrigPolyField, _canonical
 from acs_verify.universal import (
+    ChartFrame,
     PointwiseACManifold,
     UniversalPoint,
     default_torus_embedding,
@@ -273,17 +280,44 @@ def reassemble(split: RealSplitting) -> np.ndarray:
     return 1j * p_plus - 1j * p_minus
 
 
+def embedding_differential_by_points(x, m: PointwiseACManifold, frame: ChartFrame,
+                                     h: float = 1e-4,
+                                     tol: Tolerances = DEFAULT) -> np.ndarray:
+    """The Richardson differential of the chart coordinates, building
+    the fiber of each point on its own, in the order the differences
+    read them."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+
+    def coords_at(y) -> np.ndarray:
+        p = build_fiber(y, m, tol)
+        return frame.coordinates(p.z, p.sp, p.spp, p.sigp, p.sigpp)
+
+    cols = []
+    for r in range(2 * m.n):
+        step = np.zeros_like(x)
+        step[r] = h
+        d1 = (coords_at(x + step) - coords_at(x - step)) / (2 * h)
+        d2 = (coords_at(x + 0.5 * step) - coords_at(x - 0.5 * step)) / h
+        cols.append(realify_vector((4.0 * d2 - d1) / 3.0))
+    return np.stack(cols, axis=1)
+
+
+def frame_derivatives_by_column(chart: DistributionChart, z) -> np.ndarray:
+    """D[:, :, j] = e_j(a) at z: the fiber columns of the chart Jacobian
+    plus sum_l a[l, j] da/dz_l, added one column j at a time."""
+    a = chart.a_value(z)
+    jac = chart.a_jacobian(z)
+    n = chart.n
+    for j in range(chart.fiber_dim):
+        jac[:, :, n + j] += np.einsum("icl,l->ic", jac[:, :, :n], a[:, j])
+    return jac[:, :, n:]
+
+
 def torsion_via_frames_loop(chart: DistributionChart, z) -> TorsionTensor:
     """Torsion at z by the frame route, antisymmetrizing the frame
     derivatives one (j, k) pair at a time."""
-    a = chart.a_value(z)
-    jac = chart.a_jacobian(z)
+    frame_deriv = frame_derivatives_by_column(chart, z)
     n, m = chart.n, chart.fiber_dim
-    frame_deriv = np.empty((n, m, m), dtype=complex)
-    for j in range(m):
-        frame_deriv[:, :, j] = jac[:, :, n + j] + np.einsum(
-            "icl,l->ic", jac[:, :, : n], a[:, j]
-        )
     theta = np.zeros((n, m, m), dtype=complex)
     for j in range(m):
         for k in range(j + 1, m):
@@ -331,9 +365,8 @@ def transform_linear(chart: DistributionChart, l_matrix: np.ndarray) -> Distribu
             raise ValueError("transformed fiber loses the graph form")
         return basis[:n, :] @ np.linalg.inv(lower)
 
-    new_center = l_matrix @ chart.center
     new_map = CallableHolomorphicMap(big_n, n, m, fn, h=0.02)
-    return DistributionChart(n, big_n, new_map, center=new_center, radius=chart.radius)
+    return DistributionChart(n, big_n, new_map, radius=chart.radius)
 
 
 def coordinate_plane_subspaces(n: int, m: int):

@@ -9,8 +9,8 @@ import numpy as np
 from acs_verify.checks import build_graph_scenario
 from acs_verify.cxlinalg import realify_vector
 from acs_verify.distribution import (
+    CRPolyMap,
     DistributionChart,
-    PolynomialMatrixMap,
     frame_bracket_oracle,
     isotropy_test,
     random_polynomial_chart,
@@ -197,9 +197,10 @@ def test_criterion_06_versality_ranks(capsys):
         gaps.append(rep["sv_gap"])
     ok = ok and min(gaps) >= 1e-6
     # foliation control: theta = 0 chart, so the pairing rank drops to 0
-    amap = PolynomialMatrixMap(3, 1, 2, {
-        (0, 0): {(2, 0, 0): 1.0},
-        (0, 1): {(2, 0, 0): 0.5j},
+    z1_squared = ((2, 0, 0), (0, 0, 0))
+    amap = CRPolyMap(3, 1, 2, {
+        (0, 0): {z1_squared: 1.0},
+        (0, 1): {z1_squared: 0.5j},
     })
     control_chart = DistributionChart(1, 3, amap)
     theta = torsion_at(control_chart)

@@ -11,8 +11,8 @@ from acs_verify import distribution
 from acs_verify.cxlinalg import ComplexSubspace, subspace_eq
 from acs_verify.distribution import (
     CallableHolomorphicMap,
+    CRPolyMap,
     DistributionChart,
-    PolynomialMatrixMap,
     TorsionTensor,
     frame_bracket_oracle,
     is_foliation,
@@ -24,6 +24,7 @@ from acs_verify.distribution import (
 )
 from acs_verify.errors import (
     DomainError,
+    ShapeMismatch,
     InvalidParams,
     NotASubspaceOfFiber,
     NotNormalized,
@@ -37,8 +38,8 @@ def monomial_chart(n, big_n, assignments):
     """Chart with entries a[i, j] = coeff * z^powers."""
     entries = {}
     for (i, j), (powers, coeff) in assignments.items():
-        entries[(i, j)] = {tuple(powers): coeff}
-    amap = PolynomialMatrixMap(big_n, n, big_n - n, entries)
+        entries[(i, j)] = {(tuple(powers), (0,) * big_n): coeff}
+    amap = CRPolyMap(big_n, n, big_n - n, entries)
     return DistributionChart(n, big_n, amap)
 
 
@@ -196,6 +197,30 @@ def test_frame_torsion_matches_the_pairwise_loop(n, big_n):
     assert nonzero > 0
 
 
+def antisymmetrized(frame_deriv):
+    return 0.5 * (np.swapaxes(frame_deriv, 1, 2) - frame_deriv)
+
+
+@pytest.mark.parametrize("n, big_n", [(1, 3), (2, 5), (3, 6)])
+def test_frame_correction_matches_the_column_loop(n, big_n):
+    rng = SplitMix64(90 + n)
+    for _ in range(4):
+        chart = random_polynomial_chart(n, big_n, rng, amplitude=0.7)
+        for z in (chart.center, 0.3 * rng.complex_vector(big_n)):
+            got = torsion_via_frames(chart, z).theta
+            want = antisymmetrized(oracles.frame_derivatives_by_column(chart, z))
+            assert np.array_equal(got, want)
+
+
+def test_chart_map_with_a_conj_power_is_refused():
+    zero = (0, 0, 0)
+    holo = CRPolyMap(3, 1, 2, {(0, 0): {((0, 0, 1), zero): 1.0}})
+    assert DistributionChart(1, 3, holo).amap is holo
+    mixed = holo + CRPolyMap(3, 1, 2, {(0, 1): {(zero, (1, 0, 0)): 0.5}})
+    with pytest.raises(ShapeMismatch):
+        DistributionChart(1, 3, mixed)
+
+
 @pytest.mark.parametrize("n, big_n", [(1, 3), (2, 5)])
 def test_torsion_at_is_the_frame_route_bitwise(n, big_n):
     rng = SplitMix64(80 + n)
@@ -337,12 +362,16 @@ def test_domain_radius_enforced():
         chart.a_value(np.array([1.2, 0.0, 0.0]))
 
 
-def test_compose_affine_exact():
+def test_substitute_affine_exact():
     rng = SplitMix64(41)
     amap = random_polynomial_chart(2, 5, rng).amap
     m = rng.complex_matrix(5, 5, scale=0.4) + np.eye(5)
     c = 0.2 * rng.complex_vector(5)
-    composed = amap.compose_affine(m, c)
+    zero = (0,) * 5
+    affine = {(b, 0): {(zero, zero): c[b], **{
+        (zero[:g] + (1,) + zero[g + 1:], zero): m[b, g] for g in range(5)}}
+        for b in range(5)}
+    composed = amap.substitute(CRPolyMap(5, 5, 1, affine))
     for _ in range(4):
         w = 0.3 * rng.complex_vector(5)
         z = m @ w + c

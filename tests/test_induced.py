@@ -13,18 +13,16 @@ from acs_verify.checks import REGISTRY, CheckContext, build_graph_scenario
 from acs_verify.config import DEFAULT
 from acs_verify.cxlinalg import complexify_vector, realify_vector, standard_structure
 from acs_verify.distribution import (
+    CRPolyMap,
     DistributionChart,
-    PolynomialMatrixMap,
     random_polynomial_chart,
     torsion_via_frames,
 )
 from acs_verify.errors import NotNormalized, NotTransverse
 from acs_verify.fields import nijenhuis_direct
 from acs_verify.induced import (
-    CRPolyMap,
     GraphEmbedding,
     VariationData,
-    compose_graph,
     dbar_f,
     dbar_f_fiber_coords,
     deformed_embedding,
@@ -44,8 +42,8 @@ from acs_verify.rng import SplitMix64
 def poly_chart(n, big_n, assignments):
     entries = {}
     for (i, j), (powers, coeff) in assignments.items():
-        entries[(i, j)] = {tuple(powers): coeff}
-    return DistributionChart(n, big_n, PolynomialMatrixMap(big_n, n, big_n - n, entries))
+        entries[(i, j)] = {(tuple(powers), (0,) * big_n): coeff}
+    return DistributionChart(n, big_n, CRPolyMap(big_n, n, big_n - n, entries))
 
 
 def column(n_vars, assignments):
@@ -90,11 +88,13 @@ def test_crpoly_matmul_matches_numeric_product():
         assert np.max(np.abs(prod.value(z) - a.value(z) @ b.value(z))) < 1e-12
 
 
-def test_compose_graph_exact():
+def test_substitute_graph_exact():
     rng = SplitMix64(73)
     chart = random_polynomial_chart(1, 3, rng)
     g = random_crpoly(2, 1, 1, rng, degree=2)
-    pulled = compose_graph(chart.amap, g)
+    graph = {(0, 0): {((1,), (0,)): 1.0}}
+    graph.update({(1 + l, 0): terms for (l, _), terms in g.entries.items()})
+    pulled = chart.amap.substitute(CRPolyMap(1, 3, 1, graph))
     for _ in range(5):
         zp = 0.3 * rng.complex_vector(1)
         direct = chart.amap.value(np.concatenate([zp, g.value_vector(zp)]))
@@ -151,7 +151,7 @@ def test_jf_double_entry_random_scenarios():
         if np.max(np.abs(base_val)) > 1e-9:
             # normalization depends on g(0); re-anchor the chart exactly
             chart = DistributionChart(
-                n, big_n, chart.amap.shift_constant(-base_val)
+                n, big_n, chart.amap + CRPolyMap.constant(big_n, -base_val)
             )
         for _ in range(3):
             zp = 0.1 * rng.complex_vector(n)
@@ -195,7 +195,7 @@ def test_dbar_image_in_fiber_seed13():
     g = random_crpoly(3, 1, 2, rng, degree=2, amplitude=0.4)
     emb = GraphEmbedding(2, 5, g)
     shift = chart.a_value(emb.f_value(emb.base))
-    chart = DistributionChart(2, 5, chart.amap.shift_constant(-shift))
+    chart = DistributionChart(2, 5, chart.amap + CRPolyMap.constant(5, -shift))
     for _ in range(5):
         zp = 0.1 * rng.complex_vector(2)
         _, residual = dbar_f_fiber_coords(emb, chart, zp)
@@ -228,7 +228,7 @@ def scenario_seed(seed, n=1, big_n=3):
     g = random_crpoly(big_n - n, 1, n, rng, degree=2, amplitude=0.4)
     emb = GraphEmbedding(n, big_n, g)
     shift = chart.a_value(emb.f_value(emb.base))
-    chart = DistributionChart(n, big_n, chart.amap.shift_constant(-shift))
+    chart = DistributionChart(n, big_n, chart.amap + CRPolyMap.constant(big_n, -shift))
     eta = random_crpoly(big_n - n, 1, n, rng, degree=2, amplitude=0.5)
     eta = eta + CRPolyMap.constant(n, rng.complex_matrix(big_n - n, 1, 0.4))
     v = random_crpoly(n, 1, n, rng, degree=2, amplitude=0.5)
@@ -284,9 +284,12 @@ def test_variation_full_seed17():
 def test_variation_transport_term_is_load_bearing():
     # drop the -J dJ_f(v)/2 transport piece from the conjugate-linear
     # operator and the closed form stops matching the finite difference
-    chart = DistributionChart(1, 3, PolynomialMatrixMap(3, 1, 2, {
-        (0, 0): {(1, 0, 0): 0.7, (0, 1, 0): 0.3},
-        (0, 1): {(0, 0, 1): 0.4j, (2, 0, 0): 0.2},
+    def z(*powers):
+        return (powers, (0, 0, 0))
+
+    chart = DistributionChart(1, 3, CRPolyMap(3, 1, 2, {
+        (0, 0): {z(1, 0, 0): 0.7, z(0, 1, 0): 0.3},
+        (0, 1): {z(0, 0, 1): 0.4j, z(2, 0, 0): 0.2},
     }))
     g = column(1, {0: [((0,), (1,), 0.5), ((2,), (0,), 0.3)],
                    1: [((0,), (1,), -0.2j), ((1,), (1,), 0.25)]})

@@ -504,6 +504,39 @@ def test_frame_torsion_matches_the_loop_on_a_universal_chart():
                      torsion_via_frames(chart, chart.center).theta)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_embedding_differential_matches_the_per_point_loop(n):
+    m = perturbed_manifold(n, seed=n)
+    x = SplitMix64(n).reals(2 * n, 0.0, 2.0 * np.pi)
+    frame = ChartFrame(build_fiber(x, m), SplitMix64(100 + n))
+    got = universal.embedding_differential(x, m, frame)
+    want = oracles.embedding_differential_by_points(x, m, frame)
+    assert got.shape == (2 * frame.big_n, 2 * n)
+    assert np.array_equal(got, want)
+
+
+def test_embedding_differential_raises_at_the_first_bad_point():
+    # J squares to -4 Id at x - h e_1 and x + h/2 e_0; the per-point loop
+    # reaches x + h/2 e_0 first (r-major order), so the stack must too
+    x, h = np.array([0.5, 0.7]), 1e-4
+    e0, e1 = np.array([h, 0.0]), np.array([0.0, h])
+    bad = [x - e1, x + 0.5 * e0]
+    j0 = standard_structure(1)
+
+    def fn(y):
+        return 2.0 * j0 if any(np.array_equal(y, b) for b in bad) else j0
+
+    j = AlmostComplexField(TorusChart(2), CallableMatrixField(2, (2, 2), fn))
+    m = PointwiseACManifold(1, 4, default_torus_embedding(1), j)
+    frame = ChartFrame(build_fiber(x, m))
+    with pytest.raises(EigenSplitFailure) as want:
+        oracles.embedding_differential_by_points(x, m, frame, h=h)
+    assert f"x={bad[1].tolist()}" in str(want.value)
+    with pytest.raises(EigenSplitFailure) as got:
+        universal.embedding_differential(x, m, frame, h=h)
+    assert str(got.value) == str(want.value)
+
+
 def test_versality_controls_report_rank_zero():
     m = perturbed_manifold(1)
     x = np.array([0.5, 0.7])
