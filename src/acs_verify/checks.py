@@ -32,7 +32,6 @@ from .distribution import (
     isotropy_test,
     random_polynomial_chart,
     torsion_at,
-    torsion_via_frames,
 )
 from .errors import SchemaError
 from .fields import (
@@ -47,9 +46,9 @@ from .fields import (
 )
 from .induced import (
     GraphEmbedding,
+    GraphPoint,
     VariationData,
-    dbar_f,
-    dbar_f_fiber_coords,
+    centered_chart,
     induced_jf,
     induced_jf_field,
     nijenhuis_torsion_map,
@@ -266,8 +265,7 @@ def build_graph_scenario(rng: SplitMix64, n: int = 1, big_n: int = 3,
     chart = random_polynomial_chart(n, big_n, rng, amplitude=amplitude)
     g = random_crpoly(big_n - n, 1, n, rng, degree=2, amplitude=0.4)
     emb = GraphEmbedding(n, big_n, g)
-    shift = chart.a_value(emb.f_value(emb.base))
-    chart = DistributionChart(n, big_n, chart.amap + CRPolyMap.constant(big_n, -shift))
+    chart = centered_chart(emb, chart)
     eta = random_crpoly(big_n - n, 1, n, rng, degree=2, amplitude=0.5)
     eta = eta + CRPolyMap.constant(n, rng.complex_matrix(big_n - n, 1, 0.4))
     v = random_crpoly(n, 1, n, rng, degree=2, amplitude=0.5)
@@ -582,13 +580,11 @@ def _check_pseudoholomorphic_rank(ctx: CheckContext) -> CheckResult:
         entries[(i, 0)] = cell
     g = CRPolyMap(n, big_n - n, 1, entries)
     emb = GraphEmbedding(n, big_n, g)
-    shift = chart.a_value(emb.f_value(emb.base))
-    chart = DistributionChart(n, big_n, chart.amap + CRPolyMap.constant(big_n, -shift))
-    zp = emb.base
-    jf = induced_jf(emb, chart, zp, ctx.tol)
-    etas, _ = dbar_f_fiber_coords(emb, chart, zp, jf, ctx.tol)
-    worst = float(np.max(np.abs(dbar_f(emb, chart, zp, jf, ctx.tol))))
-    theta = torsion_via_frames(chart, emb.f_value(zp))
+    pt = GraphPoint(emb, centered_chart(emb, chart), emb.base, ctx.tol)
+    dbar = pt.dbar_f(pt.jf())
+    etas, _ = pt.fiber_coords(dbar)
+    worst = float(np.max(np.abs(dbar)))
+    theta = pt.torsion()
     rep = versality_rank_from_parts(theta, etas, rank_rtol=ctx.tol.rank_rtol)
     # roundoff makes etas tiny but nonzero; count rank against the scale
     # the pairing would have for unit-size etas, not its own top value

@@ -74,16 +74,12 @@ class CRPolyMap:
         for (i, j), terms in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeMismatch(f"entry index ({i}, {j}) out of range")
-            cell = self.entries.setdefault((i, j), {})
+            cell = self.entries[(i, j)] = {}
             for (za, zb), coeff in terms.items():
                 if len(za) != n_vars or len(zb) != n_vars:
                     raise DimensionMismatch("exponent length must equal n_vars")
-                key = (tuple(int(p) for p in za), tuple(int(p) for p in zb))
-                val = cell.get(key, 0j) + complex(coeff)
-                if val == 0:
-                    cell.pop(key, None)
-                else:
-                    cell[key] = val
+                if coeff != 0:
+                    cell[(za, zb)] = complex(coeff)
 
     @classmethod
     def constant(cls, n_vars: int, array) -> "CRPolyMap":

@@ -11,22 +11,29 @@ the torsion of D.
 g and all deformation data are polynomials in (z', conj z'), the
 CRPolyMap of the distribution module, so every derivative used by the
 closed-form routes is exact, and the chart form pulls back to the graph
-exactly as a(F(z')) = a.substitute(z = (z', g(z'))). The finite
-difference oracles re-run the geometric construction on deformed data
-and never reuse the closed forms.
+exactly as a(F(z')) = a.substitute(z = (z', g(z'))).
+
+Each call builds one GraphPoint, which holds everything the formulas
+read at zp, the joint matrix [dF | fiber] included, and handles all 2n
+basis vectors in one matrix expression and one solve. The finite
+difference oracles build their own points at their own arguments,
+re-run the geometric construction on deformed data and never reuse the
+closed forms.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances, worst_of
-from .cxlinalg import complexify_vector, realify_basis, realify_vector, standard_structure
+from .config import DEFAULT, Tolerances
+from .cxlinalg import complexify_vector, realify_basis, standard_structure
 from .distribution import (
     CRPolyMap,
     DistributionChart,
-    torsion_via_frames,
+    TorsionTensor,
+    _frame_torsion,
 )
 from .errors import (
     DimensionMismatch,
@@ -42,15 +49,9 @@ from .rng import SplitMix64
 # random graph data
 # ---------------------------------------------------------------------------
 
-def random_crpoly(
-    rows: int,
-    cols: int,
-    n_vars: int,
-    rng: SplitMix64,
-    degree: int = 2,
-    terms_per_entry: int = 2,
-    amplitude: float = 1.0,
-) -> CRPolyMap:
+def random_crpoly(rows: int, cols: int, n_vars: int, rng: SplitMix64,
+                  degree: int = 2, terms_per_entry: int = 2,
+                  amplitude: float = 1.0) -> CRPolyMap:
     entries: dict = {}
     for i in range(rows):
         for j in range(cols):
@@ -109,67 +110,100 @@ class GraphEmbedding:
         zp = np.asarray(zp, dtype=complex).reshape(-1)
         return np.concatenate([zp, self.g.value_vector(zp)])
 
-    def df_real(self, zp) -> np.ndarray:
-        """Realified differential of F = (id, g), shape (2N, 2n)."""
-        pg = self._pg.value(zp)
-        qg = self._qg.value(zp)
-        eye = np.eye(self.n, dtype=complex)
-        zero = np.zeros((self.n, self.n), dtype=complex)
-        p = np.concatenate([eye, pg], axis=0)
-        q = np.concatenate([zero, qg], axis=0)
-        return _real_linear(p, q)
 
-    def dbar_g_matrix(self, zp) -> np.ndarray:
-        """Conjugate-linear part of dg: maps zeta to Q(z') conj(zeta)."""
-        return self._qg.value(zp)
+def centered_chart(emb: GraphEmbedding, chart: DistributionChart) -> DistributionChart:
+    """chart plus the constant that makes a(F(base)) = 0."""
+    shift = chart.a_value(emb.f_value(emb.base))
+    return DistributionChart(chart.n, chart.big_n,
+                             chart.amap + CRPolyMap.constant(chart.big_n, -shift),
+                             chart.radius)
 
 
-def fiber_real_basis(chart: DistributionChart, z) -> np.ndarray:
-    a = chart.a_value(z)
-    cols = np.concatenate(
-        [a, np.eye(chart.fiber_dim, dtype=complex)], axis=0
-    )
-    return realify_basis(cols)
-
-
-def _joint_matrix(emb: GraphEmbedding, chart: DistributionChart, zp,
-                  tol: Tolerances) -> np.ndarray:
-    """[dF | fiber-basis] at zp, square of size 2N; raises NotTransverse
-    when the graph and the fiber fail to span the chart."""
-    df = emb.df_real(zp)
-    fiber = fiber_real_basis(chart, emb.f_value(zp))
-    joint = np.concatenate([df, fiber], axis=1)
-    s = np.linalg.svd(joint, compute_uv=False)
-    if s[-1] <= tol.rank_rtol * s[0]:
-        raise NotTransverse(
-            f"graph and fiber fail to span the chart (sigma_min={s[-1]:.3e})"
-        )
-    return joint
-
-
-def _joint_solve(emb: GraphEmbedding, chart: DistributionChart, zp, rhs,
-                 tol: Tolerances):
-    """Solve [dF | fiber-basis] x = rhs; first 2n rows of x are the chart
-    component of the projection along the fiber."""
-    return np.linalg.solve(_joint_matrix(emb, chart, zp, tol), rhs)
-
-
-def _check_normalized(emb: GraphEmbedding, chart: DistributionChart,
-                      tol: Tolerances, zp=None):
-    if zp is None:
-        zp = emb.base
-    a0 = chart.a_value(emb.f_value(zp))
-    if np.max(np.abs(a0), initial=0.0) > 1e3 * tol.alg_atol:
+def _check_normalized(a: np.ndarray, tol: Tolerances):
+    if np.max(np.abs(a), initial=0.0) > 1e3 * tol.alg_atol:
         raise NotNormalized("chart is not centered on the embedded point")
 
 
-def induced_jf(
-    emb: GraphEmbedding,
-    chart: DistributionChart,
-    zp,
-    tol: Tolerances = DEFAULT,
-    require_normalized: bool = True,
-) -> np.ndarray:
+class GraphPoint:
+    """What every formula below reads at one point zp of a graph.
+
+    Built once: z = F(zp), a(z), the dz and dzbar parts pg, qg of dg,
+    dbar g on the 2n realified basis vectors (zeta = e_r, then i e_r) and
+    the realified dF (2N x 2n). The joint matrix [dF | fiber] is built on
+    first use, so a caller that never projects along the fiber takes no
+    SVD and never sees its NotTransverse guard.
+    """
+
+    def __init__(self, emb: GraphEmbedding, chart: DistributionChart, zp,
+                 tol: Tolerances = DEFAULT):
+        self.emb = emb
+        self.chart = chart
+        self.tol = tol
+        self.zp = np.asarray(zp, dtype=complex).reshape(-1)
+        self.z = emb.f_value(self.zp)
+        self.a = chart.a_value(self.z)
+        self.pg = emb._pg.value(self.zp)
+        self.qg = emb._qg.value(self.zp)
+        self.dbar_g_basis = np.concatenate([self.qg, -1j * self.qg], axis=1)
+        n = emb.n
+        self.df = _real_linear(np.concatenate([np.eye(n), self.pg]),
+                               np.concatenate([np.zeros((n, n)), self.qg]))
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        """[dF | fiber-basis], square of size 2N; raises NotTransverse
+        when the graph and the fiber fail to span the chart."""
+        fiber = realify_basis(
+            np.concatenate([self.a, np.eye(self.chart.fiber_dim)], axis=0))
+        joint = np.concatenate([self.df, fiber], axis=1)
+        s = np.linalg.svd(joint, compute_uv=False)
+        if s[-1] <= self.tol.rank_rtol * s[0]:
+            raise NotTransverse(
+                f"graph and fiber fail to span the chart (sigma_min={s[-1]:.3e})"
+            )
+        return joint
+
+    def pullback(self, q) -> np.ndarray:
+        """Realified chart vectors xi with dF(xi) = (q, 0) mod fiber: one
+        per column of the complex n x k matrix q, or one for a vector q."""
+        n, big_n = self.emb.n, self.emb.big_n
+        q = np.asarray(q, dtype=complex)
+        rhs = np.zeros((2 * big_n,) + q.shape[1:])
+        rhs[:n] = q.real
+        rhs[big_n:big_n + n] = q.imag
+        return np.linalg.solve(self.joint, rhs)[: 2 * n]
+
+    def jf(self) -> np.ndarray:
+        """Closed form J_F zeta = i zeta - 2 dF^{-1} pi(i a(F) dbar-g(zeta), 0)."""
+        correction = self.pullback(1j * (self.a @ self.dbar_g_basis))
+        return standard_structure(self.emb.n) - 2.0 * correction
+
+    def jf_quotient(self) -> np.ndarray:
+        """dF(zeta) through multiplication by i in the quotient by the
+        fiber, solved back."""
+        rhs = standard_structure(self.emb.big_n) @ self.df
+        return np.linalg.solve(self.joint, rhs)[: 2 * self.emb.n]
+
+    def dbar_f(self, jf: np.ndarray) -> np.ndarray:
+        """(dF + J_Z dF J_f) / 2, realified 2N x 2n."""
+        return 0.5 * (self.df + standard_structure(self.emb.big_n) @ self.df @ jf)
+
+    def fiber_coords(self, mat: np.ndarray) -> tuple[np.ndarray, float]:
+        """Complex frame coefficients (N - n x 2n) of the columns of a
+        realified 2N x 2n matrix, and how far those columns stick out of
+        the fiber."""
+        n, big_n = self.emb.n, self.emb.big_n
+        etas = mat[n:big_n] + 1j * mat[big_n + n:]
+        head = mat[:n] + 1j * mat[big_n:big_n + n]
+        return etas, float(np.max(np.abs(head - self.a @ etas)))
+
+    def torsion(self) -> TorsionTensor:
+        return _frame_torsion(self.chart, self.z, self.a)
+
+
+def induced_jf(emb: GraphEmbedding, chart: DistributionChart, zp,
+               tol: Tolerances = DEFAULT,
+               require_normalized: bool = True) -> np.ndarray:
     """Induced structure on the z'-chart, closed form.
 
     J_F zeta = i zeta - 2 dF^{-1} pi(i a(F) dbar-g(zeta), 0) with pi the
@@ -177,33 +211,16 @@ def induced_jf(
     matrix. The correction term vanishes at the centered base point.
     """
     if require_normalized:
-        _check_normalized(emb, chart, tol)
-    zp = np.asarray(zp, dtype=complex).reshape(-1)
-    n = emb.n
-    a = chart.a_value(emb.f_value(zp))
-    q = emb.dbar_g_matrix(zp)
-    rhs = np.zeros((2 * emb.big_n, 2 * n))
-    for r in range(2 * n):
-        zeta = complexify_vector(np.eye(2 * n)[:, r])
-        head = 1j * (a @ (q @ zeta.conj()))
-        rhs[:, r] = realify_vector(np.concatenate([head, np.zeros(emb.big_n - n)]))
-    alpha = _joint_solve(emb, chart, zp, rhs, tol)[: 2 * n, :]
-    return standard_structure(n) - 2.0 * alpha
+        _check_normalized(chart.a_value(emb.f_value(emb.base)), tol)
+    return GraphPoint(emb, chart, zp, tol).jf()
 
 
-def induced_jf_quotient(
-    emb: GraphEmbedding,
-    chart: DistributionChart,
-    zp,
-    tol: Tolerances = DEFAULT,
-) -> np.ndarray:
+def induced_jf_quotient(emb: GraphEmbedding, chart: DistributionChart, zp,
+                        tol: Tolerances = DEFAULT) -> np.ndarray:
     """Independent route: push dF(zeta) through multiplication by i in the
     quotient by the fiber and solve back. Shares no algebra with the
-    closed form beyond the joint solve."""
-    zp = np.asarray(zp, dtype=complex).reshape(-1)
-    df = emb.df_real(zp)
-    rhs = standard_structure(emb.big_n) @ df
-    return _joint_solve(emb, chart, zp, rhs, tol)[: 2 * emb.n, :]
+    closed form beyond a, dF and the joint solve."""
+    return GraphPoint(emb, chart, zp, tol).jf_quotient()
 
 
 def induced_jf_field(emb: GraphEmbedding, chart: DistributionChart):
@@ -221,31 +238,21 @@ def induced_jf_field(emb: GraphEmbedding, chart: DistributionChart):
     return SimpleNamespace(value=field.value, field=field)
 
 
-def dbar_f(
-    emb: GraphEmbedding,
-    chart: DistributionChart,
-    zp,
-    jf: np.ndarray | None = None,
-    tol: Tolerances = DEFAULT,
-) -> np.ndarray:
+def dbar_f(emb: GraphEmbedding, chart: DistributionChart, zp,
+           jf: np.ndarray | None = None,
+           tol: Tolerances = DEFAULT) -> np.ndarray:
     """Conjugate-linear differential (2N x 2n, realified).
 
     dbar f = (dF + J_Z dF J_f) / 2; its image lies in the fiber of the
     distribution.
     """
-    if jf is None:
-        jf = induced_jf_quotient(emb, chart, zp, tol)
-    df = emb.df_real(zp)
-    return 0.5 * (df + standard_structure(emb.big_n) @ df @ jf)
+    pt = GraphPoint(emb, chart, zp, tol)
+    return pt.dbar_f(pt.jf_quotient() if jf is None else jf)
 
 
-def dbar_f_fiber_coords(
-    emb: GraphEmbedding,
-    chart: DistributionChart,
-    zp,
-    jf: np.ndarray | None = None,
-    tol: Tolerances = DEFAULT,
-) -> tuple[np.ndarray, float]:
+def dbar_f_fiber_coords(emb: GraphEmbedding, chart: DistributionChart, zp,
+                        jf: np.ndarray | None = None,
+                        tol: Tolerances = DEFAULT) -> tuple[np.ndarray, float]:
     """dbar f expressed in the frame coordinates of the fiber.
 
     Returns (eta_matrix, residual): eta_matrix[:, r] are the complex
@@ -253,38 +260,15 @@ def dbar_f_fiber_coords(
     vector, and residual measures how far the image sticks out of the
     fiber (zero in exact arithmetic).
     """
-    mat = dbar_f(emb, chart, zp, jf, tol)
-    a = chart.a_value(emb.f_value(zp))
-    n, m = emb.n, chart.fiber_dim
-    etas = np.zeros((m, 2 * n), dtype=complex)
-    residual = 0.0
-    for r in range(2 * n):
-        vec = complexify_vector(mat[:, r])
-        eta = vec[n:]
-        etas[:, r] = eta
-        residual = worst_of(
-            residual, float(np.max(np.abs(vec[:n] - a @ eta), initial=0.0))
-        )
-    return etas, residual
+    pt = GraphPoint(emb, chart, zp, tol)
+    return pt.fiber_coords(pt.dbar_f(pt.jf_quotient() if jf is None else jf))
 
 
-def _quotient_rhs(emb: GraphEmbedding, q_repr) -> np.ndarray:
-    """Realified (q, 0) in the chart of C^N."""
-    return realify_vector(
-        np.concatenate([np.asarray(q_repr, dtype=complex).reshape(-1),
-                        np.zeros(emb.big_n - emb.n)])
-    )
-
-
-def pullback_quotient(
-    emb: GraphEmbedding,
-    chart: DistributionChart,
-    zp,
-    q_repr: np.ndarray,
-    tol: Tolerances = DEFAULT,
-) -> np.ndarray:
+def pullback_quotient(emb: GraphEmbedding, chart: DistributionChart, zp,
+                      q_repr: np.ndarray,
+                      tol: Tolerances = DEFAULT) -> np.ndarray:
     """Chart vector xi with dF(xi) = (q, 0) mod fiber (realified output)."""
-    return _joint_solve(emb, chart, zp, _quotient_rhs(emb, q_repr), tol)[: 2 * emb.n]
+    return GraphPoint(emb, chart, zp, tol).pullback(np.asarray(q_repr).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +291,9 @@ class VariationData:
         self.v = v
 
 
-def variation_djf(
-    emb: GraphEmbedding,
-    chart: DistributionChart,
-    var: VariationData,
-    zp,
-    tol: Tolerances = DEFAULT,
-) -> np.ndarray:
+def variation_djf(emb: GraphEmbedding, chart: DistributionChart,
+                  var: VariationData, zp,
+                  tol: Tolerances = DEFAULT) -> np.ndarray:
     """Closed-form first variation dJ_f(w), realified 2n x 2n.
 
     dJ_f(w) = 2 J_f ( f_*^{-1} theta(dbar f ., u) + dbar_{J_f} v ).
@@ -324,42 +304,28 @@ def variation_djf(
     miss the spatial drift of J_f along v. The point must be normalized
     (a(F(zp)) = 0); the transport term is closed-form only there.
     """
-    zp = np.asarray(zp, dtype=complex).reshape(-1)
-    _check_normalized(emb, chart, tol, zp)
-    n = emb.n
-    jf = induced_jf(emb, chart, zp, tol)
-    etas, _ = dbar_f_fiber_coords(emb, chart, zp, jf, tol)
-    theta = torsion_via_frames(chart, emb.f_value(zp))
-    eta_u = var.eta.value_vector(zp)
-    term1 = np.zeros((2 * n, 2 * n))
-    for r in range(2 * n):
-        q_repr = theta.apply(etas[:, r], eta_u)
-        term1[:, r] = pullback_quotient(emb, chart, zp, q_repr, tol)
-    dv = _real_linear(var.v.holo_jacobian_map().value(zp),
-                      var.v.anti_jacobian_map().value(zp))
-    # spatial derivative of the J_f field along v, columnwise on basis
-    # vectors: dJ_f(w) zeta = -2 dF^{-1} pi ( i (da(z0) dF w) dbar g zeta )
-    pg = emb._pg.value(zp)
-    qg = emb._qg.value(zp)
-    jac = chart.a_jacobian(emb.f_value(zp))
-    v0 = var.v.value_vector(zp)
-    df_v0 = np.concatenate([v0, pg @ v0 + qg @ v0.conj()])
-    da_v0 = np.einsum("icb,b->ic", jac, df_v0)
-    djf_v = np.zeros((2 * n, 2 * n))
-    for r in range(2 * n):
-        zeta = complexify_vector(np.eye(2 * n)[:, r])
-        q_repr = 1j * (da_v0 @ (qg @ zeta.conj()))
-        djf_v[:, r] = -2.0 * pullback_quotient(emb, chart, zp, q_repr, tol)
+    pt = GraphPoint(emb, chart, zp, tol)
+    _check_normalized(pt.a, tol)
+    jf = pt.jf()
+    etas, _ = pt.fiber_coords(pt.dbar_f(jf))
+    # TorsionTensor.apply(dbar f e_r, u) for every basis vector e_r at once
+    theta_u = pt.torsion().theta @ var.eta.value_vector(pt.zp)
+    term1 = pt.pullback(2.0 * theta_u @ etas)
+    dv = _real_linear(var.v.holo_jacobian_map().value(pt.zp),
+                      var.v.anti_jacobian_map().value(pt.zp))
+    # spatial derivative of the J_f field along v on the basis vectors:
+    # dJ_f(w) zeta = -2 dF^{-1} pi ( i (da(z0) dF w) dbar g zeta )
+    v0 = var.v.value_vector(pt.zp)
+    df_v0 = np.concatenate([v0, pt.pg @ v0 + pt.qg @ v0.conj()])
+    da_v0 = np.einsum("icb,b->ic", chart.a_jacobian(pt.z), df_v0)
+    djf_v = -2.0 * pt.pullback(1j * (da_v0 @ pt.dbar_g_basis))
     dbar_v = 0.5 * (dv + jf @ dv @ jf) - 0.5 * jf @ djf_v
     return 2.0 * jf @ (term1 + dbar_v)
 
 
-def deformed_embedding(
-    emb: GraphEmbedding,
-    chart: DistributionChart,
-    var: VariationData,
-    t: float,
-) -> tuple[GraphEmbedding, CRPolyMap]:
+def deformed_embedding(emb: GraphEmbedding, chart: DistributionChart,
+                       var: VariationData,
+                       t: float) -> tuple[GraphEmbedding, CRPolyMap]:
     """Exact data of the deformed graph at parameter t.
 
     Returns (embedding with g_t = g + t(eta - dg . a(F) eta), vtilde)
@@ -381,14 +347,9 @@ def deformed_embedding(
     return GraphEmbedding(emb.n, emb.big_n, g_t, base=emb.base), vtilde
 
 
-def variation_fd_oracle(
-    emb: GraphEmbedding,
-    chart: DistributionChart,
-    var: VariationData,
-    zp,
-    t: float,
-    tol: Tolerances = DEFAULT,
-) -> np.ndarray:
+def variation_fd_oracle(emb: GraphEmbedding, chart: DistributionChart,
+                        var: VariationData, zp, t: float,
+                        tol: Tolerances = DEFAULT) -> np.ndarray:
     """Finite-difference variation (J_{f_t}(x) - J_f(x)) / t.
 
     Re-runs the induced-structure construction on the deformed graph and
@@ -412,44 +373,31 @@ def variation_fd_oracle(
 # Nijenhuis tensor through the torsion
 # ---------------------------------------------------------------------------
 
-def nijenhuis_torsion_map(
-    emb: GraphEmbedding,
-    chart: DistributionChart,
-    zp,
-    tol: Tolerances = DEFAULT,
-):
+def nijenhuis_torsion_map(emb: GraphEmbedding, chart: DistributionChart, zp,
+                          tol: Tolerances = DEFAULT):
     """The map (zeta_r, eta_r) -> N_{J_f}(zeta, eta) at one point zp.
 
-    J_f, dbar f in fiber coordinates, theta and the joint matrix
-    [dF | fiber] depend on zp only, so they are built here once. Each
-    call is one torsion contraction and one solve: the operations of
-    pullback_quotient(4 theta(dbar f . zeta, dbar f . eta)), in its order,
-    so the result is bitwise the same.
+    J_f, dbar f in fiber coordinates and theta depend on zp only, so
+    they are built here once on one GraphPoint, whose joint matrix the
+    J_f solve and every pair share. Each call is one torsion contraction
+    and one solve: the operations of pullback_quotient(4 theta(dbar f .
+    zeta, dbar f . eta)), in its order, so the result is bitwise the same.
     """
-    zp = np.asarray(zp, dtype=complex).reshape(-1)
-    jf = induced_jf(emb, chart, zp, tol, require_normalized=False)
-    etas, _ = dbar_f_fiber_coords(emb, chart, zp, jf, tol)
-    theta = torsion_via_frames(chart, emb.f_value(zp))
-    joint = _joint_matrix(emb, chart, zp, tol)
-    two_n = 2 * emb.n
+    pt = GraphPoint(emb, chart, zp, tol)
+    etas, _ = pt.fiber_coords(pt.dbar_f(pt.jf()))
+    theta = pt.torsion()
 
     def nijenhuis(zeta_r, eta_r) -> np.ndarray:
         eta_1 = etas @ np.asarray(zeta_r, dtype=float).reshape(-1)
         eta_2 = etas @ np.asarray(eta_r, dtype=float).reshape(-1)
-        q_repr = 4.0 * theta.apply(eta_1, eta_2)
-        return np.linalg.solve(joint, _quotient_rhs(emb, q_repr))[:two_n]
+        return pt.pullback(4.0 * theta.apply(eta_1, eta_2))
 
     return nijenhuis
 
 
-def nijenhuis_via_torsion(
-    emb: GraphEmbedding,
-    chart: DistributionChart,
-    zp,
-    zeta_r: np.ndarray,
-    eta_r: np.ndarray,
-    tol: Tolerances = DEFAULT,
-) -> np.ndarray:
+def nijenhuis_via_torsion(emb: GraphEmbedding, chart: DistributionChart, zp,
+                          zeta_r: np.ndarray, eta_r: np.ndarray,
+                          tol: Tolerances = DEFAULT) -> np.ndarray:
     """N_{J_f}(zeta, eta) = 4 theta(dbar f . zeta, dbar f . eta), pulled
     back to the chart; realified 2n-vector."""
     return nijenhuis_torsion_map(emb, chart, zp, tol)(zeta_r, eta_r)

@@ -22,6 +22,12 @@ Jacobian one fiber column at a time, which `torsion_via_frames` replaced
 by one einsum; `torsion_via_frames_loop` is the frame route of the chart
 torsion on those derivatives with the per-(j, k) antisymmetrization loop
 that `torsion_via_frames` replaced by one array subtraction.
+`induced_jf_by_column`, `dbar_f_fiber_coords_by_column` and
+`variation_djf_by_column` are the induced-layer formulas as they were
+before `induced.GraphPoint`: every helper re-evaluates a(F(zp)) and dF,
+every projection rebuilds and re-checks the joint matrix [dF | fiber],
+and each right-hand side is assembled one realified basis vector at a
+time. The tests hold the one-point route to them.
 `simplex_solve_loop` is the Bland simplex as it was before pivot choice
 read the tableau as Python floats: it scans the reduced costs and the
 ratio column one numpy scalar at a time and eliminates with an outer
@@ -54,6 +60,7 @@ from acs_verify.distribution import (
     CallableHolomorphicMap,
     DistributionChart,
     TorsionTensor,
+    torsion_via_frames,
 )
 from acs_verify.errors import (
     DimensionMismatch,
@@ -66,6 +73,7 @@ from acs_verify.errors import (
     ShapeMismatch,
 )
 from acs_verify.fields import AlmostComplexField, TorusChart, TrigPolyField, _canonical
+from acs_verify.induced import GraphEmbedding, VariationData, _real_linear
 from acs_verify.universal import (
     ChartFrame,
     PointwiseACManifold,
@@ -325,6 +333,99 @@ def torsion_via_frames_loop(chart: DistributionChart, z) -> TorsionTensor:
             theta[:, j, k] = val
             theta[:, k, j] = -val
     return TorsionTensor(theta)
+
+
+def _df_real(emb: GraphEmbedding, zp) -> np.ndarray:
+    """Realified differential of F = (id, g), shape (2N, 2n)."""
+    eye = np.eye(emb.n, dtype=complex)
+    zero = np.zeros((emb.n, emb.n), dtype=complex)
+    return _real_linear(np.concatenate([eye, emb._pg.value(zp)], axis=0),
+                        np.concatenate([zero, emb._qg.value(zp)], axis=0))
+
+
+def _joint_solve(emb: GraphEmbedding, chart: DistributionChart, zp, rhs,
+                 tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Solve [dF | fiber-basis] x = rhs, rebuilding and re-checking the
+    joint matrix; the first 2n rows are the chart component."""
+    a = chart.a_value(emb.f_value(zp))
+    fiber = realify_basis(np.concatenate(
+        [a, np.eye(chart.fiber_dim, dtype=complex)], axis=0))
+    joint = np.concatenate([_df_real(emb, zp), fiber], axis=1)
+    s = np.linalg.svd(joint, compute_uv=False)
+    if s[-1] <= tol.rank_rtol * s[0]:
+        raise NotTransverse("graph and fiber fail to span the chart")
+    return np.linalg.solve(joint, rhs)
+
+
+def _pullback_by_vector(emb: GraphEmbedding, chart: DistributionChart, zp,
+                        q_repr, tol: Tolerances = DEFAULT) -> np.ndarray:
+    rhs = realify_vector(np.concatenate(
+        [np.asarray(q_repr, dtype=complex).reshape(-1), np.zeros(emb.big_n - emb.n)]))
+    return _joint_solve(emb, chart, zp, rhs, tol)[: 2 * emb.n]
+
+
+def induced_jf_by_column(emb: GraphEmbedding, chart: DistributionChart, zp,
+                         tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Closed-form J_f, its right-hand side one basis vector at a time."""
+    zp = np.asarray(zp, dtype=complex).reshape(-1)
+    n = emb.n
+    a = chart.a_value(emb.f_value(zp))
+    q = emb._qg.value(zp)
+    rhs = np.zeros((2 * emb.big_n, 2 * n))
+    for r in range(2 * n):
+        zeta = np.eye(2 * n)[:n, r] + 1j * np.eye(2 * n)[n:, r]
+        head = 1j * (a @ (q @ zeta.conj()))
+        rhs[:, r] = realify_vector(np.concatenate([head, np.zeros(emb.big_n - n)]))
+    alpha = _joint_solve(emb, chart, zp, rhs, tol)[: 2 * n, :]
+    return standard_structure(n) - 2.0 * alpha
+
+
+def dbar_f_fiber_coords_by_column(emb: GraphEmbedding, chart: DistributionChart,
+                                  zp, jf: np.ndarray, tol: Tolerances = DEFAULT):
+    """(etas, residual) of dbar f = (dF + J_Z dF J_f) / 2, one column at a
+    time."""
+    df = _df_real(emb, zp)
+    mat = 0.5 * (df + standard_structure(emb.big_n) @ df @ jf)
+    a = chart.a_value(emb.f_value(zp))
+    n, big_n = emb.n, emb.big_n
+    etas = np.zeros((chart.fiber_dim, 2 * n), dtype=complex)
+    residual = 0.0
+    for r in range(2 * n):
+        vec = mat[:big_n, r] + 1j * mat[big_n:, r]
+        etas[:, r] = vec[n:]
+        residual = worst_of(
+            residual, float(np.max(np.abs(vec[:n] - a @ vec[n:]), initial=0.0)))
+    return etas, residual
+
+
+def variation_djf_by_column(emb: GraphEmbedding, chart: DistributionChart,
+                            var: VariationData, zp,
+                            tol: Tolerances = DEFAULT) -> np.ndarray:
+    """dJ_f(w) = 2 J_f (f_*^-1 theta(dbar f ., u) + dbar_{J_f} v) with one
+    torsion contraction and one pullback per basis vector."""
+    zp = np.asarray(zp, dtype=complex).reshape(-1)
+    n = emb.n
+    jf = induced_jf_by_column(emb, chart, zp, tol)
+    etas, _ = dbar_f_fiber_coords_by_column(emb, chart, zp, jf, tol)
+    theta = torsion_via_frames(chart, emb.f_value(zp))
+    eta_u = var.eta.value_vector(zp)
+    term1 = np.zeros((2 * n, 2 * n))
+    for r in range(2 * n):
+        term1[:, r] = _pullback_by_vector(
+            emb, chart, zp, theta.apply(etas[:, r], eta_u), tol)
+    dv = _real_linear(var.v.holo_jacobian_map().value(zp),
+                      var.v.anti_jacobian_map().value(zp))
+    pg, qg = emb._pg.value(zp), emb._qg.value(zp)
+    v0 = var.v.value_vector(zp)
+    df_v0 = np.concatenate([v0, pg @ v0 + qg @ v0.conj()])
+    da_v0 = np.einsum("icb,b->ic", chart.a_jacobian(emb.f_value(zp)), df_v0)
+    djf_v = np.zeros((2 * n, 2 * n))
+    for r in range(2 * n):
+        zeta = np.eye(2 * n)[:n, r] + 1j * np.eye(2 * n)[n:, r]
+        djf_v[:, r] = -2.0 * _pullback_by_vector(
+            emb, chart, zp, 1j * (da_v0 @ (qg @ zeta.conj())), tol)
+    dbar_v = 0.5 * (dv + jf @ dv @ jf) - 0.5 * jf @ djf_v
+    return 2.0 * jf @ (term1 + dbar_v)
 
 
 def fiber_at(chart: DistributionChart, z, tol: Tolerances = DEFAULT) -> ComplexSubspace:

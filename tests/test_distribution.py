@@ -23,6 +23,7 @@ from acs_verify.distribution import (
     torsion_via_frames,
 )
 from acs_verify.errors import (
+    DimensionMismatch,
     DomainError,
     ShapeMismatch,
     InvalidParams,
@@ -219,6 +220,20 @@ def test_chart_map_with_a_conj_power_is_refused():
     mixed = holo + CRPolyMap(3, 1, 2, {(0, 1): {(zero, (1, 0, 0)): 0.5}})
     with pytest.raises(ShapeMismatch):
         DistributionChart(1, 3, mixed)
+
+
+def test_crpoly_constructor_checks_shapes_and_drops_zero_coefficients():
+    one = ((1, 0), (0, 0))
+    for index in [(1, 0), (0, 2), (-1, 0)]:
+        with pytest.raises(ShapeMismatch):
+            CRPolyMap(2, 1, 2, {index: {one: 1.0}})
+    for key in [((1,), (0, 0)), ((1, 0), (0, 0, 0))]:
+        with pytest.raises(DimensionMismatch):
+            CRPolyMap(2, 1, 2, {(0, 0): {key: 1.0}})
+    m = CRPolyMap(2, 1, 2, {(0, 0): {one: 0.0, ((0, 1), (1, 0)): 2},
+                            (0, 1): {one: 0j}})
+    assert m.entries == {(0, 0): {((0, 1), (1, 0)): 2 + 0j}, (0, 1): {}}
+    assert type(m.entries[(0, 0)][((0, 1), (1, 0))]) is complex
 
 
 @pytest.mark.parametrize("n, big_n", [(1, 3), (2, 5)])

@@ -8,6 +8,7 @@ chart for the torsion identity.
 import numpy as np
 import pytest
 
+import oracles
 from acs_verify import induced
 from acs_verify.checks import REGISTRY, CheckContext, build_graph_scenario
 from acs_verify.config import DEFAULT
@@ -23,6 +24,7 @@ from acs_verify.fields import nijenhuis_direct
 from acs_verify.induced import (
     GraphEmbedding,
     VariationData,
+    centered_chart,
     dbar_f,
     dbar_f_fiber_coords,
     deformed_embedding,
@@ -184,7 +186,7 @@ def test_dbar_f_antiholomorphic_rank_and_value():
     for r in range(2):
         zeta = complexify_vector(np.eye(2)[:, r])
         expected = realify_vector(
-            np.concatenate([[0.0], emb.dbar_g_matrix(np.zeros(1)) @ zeta.conj()])
+            np.concatenate([[0.0], emb._qg.value(np.zeros(1)) @ zeta.conj()])
         )
         assert np.max(np.abs(mat[:, r] - expected)) < 1e-12
 
@@ -379,6 +381,65 @@ def test_nijenhuis_identity_differentiates_jf_once_per_instance(monkeypatch, n, 
     assert result.samples_checked == pairs and result.max_residual < 1e-4
     # one J_f for the torsion map, one value and two per partial for the jet
     assert 0 < len(calls) <= 2 + 2 * (2 * n)
+
+
+def _counted(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_variation_and_torsion_map_build_one_graph_point(monkeypatch, seed):
+    # one a(F(zp)) and one SVD of the joint matrix per call, shared by
+    # J_f, dbar f, theta and every pullback
+    rng = SplitMix64(seed)
+    chart, emb, var = build_graph_scenario(rng, 2, 5)
+    a_calls = _counted(monkeypatch, DistributionChart, "a_value")
+    svd_calls = _counted(monkeypatch, np.linalg, "svd")
+    variation_djf(emb, chart, var, emb.base)
+    assert len(a_calls) <= 2 and len(svd_calls) == 1
+    a_calls.clear()
+    svd_calls.clear()
+    via_map = nijenhuis_torsion_map(emb, chart, emb.base)
+    for _ in range(3):
+        via_map(rng.reals(4), rng.reals(4))
+    assert len(a_calls) == 1 and len(svd_calls) == 1
+
+
+def _assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_point_route_matches_the_per_column_oracles(n, seed):
+    chart, emb, var = build_graph_scenario(SplitMix64(seed), n, n + 2)
+    off = 0.1 * SplitMix64(seed + 100).complex_vector(n)
+    # a(F(off)) != 0, so the correction term of the closed form is live
+    assert np.max(np.abs(induced_jf(emb, chart, off) - standard_structure(n))) > 1e-4
+    for zp in [emb.base, off]:
+        jf = induced_jf(emb, chart, zp)
+        _assert_close(jf, oracles.induced_jf_by_column(emb, chart, zp))
+        quotient = induced_jf_quotient(emb, chart, zp)
+        for given, used in [(jf, jf), (None, quotient)]:
+            etas, residual = dbar_f_fiber_coords(emb, chart, zp, given)
+            want, want_residual = oracles.dbar_f_fiber_coords_by_column(
+                emb, chart, zp, used)
+            _assert_close(etas, want)
+            assert residual < 1e-12 and want_residual < 1e-12
+    # the variation needs a(F(zp)) = 0: re-centre the chart at the
+    # off-base point for the second comparison
+    emb_off = GraphEmbedding(n, n + 2, emb.g, base=off)
+    for e, c in [(emb, chart), (emb_off, centered_chart(emb_off, chart))]:
+        _assert_close(variation_djf(e, c, var, e.base),
+                      oracles.variation_djf_by_column(e, c, var, e.base))
 
 
 def test_nijenhuis_torsion_map_rejects_non_transverse_graph():
