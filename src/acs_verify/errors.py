@@ -45,6 +45,10 @@ class Infeasible(InvalidParams):
     """A linear program whose constraints no point satisfies."""
 
 
+class LPFailure(VerifyError):
+    """A linear program whose computed answer fails its own check."""
+
+
 class RankDeficientEmbedding(VerifyError):
     pass
 

@@ -238,18 +238,6 @@ def induced_jf_field(emb: GraphEmbedding, chart: DistributionChart):
     return SimpleNamespace(value=field.value, field=field)
 
 
-def dbar_f(emb: GraphEmbedding, chart: DistributionChart, zp,
-           jf: np.ndarray | None = None,
-           tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Conjugate-linear differential (2N x 2n, realified).
-
-    dbar f = (dF + J_Z dF J_f) / 2; its image lies in the fiber of the
-    distribution.
-    """
-    pt = GraphPoint(emb, chart, zp, tol)
-    return pt.dbar_f(pt.jf_quotient() if jf is None else jf)
-
-
 def dbar_f_fiber_coords(emb: GraphEmbedding, chart: DistributionChart, zp,
                         jf: np.ndarray | None = None,
                         tol: Tolerances = DEFAULT) -> tuple[np.ndarray, float]:

@@ -9,12 +9,18 @@ vector fields built from the form coefficients are also assembled, with
 their pairwise commutators certified both exactly and by finite
 differences.
 
-Condition (i) is decided by an in-house dense two-phase simplex: maximize
-the margin eps subject to a common point being a convex combination of
-each hull's vertices with all weights >= eps. For full-dimensional hulls
-a positive optimal margin is equivalent to interior intersection. The
-2-D case has an independent exact-geometry oracle (convex hull, polygon
-clipping, shoelace area) used to cross-check the LP.
+Each member of E is a simplex (2m+1 points in R^{2m}), and for LVM data
+the members are exactly the simplices that hold one point in their
+interior (Meersseman 2000, Bosio 2001). So condition (i) first proposes
+one common interior point, by one small dual LP, and certifies it set by
+set from its barycentric weights. Each pair it does not certify gets an
+LP of its own: maximize the margin eps subject to a common point being a
+convex combination of each hull's vertices with all weights >= eps. For
+full-dimensional hulls a positive optimal margin is equivalent to
+interior intersection. Both LPs go to an in-house dense two-phase
+simplex, which checks its own answer. The 2-D case has an independent
+exact-geometry oracle (convex hull, polygon clipping, shoelace area)
+used to cross-check the LP.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ import itertools
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import DegenerateHull, Infeasible, InvalidParams
+from .errors import DegenerateHull, Infeasible, InvalidParams, LPFailure
 
 MARGIN = 1e-9
 
@@ -95,13 +101,29 @@ def _eliminate(tab: np.ndarray, basis: list, leave: int, enter: int) -> None:
     basis[leave] = enter
 
 
+def _residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max |A x - b| of each of a stack of systems (the last axes)."""
+    return np.abs(np.einsum("...ij,...j->...i", a, x) - b).max(axis=-1, initial=0.0)
+
+
+def _checks_out(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x is finite and A x - b is at most 1e-9 (1 + max|A| max(1, max|x|)
+    + max|b|), for each of a stack of systems."""
+    scale = (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0)
+             * np.maximum(1.0, np.abs(x).max(axis=-1, initial=0.0))
+             + np.abs(b).max(axis=-1, initial=0.0))
+    return np.isfinite(x).all(axis=-1) & (_residual(a, x, b) <= 1e-9 * scale)
+
+
 def simplex_solve(c, a, b, tol: float = 1e-11):
     """Bland-rule two-phase simplex for small dense problems.
 
     Returns (x, value). Raises Infeasible when no x satisfies the
     constraints and InvalidParams when the objective is unbounded; the
     callers never build unbounded programs (the margin variable is boxed
-    by the convexity rows).
+    by the convexity rows). Raises LPFailure when the answer fails its
+    own check: an entry of x below -tol, or A x - b off by more than
+    1e-9 (1 + max|A| max(1, max|x|) + max|b|) in some row.
     """
     a = np.asarray(a, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
@@ -170,6 +192,9 @@ def simplex_solve(c, a, b, tol: float = 1e-11):
     for i in range(rows):
         if basis[i] < cols:
             x[basis[i]] = tab[i, -1]
+    if x.min(initial=0.0) < -tol or not _checks_out(a, x, b):
+        raise LPFailure(f"simplex answer fails its check (min x {x.min(initial=0.0):.3g}, "
+                        f"residual {float(_residual(a, x, b)):.3g})")
     return x, float(c @ x)
 
 
@@ -220,6 +245,42 @@ def hull_overlap_lp(p1: np.ndarray, p2: np.ndarray
     return True, eps, witness
 
 
+def _vertex_matrices(simplices: np.ndarray) -> np.ndarray:
+    """B_P = [P^T; 1^T] for each simplex P (rows of a K x (d+1) x d stack),
+    so that B_P w = [y; 1] says w are the barycentric weights of y."""
+    k, size, _ = simplices.shape
+    return np.concatenate([simplices.transpose(0, 2, 1), np.ones((k, 1, size))], axis=1)
+
+
+def common_point(simplices: np.ndarray) -> np.ndarray | None:
+    """A point proposed inside every simplex of the stack: the optimum y of
+    max eps s.t. w_P(y) = G_P y + h_P >= eps for every P, [G_P | h_P] =
+    B_P^-1. That program has a row per vertex of every simplex; its dual,
+    min h.lam s.t. lam >= 0, sum lam = 1, G^T lam = 0, has d + 1 rows.
+    The rows with lam > 0 are tight, so [1, -G_S] [eps; y] = h_S. None
+    when a solve fails; the caller certifies the point itself."""
+    dim = simplices.shape[2]
+    try:
+        inverse = np.linalg.inv(_vertex_matrices(simplices))
+        g = inverse[:, :, :dim].reshape(-1, dim)
+        h = inverse[:, :, dim].reshape(-1)
+        lam, _ = simplex_solve(h, np.vstack([np.ones(h.size), g.T]), np.eye(dim + 1)[0])
+    except (np.linalg.LinAlgError, Infeasible, LPFailure):
+        return None
+    tight = lam > 0.0
+    lhs = np.concatenate([np.ones((int(tight.sum()), 1)), -g[tight]], axis=1)
+    return np.linalg.lstsq(lhs, h[tight], rcond=None)[0][1:]
+
+
+def barycentric_margins(simplices: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least barycentric weight of y in each simplex, by one batched solve;
+    -inf where the weights do not check out (see _checks_out)."""
+    mats = _vertex_matrices(simplices)
+    target = np.append(y, 1.0)
+    weights = np.linalg.solve(mats, np.broadcast_to(target, mats.shape[:2])[..., None])[..., 0]
+    return np.where(_checks_out(mats, weights, target), weights.min(axis=1), -np.inf)
+
+
 def _over_pairs(data: LvmbData, verdict, degenerate: dict) -> dict:
     """Condition (i) over all unordered pairs from E, self-pairs included
     (a set must overlap itself, which is exactly the requirement that its
@@ -240,34 +301,51 @@ def _over_pairs(data: LvmbData, verdict, degenerate: dict) -> dict:
 
 
 def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
-    """Open-overlap condition by the LP, pair by pair (see _over_pairs).
-    Degenerate hulls fail with margin 0, and so do disjoint hulls (margin
-    None, note "hulls are disjoint").
+    """Open-overlap condition, pair by pair (see _over_pairs).
 
-    Each set's points and full-dimensionality verdict are computed once
-    per call and shared by every pair it is in; a degenerate set keeps
-    its message and raises it again, g1 before g2, in each of its pairs.
+    Each set's points and full-dimensionality verdict (one SVD) are
+    computed once per call; a degenerate set fails each of its pairs with
+    its message, g1 before g2, and margin 0. A pair of two sets in which
+    the common_point has every barycentric weight at least MARGIN
+    overlaps with margin min(eps_P, eps_Q), the point's least weights in
+    the two sets: a certified lower bound on the pair's LP optimum, not
+    the optimum. Every other pair goes to hull_overlap_lp; disjoint hulls
+    fail with margin None, and so does a pair whose LP fails its check.
     """
     hulls = {}
+    for group in data.family:
+        points, note = data.hull_points(group), None
+        try:
+            _require_full_dimensional(points, group, tol)
+        except DegenerateHull as exc:
+            note = str(exc)
+        hulls[group] = points, note
 
-    def hull(group) -> tuple[np.ndarray, str | None]:
-        if group not in hulls:
-            points, note = data.hull_points(group), None
-            try:
-                _require_full_dimensional(points, group, tol)
-            except DegenerateHull as exc:
-                note = str(exc)
-            hulls[group] = points, note
-        return hulls[group]
+    margins, witness = {}, None
+    solid = [group for group in data.family if hulls[group][1] is None]
+    if solid:
+        simplices = np.stack([hulls[group][0] for group in solid])
+        point = common_point(simplices)
+        if point is not None:
+            eps = barycentric_margins(simplices, point).tolist()
+            margins = {g: e for g, e in zip(solid, eps) if e >= MARGIN}
+            witness = [float(v) for v in point]
 
     def verdict(g1, g2) -> dict:
-        (p1, note1), (p2, note2) = hull(g1), hull(g2)
+        (p1, note1), (p2, note2) = hulls[g1], hulls[g2]
         for note in (note1, note2):
             if note is not None:
                 raise DegenerateHull(note)
-        overlap, eps, witness = hull_overlap_lp(p1, p2)
+        if g1 in margins and g2 in margins:
+            return {"overlap": True, "margin": min(margins[g1], margins[g2]),
+                    "witness": list(witness), "note": "common interior point"}
+        try:
+            overlap, eps, point = hull_overlap_lp(p1, p2)
+        except LPFailure as exc:
+            return {"overlap": False, "margin": None, "witness": None,
+                    "note": f"linear program failed: {exc}"}
         entry = {"overlap": overlap, "margin": eps,
-                 "witness": None if witness is None else [float(v) for v in witness]}
+                 "witness": None if point is None else [float(v) for v in point]}
         if eps is None:
             entry["note"] = "hulls are disjoint"
         return entry

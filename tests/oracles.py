@@ -27,7 +27,9 @@ that `torsion_via_frames` replaced by one array subtraction.
 before `induced.GraphPoint`: every helper re-evaluates a(F(zp)) and dF,
 every projection rebuilds and re-checks the joint matrix [dF | fiber],
 and each right-hand side is assembled one realified basis vector at a
-time. The tests hold the one-point route to them.
+time. The tests hold the one-point route to them. `dbar_f` is the
+realified dbar f of one `induced.GraphPoint`, the matrix the fiber
+coordinates are read from, for tests that look at it whole.
 `simplex_solve_loop` is the Bland simplex as it was before pivot choice
 read the tableau as Python floats: it scans the reduced costs and the
 ratio column one numpy scalar at a time and eliminates with an outer
@@ -73,7 +75,8 @@ from acs_verify.errors import (
     ShapeMismatch,
 )
 from acs_verify.fields import AlmostComplexField, TorusChart, TrigPolyField, _canonical
-from acs_verify.induced import GraphEmbedding, VariationData, _real_linear
+from acs_verify.induced import GraphEmbedding, GraphPoint, VariationData, _real_linear
+from acs_verify.lvmb import LvmbData
 from acs_verify.universal import (
     ChartFrame,
     PointwiseACManifold,
@@ -428,6 +431,16 @@ def variation_djf_by_column(emb: GraphEmbedding, chart: DistributionChart,
     return 2.0 * jf @ (term1 + dbar_v)
 
 
+def dbar_f(emb: GraphEmbedding, chart: DistributionChart, zp,
+           jf: np.ndarray | None = None,
+           tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Conjugate-linear differential (2N x 2n, realified) at one graph
+    point: dbar f = (dF + J_Z dF J_f) / 2, with J_f by the quotient route
+    unless given. Its image lies in the fiber of the distribution."""
+    pt = GraphPoint(emb, chart, zp, tol)
+    return pt.dbar_f(pt.jf_quotient() if jf is None else jf)
+
+
 def fiber_at(chart: DistributionChart, z, tol: Tolerances = DEFAULT) -> ComplexSubspace:
     """The fiber {(a(z) eta, eta)} of a chart at z."""
     a = chart.a_value(z)
@@ -608,3 +621,32 @@ def simplex_solve_loop(c, a, b, tol: float = 1e-11):
         if basis[i] < cols:
             x[basis[i]] = tab[i, -1]
     return x, float(c @ x)
+
+
+def common_point_weights_program(data: LvmbData):
+    """(c, a, b) of "one point in every hull, every weight at least eps"
+    in the weights form: the layout of `lvmb.hull_overlap_lp` extended to
+    all |E| blocks. Column 0 is eps and block k holds the slacks s_k of
+    the weights eps + s_k of set k; the first (|E| - 1) 2m rows equate the
+    point of block 0 with that of block k, the last |E| rows make each
+    block's weights sum to 1. The optimum is -eps. The Bland simplex is
+    unstable on this form, which `lvmb.common_point` avoids by solving the
+    small dual instead."""
+    hulls = [data.hull_points(group) for group in data.family]
+    count, (size, dim) = len(hulls), hulls[0].shape
+    a = np.zeros(((count - 1) * dim + count, 1 + count * size))
+    b = np.zeros(a.shape[0])
+    first = hulls[0]
+    for k, points in enumerate(hulls):
+        block = slice(1 + k * size, 1 + (k + 1) * size)
+        if k:
+            rows = slice((k - 1) * dim, k * dim)
+            a[rows, 0] = first.sum(axis=0) - points.sum(axis=0)
+            a[rows, 1:1 + size] = first.T
+            a[rows, block] = -points.T
+        a[(count - 1) * dim + k, 0] = size
+        a[(count - 1) * dim + k, block] = 1.0
+        b[(count - 1) * dim + k] = 1.0
+    c = np.zeros(a.shape[1])
+    c[0] = -1.0
+    return c, a, b

@@ -2,17 +2,21 @@
 
 The LP route for the overlap condition is cross-checked against an exact
 2-D polygon oracle on every m = 1 instance here, including 20 seeded
-random families.
+random families. The common-interior-point route is held to the
+pairwise LP route, pair by pair, on seeded LVM-like families.
 """
 import itertools
+import json
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from acs_verify import lvmb
-from acs_verify.errors import DegenerateHull, Infeasible, InvalidParams
+from acs_verify.errors import DegenerateHull, Infeasible, InvalidParams, LPFailure
 from acs_verify.lvmb import (
+    MARGIN,
     LvmbData,
     _eliminate,
     check_condition_i,
@@ -27,7 +31,9 @@ from acs_verify.lvmb import (
     simplex_solve,
 )
 from acs_verify.rng import SplitMix64
-from oracles import simplex_solve_loop
+from oracles import common_point_weights_program, simplex_solve_loop
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def data_m1(ell, family, big_n=None):
@@ -228,6 +234,41 @@ def test_simplex_matches_the_scalar_loop_oracle_bitwise(monkeypatch):
     assert kinds["solved"] >= 150 and kinds[Infeasible] >= 1 and kinds[InvalidParams] >= 1
 
 
+def test_simplex_refuses_an_answer_that_fails_its_check():
+    # benchmark lvmb generator, seed 83, the (m, N) = (1, 10) family: in
+    # the weights form of its common-point program the pivots blow up and
+    # the solver used to return x with entries near -1321 and a residual
+    # near 2e3 (HiGHS: optimum -0.0720), without raising
+    with open(os.path.join(DATA, "lvm_m1_N10_weights_form_unstable.json"),
+              encoding="utf-8") as fh:
+        d = LvmbData.from_json_dict(json.load(fh))
+    assert (d.m, d.big_n, len(d.family)) == (1, 10, 55)
+    c, a, b = common_point_weights_program(d)
+    x, _ = simplex_solve_loop(c, a, b)
+    assert x.min() < -1.0 and np.max(np.abs(a @ x - b)) > 1.0
+    with pytest.raises(LPFailure):
+        simplex_solve(c, a, b)
+    # the dual form of the same family has one certified common point
+    rep = check_condition_i(d)
+    assert rep["ok"]
+    assert {p["note"] for p in rep["pairs"]} == {"common interior point"}
+
+
+def test_a_failed_lp_fails_its_pair_and_drops_the_common_point(monkeypatch):
+    d = data_m1([0, 1, 1j, 0.25 + 0.25j], [[0, 1, 2], [1, 2, 3]])
+
+    def failing(c, a, b):
+        raise LPFailure("simplex answer fails its check")
+
+    monkeypatch.setattr(lvmb, "simplex_solve", failing)
+    rep = check_condition_i(d)
+    assert not rep["ok"]
+    assert [(p["overlap"], p["margin"], p["witness"], p["degenerate"], p["note"])
+            for p in rep["pairs"]] == [
+        (False, None, None, False,
+         "linear program failed: simplex answer fails its check")] * 3
+
+
 # ---------------------------------------------------------------------------
 # condition (i)
 # ---------------------------------------------------------------------------
@@ -388,6 +429,129 @@ def test_hull_overlap_lp_witness_is_common_point():
             a, b = hull[i], hull[(i + 1) % m]
             cross = (b[0] - a[0]) * (witness[1] - a[1]) - (b[1] - a[1]) * (witness[0] - a[0])
             assert cross > 1e-9
+
+
+def lvm_like_family(rng, m, big_n):
+    """Forms drawn by SplitMix64 and E = every (2m+1)-subset whose simplex
+    holds the origin well inside, as in Meersseman's LVM data; draws with
+    a simplex too close to the origin are redrawn."""
+    dim = 2 * m
+    while True:
+        data = LvmbData(m, big_n, [range(dim + 1)], rng.complex_matrix(big_n + 1, m, 1.0))
+        family, clear = [], True
+        for group in itertools.combinations(range(big_n + 1), dim + 1):
+            mat = np.vstack([data.hull_points(group).T, np.ones(dim + 1)])
+            weights = np.linalg.solve(mat, np.eye(dim + 1)[dim])
+            clear = clear and abs(float(weights.min())) > 1e-6
+            if weights.min() > 0.0:
+                family.append(group)
+        if clear and family:
+            return LvmbData(m, big_n, family, data.ell)
+
+
+def family_variants(rng, data):
+    """The family as drawn, with one extra random set, and with every form
+    moved by one random complex constant."""
+    size = 2 * data.m + 1
+    extra = list(data.family)
+    while len(extra) == len(data.family):
+        group = tuple(sorted(set(rng.integer(0, data.big_n) for _ in range(size))))
+        if len(group) == size and group not in data.family:
+            extra.append(group)
+    shift = rng.complex_matrix(1, data.m, 2.0)
+    return [data, LvmbData(data.m, data.big_n, extra, data.ell),
+            LvmbData(data.m, data.big_n, data.family, data.ell + shift)]
+
+
+def pairwise_route(monkeypatch, data):
+    """check_condition_i with no common point: every pair by its own LP."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lvmb, "common_point", lambda simplices: None)
+        return check_condition_i(data)
+
+
+def count_lps(monkeypatch, data):
+    calls = Counter()
+    solve = lvmb.simplex_solve
+
+    def counted(c, a, b):
+        calls["lp"] += 1
+        return solve(c, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lvmb, "simplex_solve", counted)
+        rep = check_condition_i(data)
+    return rep, calls["lp"]
+
+
+@pytest.mark.parametrize("m, big_n", [(1, 5), (1, 7), (2, 6)])
+def test_common_point_route_agrees_with_the_pairwise_route(monkeypatch, m, big_n):
+    rng = SplitMix64(71 + 10 * m + big_n)
+    certified = 0
+    for _ in range(2):
+        for d in family_variants(rng, lvm_like_family(rng, m, big_n)):
+            rep = check_condition_i(d)
+            ref = pairwise_route(monkeypatch, d)
+            assert rep["ok"] == ref["ok"]
+            for got, want in zip(rep["pairs"], ref["pairs"]):
+                assert (got["j1"], got["j2"]) == (want["j1"], want["j2"])
+                assert got["overlap"] == want["overlap"], (got, want)
+                if got.get("note") == "common interior point":
+                    certified += 1
+                    assert MARGIN <= got["margin"] <= want["margin"] + 1e-12
+                else:
+                    assert got == want
+            if m == 1:
+                poly = check_condition_i_polygon(d)
+                assert [p["overlap"] for p in rep["pairs"]] == [
+                    p["overlap"] for p in poly["pairs"]]
+    assert certified > 0
+
+
+def test_common_point_witness_is_interior_to_every_certified_set():
+    d = lvm_like_family(SplitMix64(73), 2, 6)
+    rep = check_condition_i(d)
+    witnesses = {tuple(p["witness"]) for p in rep["pairs"]}
+    assert len(witnesses) == 1
+    y = np.array(witnesses.pop())
+    for group in d.family:
+        mat = np.vstack([d.hull_points(group).T, np.ones(5)])
+        assert np.linalg.solve(mat, np.append(y, 1.0)).min() >= MARGIN
+
+
+def test_common_point_takes_one_lp_where_the_pairs_took_one_each(monkeypatch):
+    d = lvm_like_family(SplitMix64(79), 1, 6)
+    count = len(d.family)
+    rep, lps = count_lps(monkeypatch, d)
+    assert rep["ok"] and len(rep["pairs"]) == count * (count + 1) // 2
+    assert lps == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(lvmb, "common_point", lambda simplices: None)
+        _, lps = count_lps(patch, d)
+    assert lps == count * (count + 1) // 2
+
+
+def test_translated_lvm_family_is_certified_pair_by_pair():
+    d = lvm_like_family(SplitMix64(83), 2, 6)
+    moved = LvmbData(2, 6, d.family, d.ell + np.array([[3.0 - 2.0j, -1.5 + 4.0j]]))
+    for data in (d, moved):
+        rep = check_condition_i(data)
+        assert rep["ok"]
+        assert {p["note"] for p in rep["pairs"]} == {"common interior point"}
+    shift = np.array([3.0, -1.5, -2.0, 4.0])
+    assert np.allclose(np.array(check_condition_i(moved)["pairs"][0]["witness"]),
+                       np.array(check_condition_i(d)["pairs"][0]["witness"]) + shift)
+
+
+def test_edge_sharing_hulls_fail_through_the_pairwise_fallback(monkeypatch):
+    d = data_m1([0, 1, 1j, 1 + 1j], [[0, 1, 2], [1, 2, 3]])
+    rep, lps = count_lps(monkeypatch, d)
+    assert not rep["ok"]
+    # the best common point lies on the shared edge, so no set is
+    # certified and all three pairs take their own LP
+    assert lps == 1 + 3
+    assert all(p.get("note") != "common interior point" for p in rep["pairs"])
+    assert [p["overlap"] for p in rep["pairs"]] == [True, False, True]
 
 
 # ---------------------------------------------------------------------------
