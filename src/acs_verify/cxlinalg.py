@@ -9,14 +9,13 @@ Conventions used across the library (see README, Conventions):
 * Multiplication by i on C^m realifies to [[0, -I_m], [I_m, 0]], which is
   also the "standard structure" used for flat tori.
 
-Subspaces are stored with orthonormal bases (QR with column pivoting on
-construction); equality of subspaces is decided by comparing orthogonal
-projectors, never bases.
+Subspaces are stored with orthonormal bases (the leading left singular
+vectors of a thin SVD on construction); equality of subspaces is decided
+by comparing orthogonal projectors, never bases.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT, Tolerances
 from .errors import (
@@ -102,32 +101,26 @@ class ComplexSubspace:
     def from_columns(cls, cols: np.ndarray, tol: Tolerances = DEFAULT) -> "ComplexSubspace":
         """Orthonormalize independent columns; raise RankDeficient otherwise."""
         cols = np.atleast_2d(np.asarray(cols, dtype=complex))
-        if cols.shape[1] == 0:
-            return cls(np.zeros((cols.shape[0], 0), dtype=complex))
-        q, r, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-        if diag.size and diag[0] > 0:
-            rank = int(np.sum(diag > tol.rank_rtol * diag[0]))
-        else:
-            rank = 0
-        if rank < cols.shape[1]:
+        space = cls.from_spanning_set(cols, tol)
+        if space.dim < cols.shape[1]:
             raise RankDeficient(
-                f"columns span only {rank} of {cols.shape[1]} requested dimensions"
+                f"columns span only {space.dim} of {cols.shape[1]} requested dimensions"
             )
-        return cls(q)
+        return space
 
     @classmethod
     def from_spanning_set(cls, cols: np.ndarray, tol: Tolerances = DEFAULT) -> "ComplexSubspace":
-        """Orthonormalize, silently dropping dependent directions."""
+        """Orthonormalize, silently dropping dependent directions.
+
+        The basis is the leading left singular vectors of one thin SVD;
+        the rank counts the singular values s > rank_rtol * s_0.
+        """
         cols = np.atleast_2d(np.asarray(cols, dtype=complex))
         if cols.shape[1] == 0:
             return cls(np.zeros((cols.shape[0], 0), dtype=complex))
-        q, r, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-        if diag.size == 0 or diag[0] == 0:
-            return cls(np.zeros((cols.shape[0], 0), dtype=complex))
-        rank = int(np.sum(diag > tol.rank_rtol * diag[0]))
-        return cls(q[:, :rank])
+        u, s, _ = np.linalg.svd(cols, full_matrices=False)
+        rank = int(np.sum(s > tol.rank_rtol * s[0])) if s.size else 0
+        return cls(u[:, :rank])
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T

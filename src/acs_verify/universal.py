@@ -26,7 +26,6 @@ exactly.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT, Tolerances, worst_of
 from .cxlinalg import (
@@ -795,6 +794,17 @@ def darboux_transform(gamma: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarra
     return np.stack(es + fs, axis=1)
 
 
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Square blocks placed along the diagonal of a zero matrix."""
+    out = np.zeros((sum(b.shape[0] for b in blocks),) * 2,
+                   dtype=np.result_type(*blocks))
+    start = 0
+    for b in blocks:
+        out[start:start + b.shape[0], start:start + b.shape[0]] = b
+        start += b.shape[0]
+    return out
+
+
 def symplectic_pointwise_model(omega, jx, normal_data,
                                tol: Tolerances = DEFAULT) -> dict:
     """Doubled compatible model over one tangent space.
@@ -839,16 +849,11 @@ def symplectic_pointwise_model(omega, jx, normal_data,
         np.vstack([nx, zero_n]),
         np.vstack([zero_n, cn]),
     ], axis=1)
-    taut_dim = two_m - two_n
-    taut = np.block([
-        [np.zeros((taut_dim, taut_dim)), -np.eye(taut_dim)],
-        [np.eye(taut_dim), np.zeros((taut_dim, taut_dim))],
-    ])
-    blocks = scipy.linalg.block_diag(jx, -jx, taut)
+    blocks = _block_diag(jx, -jx, standard_structure(two_m - two_n))
     jtilde = np.linalg.solve(frame.T, (frame @ blocks).T).T
 
-    gamma_tilde = scipy.linalg.block_diag(0.5 * gamma, -0.5 * gamma)
-    gamma_swapped = scipy.linalg.block_diag(0.5 * gamma, 0.5 * gamma)
+    gamma_tilde = _block_diag(0.5 * gamma, -0.5 * gamma)
+    gamma_swapped = _block_diag(0.5 * gamma, 0.5 * gamma)
     gstar = np.vstack([embed, ce])
 
     resid_compat = float(np.max(np.abs(jtilde.T @ gamma_tilde @ jtilde - gamma_tilde)))

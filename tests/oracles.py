@@ -30,6 +30,11 @@ and each right-hand side is assembled one realified basis vector at a
 time. The tests hold the one-point route to them. `dbar_f` is the
 realified dbar f of one `induced.GraphPoint`, the matrix the fiber
 coordinates are read from, for tests that look at it whole.
+`from_columns_by_pivoted_qr` and `from_spanning_set_by_pivoted_qr` are
+the `ComplexSubspace` constructors as they were before the library
+dropped scipy: a pivoted QR whose rank counts the R diagonal entries
+above rank_rtol times the first, where the library now counts singular
+values of one thin SVD.
 `simplex_solve_loop` is the Bland simplex as it was before pivot choice
 read the tableau as Python floats: it scans the reduced costs and the
 ratio column one numpy scalar at a time and eliminates with an outer
@@ -46,6 +51,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 from acs_verify.config import DEFAULT, Tolerances, worst_of
 from acs_verify.cxlinalg import (
@@ -71,6 +77,7 @@ from acs_verify.errors import (
     InvalidParams,
     NotAComplexStructure,
     NotTransverse,
+    RankDeficient,
     RankDeficientEmbedding,
     ShapeMismatch,
 )
@@ -191,6 +198,36 @@ def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> Univers
                            sp, spp, sigp, sigpp)
     validate(point, tol)
     return point
+
+
+def _pivoted_qr(cols: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int]:
+    """Q of a pivoted QR of the columns, and the count of R diagonal
+    entries above rank_rtol times the first."""
+    q, r, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    if diag.size == 0 or diag[0] == 0:
+        return q, 0
+    return q, int(np.sum(diag > tol.rank_rtol * diag[0]))
+
+
+def from_columns_by_pivoted_qr(cols, tol: Tolerances = DEFAULT) -> ComplexSubspace:
+    cols = np.atleast_2d(np.asarray(cols, dtype=complex))
+    if cols.shape[1] == 0:
+        return ComplexSubspace(np.zeros((cols.shape[0], 0), dtype=complex))
+    q, rank = _pivoted_qr(cols, tol)
+    if rank < cols.shape[1]:
+        raise RankDeficient(
+            f"columns span only {rank} of {cols.shape[1]} requested dimensions"
+        )
+    return ComplexSubspace(q)
+
+
+def from_spanning_set_by_pivoted_qr(cols, tol: Tolerances = DEFAULT) -> ComplexSubspace:
+    cols = np.atleast_2d(np.asarray(cols, dtype=complex))
+    if cols.shape[1] == 0:
+        return ComplexSubspace(np.zeros((cols.shape[0], 0), dtype=complex))
+    q, rank = _pivoted_qr(cols, tol)
+    return ComplexSubspace(q[:, :rank])
 
 
 def horizontal_qr_basis(point: UniversalPoint, tol: Tolerances = DEFAULT) -> np.ndarray:

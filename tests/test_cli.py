@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
+
+import acs_verify
 
 from acs_verify.checks import (
     REGISTRY,
@@ -539,3 +544,35 @@ def test_lvmb_check_semantic_rejection_exits_two(tmp_path, capsys):
     path.write_text(json.dumps(fam))
     code, _, err = run_lines(capsys, ["lvmb-check", str(path)])
     assert code == 2 and "rejected" in err
+
+
+# Runs in a fresh interpreter: argv[1] is the `src` directory, argv[2] an
+# lvmb-check input. Prints the exit codes and every scipy module loaded.
+NO_SCIPY_RUNNER = r"""
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from acs_verify.cli import main
+from acs_verify.scenarios import bundled_scenario_names
+codes = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for name in bundled_scenario_names():
+        codes[name] = main(["run", name])
+    codes["list-checks"] = main(["list-checks"])
+    codes["lvmb-check"] = main(["lvmb-check", sys.argv[2]])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_cli_runs_without_importing_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(acs_verify.__file__)))
+    family = os.path.join(os.path.dirname(__file__), "data",
+                          "lvm_m1_N10_weights_form_unstable.json")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNNER, src, family],
+                          capture_output=True, text=True, env=env, timeout=300,
+                          check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(out["codes"]) == len(bundled_scenario_names()) + 2
+    assert set(out["codes"].values()) == {0}, out["codes"]
+    assert out["scipy"] == []

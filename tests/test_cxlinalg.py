@@ -8,7 +8,12 @@ from acs_verify.errors import (
     UnbalancedEigenspaces,
 )
 from acs_verify.rng import SplitMix64
-from oracles import realify_matrix, reassemble
+from oracles import (
+    from_columns_by_pivoted_qr,
+    from_spanning_set_by_pivoted_qr,
+    realify_matrix,
+    reassemble,
+)
 
 
 def random_orthogonal_structure(dim, seed):
@@ -149,6 +154,44 @@ def test_from_columns_rejects_dependent():
     cols = np.ones((4, 2), dtype=complex)
     with pytest.raises(RankDeficient):
         cx.ComplexSubspace.from_columns(cols)
+
+
+def spanning_sets(seed):
+    """Seeded column sets, each tagged with whether its columns are
+    independent: full rank, exactly dependent columns, and one column
+    scaled below the rank cutoff (1e-8 relative)."""
+    rng = SplitMix64(seed)
+    for d, r in [(4, 2), (6, 3), (8, 5), (5, 5), (12, 8)]:
+        full = rng.complex_matrix(d, r)
+        yield full, True
+        base = rng.complex_matrix(d, r - 1)
+        combo = base @ rng.complex_matrix(r - 1, 1)
+        at = rng.integer(0, r - 1)
+        yield np.insert(base, at, combo[:, 0], axis=1), False
+        tiny = full.copy()
+        tiny[:, rng.integer(0, r - 1)] *= 1e-11
+        yield tiny, False
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_svd_subspaces_match_the_pivoted_qr_oracle(seed):
+    for cols, independent in spanning_sets(seed):
+        ours = cx.ComplexSubspace.from_spanning_set(cols)
+        ref = from_spanning_set_by_pivoted_qr(cols)
+        assert ours.dim == ref.dim == cols.shape[1] - (not independent)
+        assert np.allclose(ours.basis.conj().T @ ours.basis, np.eye(ours.dim),
+                           atol=1e-14)
+        assert np.linalg.norm(ours.projector() - ref.projector(), 2) <= 1e-12
+        if independent:
+            ours = cx.ComplexSubspace.from_columns(cols)
+            ref = from_columns_by_pivoted_qr(cols)
+            assert ours.dim == ref.dim == cols.shape[1]
+            assert np.linalg.norm(ours.projector() - ref.projector(), 2) <= 1e-12
+        else:
+            with pytest.raises(RankDeficient):
+                cx.ComplexSubspace.from_columns(cols)
+            with pytest.raises(RankDeficient):
+                from_columns_by_pivoted_qr(cols)
 
 
 def test_intersect_plane_pair():

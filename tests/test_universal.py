@@ -54,6 +54,7 @@ from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
 from acs_verify.universal import (
     ChartFrame,
     PointwiseACManifold,
+    _block_diag,
     _fiber_frame_coords,
     _induced_from_parts,
     build_fiber,
@@ -708,6 +709,20 @@ def test_symplectic_model_random_compatible_inputs():
         assert rep["max_residual_pullback"] <= 1e-10
         assert rep["jsq_residual"] <= 1e-10
         assert rep["swap_residual"] > 1e-2
+
+
+def test_block_diag_matches_scipy_on_the_symplectic_shapes():
+    # the three matrices symplectic_pointwise_model assembles, as scipy
+    # built them before the library dropped it
+    rng = SplitMix64(11)
+    for n, extra in [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2)]:
+        om, jx, gamma, embed = random_compatible_symplectic(rng, n, extra)
+        taut = standard_structure(2 * extra)
+        for blocks in [(jx, -jx, taut), (0.5 * gamma, -0.5 * gamma),
+                       (0.5 * gamma, 0.5 * gamma)]:
+            ours, ref = _block_diag(*blocks), scipy.linalg.block_diag(*blocks)
+            assert ours.dtype == ref.dtype
+            assert ours.tobytes() == ref.tobytes()
 
 
 def test_symplectic_model_rejects_incompatible_inputs():
