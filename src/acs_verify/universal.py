@@ -32,7 +32,6 @@ from .cxlinalg import (
     ComplexSubspace,
     complexify_vector,
     nullspace,
-    realify_basis,
     realify_vector,
     standard_structure,
 )
@@ -342,21 +341,34 @@ def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> Univers
 
 def _induced_from_parts(dg2k: np.ndarray, fibers: np.ndarray,
                         tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Solve [dG | fiber] x = i . dG in realified coordinates for each
-    stacked point (dg2k: (rows, 2k, 2n); fibers: complex bases
-    (rows, 2k, 2k - n)); the head rows of x express multiplication by i of
-    the quotient classes back in base coordinates. Returns the stacked J."""
-    two_n = dg2k.shape[2]
-    two_k = dg2k.shape[1]
-    dg_real = np.concatenate([dg2k, np.zeros_like(dg2k)], axis=1)
-    joint = np.concatenate([dg_real, realify_basis(fibers)], axis=2)
-    if joint.shape[1] != joint.shape[2]:
+    """Multiplication by i on the quotient C^{2k} / fiber, pulled back to
+    the base through dG, for each stacked point (dg2k: (rows, 2k, 2n);
+    fibers: complex bases (rows, 2k, 2k - n)). Returns the stacked J.
+
+    The trailing n columns W of a complete QR of the fiber are an
+    orthonormal basis of its orthogonal complement, so W^H is the
+    quotient map. C = W^H dG is n x 2n complex, M = [Re C; Im C] is its
+    2n x 2n realification, and J = M^-1 J_std(n) M.
+    """
+    n = dg2k.shape[2] // 2
+    width = fibers.shape[2]
+    if width != dg2k.shape[1] - n:
         raise DimensionMismatch("fiber does not have complementary dimension")
-    sv = np.linalg.svd(joint, compute_uv=False)
+    q, _ = np.linalg.qr(fibers, mode="complete")
+    c = np.conj(q[:, :, width:]).transpose(0, 2, 1) @ dg2k
+    mat = np.concatenate([c.real, c.imag], axis=1)
+    # W is orthonormal and its kernel is exactly the fiber (whose columns
+    # validate_fibers certified independent), so |M v| is the distance of
+    # dG v from the fiber. sigma_min(M) is how close the image of dG comes
+    # to the fiber, and sigma_max(M) <= ||dG|| sets the scale, so the
+    # ratio does not move when dG is scaled. A ratio at or below
+    # rank_rtol, the cut-off of every rank decision in the library, means
+    # dG carries some unit tangent to within that relative distance of
+    # the fiber: the tangent meets the fiber at the library's tolerance.
+    sv = np.linalg.svd(mat, compute_uv=False)
     _raise_first(sv[:, -1] <= tol.rank_rtol * sv[:, 0], lambda i: NotTransverse(
         f"base tangent meets the fiber (sigma_min={sv[i, -1]:.3e})"))
-    rhs = standard_structure(two_k) @ dg_real
-    return np.linalg.solve(joint, rhs)[:, :two_n, :]
+    return np.linalg.solve(mat, standard_structure(n) @ mat)
 
 
 def induced_structures(xs, points, m: PointwiseACManifold,
@@ -364,13 +376,15 @@ def induced_structures(xs, points, m: PointwiseACManifold,
     """induced_structure_at(x, m, tol, point=p) for every row x of xs and
     its fiber p = build_fiber(x, m, tol), stacked (rows, 2n, 2n).
 
-    The joint solve reads S' (+) Sigma'' as the columns [S' | Sigma''] of
-    the validated bases: its head J_f does not depend on the fiber basis,
-    and the columns, part of [Sigma' | Sigma''] whose sigma_min
-    validate_fibers certified, are independent by interlacing. The joint
-    SVD, the solve and the J^2 = -Id guard run on the stack; the first
-    row at which a guard fires raises, and over_chunks turns that into
-    the error of a loop over the rows.
+    The fiber S' (+) Sigma'' is read as the columns [S' | Sigma''] of the
+    validated bases. They are part of [Sigma' | Sigma''], whose sigma_min
+    validate_fibers certified, so they are independent by interlacing,
+    and the complete QR that gives the quotient map W^H sees the whole
+    fiber. J_f does not depend on the fiber basis: W spans the orthogonal
+    complement of the fiber whatever basis spans it. The QR, the 2n x 2n
+    transversality SVD, the solve and the J^2 = -Id guard run on the
+    stack; the first row at which a guard fires raises, and over_chunks
+    turns that into the error of a loop over the rows.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     fibers = np.stack([np.concatenate([p.sp.basis, p.sigpp.basis], axis=1)

@@ -1,15 +1,19 @@
 """Reference routes and helpers that only the tests use, kept out of the
 library.
 
-`build_fiber` and `induced_at` are the one-point-at-a-time constructions
-the library's stacked route (`universal.build_fibers`,
-`universal.induced_structures`) replaced. They call only per-point
-LAPACK and field evaluations (`value`, `jacobian_value`), so the tests
-can compare the stacked route against them bit for bit.
-`induced_at` reads the horizontal columns [S' | Sigma''] as the library
-does; `horizontal_qr_basis` is the pivoted-QR orthonormalization of
-them that the library dropped, kept so a test can hold the two routes to
-the same J_f. `reconstruction_report` sweeps a grid through them.
+`build_fiber` and `induced_reduced_at` are the one-point-at-a-time
+forms of the library's stacked route (`universal.build_fibers`,
+`universal.induced_structures`). They call only per-point LAPACK and
+field evaluations (`value`, `jacobian_value`), so the tests can compare
+the stacked route against them bit for bit. `induced_at` is the joint
+route the library replaced: it solves [dG | S' | Sigma''] x = i dG in
+realified coordinates, a 4k x 4k system, where the library solves
+2n x 2n through the orthogonal complement of the fiber; the tests hold
+the two routes to the same J_f to a stated bound.
+`horizontal_qr_basis` is the pivoted-QR orthonormalization of
+[S' | Sigma''] that the library dropped, kept so a test can hold the two
+fiber bases to the same J_f. `reconstruction_report` sweeps a grid
+through `build_fiber` and `induced_at`.
 `plucker_certificate_by_minors` is the reality certificate by
 enumeration of the wedge coordinates, which
 `universal.plucker_reality_certificate` replaced by two Cauchy-Binet
@@ -269,6 +273,28 @@ def induced_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
     if resid > 1e3 * tol.alg_atol:
         raise NotAComplexStructure(f"||J_f^2 + Id|| = {resid:.3e}")
     return jf, sigma
+
+
+def induced_reduced_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
+                       point: UniversalPoint | None = None) -> np.ndarray:
+    """J_f at x through the orthogonal complement of the fiber, one point
+    at a time: the library's route (`universal._induced_from_parts`)
+    with its guards, on 2-d arrays instead of a stack."""
+    if point is None:
+        point = build_fiber(x, m, tol)
+    fiber = np.concatenate([point.sp.basis, point.sigpp.basis], axis=1)
+    dg = jacobian_value(m.g, np.asarray(x, dtype=float).reshape(-1))
+    q, _ = np.linalg.qr(fiber, mode="complete")
+    c = q[:, fiber.shape[1]:].conj().T @ np.vstack([dg, dg])
+    mat = np.vstack([c.real, c.imag])
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if sv[-1] <= tol.rank_rtol * sv[0]:
+        raise NotTransverse(f"base tangent meets the fiber (sigma_min={sv[-1]:.3e})")
+    jf = np.linalg.solve(mat, standard_structure(m.n) @ mat)
+    resid = np.max(np.abs(jf @ jf + np.eye(jf.shape[0])))
+    if resid > 1e3 * tol.alg_atol:
+        raise NotAComplexStructure(f"||J_f^2 + Id|| = {resid:.3e}")
+    return jf
 
 
 def reconstruction_report(m: PointwiseACManifold, counts,

@@ -35,6 +35,7 @@ from acs_verify.distribution import (
     torsion_via_frames,
 )
 from acs_verify.errors import (
+    DimensionMismatch,
     EigenSplitFailure,
     InvalidParams,
     NotCompatible,
@@ -255,17 +256,29 @@ def test_induced_structure_grid_sweep_n2_small():
 
 
 def test_not_transverse_when_fiber_swallows_base_direction():
-    m = perturbed_manifold(1)
-    x = np.array([0.5, 0.7])
+    for n in (1, 2, 3):
+        m = perturbed_manifold(n)
+        x = np.linspace(0.5, 0.7, 2 * n)
+        p = build_fiber(x, m)
+        fib = np.concatenate([p.sp.basis, p.sigpp.basis], axis=1)
+        dg2k = np.vstack([oracles.jacobian_value(m.g, x)] * 2)
+        bad_cols = np.concatenate(
+            [dg2k[:, :1].astype(complex), fib[:, :-1]], axis=1
+        )
+        bad = ComplexSubspace.from_columns(bad_cols)
+        with pytest.raises(NotTransverse):
+            _induced_from_parts(dg2k[None], bad.basis[None])
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_fiber_of_the_wrong_width_is_a_dimension_mismatch(extra):
+    m = perturbed_manifold(2)
+    x = np.linspace(0.5, 0.7, 4)
     p = build_fiber(x, m)
-    fib = np.concatenate([p.sp.basis, p.sigpp.basis], axis=1)
-    dg2k = np.vstack([oracles.jacobian_value(m.g, x), oracles.jacobian_value(m.g, x)])
-    bad_cols = np.concatenate(
-        [dg2k[:, :1].astype(complex), fib[:, :-1]], axis=1
-    )
-    bad = ComplexSubspace.from_columns(bad_cols)
-    with pytest.raises(NotTransverse):
-        _induced_from_parts(dg2k[None], bad.basis[None])
+    cols = np.concatenate([p.sp.basis, p.sigpp.basis, p.sigp.basis], axis=1)
+    dg2k = np.vstack([oracles.jacobian_value(m.g, x)] * 2)
+    with pytest.raises(DimensionMismatch):
+        _induced_from_parts(dg2k[None], cols[None, :, :2 * p.k - p.n + extra])
 
 
 # ---------------------------------------------------------------------------
@@ -789,14 +802,27 @@ def test_stacked_fibers_and_jf_match_the_oracle_bitwise(n, counts, seed):
         for x, point, jf in zip(rows, chunk, jfs):
             want = oracles.build_fiber(x, m)
             assert_fiber_bits(point, want)
-            assert same_bits(jf, oracles.induced_at(x, m, point=want)[0])
+            assert same_bits(jf, oracles.induced_reduced_at(x, m, point=want))
+
+
+@pytest.mark.parametrize("n, counts", [(1, [6, 7]), (2, [3, 3, 3, 3]), (3, [2] * 6)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reduced_route_matches_the_joint_solve(n, counts, seed):
+    # W^H on the fiber's orthogonal complement and the joint solve on
+    # [dG | S' | Sigma''] are two routes to one quotient map
+    m = perturbed_manifold(n, seed=seed)
+    pts = TorusChart(2 * n).grid(counts)
+    points = list(universal.build_fibers(pts, m))
+    jfs = universal.induced_structures(pts, points, m)
+    for x, point, jf in zip(pts, points, jfs):
+        assert np.max(np.abs(jf - oracles.induced_at(x, m, point=point)[0])) <= 1e-13
 
 
 @pytest.mark.parametrize("n, counts", [(1, [6, 7]), (2, [3, 3, 3, 3])])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_horizontal_columns_give_the_jf_of_their_pivoted_qr(n, counts, seed):
-    # J_f is the head of the joint solve, which no change of the fiber
-    # basis moves: [S' | Sigma''] and its orthonormalization agree
+    # J_f depends on the span of the fiber alone: the library's route on
+    # [S' | Sigma''] and the joint solve on its orthonormalization agree
     m = perturbed_manifold(n, seed=seed)
     pts = TorusChart(2 * n).grid(counts)
     points = list(universal.build_fibers(pts, m))
@@ -835,7 +861,7 @@ def test_chunk_of_one_matches_the_oracle_bitwise(n):
     m = perturbed_manifold(n, seed=5)
     for x in TorusChart(2 * n).grid([2] * (2 * n))[:4]:
         assert_fiber_bits(build_fiber(x, m), oracles.build_fiber(x, m))
-        assert same_bits(induced_structure_at(x, m), oracles.induced_at(x, m)[0])
+        assert same_bits(induced_structure_at(x, m), oracles.induced_reduced_at(x, m))
 
 
 def test_reconstruction_check_matches_the_oracle_sweep():
