@@ -12,8 +12,9 @@ its max_residual is finite and <= tolerance, with indicator residuals
 with worst_of, which keeps a NaN that max would drop.
 
 The checks of one run share a RunMemo of the constructions that draw
-from no check's rng: the manifold, the fields structure, the LVMB data
-and the set of sample points whose fiber has been built and validated.
+from no check's rng: the manifold, the fields structure, the LVMB data,
+the set of sample points whose fiber has been built and validated, and
+the universal samples that versality and isotropy read.
 """
 from __future__ import annotations
 
@@ -68,23 +69,19 @@ from .rng import SplitMix64
 # build_fiber is not called here; it stays importable as checks.build_fiber,
 # the binding perfbench/test_perfbench.py checks its tracer against
 from .universal import (
-    ChartFrame,
     PointwiseACManifold,
+    UniversalSample,
     build_fiber,  # noqa: F401
     build_fibers,
-    dbar_embedding,
     default_torus_embedding,
     dimension_symplectic,
     dimension_universal,
-    induced_structure_at,
     induced_structure_field,
     induced_structures,
-    isotropy_subspace,
     over_chunks,
     plucker_reality_certificate,
     symplectic_pointwise_model,
     random_compatible_symplectic,
-    universal_chart,
     versality_check,
     versality_rank_from_parts,
 )
@@ -102,11 +99,14 @@ class RunMemo:
 
     It holds only what the payload and the scenario seed determine, so a
     check sees the same object it would have built itself: the manifold,
-    the fields structure, the LVMB data, and the keys of the sample points
-    whose fiber has been built and validated. The fibers themselves are
-    not held: they cost about 5.8 KB each, and a point is cheap to
-    rebuild. A build that raises stores nothing, so the next check to
-    need it raises the same error.
+    the fields structure, the LVMB data, the keys of the sample points
+    whose fiber has been built and validated, and the universal samples
+    of the versality and isotropy checks. The fibers themselves are not
+    held: they cost about 5.8 KB each, and a point is cheap to rebuild.
+    A sample is held: a run builds only a few, and each carries a chart
+    torsion and a differential that cost far more than its fiber. A
+    build that raises stores nothing, so the next check to need it
+    raises the same error.
     """
 
     def __init__(self):
@@ -114,6 +114,7 @@ class RunMemo:
         self._structure = None
         self._lvmb_data = None
         self._validated_points: set[bytes] = set()
+        self._samples: dict[bytes, UniversalSample] = {}
 
     def manifold(self, payload: dict, seed: int) -> PointwiseACManifold:
         if self._manifold is None:
@@ -138,6 +139,15 @@ class RunMemo:
         for x, point in zip(xs, build_fibers(xs, m, tol)):
             self._validated_points.add(_point_key(x))
             yield point
+
+    def sample(self, x, m: PointwiseACManifold, tol: Tolerances) -> UniversalSample:
+        """UniversalSample(x, m, tol), built on first use; its fiber,
+        validated by build_fiber, is recorded with it."""
+        key = _point_key(x)
+        if key not in self._samples:
+            self._samples[key] = UniversalSample(x, m, tol)
+            self._validated_points.add(key)
+        return self._samples[key]
 
     def validated(self, x) -> bool:
         return _point_key(x) in self._validated_points
@@ -375,7 +385,7 @@ def _check_versality(ctx: CheckContext) -> CheckResult:
         pts = ctx.points(default_counts=[3] * (2 * m.n))[:3]
     worst = 0.0
     for x in pts:
-        rep = versality_check(x, m, tol=ctx.tol)
+        rep = versality_check(ctx.memo.sample(x, m, ctx.tol))
         worst = worst_of(worst, float(rep["fiber_membership_residual"]))
         worst = worst_of(worst, float(abs(rep["surj_rank"] - rep["target_rank"])))
         if not rep["inj"]:
@@ -394,13 +404,9 @@ def _check_isotropy(ctx: CheckContext) -> CheckResult:
     m = ctx.manifold()
     pts = ctx.points(default_counts=[3] * (2 * m.n))[: ctx.count(3)]
     worst = 0.0
-    for x, point in zip(pts, ctx.memo.fibers(pts, m, ctx.tol)):
-        frame = ChartFrame(point, tol=ctx.tol)
-        chart = universal_chart(frame)
-        jf = induced_structure_at(x, m, ctx.tol, point=point)
-        dbar, _ = dbar_embedding(x, m, frame, jf, ctx.tol)
-        sub = isotropy_subspace(dbar, chart.big_n, ctx.tol)
-        ok, pairing = isotropy_test(torsion_at(chart, tol=ctx.tol), sub, m.n, ctx.tol)
+    for x in pts:
+        sample = ctx.memo.sample(x, m, ctx.tol)
+        ok, pairing = isotropy_test(sample.theta, sample.image(), m.n, ctx.tol)
         worst = worst_of(worst, pairing if ok else max(pairing, 1.0))
     return CheckResult(worst, int(len(pts)))
 

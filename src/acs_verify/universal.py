@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances, worst_of
+from .config import DEFAULT, Tolerances
 from .cxlinalg import (
     ComplexSubspace,
-    complexify_vector,
     nullspace,
     realify_vector,
     standard_structure,
@@ -453,6 +452,13 @@ class ChartFrame:
     """Fixed reference bases at a point, shared by the chart map and the
     coordinate function so both speak the same coordinates.
 
+    The bases are the point's own: B' = Sigma' and B'' = Sigma'', whose
+    first k - n columns span S' and S''. The trailing n columns of each
+    are the quotient blocks, complements of S' in Sigma' and of S'' in
+    Sigma''; build_fibers gives them as the tail of one nested QR, and
+    any other complement gives an equally valid chart (nothing here
+    needs them orthonormal).
+
     Layout of the chart vector in C^N:
       [0, n)                 quotient block (complement of S' in Sigma')
       [n, 2k)                remaining ambient block (S' then Sigma'')
@@ -462,41 +468,16 @@ class ChartFrame:
       [.., +k^2)             graph coords of Sigma'' against Sigma'
     """
 
-    def __init__(self, point: UniversalPoint, mixer: SplitMix64 | None = None,
-                 tol: Tolerances = DEFAULT):
+    def __init__(self, point: UniversalPoint, tol: Tolerances = DEFAULT):
         self.point = point
+        self.tol = tol
         k, n = point.k, point.n
         self.k = k
         self.n = n
         self.big_n = dimension_universal(n, k)
-
-        def complement(small: ComplexSubspace, big: ComplexSubspace) -> ComplexSubspace:
-            cols = big.basis - small.projector() @ big.basis
-            comp = ComplexSubspace.from_spanning_set(cols, tol)
-            if comp.dim != big.dim - small.dim:
-                raise ChartDegeneracy("complement extraction lost rank")
-            return comp
-
-        cp = complement(point.sp, point.sigp)
-        cpp = complement(point.spp, point.sigpp)
-        if mixer is not None:
-            # re-choose both complements: tilt over the small subspace and
-            # mix the basis; any such choice is an equally valid chart
-            tilt = mixer.complex_matrix(k - n, n, 0.3)
-            mix = mixer.complex_matrix(n, n, 0.2) + np.eye(n)
-            cp = ComplexSubspace.from_columns(
-                (cp.basis + point.sp.basis @ tilt) @ mix, tol
-            )
-            tilt2 = mixer.complex_matrix(k - n, n, 0.3)
-            mix2 = mixer.complex_matrix(n, n, 0.2) + np.eye(n)
-            cpp = ComplexSubspace.from_columns(
-                (cpp.basis + point.spp.basis @ tilt2) @ mix2, tol
-            )
-        self.cp = cp
-        self.cpp = cpp
-        self.b_sigp = np.concatenate([point.sp.basis, cp.basis], axis=1)
-        self.b_sigpp = np.concatenate([point.spp.basis, cpp.basis], axis=1)
-        self.quot = cp.basis
+        self.b_sigp = point.sigp.basis
+        self.b_sigpp = point.sigpp.basis
+        self.quot = self.b_sigp[:, k - n:]
         self.rest = np.concatenate([point.sp.basis, self.b_sigpp], axis=1)
         self.ambient_frame = np.concatenate([self.quot, self.rest], axis=1)
         sv = np.linalg.svd(self.ambient_frame, compute_uv=False)
@@ -531,9 +512,8 @@ class ChartFrame:
             [self.quot, tilted @ graph, self.b_sigpp + self.b_sigp @ vpp], axis=1)
         return joint, tilted, graph
 
-    @staticmethod
-    def _guard(sv: np.ndarray) -> None:
-        if sv[-1] <= 1e-8 * sv[0]:
+    def _guard(self, sv: np.ndarray) -> None:
+        if sv[-1] <= self.tol.rank_rtol * sv[0]:
             raise ChartDegeneracy("moved fiber no longer splits the ambient space")
 
     def a_matrix(self, z) -> np.ndarray:
@@ -582,7 +562,7 @@ class ChartFrame:
             "pi,jc->pcij", p @ self.b_sigp, r[k:]).reshape(n, cols, -1)
         return jac
 
-    def coordinates(self, z_amb, sp, spp, sigp, sigpp) -> np.ndarray:
+    def coordinates(self, point: UniversalPoint) -> np.ndarray:
         """Chart vector of a nearby 5-tuple; depends only on the
         subspaces, not on the bases presenting them."""
         k, n = self.k, self.n
@@ -593,8 +573,8 @@ class ChartFrame:
             head, tail = coeff[: big_base_a.shape[1]], coeff[big_base_a.shape[1]:]
             return tail @ np.linalg.inv(head)
 
-        vp = graph_of(self.b_sigp, self.b_sigpp, sigp)
-        vpp = graph_of(self.b_sigpp, self.b_sigp, sigpp)
+        vp = graph_of(self.b_sigp, self.b_sigpp, point.sigp)
+        vpp = graph_of(self.b_sigpp, self.b_sigp, point.sigpp)
 
         def small_graph(base_pair, vmat, space: ComplexSubspace) -> np.ndarray:
             frame = base_pair[0] + base_pair[1] @ vmat
@@ -602,11 +582,10 @@ class ChartFrame:
             head, tail = coeff[: k - n], coeff[k - n:]
             return tail @ np.linalg.inv(head)
 
-        up = small_graph((self.b_sigp, self.b_sigpp), vp, sp)
-        upp = small_graph((self.b_sigpp, self.b_sigp), vpp, spp)
+        up = small_graph((self.b_sigp, self.b_sigpp), vp, point.sp)
+        upp = small_graph((self.b_sigpp, self.b_sigp), vpp, point.spp)
 
-        w = np.linalg.solve(self.ambient_frame,
-                            np.asarray(z_amb, dtype=complex).reshape(-1) - self.point.z)
+        w = np.linalg.solve(self.ambient_frame, point.z - self.point.z)
         return np.concatenate([
             w, up.reshape(-1), upp.reshape(-1), vp.reshape(-1), vpp.reshape(-1)
         ])
@@ -653,34 +632,43 @@ def embedding_differential(x, m: PointwiseACManifold, frame: ChartFrame,
         step = np.zeros_like(x)
         step[r] = h
         ys += [x + step, x - step, x + 0.5 * step, x - 0.5 * step]
-    coords = np.array([frame.coordinates(p.z, p.sp, p.spp, p.sigp, p.sigpp)
-                       for p in build_fibers(np.array(ys), m, tol)])
+    coords = np.array([frame.coordinates(p) for p in build_fibers(np.array(ys), m, tol)])
     c = coords.reshape(two_n, 4, -1)
     d1 = (c[:, 0] - c[:, 1]) / (2 * h)
     d2 = (c[:, 2] - c[:, 3]) / h
     return np.stack([realify_vector(col) for col in (4.0 * d2 - d1) / 3.0], axis=1)
 
 
-def dbar_embedding(x, m: PointwiseACManifold, frame: ChartFrame, jf: np.ndarray,
-                   tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugate-linear part (df + i df J_f)/2 of the chart differential,
-    realified (2N x 2n), for jf = induced_structure_at(x, m, tol);
-    returns (dbar, df)."""
-    df = embedding_differential(x, m, frame, tol=tol)
-    return 0.5 * (df + standard_structure(frame.big_n) @ df @ jf), df
+class UniversalSample:
+    """What the versality and isotropy checks read at one base sample x,
+    each built once: the fiber point, its chart frame and chart, J_f, the
+    realified chart differential df of the fiber family (2N x 2n), its
+    conjugate-linear part dbar = (df + J df J_f)/2, the complex columns
+    of dbar (N x 2n) with their fiber coordinates etas (the last N - n
+    components) and the worst head component as a membership residual,
+    and the chart torsion theta."""
 
+    def __init__(self, x, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
+        self.x = np.asarray(x, dtype=float).reshape(-1)
+        self.n = m.n
+        self.tol = tol
+        self.point = build_fiber(self.x, m, tol)
+        self.frame = ChartFrame(self.point, tol)
+        self.chart = universal_chart(self.frame)
+        self.jf = induced_structure_at(self.x, m, tol, point=self.point)
+        self.df = embedding_differential(self.x, m, self.frame, tol=tol)
+        big_n = self.frame.big_n
+        self.dbar = 0.5 * (self.df + standard_structure(big_n) @ self.df @ self.jf)
+        self.cols = self.dbar[:big_n] + 1j * self.dbar[big_n:]
+        self.etas = self.cols[m.n:]
+        # np.max keeps a NaN, which then fails the membership tolerance
+        self.membership_residual = float(np.max(np.abs(self.cols[:m.n]), initial=0.0))
+        self.theta = torsion_at(self.chart, tol=tol)
 
-def _fiber_frame_coords(cols_real: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """Complexify realified chart vectors and read their frame coordinates
-    in the centered fiber (tail components); reports the worst head
-    residual as a membership certificate."""
-    out = []
-    worst = 0.0
-    for r in range(cols_real.shape[1]):
-        vec = complexify_vector(cols_real[:, r])
-        worst = worst_of(worst, float(np.max(np.abs(vec[:n]), initial=0.0)))
-        out.append(vec[n:])
-    return np.stack(out, axis=1), worst
+    def image(self) -> ComplexSubspace:
+        """Complex span of dbar f inside the chart's centered fiber, for
+        the torsion isotropy test."""
+        return ComplexSubspace.from_spanning_set(self.cols, self.tol)
 
 
 def versality_pairing(theta: TorsionTensor, etas: np.ndarray,
@@ -726,40 +714,20 @@ def versality_rank_from_parts(theta: TorsionTensor, etas: np.ndarray,
     }
 
 
-def versality_check(x, m: PointwiseACManifold, mixer: SplitMix64 | None = None,
-                    tol: Tolerances = DEFAULT) -> dict:
+def versality_check(sample: UniversalSample) -> dict:
     """Injectivity of the conjugate-linear differential and surjectivity
     rank of the torsion pairing at one base sample."""
-    point = build_fiber(x, m, tol)
-    frame = ChartFrame(point, mixer, tol)
-    chart = universal_chart(frame)
-    jf = induced_structure_at(x, m, tol, point=point)
-    dbar, df = dbar_embedding(x, m, frame, jf, tol)
-
-    sv = np.linalg.svd(dbar, compute_uv=False)
-    inj = bool(sv.size == 2 * m.n and sv[-1] > 1e-8 * sv[0] and sv[-1] > 1e-8)
-
-    etas, head_resid = _fiber_frame_coords(dbar, m.n)
-    theta = torsion_at(chart, tol=tol)
-    head_map = np.vstack([
-        df[: m.n, :],
-        df[frame.big_n: frame.big_n + m.n, :],
-    ])
-    report = versality_rank_from_parts(theta, etas, head_map, tol.rank_rtol)
+    n, big_n, tol = sample.n, sample.frame.big_n, sample.tol
+    sv = np.linalg.svd(sample.dbar, compute_uv=False)
+    inj = bool(sv.size == 2 * n and sv[-1] > tol.rank_rtol * sv[0] and sv[-1] > 1e-8)
+    head_map = np.vstack([sample.df[:n], sample.df[big_n: big_n + n]])
+    report = versality_rank_from_parts(sample.theta, sample.etas, head_map, tol.rank_rtol)
     report.update({
         "inj": inj,
         "dbar_singular_values": sv,
-        "fiber_membership_residual": head_resid,
+        "fiber_membership_residual": sample.membership_residual,
     })
     return report
-
-
-def isotropy_subspace(dbar_cols: np.ndarray, big_n: int,
-                      tol: Tolerances = DEFAULT) -> ComplexSubspace:
-    """Complex span of the conjugate-linear image inside the chart's
-    centered fiber, ready for the torsion isotropy test."""
-    cols = [complexify_vector(dbar_cols[:, r]) for r in range(dbar_cols.shape[1])]
-    return ComplexSubspace.from_spanning_set(np.stack(cols, axis=1), tol)
 
 
 # ---------------------------------------------------------------------------

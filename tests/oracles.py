@@ -21,6 +21,11 @@ determinants; it stops at C(2k, 2(k - n)) = 100000 minors.
 `embedding_differential_by_points` is the Richardson differential of
 the chart coordinates with one `build_fiber` per point, which
 `universal.embedding_differential` replaced by one stacked build.
+`complement_by_projector` is the complement of S' in Sigma' as
+`universal.ChartFrame` extracted it before it read the tail of the
+fiber's nested QR: a projector product and one SVD. `rechosen_point`
+re-chooses that tail, so the tests can build charts on other
+complements.
 `frame_derivatives_by_column` adds the frame correction to the chart
 Jacobian one fiber column at a time, which `torsion_via_frames` replaced
 by one einsum; `torsion_via_frames_loop` is the frame route of the chart
@@ -354,6 +359,33 @@ def reassemble(split: RealSplitting) -> np.ndarray:
     return 1j * p_plus - 1j * p_minus
 
 
+def complement_by_projector(small: ComplexSubspace, big: ComplexSubspace,
+                            tol: Tolerances = DEFAULT) -> ComplexSubspace:
+    """An orthonormal complement of small in big: the part of big's basis
+    orthogonal to small, orthonormalized by one SVD."""
+    cols = big.basis - small.projector() @ big.basis
+    comp = ComplexSubspace.from_spanning_set(cols, tol)
+    if comp.dim != big.dim - small.dim:
+        raise InvalidParams("complement extraction lost rank")
+    return comp
+
+
+def rechosen_point(point: UniversalPoint, rng) -> UniversalPoint:
+    """The same 5-tuple with the trailing n columns of the Sigma' and
+    Sigma'' bases re-chosen: C -> (C + S tilt) mix, with tilt and mix
+    drawn from rng (Sigma' first). The new columns still complete S' and
+    S'' to Sigma' and Sigma'', but are neither orthonormal nor
+    orthogonal to S' and S''."""
+    n, k = point.n, point.k
+    bases = []
+    for small, big in ((point.sp, point.sigp), (point.spp, point.sigpp)):
+        tilt = rng.complex_matrix(k - n, n, 0.3)
+        mix = rng.complex_matrix(n, n, 0.2) + np.eye(n)
+        tail = (big.basis[:, k - n:] + small.basis @ tilt) @ mix
+        bases.append(ComplexSubspace(np.concatenate([small.basis, tail], axis=1)))
+    return UniversalPoint(n, k, point.z, point.sp, point.spp, *bases)
+
+
 def embedding_differential_by_points(x, m: PointwiseACManifold, frame: ChartFrame,
                                      h: float = 1e-4,
                                      tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -363,8 +395,7 @@ def embedding_differential_by_points(x, m: PointwiseACManifold, frame: ChartFram
     x = np.asarray(x, dtype=float).reshape(-1)
 
     def coords_at(y) -> np.ndarray:
-        p = build_fiber(y, m, tol)
-        return frame.coordinates(p.z, p.sp, p.spp, p.sigp, p.sigpp)
+        return frame.coordinates(build_fiber(y, m, tol))
 
     cols = []
     for r in range(2 * m.n):

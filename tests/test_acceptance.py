@@ -44,19 +44,15 @@ from acs_verify.scenarios import (
     serialize_report,
 )
 from acs_verify.universal import (
-    ChartFrame,
     PointwiseACManifold,
-    build_fiber,
-    dbar_embedding,
+    UniversalSample,
     default_torus_embedding,
     dimension_symplectic,
     dimension_universal,
     induced_structure_at,
     induced_structure_field,
-    isotropy_subspace,
     random_compatible_symplectic,
     symplectic_pointwise_model,
-    universal_chart,
     versality_check,
     versality_rank_from_parts,
 )
@@ -190,7 +186,7 @@ def test_criterion_06_versality_ranks(capsys):
     ok = True
     pts = TorusChart(2).grid([3, 3])[:5]
     for x in pts:
-        rep = versality_check(x, m)
+        rep = versality_check(UniversalSample(x, m))
         # inj certifies full realified rank 2 of dbar f, i.e. complex rank 1
         ok = ok and rep["inj"]
         ok = ok and rep["surj_rank"] == rep["target_rank"] == 2
@@ -222,13 +218,8 @@ def test_criterion_07_integrable_isotropy(capsys):
         m = PointwiseACManifold(n, k, default_torus_embedding(n),
                                 AlmostComplexField.standard(n))
         for x in TorusChart(2 * n).grid(counts):
-            point = build_fiber(x, m)
-            frame = ChartFrame(point)
-            chart = universal_chart(frame)
-            jf = induced_structure_at(x, m)
-            dbar, _ = dbar_embedding(x, m, frame, jf)
-            sub = isotropy_subspace(dbar, chart.big_n)
-            good, pairing = isotropy_test(torsion_at(chart), sub, m.n)
+            sample = UniversalSample(x, m)
+            good, pairing = isotropy_test(sample.theta, sample.image(), m.n)
             ok = ok and good
             worst_pair = max(worst_pair, pairing)
             samples += 1

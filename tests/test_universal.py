@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from acs_verify import distribution, universal
-from acs_verify.config import DEFAULT
+from acs_verify.config import DEFAULT, Tolerances
 import scipy.linalg
 
 from acs_verify.cxlinalg import (
@@ -35,6 +35,7 @@ from acs_verify.distribution import (
     torsion_via_frames,
 )
 from acs_verify.errors import (
+    ChartDegeneracy,
     DimensionMismatch,
     EigenSplitFailure,
     InvalidParams,
@@ -55,18 +56,16 @@ from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
 from acs_verify.universal import (
     ChartFrame,
     PointwiseACManifold,
+    UniversalSample,
     _block_diag,
-    _fiber_frame_coords,
     _induced_from_parts,
     build_fiber,
     darboux_transform,
-    dbar_embedding,
     default_torus_embedding,
     dimension_symplectic,
     dimension_universal,
     induced_structure_at,
     induced_structure_field,
-    isotropy_subspace,
     plucker_reality_certificate,
     random_compatible_symplectic,
     symplectic_pointwise_model,
@@ -343,7 +342,7 @@ def seeded_frame(n, seed, mixed):
     with a seeded re-choice of complements when mixed."""
     rng = SplitMix64(seed)
     p = build_fiber(rng.reals(2 * n, 0.0, 2.0 * np.pi), perturbed_manifold(n, seed=seed))
-    return ChartFrame(p, SplitMix64(100 + seed) if mixed else None)
+    return ChartFrame(oracles.rechosen_point(p, SplitMix64(100 + seed)) if mixed else p)
 
 
 def off_center(frame, seed):
@@ -452,7 +451,7 @@ def test_chart_coordinates_vanish_at_center():
     m = perturbed_manifold(1)
     p = build_fiber(np.array([0.5, 0.7]), m)
     frame = ChartFrame(p)
-    z = frame.coordinates(p.z, p.sp, p.spp, p.sigp, p.sigpp)
+    z = frame.coordinates(p)
     assert np.max(np.abs(z)) < 1e-10
 
 
@@ -461,8 +460,39 @@ def test_chart_coordinates_track_nearby_fibers():
     x = np.array([0.5, 0.7])
     frame = ChartFrame(build_fiber(x, m))
     q = build_fiber(x + np.array([1e-3, -2e-3]), m)
-    z = frame.coordinates(q.z, q.sp, q.spp, q.sigp, q.sigpp)
+    z = frame.coordinates(q)
     assert 0.0 < np.max(np.abs(z)) < 0.1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_quotient_blocks_span_the_projector_complements(n):
+    # the frame takes its bases and quotient blocks straight from the
+    # fiber's nested QR; the old route extracted each complement by a
+    # projector product and an SVD
+    frame = seeded_frame(n, n, False)
+    p, k = frame.point, frame.k
+    assert frame.b_sigp is p.sigp.basis and frame.b_sigpp is p.sigpp.basis
+    for small, big in ((p.sp, p.sigp), (p.spp, p.sigpp)):
+        got = ComplexSubspace(big.basis[:, k - n:])
+        want = oracles.complement_by_projector(small, big)
+        assert np.linalg.norm(got.projector() - want.projector(), 2) <= 1e-12
+    assert np.array_equal(frame.quot, p.sigp.basis[:, k - n:])
+
+
+def test_chart_guard_reads_the_frame_rank_rtol():
+    # at the centre joint(0) is the ambient frame, whose singular-value
+    # ratio the constructor certified above the frame's rank_rtol
+    p = build_fiber(np.array([0.5, 0.7]), perturbed_manifold(1))
+    sv = np.linalg.svd(ChartFrame(p).ambient_frame, compute_uv=False)
+    ratio = sv[-1] / sv[0]
+    assert 1e-8 < ratio < 1.0
+    frame = ChartFrame(p, Tolerances(rank_rtol=0.5 * ratio))
+    frame.a_matrix(np.zeros(frame.big_n))
+    frame.tol = Tolerances(rank_rtol=2.0 * ratio)
+    with pytest.raises(ChartDegeneracy):
+        frame.a_matrix(np.zeros(frame.big_n))
+    with pytest.raises(ChartDegeneracy):
+        frame.a_jacobian(np.zeros(frame.big_n))
 
 
 # ---------------------------------------------------------------------------
@@ -472,37 +502,93 @@ def test_chart_coordinates_track_nearby_fibers():
 def test_versality_flat_and_perturbed():
     for m in (oracles.default_torus(1), perturbed_manifold(1)):
         for x in (np.array([0.5, 0.7]), np.array([2.0, 1.3]), np.array([4.1, 5.6])):
-            rep = versality_check(x, m)
+            rep = versality_check(UniversalSample(x, m))
             assert rep["inj"]
             assert rep["surj_rank"] == rep["target_rank"] == 2
             assert rep["sv_gap"] >= 1e-6
             assert rep["fiber_membership_residual"] < 1e-8
 
 
-def test_versality_rank_invariant_under_chart_rechoice():
+def rechoose_sample_charts(monkeypatch, seed):
+    """Make every UniversalSample build its chart on re-chosen complements
+    (oracles.rechosen_point of its fiber)."""
+    build = universal.build_fiber
+    monkeypatch.setattr(universal, "build_fiber", lambda x, m, tol=DEFAULT:
+                        oracles.rechosen_point(build(x, m, tol), SplitMix64(seed)))
+
+
+def test_versality_rank_invariant_under_chart_rechoice(monkeypatch):
     m = perturbed_manifold(1)
     x = np.array([0.5, 0.7])
-    base = versality_check(x, m)
-    mixed = versality_check(x, m, mixer=SplitMix64(5))
+    base = versality_check(UniversalSample(x, m))
+    rechoose_sample_charts(monkeypatch, 5)
+    sample = UniversalSample(x, m)
+    k = sample.point.k
+    tail = sample.point.sigp.basis[:, k - 1:]
+    assert abs(np.linalg.norm(tail) - 1.0) > 1e-3  # not orthonormal
+    mixed = versality_check(sample)
     assert mixed["surj_rank"] == base["surj_rank"] == 2
     assert mixed["inj"]
     assert mixed["sv_gap"] >= 1e-6
+    assert mixed["fiber_membership_residual"] < 1e-8
 
 
-def test_versality_check_builds_one_chart_frame(monkeypatch):
+def count_inits(monkeypatch, cls):
     built = []
-    init = ChartFrame.__init__
+    init = cls.__init__
 
     def counting(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(ChartFrame, "__init__", counting)
+    monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_versality_check_builds_one_chart_frame(monkeypatch):
+    built = count_inits(monkeypatch, ChartFrame)
     m = perturbed_manifold(1)
-    for mixer in (None, SplitMix64(5)):
+    for rechosen in (False, True):
+        if rechosen:
+            rechoose_sample_charts(monkeypatch, 5)
         built.clear()
-        versality_check(np.array([0.5, 0.7]), m, mixer=mixer)
+        versality_check(UniversalSample(np.array([0.5, 0.7]), m))
         assert len(built) == 1
+
+
+def test_a_run_builds_one_sample_per_point_for_versality_and_isotropy(monkeypatch):
+    # universal_n1_k4_const runs versality and isotropy at the same 3 points
+    samples = count_inits(monkeypatch, UniversalSample)
+    frames = count_inits(monkeypatch, ChartFrame)
+    records, aggregate = run_scenario(parse_scenario(find_scenario("universal_n1_k4_const")))
+    assert aggregate["passed"]
+    counts = {r["name"]: r["samples_checked"] for r in records}
+    assert counts["universal_versality"] == counts["universal_isotropy"] == 3
+    assert len(samples) == len(frames) == 3
+    assert len({s.x.tobytes() for s in samples}) == 3
+
+
+def test_injectivity_reads_the_rank_rtol(monkeypatch):
+    # df -> df A with A commuting with J_f gives dbar -> dbar A, so a
+    # complex-linear A with eigenvalues 1 and 1e-6 makes the singular
+    # values of dbar f spread by about 1e-6
+    m = perturbed_manifold(2)
+    x = np.array([0.3, 1.1, 2.0, 4.5])
+    jf = induced_structure_at(x, m)
+    vals, vecs = np.linalg.eig(jf)
+    plus = vecs[:, vals.imag > 0]
+    # J_f maps Re v -> -Im v and Im v -> Re v for each +i eigenvector v
+    basis = np.concatenate([plus.real, plus.imag], axis=1)
+    warp = basis @ np.diag([1.0, 1e-6, 1.0, 1e-6]) @ np.linalg.inv(basis)
+    assert np.max(np.abs(warp @ jf - jf @ warp)) < 1e-9
+    differential = universal.embedding_differential
+    monkeypatch.setattr(universal, "embedding_differential",
+                        lambda *args, **kwargs: differential(*args, **kwargs) @ warp)
+    for tol, inj in ((DEFAULT, True), (Tolerances(rank_rtol=1e-5), False)):
+        sample = UniversalSample(x, m, tol)
+        sv = np.linalg.svd(sample.dbar, compute_uv=False)
+        assert 1e-8 < sv[-1] / sv[0] < 1e-5 and sv[-1] > 1e-8
+        assert versality_check(sample)["inj"] is inj
 
 
 def test_frame_torsion_matches_the_loop_on_a_universal_chart():
@@ -522,7 +608,7 @@ def test_frame_torsion_matches_the_loop_on_a_universal_chart():
 def test_embedding_differential_matches_the_per_point_loop(n):
     m = perturbed_manifold(n, seed=n)
     x = SplitMix64(n).reals(2 * n, 0.0, 2.0 * np.pi)
-    frame = ChartFrame(build_fiber(x, m), SplitMix64(100 + n))
+    frame = ChartFrame(oracles.rechosen_point(build_fiber(x, m), SplitMix64(100 + n)))
     got = universal.embedding_differential(x, m, frame)
     want = oracles.embedding_differential_by_points(x, m, frame)
     assert got.shape == (2 * frame.big_n, 2 * n)
@@ -552,22 +638,33 @@ def test_embedding_differential_raises_at_the_first_bad_point():
 
 
 def test_versality_controls_report_rank_zero():
-    m = perturbed_manifold(1)
-    x = np.array([0.5, 0.7])
-    p = build_fiber(x, m)
-    frame = ChartFrame(p)
-    chart = universal_chart(frame)
-    jf = induced_structure_at(x, m)
-    dbar, _ = dbar_embedding(x, m, frame, jf)
-    etas, _ = _fiber_frame_coords(dbar, 1)
-    theta = torsion_at(chart)
-    fiber_dim = chart.big_n - 1
+    sample = UniversalSample(np.array([0.5, 0.7]), perturbed_manifold(1))
+    fiber_dim = sample.chart.big_n - 1
     assert versality_rank_from_parts(
-        TorsionTensor(np.zeros((1, fiber_dim, fiber_dim))), etas
+        TorsionTensor(np.zeros((1, fiber_dim, fiber_dim))), sample.etas
     )["surj_rank"] == 0
     assert versality_rank_from_parts(
-        theta, np.zeros_like(etas)
+        sample.theta, np.zeros_like(sample.etas)
     )["surj_rank"] == 0
+
+
+def test_sample_parts_match_their_separate_routes():
+    m = perturbed_manifold(2)
+    x = np.array([0.3, 1.1, 2.0, 4.5])
+    sample = UniversalSample(x, m)
+    big_n = sample.frame.big_n
+    assert sample.chart.amap.frame is sample.frame
+    assert np.array_equal(sample.jf, induced_structure_at(x, m))
+    assert np.array_equal(sample.df, universal.embedding_differential(x, m, sample.frame))
+    assert np.array_equal(sample.theta.theta, torsion_at(sample.chart).theta)
+    # dbar is conjugate-linear: J dbar J_f = dbar
+    jstd = standard_structure(big_n)
+    assert np.max(np.abs(jstd @ sample.dbar @ sample.jf - sample.dbar)) <= 1e-10
+    cols = np.stack([complexify_vector(sample.dbar[:, r]) for r in range(4)], axis=1)
+    assert np.array_equal(sample.cols, cols)
+    assert np.array_equal(sample.etas, cols[2:])
+    assert sample.membership_residual == np.max(np.abs(cols[:2]))
+    assert sample.membership_residual < 1e-8
 
 
 def pairing_by_columns(theta, etas, head_map=None):
@@ -590,11 +687,8 @@ def pairing_by_columns(theta, etas, head_map=None):
 def test_versality_pairing_matches_per_column_apply():
     m = perturbed_manifold(1)
     x = np.array([2.0, 1.3])
-    p = build_fiber(x, m)
-    frame = ChartFrame(p)
-    dbar, df = dbar_embedding(x, m, frame, induced_structure_at(x, m))
-    etas, _ = _fiber_frame_coords(dbar, 1)
-    theta = torsion_at(universal_chart(frame))
+    sample = UniversalSample(x, m)
+    frame, df, etas, theta = sample.frame, sample.df, sample.etas, sample.theta
     head_map = np.vstack([df[:1, :], df[frame.big_n: frame.big_n + 1, :]])
     for hm in (None, head_map):
         want = pairing_by_columns(theta, etas, hm)
@@ -610,28 +704,20 @@ def test_versality_pairing_matches_per_column_apply():
 
 def test_isotropy_constant_j_n1():
     m = oracles.default_torus(1)
-    x = np.array([0.5, 0.7])
-    p = build_fiber(x, m)
-    frame = ChartFrame(p)
-    chart = universal_chart(frame)
-    dbar, _ = dbar_embedding(x, m, frame, induced_structure_at(x, m))
-    sub = isotropy_subspace(dbar, chart.big_n)
-    assert sub.dim == 1
-    ok, worst = isotropy_test(torsion_at(chart), sub, 1)
+    sample = UniversalSample(np.array([0.5, 0.7]), m)
+    sub = sample.image()
+    assert sub.dim == 1 and sub.ambient_dim == sample.chart.big_n
+    ok, worst = isotropy_test(sample.theta, sub, 1)
     assert ok and worst < 1e-9
 
 
 def test_isotropy_constant_j_n2_nonvacuous():
     # n = 2 exercises a genuine off-diagonal torsion pairing
     m = oracles.default_torus(2)
-    x = np.array([0.3, 1.1, 2.0, 0.7])
-    p = build_fiber(x, m)
-    frame = ChartFrame(p)
-    chart = universal_chart(frame)
-    theta = torsion_at(chart)
+    sample = UniversalSample(np.array([0.3, 1.1, 2.0, 0.7]), m)
+    theta = sample.theta
     assert theta.norm() > 0.1
-    dbar, _ = dbar_embedding(x, m, frame, induced_structure_at(x, m))
-    sub = isotropy_subspace(dbar, chart.big_n)
+    sub = sample.image()
     assert sub.dim == 2
     ok, worst = isotropy_test(theta, sub, 2)
     assert ok and worst < 1e-9
@@ -748,12 +834,18 @@ def test_symplectic_model_rejects_incompatible_inputs():
         )
 
 
-def test_fiber_frame_coords_keeps_a_nan_head_component():
+def test_fiber_frame_coords_keeps_a_nan_head_component(monkeypatch):
     # max(0.0, nan) is 0.0: a plain max fold would certify membership
-    cols = np.zeros((6, 2))
-    cols[0, 0] = np.nan
-    _, head_resid = _fiber_frame_coords(cols, 1)
-    assert np.isnan(head_resid)
+    differential = universal.embedding_differential
+
+    def with_nan_head(*args, **kwargs):
+        df = differential(*args, **kwargs)
+        df[0, 0] = np.nan
+        return df
+
+    monkeypatch.setattr(universal, "embedding_differential", with_nan_head)
+    sample = UniversalSample(np.array([0.5, 0.7]), perturbed_manifold(1))
+    assert np.isnan(sample.membership_residual)
 
 
 def test_reconstruction_report_keeps_a_nan_deviation(monkeypatch):
