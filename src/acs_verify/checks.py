@@ -254,16 +254,20 @@ def build_structure(payload: dict, n: int, seed: int) -> AlmostComplexField:
     raise SchemaError("unknown structure specification")
 
 
-def build_manifold(payload: dict, seed: int) -> PointwiseACManifold:
+def build_embedding(payload: dict) -> tuple[int, int, TrigPolyField]:
+    """(n, k, g) of a universal payload, g not yet checked against n, k."""
     n = int(payload["n"])
     k = int(payload.get("k", 4 * n))
     emb_spec = payload.get("embedding", {"default_torus": True})
     if "default_torus" in emb_spec:
-        g = default_torus_embedding(n)
-    elif "trig" in emb_spec:
-        g = TrigPolyField.from_json_dict(emb_spec["trig"])
-    else:
-        raise SchemaError("unknown embedding specification")
+        return n, k, default_torus_embedding(n)
+    if "trig" in emb_spec:
+        return n, k, TrigPolyField.from_json_dict(emb_spec["trig"])
+    raise SchemaError("unknown embedding specification")
+
+
+def build_manifold(payload: dict, seed: int) -> PointwiseACManifold:
+    n, k, g = build_embedding(payload)
     return PointwiseACManifold(n, k, g, build_structure(payload, n, seed))
 
 
@@ -361,9 +365,9 @@ def _check_fiber_reality(ctx: CheckContext) -> CheckResult:
     # one below it
     for point in ctx.memo.fibers(pts[:wedge_cap], m, ctx.tol):
         worst = worst_of(worst, abs(1.0 - plucker_reality_certificate(point, ctx.tol)))
-    # building a fiber validates it (S'' = conj S', Sigma'' = conj
-    # Sigma'); a point another check of this run has built and validated
-    # needs building again only for its Plucker test
+    # a fiber is validated as it is built (and real by construction); a
+    # point another check of this run has built and validated needs
+    # building again only for its Plucker test
     rest = pts[wedge_cap:]
     rest = rest[[not ctx.memo.validated(x) for x in rest]]
     for _ in ctx.memo.fibers(rest, m, ctx.tol):

@@ -227,6 +227,8 @@ class TrigPolyField:
             d = len(freq)
             c = np.asarray(t["cos"], dtype=float)
             s = np.asarray(t["sin"], dtype=float)
+            if c.shape != shape or s.shape != shape:
+                raise ShapeMismatch(f"term coefficients must have shape {shape}")
             key, sign = _canonical(freq)
             cc, ss = terms.get(key, (np.zeros(shape), np.zeros(shape)))
             terms[key] = (cc + c, ss + sign * s)

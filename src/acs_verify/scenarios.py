@@ -25,11 +25,12 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
-from .checks import Check, CheckContext, RunMemo, checks_for
+from .checks import Check, CheckContext, RunMemo, build_embedding, checks_for
 from .config import DEFAULT, Tolerances
 from .errors import SchemaError, VerifyError
 from .fields import TorusChart
 from .rng import SplitMix64
+from .universal import PointwiseACManifold
 
 _SCHEMA_CACHE: dict = {}
 
@@ -149,8 +150,13 @@ def _validate_payload(doc, memo: RunMemo) -> None:
             memo.lvmb_data(payload)
         except VerifyError as exc:
             raise SchemaError(f"payload.data rejected: {exc}") from exc
-    if kind == "universal" and "n" not in payload:
-        raise SchemaError("universal scenarios need payload.n")
+    if kind == "universal":
+        if "n" not in payload:
+            raise SchemaError("universal scenarios need payload.n")
+        try:
+            PointwiseACManifold.check_embedding(*build_embedding(payload))
+        except VerifyError as exc:
+            raise SchemaError(f"payload.embedding rejected: {exc}") from exc
     if kind == "induced":
         # absent dimensions are drawn: n from 1..2, N from n+2..6
         n = payload.get("n")

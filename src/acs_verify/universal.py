@@ -121,16 +121,21 @@ class PointwiseACManifold:
     def __init__(self, n: int, k: int, g: TrigPolyField, j: AlmostComplexField):
         self.n = int(n)
         self.k = int(k)
-        if self.n < 1 or self.k < 2 * self.n:
-            raise InvalidParams("need n >= 1 and k >= 2n")
-        if g.shape != (self.k, 1):
-            raise ShapeMismatch(f"g must be a column field into R^{self.k}")
-        if g.d != 2 * self.n:
-            raise DimensionMismatch("g must be defined on T^{2n}")
+        self.check_embedding(self.n, self.k, g)
         if j.n != self.n:
             raise DimensionMismatch("J must act on 2n-dimensional tangents")
         self.g = g
         self.j = j
+
+    @staticmethod
+    def check_embedding(n: int, k: int, g: TrigPolyField) -> None:
+        """Raise unless g can carry T^{2n} into R^k."""
+        if n < 1 or k < 2 * n:
+            raise InvalidParams("need n >= 1 and k >= 2n")
+        if g.shape != (k, 1):
+            raise ShapeMismatch(f"g must be a column field into R^{k}")
+        if g.d != 2 * n:
+            raise DimensionMismatch("g must be defined on T^{2n}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +167,15 @@ def _raise_first(bad: np.ndarray, error) -> None:
         raise error(int(np.argmax(bad)))
 
 
-def _projectors(bases: np.ndarray) -> np.ndarray:
-    return bases @ np.swapaxes(bases.conj(), 1, 2)
-
-
 def validate_fibers(n: int, k: int, z, sp, spp, sigp, sigpp,
                     tol: Tolerances = DEFAULT) -> None:
     """Certify stacked 5-tuples (one point per leading index; the subspaces
-    as orthonormal bases). The tests, in order: the shapes, S' in Sig' and
-    S'' in Sig'', Sig' (+) Sig'' = C^{2k}, S'' = conj S' and
-    Sig'' = conj Sig' by projector distance, and z real. Each runs on
+    as orthonormal bases) by the tests that can fail on a point of
+    build_fibers, in order: the shapes, Sig' (+) Sig'' = C^{2k}, and z
+    real (the rest holds by construction, see build_fibers). Each runs on
     the whole stack; the first point that fails raises EigenSplitFailure
     (DimensionMismatch for a shape), with the message the same test gives
     a stack of one."""
-    guard = 1e3 * tol.alg_atol
     if z.shape[1] != 2 * k:
         raise DimensionMismatch("base point must live in C^{2k}")
     dims = (sp.shape[2], spp.shape[2], sigp.shape[2], sigpp.shape[2])
@@ -185,19 +185,10 @@ def validate_fibers(n: int, k: int, z, sp, spp, sigp, sigpp,
         )
     if any(b.shape[1] != 2 * k for b in (sp, spp, sigp, sigpp)):
         raise DimensionMismatch("ambient dimensions differ")
-    for big, small, name in ((sigp, sp, "S' is not contained in Sigma'"),
-                             (sigpp, spp, "S'' is not contained in Sigma''")):
-        resid = small - _projectors(big) @ small
-        inside = np.max(np.abs(resid), axis=(1, 2), initial=0.0) <= guard
-        _raise_first(~inside, lambda i: EigenSplitFailure(name))
     s = np.linalg.svd(np.concatenate([sigp, sigpp], axis=2), compute_uv=False)
     _raise_first(~(s[:, -1] > tol.rank_rtol * s[:, 0]), lambda i: EigenSplitFailure(
         f"Sigma' and Sigma'' do not split C^{{2k}} (sigma_min={s[i, -1]:.3e})"))
-    for a, b, name in ((spp, sp, "S'' is not the conjugate of S'"),
-                       (sigpp, sigp, "Sigma'' is not the conjugate of Sigma'")):
-        gap = np.linalg.norm(_projectors(a) - _projectors(b.conj()), 2, axis=(1, 2))
-        _raise_first(~(gap <= guard), lambda i: EigenSplitFailure(name))
-    _raise_first(np.max(np.abs(z.imag), axis=1, initial=0.0) > guard,
+    _raise_first(np.max(np.abs(z.imag), axis=1, initial=0.0) > 1e3 * tol.alg_atol,
                  lambda i: EigenSplitFailure("base point is not real"))
 
 
@@ -260,9 +251,8 @@ def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
     _raise_first(resid > 1e3 * tol.alg_atol, lambda i: EigenSplitFailure(
         f"||J^2 + Id|| = {resid[i]:.3e} at x={xs[i].tolist()}"))
     ker_plus, plus_dim = _kernels(jx - 1j * eye, rtol, n)
-    ker_minus, minus_dim = _kernels(jx + 1j * eye, rtol, n)
-    _raise_first((plus_dim != n) | (minus_dim != n), lambda i: EigenSplitFailure(
-        f"eigenspace dims of J ({plus_dim[i]}, {minus_dim[i]}), expected ({n}, {n})"))
+    _raise_first(plus_dim != n, lambda i: EigenSplitFailure(
+        f"eigenspace dims of J ({plus_dim[i]}, {plus_dim[i]}), expected ({n}, {n})"))
 
     zeros_nx = np.zeros_like(nx)
     frame = np.concatenate([
@@ -271,23 +261,18 @@ def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
         np.concatenate([nx, zeros_nx], axis=1),
         np.concatenate([zeros_nx, nx], axis=1),
     ], axis=2)
-
-    def nested(s_kernel, quot_kernel, taut_sign):
-        # frame coordinates: S part (anti block kernel, taut eigenvectors)
-        # first, then the quotient part in the diag block
-        cols = np.zeros((len(xs), 2 * k, k), dtype=complex)
-        cols[:, 2 * n:4 * n, :n] = s_kernel
-        cols[:, 4 * n:4 * n + taut_dim, n:k - n] = np.eye(taut_dim)
-        cols[:, 4 * n + taut_dim:, n:k - n] = taut_sign * 1j * np.eye(taut_dim)
-        cols[:, :2 * n, k - n:] = quot_kernel
-        q, r = np.linalg.qr(frame @ cols)
-        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        _raise_first(diag.min(axis=1) <= rtol * diag.max(axis=1), lambda i: EigenSplitFailure(
-            "eigenspace columns are numerically dependent"))
-        return q
-
-    sigp = nested(ker_minus, ker_plus, -1.0)
-    sigpp = nested(ker_plus, ker_minus, 1.0)
+    # frame coordinates: S part (ker(J + i) = conj ker(J - i) in the anti
+    # block, T+) first, then the quotient part ker(J - i) in the diag block
+    cols = np.zeros((len(xs), 2 * k, k), dtype=complex)
+    cols[:, 2 * n:4 * n, :n] = ker_plus.conj()
+    cols[:, 4 * n:4 * n + taut_dim, n:k - n] = np.eye(taut_dim)
+    cols[:, 4 * n + taut_dim:, n:k - n] = -1j * np.eye(taut_dim)
+    cols[:, :2 * n, k - n:] = ker_plus
+    sigp, r = np.linalg.qr(frame @ cols)
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    _raise_first(diag.min(axis=1) <= rtol * diag.max(axis=1), lambda i: EigenSplitFailure(
+        "eigenspace columns are numerically dependent"))
+    sigpp = sigp.conj()  # F is real: the -i side is the conjugate
     gx = m.g.values(xs)[:, :, 0]
     z = np.concatenate([gx, gx], axis=1).astype(complex)
     sp, spp = sigp[:, :, :k - n], sigpp[:, :, :k - n]
@@ -310,11 +295,12 @@ def build_fibers(xs, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
         S'   = F (0 (+) ker(J + i) (+) T+)
 
     and Sig'' / S'' swap the two kernels and use T- = span{(e_j, i e_j)}.
-    One unpivoted QR of F [S part | quotient part] per sign yields nested
+    One unpivoted QR of F [S part | quotient part] yields nested
     orthonormal bases: the first k - n columns span S', all k span Sig'.
-    Each kernel of J(x) -+ i comes from its own SVD, never from
-    conjugating the other, so the reality tests of validate_fibers
-    compare two independent computations.
+    J(x) and F are real, so one SVD gives ker(J - i), ker(J + i) is its
+    conjugate, and the -i side is the conjugate of the +i side: reality
+    (S'' = conj S', Sig'' = conj Sig') and S' in Sig' hold by
+    construction, and validate_fibers tests only what can still fail.
 
     The rows are built FIBER_CHUNK at a time: g, dg and J are evaluated
     for the chunk at once, and every SVD, QR, product and test runs on

@@ -5,7 +5,11 @@ library.
 forms of the library's stacked route (`universal.build_fibers`,
 `universal.induced_structures`). They call only per-point LAPACK and
 field evaluations (`value`, `jacobian_value`), so the tests can compare
-the stacked route against them bit for bit. `induced_at` is the joint
+the stacked route against them bit for bit. `build_fiber` still takes
+its own SVD of J + i and its own QR of the -i side, where the library
+conjugates the +i side, so the -i side is compared against an
+independent build (by value: conjugation gives -0.0 where the oracle
+gives +0.0). `induced_at` is the joint
 route the library replaced: it solves [dG | S' | Sigma''] x = i dG in
 realified coordinates, a 4k x 4k system, where the library solves
 2n x 2n through the orthogonal complement of the fiber; the tests hold
@@ -128,7 +132,10 @@ def contains(big: ComplexSubspace, small: ComplexSubspace,
 
 
 def validate(point: UniversalPoint, tol: Tolerances = DEFAULT) -> None:
-    """The per-point tests of a 5-tuple, in the library's order."""
+    """The per-point tests of a 5-tuple: the library's `validate_fibers`
+    tests (shapes, the split, z real) in its order, with the containment
+    and conjugation tests between them that the library's construction
+    makes hold, kept here for points built by hand."""
     k, n = point.k, point.n
     if point.z.shape[0] != 2 * k:
         raise DimensionMismatch("base point must live in C^{2k}")

@@ -358,8 +358,19 @@ ELL4 = [[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]]]
     ("induced", {"n": 2, "N": 2}, "payload.N > n"),
     ("induced", {"n": 3, "N": 1}, "payload.N > n"),
     ("induced", {"N": 2}, "payload.N > n"),
+    ("universal", {"n": 1, "k": 5, "embedding": {"default_torus": True}},
+     "column field into R^5"),
+    ("universal", {"n": 2, "k": 3}, "k >= 2n"),
+    ("universal", {"n": 1, "k": 2, "embedding": {"trig": {"shape": [2, 1], "terms": [
+        {"freq": [1, 0, 0], "cos": [[1.0], [0.0]], "sin": [[0.0], [1.0]]}]}}},
+     "T^{2n}"),
+    ("universal", {"n": 1, "embedding": {"trig": {"shape": [4, 1], "terms": [
+        {"freq": [1, 0], "cos": [[1.0], [0.0]], "sin": [[0.0], [1.0], [0.0], [0.0]]}]}}},
+     "shape (4, 1)"),
 ], ids=["lvmb-member-too-small", "lvmb-index-out-of-range", "lvmb-ell-too-short",
-        "induced-N-equals-n", "induced-N-below-n", "induced-N-below-drawn-n"])
+        "induced-N-equals-n", "induced-N-below-n", "induced-N-below-drawn-n",
+        "universal-torus-not-into-R^k", "universal-k-below-2n",
+        "universal-trig-on-wrong-torus", "universal-trig-term-of-wrong-shape"])
 def test_run_payload_its_constructors_reject_exits_two(tmp_path, capsys, kind,
                                                         payload, needle):
     # schema-valid, but every check would fail on it: exit 2, not 1

@@ -874,12 +874,18 @@ def same_bits(a, b):
 
 
 def assert_fiber_bits(point, want):
+    # the library takes the -i side as the conjugate of the +i side, and
+    # conj turns a +0.0 imaginary part into -0.0, where the oracle's own
+    # SVD and QR of the -i side give +0.0: S'' and Sigma'' agree by value
     assert same_bits(point.z, want.z)
-    for name in ("sp", "spp", "sigp", "sigpp"):
+    for name in ("sp", "sigp"):
         assert same_bits(getattr(point, name).basis, getattr(want, name).basis), name
+    for name in ("spp", "sigpp"):
+        assert np.array_equal(getattr(point, name).basis, getattr(want, name).basis), name
 
 
-@pytest.mark.parametrize("n, counts", [(1, [6, 7]), (2, [3, 3, 3, 3])])
+@pytest.mark.parametrize("n, counts", [(1, [6, 7]), (2, [3, 3, 3, 3]),
+                                       (3, [3, 3, 2, 2, 2, 2])])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_stacked_fibers_and_jf_match_the_oracle_bitwise(n, counts, seed):
     m = perturbed_manifold(n, seed=seed)
@@ -948,7 +954,7 @@ def test_fiber_whose_horizontal_columns_drop_rank_never_reaches_jf(monkeypatch):
     assert solves == []
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_chunk_of_one_matches_the_oracle_bitwise(n):
     m = perturbed_manifold(n, seed=5)
     for x in TorusChart(2 * n).grid([2] * (2 * n))[:4]:
@@ -980,5 +986,88 @@ def test_validate_fibers_rejects_the_first_tampered_point_of_a_stack():
     with pytest.raises(EigenSplitFailure, match="base point is not real"):
         universal.validate_fibers(1, 4, z, *stack)
     stack[3][1] = stack[2][1]  # Sigma'' := Sigma' at the second point
-    with pytest.raises(EigenSplitFailure, match="S'' is not contained"):
+    with pytest.raises(EigenSplitFailure, match="Sigma' and Sigma'' do not split"):
         universal.validate_fibers(1, 4, z, *stack)
+
+
+def test_oracle_validate_rejects_hand_built_points():
+    # build_fibers makes containment and conjugation hold by construction,
+    # so only the oracle's validator tests them: on points built by hand,
+    # one tampered subspace at a time
+    p = build_fiber(np.array([0.5, 0.7]), perturbed_manifold(1))
+    k, n = p.k, p.n
+    oracles.validate(p)
+
+    def tampered(**parts):
+        names = ("sp", "spp", "sigp", "sigpp")
+        return universal.UniversalPoint(n, k, p.z, *(parts.get(a, getattr(p, a)) for a in names))
+
+    tilted = np.concatenate([p.sigpp.basis[:, :k - n],
+                             p.sigpp.basis[:, k - n:] + 0.1 * p.sigp.basis[:, k - n:]], axis=1)
+    cases = [
+        (tampered(sp=p.spp), "S' is not contained in Sigma'"),
+        (tampered(spp=p.sp), "S'' is not contained in Sigma''"),
+        (tampered(spp=ComplexSubspace(p.sigpp.basis[:, 1:k - n + 1])),
+         "S'' is not the conjugate of S'"),
+        (tampered(sigpp=ComplexSubspace.from_columns(tilted)),
+         "Sigma'' is not the conjugate of Sigma'"),
+    ]
+    for point, message in cases:
+        with pytest.raises(EigenSplitFailure, match=message):
+            oracles.validate(point)
+
+
+# ---------------------------------------------------------------------------
+# the defining equations of a built point, checked locally
+# ---------------------------------------------------------------------------
+
+def doubled_structure(m, x):
+    """(F, Jt) at x from the input data alone: the frame
+    F = [(dg, dg) | (dg, -dg) | (NX, 0) | (0, NX)] of R^{2k} and
+    Jt = F (J (+) -J (+) taut) F^-1, taut = [[0, -I], [I, 0]] on NX (+) NX.
+    Jt does not depend on the basis of NX."""
+    dg = oracles.jacobian_value(m.g, x)
+    nx = scipy.linalg.null_space(dg.T)
+    zeros = np.zeros_like(nx)
+    frame = np.block([[dg, dg, nx, zeros], [dg, -dg, zeros, nx]])
+    eye = np.eye(nx.shape[1])
+    taut = np.block([[0.0 * eye, -eye], [eye, 0.0 * eye]])
+    jx = m.j.value(x)
+    return frame, frame @ _block_diag(jx, -jx, taut) @ np.linalg.inv(frame)
+
+
+def solves_eigen_equations(frame, jt, sigp, n, k) -> bool:
+    """For an orthonormal basis sigp of Sigma' whose first k - n columns
+    span S': ||(Jt - i) Sigma'|| <= 1e-12 ||Jt||, and the diag-block rows
+    of F^-1 S' vanish (S' lies in S = {0} (+) TX (+) NX (+) NX)."""
+    eigen = np.linalg.norm(jt @ sigp - 1j * sigp, 2)
+    diag = np.max(np.abs(np.linalg.solve(frame, sigp[:, :k - n])[:2 * n]))
+    return bool(eigen <= 1e-12 * np.linalg.norm(jt, 2) and diag <= 1e-12)
+
+
+def mutated(frame, sigp, rows, change):
+    """Sigma' rebuilt from its frame coordinates C = F^-1 Sigma' with
+    change applied to C[rows], the columns in their nested order."""
+    coords = np.linalg.solve(frame, sigp)
+    coords[rows] = change(coords[rows])
+    return np.linalg.qr(frame @ coords)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_built_points_solve_their_eigen_equations(n):
+    m = perturbed_manifold(n, seed=4)
+    k = m.k
+    rng = SplitMix64(60 + n)
+    xs = np.array([rng.reals(2 * n, 0.0, 2.0 * np.pi) for _ in range(3)])
+    # a point built wrong fails: the S-part kernel ker(J + i) off by 1e-6,
+    # the two kernels of J swapped (conjugated), the taut sign flipped
+    mutants = [(slice(2 * n, 4 * n), lambda c: c + 1e-6),
+               (slice(0, 4 * n), np.conj),
+               (slice(4 * n, 2 * k), np.conj)]
+    for x, point in zip(xs, universal.build_fibers(xs, m)):
+        frame, jt = doubled_structure(m, x)
+        sigp = point.sigp.basis
+        assert solves_eigen_equations(frame, jt, sigp, n, k)
+        for rows, change in mutants:
+            wrong = mutated(frame, sigp, rows, change)
+            assert not solves_eigen_equations(frame, jt, wrong, n, k)
