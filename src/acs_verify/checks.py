@@ -101,8 +101,10 @@ class RunMemo:
     check sees the same object it would have built itself: the manifold,
     the fields structure, the LVMB data, the keys of the sample points
     whose fiber has been built and validated, and the universal samples
-    of the versality and isotropy checks. The fibers themselves are not
-    held: they cost about 5.8 KB each, and a point is cheap to rebuild.
+    of the versality and isotropy checks; a row is recorded when fibers
+    hands out its point or induced_structures its chunk's J_f. The fibers
+    themselves are not held: they cost about 5.8 KB each, and a point is
+    cheap to rebuild.
     A sample is held: a run builds only a few, and each carries a chart
     torsion and a differential that cost far more than its fiber. A
     build that raises stores nothing, so the next check to need it
@@ -139,6 +141,14 @@ class RunMemo:
         for x, point in zip(xs, build_fibers(xs, m, tol)):
             self._validated_points.add(_point_key(x))
             yield point
+
+    def induced_structures(self, xs, m: PointwiseACManifold, tol: Tolerances):
+        """Yield over_chunks(xs) of induced_structures, which builds and
+        validates each chunk's fibers on the way to J_f, recording the
+        rows of each chunk as it is handed out (as fibers records rows)."""
+        for rows, jf in over_chunks(xs, lambda rows: induced_structures(rows, m, tol)):
+            self._validated_points.update(_point_key(x) for x in rows)
+            yield rows, jf
 
     def sample(self, x, m: PointwiseACManifold, tol: Tolerances) -> UniversalSample:
         """UniversalSample(x, m, tol), built on first use; its fiber,
@@ -339,15 +349,13 @@ def _check_reconstruction(ctx: CheckContext) -> CheckResult:
     m = ctx.manifold()
     pts = ctx.points(default_counts=[10] * (2 * m.n))
 
-    def reconstructed(xs):
-        points = list(ctx.memo.fibers(xs, m, ctx.tol))
-        return induced_structures(xs, points, m, ctx.tol)
-
     worst = 0.0
     # J_f comes from the stacked route; the J it must reproduce is
-    # evaluated point by point, so the two sides share no new code
-    for x, jf in zip(pts, over_chunks(pts, reconstructed)):
-        worst = worst_of(worst, float(np.max(np.abs(jf - m.j.value(x)))))
+    # evaluated point by point, so the two sides share no new code. One
+    # max per chunk is the max over its rows, and np.max keeps a NaN
+    for rows, jf in ctx.memo.induced_structures(pts, m, ctx.tol):
+        want = np.stack([m.j.value(x) for x in rows])
+        worst = worst_of(worst, float(np.max(np.abs(jf - want))))
     return CheckResult(worst, int(len(pts)))
 
 

@@ -225,9 +225,13 @@ class TrigPolyField:
         for t in data["terms"]:
             freq = tuple(int(f) for f in t["freq"])
             d = len(freq)
-            c = np.asarray(t["cos"], dtype=float)
-            s = np.asarray(t["sin"], dtype=float)
-            if c.shape != shape or s.shape != shape:
+            try:  # ragged rows make numpy raise ValueError
+                c = np.asarray(t["cos"], dtype=float)
+                s = np.asarray(t["sin"], dtype=float)
+                ok = c.shape == shape and s.shape == shape
+            except ValueError:
+                ok = False
+            if not ok:
                 raise ShapeMismatch(f"term coefficients must have shape {shape}")
             key, sign = _canonical(freq)
             cc, ss = terms.get(key, (np.zeros(shape), np.zeros(shape)))

@@ -28,7 +28,7 @@ import numpy as np
 from .checks import Check, CheckContext, RunMemo, build_embedding, checks_for
 from .config import DEFAULT, Tolerances
 from .errors import SchemaError, VerifyError
-from .fields import TorusChart
+from .fields import TorusChart, TrigPolyField
 from .rng import SplitMix64
 from .universal import PointwiseACManifold
 
@@ -168,6 +168,13 @@ def _validate_payload(doc, memo: RunMemo) -> None:
                 f"got N={payload['N']}" + ("" if n is None else f" and n={n}"))
     if kind not in ("universal", "fields"):
         return
+    # the structure's coefficients only: J^2 = -Id stays a check's job
+    trig = payload.get("structure", {}).get("trig")
+    if trig is not None:
+        try:
+            TrigPolyField.from_json_dict(trig)
+        except VerifyError as exc:
+            raise SchemaError(f"payload.structure rejected: {exc}") from exc
     n = int(payload.get("n", 1))
     samples = doc.get("samples", {})
     dims = [len(row) for row in samples.get("points", [])]

@@ -156,9 +156,8 @@ class UniversalPoint:
 
     def validate(self, tol: Tolerances = DEFAULT) -> None:
         """validate_fibers on this point alone."""
-        validate_fibers(self.n, self.k, self.z[None], self.sp.basis[None],
-                        self.spp.basis[None], self.sigp.basis[None],
-                        self.sigpp.basis[None], tol)
+        parts = (self.sp, self.spp, self.sigp, self.sigpp)
+        validate_fibers(self.n, self.k, self.z[None], *(p.basis[None] for p in parts), tol)
 
 
 def _raise_first(bad: np.ndarray, error) -> None:
@@ -171,11 +170,13 @@ def validate_fibers(n: int, k: int, z, sp, spp, sigp, sigpp,
                     tol: Tolerances = DEFAULT) -> None:
     """Certify stacked 5-tuples (one point per leading index; the subspaces
     as orthonormal bases) by the tests that can fail on a point of
-    build_fibers, in order: the shapes, Sig' (+) Sig'' = C^{2k}, and z
-    real (the rest holds by construction, see build_fibers). Each runs on
-    the whole stack; the first point that fails raises EigenSplitFailure
-    (DimensionMismatch for a shape), with the message the same test gives
-    a stack of one."""
+    build_fibers, in order: the shapes, Sig'' = conj Sig' exactly,
+    Sig' (+) Sig'' = C^{2k}, and z real (the rest holds by construction,
+    see build_fibers). Each runs on the whole stack; the first point that
+    fails raises EigenSplitFailure (DimensionMismatch for a shape), with
+    the message the same test gives a stack of one. Given the conjugate
+    test, [Sig' | Sig''] = [Re Sig' | Im Sig'] [[I, I], [iI, -iI]], whose
+    right factor is sqrt(2) times a unitary: the split test is real."""
     if z.shape[1] != 2 * k:
         raise DimensionMismatch("base point must live in C^{2k}")
     dims = (sp.shape[2], spp.shape[2], sigp.shape[2], sigpp.shape[2])
@@ -185,7 +186,9 @@ def validate_fibers(n: int, k: int, z, sp, spp, sigp, sigpp,
         )
     if any(b.shape[1] != 2 * k for b in (sp, spp, sigp, sigpp)):
         raise DimensionMismatch("ambient dimensions differ")
-    s = np.linalg.svd(np.concatenate([sigp, sigpp], axis=2), compute_uv=False)
+    _raise_first(np.any(sigpp != sigp.conj(), axis=(1, 2)), lambda i: EigenSplitFailure(
+        "Sigma'' is not the conjugate of Sigma'"))
+    s = np.sqrt(2.0) * np.linalg.svd(np.dstack([sigp.real, sigp.imag]), compute_uv=False)
     _raise_first(~(s[:, -1] > tol.rank_rtol * s[:, 0]), lambda i: EigenSplitFailure(
         f"Sigma' and Sigma'' do not split C^{{2k}} (sigma_min={s[i, -1]:.3e})"))
     _raise_first(np.max(np.abs(z.imag), axis=1, initial=0.0) > 1e3 * tol.alg_atol,
@@ -200,12 +203,11 @@ FIBER_CHUNK = 32
 
 
 def over_chunks(xs, stacked):
-    """Yield stacked(rows)[j] for every row of xs in order, FIBER_CHUNK
-    rows per call of stacked.
+    """Yield (rows, stacked(rows)) for the chunks of FIBER_CHUNK rows of xs.
 
-    When a call raises, its rows are redone one at a time, so the first
-    bad row raises exactly what stacked raises for that row alone, and
-    every row before it has been yielded; that is the behaviour of a
+    When a call raises, its rows are redone as chunks of one row, so the
+    first bad row raises exactly what stacked raises for that row alone,
+    and every row before it has been yielded; that is the behaviour of a
     loop over the rows. Any exception triggers the redo (a guard's, a
     LAPACK error, or one raised by a callable field), since the redo
     raises it again at the row that caused it.
@@ -213,12 +215,13 @@ def over_chunks(xs, stacked):
     for start in range(0, len(xs), FIBER_CHUNK):
         rows = xs[start:start + FIBER_CHUNK]
         try:
-            results = stacked(rows)
+            result = stacked(rows)
         except Exception:
             if len(rows) == 1:
                 raise
-            results = (stacked(rows[j:j + 1])[0] for j in range(len(rows)))
-        yield from results
+            yield from ((rows[j:j + 1], stacked(rows[j:j + 1])) for j in range(len(rows)))
+        else:
+            yield rows, result
 
 
 def _kernels(mats: np.ndarray, rtol: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,20 +234,19 @@ def _kernels(mats: np.ndarray, rtol: float, dim: int) -> tuple[np.ndarray, np.nd
 
 
 def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
-                tol: Tolerances) -> list[UniversalPoint]:
-    """The validated 5-tuples over the rows of xs, every step on the stack;
+                tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The validated 5-tuples over the rows of xs as the stack (dg, z, Sig'),
+    S' and Sig'' being Sig'[:, :, :k - n] and conj Sig' (see build_fibers);
     the first row at which a guard fires raises."""
     n, k = m.n, m.k
     rtol = tol.rank_rtol
     taut_dim = k - 2 * n
     dg = m.g.jacobian_values(xs)
-    sv = np.linalg.svd(dg, compute_uv=False)
-    _raise_first(sv[:, 2 * n - 1] <= rtol * sv[:, 0], lambda i: RankDeficientEmbedding(
-        f"dg has rank < {2 * n} at x={xs[i].tolist()}"))
+    # the SVD that gives NX = ker dg^T is the rank test: dim NX = k - rank dg
     nx, found = _kernels(np.swapaxes(dg, 1, 2), rtol, taut_dim)
     nx = nx.real
     _raise_first(found != taut_dim, lambda i: RankDeficientEmbedding(
-        "normal complement has wrong dimension"))
+        f"dg has rank < {2 * n} at x={xs[i].tolist()}"))
     jx = m.j.values(xs)
     eye = np.eye(2 * n)
     resid = np.max(np.abs(jx @ jx + eye), axis=(1, 2))
@@ -275,17 +277,13 @@ def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
     sigpp = sigp.conj()  # F is real: the -i side is the conjugate
     gx = m.g.values(xs)[:, :, 0]
     z = np.concatenate([gx, gx], axis=1).astype(complex)
-    sp, spp = sigp[:, :, :k - n], sigpp[:, :, :k - n]
-    validate_fibers(n, k, z, sp, spp, sigp, sigpp, tol)
-    return [
-        UniversalPoint(n, k, z[i], ComplexSubspace(sp[i]), ComplexSubspace(spp[i]),
-                       ComplexSubspace(sigp[i]), ComplexSubspace(sigpp[i]))
-        for i in range(len(xs))
-    ]
+    validate_fibers(n, k, z, sigp[:, :, :k - n], sigpp[:, :, :k - n], sigp, sigpp, tol)
+    return dg, z, sigp
 
 
 def build_fibers(xs, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
-    """Yield the validated 5-tuple over every row x of xs, in order.
+    """Yield the validated 5-tuple over every row x of xs, in order, as a
+    UniversalPoint (induced_structures reads the stack unwrapped).
 
     In the frame F = [diag | anti | n1 | n2] of R^{2k} the doubled
     structure is the block matrix J(x) (+) -J(x) (+) taut, so its
@@ -312,7 +310,11 @@ def build_fibers(xs, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
     eigenspace extraction misbehaves.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    return over_chunks(xs, lambda rows: _fiber_rows(rows, m, tol))
+    n, k = m.n, m.k
+    for _, (_, z, sigp) in over_chunks(xs, lambda rows: _fiber_rows(rows, m, tol)):
+        for zi, b, bc in zip(z, sigp, sigp.conj()):
+            parts = (b[:, :k - n], bc[:, :k - n], b, bc)
+            yield UniversalPoint(n, k, zi, *map(ComplexSubspace, parts))
 
 
 def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> UniversalPoint:
@@ -353,33 +355,29 @@ def _induced_from_parts(dg2k: np.ndarray, fibers: np.ndarray,
     sv = np.linalg.svd(mat, compute_uv=False)
     _raise_first(sv[:, -1] <= tol.rank_rtol * sv[:, 0], lambda i: NotTransverse(
         f"base tangent meets the fiber (sigma_min={sv[i, -1]:.3e})"))
-    return np.linalg.solve(mat, standard_structure(n) @ mat)
-
-
-def induced_structures(xs, points, m: PointwiseACManifold,
-                       tol: Tolerances = DEFAULT) -> np.ndarray:
-    """induced_structure_at(x, m, tol, point=p) for every row x of xs and
-    its fiber p = build_fiber(x, m, tol), stacked (rows, 2n, 2n).
-
-    The fiber S' (+) Sigma'' is read as the columns [S' | Sigma''] of the
-    validated bases. They are part of [Sigma' | Sigma''], whose sigma_min
-    validate_fibers certified, so they are independent by interlacing,
-    and the complete QR that gives the quotient map W^H sees the whole
-    fiber. J_f does not depend on the fiber basis: W spans the orthogonal
-    complement of the fiber whatever basis spans it. The QR, the 2n x 2n
-    transversality SVD, the solve and the J^2 = -Id guard run on the
-    stack; the first row at which a guard fires raises, and over_chunks
-    turns that into the error of a loop over the rows.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    fibers = np.stack([np.concatenate([p.sp.basis, p.sigpp.basis], axis=1)
-                       for p in points])
-    dg = m.g.jacobian_values(xs)
-    jf = _induced_from_parts(np.concatenate([dg, dg], axis=1), fibers, tol)
-    resid = np.max(np.abs(jf @ jf + np.eye(jf.shape[1])), axis=(1, 2))
+    jf = np.linalg.solve(mat, standard_structure(n) @ mat)
+    resid = np.max(np.abs(jf @ jf + np.eye(2 * n)), axis=(1, 2))
     _raise_first(resid > 1e3 * tol.alg_atol, lambda i: NotAComplexStructure(
         f"||J_f^2 + Id|| = {resid[i]:.3e}"))
     return jf
+
+
+def induced_structures(xs, m: PointwiseACManifold,
+                       tol: Tolerances = DEFAULT) -> np.ndarray:
+    """J_f at every row x of xs, stacked (rows, 2n, 2n), from one
+    _fiber_rows stack and its dg, with no point objects.
+
+    The fiber S' (+) Sigma'' is read as the columns [S' | conj Sigma'].
+    They are part of [Sigma' | Sigma''], whose sigma_min validate_fibers
+    certified, so they are independent by interlacing, and J_f does not
+    depend on the fiber basis: W spans the orthogonal complement of the
+    fiber whatever basis spans it. The first row at which a guard fires
+    raises; over_chunks turns that into the error of a loop over rows.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    dg, _, sigp = _fiber_rows(xs, m, tol)
+    fibers = np.concatenate([sigp[:, :, :m.k - m.n], sigp.conj()], axis=2)
+    return _induced_from_parts(np.concatenate([dg, dg], axis=1), fibers, tol)
 
 
 def induced_structure_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
@@ -392,8 +390,10 @@ def induced_structure_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
     reproduces m.j.value(x).
     """
     if point is None:
-        point = build_fiber(x, m, tol)
-    return induced_structures(x, [point], m, tol)[0]
+        return induced_structures(x, m, tol)[0]
+    dg = m.g.jacobian_values(np.atleast_2d(np.asarray(x, dtype=float)))
+    fiber = np.concatenate([point.sp.basis, point.sigpp.basis], axis=1)
+    return _induced_from_parts(np.concatenate([dg, dg], axis=1), fiber[None], tol)[0]
 
 
 def induced_structure_field(m: PointwiseACManifold,

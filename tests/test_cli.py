@@ -367,10 +367,21 @@ ELL4 = [[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]]]
     ("universal", {"n": 1, "embedding": {"trig": {"shape": [4, 1], "terms": [
         {"freq": [1, 0], "cos": [[1.0], [0.0]], "sin": [[0.0], [1.0], [0.0], [0.0]]}]}}},
      "shape (4, 1)"),
+    ("universal", {"n": 1, "embedding": {"trig": {"shape": [4, 1], "terms": [
+        {"freq": [1, 0], "cos": [[1], [0], [0, 1], [0]], "sin": [[0], [1], [0], [0]]}]}}},
+     "shape (4, 1)"),
+    ("fields", {"n": 1, "structure": {"trig": {"shape": [2, 2], "terms": [
+        {"freq": [1, 0], "cos": [[1, 0]], "sin": [[0, 0], [0, 0]]}]}}},
+     "payload.structure rejected"),
+    ("universal", {"n": 1, "structure": {"trig": {"shape": [2, 2], "terms": [
+        {"freq": [1, 0], "cos": [[1, 0]], "sin": [[0, 0], [0, 0]]}]}}},
+     "shape (2, 2)"),
 ], ids=["lvmb-member-too-small", "lvmb-index-out-of-range", "lvmb-ell-too-short",
         "induced-N-equals-n", "induced-N-below-n", "induced-N-below-drawn-n",
         "universal-torus-not-into-R^k", "universal-k-below-2n",
-        "universal-trig-on-wrong-torus", "universal-trig-term-of-wrong-shape"])
+        "universal-trig-on-wrong-torus", "universal-trig-term-of-wrong-shape",
+        "universal-trig-ragged-rows", "fields-structure-trig-of-wrong-shape",
+        "universal-structure-trig-of-wrong-shape"])
 def test_run_payload_its_constructors_reject_exits_two(tmp_path, capsys, kind,
                                                         payload, needle):
     # schema-valid, but every check would fail on it: exit 2, not 1

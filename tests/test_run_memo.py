@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
-from acs_verify import checks, scenarios, universal
+from acs_verify import checks, cxlinalg, scenarios, universal
 from acs_verify.cli import main
 from acs_verify.config import DEFAULT
 from acs_verify.cxlinalg import standard_structure
 from acs_verify.errors import EigenSplitFailure
-from acs_verify.fields import AlmostComplexField, CallableMatrixField, TorusChart
+from acs_verify.fields import AlmostComplexField, CallableMatrixField, TorusChart, TrigPolyField
 from acs_verify.lvmb import LvmbData
 from acs_verify.scenarios import (
     find_scenario,
@@ -69,20 +69,25 @@ def test_lvmb_data_is_built_once_per_lvmb_run(monkeypatch, capsys):
 
 
 def count_rows(monkeypatch):
-    """Rows handed to build_fibers by the checks, and rows that passed
+    """Rows handed by the checks to build_fibers or to the stacked
+    reconstruction sweep (induced_structures), and rows that passed
     through the stacked validator, in call order."""
     built, validated = [], []
-    build, validate = checks.build_fibers, universal.validate_fibers
+    build, sweep = checks.build_fibers, checks.induced_structures
+    validate = universal.validate_fibers
 
-    def counted_build(xs, m, tol):
-        built.extend(np.atleast_2d(np.asarray(xs, dtype=float)))
-        return build(xs, m, tol)
+    def counted(original):
+        def call(xs, m, tol):
+            built.extend(np.atleast_2d(np.asarray(xs, dtype=float)))
+            return original(xs, m, tol)
+        return call
 
     def counted_validate(n, k, z, *rest):
         validated.extend(z)
         return validate(n, k, z, *rest)
 
-    monkeypatch.setattr(checks, "build_fibers", counted_build)
+    monkeypatch.setattr(checks, "build_fibers", counted(build))
+    monkeypatch.setattr(checks, "induced_structures", counted(sweep))
     monkeypatch.setattr(universal, "validate_fibers", counted_validate)
     return built, validated
 
@@ -106,6 +111,19 @@ def test_fiber_reality_after_reconstruction_rebuilds_only_plucker_points(monkeyp
     assert len(built) == len(pts) + wedge
     assert [x.tobytes() for x in built[len(pts):]] == [x.tobytes() for x in pts[:wedge]]
     assert len(validated) == len(pts) + wedge
+
+
+def test_reconstruction_makes_no_point_objects_and_one_dg_per_chunk(monkeypatch):
+    doc = universal_doc(["universal_reconstruction"])
+    points = count_calls(monkeypatch, universal.UniversalPoint, "__init__")
+    subspaces = count_calls(monkeypatch, cxlinalg.ComplexSubspace, "__init__")
+    jacobians = count_calls(monkeypatch, TrigPolyField, "jacobian_values")
+    records, aggregate = run_scenario(doc)
+    assert aggregate["passed"]
+    n_pts = len(resolve_samples(doc, None))
+    assert records[0]["samples_checked"] == n_pts
+    assert (len(points), len(subspaces)) == (0, 0)
+    assert len(jacobians) == -(-n_pts // universal.FIBER_CHUNK)
 
 
 def test_memo_leaves_reports_unchanged():

@@ -896,7 +896,7 @@ def test_stacked_fibers_and_jf_match_the_oracle_bitwise(n, counts, seed):
     for start in range(0, len(pts), universal.FIBER_CHUNK):
         rows = pts[start:start + universal.FIBER_CHUNK]
         chunk = points[start:start + universal.FIBER_CHUNK]
-        jfs = universal.induced_structures(rows, chunk, m)
+        jfs = universal.induced_structures(rows, m)
         for x, point, jf in zip(rows, chunk, jfs):
             want = oracles.build_fiber(x, m)
             assert_fiber_bits(point, want)
@@ -911,7 +911,7 @@ def test_reduced_route_matches_the_joint_solve(n, counts, seed):
     m = perturbed_manifold(n, seed=seed)
     pts = TorusChart(2 * n).grid(counts)
     points = list(universal.build_fibers(pts, m))
-    jfs = universal.induced_structures(pts, points, m)
+    jfs = universal.induced_structures(pts, m)
     for x, point, jf in zip(pts, points, jfs):
         assert np.max(np.abs(jf - oracles.induced_at(x, m, point=point)[0])) <= 1e-13
 
@@ -924,7 +924,7 @@ def test_horizontal_columns_give_the_jf_of_their_pivoted_qr(n, counts, seed):
     m = perturbed_manifold(n, seed=seed)
     pts = TorusChart(2 * n).grid(counts)
     points = list(universal.build_fibers(pts, m))
-    jfs = universal.induced_structures(pts, points, m)
+    jfs = universal.induced_structures(pts, m)
     for x, point, jf in zip(pts, points, jfs):
         via_qr, _ = oracles.induced_at(x, m, point=point,
                                        horizontal=oracles.horizontal_qr_basis)
@@ -986,8 +986,36 @@ def test_validate_fibers_rejects_the_first_tampered_point_of_a_stack():
     with pytest.raises(EigenSplitFailure, match="base point is not real"):
         universal.validate_fibers(1, 4, z, *stack)
     stack[3][1] = stack[2][1]  # Sigma'' := Sigma' at the second point
-    with pytest.raises(EigenSplitFailure, match="Sigma' and Sigma'' do not split"):
+    with pytest.raises(EigenSplitFailure, match="Sigma'' is not the conjugate of Sigma'"):
         universal.validate_fibers(1, 4, z, *stack)
+
+
+def test_real_sigma_prime_in_a_stack_does_not_split():
+    # a real Sigma' equals its conjugate, so [Sigma' | Sigma''] has rank k:
+    # the conjugate test passes and the real split SVD must catch it
+    m = perturbed_manifold(1)
+    points = list(universal.build_fibers(TorusChart(2).grid([2, 2]), m))
+    sp, spp, sigp, sigpp = [np.stack([getattr(p, name).basis for p in points])
+                            for name in ("sp", "spp", "sigp", "sigpp")]
+    z = np.stack([p.z for p in points])
+    sigp[2] = np.linalg.qr(sigp[2].real)[0]
+    sigpp[2] = sigp[2].conj()
+    sp[2], spp[2] = sigp[2][:, :3], sigpp[2][:, :3]
+    with pytest.raises(EigenSplitFailure, match="Sigma' and Sigma'' do not split"):
+        universal.validate_fibers(1, 4, z, sp, spp, sigp, sigpp)
+
+
+@pytest.mark.parametrize("n, counts", [(1, [6, 7]), (2, [3, 3, 3, 3]), (3, [2] * 6)])
+def test_real_split_svd_matches_the_complex_one(n, counts):
+    # [Sigma' | conj Sigma'] = [Re Sigma' | Im Sigma'] [[I, I], [iI, -iI]],
+    # and the right-hand factor is sqrt(2) times a unitary
+    m = perturbed_manifold(n, seed=n)
+    _, _, sigp = universal._fiber_rows(TorusChart(2 * n).grid(counts), m, DEFAULT)
+    complex_sv = np.linalg.svd(np.concatenate([sigp, sigp.conj()], axis=2),
+                               compute_uv=False)
+    real_sv = np.sqrt(2.0) * np.linalg.svd(
+        np.concatenate([sigp.real, sigp.imag], axis=2), compute_uv=False)
+    assert np.max(np.abs(real_sv - complex_sv) / complex_sv) <= 1e-13
 
 
 def test_oracle_validate_rejects_hand_built_points():
