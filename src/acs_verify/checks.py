@@ -69,6 +69,7 @@ from .rng import SplitMix64
 # build_fiber is not called here; it stays importable as checks.build_fiber,
 # the binding perfbench/test_perfbench.py checks its tracer against
 from .universal import (
+    FIBER_CHUNK,
     PointwiseACManifold,
     UniversalSample,
     build_fiber,  # noqa: F401
@@ -350,12 +351,15 @@ def _check_reconstruction(ctx: CheckContext) -> CheckResult:
     pts = ctx.points(default_counts=[10] * (2 * m.n))
 
     worst = 0.0
-    # J_f comes from the stacked route; the J it must reproduce is
-    # evaluated point by point, so the two sides share no new code. One
-    # max per chunk is the max over its rows, and np.max keeps a NaN
+    # J_f comes from the construction (kernels, frame, QR, quotient map);
+    # the J it must reproduce is evaluated here again, at the rows this
+    # chunk hands over, not taken from the J the construction read. The
+    # two sides share only the input evaluator values, which the fields
+    # tests hold bit for bit to value; a construction that read J at the
+    # wrong rows still fails, which reusing its J would hide. One max per
+    # chunk is the max over its rows, and np.max keeps a NaN
     for rows, jf in ctx.memo.induced_structures(pts, m, ctx.tol):
-        want = np.stack([m.j.value(x) for x in rows])
-        worst = worst_of(worst, float(np.max(np.abs(jf - want))))
+        worst = worst_of(worst, float(np.max(np.abs(jf - m.j.values(rows)))))
     return CheckResult(worst, int(len(pts)))
 
 
@@ -765,8 +769,10 @@ def _check_structure_squares(ctx: CheckContext) -> CheckResult:
     pts = ctx.points(default_counts=[8] * (2 * n))
     eye = np.eye(2 * n)
     worst = 0.0
-    for x in pts:
-        jm = j.value(x)
+    # FIBER_CHUNK rows at a time bounds memory (the n = 3 grid has 8^6
+    # points); one max per slice is the max over its rows, NaN kept
+    for start in range(0, len(pts), FIBER_CHUNK):
+        jm = j.values(pts[start:start + FIBER_CHUNK])
         worst = worst_of(worst, float(np.max(np.abs(jm @ jm + eye))))
     return CheckResult(worst, int(len(pts)))
 

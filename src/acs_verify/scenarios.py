@@ -130,6 +130,10 @@ def validate_scenario(doc, memo: RunMemo | None = None) -> None:
     if len({len(row) for row in samples.get("points", [])}) > 1:
         raise SchemaError("samples.points rows must all have the same length")
     checks_for(doc["kind"], doc.get("checks"))
+    try:
+        checks_for(doc["kind"], list(doc.get("tolerances", {}).get("checks", {})))
+    except SchemaError as exc:
+        raise SchemaError(f"tolerances.checks: {exc}") from exc
     _validate_payload(doc, RunMemo() if memo is None else memo)
 
 

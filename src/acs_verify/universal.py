@@ -42,6 +42,7 @@ from .distribution import (
 from .errors import (
     ChartDegeneracy,
     DimensionMismatch,
+    DomainError,
     EigenSplitFailure,
     InvalidParams,
     NotAComplexStructure,
@@ -195,7 +196,8 @@ def validate_fibers(n: int, k: int, z, sp, spp, sigp, sigpp,
                  lambda i: EigenSplitFailure("base point is not real"))
 
 
-# Rows per stacked call of build_fibers and of the reconstruction sweep.
+# Rows per stacked call of build_fibers, of the reconstruction sweep (J_f
+# and the J it is compared with) and of the J^2 = -Id check's slices.
 # Peak memory grows with it: against chunks of one row, the peak RSS of a
 # universal_n2_k8 run rose by under 0.1 MB at 32 rows, 0.5 MB at 64,
 # 2.3 MB at 128 and 7.2 MB at 256, while the time fell no further.
@@ -611,6 +613,10 @@ def embedding_differential(x, m: PointwiseACManifold, frame: ChartFrame,
     central differences."""
     x = np.asarray(x, dtype=float).reshape(-1)
     two_n = 2 * m.n
+    # where a half step rounds away, a difference reads 0 and df is wrong
+    # (versality would solve with a singular pairing)
+    if np.any(x + 0.5 * h == x) or np.any(x - 0.5 * h == x):
+        raise DomainError(f"a step of {0.5 * h:g} rounds away at x={x.tolist()}")
     # one stack of 4 points per direction r, r-major, in the order the
     # differences read them, so the first bad point raises first
     ys = []

@@ -213,17 +213,45 @@ def test_finite_overrides_still_read_as_before():
         "lvmb_condition_i"], int)
 
 
-def test_run_check_without_samples_fails(tmp_path, capsys):
+def test_run_check_without_samples_fails():
+    # a scenario cannot ask for this (see the test below), so the check
+    # runs on a context that skipped validate_scenario
     doc = parse_scenario(find_scenario("universal_n1_k4"))
     doc["payload"]["versality_samples"] = []
-    doc["checks"] = ["universal_versality"]
-    path = tmp_path / "empty.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run_lines(capsys, ["run", str(path)])
-    assert code == 1
-    records, aggregate = parse_report(out)
-    assert records[0]["samples_checked"] == 0
-    assert records[0]["status"] == "fail" and not aggregate["passed"]
+    check = REGISTRY["universal_versality"]
+    ctx = CheckContext(payload=doc["payload"], tol=DEFAULT, seed=doc["seed"],
+                       rng=SplitMix64(0), samples=None, sample_cap=None)
+    record = run_check(check, ctx, check.tolerance, timings=False)
+    assert record["samples_checked"] == 0 and record["status"] == "fail"
+
+
+def test_run_empty_versality_samples_exit_two(tmp_path, capsys):
+    doc = parse_scenario(find_scenario("universal_n1_k4"))
+    doc["payload"]["versality_samples"] = []
+    assert_one_line_rejection(*run_doc(tmp_path, capsys, doc), "versality_samples")
+
+
+@pytest.mark.parametrize("name, needle", [
+    ("nope", "unknown check 'nope'"),
+    ("lvmb_condition_i", "does not apply to kind 'universal'"),
+], ids=["unknown", "other-kind"])
+def test_run_tolerance_for_a_check_it_cannot_run_exits_two(tmp_path, capsys, name, needle):
+    doc = parse_scenario(find_scenario("universal_n1_k4"))
+    doc["tolerances"] = {"checks": {name: 1.0}}
+    assert_one_line_rejection(*run_doc(tmp_path, capsys, doc), needle)
+
+
+def test_run_versality_at_an_angle_where_steps_round_away_fails_cleanly(tmp_path, capsys):
+    # at 1e13 every half step x +- h/2 rounds to x, so df would be 0
+    doc = {"id": "x", "kind": "universal", "seed": 1, "payload": {"n": 1},
+           "samples": {"points": [[1e13, 1e13]]}}
+    code, out, err = run_doc(tmp_path, capsys, doc)
+    assert code == 1 and err == ""
+    records, _ = parse_report(out)
+    versality = next(r for r in records if r["name"] == "universal_versality")
+    assert versality["status"] == "fail"
+    assert versality["error"].startswith("DomainError: ")
+    assert "x=[10000000000000.0, 10000000000000.0]" in versality["error"]
 
 
 def test_worst_of_keeps_nan():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from acs_verify import fields as fl
+from acs_verify import checks, fields as fl, universal
+from acs_verify.config import DEFAULT, worst_of
 from acs_verify.errors import NotAComplexStructure, ShapeMismatch
 from acs_verify.rng import SplitMix64
+from acs_verify.scenarios import run_check
 from oracles import jacobian_value, lie_bracket, trig_matmul
 
 
@@ -334,3 +336,50 @@ def test_values_reject_points_of_the_wrong_dimension():
     f = fl.TrigPolyField.constant(2, np.eye(2))
     with pytest.raises(fl.DimensionMismatch):
         f.values(np.zeros((3, 4)))
+
+
+# ---------------------------------------------------------------------------
+# the J^2 = -Id check over a grid
+# ---------------------------------------------------------------------------
+
+def squares_check(monkeypatch, j, pts):
+    """The structure_squares_to_minus_id record on the rows of pts, with
+    the scenario's structure replaced by j."""
+    monkeypatch.setattr(checks, "build_structure", lambda payload, n, seed: j)
+    check = checks.REGISTRY["structure_squares_to_minus_id"]
+    ctx = checks.CheckContext(payload={"n": j.n}, tol=DEFAULT, seed=0,
+                              rng=SplitMix64(0), samples=pts, sample_cap=None)
+    return run_check(check, ctx, check.tolerance, timings=False)
+
+
+@pytest.mark.parametrize("n, counts", [(1, [7, 10]), (2, [3, 3, 3, 4]), (3, [2, 2, 2, 2, 3, 3])])
+def test_squares_check_folds_the_per_point_residuals_bitwise(monkeypatch, n, counts):
+    pts = fl.TorusChart(2 * n).grid(counts)
+    assert len(pts) % universal.FIBER_CHUNK
+    eye = np.eye(2 * n)
+    for seed in range(1, 6):
+        a = fl.TrigPolyField.random(2 * n, (2 * n, 2 * n), SplitMix64(seed),
+                                    max_degree=2, n_terms=3)
+        j = fl.AlmostComplexField.conjugated(a, 0.5)
+        want = 0.0
+        for x in pts:
+            jm = j.value(x)
+            want = worst_of(want, float(np.max(np.abs(jm @ jm + eye))))
+        record = squares_check(monkeypatch, j, pts)
+        assert record["samples_checked"] == len(pts)
+        assert same_bits(np.float64(record["max_residual"]), np.float64(want))
+
+
+def test_squares_check_fails_a_nan_at_one_point(monkeypatch):
+    # the NaN sits in the second slice, so a fold that dropped it would pass
+    pts = fl.TorusChart(2).grid([7, 10])
+    row = universal.FIBER_CHUNK + 7
+    j0 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+    def fn(x):
+        return np.full((2, 2), np.nan) if np.array_equal(x, pts[row]) else j0
+
+    j = fl.AlmostComplexField(fl.TorusChart(2), fl.CallableMatrixField(2, (2, 2), fn))
+    record = squares_check(monkeypatch, j, pts)
+    assert record["status"] == "fail" and record["max_residual"] is None
+    assert squares_check(monkeypatch, j, np.delete(pts, row, axis=0))["status"] == "pass"

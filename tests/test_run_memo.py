@@ -2,6 +2,8 @@
 not. Counters are monkeypatched onto the module bindings the checks call,
 so each test sees how often a construction is really built.
 """
+import sys
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,26 @@ def test_reconstruction_makes_no_point_objects_and_one_dg_per_chunk(monkeypatch)
     assert records[0]["samples_checked"] == n_pts
     assert (len(points), len(subspaces)) == (0, 0)
     assert len(jacobians) == -(-n_pts // universal.FIBER_CHUNK)
+
+
+def test_reconstruction_evaluates_j_once_per_chunk_on_each_side(monkeypatch):
+    doc = universal_doc(["universal_reconstruction"])
+    callers = []
+
+    def by_caller(counted):
+        def call(*args):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return counted(*args)
+        return call
+
+    count_calls(monkeypatch, AlmostComplexField, "values", by_caller)
+    value = count_calls(monkeypatch, AlmostComplexField, "value")
+    records, aggregate = run_scenario(doc)
+    chunks = -(-records[0]["samples_checked"] // universal.FIBER_CHUNK)
+    assert aggregate["passed"] and chunks > 1
+    assert len(value) == 2  # the field constructor's own validation
+    assert sorted(callers) == (["acs_verify.checks"] * chunks
+                               + ["acs_verify.universal"] * chunks)
 
 
 def test_memo_leaves_reports_unchanged():

@@ -37,6 +37,7 @@ from acs_verify.distribution import (
 from acs_verify.errors import (
     ChartDegeneracy,
     DimensionMismatch,
+    DomainError,
     EigenSplitFailure,
     InvalidParams,
     NotCompatible,
@@ -637,6 +638,23 @@ def test_embedding_differential_raises_at_the_first_bad_point():
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("x", [[1e13, 1e13], [0.5, 1e12], [-1e12, 0.5]])
+def test_embedding_differential_refuses_a_step_that_rounds_away(x):
+    # at |x| >= 1e12 a half step of 5e-5 is below half an ulp of x, so
+    # x +- h/2 == x and the difference would read 0
+    m = perturbed_manifold(1)
+    frame = ChartFrame(build_fiber([0.5, 0.5], m))
+    with pytest.raises(DomainError, match="rounds away"):
+        universal.embedding_differential(x, m, frame)
+
+
+def test_embedding_differential_still_steps_at_5e11():
+    m = perturbed_manifold(1)
+    x = np.array([5e11, 5e11])
+    df = universal.embedding_differential(x, m, ChartFrame(build_fiber(x, m)))
+    assert np.linalg.matrix_rank(df) == 2
+
+
 def test_versality_controls_report_rank_zero():
     sample = UniversalSample(np.array([0.5, 0.7]), perturbed_manifold(1))
     fiber_dim = sample.chart.big_n - 1
@@ -973,6 +991,21 @@ def test_reconstruction_check_matches_the_oracle_sweep():
                                 doc["samples"]["counts"])
     assert record["samples_checked"] == rep["points_checked"]
     assert record["max_residual"] == rep["max_deviation"]
+
+
+def test_reconstruction_fails_a_construction_that_reads_j_at_other_rows(monkeypatch):
+    original = universal._fiber_rows
+
+    def mutant(xs, m, tol):
+        j = types.SimpleNamespace(values=lambda rows: m.j.values(rows[::-1]))
+        return original(xs, types.SimpleNamespace(n=m.n, k=m.k, g=m.g, j=j), tol)
+
+    doc = parse_scenario(find_scenario("universal_n1_k4"))
+    doc["checks"] = ["universal_reconstruction"]
+    assert run_scenario(doc)[1]["passed"]
+    monkeypatch.setattr(universal, "_fiber_rows", mutant)
+    [record], _ = run_scenario(doc)
+    assert record["status"] == "fail" and record["max_residual"] > 0.1
 
 
 def test_validate_fibers_rejects_the_first_tampered_point_of_a_stack():
