@@ -63,7 +63,6 @@ from .lvmb import (
     check_condition_i_polygon,
     check_condition_ii,
     exchange_closure,
-    killing_fields,
 )
 from .rng import SplitMix64
 # build_fiber is not called here; it stays importable as checks.build_fiber,
@@ -660,26 +659,6 @@ def _check_lvmb_condition_ii(ctx: CheckContext) -> CheckResult:
     if "counterexample" in expect and rep["counterexample"] != expect["counterexample"]:
         worst = 1.0
     return CheckResult(worst, len(data.family) * (data.big_n + 1))
-
-
-@register(
-    "lvmb_killing_brackets", "lvmb",
-    "[zeta_j, zeta_l] = 0 for zeta_j = sum_k lam_jk z_k d/dz_k",
-    1e-8,
-)
-def _check_lvmb_killing(ctx: CheckContext) -> CheckResult:
-    data = _lvmb_data(ctx)
-    kf = killing_fields(data)
-    worst = 0.0
-    checked = 0
-    for j in range(data.m):
-        for l in range(j, data.m):
-            worst = worst_of(worst, kf.bracket_exact(j, l))
-            for _ in range(5):
-                z = ctx.rng.complex_matrix(data.big_n + 1, 1, 1.0)[:, 0]
-                worst = worst_of(worst, float(np.max(np.abs(kf.bracket_fd(j, l, z)))))
-                checked += 1
-    return CheckResult(worst, checked)
 
 
 @register(

@@ -125,12 +125,6 @@ class ComplexSubspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def conjugate(self) -> "ComplexSubspace":
-        return ComplexSubspace(self.basis.conj())
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ComplexSubspace(dim={self.dim}, ambient={self.ambient_dim})"
-
 
 def subspace_eq(a: ComplexSubspace, b: ComplexSubspace, tol: Tolerances = DEFAULT) -> bool:
     """Projector comparison: equal iff ||P_a - P_b||_2 <= tolerance."""

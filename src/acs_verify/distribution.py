@@ -18,10 +18,11 @@ All polynomial data is one type, CRPolyMap, a matrix of polynomials in
 z and conj(z); a polynomial chart map is one with no conj powers, so it
 carries an exact holomorphic derivative. CRPolyMap.substitute covers
 both exact recentering (an affine substitution) and the pullback of the
-chart form to a graph z'' = g(z', conj z'). Black-box holomorphic
-callables are differentiated by an m-point circle rule, which keeps the
-step size large and avoids the cancellation of plain small-h
-differencing.
+chart form to a graph z'' = g(z', conj z'). Other chart maps (the
+universal model's frame charts) supply their own exact jacobian; the
+m-point circle rule, which keeps the step size large and avoids the
+cancellation of plain small-h differencing, stays as an independent
+derivative for cross-checks.
 """
 from __future__ import annotations
 
@@ -274,23 +275,6 @@ def circle_rule_jacobian(fn, z, n_vars: int, h: float = 0.05, points: int = 8) -
     return out
 
 
-class CallableHolomorphicMap:
-    """Black-box holomorphic matrix map; derivatives via the circle rule."""
-
-    def __init__(self, n_vars: int, rows: int, cols: int, fn, h: float = 0.05):
-        self.n_vars = n_vars
-        self.rows = rows
-        self.cols = cols
-        self.fn = fn
-        self.h = h
-
-    def value(self, z) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(z, dtype=complex).reshape(-1)), dtype=complex)
-
-    def jacobian(self, z) -> np.ndarray:
-        return circle_rule_jacobian(self.fn, z, self.n_vars, self.h)
-
-
 # ---------------------------------------------------------------------------
 # distribution charts
 # ---------------------------------------------------------------------------
@@ -423,32 +407,26 @@ def recenter(chart: DistributionChart, new_center) -> DistributionChart:
     Coordinates are sheared so the fiber at the new center becomes the
     last N-n coordinate plane: w = L (z - z1) with L = [[I, -a(z1)], [0, I]]
     and the new matrix map is a(z1 + L^-1 w) - a(z1), which vanishes at
-    w = 0.
+    w = 0. The chart map must be a CRPolyMap, so the substitution is exact.
     """
+    if not isinstance(chart.amap, CRPolyMap):
+        raise ShapeMismatch("recenter needs a polynomial chart map")
     z1 = chart._check_domain(new_center)
     a1 = chart.a_value(z1)
-    n, m, big_n = chart.n, chart.fiber_dim, chart.big_n
+    n, big_n = chart.n, chart.big_n
     l_inv = np.eye(big_n, dtype=complex)
     l_inv[:n, n:] = a1
-    if isinstance(chart.amap, CRPolyMap):
-        # z = L^-1 w + z1; each row lists the constant first, then
-        # w_0..w_{N-1}, which fixes the summation order of the new map
-        zero = (0,) * big_n
-        subs = {}
-        for b in range(big_n):
-            form = {(zero, zero): z1[b]}
-            for g in range(big_n):
-                form[(zero[:g] + (1,) + zero[g + 1:], zero)] = l_inv[b, g]
-            subs[(b, 0)] = form
-        new_map = chart.amap.substitute(CRPolyMap(big_n, big_n, 1, subs)) + \
-            CRPolyMap.constant(big_n, -a1)
-    else:
-        inner = chart.amap
-
-        def fn(w):
-            return inner.value(z1 + l_inv @ w) - a1
-
-        new_map = CallableHolomorphicMap(big_n, n, m, fn)
+    # z = L^-1 w + z1; each row lists the constant first, then
+    # w_0..w_{N-1}, which fixes the summation order of the new map
+    zero = (0,) * big_n
+    subs = {}
+    for b in range(big_n):
+        form = {(zero, zero): z1[b]}
+        for g in range(big_n):
+            form[(zero[:g] + (1,) + zero[g + 1:], zero)] = l_inv[b, g]
+        subs[(b, 0)] = form
+    new_map = chart.amap.substitute(CRPolyMap(big_n, big_n, 1, subs)) + \
+        CRPolyMap.constant(big_n, -a1)
     return DistributionChart(n, big_n, new_map, radius=chart.radius)
 
 

@@ -338,9 +338,6 @@ class AlmostComplexField:
         """J at every row of xs, stacked (rows, 2n, 2n)."""
         return self.field.values(xs)
 
-    def partial_value(self, i: int, x) -> np.ndarray:
-        return self.field.partial_value(i, x)
-
     def validate(self, points) -> float:
         worst = 0.0
         eye = np.eye(2 * self.n)

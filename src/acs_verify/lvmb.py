@@ -4,10 +4,7 @@ The input is a family E of index sets of size 2m+1 drawn from {0..N}
 together with N+1 complex linear forms on C^m. Two conditions are
 decided: (i) for any two members of E the convex hulls of their forms,
 viewed as point sets in R^{2m}, overlap on a nonempty open set; (ii) the
-family is stable under single-index exchanges. The diagonal holomorphic
-vector fields built from the form coefficients are also assembled, with
-their pairwise commutators certified both exactly and by finite
-differences.
+family is stable under single-index exchanges.
 
 Each member of E is a simplex (2m+1 points in R^{2m}), and for LVM data
 the members are exactly the simplices that hold one point in their
@@ -62,8 +59,11 @@ class LvmbData:
             if group[0] < 0 or group[-1] > self.big_n:
                 raise InvalidParams(f"indices must lie in 0..{self.big_n}")
         self.family = tuple(sets)
-        ell = np.asarray(ell, dtype=complex)
-        if ell.shape != (self.big_n + 1, self.m):
+        try:
+            ell = np.asarray(ell, dtype=complex)
+        except ValueError:  # ragged rows
+            ell = None
+        if ell is None or ell.shape != (self.big_n + 1, self.m):
             raise InvalidParams(f"ell must supply {self.big_n + 1} forms with {self.m} coefficients each")
         self.ell = ell
 
@@ -487,55 +487,3 @@ def exchange_closure(data: LvmbData) -> LvmbData:
                     members.add(swapped)
                     frontier.append(swapped)
     return LvmbData(data.m, data.big_n, sorted(members), data.ell)
-
-
-# ---------------------------------------------------------------------------
-# diagonal holomorphic vector fields
-# ---------------------------------------------------------------------------
-
-class KillingField:
-    """The m commuting diagonal fields z -> (lam[j,0] z_0, ..., lam[j,N] z_N)."""
-
-    def __init__(self, lam: np.ndarray):
-        self.lam = np.asarray(lam, dtype=complex)
-        if self.lam.ndim != 2:
-            raise InvalidParams("coefficient matrix must be 2-d")
-
-    def value(self, j: int, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        return self.lam[j, :] * z
-
-    def bracket_exact(self, j: int, l: int) -> float:
-        """Commutator of two diagonal linear fields via their coefficient
-        matrices; identically zero because diagonals commute."""
-        a = np.diag(self.lam[j, :])
-        b = np.diag(self.lam[l, :])
-        return float(np.max(np.abs(a @ b - b @ a), initial=0.0))
-
-    def bracket_fd(self, j: int, l: int, z, h: float = 1e-6) -> np.ndarray:
-        """[V, W] = DW.V - DV.W by central differences on C^{N+1}; an
-        independent check that never touches the diagonal shortcut. The
-        fields are holomorphic, so one complex difference per coordinate
-        direction captures the full jacobian."""
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        dim = z.shape[0]
-
-        def jac_times(field_j, at, vec):
-            out = np.zeros(dim, dtype=complex)
-            for r in range(dim):
-                step = np.zeros(dim, dtype=complex)
-                step[r] = h
-                out += vec[r] * (
-                    self.value(field_j, at + step) - self.value(field_j, at - step)
-                ) / (2.0 * h)
-            return out
-
-        vj = self.value(j, z)
-        vl = self.value(l, z)
-        return jac_times(l, z, vj) - jac_times(j, z, vl)
-
-
-def killing_fields(data: LvmbData) -> KillingField:
-    """Coefficient matrix lam[j, k] = d ell_k / d w_j, rows bitwise equal
-    to the stored form coefficients."""
-    return KillingField(data.ell.T.copy())

@@ -58,6 +58,3 @@ class SplitMix64:
         re = self.real_matrix(rows, cols)
         im = self.real_matrix(rows, cols)
         return scale * (re + 1j * im)
-
-    def complex_vector(self, n: int, scale: float = 1.0) -> np.ndarray:
-        return self.complex_matrix(n, 1, scale)[:, 0]

@@ -172,14 +172,23 @@ def _validate_payload(doc, memo: RunMemo) -> None:
                 f"got N={payload['N']}" + ("" if n is None else f" and n={n}"))
     if kind not in ("universal", "fields"):
         return
-    # the structure's coefficients only: J^2 = -Id stays a check's job
+    # the structure's coefficients, shape and angles only: J^2 = -Id stays
+    # a check's job
+    n = int(payload.get("n", 1))
     trig = payload.get("structure", {}).get("trig")
     if trig is not None:
         try:
-            TrigPolyField.from_json_dict(trig)
+            field = TrigPolyField.from_json_dict(trig)
         except VerifyError as exc:
             raise SchemaError(f"payload.structure rejected: {exc}") from exc
-    n = int(payload.get("n", 1))
+        if field.shape != (2 * n, 2 * n):
+            raise SchemaError(
+                f"payload.structure rejected: J must have shape (2n, 2n) = "
+                f"{(2 * n, 2 * n)} at n={n}, got {field.shape}")
+        if any(len(t["freq"]) != 2 * n for t in trig["terms"]):
+            raise SchemaError(
+                f"payload.structure rejected: J must be defined on T^{{2n}}, "
+                f"so every freq needs 2n={2 * n} entries at n={n}")
     samples = doc.get("samples", {})
     dims = [len(row) for row in samples.get("points", [])]
     if "dims" in samples:

@@ -56,9 +56,11 @@ product, so the tests can hold `lvmb.simplex_solve` to it bit for bit.
 The rest are small constructions the tests build their cases from or
 check the library against: subspace containment, realified matrices and
 the reassembly of an eigen splitting, chart fibers and frame vectors, a
-linear change of chart, coordinate planes, the exact product and Lie
+linear change of chart (a black-box chart map under the circle rule)
+and its recentering, coordinate planes, the exact product and Lie
 bracket of trig-poly fields, the per-point jacobian of a column field,
-and the product-of-circles torus with the standard structure.
+the product-of-circles torus with the standard structure, and a seeded
+complex vector.
 """
 import itertools
 import math
@@ -78,9 +80,9 @@ from acs_verify.cxlinalg import (
     subspace_eq,
 )
 from acs_verify.distribution import (
-    CallableHolomorphicMap,
     DistributionChart,
     TorsionTensor,
+    circle_rule_jacobian,
     torsion_via_frames,
 )
 from acs_verify.errors import (
@@ -103,6 +105,11 @@ from acs_verify.universal import (
     UniversalPoint,
     default_torus_embedding,
 )
+
+
+def complex_vector(rng, n: int) -> np.ndarray:
+    """n complex entries, the first column of rng.complex_matrix(n, 1)."""
+    return rng.complex_matrix(n, 1)[:, 0]
 
 
 def default_torus(n: int) -> PointwiseACManifold:
@@ -153,9 +160,9 @@ def validate(point: UniversalPoint, tol: Tolerances = DEFAULT) -> None:
         raise EigenSplitFailure(
             f"Sigma' and Sigma'' do not split C^{{2k}} (sigma_min={sigma:.3e})"
         )
-    if not subspace_eq(point.spp, point.sp.conjugate(), tol):
+    if not subspace_eq(point.spp, ComplexSubspace(point.sp.basis.conj()), tol):
         raise EigenSplitFailure("S'' is not the conjugate of S'")
-    if not subspace_eq(point.sigpp, point.sigp.conjugate(), tol):
+    if not subspace_eq(point.sigpp, ComplexSubspace(point.sigp.basis.conj()), tol):
         raise EigenSplitFailure("Sigma'' is not the conjugate of Sigma'")
     if np.max(np.abs(point.z.imag), initial=0.0) > 1e3 * tol.alg_atol:
         raise EigenSplitFailure("base point is not real")
@@ -558,6 +565,40 @@ def frame_vector(chart: DistributionChart, z, j: int) -> np.ndarray:
     return v
 
 
+class CallableChartMap:
+    """A black-box holomorphic chart map, differentiated by the circle rule."""
+
+    def __init__(self, n_vars: int, rows: int, cols: int, fn, h: float = 0.05):
+        self.n_vars = n_vars
+        self.rows = rows
+        self.cols = cols
+        self.fn = fn
+        self.h = h
+
+    def value(self, z) -> np.ndarray:
+        return np.asarray(self.fn(np.asarray(z, dtype=complex).reshape(-1)), dtype=complex)
+
+    def jacobian(self, z) -> np.ndarray:
+        return circle_rule_jacobian(self.fn, z, self.n_vars, self.h)
+
+
+def recenter_callable(chart: DistributionChart, new_center) -> DistributionChart:
+    """distribution.recenter for a callable chart map: the same shear
+    w = L (z - z1), L = [[I, -a(z1)], [0, I]], composed numerically, so
+    a(z1 + L^-1 w) - a(z1) is differentiated by the circle rule."""
+    z1 = chart._check_domain(new_center)
+    a1 = chart.a_value(z1)
+    n, m, big_n = chart.n, chart.fiber_dim, chart.big_n
+    l_inv = np.eye(big_n, dtype=complex)
+    l_inv[:n, n:] = a1
+    inner = chart.amap
+
+    def fn(w):
+        return inner.value(z1 + l_inv @ w) - a1
+
+    return DistributionChart(n, big_n, CallableChartMap(big_n, n, m, fn), radius=chart.radius)
+
+
 def transform_linear(chart: DistributionChart, l_matrix: np.ndarray) -> DistributionChart:
     """Push the distribution forward through an invertible linear map.
 
@@ -580,7 +621,7 @@ def transform_linear(chart: DistributionChart, l_matrix: np.ndarray) -> Distribu
             raise ValueError("transformed fiber loses the graph form")
         return basis[:n, :] @ np.linalg.inv(lower)
 
-    new_map = CallableHolomorphicMap(big_n, n, m, fn, h=0.02)
+    new_map = CallableChartMap(big_n, n, m, fn, h=0.02)
     return DistributionChart(n, big_n, new_map, radius=chart.radius)
 
 

@@ -110,7 +110,7 @@ def test_run_bundled_scenario_report_shape(capsys):
     assert code == 0
     records, aggregate = parse_report(out)
     assert aggregate["passed"] and aggregate["checks_failed"] == 0
-    assert aggregate["checks_run"] == len(records) == 4
+    assert aggregate["checks_run"] == len(records) == 3
     for rec in records:
         assert rec["status"] == "pass"
         assert rec["max_residual"] <= rec["tolerance"]
@@ -373,6 +373,53 @@ def test_run_unreadable_payload_exits_two(tmp_path, capsys, kind, payload, needl
     assert_one_line_rejection(*run_doc(tmp_path, capsys, doc), needle)
 
 
+J0_4 = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+TRIG_J_4X4 = {"shape": [4, 4], "terms": [
+    {"freq": [0, 0], "cos": J0_4, "sin": [[0] * 4] * 4}]}
+TRIG_J_ONE_ANGLE = {"shape": [2, 2], "terms": [
+    {"freq": [0], "cos": [[0, -1], [1, 0]], "sin": [[0, 0], [0, 0]]}]}
+TRIG_TORUS = {"shape": [4, 1], "terms": [
+    {"freq": [1, 0], "cos": [[1], [0], [0], [0]], "sin": [[0], [1], [0], [0]]},
+    {"freq": [0, 1], "cos": [[0], [0], [1], [0]], "sin": [[0], [0], [0], [1]]}]}
+
+
+@pytest.mark.parametrize("kind", ["universal", "fields"])
+@pytest.mark.parametrize("spec, needle", [
+    ({"structure": {}}, "payload/structure: {} should be non-empty"),
+    ({"structure": {"standard": False}}, "payload/structure/standard"),
+    ({"structure": {"standard": True, "conjugation": {"epsilon": 0.1}}},
+     "payload/structure: {'standard': True"),
+    ({"structure": {"stanard": True}}, "payload/structure"),
+    ({"structure": {"trig": TRIG_J_4X4}},
+     "payload.structure rejected: J must have shape (2n, 2n) = (2, 2)"),
+    ({"structure": {"trig": TRIG_J_ONE_ANGLE}},
+     "payload.structure rejected: J must be defined on T^{2n}"),
+    ({"embedding": {}}, "payload/embedding: {} should be non-empty"),
+    ({"embedding": {"default_torus": False}}, "payload/embedding/default_torus"),
+    ({"embedding": {"default_torus": True, "trig": TRIG_TORUS}},
+     "payload/embedding: {'default_torus': True"),
+], ids=["structure-empty", "standard-false", "structure-two-kinds",
+        "structure-unknown-kind", "structure-trig-4x4-at-n-1",
+        "structure-trig-one-angle", "embedding-empty", "default-torus-false",
+        "embedding-two-kinds"])
+def test_run_structure_or_embedding_spec_of_not_one_kind_exits_two(
+        tmp_path, capsys, kind, spec, needle):
+    # the schema holds structure and embedding to exactly one kind for
+    # every scenario kind; universal and fields read them
+    doc = {"id": "x", "kind": kind, "seed": 1, "payload": {"n": 1, **spec}}
+    assert_one_line_rejection(*run_doc(tmp_path, capsys, doc), needle)
+
+
+def test_run_trig_structure_and_trig_embedding_of_the_right_shapes_pass(
+        tmp_path, capsys):
+    doc = {"id": "x", "kind": "universal", "seed": 1,
+           "payload": {"n": 1, "k": 4, "structure": {"trig": {"shape": [2, 2], "terms": [
+               {"freq": [0, 0], "cos": [[0, -1], [1, 0]], "sin": [[0, 0], [0, 0]]}]}},
+               "embedding": {"trig": TRIG_TORUS}}}
+    code, out, err = run_doc(tmp_path, capsys, doc)
+    assert code == 0 and err == ""
+
+
 ELL4 = [[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]]]
 
 
@@ -383,6 +430,9 @@ ELL4 = [[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]]]
      "indices must lie in 0..3"),
     ("lvmb", {"data": {"m": 1, "N": 3, "E": [[0, 1, 2]], "ell": ELL4[:3]}},
      "ell must supply 4 forms"),
+    ("lvmb", {"data": {"m": 1, "N": 3, "E": [[0, 1, 2]],
+                       "ell": [ELL4[0], ELL4[1] + ELL4[2], ELL4[2], ELL4[3]]}},
+     "ell must supply 4 forms with 1 coefficients each"),
     ("induced", {"n": 2, "N": 2}, "payload.N > n"),
     ("induced", {"n": 3, "N": 1}, "payload.N > n"),
     ("induced", {"N": 2}, "payload.N > n"),
@@ -405,6 +455,7 @@ ELL4 = [[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]]]
         {"freq": [1, 0], "cos": [[1, 0]], "sin": [[0, 0], [0, 0]]}]}}},
      "shape (2, 2)"),
 ], ids=["lvmb-member-too-small", "lvmb-index-out-of-range", "lvmb-ell-too-short",
+        "lvmb-ell-ragged",
         "induced-N-equals-n", "induced-N-below-n", "induced-N-below-drawn-n",
         "universal-torus-not-into-R^k", "universal-k-below-2n",
         "universal-trig-on-wrong-torus", "universal-trig-term-of-wrong-shape",

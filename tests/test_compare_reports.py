@@ -1,6 +1,8 @@
 """The report comparison tool compares only the scenarios both trees
-bundle; the tool is loaded from its file."""
+bundle, and names a check only one tree runs instead of giving it a
+residual row; the tool is loaded from its file."""
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
@@ -21,3 +23,47 @@ def test_match_scenarios_splits_shared_from_one_sided_names():
                                ["universal_n3_k12"])
     assert match(new, new) == (sorted(new), [], [])
     assert match([], new) == ([], [], sorted(new))
+
+
+def report(*recs):
+    """A report as the CLI prints it: one JSON line per record, then the
+    aggregate line, which carries no check name."""
+    lines = [json.dumps(rec) for rec in recs]
+    lines.append(json.dumps({"passed": True, "checks_run": len(recs)}))
+    return "\n".join(lines) + "\n"
+
+
+def record(name, residual, status="pass"):
+    return {"name": name, "status": status, "max_residual": residual,
+            "error": None, "samples_checked": 3}
+
+
+def test_a_check_only_one_tree_runs_is_counted_not_given_a_residual_row():
+    compare = load_tool().compare
+    runs = [("lvmb_pass", None), ("lvmb_pass", 1), ("fields_basic", None)]
+    same = report(record("nijenhuis_identity", 1e-12))
+    old = {"lvmb_pass None": report(record("lvmb_condition_i", 0.0),
+                                    record("lvmb_killing_brackets", 0.0)),
+           "lvmb_pass 1": report(record("lvmb_condition_i", 0.5),
+                                 record("lvmb_killing_brackets", 0.0)),
+           "fields_basic None": same}
+    new = {"lvmb_pass None": report(record("lvmb_condition_i", 0.0)),
+           "lvmb_pass 1": report(record("lvmb_condition_i", 0.25)),
+           "fields_basic None": same}
+    rows, one_sided, shared_differ, identical = compare(runs, old, new)
+    # the moved residual of a shared check is a row; the one-sided check is not
+    assert rows == [("lvmb_pass", "1", "lvmb_condition_i", "0.5", "0.25")]
+    assert one_sided == {("old", "lvmb_killing_brackets"): 2}
+    assert not shared_differ and identical == 1
+
+
+def test_a_shared_check_whose_verdict_moves_differs():
+    compare = load_tool().compare
+    runs = [("lvmb_fail", 2)]
+    old = {"lvmb_fail 2": report(record("lvmb_condition_ii", 0.0))}
+    new = {"lvmb_fail 2": report(record("lvmb_condition_ii", 1.0, status="fail"),
+                                 record("lvmb_new_check", 0.0))}
+    rows, one_sided, shared_differ, identical = compare(runs, old, new)
+    assert rows == [("lvmb_fail", "2", "lvmb_condition_ii", "0.0", "1.0")]
+    assert one_sided == {("new", "lvmb_new_check"): 1}
+    assert shared_differ and identical == 0

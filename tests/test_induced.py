@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import complex_vector
 from acs_verify import induced
 from acs_verify.checks import REGISTRY, CheckContext, build_graph_scenario
 from acs_verify.config import DEFAULT
@@ -85,7 +86,7 @@ def test_crpoly_matmul_matches_numeric_product():
     b = random_crpoly(3, 2, 2, rng)
     prod = a.matmul(b)
     for _ in range(4):
-        z = 0.5 * rng.complex_vector(2)
+        z = 0.5 * complex_vector(rng, 2)
         assert np.max(np.abs(prod.value(z) - a.value(z) @ b.value(z))) < 1e-12
 
 
@@ -97,7 +98,7 @@ def test_substitute_graph_exact():
     graph.update({(1 + l, 0): terms for (l, _), terms in g.entries.items()})
     pulled = chart.amap.substitute(CRPolyMap(1, 3, 1, graph))
     for _ in range(5):
-        zp = 0.3 * rng.complex_vector(1)
+        zp = 0.3 * complex_vector(rng, 1)
         direct = chart.amap.value(np.concatenate([zp, g.value_vector(zp)]))
         assert np.max(np.abs(pulled.value(zp) - direct)) < 1e-13
 
@@ -155,7 +156,7 @@ def test_jf_double_entry_random_scenarios():
                 n, big_n, chart.amap + CRPolyMap.constant(big_n, -base_val)
             )
         for _ in range(3):
-            zp = 0.1 * rng.complex_vector(n)
+            zp = 0.1 * complex_vector(rng, n)
             jf = induced_jf(emb, chart, zp)
             assert np.max(np.abs(jf - induced_jf_quotient(emb, chart, zp))) < 1e-8
             assert np.max(np.abs(jf @ jf + np.eye(2 * n))) < 1e-8
@@ -198,7 +199,7 @@ def test_dbar_image_in_fiber_seed13():
     shift = chart.a_value(emb.f_value(emb.base))
     chart = DistributionChart(2, 5, chart.amap + CRPolyMap.constant(5, -shift))
     for _ in range(5):
-        zp = 0.1 * rng.complex_vector(2)
+        zp = 0.1 * complex_vector(rng, 2)
         _, residual = dbar_f_fiber_coords(emb, chart, zp)
         assert residual < 1e-8
 
@@ -210,7 +211,7 @@ def test_dbar_fiber_residual_keeps_a_nan(monkeypatch):
     chart = random_polynomial_chart(2, 5, rng, amplitude=0.6)
     g = random_crpoly(3, 1, 2, rng, degree=2, amplitude=0.4)
     emb = GraphEmbedding(2, 5, g)
-    zp = 0.1 * rng.complex_vector(2)
+    zp = 0.1 * complex_vector(rng, 2)
     jf = induced_jf_quotient(emb, chart, zp)
     etas, residual = dbar_f_fiber_coords(emb, chart, zp, jf)
     assert np.isfinite(residual)
@@ -420,7 +421,7 @@ def _assert_close(got, want):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_one_point_route_matches_the_per_column_oracles(n, seed):
     chart, emb, var = build_graph_scenario(SplitMix64(seed), n, n + 2)
-    off = 0.1 * SplitMix64(seed + 100).complex_vector(n)
+    off = 0.1 * complex_vector(SplitMix64(seed + 100), n)
     # a(F(off)) != 0, so the correction term of the closed form is live
     assert np.max(np.abs(induced_jf(emb, chart, off) - standard_structure(n))) > 1e-4
     for zp in [emb.base, off]:
@@ -482,7 +483,7 @@ def test_induced_jf_not_transverse_at_constructed_tangency():
 def test_deformed_embedding_at_zero_t_is_identity():
     chart, emb, var, rng = scenario_seed(67)
     emb0, vtilde = deformed_embedding(emb, chart, var, 0.0)
-    zp = 0.1 * rng.complex_vector(1)
+    zp = 0.1 * complex_vector(rng, 1)
     assert np.max(np.abs(emb0.g.value(zp) - emb.g.value(zp))) < 1e-15
     # vtilde = v + a(F) eta, and a(F(base)) = 0 by normalization
     assert np.max(np.abs(

@@ -25,7 +25,6 @@ from acs_verify.lvmb import (
     convex_hull_2d,
     exchange_closure,
     hull_overlap_lp,
-    killing_fields,
     polygon_area,
     polygon_overlap_oracle,
     simplex_solve,
@@ -607,36 +606,3 @@ def test_condition_ii_not_monotone_under_arbitrary_additions():
     assert not rep["ok"]
     assert rep["counterexample"]["J"] == [2, 3, 4]
 
-
-# ---------------------------------------------------------------------------
-# diagonal fields
-# ---------------------------------------------------------------------------
-
-def test_killing_field_coefficients_match_forms():
-    ell = [[1 + 2j, 0.5j], [3.0, -1j], [0.25, 2.0], [1j, 1.0], [0.0, -2j]]
-    d = LvmbData(2, 4, [[0, 1, 2, 3, 4]], ell)
-    kf = killing_fields(d)
-    assert kf.lam.shape == (2, 5)
-    for k in range(5):
-        for j in range(2):
-            assert kf.lam[j, k] == complex(ell[k][j])
-
-
-def test_killing_field_values_are_diagonal():
-    d = data_m1([2.0, 1j, -1.0], [[0, 1, 2]], big_n=2)
-    kf = killing_fields(d)
-    z = np.array([1.0 + 1j, 2.0, -1j])
-    assert np.allclose(kf.value(0, z), np.array([2.0 + 2j, 2j, 1j]), atol=1e-15)
-
-
-def test_killing_field_brackets_vanish():
-    rng = SplitMix64(23)
-    ell = rng.complex_matrix(6, 2, 1.0)
-    d = LvmbData(2, 5, [[0, 1, 2, 3, 4]], ell)
-    kf = killing_fields(d)
-    assert kf.bracket_exact(0, 1) == 0.0
-    worst = 0.0
-    for _ in range(5):
-        z = rng.complex_matrix(6, 1, 1.0)[:, 0]
-        worst = max(worst, float(np.max(np.abs(kf.bracket_fd(0, 1, z)))))
-    assert worst <= 1e-8

@@ -62,8 +62,8 @@ def test_lvmb_data_is_built_once_per_lvmb_run(monkeypatch, capsys):
     doc = parse_scenario(find_scenario("lvmb_pass"))
     calls = count_calls(monkeypatch, LvmbData, "from_json_dict", wrap=staticmethod)
     records, _ = run_scenario(doc)
-    assert len(records) == 4
-    assert len(calls) == 1  # while validating; the four checks share it
+    assert len(records) == 3
+    assert len(calls) == 1  # while validating; the three checks share it
     calls.clear()
     assert main(["run", "lvmb_pass"]) == 0
     capsys.readouterr()

@@ -9,14 +9,17 @@ trees bundle is run against each tree at its own seed and at `--seed` 1,
 with OPENBLAS_NUM_THREADS=1. A scenario that only one tree bundles is
 named on stderr and not compared.
 
-For each check record that differs between the trees, one tab-separated
-row is printed:
+For each check record that both reports hold and that differs between
+the trees, one tab-separated row is printed:
 
     scenario  seed  check  old max_residual  new max_residual
 
-A summary line goes to stderr. The exit code is 1 when any record's
-`status`, `error` or `samples_checked` differs, or a report holds a
-check the other lacks; otherwise 0, also when residuals moved.
+A check that one tree's report holds and the other's lacks gets no row:
+it is named once on stderr with the number of reports it is missing
+from. A summary line on stderr says whether the verdicts of the shared
+checks agree. The exit code is 1 when any shared record's `status`,
+`error` or `samples_checked` differs, or a report holds a check the
+other lacks; otherwise 0, also when residuals moved.
 """
 from __future__ import annotations
 
@@ -76,6 +79,38 @@ def records(report: str) -> dict:
     return out
 
 
+def compare(runs: list, old: dict, new: dict) -> tuple[list, dict, bool, int]:
+    """(rows, one_sided, shared_differ, identical) over the reports of runs.
+
+    rows holds a (scenario, seed, check, old residual, new residual) row
+    for each differing record that both reports hold; one_sided counts,
+    per (tree, check), the reports in which only that tree has the check;
+    shared_differ says whether the verdict of a shared record differs;
+    identical counts the byte-identical reports.
+    """
+    rows, one_sided = [], {}
+    shared_differ = False
+    identical = 0
+    for name, seed in runs:
+        key = f"{name} {seed}"
+        if old[key] == new[key]:
+            identical += 1
+            continue
+        old_recs, new_recs = records(old[key]), records(new[key])
+        for tree, mine, theirs in (("old", old_recs, new_recs), ("new", new_recs, old_recs)):
+            for check in mine.keys() - theirs.keys():
+                one_sided[tree, check] = one_sided.get((tree, check), 0) + 1
+        for check in sorted(old_recs.keys() & new_recs.keys()):
+            a, b = old_recs[check], new_recs[check]
+            if a == b:
+                continue
+            if any(a[f] != b[f] for f in VERDICT_FIELDS):
+                shared_differ = True
+            rows.append((name, "default" if seed is None else str(seed), check,
+                         repr(a["max_residual"]), repr(b["max_residual"])))
+    return rows, one_sided, shared_differ, identical
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -89,29 +124,16 @@ def main(argv=None) -> int:
             print(f"only in the {tree} tree, not compared: " + ", ".join(names),
                   file=sys.stderr)
     runs = [(name, seed) for name in shared for seed in SEEDS]
-    old, new = run_tree(old_src, runs), run_tree(new_src, runs)
-    verdicts_differ = False
-    identical = 0
-    for name, seed in runs:
-        key = f"{name} {seed}"
-        if old[key] == new[key]:
-            identical += 1
-            continue
-        old_recs, new_recs = records(old[key]), records(new[key])
-        if old_recs.keys() != new_recs.keys():
-            verdicts_differ = True
-        for check in sorted(old_recs.keys() | new_recs.keys()):
-            a, b = old_recs.get(check), new_recs.get(check)
-            if a == b:
-                continue
-            if a is None or b is None or any(a[f] != b[f] for f in VERDICT_FIELDS):
-                verdicts_differ = True
-            print("\t".join([name, "default" if seed is None else str(seed), check,
-                             repr(a and a["max_residual"]),
-                             repr(b and b["max_residual"])]))
-    print(f"{identical} of {len(runs)} reports byte-identical; verdicts "
-          + ("differ" if verdicts_differ else "agree"), file=sys.stderr)
-    return 1 if verdicts_differ else 0
+    rows, one_sided, shared_differ, identical = compare(
+        runs, run_tree(old_src, runs), run_tree(new_src, runs))
+    for (tree, check), count in sorted(one_sided.items()):
+        print(f"check only in the {tree} tree: {check} ({count} reports)",
+              file=sys.stderr)
+    for row in rows:
+        print("\t".join(row))
+    print(f"{identical} of {len(runs)} reports byte-identical; verdicts of the "
+          "shared checks " + ("differ" if shared_differ else "agree"), file=sys.stderr)
+    return 1 if shared_differ or one_sided else 0
 
 
 if __name__ == "__main__":
