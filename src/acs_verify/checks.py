@@ -516,29 +516,47 @@ def _check_nijenhuis_identity(ctx: CheckContext) -> CheckResult:
     return CheckResult(worst, instances * pairs)
 
 
+# An instance whose closed-form dJ_f has a sup norm below this floor has
+# no first variation to test (in most such draws neither g nor v has a
+# conj-linear term at the base point). A dJ_f that vanishes in exact
+# arithmetic reads at most about 1e2 eps ~ 2e-14; of the 1797 instances
+# of benchmark seeds 1-600, 126 read exactly 0.0 and the smallest
+# non-zero one read 2.5e-3. The FD quotient of such an instance is all
+# truncation error, of an order in t set by which t-derivatives of
+# J_{f_t} vanish, so its error ratio says nothing about the formula.
+DJF_FLOOR = 1e-8
+
+
 @register(
     "variation_formula", "induced",
-    "dJ_f/dt = 2 J_f (f_*^{-1} theta(dbar f ., eta) + dbar_{J_f} v), FD ratio in [8,12]",
+    "dJ_f/dt = 2 J_f (f_*^{-1} theta(dbar f ., eta) + dbar_{J_f} v), "
+    "FD ratio in [8,12] or [80,120]",
     1e-3,
 )
 def _check_variation_formula(ctx: CheckContext) -> CheckResult:
     instances = ctx.count(int(ctx.payload.get("instances", 3)))
     worst = 0.0
+    samples = 0
     for _ in range(instances):
         chart, emb, var = build_graph_scenario(ctx.rng, *_graph_params(ctx))
         zp = emb.base
         closed = variation_djf(emb, chart, var, zp, ctx.tol)
-        errs = {}
-        for t in (1e-3, 1e-4):
-            fd = variation_fd_oracle(emb, chart, var, zp, t, ctx.tol)
-            errs[t] = float(np.max(np.abs(fd - closed)))
-        ratio = errs[1e-3] / max(errs[1e-4], 1e-15)
-        # linear convergence: a decade of t divides the error by ~10;
-        # the terminal (finest-step) error is the certified residual
-        worst = worst_of(worst, errs[1e-4])
-        if not 8.0 <= ratio <= 12.0:
+        coarse, fine = (
+            float(np.max(np.abs(fd - closed)))
+            for fd in variation_fd_oracle(emb, chart, var, zp, (1e-3, 1e-4), ctx.tol))
+        # the terminal (finest-step) error is the certified residual, also
+        # for an instance below the floor
+        worst = worst_of(worst, fine)
+        if float(np.max(np.abs(closed))) < DJF_FLOOR:
+            continue
+        samples += 2
+        # the FD error is sum_k t^k J^(k+1)(0) / (k+1)!: a decade of t
+        # divides it by ~10, or by ~100 where J'' vanishes at the base
+        # point (seen on draws whose g has no conj-linear term there)
+        ratio = coarse / max(fine, 1e-15)
+        if not (8.0 <= ratio <= 12.0 or 80.0 <= ratio <= 120.0):
             worst = worst_of(worst, 1.0)
-    return CheckResult(worst, instances * 2)
+    return CheckResult(worst, samples)
 
 
 @register(

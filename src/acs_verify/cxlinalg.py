@@ -43,9 +43,11 @@ def complexify_vector(v: np.ndarray) -> np.ndarray:
 
 def standard_structure(m: int) -> np.ndarray:
     """Multiplication by i on C^m in realified coordinates (2m x 2m)."""
+    out = np.zeros((2 * m, 2 * m))
     eye = np.eye(m)
-    zero = np.zeros((m, m))
-    return np.block([[zero, -eye], [eye, zero]])
+    out[:m, m:] = -eye
+    out[m:, :m] = eye
+    return out
 
 
 def realify_basis(cols: np.ndarray) -> np.ndarray:

@@ -75,12 +75,11 @@ class CRPolyMap:
         for (i, j), terms in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeMismatch(f"entry index ({i}, {j}) out of range")
-            cell = self.entries[(i, j)] = {}
-            for (za, zb), coeff in terms.items():
+            for za, zb in terms:
                 if len(za) != n_vars or len(zb) != n_vars:
                     raise DimensionMismatch("exponent length must equal n_vars")
-                if coeff != 0:
-                    cell[(za, zb)] = complex(coeff)
+            self.entries[(i, j)] = {
+                key: complex(coeff) for key, coeff in terms.items() if coeff != 0}
 
     @classmethod
     def constant(cls, n_vars: int, array) -> "CRPolyMap":
@@ -94,8 +93,12 @@ class CRPolyMap:
         return cls(n_vars, array.shape[0], array.shape[1], entries)
 
     def value(self, z) -> np.ndarray:
+        """Every monomial starts at its coefficient and is multiplied by
+        z_var ** p, then conj(z_var) ** p, in variable order, on Python
+        complex numbers."""
         z = np.asarray(z, dtype=complex).reshape(-1)
-        zc = z.conj()
+        zc = z.conj().tolist()
+        z = z.tolist()
         out = np.zeros((self.rows, self.cols), dtype=complex)
         for (i, j), terms in self.entries.items():
             acc = 0j

@@ -72,15 +72,13 @@ def random_crpoly(rows: int, cols: int, n_vars: int, rng: SplitMix64,
 
 
 def _real_linear(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Realified matrix of the map zeta -> P zeta + Q conj(zeta)."""
+    """Realified matrix of the map zeta -> P zeta + Q conj(zeta):
+    [[Re(P + Q), -Im(P - Q)], [Im(P + Q), Re(P - Q)]]."""
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
-    return np.block(
-        [
-            [(p + q).real, -(p - q).imag],
-            [(p + q).imag, (p - q).real],
-        ]
-    )
+    s, d = p + q, p - q
+    return np.concatenate([np.concatenate([s.real, s.imag]),
+                           np.concatenate([-d.imag, d.real])], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +309,14 @@ def variation_djf(emb: GraphEmbedding, chart: DistributionChart,
     return 2.0 * jf @ (term1 + dbar_v)
 
 
-def deformed_embedding(emb: GraphEmbedding, chart: DistributionChart,
-                       var: VariationData,
-                       t: float) -> tuple[GraphEmbedding, CRPolyMap]:
-    """Exact data of the deformed graph at parameter t.
+def deformation(emb: GraphEmbedding, chart: DistributionChart,
+                var: VariationData) -> tuple[CRPolyMap, CRPolyMap]:
+    """Exact t-independent data of the deformed graph.
 
-    Returns (embedding with g_t = g + t(eta - dg . a(F) eta), vtilde)
-    where vtilde = v + a(F) eta is the chart flow that re-graphs the
-    moved submanifold over z'.
+    Returns (direction, vtilde): the deformed graph is g_t = g +
+    direction.scale(t) with direction = eta - dg . a(F) eta, and vtilde
+    = v + a(F) eta is the chart flow that re-graphs the moved
+    submanifold over z'.
     """
     if not isinstance(chart.amap, CRPolyMap):
         raise ShapeMismatch("deformations need a polynomial chart")
@@ -330,31 +328,37 @@ def deformed_embedding(emb: GraphEmbedding, chart: DistributionChart,
     a_on_graph = chart.amap.substitute(CRPolyMap(n, emb.big_n, 1, graph))
     a_eta = a_on_graph.matmul(var.eta)
     dg_a_eta = emb._pg.matmul(a_eta) + emb._qg.matmul(a_eta.conjugate())
-    g_t = emb.g + (var.eta - dg_a_eta).scale(t)
-    vtilde = var.v + a_eta
-    return GraphEmbedding(emb.n, emb.big_n, g_t, base=emb.base), vtilde
+    return var.eta - dg_a_eta, var.v + a_eta
 
 
 def variation_fd_oracle(emb: GraphEmbedding, chart: DistributionChart,
-                        var: VariationData, zp, t: float,
-                        tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Finite-difference variation (J_{f_t}(x) - J_f(x)) / t.
+                        var: VariationData, zp, steps: tuple[float, ...],
+                        tol: Tolerances = DEFAULT) -> list[np.ndarray]:
+    """Finite-difference variations (J_{f_t}(x) - J_f(x)) / t, one per
+    step t of steps.
 
-    Re-runs the induced-structure construction on the deformed graph and
-    pulls back along the re-graphing flow phi_t = id + t vtilde; uses no
-    torsion and no closed-form variation algebra.
+    Re-runs the induced-structure construction on each deformed graph
+    and pulls back along the re-graphing flow phi_t = id + t vtilde;
+    uses no torsion and no closed-form variation algebra. The deformation,
+    vtilde and its Jacobian at zp, and J_f(zp) do not depend on t and are
+    built once per call.
     """
     zp = np.asarray(zp, dtype=complex).reshape(-1)
-    emb_t, vtilde = deformed_embedding(emb, chart, var, t)
-    moved = zp + t * vtilde.value_vector(zp)
+    direction, vtilde = deformation(emb, chart, var)
+    v0 = vtilde.value_vector(zp)
     d_vtilde = _real_linear(vtilde.holo_jacobian_map().value(zp),
                             vtilde.anti_jacobian_map().value(zp))
-    dphi = np.eye(2 * emb.n) + t * d_vtilde
-    # quotient route only: the moved point is not normalized for the chart
-    j_moved = induced_jf_quotient(emb_t, chart, moved, tol)
-    j_t = np.linalg.solve(dphi, j_moved @ dphi)
     j_0 = induced_jf_quotient(emb, chart, zp, tol)
-    return (j_t - j_0) / t
+    quotients = []
+    for t in steps:
+        emb_t = GraphEmbedding(emb.n, emb.big_n, emb.g + direction.scale(t),
+                               base=emb.base)
+        dphi = np.eye(2 * emb.n) + t * d_vtilde
+        # quotient route only: the moved point is not normalized for the chart
+        j_moved = induced_jf_quotient(emb_t, chart, zp + t * v0, tol)
+        j_t = np.linalg.solve(dphi, j_moved @ dphi)
+        quotients.append((j_t - j_0) / t)
+    return quotients
 
 
 # ---------------------------------------------------------------------------

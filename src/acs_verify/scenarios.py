@@ -73,14 +73,12 @@ _VALIDATORS: dict = {}
 
 def validate_document(doc, name: str) -> None:
     """Raise the ValidationError jsonschema.validate would raise for doc
-    against the bundled schema name. The validator is built on first use,
-    so the schema is checked against its meta-schema once per process,
-    not on every validation."""
+    against the bundled schema name. The validator is built on first use.
+    The bundled schemas are checked against their meta-schema by the
+    tests, not at run time: that check tests the files, not the input."""
     if name not in _VALIDATORS:
         schema = load_schema(name)
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        _VALIDATORS[name] = cls(schema)
+        _VALIDATORS[name] = jsonschema.validators.validator_for(schema)(schema)
     error = jsonschema.exceptions.best_match(_VALIDATORS[name].iter_errors(doc))
     if error is not None:
         raise error

@@ -618,16 +618,22 @@ def embedding_differential(x, m: PointwiseACManifold, frame: ChartFrame,
     if np.any(x + 0.5 * h == x) or np.any(x - 0.5 * h == x):
         raise DomainError(f"a step of {0.5 * h:g} rounds away at x={x.tolist()}")
     # one stack of 4 points per direction r, r-major, in the order the
-    # differences read them, so the first bad point raises first
-    ys = []
+    # differences read them, so the first bad point raises first; each
+    # difference is divided by the span its two points really have, not by
+    # the nominal 2h or h, since at large angles x + step rounds (at x =
+    # 1e11 the nominal spans are off by 7 % and 8 %)
+    ys, spans = [], []
     for r in range(two_n):
         step = np.zeros_like(x)
         step[r] = h
-        ys += [x + step, x - step, x + 0.5 * step, x - 0.5 * step]
+        pts = [x + step, x - step, x + 0.5 * step, x - 0.5 * step]
+        ys += pts
+        spans.append([pts[0][r] - pts[1][r], pts[2][r] - pts[3][r]])
     coords = np.array([frame.coordinates(p) for p in build_fibers(np.array(ys), m, tol)])
     c = coords.reshape(two_n, 4, -1)
-    d1 = (c[:, 0] - c[:, 1]) / (2 * h)
-    d2 = (c[:, 2] - c[:, 3]) / h
+    spans = np.array(spans)
+    d1 = (c[:, 0] - c[:, 1]) / spans[:, :1]
+    d2 = (c[:, 2] - c[:, 3]) / spans[:, 1:]
     return np.stack([realify_vector(col) for col in (4.0 * d2 - d1) / 3.0], axis=1)
 
 

@@ -48,6 +48,14 @@ the `ComplexSubspace` constructors as they were before the library
 dropped scipy: a pivoted QR whose rank counts the R diagonal entries
 above rank_rtol times the first, where the library now counts singular
 values of one thin SVD.
+`deformed_embedding` and `variation_fd_quotient` are the FD
+variation oracle as it was before `induced.variation_fd_oracle` took
+all its steps in one call: every step rebuilds the deformation, vtilde's
+Jacobian and J_f(zp). `crpoly_value_by_numpy_scalars` is
+`CRPolyMap.value` reading z as numpy scalars, and
+`standard_structure_by_block` and `real_linear_by_block` are the
+realification helpers as `np.block` assembled them; the tests hold the
+library to each bit for bit.
 `simplex_solve_loop` is the Bland simplex as it was before pivot choice
 read the tableau as Python floats: it scans the reduced costs and the
 ratio column one numpy scalar at a time and eliminates with an outer
@@ -80,6 +88,7 @@ from acs_verify.cxlinalg import (
     subspace_eq,
 )
 from acs_verify.distribution import (
+    CRPolyMap,
     DistributionChart,
     TorsionTensor,
     circle_rule_jacobian,
@@ -358,6 +367,20 @@ def realify_matrix(M: np.ndarray) -> np.ndarray:
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
+def standard_structure_by_block(m: int) -> np.ndarray:
+    """Multiplication by i on C^m as np.block assembles it."""
+    eye = np.eye(m)
+    zero = np.zeros((m, m))
+    return np.block([[zero, -eye], [eye, zero]])
+
+
+def real_linear_by_block(p, q) -> np.ndarray:
+    """Realified zeta -> P zeta + Q conj(zeta) as np.block assembles it."""
+    p = np.asarray(p, dtype=complex)
+    q = np.asarray(q, dtype=complex)
+    return np.block([[(p + q).real, -(p - q).imag], [(p + q).imag, (p - q).real]])
+
+
 def reassemble(split: RealSplitting) -> np.ndarray:
     """Rebuild the complexified matrix i*P_plus + (-i)*P_minus.
 
@@ -405,18 +428,21 @@ def embedding_differential_by_points(x, m: PointwiseACManifold, frame: ChartFram
                                      tol: Tolerances = DEFAULT) -> np.ndarray:
     """The Richardson differential of the chart coordinates, building
     the fiber of each point on its own, in the order the differences
-    read them."""
+    read them; each difference is divided by the span its two points
+    really have."""
     x = np.asarray(x, dtype=float).reshape(-1)
 
-    def coords_at(y) -> np.ndarray:
-        return frame.coordinates(build_fiber(y, m, tol))
+    def quotient(plus, minus, r) -> np.ndarray:
+        return ((frame.coordinates(build_fiber(plus, m, tol))
+                 - frame.coordinates(build_fiber(minus, m, tol)))
+                / (plus[r] - minus[r]))
 
     cols = []
     for r in range(2 * m.n):
         step = np.zeros_like(x)
         step[r] = h
-        d1 = (coords_at(x + step) - coords_at(x - step)) / (2 * h)
-        d2 = (coords_at(x + 0.5 * step) - coords_at(x - 0.5 * step)) / h
+        d1 = quotient(x + step, x - step, r)
+        d2 = quotient(x + 0.5 * step, x - 0.5 * step, r)
         cols.append(realify_vector((4.0 * d2 - d1) / 3.0))
     return np.stack(cols, axis=1)
 
@@ -547,6 +573,62 @@ def dbar_f(emb: GraphEmbedding, chart: DistributionChart, zp,
     unless given. Its image lies in the fiber of the distribution."""
     pt = GraphPoint(emb, chart, zp, tol)
     return pt.dbar_f(pt.jf_quotient() if jf is None else jf)
+
+
+def crpoly_value_by_numpy_scalars(cmap: CRPolyMap, z) -> np.ndarray:
+    """CRPolyMap.value reading z and conj(z) as numpy scalars, one per
+    factor, in the library's multiplication order."""
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    zc = z.conj()
+    out = np.zeros((cmap.rows, cmap.cols), dtype=complex)
+    for (i, j), terms in cmap.entries.items():
+        acc = 0j
+        for (za, zb), coeff in terms.items():
+            term = coeff
+            for var, p in enumerate(za):
+                if p:
+                    term *= z[var] ** p
+            for var, p in enumerate(zb):
+                if p:
+                    term *= zc[var] ** p
+            acc += term
+        out[i, j] = acc
+    return out
+
+
+def deformed_embedding(emb: GraphEmbedding, chart: DistributionChart,
+                       var: VariationData,
+                       t: float) -> tuple[GraphEmbedding, CRPolyMap]:
+    """The deformed graph at one parameter t, built anew: the
+    embedding with g_t = g + t(eta - dg . a(F) eta), and vtilde = v +
+    a(F) eta."""
+    n = emb.n
+    zero = (0,) * n
+    graph = {(i, 0): {(zero[:i] + (1,) + zero[i + 1:], zero): 1.0} for i in range(n)}
+    graph.update({(n + l, 0): terms for (l, _), terms in emb.g.entries.items()})
+    a_on_graph = chart.amap.substitute(CRPolyMap(n, emb.big_n, 1, graph))
+    a_eta = a_on_graph.matmul(var.eta)
+    dg_a_eta = emb._pg.matmul(a_eta) + emb._qg.matmul(a_eta.conjugate())
+    g_t = emb.g + (var.eta - dg_a_eta).scale(t)
+    vtilde = var.v + a_eta
+    return GraphEmbedding(emb.n, emb.big_n, g_t, base=emb.base), vtilde
+
+
+def variation_fd_quotient(emb: GraphEmbedding, chart: DistributionChart,
+                          var: VariationData, zp, t: float,
+                          tol: Tolerances = DEFAULT) -> np.ndarray:
+    """(J_{f_t}(x) - J_f(x)) / t for one step t, rebuilding the
+    deformation, vtilde's Jacobian and J_f(zp) for it."""
+    zp = np.asarray(zp, dtype=complex).reshape(-1)
+    emb_t, vtilde = deformed_embedding(emb, chart, var, t)
+    moved = zp + t * vtilde.value_vector(zp)
+    d_vtilde = _real_linear(vtilde.holo_jacobian_map().value(zp),
+                            vtilde.anti_jacobian_map().value(zp))
+    dphi = np.eye(2 * emb.n) + t * d_vtilde
+    j_moved = GraphPoint(emb_t, chart, moved, tol).jf_quotient()
+    j_t = np.linalg.solve(dphi, j_moved @ dphi)
+    j_0 = GraphPoint(emb, chart, zp, tol).jf_quotient()
+    return (j_t - j_0) / t
 
 
 def fiber_at(chart: DistributionChart, z, tol: Tolerances = DEFAULT) -> ComplexSubspace:

@@ -7,13 +7,16 @@ from acs_verify.errors import (
     RankDeficient,
     UnbalancedEigenspaces,
 )
+from acs_verify.induced import _real_linear
 from acs_verify.rng import SplitMix64
 from oracles import (
     complex_vector,
     from_columns_by_pivoted_qr,
     from_spanning_set_by_pivoted_qr,
+    real_linear_by_block,
     realify_matrix,
     reassemble,
+    standard_structure_by_block,
 )
 
 
@@ -69,6 +72,20 @@ def test_standard_structure_is_multiplication_by_i():
     j = cx.standard_structure(3)
     z = complex_vector(SplitMix64(3), 3)
     assert np.allclose(j @ cx.realify_vector(z), cx.realify_vector(1j * z))
+
+
+def test_standard_structure_and_real_linear_match_np_block_bit_for_bit():
+    # tobytes also compares the sign of zeros: -eye puts -0.0 off the
+    # diagonal of the upper right block
+    for m in range(5):
+        assert cx.standard_structure(m).tobytes() == standard_structure_by_block(m).tobytes()
+    rng = SplitMix64(8)
+    for rows, cols in [(1, 1), (3, 1), (5, 2), (4, 3)]:
+        p = rng.complex_matrix(rows, cols)
+        q = rng.complex_matrix(rows, cols)
+        cases = [(p, q), (p, np.zeros((rows, cols))), (p.real, q), (np.zeros((rows, cols)), q.imag)]
+        for a, b in cases:
+            assert _real_linear(a, b).tobytes() == real_linear_by_block(a, b).tobytes()
 
 
 def test_eigen_split_standard_r2():

@@ -27,7 +27,7 @@ from acs_verify.induced import (
     VariationData,
     centered_chart,
     dbar_f_fiber_coords,
-    deformed_embedding,
+    deformation,
     induced_jf,
     induced_jf_field,
     induced_jf_quotient,
@@ -245,7 +245,7 @@ def test_variation_zero_data_is_zero():
     v = CRPolyMap.constant(1, np.zeros((1, 1)))
     djf = variation_djf(emb, chart, VariationData(eta, v), np.zeros(1))
     assert np.max(np.abs(djf)) < 1e-13
-    fd = variation_fd_oracle(emb, chart, VariationData(eta, v), np.zeros(1), 1e-3)
+    [fd] = variation_fd_oracle(emb, chart, VariationData(eta, v), np.zeros(1), (1e-3,))
     assert np.max(np.abs(fd)) < 1e-9
 
 
@@ -257,10 +257,9 @@ def test_variation_reparametrization_only():
     closed = variation_djf(emb, chart, var_v, zp)
     jf = induced_jf(emb, chart, zp)
     assert np.max(np.abs(jf @ closed + closed @ jf)) < 1e-9
-    errs = {}
-    for t in (1e-3, 1e-4):
-        fd = variation_fd_oracle(emb, chart, var_v, zp, t)
-        errs[t] = np.max(np.abs(fd - closed))
+    steps = (1e-3, 1e-4)
+    errs = {t: np.max(np.abs(fd - closed))
+            for t, fd in zip(steps, variation_fd_oracle(emb, chart, var_v, zp, steps))}
     assert errs[1e-3] < 1e-3
     assert 7.0 < errs[1e-3] / errs[1e-4] < 13.0
 
@@ -271,11 +270,9 @@ def test_variation_full_seed17():
     closed = variation_djf(emb, chart, var, zp)
     jf = induced_jf(emb, chart, zp)
     assert np.max(np.abs(jf @ closed + closed @ jf)) < 1e-9
-    errs = []
     steps = (1e-3, 1e-4)
-    for t in steps:
-        fd = variation_fd_oracle(emb, chart, var, zp, t)
-        errs.append(np.max(np.abs(fd - closed)))
+    errs = [np.max(np.abs(fd - closed))
+            for fd in variation_fd_oracle(emb, chart, var, zp, steps)]
     assert errs[0] < 1e-3
     slope = (np.log10(errs[0]) - np.log10(errs[1])) / (
         np.log10(steps[0]) - np.log10(steps[1])
@@ -319,8 +316,7 @@ def test_variation_transport_term_is_load_bearing():
     without_transport = closed - 2.0 * jf @ (-0.5 * jf @ djf_v)
     assert np.max(np.abs(djf_v)) > 0.05
     errs = []
-    for t in (1e-3, 1e-4):
-        fd = variation_fd_oracle(emb, chart, var, zp, t)
+    for fd in variation_fd_oracle(emb, chart, var, zp, (1e-3, 1e-4)):
         errs.append(np.max(np.abs(fd - closed)))
         # truncated operator misses by an amount that does not shrink
         assert np.max(np.abs(fd - without_transport)) > 0.01
@@ -480,15 +476,107 @@ def test_induced_jf_not_transverse_at_constructed_tangency():
         induced_jf(emb, chart, np.array([0.25 + 0j]), require_normalized=False)
 
 
-def test_deformed_embedding_at_zero_t_is_identity():
+def test_deformation_at_zero_t_is_identity():
     chart, emb, var, rng = scenario_seed(67)
-    emb0, vtilde = deformed_embedding(emb, chart, var, 0.0)
+    direction, vtilde = deformation(emb, chart, var)
     zp = 0.1 * complex_vector(rng, 1)
-    assert np.max(np.abs(emb0.g.value(zp) - emb.g.value(zp))) < 1e-15
+    g0 = emb.g + direction.scale(0.0)
+    assert np.max(np.abs(g0.value(zp) - emb.g.value(zp))) < 1e-15
     # vtilde = v + a(F) eta, and a(F(base)) = 0 by normalization
     assert np.max(np.abs(
         vtilde.value_vector(emb.base) - var.v.value_vector(emb.base)
     )) < 1e-12
+
+
+@pytest.mark.parametrize("n, big_n", [(1, 3), (2, 5)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fd_oracle_matches_one_deformation_per_step_bit_for_bit(n, big_n, seed):
+    chart, emb, var = build_graph_scenario(SplitMix64(seed), n, big_n)
+    off = 0.05 * complex_vector(SplitMix64(seed + 100), n)
+    steps = (1e-3, 1e-4, 1e-2)
+    for zp in (emb.base, off):
+        got = variation_fd_oracle(emb, chart, var, zp, steps)
+        assert len(got) == len(steps)
+        for t, fd in zip(steps, got):
+            want = oracles.variation_fd_quotient(emb, chart, var, zp, t)
+            assert fd.tobytes() == want.tobytes()
+
+
+def test_fd_oracle_builds_the_deformation_once_per_call(monkeypatch):
+    chart, emb, var = build_graph_scenario(SplitMix64(5), 2, 5)
+    substitutions = _counted(monkeypatch, CRPolyMap, "substitute")
+    svds = _counted(monkeypatch, np.linalg, "svd")
+    variation_fd_oracle(emb, chart, var, emb.base, (1e-3, 1e-4, 1e-5))
+    # one a(F) substitution; one joint SVD at zp and one per step
+    assert len(substitutions) == 1 and len(svds) == 4
+
+
+def _max_degree(cmap: CRPolyMap) -> int:
+    return max(sum(za) + sum(zb) for terms in cmap.entries.values() for za, zb in terms)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_crpoly_value_matches_the_numpy_scalar_loop_bit_for_bit(seed):
+    rng = SplitMix64(seed)
+    chart, emb, var = build_graph_scenario(rng, 2, 5)
+    direction, vtilde = deformation(emb, chart, var)
+    maps = [random_crpoly(3, 2, 2, rng, degree=d, terms_per_entry=4) for d in (1, 3, 5)]
+    maps += [direction, vtilde, direction.holo_jacobian_map(), vtilde.anti_jacobian_map(),
+             emb.g + direction.scale(1e-4), chart.amap]
+    assert max(_max_degree(cmap) for cmap in maps) >= 6
+    for cmap in maps:
+        zs = [np.zeros(cmap.n_vars), np.eye(cmap.n_vars)[0] * (0.3 - 0.2j)]
+        zs += [0.5 * complex_vector(rng, cmap.n_vars) for _ in range(5)]
+        for z in zs:
+            got = cmap.value(z)
+            assert got.tobytes() == oracles.crpoly_value_by_numpy_scalars(cmap, z).tobytes()
+
+
+def _variation_formula_record(seed, payload=None):
+    from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
+
+    doc = parse_scenario(find_scenario("induced_variation"))
+    doc["checks"] = ["variation_formula"]
+    if payload is not None:
+        doc["payload"] = payload
+    [record], _ = run_scenario(doc, seed=seed)
+    return record
+
+
+# the payload of the benchmark's induced_variation operation
+FIXED_DIMENSIONS = {"instances": 3, "n": 2, "N": 5}
+
+
+@pytest.mark.parametrize("seed", [1064514170, 496500247])
+def test_variation_formula_passes_a_draw_whose_variation_vanishes(seed):
+    # two instances of the first draw and one of the second have neither a
+    # conj-linear term in g nor in v at the base point, so dJ_f = 0 there;
+    # the ratio test read their FD errors as residual 1.0
+    record = _variation_formula_record(seed, FIXED_DIMENSIONS)
+    assert record["status"] == "pass"
+    assert record["max_residual"] < 1e-3
+    assert record["samples_checked"] in (2, 4)
+
+
+# An instance below the floor has dJ_f = 0, which a scale leaves at 0, so
+# the floor cannot hide a scaled closed form; scaled by 0, every instance
+# falls below it and none is a sample.
+@pytest.mark.parametrize("scale, seed, payload", [
+    (1 + 1e-4, None, None),
+    (1 + 1e-4, 1, None),
+    (0.0, None, None),
+    (0.0, 1064514170, FIXED_DIMENSIONS),
+])
+def test_scaled_variation_fails_variation_formula(monkeypatch, scale, seed, payload):
+    from acs_verify import checks
+
+    djf = checks.variation_djf
+    monkeypatch.setattr(checks, "variation_djf",
+                        lambda *args, **kwargs: scale * djf(*args, **kwargs))
+    record = _variation_formula_record(seed, payload)
+    assert record["status"] == "fail"
+    if scale == 0.0:
+        assert record["samples_checked"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -655,6 +655,47 @@ def test_embedding_differential_still_steps_at_5e11():
     assert np.linalg.matrix_rank(df) == 2
 
 
+def test_embedding_differential_divides_by_the_steps_taken():
+    # At a = 1e11 the points x +- h and x +- h/2 round to multiples of
+    # u = ulp(a) = 2^-16: the spans taken are 14u and 6u, where the nominal
+    # ones are 2h and h, and dividing by those put df 13.5 % off. The
+    # reference is df at the angle reduced mod 2 pi in 50-digit arithmetic
+    # (x mod fl(2 pi) is itself off by about 4e-6 rad there), on the flat
+    # structure, whose fiber reads x only through cos and sin of the exact
+    # step points. Error model, with half-spans s1 = 7u and s2 = 3u:
+    # - Richardson: (4 D(s2) - D(s1)) / 3 = f' + (4 s2^2 - s1^2) f''' / 18,
+    #   not f' + O(s^4), since s1 / s2 is not 2;
+    # - rounding: coordinates that err by delta = 1e3 eps give
+    #   (4 / s2 + 1 / s1) delta / 3 in the extrapolation, at the test
+    #   point and at the reference (there s1 = h, s2 = h / 2).
+    # f''' is bounded by twice a third difference of the reference
+    # coordinates.
+    import mpmath
+
+    mpmath.mp.dps = 50
+    a, h = 1e11, 1e-4
+    m = PointwiseACManifold(1, 4, default_torus_embedding(1), AlmostComplexField.standard(1))
+    reduced = np.full(2, float(mpmath.fmod(mpmath.mpf(a), 2 * mpmath.pi)))
+    x = np.array([a, a])
+    frame = ChartFrame(build_fiber(x, m))
+    got = universal.embedding_differential(x, m, frame, h=h)
+    want = universal.embedding_differential(reduced, m, frame, h=h)
+
+    s1, s2 = ((a + h) - (a - h)) / 2, ((a + h / 2) - (a - h / 2)) / 2
+    assert (s1, s2) == (7 * 2.0 ** -16, 3 * 2.0 ** -16)
+    k, third = 1e-2, 0.0
+    for r in range(2):
+        pts = reduced + np.outer([2, 1, -1, -2], k * np.eye(2)[r])
+        c = [frame.coordinates(build_fiber(p, m)) for p in pts]
+        third = max(third, float(np.max(np.abs(c[0] - 2 * c[1] + 2 * c[2] - c[3]))) / (2 * k ** 3))
+    delta = 1e3 * np.finfo(float).eps
+    richardson = abs(4 * s2 ** 2 - s1 ** 2) / 18 * 2 * third
+    rounding = (4 / s2 + 1 / s1 + 4 / (h / 2) + 1 / h) * delta / 3
+    assert 0.5 < float(np.max(np.abs(want))) < 2.0
+    err = float(np.max(np.abs(got - want)))
+    assert err <= richardson + rounding, (err, richardson, rounding)
+
+
 def test_versality_controls_report_rank_zero():
     sample = UniversalSample(np.array([0.5, 0.7]), perturbed_manifold(1))
     fiber_dim = sample.chart.big_n - 1
