@@ -3,18 +3,20 @@
 Every check certifies one identity; the anchor field states that identity
 as a formula so reports are self-describing. A check runner receives a
 context with the scenario payload, resolved sample points, numeric
-tolerances and two deterministic random streams: builders derive the
-scenario's objects from the scenario seed (so every check sees the same
-manifold or chart), while probe vectors come from a per-check stream.
-Pass/fail is uniform: a check passes when it saw at least one sample and
-its max_residual is finite and <= tolerance, with indicator residuals
-(0 or 1) for verdict-match and control checks. Runners fold residuals
-with worst_of, which keeps a NaN that max would drop.
+tolerances, the scenario seed and a per-check random stream. The
+manifold, fields structure and LVMB data come from the payload and the
+seed, so every check sees the same ones; all else a check draws (probes,
+the induced checks' charts and graphs, the symplectic pairs) comes from
+its own stream. Pass/fail is uniform: a check passes when it saw at least
+one sample and its max_residual is finite and <= tolerance, with
+indicator residuals (0 or 1) for verdict-match and control checks.
+Runners fold residuals with worst_of, which keeps a NaN that max would
+drop.
 
 The checks of one run share a RunMemo of the constructions that draw
 from no check's rng: the manifold, the fields structure, the LVMB data,
-the set of sample points whose fiber has been built and validated, and
-the universal samples that versality and isotropy read.
+the universal samples that versality and isotropy read, and the keys of
+the sample arrays whose fibers a check has built and validated.
 """
 from __future__ import annotations
 
@@ -62,7 +64,6 @@ from .lvmb import (
     check_condition_i,
     check_condition_i_polygon,
     check_condition_ii,
-    exchange_closure,
 )
 from .rng import SplitMix64
 # build_fiber is not called here; it stays importable as checks.build_fiber,
@@ -99,23 +100,21 @@ class RunMemo:
 
     It holds only what the payload and the scenario seed determine, so a
     check sees the same object it would have built itself: the manifold,
-    the fields structure, the LVMB data, the keys of the sample points
-    whose fiber has been built and validated, and the universal samples
-    of the versality and isotropy checks; a row is recorded when fibers
-    hands out its point or induced_structures its chunk's J_f. The fibers
-    themselves are not held: they cost about 5.8 KB each, and a point is
-    cheap to rebuild.
-    A sample is held: a run builds only a few, and each carries a chart
+    the fields structure, the LVMB data, the universal samples of the
+    versality and isotropy checks, and a key per sample array whose
+    fibers a finished sweep built and validated. Fibers are not held:
+    they cost about 5.8 KB each, and a point is cheap to rebuild. A
+    sample is held: a run builds only a few, and each carries a chart
     torsion and a differential that cost far more than its fiber. A
-    build that raises stores nothing, so the next check to need it
-    raises the same error.
+    build or sweep that raises stores nothing, so the next check to need
+    it raises the same error.
     """
 
     def __init__(self):
         self._manifold = None
         self._structure = None
         self._lvmb_data = None
-        self._validated_points: set[bytes] = set()
+        self._sweeps: set[bytes] = set()
         self._samples: dict[bytes, UniversalSample] = {}
 
     def manifold(self, payload: dict, seed: int) -> PointwiseACManifold:
@@ -133,38 +132,23 @@ class RunMemo:
             self._lvmb_data = LvmbData.from_json_dict(payload["data"])
         return self._lvmb_data
 
-    def fibers(self, xs, m: PointwiseACManifold, tol: Tolerances):
-        """Yield build_fibers(xs, m, tol), which validates every point,
-        recording each row of xs as its fiber is handed out. A build that
-        raises leaves that row unrecorded and every row before it
-        recorded, as a loop over the rows would."""
-        for x, point in zip(xs, build_fibers(xs, m, tol)):
-            self._validated_points.add(_point_key(x))
-            yield point
+    def record_sweep(self, xs) -> None:
+        """Record that the fibers over all rows of xs were validated."""
+        self._sweeps.add(_key(xs))
 
-    def induced_structures(self, xs, m: PointwiseACManifold, tol: Tolerances):
-        """Yield over_chunks(xs) of induced_structures, which builds and
-        validates each chunk's fibers on the way to J_f, recording the
-        rows of each chunk as it is handed out (as fibers records rows)."""
-        for rows, jf in over_chunks(xs, lambda rows: induced_structures(rows, m, tol)):
-            self._validated_points.update(_point_key(x) for x in rows)
-            yield rows, jf
+    def swept(self, xs) -> bool:
+        return _key(xs) in self._sweeps
 
     def sample(self, x, m: PointwiseACManifold, tol: Tolerances) -> UniversalSample:
-        """UniversalSample(x, m, tol), built on first use; its fiber,
-        validated by build_fiber, is recorded with it."""
-        key = _point_key(x)
+        """UniversalSample(x, m, tol), built on first use."""
+        key = _key(x)
         if key not in self._samples:
             self._samples[key] = UniversalSample(x, m, tol)
-            self._validated_points.add(key)
         return self._samples[key]
 
-    def validated(self, x) -> bool:
-        return _point_key(x) in self._validated_points
 
-
-def _point_key(x) -> bytes:
-    return np.asarray(x, dtype=float).tobytes()
+def _key(xs) -> bytes:
+    return np.asarray(xs, dtype=float).tobytes()
 
 
 @dataclass(frozen=True)
@@ -241,7 +225,7 @@ def all_checks() -> list[Check]:
 
 
 # ---------------------------------------------------------------------------
-# payload builders (derive everything from the scenario seed)
+# payload builders (from the seed) and graph scenarios (from a check's rng)
 # ---------------------------------------------------------------------------
 
 def build_structure(payload: dict, n: int, seed: int) -> AlmostComplexField:
@@ -357,8 +341,9 @@ def _check_reconstruction(ctx: CheckContext) -> CheckResult:
     # tests hold bit for bit to value; a construction that read J at the
     # wrong rows still fails, which reusing its J would hide. One max per
     # chunk is the max over its rows, and np.max keeps a NaN
-    for rows, jf in ctx.memo.induced_structures(pts, m, ctx.tol):
+    for rows, jf in over_chunks(pts, lambda rows: induced_structures(rows, m, ctx.tol)):
         worst = worst_of(worst, float(np.max(np.abs(jf - m.j.values(rows)))))
+    ctx.memo.record_sweep(pts)
     return CheckResult(worst, int(len(pts)))
 
 
@@ -374,15 +359,14 @@ def _check_fiber_reality(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     # |sum p_I^2| <= sum |p_I|^2, so a certificate above 1 is as wrong as
     # one below it
-    for point in ctx.memo.fibers(pts[:wedge_cap], m, ctx.tol):
+    for point in build_fibers(pts[:wedge_cap], m, ctx.tol):
         worst = worst_of(worst, abs(1.0 - plucker_reality_certificate(point, ctx.tol)))
-    # a fiber is validated as it is built (and real by construction); a
-    # point another check of this run has built and validated needs
-    # building again only for its Plucker test
-    rest = pts[wedge_cap:]
-    rest = rest[[not ctx.memo.validated(x) for x in rest]]
-    for _ in ctx.memo.fibers(rest, m, ctx.tol):
-        pass
+    # fibers are validated as built (and real by construction): points
+    # another check has swept are rebuilt only for their Plucker test
+    if not ctx.memo.swept(pts):
+        for _ in build_fibers(pts[wedge_cap:], m, ctx.tol):
+            pass
+        ctx.memo.record_sweep(pts)
     return CheckResult(worst, int(len(pts)))
 
 
@@ -526,6 +510,12 @@ def _check_nijenhuis_identity(ctx: CheckContext) -> CheckResult:
 # J_{f_t} vanish, so its error ratio says nothing about the formula.
 DJF_FLOOR = 1e-8
 
+# When every requested instance falls below DJF_FLOOR (7 % of instances
+# do; all three at 1 of benchmark seeds 1-4000), up to this many more are
+# drawn, to the first above it, so a valid structure does not fail for
+# want of a sample. Other runs draw exactly the requested instances.
+EXTRA_DRAWS = 8
+
 
 @register(
     "variation_formula", "induced",
@@ -536,8 +526,9 @@ DJF_FLOOR = 1e-8
 def _check_variation_formula(ctx: CheckContext) -> CheckResult:
     instances = ctx.count(int(ctx.payload.get("instances", 3)))
     worst = 0.0
-    samples = 0
-    for _ in range(instances):
+    samples = drawn = 0
+    while drawn < instances or (samples == 0 and drawn < instances + EXTRA_DRAWS):
+        drawn += 1
         chart, emb, var = build_graph_scenario(ctx.rng, *_graph_params(ctx))
         zp = emb.base
         closed = variation_djf(emb, chart, var, zp, ctx.tol)
@@ -638,17 +629,13 @@ def _check_pseudoholomorphic_rank(ctx: CheckContext) -> CheckResult:
 # lvmb checks
 # ---------------------------------------------------------------------------
 
-def _lvmb_data(ctx: CheckContext) -> LvmbData:
-    return ctx.memo.lvmb_data(ctx.payload)
-
-
 @register(
     "lvmb_condition_i", "lvmb",
     "all pairs J1, J2 in E: int conv{l_j : J1} meets int conv{l_j : J2} (LP margin >= 1e-9)",
     0.5,
 )
 def _check_lvmb_condition_i(ctx: CheckContext) -> CheckResult:
-    data = _lvmb_data(ctx)
+    data = ctx.memo.lvmb_data(ctx.payload)
     rep = check_condition_i(data, ctx.tol)
     expect = ctx.payload.get("expect", {}).get("condition_i")
     worst = 0.0
@@ -668,7 +655,7 @@ def _check_lvmb_condition_i(ctx: CheckContext) -> CheckResult:
     0.5,
 )
 def _check_lvmb_condition_ii(ctx: CheckContext) -> CheckResult:
-    data = _lvmb_data(ctx)
+    data = ctx.memo.lvmb_data(ctx.payload)
     rep = check_condition_ii(data)
     expect = ctx.payload.get("expect", {})
     worst = 0.0
@@ -677,18 +664,6 @@ def _check_lvmb_condition_ii(ctx: CheckContext) -> CheckResult:
     if "counterexample" in expect and rep["counterexample"] != expect["counterexample"]:
         worst = 1.0
     return CheckResult(worst, len(data.family) * (data.big_n + 1))
-
-
-@register(
-    "lvmb_exchange_closure", "lvmb",
-    "the single-exchange closure of E satisfies the exchange condition",
-    0.5,
-)
-def _check_lvmb_closure(ctx: CheckContext) -> CheckResult:
-    data = _lvmb_data(ctx)
-    closed = exchange_closure(data)
-    rep = check_condition_ii(closed)
-    return CheckResult(0.0 if rep["ok"] else 1.0, len(closed.family))
 
 
 # ---------------------------------------------------------------------------

@@ -467,10 +467,8 @@ class ChartFrame:
         self.b_sigpp = point.sigpp.basis
         self.quot = self.b_sigp[:, k - n:]
         self.rest = np.concatenate([point.sp.basis, self.b_sigpp], axis=1)
+        # [Sigma' | Sigma''] permuted: validate_fibers certified its rank
         self.ambient_frame = np.concatenate([self.quot, self.rest], axis=1)
-        sv = np.linalg.svd(self.ambient_frame, compute_uv=False)
-        if sv[-1] <= tol.rank_rtol * sv[0]:
-            raise ChartDegeneracy("ambient frame is numerically singular")
 
     # block slices -----------------------------------------------------------
     def slices(self):
@@ -654,14 +652,18 @@ class UniversalSample:
         self.frame = ChartFrame(self.point, tol)
         self.chart = universal_chart(self.frame)
         self.jf = induced_structure_at(self.x, m, tol, point=self.point)
+        # theta first: its a_matrix(0) guards the ambient frame that
+        # embedding_differential solves with
+        self.theta = torsion_at(self.chart, tol=tol)
         self.df = embedding_differential(self.x, m, self.frame, tol=tol)
         big_n = self.frame.big_n
-        self.dbar = 0.5 * (self.df + standard_structure(big_n) @ self.df @ self.jf)
+        # J_std df by a block swap, not a dense 2N x 2N J_std beside theta
+        jdf = np.concatenate([-self.df[big_n:], self.df[:big_n]])
+        self.dbar = 0.5 * (self.df + jdf @ self.jf)
         self.cols = self.dbar[:big_n] + 1j * self.dbar[big_n:]
         self.etas = self.cols[m.n:]
         # np.max keeps a NaN, which then fails the membership tolerance
         self.membership_residual = float(np.max(np.abs(self.cols[:m.n]), initial=0.0))
-        self.theta = torsion_at(self.chart, tol=tol)
 
     def image(self) -> ComplexSubspace:
         """Complex span of dbar f inside the chart's centered fiber, for

@@ -111,7 +111,7 @@ def test_run_bundled_scenario_report_shape(capsys):
     assert code == 0
     records, aggregate = parse_report(out)
     assert aggregate["passed"] and aggregate["checks_failed"] == 0
-    assert aggregate["checks_run"] == len(records) == 3
+    assert aggregate["checks_run"] == len(records) == 2
     for rec in records:
         assert rec["status"] == "pass"
         assert rec["max_residual"] <= rec["tolerance"]

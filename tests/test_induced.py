@@ -558,6 +558,25 @@ def test_variation_formula_passes_a_draw_whose_variation_vanishes(seed):
     assert record["samples_checked"] in (2, 4)
 
 
+@pytest.mark.parametrize("seed, draws", [(1260075293, 4), (1064514170, 3), (None, 3)])
+def test_variation_formula_draws_more_only_when_every_instance_vanishes(
+        monkeypatch, seed, draws):
+    # at 1260075293 all three requested instances have dJ_f = 0, and the
+    # check once failed there with 0 samples; the fourth draw has
+    # ||dJ_f|| = 0.71. A run with an instance above the floor (1064514170
+    # has one) draws only the requested three
+    from acs_verify import checks
+
+    build = checks.build_graph_scenario
+    calls = []
+    monkeypatch.setattr(checks, "build_graph_scenario",
+                        lambda *args: calls.append(args) or build(*args))
+    record = _variation_formula_record(seed, FIXED_DIMENSIONS)
+    assert record["status"] == "pass"
+    assert record["samples_checked"] >= 2
+    assert len(calls) == draws
+
+
 # An instance below the floor has dJ_f = 0, which a scale leaves at 0, so
 # the floor cannot hide a scaled closed form; scaled by 0, every instance
 # falls below it and none is a sample.

@@ -94,6 +94,24 @@ NOT_CALLED = {
         "field, which may be a CallableMatrixField",
 }
 
+# Tracer bindings the traced run does not call, one reason each; they stay
+# while perfbench/tracer.py binds them (ROADMAP item 5). A binding the run
+# starts or stops calling changes this list.
+TRACER_ONLY = {
+    "universal.UniversalPoint.validate": "validate_fibers on one point; tests call it",
+    "cxlinalg.eigen_split": "the reference eigenspace split of the tests' oracles",
+    "cxlinalg.intersect": "subspace intersection, called only by tests",
+    "cxlinalg.subspace_eq": "projector equality of subspaces, the tests' comparison",
+    "cxlinalg.direct_sum_test": "the direct-sum test of the tests' fiber oracle",
+    "cxlinalg.ComplexSubspace.from_columns": "orthonormalizes columns for the tests' oracles",
+    "distribution.circle_rule_jacobian": "the tests' oracle for ChartFrame.a_jacobian",
+    "distribution.torsion_via_frames": "torsion off the centre, called only by tests",
+    "induced.nijenhuis_via_torsion": "one pair through nijenhuis_torsion_map; tests call it",
+    "induced.dbar_f_fiber_coords": "dbar f in fiber coordinates at one point; tests call it",
+    "induced.pullback_quotient": "one quotient pullback at one point; tests call it",
+    "lvmb.exchange_closure": "its check reads 0 on every input and was retired",
+}
+
 # A universal scenario whose structure and embedding are both trig fields:
 # the constant standard J on T^2 and the product of circles into R^4.
 TRIG_UNIVERSAL = {
@@ -196,6 +214,11 @@ def test_every_function_and_method_is_reached(tmp_path, capsys, monkeypatch):
              and not {(file_name, qualname), (None, qualname)} & by_name
              and not any(exempt_by(entry, file_name, qualname) for entry in NOT_CALLED)]
     assert never == []
+    tracer_only = {module.split(".", 1)[1] + "." + path
+                   for module, path, _ in load_tracer().LAYER_TARGETS
+                   if module.startswith("acs_verify.")
+                   and (module.rsplit(".", 1)[1] + ".py", path) not in called}
+    assert tracer_only == set(TRACER_ONLY)
     # an entry the run does call is stale
     stale = [entry for entry in NOT_CALLED
              if any(exempt_by(entry, *hit) for hit in called)]

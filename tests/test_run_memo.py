@@ -62,8 +62,8 @@ def test_lvmb_data_is_built_once_per_lvmb_run(monkeypatch, capsys):
     doc = parse_scenario(find_scenario("lvmb_pass"))
     calls = count_calls(monkeypatch, LvmbData, "from_json_dict", wrap=staticmethod)
     records, _ = run_scenario(doc)
-    assert len(records) == 3
-    assert len(calls) == 1  # while validating; the three checks share it
+    assert len(records) == 2
+    assert len(calls) == 1  # while validating; the two checks share it
     calls.clear()
     assert main(["run", "lvmb_pass"]) == 0
     capsys.readouterr()
@@ -188,8 +188,8 @@ def test_failed_fiber_gives_the_same_error_in_both_checks(monkeypatch, order):
     records, aggregate = run_scenario(doc)
     assert not aggregate["passed"]
     assert [r["error"] for r in records] == ["EigenSplitFailure: tampered point"] * 2
-    pts = resolve_samples(doc, None)
-    assert [memos[0].validated(x) for x in pts] == [i < 7 for i in range(len(pts))]
+    # a sweep that raised is not recorded, so the second check rebuilt it
+    assert not memos[0].swept(resolve_samples(doc, None))
 
 
 BAD_INDEX = 7  # in the middle of the first chunk
@@ -214,13 +214,12 @@ def test_failed_chunk_raises_the_oracle_error_and_records_the_points_before():
     with pytest.raises(EigenSplitFailure) as want:
         oracles.build_fiber(pts[BAD_INDEX], m)
     assert "x=[" in str(want.value)
-    memo = checks.RunMemo()
     got = []
     with pytest.raises(EigenSplitFailure) as raised:
-        for point in memo.fibers(pts, m, DEFAULT):
+        for point in universal.build_fibers(pts, m, DEFAULT):
             got.append(point)
     assert str(raised.value) == str(want.value)
-    assert [memo.validated(x) for x in pts] == [i < BAD_INDEX for i in range(len(pts))]
+    assert len(got) == BAD_INDEX
     for x, point in zip(pts, got):
         assert point.sigp.basis.tobytes() == oracles.build_fiber(x, m).sigp.basis.tobytes()
 
@@ -237,7 +236,7 @@ def test_failed_chunk_gives_the_oracle_error_in_both_checks(monkeypatch, order):
     records, aggregate = run_scenario(doc)
     assert not aggregate["passed"]
     assert [r["error"] for r in records] == [f"EigenSplitFailure: {want.value}"] * 2
-    assert [memos[0].validated(x) for x in pts] == [i < BAD_INDEX for i in range(len(pts))]
+    assert not memos[0].swept(pts)
 
 
 def test_fields_structure_is_built_once_per_fields_run(monkeypatch):

@@ -481,8 +481,9 @@ def test_frame_quotient_blocks_span_the_projector_complements(n):
 
 
 def test_chart_guard_reads_the_frame_rank_rtol():
-    # at the centre joint(0) is the ambient frame, whose singular-value
-    # ratio the constructor certified above the frame's rank_rtol
+    # at the centre joint(0) is the ambient frame, a column permutation of
+    # [Sigma' | Sigma''], whose singular-value ratio validate_fibers
+    # certified above rank_rtol
     p = build_fiber(np.array([0.5, 0.7]), perturbed_manifold(1))
     sv = np.linalg.svd(ChartFrame(p).ambient_frame, compute_uv=False)
     ratio = sv[-1] / sv[0]
@@ -494,6 +495,19 @@ def test_chart_guard_reads_the_frame_rank_rtol():
         frame.a_matrix(np.zeros(frame.big_n))
     with pytest.raises(ChartDegeneracy):
         frame.a_jacobian(np.zeros(frame.big_n))
+
+
+def test_singular_ambient_frame_fails_at_the_chart_torsion():
+    # a hand-built point with Sigma'' = Sigma' repeats the quotient block
+    # in the ambient frame; the frame is built, and the torsion at the
+    # centre (which UniversalSample takes before any solve with the frame)
+    # raises
+    p = build_fiber(np.array([0.5, 0.7]), perturbed_manifold(1))
+    bad = universal.UniversalPoint(p.n, p.k, p.z, p.sp, p.sp, p.sigp, p.sigp)
+    frame = ChartFrame(bad)
+    assert np.linalg.matrix_rank(frame.ambient_frame) < 2 * p.k
+    with pytest.raises(ChartDegeneracy):
+        torsion_at(universal_chart(frame))
 
 
 # ---------------------------------------------------------------------------
