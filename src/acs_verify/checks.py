@@ -14,9 +14,10 @@ Runners fold residuals with worst_of, which keeps a NaN that max would
 drop.
 
 The checks of one run share a RunMemo of the constructions that draw
-from no check's rng: the manifold, the fields structure, the LVMB data,
-the universal samples that versality and isotropy read, and the keys of
-the sample arrays whose fibers a check has built and validated.
+from no check's rng: the manifold, the fields structure, the LVMB data
+and the universal samples that versality and isotropy read. Fibers are
+not shared: reconstruction sweeps the sample grid, and fiber reality
+builds only the points it certifies.
 """
 from __future__ import annotations
 
@@ -98,15 +99,14 @@ class RunMemo:
     """Constructions shared by the checks of one run (one payload, one
     seed), dropped when the run returns.
 
-    It holds only what the payload and the scenario seed determine, so a
-    check sees the same object it would have built itself: the manifold,
-    the fields structure, the LVMB data, the universal samples of the
-    versality and isotropy checks, and a key per sample array whose
-    fibers a finished sweep built and validated. Fibers are not held:
-    they cost about 5.8 KB each, and a point is cheap to rebuild. A
-    sample is held: a run builds only a few, and each carries a chart
-    torsion and a differential that cost far more than its fiber. A
-    build or sweep that raises stores nothing, so the next check to need
+    It holds only constructions that the payload and the scenario seed
+    determine, so a check sees the same object it would have built
+    itself: the manifold, the fields structure, the LVMB data and the
+    universal samples of the versality and isotropy checks. Fibers are
+    not held: they cost about 5.8 KB each, and a point is cheap to
+    rebuild. A sample is held: a run builds only a few, and each carries
+    a chart torsion and a differential that cost far more than its
+    fiber. A build that raises stores nothing, so the next check to need
     it raises the same error.
     """
 
@@ -114,7 +114,6 @@ class RunMemo:
         self._manifold = None
         self._structure = None
         self._lvmb_data = None
-        self._sweeps: set[bytes] = set()
         self._samples: dict[bytes, UniversalSample] = {}
 
     def manifold(self, payload: dict, seed: int) -> PointwiseACManifold:
@@ -132,23 +131,12 @@ class RunMemo:
             self._lvmb_data = LvmbData.from_json_dict(payload["data"])
         return self._lvmb_data
 
-    def record_sweep(self, xs) -> None:
-        """Record that the fibers over all rows of xs were validated."""
-        self._sweeps.add(_key(xs))
-
-    def swept(self, xs) -> bool:
-        return _key(xs) in self._sweeps
-
     def sample(self, x, m: PointwiseACManifold, tol: Tolerances) -> UniversalSample:
         """UniversalSample(x, m, tol), built on first use."""
-        key = _key(x)
+        key = np.asarray(x, dtype=float).tobytes()
         if key not in self._samples:
             self._samples[key] = UniversalSample(x, m, tol)
         return self._samples[key]
-
-
-def _key(xs) -> bytes:
-    return np.asarray(xs, dtype=float).tobytes()
 
 
 @dataclass(frozen=True)
@@ -343,7 +331,6 @@ def _check_reconstruction(ctx: CheckContext) -> CheckResult:
     # chunk is the max over its rows, and np.max keeps a NaN
     for rows, jf in over_chunks(pts, lambda rows: induced_structures(rows, m, ctx.tol)):
         worst = worst_of(worst, float(np.max(np.abs(jf - m.j.values(rows)))))
-    ctx.memo.record_sweep(pts)
     return CheckResult(worst, int(len(pts)))
 
 
@@ -355,18 +342,13 @@ def _check_reconstruction(ctx: CheckContext) -> CheckResult:
 def _check_fiber_reality(ctx: CheckContext) -> CheckResult:
     m = ctx.manifold()
     pts = ctx.points(default_counts=[6] * (2 * m.n))
-    wedge_cap = int(ctx.payload.get("reality_samples", 5))
+    pts = pts[: int(ctx.payload.get("reality_samples", 5))]
     worst = 0.0
     # |sum p_I^2| <= sum |p_I|^2, so a certificate above 1 is as wrong as
-    # one below it
-    for point in build_fibers(pts[:wedge_cap], m, ctx.tol):
+    # one below it; the count is of the points certified, not of the grid
+    # (reconstruction sweeps that)
+    for point in build_fibers(pts, m, ctx.tol):
         worst = worst_of(worst, abs(1.0 - plucker_reality_certificate(point, ctx.tol)))
-    # fibers are validated as built (and real by construction): points
-    # another check has swept are rebuilt only for their Plucker test
-    if not ctx.memo.swept(pts):
-        for _ in build_fibers(pts[wedge_cap:], m, ctx.tol):
-            pass
-        ctx.memo.record_sweep(pts)
     return CheckResult(worst, int(len(pts)))
 
 

@@ -167,56 +167,32 @@ class CRPolyMap:
             entries[key] = {(zb, za): c.conjugate() for (za, zb), c in terms.items()}
         return CRPolyMap(self.n_vars, self.rows, self.cols, entries)
 
-    def holo_partial(self, var: int) -> "CRPolyMap":
-        entries: dict = {}
-        for key, terms in self.entries.items():
-            cell: dict = {}
-            for (za, zb), coeff in terms.items():
-                if za[var] == 0:
-                    continue
-                na = list(za)
-                na[var] -= 1
-                k = (tuple(na), zb)
-                cell[k] = cell.get(k, 0j) + coeff * za[var]
-            if cell:
-                entries[key] = cell
-        return CRPolyMap(self.n_vars, self.rows, self.cols, entries)
-
-    def anti_partial(self, var: int) -> "CRPolyMap":
-        entries: dict = {}
-        for key, terms in self.entries.items():
-            cell: dict = {}
-            for (za, zb), coeff in terms.items():
-                if zb[var] == 0:
-                    continue
-                nb = list(zb)
-                nb[var] -= 1
-                k = (za, tuple(nb))
-                cell[k] = cell.get(k, 0j) + coeff * zb[var]
-            if cell:
-                entries[key] = cell
-        return CRPolyMap(self.n_vars, self.rows, self.cols, entries)
-
-    def holo_jacobian_map(self) -> "CRPolyMap":
-        """For a column map, the (rows x n_vars) matrix of dz derivatives."""
+    def wirtinger_maps(self) -> tuple["CRPolyMap", "CRPolyMap"]:
+        """For a column map, the (rows x n_vars) matrices of its dz and
+        dzbar derivatives, built in one pass over the terms. Entry
+        (i, var) holds row i's terms with a power of z_var (of conj z_var)
+        in their order, each lowered by one with coefficient
+        0j + coeff * power."""
         if self.cols != 1:
-            raise ShapeMismatch("jacobian map needs a column map")
-        entries: dict = {}
-        for var in range(self.n_vars):
-            part = self.holo_partial(var)
-            for (i, _), terms in part.entries.items():
-                entries[(i, var)] = dict(terms)
-        return CRPolyMap(self.n_vars, self.rows, self.n_vars, entries)
-
-    def anti_jacobian_map(self) -> "CRPolyMap":
-        if self.cols != 1:
-            raise ShapeMismatch("jacobian map needs a column map")
-        entries: dict = {}
-        for var in range(self.n_vars):
-            part = self.anti_partial(var)
-            for (i, _), terms in part.entries.items():
-                entries[(i, var)] = dict(terms)
-        return CRPolyMap(self.n_vars, self.rows, self.n_vars, entries)
+            raise ShapeMismatch("Wirtinger maps need a column map")
+        n = self.n_vars
+        cells = []  # (row, dz cell per variable, dzbar cell per variable)
+        for (i, _), terms in self.entries.items():
+            holo, anti = [{} for _ in range(n)], [{} for _ in range(n)]
+            for (za, zb), coeff in terms.items():
+                for var in range(n):
+                    p = za[var]
+                    if p:
+                        holo[var][za[:var] + (p - 1,) + za[var + 1:], zb] = 0j + coeff * p
+                    p = zb[var]
+                    if p:
+                        anti[var][za, zb[:var] + (p - 1,) + zb[var + 1:]] = 0j + coeff * p
+            cells.append((i, holo, anti))
+        # column-major entries, the order one partial map per variable gave:
+        # matmul adds a row's products in entry order, so this keeps them bitwise
+        holo = {(i, var): h[var] for var in range(n) for i, h, _ in cells if h[var]}
+        anti = {(i, var): a[var] for var in range(n) for i, _, a in cells if a[var]}
+        return CRPolyMap(n, self.rows, n, holo), CRPolyMap(n, self.rows, n, anti)
 
     def __add__(self, other: "CRPolyMap") -> "CRPolyMap":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -338,6 +338,9 @@ class AlmostComplexField:
         """J at every row of xs, stacked (rows, 2n, 2n)."""
         return self.field.values(xs)
 
+    def partial_value(self, i: int, x) -> np.ndarray:
+        return self.field.partial_value(i, x)
+
     def validate(self, points) -> float:
         worst = 0.0
         eye = np.eye(2 * self.n)
@@ -357,7 +360,7 @@ def structure_jet(j, x):
     """(J(x), [d_0 J(x), ..., d_{2n-1} J(x)]): every value the four-bracket
     formula reads at x, each evaluated once."""
     jm = j.value(x)
-    return jm, [j.field.partial_value(i, x) for i in range(jm.shape[0])]
+    return jm, [j.partial_value(i, x) for i in range(jm.shape[0])]
 
 
 def _directional_dj(partials, w):
@@ -456,7 +459,7 @@ def verify_tensoriality(
             raise ShapeMismatch(f"{name}(x) must equal 1")
 
     def grad(f):
-        return np.array([f.partial_value(i, x)[0, 0] for i in range(j.chart.dim)])
+        return np.array([f.partial_value(i, x)[0, 0] for i in range(x.shape[0])])
 
     jm, partials = structure_jet(j, x)
     dphi = grad(phi)
@@ -469,7 +472,7 @@ def verify_tensoriality(
     def through_j(vec, dscal):
         cols = [
             dscal[i] * (jm @ vec) + partials[i] @ vec
-            for i in range(j.chart.dim)
+            for i in range(x.shape[0])
         ]
         return jm @ vec, np.stack(cols, axis=1)
 

@@ -23,7 +23,6 @@ closed forms.
 from __future__ import annotations
 
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -101,8 +100,7 @@ class GraphEmbedding:
         )
         if self.base.shape[0] != n:
             raise DimensionMismatch("base point must live in C^n")
-        self._pg = g.holo_jacobian_map()
-        self._qg = g.anti_jacobian_map()
+        self._pg, self._qg = g.wirtinger_maps()
 
     def f_value(self, zp) -> np.ndarray:
         zp = np.asarray(zp, dtype=complex).reshape(-1)
@@ -221,19 +219,18 @@ def induced_jf_quotient(emb: GraphEmbedding, chart: DistributionChart, zp,
     return GraphPoint(emb, chart, zp, tol).jf_quotient()
 
 
-def induced_jf_field(emb: GraphEmbedding, chart: DistributionChart):
-    """J_f as a duck-typed field on the realified z'-chart (value and
-    field.partial_value), for the four-bracket Nijenhuis evaluation:
-    partials are central differences of induced_jf, so that route never
-    sees theta or dbar f."""
+def induced_jf_field(emb: GraphEmbedding,
+                     chart: DistributionChart) -> CallableMatrixField:
+    """J_f as a field on the realified z'-chart, for the four-bracket
+    Nijenhuis evaluation: partials are central differences of
+    induced_jf, so that route never sees theta or dbar f."""
     n = emb.n
 
     def fn(x):
         return induced_jf(emb, chart, complexify_vector(x),
                           require_normalized=False)
 
-    field = CallableMatrixField(2 * n, (2 * n, 2 * n), fn, h=1e-5)
-    return SimpleNamespace(value=field.value, field=field)
+    return CallableMatrixField(2 * n, (2 * n, 2 * n), fn, h=1e-5)
 
 
 def dbar_f_fiber_coords(emb: GraphEmbedding, chart: DistributionChart, zp,
@@ -297,8 +294,8 @@ def variation_djf(emb: GraphEmbedding, chart: DistributionChart,
     # TorsionTensor.apply(dbar f e_r, u) for every basis vector e_r at once
     theta_u = pt.torsion().theta @ var.eta.value_vector(pt.zp)
     term1 = pt.pullback(2.0 * theta_u @ etas)
-    dv = _real_linear(var.v.holo_jacobian_map().value(pt.zp),
-                      var.v.anti_jacobian_map().value(pt.zp))
+    dv_holo, dv_anti = var.v.wirtinger_maps()
+    dv = _real_linear(dv_holo.value(pt.zp), dv_anti.value(pt.zp))
     # spatial derivative of the J_f field along v on the basis vectors:
     # dJ_f(w) zeta = -2 dF^{-1} pi ( i (da(z0) dF w) dbar g zeta )
     v0 = var.v.value_vector(pt.zp)
@@ -346,8 +343,8 @@ def variation_fd_oracle(emb: GraphEmbedding, chart: DistributionChart,
     zp = np.asarray(zp, dtype=complex).reshape(-1)
     direction, vtilde = deformation(emb, chart, var)
     v0 = vtilde.value_vector(zp)
-    d_vtilde = _real_linear(vtilde.holo_jacobian_map().value(zp),
-                            vtilde.anti_jacobian_map().value(zp))
+    dv_holo, dv_anti = vtilde.wirtinger_maps()
+    d_vtilde = _real_linear(dv_holo.value(zp), dv_anti.value(zp))
     j_0 = induced_jf_quotient(emb, chart, zp, tol)
     quotients = []
     for t in steps:

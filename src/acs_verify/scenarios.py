@@ -206,17 +206,13 @@ def parse_scenario(text: str) -> dict:
     return doc
 
 
-def resolve_samples(doc: dict, cap: int | None) -> np.ndarray | None:
+def resolve_samples(doc: dict) -> np.ndarray | None:
     spec = doc.get("samples")
     if spec is None:
         return None
     if "points" in spec:
-        pts = np.asarray(spec["points"], dtype=float)
-    else:
-        pts = TorusChart(int(spec["dims"])).grid([int(c) for c in spec["counts"]])
-    if cap is not None:
-        pts = pts[:cap]
-    return pts
+        return np.asarray(spec["points"], dtype=float)
+    return TorusChart(int(spec["dims"])).grid([int(c) for c in spec["counts"]])
 
 
 def resolve_tolerances(doc: dict) -> Tolerances:
@@ -281,7 +277,7 @@ def run_scenario(doc: dict, tol_scale: float = 1.0,
     kind = doc["kind"]
     run_seed = int(doc["seed"] if seed is None else seed)
     tol = resolve_tolerances(doc)
-    samples = resolve_samples(doc, sample_cap)
+    samples = resolve_samples(doc)
     selected = checks_for(kind, doc.get("checks"))
     if not selected:
         raise SchemaError(f"no checks registered for kind {kind!r}")

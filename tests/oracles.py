@@ -56,6 +56,10 @@ Jacobian and J_f(zp). `crpoly_value_by_numpy_scalars` is
 `standard_structure_by_block` and `real_linear_by_block` are the
 realification helpers as `np.block` assembled them; the tests hold the
 library to each bit for bit.
+`wirtinger_maps_by_partials` is the pair of Wirtinger maps as
+`CRPolyMap` built it before `CRPolyMap.wirtinger_maps` took one pass:
+one partial map per variable and side, each copied into the matrix map
+column by column.
 `simplex_solve_loop` is the Bland simplex as it was before pivot choice
 read the tableau as Python floats: it scans the reduced costs and the
 ratio column one numpy scalar at a time and eliminates with an outer
@@ -550,8 +554,8 @@ def variation_djf_by_column(emb: GraphEmbedding, chart: DistributionChart,
     for r in range(2 * n):
         term1[:, r] = _pullback_by_vector(
             emb, chart, zp, theta.apply(etas[:, r], eta_u), tol)
-    dv = _real_linear(var.v.holo_jacobian_map().value(zp),
-                      var.v.anti_jacobian_map().value(zp))
+    dv_holo, dv_anti = wirtinger_maps_by_partials(var.v)
+    dv = _real_linear(dv_holo.value(zp), dv_anti.value(zp))
     pg, qg = emb._pg.value(zp), emb._qg.value(zp)
     v0 = var.v.value_vector(zp)
     df_v0 = np.concatenate([v0, pg @ v0 + qg @ v0.conj()])
@@ -596,6 +600,36 @@ def crpoly_value_by_numpy_scalars(cmap: CRPolyMap, z) -> np.ndarray:
     return out
 
 
+def _partial_map(cmap: CRPolyMap, var: int, side: int) -> CRPolyMap:
+    """d/dz_var (side 0) or d/dconj(z_var) (side 1) of every entry."""
+    entries: dict = {}
+    for key, terms in cmap.entries.items():
+        cell: dict = {}
+        for powers, coeff in terms.items():
+            if powers[side][var] == 0:
+                continue
+            lowered = list(powers[side])
+            lowered[var] -= 1
+            k = (tuple(lowered), powers[1]) if side == 0 else (powers[0], tuple(lowered))
+            cell[k] = cell.get(k, 0j) + coeff * powers[side][var]
+        if cell:
+            entries[key] = cell
+    return CRPolyMap(cmap.n_vars, cmap.rows, cmap.cols, entries)
+
+
+def wirtinger_maps_by_partials(cmap: CRPolyMap) -> tuple[CRPolyMap, CRPolyMap]:
+    """The (rows x n_vars) dz and dzbar matrix maps of a column map, one
+    partial map per variable and side."""
+    maps = []
+    for side in (0, 1):
+        entries: dict = {}
+        for var in range(cmap.n_vars):
+            for (i, _), terms in _partial_map(cmap, var, side).entries.items():
+                entries[(i, var)] = dict(terms)
+        maps.append(CRPolyMap(cmap.n_vars, cmap.rows, cmap.n_vars, entries))
+    return maps[0], maps[1]
+
+
 def deformed_embedding(emb: GraphEmbedding, chart: DistributionChart,
                        var: VariationData,
                        t: float) -> tuple[GraphEmbedding, CRPolyMap]:
@@ -622,8 +656,8 @@ def variation_fd_quotient(emb: GraphEmbedding, chart: DistributionChart,
     zp = np.asarray(zp, dtype=complex).reshape(-1)
     emb_t, vtilde = deformed_embedding(emb, chart, var, t)
     moved = zp + t * vtilde.value_vector(zp)
-    d_vtilde = _real_linear(vtilde.holo_jacobian_map().value(zp),
-                            vtilde.anti_jacobian_map().value(zp))
+    dv_holo, dv_anti = wirtinger_maps_by_partials(vtilde)
+    d_vtilde = _real_linear(dv_holo.value(zp), dv_anti.value(zp))
     dphi = np.eye(2 * emb.n) + t * d_vtilde
     j_moved = GraphPoint(emb_t, chart, moved, tol).jf_quotient()
     j_t = np.linalg.solve(dphi, j_moved @ dphi)

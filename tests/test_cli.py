@@ -232,6 +232,13 @@ def test_run_empty_versality_samples_exit_two(tmp_path, capsys):
     assert_one_line_rejection(*run_doc(tmp_path, capsys, doc), "versality_samples")
 
 
+def test_run_zero_reality_samples_exits_two(tmp_path, capsys):
+    # fiber reality counts the points it certifies, so zero would certify none
+    doc = parse_scenario(find_scenario("universal_n1_k4"))
+    doc["payload"]["reality_samples"] = 0
+    assert_one_line_rejection(*run_doc(tmp_path, capsys, doc), "reality_samples")
+
+
 @pytest.mark.parametrize("name, needle", [
     ("nope", "unknown check 'nope'"),
     ("lvmb_condition_i", "does not apply to kind 'universal'"),

@@ -1,6 +1,7 @@
 """The report comparison tool compares only the scenarios both trees
-bundle, and names a check only one tree runs instead of giving it a
-residual row; the tool is loaded from its file."""
+bundle, names a check only one tree runs instead of giving it a
+residual row, and shows a moved sample count in its row without calling
+it a changed verdict; the tool is loaded from its file."""
 import importlib.util
 import json
 from pathlib import Path
@@ -33,9 +34,9 @@ def report(*recs):
     return "\n".join(lines) + "\n"
 
 
-def record(name, residual, status="pass"):
+def record(name, residual, status="pass", samples=3):
     return {"name": name, "status": status, "max_residual": residual,
-            "error": None, "samples_checked": 3}
+            "error": None, "samples_checked": samples}
 
 
 def test_a_check_only_one_tree_runs_is_counted_not_given_a_residual_row():
@@ -67,3 +68,24 @@ def test_a_shared_check_whose_verdict_moves_differs():
     assert rows == [("lvmb_fail", "2", "lvmb_condition_ii", "0.0", "1.0")]
     assert one_sided == {("new", "lvmb_new_check"): 1}
     assert shared_differ and identical == 0
+
+
+def test_moved_samples_are_a_report_change_not_a_verdict_change():
+    compare = load_tool().compare
+    runs = [("universal_n2_k8", None), ("universal_n2_k8", 1)]
+    old = {"universal_n2_k8 None": report(record("universal_fiber_reality", 1e-15,
+                                                 samples=1296)),
+           "universal_n2_k8 1": report(record("universal_fiber_reality", 2e-15,
+                                              samples=1296))}
+    new = {"universal_n2_k8 None": report(record("universal_fiber_reality", 1e-15,
+                                                 samples=3)),
+           "universal_n2_k8 1": report(record("universal_fiber_reality", 3e-15,
+                                              samples=1296))}
+    rows, one_sided, shared_differ, identical = compare(runs, old, new)
+    # the samples column appears only where the count moved
+    assert rows == [
+        ("universal_n2_k8", "default", "universal_fiber_reality", "1e-15", "1e-15",
+         "samples 1296 -> 3"),
+        ("universal_n2_k8", "1", "universal_fiber_reality", "2e-15", "3e-15"),
+    ]
+    assert one_sided == {} and not shared_differ and identical == 0

@@ -20,7 +20,7 @@ from acs_verify.distribution import (
     random_polynomial_chart,
     torsion_via_frames,
 )
-from acs_verify.errors import NotNormalized, NotTransverse
+from acs_verify.errors import NotNormalized, NotTransverse, ShapeMismatch
 from acs_verify.fields import nijenhuis_direct
 from acs_verify.induced import (
     GraphEmbedding,
@@ -74,8 +74,9 @@ def test_crpoly_calculus():
     f = CRPolyMap(1, 1, 1, {(0, 0): {((2,), (1,)): 1.0}})
     z = np.array([0.4 + 0.3j])
     assert abs(f.value(z)[0, 0] - z[0] ** 2 * z[0].conj()) < 1e-15
-    assert abs(f.holo_partial(0).value(z)[0, 0] - 2 * z[0] * z[0].conj()) < 1e-15
-    assert abs(f.anti_partial(0).value(z)[0, 0] - z[0] ** 2) < 1e-15
+    dz, dzbar = f.wirtinger_maps()
+    assert abs(dz.value(z)[0, 0] - 2 * z[0] * z[0].conj()) < 1e-15
+    assert abs(dzbar.value(z)[0, 0] - z[0] ** 2) < 1e-15
     conj = f.conjugate()
     assert abs(conj.value(z)[0, 0] - (z[0] ** 2 * z[0].conj()).conjugate()) < 1e-15
 
@@ -521,7 +522,7 @@ def test_crpoly_value_matches_the_numpy_scalar_loop_bit_for_bit(seed):
     chart, emb, var = build_graph_scenario(rng, 2, 5)
     direction, vtilde = deformation(emb, chart, var)
     maps = [random_crpoly(3, 2, 2, rng, degree=d, terms_per_entry=4) for d in (1, 3, 5)]
-    maps += [direction, vtilde, direction.holo_jacobian_map(), vtilde.anti_jacobian_map(),
+    maps += [direction, vtilde, direction.wirtinger_maps()[0], vtilde.wirtinger_maps()[1],
              emb.g + direction.scale(1e-4), chart.amap]
     assert max(_max_degree(cmap) for cmap in maps) >= 6
     for cmap in maps:
@@ -530,6 +531,27 @@ def test_crpoly_value_matches_the_numpy_scalar_loop_bit_for_bit(seed):
         for z in zs:
             got = cmap.value(z)
             assert got.tobytes() == oracles.crpoly_value_by_numpy_scalars(cmap, z).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_wirtinger_maps_match_the_partial_maps_bit_for_bit(seed):
+    rng = SplitMix64(seed)
+    chart, emb, var = build_graph_scenario(rng, 2, 5)
+    direction, vtilde = deformation(emb, chart, var)
+    maps = [random_crpoly(3, 1, n_vars, rng, degree=d, terms_per_entry=4)
+            for n_vars in (1, 2, 3) for d in (1, 2, 3, 4, 5)]
+    maps += [emb.g, var.eta, var.v, direction, vtilde, emb.g + direction.scale(1e-4)]
+    for cmap in maps:
+        for got, want in zip(cmap.wirtinger_maps(), oracles.wirtinger_maps_by_partials(cmap)):
+            assert (got.n_vars, got.rows, got.cols) == (want.n_vars, want.rows, want.cols)
+            # same cells in the same order, each with its terms in order
+            assert [(key, list(cell.items())) for key, cell in got.entries.items()] == \
+                [(key, list(cell.items())) for key, cell in want.entries.items()]
+            for z in [np.zeros(cmap.n_vars)] + [0.5 * complex_vector(rng, cmap.n_vars)
+                                                for _ in range(3)]:
+                assert got.value(z).tobytes() == want.value(z).tobytes()
+    with pytest.raises(ShapeMismatch):
+        random_crpoly(2, 2, 1, rng).wirtinger_maps()
 
 
 def _variation_formula_record(seed, payload=None):

@@ -94,21 +94,26 @@ def count_rows(monkeypatch):
     return built, validated
 
 
-def test_fiber_reality_alone_builds_and_validates_every_point(monkeypatch):
+def test_fiber_reality_alone_builds_only_its_reality_points_and_counts_them(monkeypatch):
     doc = universal_doc(["universal_fiber_reality"])
     built, validated = count_rows(monkeypatch)
     records, aggregate = run_scenario(doc)
-    pts = resolve_samples(doc, None)
-    assert aggregate["passed"] and records[0]["samples_checked"] == len(pts)
-    assert [x.tobytes() for x in built] == [x.tobytes() for x in pts]
-    assert len(validated) == len(pts)
+    pts = resolve_samples(doc)
+    wedge = doc["payload"]["reality_samples"]
+    assert wedge < len(pts)
+    assert aggregate["passed"] and records[0]["samples_checked"] == wedge
+    assert [x.tobytes() for x in built] == [x.tobytes() for x in pts[:wedge]]
+    assert len(validated) == wedge
+    # --samples below reality_samples caps the certified points too
+    records, _ = run_scenario(doc, sample_cap=2)
+    assert records[0]["samples_checked"] == 2
 
 
 def test_fiber_reality_after_reconstruction_rebuilds_only_plucker_points(monkeypatch):
     doc = universal_doc(["universal_reconstruction", "universal_fiber_reality"])
     built, validated = count_rows(monkeypatch)
     run_scenario(doc)
-    pts = resolve_samples(doc, None)
+    pts = resolve_samples(doc)
     wedge = doc["payload"].get("reality_samples", 5)
     assert len(built) == len(pts) + wedge
     assert [x.tobytes() for x in built[len(pts):]] == [x.tobytes() for x in pts[:wedge]]
@@ -122,7 +127,7 @@ def test_reconstruction_makes_no_point_objects_and_one_dg_per_chunk(monkeypatch)
     jacobians = count_calls(monkeypatch, TrigPolyField, "jacobian_values")
     records, aggregate = run_scenario(doc)
     assert aggregate["passed"]
-    n_pts = len(resolve_samples(doc, None))
+    n_pts = len(resolve_samples(doc))
     assert records[0]["samples_checked"] == n_pts
     assert (len(points), len(subspaces)) == (0, 0)
     assert len(jacobians) == -(-n_pts // universal.FIBER_CHUNK)
@@ -156,25 +161,22 @@ def test_memo_leaves_reports_unchanged():
         assert alone == [record]
 
 
-def capture_memos(monkeypatch):
-    """The RunMemo of every run_scenario call, in order."""
-    memos = []
-    monkeypatch.setattr(scenarios, "RunMemo",
-                        lambda: memos.append(checks.RunMemo()) or memos[-1])
-    return memos
-
-
 BOTH_ORDERS = pytest.mark.parametrize("order", [
     ["universal_reconstruction", "universal_fiber_reality"],
     ["universal_fiber_reality", "universal_reconstruction"],
 ])
 
 
+REALITY_INDEX = 2  # one of the reality_samples = 5 points fiber reality builds
+BAD_INDEX = 7  # in the middle of the first chunk, after the reality points
+
+
 @BOTH_ORDERS
 def test_failed_fiber_gives_the_same_error_in_both_checks(monkeypatch, order):
     doc = universal_doc(order)
     m = checks.build_manifold(doc["payload"], doc["seed"])
-    gx = m.g.value(resolve_samples(doc, None)[7])[:, 0]
+    # a row inside the reality points: both checks build it
+    gx = m.g.value(resolve_samples(doc)[REALITY_INDEX])[:, 0]
     bad = np.concatenate([gx, gx]).astype(complex)
     original = universal.validate_fibers
 
@@ -184,15 +186,9 @@ def test_failed_fiber_gives_the_same_error_in_both_checks(monkeypatch, order):
         return original(n, k, z, *rest)
 
     monkeypatch.setattr(universal, "validate_fibers", failing)
-    memos = capture_memos(monkeypatch)
     records, aggregate = run_scenario(doc)
     assert not aggregate["passed"]
     assert [r["error"] for r in records] == ["EigenSplitFailure: tampered point"] * 2
-    # a sweep that raised is not recorded, so the second check rebuilt it
-    assert not memos[0].swept(resolve_samples(doc, None))
-
-
-BAD_INDEX = 7  # in the middle of the first chunk
 
 
 def manifold_failing_at(x_bad):
@@ -224,19 +220,32 @@ def test_failed_chunk_raises_the_oracle_error_and_records_the_points_before():
         assert point.sigp.basis.tobytes() == oracles.build_fiber(x, m).sigp.basis.tobytes()
 
 
-@BOTH_ORDERS
-def test_failed_chunk_gives_the_oracle_error_in_both_checks(monkeypatch, order):
+def failing_run(monkeypatch, order, bad_index):
+    """The records of a universal run whose J fails at row bad_index of
+    the sample grid, and the error the one-point oracle gives there."""
     doc = universal_doc(order)
-    pts = resolve_samples(doc, None)
-    m = manifold_failing_at(pts[BAD_INDEX])
+    pts = resolve_samples(doc)
+    m = manifold_failing_at(pts[bad_index])
     with pytest.raises(EigenSplitFailure) as want:
-        oracles.build_fiber(pts[BAD_INDEX], m)
+        oracles.build_fiber(pts[bad_index], m)
     monkeypatch.setattr(checks, "build_manifold", lambda payload, seed: m)
-    memos = capture_memos(monkeypatch)
     records, aggregate = run_scenario(doc)
     assert not aggregate["passed"]
-    assert [r["error"] for r in records] == [f"EigenSplitFailure: {want.value}"] * 2
-    assert not memos[0].swept(pts)
+    return {r["name"]: r for r in records}, f"EigenSplitFailure: {want.value}"
+
+
+@BOTH_ORDERS
+def test_failed_chunk_gives_the_oracle_error_in_both_checks(monkeypatch, order):
+    records, want = failing_run(monkeypatch, order, REALITY_INDEX)
+    assert [r["error"] for r in records.values()] == [want] * 2
+
+
+@BOTH_ORDERS
+def test_a_bad_row_outside_the_reality_points_fails_only_reconstruction(monkeypatch, order):
+    records, want = failing_run(monkeypatch, order, BAD_INDEX)
+    assert records["universal_reconstruction"]["error"] == want
+    reality = records["universal_fiber_reality"]
+    assert reality["status"] == "pass" and reality["samples_checked"] == 5
 
 
 def test_fields_structure_is_built_once_per_fields_run(monkeypatch):

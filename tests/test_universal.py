@@ -726,7 +726,7 @@ def test_sample_parts_match_their_separate_routes():
     x = np.array([0.3, 1.1, 2.0, 4.5])
     sample = UniversalSample(x, m)
     big_n = sample.frame.big_n
-    assert sample.chart.amap.frame is sample.frame
+    assert sample.chart.amap is sample.frame
     assert np.array_equal(sample.jf, induced_structure_at(x, m))
     assert np.array_equal(sample.df, universal.embedding_differential(x, m, sample.frame))
     assert np.array_equal(sample.theta.theta, torsion_at(sample.chart).theta)
@@ -864,7 +864,9 @@ def test_darboux_transform_rejects_bad_forms():
 def test_symplectic_model_standard_inputs_exact():
     omega, j0, gamma, embed = standard_symplectic_inputs()
     rep = symplectic_pointwise_model(omega, j0, {"gamma": gamma, "embed": embed})
-    assert rep["compatible"] and rep["pullback_matches"]
+    guard = 1e3 * DEFAULT.alg_atol  # the guard of the model's own input checks
+    assert max(rep["max_residual_compatibility"], rep["jsq_residual"],
+               rep["max_residual_pullback"]) <= guard
     assert rep["max_residual_compatibility"] <= 1e-10
     assert rep["max_residual_pullback"] <= 1e-10
     assert rep["jsq_residual"] <= 1e-10

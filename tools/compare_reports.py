@@ -14,12 +14,14 @@ the trees, one tab-separated row is printed:
 
     scenario  seed  check  old max_residual  new max_residual
 
+and, when `samples_checked` moved, a last column `samples OLD -> NEW`.
 A check that one tree's report holds and the other's lacks gets no row:
 it is named once on stderr with the number of reports it is missing
-from. A summary line on stderr says whether the verdicts of the shared
-checks agree. The exit code is 1 when any shared record's `status`,
-`error` or `samples_checked` differs, or a report holds a check the
-other lacks; otherwise 0, also when residuals moved.
+from. A summary line on stderr says whether the verdicts (`status` and
+`error`) of the shared checks agree, and in how many records
+`samples_checked` moved. The exit code is 1 when any shared record's
+verdict differs, or a report holds a check the other lacks; otherwise
+0, also when residuals or sample counts moved.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import subprocess
 import sys
 
 SEEDS = (None, 1, 2, 3)
-VERDICT_FIELDS = ("status", "error", "samples_checked")
+VERDICT_FIELDS = ("status", "error")
 
 # Runs in the child interpreter: argv[1] is the tree, argv[2] the list of
 # (scenario, seed) runs as JSON. Prints {"scenario seed": report} as JSON.
@@ -83,7 +85,8 @@ def compare(runs: list, old: dict, new: dict) -> tuple[list, dict, bool, int]:
     """(rows, one_sided, shared_differ, identical) over the reports of runs.
 
     rows holds a (scenario, seed, check, old residual, new residual) row
-    for each differing record that both reports hold; one_sided counts,
+    for each differing record that both reports hold, with a sixth
+    "samples OLD -> NEW" entry when samples_checked moved; one_sided counts,
     per (tree, check), the reports in which only that tree has the check;
     shared_differ says whether the verdict of a shared record differs;
     identical counts the byte-identical reports.
@@ -106,8 +109,11 @@ def compare(runs: list, old: dict, new: dict) -> tuple[list, dict, bool, int]:
                 continue
             if any(a[f] != b[f] for f in VERDICT_FIELDS):
                 shared_differ = True
-            rows.append((name, "default" if seed is None else str(seed), check,
-                         repr(a["max_residual"]), repr(b["max_residual"])))
+            row = (name, "default" if seed is None else str(seed), check,
+                   repr(a["max_residual"]), repr(b["max_residual"]))
+            if a["samples_checked"] != b["samples_checked"]:
+                row += (f"samples {a['samples_checked']} -> {b['samples_checked']}",)
+            rows.append(row)
     return rows, one_sided, shared_differ, identical
 
 
@@ -131,8 +137,10 @@ def main(argv=None) -> int:
               file=sys.stderr)
     for row in rows:
         print("\t".join(row))
+    moved = sum(1 for row in rows if len(row) == 6)
     print(f"{identical} of {len(runs)} reports byte-identical; verdicts of the "
-          "shared checks " + ("differ" if shared_differ else "agree"), file=sys.stderr)
+          "shared checks " + ("differ" if shared_differ else "agree")
+          + f"; samples_checked moved in {moved} records", file=sys.stderr)
     return 1 if shared_differ or one_sided else 0
 
 
