@@ -4,9 +4,9 @@ Every check certifies one identity; the anchor field states that identity
 as a formula so reports are self-describing. A check runner receives a
 context with the scenario payload, resolved sample points, numeric
 tolerances, the scenario seed and a per-check random stream. The
-manifold, fields structure and LVMB data come from the payload and the
-seed, so every check sees the same ones; all else a check draws (probes,
-the induced checks' charts and graphs, the symplectic pairs) comes from
+manifold, fields structure, LVMB data and symplectic models come from
+the payload and the seed, so every check sees the same ones; all else a
+check draws (probes, the induced checks' charts and graphs) comes from
 its own stream. Pass/fail is uniform: a check passes when it saw at least
 one sample and its max_residual is finite and <= tolerance, with
 indicator residuals (0 or 1) for verdict-match and control checks.
@@ -14,10 +14,10 @@ Runners fold residuals with worst_of, which keeps a NaN that max would
 drop.
 
 The checks of one run share a RunMemo of the constructions that draw
-from no check's rng: the manifold, the fields structure, the LVMB data
-and the universal samples that versality and isotropy read. Fibers are
-not shared: reconstruction sweeps the sample grid, and fiber reality
-builds only the points it certifies.
+from no check's rng: the manifold, the fields structure, the LVMB data,
+the symplectic model set and the universal samples that versality and
+isotropy read. Fibers are not shared: reconstruction sweeps the sample
+grid, and fiber reality builds only the points it certifies.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .config import Tolerances, worst_of
-from .cxlinalg import realify_vector
+from .cxlinalg import realify_vector, standard_structure
 from .distribution import (
     CRPolyMap,
     DistributionChart,
@@ -70,7 +70,6 @@ from .rng import SplitMix64
 # build_fiber is not called here; it stays importable as checks.build_fiber,
 # the binding perfbench/test_perfbench.py checks its tracer against
 from .universal import (
-    FIBER_CHUNK,
     PointwiseACManifold,
     UniversalSample,
     build_fiber,  # noqa: F401
@@ -101,19 +100,20 @@ class RunMemo:
 
     It holds only constructions that the payload and the scenario seed
     determine, so a check sees the same object it would have built
-    itself: the manifold, the fields structure, the LVMB data and the
-    universal samples of the versality and isotropy checks. Fibers are
-    not held: they cost about 5.8 KB each, and a point is cheap to
-    rebuild. A sample is held: a run builds only a few, and each carries
-    a chart torsion and a differential that cost far more than its
-    fiber. A build that raises stores nothing, so the next check to need
-    it raises the same error.
+    itself: the manifold, the fields structure, the LVMB data, the
+    symplectic model set and the universal samples of the versality and
+    isotropy checks. Fibers are not held: they cost about 5.8 KB each,
+    and a point is cheap to rebuild. A sample is held: a run builds only
+    a few, and each carries a chart torsion and a differential that cost
+    far more than its fiber. A build that raises stores nothing, so the
+    next check to need it raises the same error.
     """
 
     def __init__(self):
         self._manifold = None
         self._structure = None
         self._lvmb_data = None
+        self._symplectic = None
         self._samples: dict[bytes, UniversalSample] = {}
 
     def manifold(self, payload: dict, seed: int) -> PointwiseACManifold:
@@ -130,6 +130,11 @@ class RunMemo:
         if self._lvmb_data is None:
             self._lvmb_data = LvmbData.from_json_dict(payload["data"])
         return self._lvmb_data
+
+    def symplectic_models(self, draws: int, seed: int, tol: Tolerances) -> list[dict]:
+        if self._symplectic is None:
+            self._symplectic = build_symplectic_models(draws, seed, tol)
+        return self._symplectic
 
     def sample(self, x, m: PointwiseACManifold, tol: Tolerances) -> UniversalSample:
         """UniversalSample(x, m, tol), built on first use."""
@@ -236,6 +241,24 @@ def build_structure(payload: dict, n: int, seed: int) -> AlmostComplexField:
     raise SchemaError("unknown structure specification")
 
 
+def build_symplectic_models(draws: int, seed: int, tol: Tolerances) -> list[dict]:
+    """The symplectic_pointwise_model reports of the standard pair on R^2,
+    embedded in the standard R^4, and of `draws` random compatible
+    quadruples drawn from the seed, whose n and number of extra ambient
+    pairs alternate between 1 and 2."""
+    j0 = standard_structure(1)
+    embed = np.zeros((4, 2))
+    embed[0, 0] = embed[2, 1] = 1.0
+    reports = [symplectic_pointwise_model(
+        -j0, j0, {"gamma": -standard_structure(2), "embed": embed}, tol)]
+    rng = SplitMix64(seed)
+    for trial in range(draws):
+        om, jx, gam, emb = random_compatible_symplectic(rng, 1 + trial % 2, 1 + trial % 2)
+        reports.append(symplectic_pointwise_model(
+            om, jx, {"gamma": gam, "embed": emb}, tol))
+    return reports
+
+
 def build_embedding(payload: dict) -> tuple[int, int, TrigPolyField]:
     """(n, k, g) of a universal payload, g not yet checked against n, k."""
     n = int(payload["n"])
@@ -284,10 +307,6 @@ def _graph_params(ctx: CheckContext):
     else:
         big_n = int(big_n)
     return n, big_n, float(ctx.payload.get("amplitude", 0.8))
-
-
-def _relative(diff: float, scale: float) -> float:
-    return diff / max(scale, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +454,7 @@ def _check_torsion_double_entry(ctx: CheckContext) -> CheckResult:
         oracle = frame_bracket_oracle(chart)
         # floor 1: the oracle's error h^2/6 |d^3 a| does not shrink with theta
         scale = max(1.0, direct.norm(), oracle.norm())
-        worst = worst_of(worst, _relative(
-            float(np.max(np.abs(direct.theta - oracle.theta))), scale))
+        worst = worst_of(worst, float(np.max(np.abs(direct.theta - oracle.theta))) / scale)
     return CheckResult(worst, count)
 
 
@@ -477,8 +495,7 @@ def _check_nijenhuis_identity(ctx: CheckContext) -> CheckResult:
             via_theta = via_torsion(zeta, eta)
             direct = nijenhuis_from_jet(jet, zeta, eta)
             scale = max(1.0, float(np.max(np.abs(direct))))
-            worst = worst_of(worst, _relative(
-                float(np.max(np.abs(via_theta - direct))), scale))
+            worst = worst_of(worst, float(np.max(np.abs(via_theta - direct))) / scale)
     return CheckResult(worst, instances * pairs)
 
 
@@ -652,26 +669,9 @@ def _check_lvmb_condition_ii(ctx: CheckContext) -> CheckResult:
 # symplectic checks
 # ---------------------------------------------------------------------------
 
-def _symplectic_reports(ctx: CheckContext):
-    # draws from the check's own rng, so it stays out of the run memo
-    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    j0 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    gamma = np.block([
-        [np.zeros((2, 2)), np.eye(2)],
-        [-np.eye(2), np.zeros((2, 2))],
-    ])
-    embed = np.zeros((4, 2))
-    embed[0, 0] = 1.0
-    embed[2, 1] = 1.0
-    reports = [symplectic_pointwise_model(
-        omega, j0, {"gamma": gamma, "embed": embed}, ctx.tol)]
+def _symplectic_models(ctx: CheckContext) -> list[dict]:
     draws = ctx.count(int(ctx.payload.get("draws", 3)))
-    for trial in range(draws):
-        n = 1 + trial % 2
-        om, jx, gam, emb = random_compatible_symplectic(ctx.rng, n, 1 + trial % 2)
-        reports.append(symplectic_pointwise_model(
-            om, jx, {"gamma": gam, "embed": emb}, ctx.tol))
-    return reports
+    return ctx.memo.symplectic_models(draws, ctx.seed, ctx.tol)
 
 
 @register(
@@ -680,7 +680,7 @@ def _symplectic_reports(ctx: CheckContext):
     1e-10,
 )
 def _check_symplectic_compat(ctx: CheckContext) -> CheckResult:
-    reports = _symplectic_reports(ctx)
+    reports = _symplectic_models(ctx)
     worst = worst_of(*(v for r in reports
                        for v in (r["max_residual_compatibility"], r["jsq_residual"])))
     return CheckResult(float(worst), len(reports))
@@ -692,7 +692,7 @@ def _check_symplectic_compat(ctx: CheckContext) -> CheckResult:
     1e-10,
 )
 def _check_symplectic_pullback(ctx: CheckContext) -> CheckResult:
-    reports = _symplectic_reports(ctx)
+    reports = _symplectic_models(ctx)
     worst = worst_of(*(r["max_residual_pullback"] for r in reports))
     return CheckResult(float(worst), len(reports))
 
@@ -703,7 +703,7 @@ def _check_symplectic_pullback(ctx: CheckContext) -> CheckResult:
     0.5,
 )
 def _check_symplectic_control(ctx: CheckContext) -> CheckResult:
-    reports = _symplectic_reports(ctx)
+    reports = _symplectic_models(ctx)
     min_swap = min(r["swap_residual"] for r in reports)
     return CheckResult(0.0 if min_swap > 1e-2 else 1.0, len(reports))
 
@@ -723,10 +723,9 @@ def _check_structure_squares(ctx: CheckContext) -> CheckResult:
     pts = ctx.points(default_counts=[8] * (2 * n))
     eye = np.eye(2 * n)
     worst = 0.0
-    # FIBER_CHUNK rows at a time bounds memory (the n = 3 grid has 8^6
-    # points); one max per slice is the max over its rows, NaN kept
-    for start in range(0, len(pts), FIBER_CHUNK):
-        jm = j.values(pts[start:start + FIBER_CHUNK])
+    # one chunk at a time bounds memory (the n = 3 grid has 8^6 points);
+    # one max per chunk is the max over its rows, NaN kept
+    for _, jm in over_chunks(pts, j.values):
         worst = worst_of(worst, float(np.max(np.abs(jm @ jm + eye))))
     return CheckResult(worst, int(len(pts)))
 
@@ -748,8 +747,7 @@ def _check_nijenhuis_two_routes(ctx: CheckContext) -> CheckResult:
         direct = nijenhuis_direct(j, x, zeta, eta)
         oracle = nijenhuis_fd_oracle(j, x, zeta, eta)
         scale = max(1.0, float(np.max(np.abs(direct))))
-        worst = worst_of(worst, _relative(
-            float(np.max(np.abs(direct - oracle))), scale))
+        worst = worst_of(worst, float(np.max(np.abs(direct - oracle))) / scale)
     return CheckResult(worst, probes)
 
 
@@ -766,19 +764,15 @@ def _check_tensoriality(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     for _ in range(probes):
         x = ctx.rng.reals(d, 0.0, 2.0 * np.pi)
-
-        def modulator(axis, amp):
-            freq = tuple(1 if i == axis else 0 for i in range(d))
-            raw = TrigPolyField(d, (1, 1), {
-                freq: (np.array([[amp]]), np.array([[0.0]]))
-            })
-            offset = 1.0 - raw.value(x)[0, 0]
-            return raw + TrigPolyField.constant(d, np.array([[offset]]))
-
-        phi = modulator(0, 0.7)
-        psi = modulator(d - 1, 0.4)
+        # the modulators 1 + 0.7 (cos y_0 - cos x_0) and
+        # 1 + 0.4 (cos y_{d-1} - cos x_{d-1}) equal 1 at y = x; the check
+        # reads only their gradients there
+        dphi = np.zeros(d)
+        dphi[0] = -0.7 * np.sin(x[0])
+        dpsi = np.zeros(d)
+        dpsi[d - 1] = -0.4 * np.sin(x[d - 1])
         zeta = ctx.rng.reals(d)
         eta = ctx.rng.reals(d)
-        _, _, dev = verify_tensoriality(j, x, zeta, eta, phi, psi)
+        _, _, dev = verify_tensoriality(j, x, zeta, eta, dphi, dpsi)
         worst = worst_of(worst, float(dev))
     return CheckResult(worst, probes)

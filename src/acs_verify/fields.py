@@ -403,67 +403,51 @@ def nijenhuis_fd_oracle(j: AlmostComplexField, x, zeta, eta, h: float = 1e-5) ->
     """Independent evaluation through finite-difference Lie brackets.
 
     Uses only values of J, never its partials, so it cross-checks the
-    exact-derivative route.
+    exact-derivative route. J is evaluated once at x and once at each
+    x +- h e_i: 2d + 1 evaluations on T^d.
     """
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     eta = np.asarray(eta, dtype=float).reshape(-1)
     x = np.asarray(x, dtype=float).reshape(-1)
     d = x.shape[0]
-
-    def jz(u):
-        return j.value(u) @ zeta
-
-    def je(u):
-        return j.value(u) @ eta
-
-    def fd_jac(f, u):
-        cols = []
-        for i in range(d):
-            step = np.zeros(d)
-            step[i] = h
-            cols.append((f(u + step) - f(u - step)) / (2 * h))
-        return np.stack(cols, axis=1)
+    # central differences of u -> J(u) zeta and u -> J(u) eta, column i
+    # from the two values of J at x +- h e_i
+    d_jz, d_je = np.empty((d, d)), np.empty((d, d))
+    for i in range(d):
+        step = np.zeros(d)
+        step[i] = h
+        j_plus, j_minus = j.value(x + step), j.value(x - step)
+        d_jz[:, i] = (j_plus @ zeta - j_minus @ zeta) / (2 * h)
+        d_je[:, i] = (j_plus @ eta - j_minus @ eta) / (2 * h)
 
     jm = j.value(x)
-    d_jz = fd_jac(jz, x)
-    d_je = fd_jac(je, x)
     bracket_jj = d_je @ (jm @ zeta) - d_jz @ (jm @ eta)
     bracket_z_je = d_je @ zeta
     bracket_jz_e = -d_jz @ eta
     return -bracket_jj + jm @ bracket_z_je + jm @ bracket_jz_e
 
 
-def verify_tensoriality(
-    j: AlmostComplexField,
-    x,
-    zeta,
-    eta,
-    phi: TrigPolyField,
-    psi: TrigPolyField,
-) -> tuple[np.ndarray, np.ndarray, float]:
+def verify_tensoriality(j: AlmostComplexField, x, zeta, eta, dphi, dpsi
+                        ) -> tuple[np.ndarray, np.ndarray, float]:
     """Recompute N_J with modulated extensions V = phi*zeta, W = psi*eta.
 
-    phi and psi are scalar fields equal to 1 at x; the bracket expansion
-    uses exact product-rule jacobians, so agreement with the constant
-    extension certifies tensoriality rather than rounding luck.
+    phi and psi are scalar fields equal to 1 at x, given by their
+    gradients dphi and dpsi at x, which is all the bracket expansion
+    reads of them. The jacobians are exact product-rule ones, so
+    agreement with the constant extension certifies tensoriality rather
+    than rounding luck.
 
     Returns (N_constant, N_modulated, max_abs_deviation).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     eta = np.asarray(eta, dtype=float).reshape(-1)
-    for f, name in ((phi, "phi"), (psi, "psi")):
-        if f.shape != (1, 1):
-            raise ShapeMismatch(f"{name} must be scalar")
-        if abs(f.value(x)[0, 0] - 1.0) > 1e-12:
-            raise ShapeMismatch(f"{name}(x) must equal 1")
-
-    def grad(f):
-        return np.array([f.partial_value(i, x)[0, 0] for i in range(x.shape[0])])
+    dphi = np.asarray(dphi, dtype=float)
+    dpsi = np.asarray(dpsi, dtype=float)
+    if dphi.shape != x.shape or dpsi.shape != x.shape:
+        raise DimensionMismatch(f"modulator gradients must have {x.shape[0]} entries")
 
     jm, partials = structure_jet(j, x)
-    dphi = grad(phi)
-    dpsi = grad(psi)
 
     # value and jacobian at x of the four composite fields
     def plain(vec, dscal):

@@ -274,6 +274,9 @@ def run_scenario(doc: dict, tol_scale: float = 1.0,
     if not (math.isfinite(tol_scale) and tol_scale > 0):
         raise SchemaError(
             f"tolerance scale (--tol-scale) must be finite and > 0, got {tol_scale}")
+    # SplitMix64 reads a seed mod 2^64, so one outside would alias another
+    if seed is not None and not 0 <= seed <= 2**64 - 1:
+        raise SchemaError(f"seed (--seed) must be an integer in [0, 2^64 - 1], got {seed}")
     kind = doc["kind"]
     run_seed = int(doc["seed"] if seed is None else seed)
     tol = resolve_tolerances(doc)

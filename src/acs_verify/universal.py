@@ -746,23 +746,27 @@ def darboux_transform(gamma: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarra
         raise InvalidParams("form must be square of even size")
     if np.max(np.abs(gamma + gamma.T)) > 1e3 * tol.alg_atol:
         raise InvalidParams("form must be antisymmetric")
-    cols = [np.eye(m2)[:, i] for i in range(m2)]
+    # the columns of cols span the gamma-orthogonal complement of the
+    # pairs taken so far; each step pivots on the largest |c_i^T gamma c_j|,
+    # i < j, the first in row-major order (the upper triangle, so rounding
+    # of the mirrored product cannot swap e and f), and removes the pair
+    # (c_i, c_j / pivot) from the rest with two rank-one terms read off
+    # the same product
+    cols = np.eye(m2)
     es, fs = [], []
     for _ in range(m2 // 2):
-        vals = np.array([[abs(float(a @ gamma @ b)) for b in cols] for a in cols])
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        pivot = float(cols[i] @ gamma @ cols[j])
+        prods = cols.T @ gamma @ cols
+        i, j = np.unravel_index(np.argmax(np.triu(np.abs(prods), 1)), prods.shape)
+        pivot = float(prods[i, j])
         if abs(pivot) <= 1e3 * tol.alg_atol:
             raise InvalidParams("form is degenerate")
-        e = cols[i]
-        f = cols[j] / pivot
+        e, f = cols[:, i], cols[:, j] / pivot
         es.append(e)
         fs.append(f)
-        rest = [c for idx, c in enumerate(cols) if idx not in (i, j)]
-        cols = [
-            c - float(c @ gamma @ f) * e + float(c @ gamma @ e) * f
-            for c in rest
-        ]
+        rest = np.delete(np.arange(cols.shape[1]), (i, j))
+        # c^T gamma f = prods[c, j] / pivot and c^T gamma e = prods[c, i]
+        cols = (cols[:, rest] - np.outer(e, prods[rest, j] / pivot)
+                + np.outer(f, prods[rest, i]))
     return np.stack(es + fs, axis=1)
 
 
@@ -847,9 +851,9 @@ def random_compatible_symplectic(rng: SplitMix64, n: int, extra: int):
     matched so embed^T gamma embed = omega (Darboux frames on both
     sides)."""
     a = np.eye(2 * n) + 0.3 * rng.real_matrix(2 * n, 2 * n, 1.0)
-    jx = a @ standard_structure(n) @ np.linalg.inv(a)
-    om0 = -standard_structure(n)
-    om = np.linalg.inv(a).T @ om0 @ np.linalg.inv(a)
+    a_inv = np.linalg.inv(a)
+    jx = a @ standard_structure(n) @ a_inv
+    om = a_inv.T @ (-standard_structure(n)) @ a_inv
     m = n + extra
     raw = rng.real_matrix(2 * m, 2 * m, 1.0)
     gamma = raw - raw.T

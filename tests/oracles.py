@@ -60,6 +60,18 @@ library to each bit for bit.
 `CRPolyMap` built it before `CRPolyMap.wirtinger_maps` took one pass:
 one partial map per variable and side, each copied into the matrix map
 column by column.
+`darboux_transform_by_pairs` is the Darboux frame as a Python loop over
+column pairs, before `universal.darboux_transform` read each step off
+one matrix product; the tests hold the two to the same pivots.
+`nijenhuis_fd_oracle_by_closures` is `fields.nijenhuis_fd_oracle` as it
+was before it shared the values of J between its two difference
+quotients: one closure per vector, each evaluating J again, 4d + 1
+values of J where the library takes 2d + 1.
+`tensoriality_by_trig_modulators` is `fields.verify_tensoriality` as it
+was when it took the modulators as scalar trig-poly fields (built by
+`trig_modulator`) and read their gradients off their partial fields;
+the library now takes the gradients. The tests hold the library to
+both bit for bit.
 `simplex_solve_loop` is the Bland simplex as it was before pivot choice
 read the tableau as Python floats: it scans the reduced costs and the
 ratio column one numpy scalar at a time and eliminates with an outer
@@ -109,7 +121,14 @@ from acs_verify.errors import (
     RankDeficientEmbedding,
     ShapeMismatch,
 )
-from acs_verify.fields import AlmostComplexField, TorusChart, TrigPolyField, _canonical
+from acs_verify.fields import (
+    AlmostComplexField,
+    TorusChart,
+    TrigPolyField,
+    _canonical,
+    nijenhuis_from_jet,
+    structure_jet,
+)
 from acs_verify.induced import GraphEmbedding, GraphPoint, VariationData, _real_linear
 from acs_verify.lvmb import LvmbData
 from acs_verify.universal import (
@@ -803,6 +822,115 @@ def lie_bracket(v: TrigPolyField, w: TrigPolyField) -> TrigPolyField:
     if v.shape[1] != 1:
         raise ShapeMismatch("bracket expects column fields")
     return trig_matmul(jacobian_field(w), v) + trig_matmul(jacobian_field(v), w).scale(-1.0)
+
+
+def darboux_transform_by_pairs(gamma: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """universal.darboux_transform as a loop over column pairs: every
+    step forms each |c_a^T gamma c_b| by two vector products and updates
+    each remaining column with its own two products."""
+    gamma = np.asarray(gamma, dtype=float)
+    m2 = gamma.shape[0]
+    cols = [np.eye(m2)[:, i] for i in range(m2)]
+    es, fs = [], []
+    for _ in range(m2 // 2):
+        vals = np.array([[abs(float(a @ gamma @ b)) for b in cols] for a in cols])
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        pivot = float(cols[i] @ gamma @ cols[j])
+        if abs(pivot) <= 1e3 * tol.alg_atol:
+            raise InvalidParams("form is degenerate")
+        e = cols[i]
+        f = cols[j] / pivot
+        es.append(e)
+        fs.append(f)
+        rest = [c for idx, c in enumerate(cols) if idx not in (i, j)]
+        cols = [c - float(c @ gamma @ f) * e + float(c @ gamma @ e) * f for c in rest]
+    return np.stack(es + fs, axis=1)
+
+
+def nijenhuis_fd_oracle_by_closures(j: AlmostComplexField, x, zeta, eta,
+                                    h: float = 1e-5) -> np.ndarray:
+    """The FD Lie-bracket route to N_J(zeta, eta) with one closure per
+    vector: each difference quotient evaluates J again, 4d + 1 values of
+    J on T^d."""
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    eta = np.asarray(eta, dtype=float).reshape(-1)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    d = x.shape[0]
+
+    def jz(u):
+        return j.value(u) @ zeta
+
+    def je(u):
+        return j.value(u) @ eta
+
+    def fd_jac(f, u):
+        cols = []
+        for i in range(d):
+            step = np.zeros(d)
+            step[i] = h
+            cols.append((f(u + step) - f(u - step)) / (2 * h))
+        return np.stack(cols, axis=1)
+
+    jm = j.value(x)
+    d_jz = fd_jac(jz, x)
+    d_je = fd_jac(je, x)
+    bracket_jj = d_je @ (jm @ zeta) - d_jz @ (jm @ eta)
+    bracket_z_je = d_je @ zeta
+    bracket_jz_e = -d_jz @ eta
+    return -bracket_jj + jm @ bracket_z_je + jm @ bracket_jz_e
+
+
+def trig_modulator(x, freq, cos: float, sin: float) -> TrigPolyField:
+    """The scalar trig-poly field cos cos(freq . y) + sin sin(freq . y)
+    plus the constant that makes it 1 at y = x."""
+    d = len(freq)
+    raw = TrigPolyField(d, (1, 1), {tuple(freq): (np.array([[cos]]), np.array([[sin]]))})
+    offset = 1.0 - raw.value(x)[0, 0]
+    return raw + TrigPolyField.constant(d, np.array([[offset]]))
+
+
+def tensoriality_by_trig_modulators(j: AlmostComplexField, x, zeta, eta,
+                                    phi: TrigPolyField, psi: TrigPolyField):
+    """(N_constant, N_modulated, max_abs_deviation) of the modulated
+    extensions V = phi zeta, W = psi eta, with phi and psi scalar
+    trig-poly fields equal to 1 at x whose gradients are read off their
+    exact partial fields."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    eta = np.asarray(eta, dtype=float).reshape(-1)
+    for f in (phi, psi):
+        assert f.shape == (1, 1) and abs(f.value(x)[0, 0] - 1.0) <= 1e-12
+
+    def grad(f):
+        return np.array([f.partial_value(i, x)[0, 0] for i in range(x.shape[0])])
+
+    jm, partials = structure_jet(j, x)
+    dphi = grad(phi)
+    dpsi = grad(psi)
+
+    def plain(vec, dscal):
+        return vec, np.outer(vec, dscal)
+
+    def through_j(vec, dscal):
+        cols = [dscal[i] * (jm @ vec) + partials[i] @ vec for i in range(x.shape[0])]
+        return jm @ vec, np.stack(cols, axis=1)
+
+    v_val, v_jac = plain(zeta, dphi)
+    w_val, w_jac = plain(eta, dpsi)
+    jv_val, jv_jac = through_j(zeta, dphi)
+    jw_val, jw_jac = through_j(eta, dpsi)
+
+    def bracket(a_val, a_jac, b_val, b_jac):
+        return b_jac @ a_val - a_jac @ b_val
+
+    n_mod = (
+        bracket(v_val, v_jac, w_val, w_jac)
+        - bracket(jv_val, jv_jac, jw_val, jw_jac)
+        + jm @ bracket(v_val, v_jac, jw_val, jw_jac)
+        + jm @ bracket(jv_val, jv_jac, w_val, w_jac)
+    )
+    n_const = nijenhuis_from_jet((jm, partials), zeta, eta)
+    return n_const, n_mod, float(np.max(np.abs(n_const - n_mod)))
 
 
 def _eliminate_outer(tab: np.ndarray, basis: list, leave: int, enter: int) -> None:

@@ -154,6 +154,25 @@ def test_run_seed_override_changes_aggregate(capsys):
     assert aggregate["seed"] == 99 and aggregate["passed"]
 
 
+@pytest.mark.parametrize("seed", [str(2**64 + 5), "-1", str(2**64)])
+def test_run_rejects_a_seed_override_outside_the_generator_range(capsys, seed):
+    # SplitMix64 reads its seed mod 2^64: 2^64 + 5 would draw as seed 5
+    code, out, err = run_lines(capsys, ["run", "induced_variation", "--seed", seed])
+    assert_one_line_rejection(code, out, err, "--seed")
+    with pytest.raises(SchemaError):
+        run_scenario(parse_scenario(find_scenario("induced_variation")), seed=int(seed))
+
+
+def test_run_accepts_the_largest_seed(tmp_path, capsys):
+    top = 2**64 - 1
+    code, out, _ = run_lines(capsys, ["run", "fields_basic", "--seed", str(top)])
+    assert code == 0 and parse_report(out)[1]["seed"] == top
+    doc = {"id": "x", "kind": "fields", "seed": top}
+    assert run_doc(tmp_path, capsys, doc)[0] == 0
+    code, out, err = run_doc(tmp_path, capsys, {**doc, "seed": top + 1})
+    assert_one_line_rejection(code, out, err, "seed")
+
+
 def test_run_sample_cap_limits_work(capsys):
     code, out, _ = run_lines(capsys, ["run", "fields_basic", "--samples", "4"])
     assert code == 0
@@ -510,6 +529,7 @@ def test_run_ragged_sample_points_exit_two(tmp_path, capsys):
 
 INVALID_DOCUMENTS = [
     ("scenario.schema.json", {"id": "x", "kind": "universal", "seed": -1}),
+    ("scenario.schema.json", {"id": "x", "kind": "fields", "seed": 2**64}),
     ("scenario.schema.json", {"id": "bad id", "kind": "fields", "seed": 1}),
     ("scenario.schema.json", {"id": "x", "kind": "nope", "seed": 1, "extra": 0}),
     ("scenario.schema.json", {"id": "x", "kind": "fields", "seed": 1,

@@ -6,6 +6,7 @@ from acs_verify.config import DEFAULT, worst_of
 from acs_verify.errors import NotAComplexStructure, ShapeMismatch
 from acs_verify.rng import SplitMix64
 from acs_verify.scenarios import run_check
+import oracles
 from oracles import jacobian_value, lie_bracket, trig_matmul
 
 
@@ -206,25 +207,79 @@ def test_tensoriality_modulated_extensions():
     j = fl.AlmostComplexField.conjugated(a, eps=0.1)
     x = np.array([0.8, 0.5])
 
-    def modulator(freq, amp):
-        # 1 + amp*(cos(freq.x) - cos(freq.x0)) style bump equal to 1 at x
-        raw = fl.TrigPolyField(
-            2, (1, 1), {freq: (np.array([[amp]]), np.array([[amp / 2]]))}
-        )
-        offset = 1.0 - raw.value(x)[0, 0]
-        return raw + fl.TrigPolyField.constant(2, np.array([[offset]]))
+    def modulator_gradient(axis, amp):
+        # of amp cos(y_axis) + (amp/2) sin(y_axis) + const, equal to 1 at x
+        grad = np.zeros(2)
+        grad[axis] = -amp * np.sin(x[axis]) + amp / 2 * np.cos(x[axis])
+        return grad
 
-    phi = modulator((1, 0), 0.7)
-    psi = modulator((0, 1), 0.4)
+    dphi = modulator_gradient(0, 0.7)
+    dpsi = modulator_gradient(1, 0.4)
     zeta = rng.reals(2)
     eta = rng.reals(2)
-    n_const, n_mod, dev = fl.verify_tensoriality(j, x, zeta, eta, phi, psi)
+    n_const, n_mod, dev = fl.verify_tensoriality(j, x, zeta, eta, dphi, dpsi)
     assert dev < 1e-10
+    assert np.array_equal(n_const, fl.nijenhuis_direct(j, x, zeta, eta))
     # doubling the modulation gradient must not change the result either
-    phi2 = modulator((1, 0), 1.4)
-    _, n_mod2, dev2 = fl.verify_tensoriality(j, x, zeta, eta, phi2, psi)
+    _, n_mod2, dev2 = fl.verify_tensoriality(j, x, zeta, eta, 2 * dphi, dpsi)
     assert dev2 < 1e-10
     assert np.max(np.abs(n_mod - n_mod2)) < 1e-10
+    with pytest.raises(fl.DimensionMismatch):
+        fl.verify_tensoriality(j, x, zeta, eta, dphi[:1], dpsi)
+
+
+def conjugated_structure(n, seed):
+    a = fl.TrigPolyField.random(2 * n, (2 * n, 2 * n), SplitMix64(seed),
+                                max_degree=2, n_terms=3, amplitude=0.5)
+    return fl.AlmostComplexField.conjugated(a, eps=0.3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fd_oracle_evaluates_j_2d_plus_1_times_bitwise_as_the_closure_route(
+        monkeypatch, n):
+    d = 2 * n
+    for seed in range(1, 6):
+        j = conjugated_structure(n, seed)
+        rng = SplitMix64(100 + seed)
+        x = rng.reals(d, 0.0, 2.0 * np.pi)
+        zeta = rng.reals(d)
+        eta = rng.reals(d)
+        want = oracles.nijenhuis_fd_oracle_by_closures(j, x, zeta, eta)
+        calls = []
+        value = j.value
+        monkeypatch.setattr(j, "value", lambda u: calls.append(u) or value(u))
+        got = fl.nijenhuis_fd_oracle(j, x, zeta, eta)
+        assert len(calls) == 2 * d + 1
+        assert got.tobytes() == want.tobytes()
+
+
+def tensoriality_record(monkeypatch, j, seed):
+    monkeypatch.setattr(checks, "build_structure", lambda payload, n, seed: j)
+    check = checks.REGISTRY["nijenhuis_tensoriality"]
+    ctx = checks.CheckContext(payload={"n": j.n, "probes": 4}, tol=DEFAULT, seed=seed,
+                              rng=SplitMix64(seed), samples=None, sample_cap=None)
+    return run_check(check, ctx, check.tolerance, timings=False)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tensoriality_check_reads_bitwise_as_the_trig_modulator_route(monkeypatch, n):
+    d = 2 * n
+    for seed in range(1, 6):
+        j = conjugated_structure(n, seed)
+        record = tensoriality_record(monkeypatch, j, seed)
+        # the check's draws, each probe through the trig-poly modulators
+        rng = SplitMix64(seed)
+        want = 0.0
+        for _ in range(4):
+            x = rng.reals(d, 0.0, 2.0 * np.pi)
+            phi = oracles.trig_modulator(x, np.eye(d, dtype=int)[0], 0.7, 0.0)
+            psi = oracles.trig_modulator(x, np.eye(d, dtype=int)[d - 1], 0.4, 0.0)
+            zeta = rng.reals(d)
+            eta = rng.reals(d)
+            want = worst_of(want, oracles.tensoriality_by_trig_modulators(
+                j, x, zeta, eta, phi, psi)[2])
+        assert record["status"] == "pass" and record["samples_checked"] == 4
+        assert same_bits(np.float64(record["max_residual"]), np.float64(want))
 
 
 def _nijenhuis_per_direction(j, x, zeta, eta):

@@ -20,7 +20,6 @@ from acs_verify.scenarios import (
     parse_scenario,
     resolve_samples,
     run_scenario,
-    serialize_report,
 )
 from acs_verify.universal import PointwiseACManifold, default_torus_embedding
 
@@ -258,11 +257,18 @@ def test_fields_structure_is_built_once_per_fields_run(monkeypatch):
         assert run_scenario({**doc, "checks": [record["name"]]})[0] == [record]
 
 
-def test_symplectic_reports_stay_per_check(monkeypatch):
-    calls = count_calls(monkeypatch, checks, "_symplectic_reports")
+def test_symplectic_models_are_built_once_per_symplectic_run(monkeypatch):
+    sets = count_calls(monkeypatch, checks, "build_symplectic_models")
+    models = count_calls(monkeypatch, checks, "symplectic_pointwise_model")
     doc = parse_scenario(find_scenario("symplectic_basic"))
-    report = serialize_report(*run_scenario(doc))
-    assert len(calls) == 3
-    rngs = [args[0].rng for args in calls]
-    assert len({id(r) for r in rngs}) == 3
-    assert report == serialize_report(*run_scenario(doc))
+    records, aggregate = run_scenario(doc)
+    draws = doc["payload"]["draws"]
+    assert aggregate["passed"] and len(records) == 3
+    assert (len(sets), len(models)) == (1, draws + 1)
+    assert [r["samples_checked"] for r in records] == [draws + 1] * 3
+    for record in records:
+        assert run_scenario({**doc, "checks": [record["name"]]})[0] == [record]
+    # --samples caps the draws, for all three checks alike
+    sets.clear()
+    records, _ = run_scenario(doc, sample_cap=1)
+    assert len(sets) == 1 and [r["samples_checked"] for r in records] == [2] * 3

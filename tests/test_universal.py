@@ -849,6 +849,24 @@ def test_darboux_transform_normalizes_random_forms():
         assert np.max(np.abs(t.T @ gamma @ t - target)) < 1e-10
 
 
+def test_darboux_transform_takes_the_pivot_pairs_of_the_pairwise_loop():
+    _, _, gamma, _ = standard_symplectic_inputs()
+    assert darboux_transform(gamma).tobytes() == oracles.darboux_transform_by_pairs(gamma).tobytes()
+    rng = SplitMix64(29)
+    for m in (1, 2, 3, 4, 5):
+        for _ in range(20):
+            raw = rng.real_matrix(2 * m, 2 * m, 1.0)
+            gamma = raw - raw.T
+            t, want = darboux_transform(gamma), oracles.darboux_transform_by_pairs(gamma)
+            # the loop may take a pair as (c_j, c_i) where the library takes
+            # (c_i, c_j), as rounding of the mirrored product decides, but
+            # every step must take the same pair: the same 2-plane
+            for k in range(m):
+                pair = np.column_stack([t[:, k], t[:, m + k], want[:, k], want[:, m + k]])
+                sv = np.linalg.svd(pair, compute_uv=False)
+                assert np.all(sv[2:] <= 1e-12 * sv[0])
+
+
 def test_darboux_transform_rejects_bad_forms():
     with pytest.raises(InvalidParams):
         darboux_transform(np.zeros((3, 3)))
