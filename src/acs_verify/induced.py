@@ -198,16 +198,14 @@ class GraphPoint:
 
 
 def induced_jf(emb: GraphEmbedding, chart: DistributionChart, zp,
-               tol: Tolerances = DEFAULT,
-               require_normalized: bool = True) -> np.ndarray:
+               tol: Tolerances = DEFAULT) -> np.ndarray:
     """Induced structure on the z'-chart, closed form.
 
     J_F zeta = i zeta - 2 dF^{-1} pi(i a(F) dbar-g(zeta), 0) with pi the
     projection to TM along the fiber; returns the realified 2n x 2n
-    matrix. The correction term vanishes at the centered base point.
+    matrix. It holds on any chart, centered or not; the correction term
+    vanishes where a(F) = 0, such as the centered base point.
     """
-    if require_normalized:
-        _check_normalized(chart.a_value(emb.f_value(emb.base)), tol)
     return GraphPoint(emb, chart, zp, tol).jf()
 
 
@@ -227,8 +225,7 @@ def induced_jf_field(emb: GraphEmbedding,
     n = emb.n
 
     def fn(x):
-        return induced_jf(emb, chart, complexify_vector(x),
-                          require_normalized=False)
+        return induced_jf(emb, chart, complexify_vector(x))
 
     return CallableMatrixField(2 * n, (2 * n, 2 * n), fn, h=1e-5)
 

@@ -15,13 +15,13 @@ complexified subspace S = {0} (+) TX (+) NX (+) NX, produce the pair
 space, and the corank-n distribution through ambient velocities in
 S' (+) Sig'' induces the original J(x) back on X through the quotient.
 
-Everything here is pointwise linear algebra: subspaces are represented by
-orthonormal complex bases, charts on the flag factors use graph
-coordinates over fixed complements, and derivatives of the point family
-x -> fiber data are taken by Richardson-extrapolated central differences
-of basis-independent chart coordinates. The chart form of the
-distribution is rational in the graph coordinates and is differentiated
-exactly.
+Everything here is pointwise linear algebra: a point is held as z and one
+nested orthonormal basis of Sig' (the rest is its prefix and conjugate),
+charts on the flag factors use graph coordinates over fixed complements,
+and derivatives of the point family x -> fiber data are taken by
+Richardson-extrapolated central differences of basis-independent chart
+coordinates. The chart form of the distribution is rational in the graph
+coordinates and is differentiated exactly.
 """
 from __future__ import annotations
 
@@ -144,21 +144,21 @@ class PointwiseACManifold:
 # ---------------------------------------------------------------------------
 
 class UniversalPoint:
-    """The 5-tuple (z, S', S'', Sig', Sig'') over one base sample."""
+    """The 5-tuple (z, S', S'', Sig', Sig'') over one base sample, held as
+    the real base point z (2k) and one nested basis sigp (2k x k) of Sig':
+    S' is spanned by sigp[:, :k - n], and over a real base point the
+    reality condition makes the -i side the conjugate of the +i side
+    (S'' = conj S', Sig'' = conj Sig'), so nothing else is kept."""
 
-    def __init__(self, n: int, k: int, z, sp, spp, sigp, sigpp):
+    def __init__(self, n: int, k: int, z, sigp):
         self.n = int(n)
         self.k = int(k)
-        self.z = np.asarray(z, dtype=complex).reshape(-1)
-        self.sp = sp
-        self.spp = spp
-        self.sigp = sigp
-        self.sigpp = sigpp
+        self.z = np.asarray(z, dtype=float).reshape(-1)
+        self.sigp = np.asarray(sigp, dtype=complex)
 
     def validate(self, tol: Tolerances = DEFAULT) -> None:
         """validate_fibers on this point alone."""
-        parts = (self.sp, self.spp, self.sigp, self.sigpp)
-        validate_fibers(self.n, self.k, self.z[None], *(p.basis[None] for p in parts), tol)
+        validate_fibers(self.n, self.k, self.z[None], self.sigp[None], tol)
 
 
 def _raise_first(bad: np.ndarray, error) -> None:
@@ -167,33 +167,24 @@ def _raise_first(bad: np.ndarray, error) -> None:
         raise error(int(np.argmax(bad)))
 
 
-def validate_fibers(n: int, k: int, z, sp, spp, sigp, sigpp,
-                    tol: Tolerances = DEFAULT) -> None:
-    """Certify stacked 5-tuples (one point per leading index; the subspaces
-    as orthonormal bases) by the tests that can fail on a point of
-    build_fibers, in order: the shapes, Sig'' = conj Sig' exactly,
-    Sig' (+) Sig'' = C^{2k}, and z real (the rest holds by construction,
-    see build_fibers). Each runs on the whole stack; the first point that
-    fails raises EigenSplitFailure (DimensionMismatch for a shape), with
-    the message the same test gives a stack of one. Given the conjugate
-    test, [Sig' | Sig''] = [Re Sig' | Im Sig'] [[I, I], [iI, -iI]], whose
-    right factor is sqrt(2) times a unitary: the split test is real."""
+def validate_fibers(n: int, k: int, z, sigp, tol: Tolerances = DEFAULT) -> None:
+    """Certify stacked points (z, Sig'), one per leading index, by the tests
+    that can fail on a point of build_fibers: the shapes, then
+    Sig' (+) conj Sig' = C^{2k} (the rest holds by construction, see
+    build_fibers). The split test runs on the whole stack; the first point
+    that fails raises EigenSplitFailure with the message the same test
+    gives a stack of one. With Sig' = A + iB,
+    [Sig' | conj Sig'] = [A | B] [[I, I], [iI, -iI]], whose right factor
+    is sqrt(2) times a unitary: the split test is real."""
     if z.shape[1] != 2 * k:
         raise DimensionMismatch("base point must live in C^{2k}")
-    dims = (sp.shape[2], spp.shape[2], sigp.shape[2], sigpp.shape[2])
-    if dims != (k - n, k - n, k, k):
-        raise EigenSplitFailure(
-            f"subspace dimensions {dims}, expected {(k - n, k - n, k, k)}"
-        )
-    if any(b.shape[1] != 2 * k for b in (sp, spp, sigp, sigpp)):
-        raise DimensionMismatch("ambient dimensions differ")
-    _raise_first(np.any(sigpp != sigp.conj(), axis=(1, 2)), lambda i: EigenSplitFailure(
-        "Sigma'' is not the conjugate of Sigma'"))
+    if sigp.shape[1] != 2 * k:
+        raise DimensionMismatch("Sigma' must live in C^{2k}")
+    if sigp.shape[2] != k:
+        raise EigenSplitFailure(f"Sigma' has dimension {sigp.shape[2]}, expected {k}")
     s = np.sqrt(2.0) * np.linalg.svd(np.dstack([sigp.real, sigp.imag]), compute_uv=False)
     _raise_first(~(s[:, -1] > tol.rank_rtol * s[:, 0]), lambda i: EigenSplitFailure(
         f"Sigma' and Sigma'' do not split C^{{2k}} (sigma_min={s[i, -1]:.3e})"))
-    _raise_first(np.max(np.abs(z.imag), axis=1, initial=0.0) > 1e3 * tol.alg_atol,
-                 lambda i: EigenSplitFailure("base point is not real"))
 
 
 # Rows per stacked call of build_fibers, of the reconstruction sweep (J_f
@@ -237,9 +228,9 @@ def _kernels(mats: np.ndarray, rtol: float, dim: int) -> tuple[np.ndarray, np.nd
 
 def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
                 tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The validated 5-tuples over the rows of xs as the stack (dg, z, Sig'),
-    S' and Sig'' being Sig'[:, :, :k - n] and conj Sig' (see build_fibers);
-    the first row at which a guard fires raises."""
+    """The validated points over the rows of xs as the stack (dg, z, Sig'),
+    z real, S' and Sig'' being Sig'[:, :, :k - n] and conj Sig' (see
+    build_fibers); the first row at which a guard fires raises."""
     n, k = m.n, m.k
     rtol = tol.rank_rtol
     taut_dim = k - 2 * n
@@ -276,16 +267,16 @@ def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
     diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
     _raise_first(diag.min(axis=1) <= rtol * diag.max(axis=1), lambda i: EigenSplitFailure(
         "eigenspace columns are numerically dependent"))
-    sigpp = sigp.conj()  # F is real: the -i side is the conjugate
     gx = m.g.values(xs)[:, :, 0]
-    z = np.concatenate([gx, gx], axis=1).astype(complex)
-    validate_fibers(n, k, z, sigp[:, :, :k - n], sigpp[:, :, :k - n], sigp, sigpp, tol)
+    z = np.concatenate([gx, gx], axis=1)
+    validate_fibers(n, k, z, sigp, tol)
     return dg, z, sigp
 
 
 def build_fibers(xs, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
     """Yield the validated 5-tuple over every row x of xs, in order, as a
-    UniversalPoint (induced_structures reads the stack unwrapped).
+    UniversalPoint (z, Sig') (induced_structures reads the stack
+    unwrapped).
 
     In the frame F = [diag | anti | n1 | n2] of R^{2k} the doubled
     structure is the block matrix J(x) (+) -J(x) (+) taut, so its
@@ -299,8 +290,9 @@ def build_fibers(xs, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
     orthonormal bases: the first k - n columns span S', all k span Sig'.
     J(x) and F are real, so one SVD gives ker(J - i), ker(J + i) is its
     conjugate, and the -i side is the conjugate of the +i side: reality
-    (S'' = conj S', Sig'' = conj Sig') and S' in Sig' hold by
-    construction, and validate_fibers tests only what can still fail.
+    (S'' = conj S', Sig'' = conj Sig', z real) and S' in Sig' hold by
+    construction, so a point keeps only z and Sig', and validate_fibers
+    tests only what can still fail.
 
     The rows are built FIBER_CHUNK at a time: g, dg and J are evaluated
     for the chunk at once, and every SVD, QR, product and test runs on
@@ -312,11 +304,9 @@ def build_fibers(xs, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
     eigenspace extraction misbehaves.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    n, k = m.n, m.k
     for _, (_, z, sigp) in over_chunks(xs, lambda rows: _fiber_rows(rows, m, tol)):
-        for zi, b, bc in zip(z, sigp, sigp.conj()):
-            parts = (b[:, :k - n], bc[:, :k - n], b, bc)
-            yield UniversalPoint(n, k, zi, *map(ComplexSubspace, parts))
+        for zi, b in zip(z, sigp):
+            yield UniversalPoint(m.n, m.k, zi, b)
 
 
 def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> UniversalPoint:
@@ -394,7 +384,7 @@ def induced_structure_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
     if point is None:
         return induced_structures(x, m, tol)[0]
     dg = m.g.jacobian_values(np.atleast_2d(np.asarray(x, dtype=float)))
-    fiber = np.concatenate([point.sp.basis, point.sigpp.basis], axis=1)
+    fiber = np.concatenate([point.sigp[:, :m.k - m.n], point.sigp.conj()], axis=1)
     return _induced_from_parts(np.concatenate([dg, dg], axis=1), fiber[None], tol)[0]
 
 
@@ -422,8 +412,11 @@ def plucker_reality_certificate(point: UniversalPoint,
     With B = [S' | S''], p_I is the maximal minor of B on the rows I, so
     by Cauchy-Binet sum p_I^2 = det(B^T B) and sum |p_I|^2 = det(B^H B):
     two determinants of size 2(k - n) instead of C(2k, 2(k - n)) minors.
+    S' is the first k - n columns of the point's Sig' and S'' their
+    conjugate.
     """
-    basis = np.concatenate([point.sp.basis, point.spp.basis], axis=1)
+    sp = point.sigp[:, :point.k - point.n]
+    basis = np.concatenate([sp, sp.conj()], axis=1)
     norm2 = float(np.linalg.det(basis.conj().T @ basis).real)
     if norm2 <= tol.alg_atol:
         raise EigenSplitFailure("wedge coordinates vanish; basis degenerate")
@@ -440,12 +433,12 @@ class ChartFrame:
     itself the chart map of universal_chart: value is a_matrix, jacobian
     the exact a_jacobian, over n_vars = N variables.
 
-    The bases are the point's own: B' = Sigma' and B'' = Sigma'', whose
-    first k - n columns span S' and S''. The trailing n columns of each
-    are the quotient blocks, complements of S' in Sigma' and of S'' in
-    Sigma''; build_fibers gives them as the tail of one nested QR, and
-    any other complement gives an equally valid chart (nothing here
-    needs them orthonormal).
+    The bases are the point's own: B' = Sigma' and B'' = conj B' =
+    Sigma'', whose first k - n columns span S' and S''. The trailing n
+    columns of each are the quotient blocks, complements of S' in Sigma'
+    and of S'' in Sigma''; build_fibers gives them as the tail of one
+    nested QR, and any other complement gives an equally valid chart
+    (nothing here needs them orthonormal).
 
     Layout of the chart vector in C^N:
       [0, n)                 quotient block (complement of S' in Sigma')
@@ -464,12 +457,12 @@ class ChartFrame:
         self.n = n
         self.big_n = dimension_universal(n, k)
         self.n_vars, self.rows, self.cols = self.big_n, n, self.big_n - n
-        self.b_sigp = point.sigp.basis
-        self.b_sigpp = point.sigpp.basis
+        self.b_sigp = point.sigp
+        self.b_sigpp = point.sigp.conj()
         self.quot = self.b_sigp[:, k - n:]
-        self.rest = np.concatenate([point.sp.basis, self.b_sigpp], axis=1)
-        # [Sigma' | Sigma''] permuted: validate_fibers certified its rank
-        self.ambient_frame = np.concatenate([self.quot, self.rest], axis=1)
+        self.rest = np.concatenate([self.b_sigp[:, :k - n], self.b_sigpp], axis=1)
+        # [Sigma' | Sigma'']: validate_fibers certified its rank
+        self.ambient_frame = np.concatenate([self.b_sigp, self.b_sigpp], axis=1)
 
     # block slices -----------------------------------------------------------
     def slices(self):
@@ -556,31 +549,26 @@ class ChartFrame:
         return self.a_jacobian(z)
 
     def coordinates(self, point: UniversalPoint) -> np.ndarray:
-        """Chart vector of a nearby 5-tuple; depends only on the
-        subspaces, not on the bases presenting them."""
+        """Chart vector of a nearby point; depends only on the subspaces,
+        not on the nested basis presenting Sigma'.
+
+        One solve [B' | B''] [head; tail] = Sigma' gives the graph
+        vp = tail head^-1 of Sigma' over B' against B''. Sigma' = (B' +
+        B'' vp) head and S' is the first k - n columns of Sigma', so the
+        first k - n columns of head are the coefficients of S' in that
+        frame, and up is their graph. Conjugation swaps B' and B'', so
+        vpp = conj vp and upp = conj up. The same solve, on z - z0,
+        gives w in the ambient order [quot | S' | Sigma''].
+        """
         k, n = self.k, self.n
-
-        def graph_of(big_base_a, big_base_b, space: ComplexSubspace) -> np.ndarray:
-            joint = np.concatenate([big_base_a, big_base_b], axis=1)
-            coeff = np.linalg.solve(joint, space.basis)
-            head, tail = coeff[: big_base_a.shape[1]], coeff[big_base_a.shape[1]:]
-            return tail @ np.linalg.inv(head)
-
-        vp = graph_of(self.b_sigp, self.b_sigpp, point.sigp)
-        vpp = graph_of(self.b_sigpp, self.b_sigp, point.sigpp)
-
-        def small_graph(base_pair, vmat, space: ComplexSubspace) -> np.ndarray:
-            frame = base_pair[0] + base_pair[1] @ vmat
-            coeff = np.linalg.lstsq(frame, space.basis, rcond=None)[0]
-            head, tail = coeff[: k - n], coeff[k - n:]
-            return tail @ np.linalg.inv(head)
-
-        up = small_graph((self.b_sigp, self.b_sigpp), vp, point.sp)
-        upp = small_graph((self.b_sigpp, self.b_sigp), vpp, point.spp)
-
-        w = np.linalg.solve(self.ambient_frame, point.z - self.point.z)
+        rhs = np.concatenate([point.sigp, (point.z - self.point.z)[:, None]], axis=1)
+        coeff = np.linalg.solve(self.ambient_frame, rhs)
+        head, tail, shift = coeff[:k, :k], coeff[k:, :k], coeff[:, k]
+        vp = tail @ np.linalg.inv(head)
+        up = head[k - n:, :k - n] @ np.linalg.inv(head[:k - n, :k - n])
+        w = np.concatenate([shift[k - n:k], shift[:k - n], shift[k:]])
         return np.concatenate([
-            w, up.reshape(-1), upp.reshape(-1), vp.reshape(-1), vpp.reshape(-1)
+            w, up.reshape(-1), up.conj().reshape(-1), vp.reshape(-1), vp.conj().reshape(-1)
         ])
 
 
@@ -849,15 +837,21 @@ def random_compatible_symplectic(rng: SplitMix64, n: int, extra: int):
     standard compatible pair on R^{2n}, a random nondegenerate
     antisymmetric ambient form on R^{2(n+extra)}, and a tangent embedding
     matched so embed^T gamma embed = omega (Darboux frames on both
-    sides)."""
+    sides). A drawn form with a Darboux pivot below its guard is drawn
+    again from the same stream."""
     a = np.eye(2 * n) + 0.3 * rng.real_matrix(2 * n, 2 * n, 1.0)
     a_inv = np.linalg.inv(a)
     jx = a @ standard_structure(n) @ a_inv
     om = a_inv.T @ (-standard_structure(n)) @ a_inv
     m = n + extra
-    raw = rng.real_matrix(2 * m, 2 * m, 1.0)
-    gamma = raw - raw.T
-    t = darboux_transform(gamma)
+    while True:
+        raw = rng.real_matrix(2 * m, 2 * m, 1.0)
+        gamma = raw - raw.T
+        try:
+            t = darboux_transform(gamma)
+        except InvalidParams:  # a Darboux pivot fell below the guard
+            continue
+        break
     tdb = darboux_transform(om)
     base = np.concatenate([t[:, :n], t[:, m:m + n]], axis=1)
     embed = base @ np.linalg.inv(tdb)

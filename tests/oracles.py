@@ -9,7 +9,11 @@ the stacked route against them bit for bit. `build_fiber` still takes
 its own SVD of J + i and its own QR of the -i side, where the library
 conjugates the +i side, so the -i side is compared against an
 independent build (by value: conjugation gives -0.0 where the oracle
-gives +0.0). `induced_at` is the joint
+gives +0.0). It returns a `FiberTuple`, the whole 5-tuple with a basis
+of each of S', S'', Sigma' and Sigma'', where a library
+`UniversalPoint` keeps only z and Sigma'; `validate` keeps, for such
+tuples, the containment, conjugation and z-real tests that the
+library's point type makes hold by construction. `induced_at` is the joint
 route the library replaced: it solves [dG | S' | Sigma''] x = i dG in
 realified coordinates, a 4k x 4k system, where the library solves
 2n x 2n through the orthogonal complement of the fiber; the tests hold
@@ -29,7 +33,10 @@ the chart coordinates with one `build_fiber` per point, which
 `universal.ChartFrame` extracted it before it read the tail of the
 fiber's nested QR: a projector product and one SVD. `rechosen_point`
 re-chooses that tail, so the tests can build charts on other
-complements.
+complements. `coordinates_by_graphs` is `ChartFrame.coordinates` as it
+was before it read every graph off one solve: a solve and an inverse
+per big graph, a least-squares solve and an inverse per small graph,
+and a solve of its own for the ambient block.
 `frame_derivatives_by_column` adds the frame correction to the chart
 Jacobian one fiber column at a time, which `torsion_via_frames` replaced
 by one einsum; `torsion_via_frames_loop` is the frame route of the chart
@@ -88,6 +95,7 @@ complex vector.
 """
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -139,6 +147,19 @@ from acs_verify.universal import (
 )
 
 
+class FiberTuple(NamedTuple):
+    """The 5-tuple (z, S', S'', Sigma', Sigma'') with a basis array of each
+    subspace, for points built or tampered with by hand. It reads as a
+    `UniversalPoint` where the library reads one (n, k, z, sigp)."""
+    n: int
+    k: int
+    z: np.ndarray
+    sp: np.ndarray
+    spp: np.ndarray
+    sigp: np.ndarray
+    sigpp: np.ndarray
+
+
 def complex_vector(rng, n: int) -> np.ndarray:
     """n complex entries, the first column of rng.complex_matrix(n, 1)."""
     return rng.complex_matrix(n, 1)[:, 0]
@@ -170,39 +191,42 @@ def contains(big: ComplexSubspace, small: ComplexSubspace,
     return bool(np.max(np.abs(resid), initial=0.0) <= 1e3 * tol.alg_atol)
 
 
-def validate(point: UniversalPoint, tol: Tolerances = DEFAULT) -> None:
+def validate(point: FiberTuple, tol: Tolerances = DEFAULT) -> None:
     """The per-point tests of a 5-tuple: the library's `validate_fibers`
-    tests (shapes, the split, z real) in its order, with the containment
-    and conjugation tests between them that the library's construction
-    makes hold, kept here for points built by hand."""
+    tests (shapes, the split) in its order, with the containment,
+    conjugation and z-real tests between and after them that the
+    library's point type makes hold, kept here for tuples built by
+    hand."""
     k, n = point.k, point.n
     if point.z.shape[0] != 2 * k:
         raise DimensionMismatch("base point must live in C^{2k}")
-    dims = (point.sp.dim, point.spp.dim, point.sigp.dim, point.sigpp.dim)
+    sp, spp, sigp, sigpp = map(ComplexSubspace, (point.sp, point.spp, point.sigp, point.sigpp))
+    dims = (sp.dim, spp.dim, sigp.dim, sigpp.dim)
     if dims != (k - n, k - n, k, k):
         raise EigenSplitFailure(
             f"subspace dimensions {dims}, expected {(k - n, k - n, k, k)}"
         )
-    if not contains(point.sigp, point.sp, tol):
+    if not contains(sigp, sp, tol):
         raise EigenSplitFailure("S' is not contained in Sigma'")
-    if not contains(point.sigpp, point.spp, tol):
+    if not contains(sigpp, spp, tol):
         raise EigenSplitFailure("S'' is not contained in Sigma''")
-    ok, sigma = direct_sum_test(point.sigp, point.sigpp, tol)
+    ok, sigma = direct_sum_test(sigp, sigpp, tol)
     if not ok:
         raise EigenSplitFailure(
             f"Sigma' and Sigma'' do not split C^{{2k}} (sigma_min={sigma:.3e})"
         )
-    if not subspace_eq(point.spp, ComplexSubspace(point.sp.basis.conj()), tol):
+    if not subspace_eq(spp, ComplexSubspace(point.sp.conj()), tol):
         raise EigenSplitFailure("S'' is not the conjugate of S'")
-    if not subspace_eq(point.sigpp, ComplexSubspace(point.sigp.basis.conj()), tol):
+    if not subspace_eq(sigpp, ComplexSubspace(point.sigp.conj()), tol):
         raise EigenSplitFailure("Sigma'' is not the conjugate of Sigma'")
-    if np.max(np.abs(point.z.imag), initial=0.0) > 1e3 * tol.alg_atol:
+    if np.max(np.abs(np.imag(point.z)), initial=0.0) > 1e3 * tol.alg_atol:
         raise EigenSplitFailure("base point is not real")
 
 
-def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> UniversalPoint:
+def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> FiberTuple:
     """The 5-tuple over x, one point at a time (see the library's
-    `build_fibers` for the block construction it follows)."""
+    `build_fibers` for the block construction it follows), with its own
+    build of the -i side."""
     x = np.asarray(x, dtype=float).reshape(-1)
     n, k = m.n, m.k
     dg = jacobian_value(m.g, x)
@@ -244,13 +268,12 @@ def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> Univers
         diag = np.abs(np.diag(r))
         if diag.min() <= tol.rank_rtol * diag.max():
             raise EigenSplitFailure("eigenspace columns are numerically dependent")
-        return ComplexSubspace(q[:, :k - n]), ComplexSubspace(q)
+        return q[:, :k - n], q
 
     sp, sigp = nested(ker_minus, ker_plus, -1.0)
     spp, sigpp = nested(ker_plus, ker_minus, 1.0)
     gx = m.g.value(x)[:, 0]
-    point = UniversalPoint(n, k, np.concatenate([gx, gx]).astype(complex),
-                           sp, spp, sigp, sigpp)
+    point = FiberTuple(n, k, np.concatenate([gx, gx]), sp, spp, sigp, sigpp)
     validate(point, tol)
     return point
 
@@ -285,11 +308,16 @@ def from_spanning_set_by_pivoted_qr(cols, tol: Tolerances = DEFAULT) -> ComplexS
     return ComplexSubspace(q[:, :rank])
 
 
+def horizontal_columns(point: UniversalPoint) -> np.ndarray:
+    """[S' | Sigma''] as the library reads it off a point's Sigma'."""
+    return np.concatenate([point.sigp[:, :point.k - point.n], point.sigp.conj()], axis=1)
+
+
 def horizontal_qr_basis(point: UniversalPoint, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Orthonormal basis of S' (+) Sigma'' by a pivoted QR of [S' | Sigma''],
     with its codimension guard: the route the library took before it read
     the horizontal columns straight from the validated fiber bases."""
-    cols = np.concatenate([point.sp.basis, point.sigpp.basis], axis=1)
+    cols = horizontal_columns(point)
     part = ComplexSubspace.from_columns(cols, tol)
     if part.dim != 2 * point.k - point.n:
         raise EigenSplitFailure("horizontal part has wrong codimension")
@@ -306,7 +334,7 @@ def induced_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
     if point is None:
         point = build_fiber(x, m, tol)
     if horizontal is None:
-        fiber = np.concatenate([point.sp.basis, point.sigpp.basis], axis=1)
+        fiber = horizontal_columns(point)
     else:
         fiber = horizontal(point, tol)
     dg = jacobian_value(m.g, np.asarray(x, dtype=float).reshape(-1))
@@ -327,13 +355,14 @@ def induced_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
 
 
 def induced_reduced_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
-                       point: UniversalPoint | None = None) -> np.ndarray:
+                       point: FiberTuple | None = None) -> np.ndarray:
     """J_f at x through the orthogonal complement of the fiber, one point
     at a time: the library's route (`universal._induced_from_parts`)
-    with its guards, on 2-d arrays instead of a stack."""
+    with its guards, on 2-d arrays instead of a stack, on the tuple's own
+    S' and Sigma''."""
     if point is None:
         point = build_fiber(x, m, tol)
-    fiber = np.concatenate([point.sp.basis, point.sigpp.basis], axis=1)
+    fiber = np.concatenate([point.sp, point.sigpp], axis=1)
     dg = jacobian_value(m.g, np.asarray(x, dtype=float).reshape(-1))
     q, _ = np.linalg.qr(fiber, mode="complete")
     c = q[:, fiber.shape[1]:].conj().T @ np.vstack([dg, dg])
@@ -369,8 +398,10 @@ def reconstruction_report(m: PointwiseACManifold, counts,
 def plucker_certificate_by_minors(point: UniversalPoint,
                                   tol: Tolerances = DEFAULT) -> float:
     """|sum p_I^2| / sum |p_I|^2 over every maximal minor p_I of
-    [S' | S''], enumerated one determinant at a time."""
-    basis = np.concatenate([point.sp.basis, point.spp.basis], axis=1)
+    [S' | S''], enumerated one determinant at a time, S' being the first
+    k - n columns of the point's Sigma' and S'' their conjugate."""
+    sp = point.sigp[:, :point.k - point.n]
+    basis = np.concatenate([sp, sp.conj()], axis=1)
     rows, cols = basis.shape
     if math.comb(rows, cols) > 100000:
         raise InvalidParams("wedge coordinate count too large to enumerate")
@@ -431,19 +462,47 @@ def complement_by_projector(small: ComplexSubspace, big: ComplexSubspace,
 
 
 def rechosen_point(point: UniversalPoint, rng) -> UniversalPoint:
-    """The same 5-tuple with the trailing n columns of the Sigma' and
-    Sigma'' bases re-chosen: C -> (C + S tilt) mix, with tilt and mix
-    drawn from rng (Sigma' first). The new columns still complete S' and
-    S'' to Sigma' and Sigma'', but are neither orthonormal nor
-    orthogonal to S' and S''."""
+    """The same 5-tuple with the trailing n columns of the Sigma' basis
+    re-chosen: C -> (C + S' tilt) mix, with tilt and mix drawn from rng
+    (Sigma'' follows as the conjugate). The new columns still complete S'
+    to Sigma', but are neither orthonormal nor orthogonal to S'."""
     n, k = point.n, point.k
-    bases = []
-    for small, big in ((point.sp, point.sigp), (point.spp, point.sigpp)):
-        tilt = rng.complex_matrix(k - n, n, 0.3)
-        mix = rng.complex_matrix(n, n, 0.2) + np.eye(n)
-        tail = (big.basis[:, k - n:] + small.basis @ tilt) @ mix
-        bases.append(ComplexSubspace(np.concatenate([small.basis, tail], axis=1)))
-    return UniversalPoint(n, k, point.z, point.sp, point.spp, *bases)
+    sp = point.sigp[:, :k - n]
+    tilt = rng.complex_matrix(k - n, n, 0.3)
+    mix = rng.complex_matrix(n, n, 0.2) + np.eye(n)
+    tail = (point.sigp[:, k - n:] + sp @ tilt) @ mix
+    return UniversalPoint(n, k, point.z, np.concatenate([sp, tail], axis=1))
+
+
+def coordinates_by_graphs(frame: ChartFrame, point: UniversalPoint) -> np.ndarray:
+    """The chart vector of a nearby point as `ChartFrame.coordinates` read
+    it from the four subspaces: each big graph by its own solve against
+    the frame's bases and an inverse, each small graph by a least-squares
+    solve in the tilted frame and an inverse, and the ambient block by a
+    solve against [quot | S' | Sigma''] (S'' = conj S' and Sigma'' =
+    conj Sigma' read off the point's Sigma')."""
+    k, n = frame.k, frame.n
+    b_sigp, b_sigpp = frame.b_sigp, frame.b_sigpp
+    sigp = point.sigp
+    sp, spp, sigpp = sigp[:, :k - n], sigp[:, :k - n].conj(), sigp.conj()
+
+    def graph_of(big_base_a, big_base_b, space) -> np.ndarray:
+        coeff = np.linalg.solve(np.concatenate([big_base_a, big_base_b], axis=1), space)
+        return coeff[k:] @ np.linalg.inv(coeff[:k])
+
+    def small_graph(base_a, base_b, vmat, space) -> np.ndarray:
+        coeff = np.linalg.lstsq(base_a + base_b @ vmat, space, rcond=None)[0]
+        return coeff[k - n:] @ np.linalg.inv(coeff[:k - n])
+
+    vp = graph_of(b_sigp, b_sigpp, sigp)
+    vpp = graph_of(b_sigpp, b_sigp, sigpp)
+    up = small_graph(b_sigp, b_sigpp, vp, sp)
+    upp = small_graph(b_sigpp, b_sigp, vpp, spp)
+    ambient = np.concatenate([b_sigp[:, k - n:], b_sigp[:, :k - n], b_sigpp], axis=1)
+    w = np.linalg.solve(ambient, point.z - frame.point.z)
+    return np.concatenate([
+        w, up.reshape(-1), upp.reshape(-1), vp.reshape(-1), vpp.reshape(-1)
+    ])
 
 
 def embedding_differential_by_points(x, m: PointwiseACManifold, frame: ChartFrame,

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,17 @@ from acs_verify.rng import SplitMix64
 from acs_verify.scenarios import run_check
 import oracles
 from oracles import jacobian_value, lie_bracket, trig_matmul
+
+
+def test_declared_numpy_floor_provides_vecdot():
+    # TrigPolyField.values calls np.vecdot, which numpy added in 2.0
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    [spec] = [d for d in deps if re.match(r"numpy\b", d)]
+    floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", spec)
+    assert floor and (int(floor[1]), int(floor[2])) >= (2, 0)
+    assert hasattr(np, "vecdot")
 
 
 def test_grid_is_deterministic_and_sized():

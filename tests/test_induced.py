@@ -164,10 +164,32 @@ def test_jf_double_entry_random_scenarios():
 
 
 def test_not_normalized_guard():
+    # the transport term of the variation is closed-form only where
+    # a(F(zp)) = 0
     chart = poly_chart(1, 3, {(0, 0): ((0, 0, 0), 0.5)})
     emb = graph_with(1, 3, {})
+    eta = column(1, {0: [((1,), (0,), 0.3)], 1: [((0,), (1,), 0.2)]})
+    v = CRPolyMap.constant(1, np.ones((1, 1)))
     with pytest.raises(NotNormalized):
-        induced_jf(emb, chart, np.zeros(1))
+        variation_djf(emb, chart, VariationData(eta, v), np.zeros(1))
+
+
+@pytest.mark.parametrize("n, big_n", [(1, 3), (2, 5)])
+def test_jf_closed_form_holds_on_uncentered_charts(n, big_n):
+    # the closed form needs no centred chart: off the graph's base point a
+    # is far from 0, and J_F still equals the quotient route
+    rng = SplitMix64(97 + n)
+    for _ in range(4):
+        chart = random_polynomial_chart(n, big_n, rng, amplitude=0.5)
+        chart = DistributionChart(
+            n, big_n, chart.amap + CRPolyMap.constant(big_n, rng.complex_matrix(n, big_n - n, 0.3)))
+        emb = GraphEmbedding(n, big_n, random_crpoly(big_n - n, 1, n, rng, degree=2, amplitude=0.3))
+        assert np.max(np.abs(chart.a_value(emb.f_value(emb.base)))) > 1e-2
+        for _ in range(3):
+            zp = 0.1 * complex_vector(rng, n)
+            jf = induced_jf(emb, chart, zp)
+            assert np.max(np.abs(jf - standard_structure(n))) > 1e-3
+            assert np.max(np.abs(jf - induced_jf_quotient(emb, chart, zp))) < 1e-12
 
 
 def test_dbar_f_holomorphic_graph_vanishes():
@@ -348,7 +370,7 @@ def test_nijenhuis_torsion_map_matches_per_pair_route_bitwise(n, big_n):
         via_map = nijenhuis_torsion_map(emb, chart, zp)
         # the per-pair route as it reads without the map: every point
         # quantity rebuilt, then one pullback through the joint solve
-        jf = induced_jf(emb, chart, zp, require_normalized=False)
+        jf = induced_jf(emb, chart, zp)
         etas, _ = dbar_f_fiber_coords(emb, chart, zp, jf)
         theta = torsion_via_frames(chart, emb.f_value(zp))
         for _ in range(6):
@@ -474,7 +496,7 @@ def test_induced_jf_not_transverse_at_constructed_tangency():
     chart = poly_chart(1, 2, {(0, 0): ((1, 0), 4.0)})
     emb = graph_with(1, 2, {0: [((0,), (1,), 1.0)]})
     with pytest.raises(NotTransverse):
-        induced_jf(emb, chart, np.array([0.25 + 0j]), require_normalized=False)
+        induced_jf(emb, chart, np.array([0.25 + 0j]))
 
 
 def test_deformation_at_zero_t_is_identity():

@@ -216,7 +216,7 @@ def test_failed_chunk_raises_the_oracle_error_and_records_the_points_before():
     assert str(raised.value) == str(want.value)
     assert len(got) == BAD_INDEX
     for x, point in zip(pts, got):
-        assert point.sigp.basis.tobytes() == oracles.build_fiber(x, m).sigp.basis.tobytes()
+        assert point.sigp.tobytes() == oracles.build_fiber(x, m).sigp.tobytes()
 
 
 def failing_run(monkeypatch, order, bad_index):

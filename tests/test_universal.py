@@ -143,7 +143,7 @@ def test_default_torus_embedding_full_rank_n2():
 def test_build_fiber_flat_dimensions():
     m = oracles.default_torus(1)
     p = build_fiber(np.array([0.5, 0.7]), m)
-    assert (p.sp.dim, p.spp.dim, p.sigp.dim, p.sigpp.dim) == (3, 3, 4, 4)
+    assert (p.n, p.k, p.z.shape, p.sigp.shape) == (1, 4, (8,), (8, 4))
     p.validate()
 
 
@@ -151,8 +151,7 @@ def test_build_fiber_perturbed_is_real_point():
     m = perturbed_manifold(1)
     p = build_fiber(np.array([0.5, 0.7]), m)
     p.validate()
-    assert p.z.shape == (8,)
-    assert np.max(np.abs(p.z.imag)) < 1e-12
+    assert p.z.shape == (8,) and p.z.dtype == np.float64
 
 
 def test_build_fiber_rejects_rank_deficient_embedding():
@@ -189,9 +188,9 @@ def test_build_fiber_matches_eigen_split_oracle(n):
     for _ in range(6):
         x = rng.reals(2 * n, 0.0, 2.0 * np.pi)
         p = build_fiber(x, m)
-        assert (p.sp.dim, p.sigp.dim) == (3 * n, 4 * n)
-        for got, want in zip((p.sp, p.spp, p.sigp, p.sigpp), eigen_split_fiber(x, m)):
-            assert subspace_eq(got, want)
+        sp = p.sigp[:, :3 * n]
+        for got, want in zip((sp, sp.conj(), p.sigp, p.sigp.conj()), eigen_split_fiber(x, m)):
+            assert subspace_eq(ComplexSubspace(got), want)
 
 
 def test_build_fiber_rejects_point_where_j_is_not_complex():
@@ -213,8 +212,11 @@ def test_build_fiber_rejects_point_where_j_is_not_complex():
 def test_universal_point_validate_catches_tampering():
     m = oracles.default_torus(1)
     p = build_fiber(np.array([0.5, 0.7]), m)
-    p.sigpp = p.sigp  # +i eigenspace twice cannot split the ambient space
-    with pytest.raises(EigenSplitFailure):
+    p.sigp = p.sigp.copy()
+    # a real vector in Sigma' lies in Sigma'' = conj Sigma' too, so the two
+    # cannot split the ambient space
+    p.sigp[:, -1] = p.sigp[:, -1].real
+    with pytest.raises(EigenSplitFailure, match="do not split"):
         p.validate()
 
 
@@ -259,8 +261,7 @@ def test_not_transverse_when_fiber_swallows_base_direction():
     for n in (1, 2, 3):
         m = perturbed_manifold(n)
         x = np.linspace(0.5, 0.7, 2 * n)
-        p = build_fiber(x, m)
-        fib = np.concatenate([p.sp.basis, p.sigpp.basis], axis=1)
+        fib = oracles.horizontal_columns(build_fiber(x, m))
         dg2k = np.vstack([oracles.jacobian_value(m.g, x)] * 2)
         bad_cols = np.concatenate(
             [dg2k[:, :1].astype(complex), fib[:, :-1]], axis=1
@@ -275,7 +276,7 @@ def test_fiber_of_the_wrong_width_is_a_dimension_mismatch(extra):
     m = perturbed_manifold(2)
     x = np.linspace(0.5, 0.7, 4)
     p = build_fiber(x, m)
-    cols = np.concatenate([p.sp.basis, p.sigpp.basis, p.sigp.basis], axis=1)
+    cols = np.concatenate([oracles.horizontal_columns(p), p.sigp], axis=1)
     dg2k = np.vstack([oracles.jacobian_value(m.g, x)] * 2)
     with pytest.raises(DimensionMismatch):
         _induced_from_parts(dg2k[None], cols[None, :, :2 * p.k - p.n + extra])
@@ -291,37 +292,35 @@ def test_plucker_certificate_on_built_points():
         assert plucker_reality_certificate(p) > 1.0 - 1e-10
 
 
-def test_plucker_certificate_rejects_quadric_point():
-    # span((1, i, 0, 0)) has wedge coordinates on the null quadric
-    iso = ComplexSubspace.from_columns(
-        np.array([[1.0], [1.0j], [0.0], [0.0]]) / np.sqrt(2.0)
-    )
-    other = ComplexSubspace.from_columns(np.array([[0.0], [0.0], [1.0], [0.0]]))
-    fake = types.SimpleNamespace(sp=iso, spp=other)
-    assert plucker_reality_certificate(fake) < 1e-10
-
-
-def unreal_point(n, k, seed):
-    """A stand-in point whose S'' is a random subspace, not conj S', so
-    its certificate lies strictly between 0 and 1."""
+def random_point(n, k, seed):
+    """A point whose Sigma' is a random orthonormal basis, not one that
+    build_fibers makes."""
     rng = SplitMix64(seed)
-    return types.SimpleNamespace(
-        sp=ComplexSubspace.from_columns(rng.complex_matrix(2 * k, k - n)),
-        spp=ComplexSubspace.from_columns(rng.complex_matrix(2 * k, k - n)))
+    return universal.UniversalPoint(n, k, np.zeros(2 * k),
+                                    np.linalg.qr(rng.complex_matrix(2 * k, k))[0])
+
+
+def test_plucker_certificate_rejects_a_degenerate_basis():
+    # a real vector in S' lies in S'' = conj S' too, so the wedge of
+    # [S' | S''] vanishes
+    p = random_point(1, 4, 4)
+    p.sigp[:, 0] = p.sigp[:, 0].real
+    with pytest.raises(EigenSplitFailure, match="wedge coordinates vanish"):
+        plucker_reality_certificate(p)
 
 
 def test_plucker_certificate_matches_minor_enumeration():
+    # S'' = conj S' holds for every point, built or not, so both routes
+    # read 1 (Cauchy-Binet: det(B^H B) = det(P) det(B^T B))
     points = [build_fiber(x, m)
               for m in (perturbed_manifold(1), perturbed_manifold(2))
               for x in TorusChart(2 * m.n).grid([2] * (2 * m.n))[:3]]
-    points += [unreal_point(1, 4, seed) for seed in (1, 2, 3)]
-    points += [unreal_point(2, 8, seed) for seed in (1, 2)]
-    certs = []
+    points += [random_point(1, 4, seed) for seed in (1, 2, 3)]
+    points += [random_point(2, 8, seed) for seed in (1, 2)]
     for p in points:
         cert = plucker_reality_certificate(p)
         assert abs(cert - oracles.plucker_certificate_by_minors(p)) <= 1e-13
-        certs.append(cert)
-    assert min(certs) < 0.9 and max(certs) > 1.0 - 1e-13
+        assert abs(cert - 1.0) <= 1e-13
 
 
 def test_plucker_certificate_at_n3():
@@ -465,6 +464,42 @@ def test_chart_coordinates_track_nearby_fibers():
     assert 0.0 < np.max(np.abs(z)) < 0.1
 
 
+def nearby_points(frame, n, seed, count=16):
+    """build_fibers of count seeded base points within 1e-3 of the
+    frame's own, on the manifold seeded_frame(n, seed, .) uses."""
+    rng = SplitMix64(seed)
+    x = rng.reals(2 * n, 0.0, 2.0 * np.pi)
+    ys = x + 1e-3 * np.array([rng.reals(2 * n) for _ in range(count)])
+    return list(universal.build_fibers(ys, perturbed_manifold(n, seed=seed)))
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chart_coordinates_match_the_graph_route(n, mixed):
+    # one solve against [B' | B''] replaces the per-subspace graphs, the
+    # least-squares solves and the ambient solve
+    frame = seeded_frame(n, n, mixed)
+    for p in nearby_points(frame, n, n):
+        got = frame.coordinates(p)
+        want = oracles.coordinates_by_graphs(frame, p)
+        assert 1e-6 < np.max(np.abs(want)) < 0.1
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chart_coordinates_do_not_see_a_nested_rebasing(n):
+    # Sigma' G with G block upper triangular keeps S' its prefix: the same
+    # subspaces, so the same chart vector
+    frame = seeded_frame(n, n, True)
+    k = frame.k
+    rng = SplitMix64(300 + n)
+    for p in nearby_points(frame, n, n, count=4):
+        g = np.eye(k) + 0.3 * rng.complex_matrix(k, k)
+        g[k - n:, :k - n] = 0.0
+        rebased = universal.UniversalPoint(n, k, p.z, p.sigp @ g)
+        assert np.max(np.abs(frame.coordinates(rebased) - frame.coordinates(p))) <= 1e-13
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_frame_quotient_blocks_span_the_projector_complements(n):
     # the frame takes its bases and quotient blocks straight from the
@@ -472,12 +507,13 @@ def test_frame_quotient_blocks_span_the_projector_complements(n):
     # projector product and an SVD
     frame = seeded_frame(n, n, False)
     p, k = frame.point, frame.k
-    assert frame.b_sigp is p.sigp.basis and frame.b_sigpp is p.sigpp.basis
-    for small, big in ((p.sp, p.sigp), (p.spp, p.sigpp)):
-        got = ComplexSubspace(big.basis[:, k - n:])
-        want = oracles.complement_by_projector(small, big)
+    assert frame.b_sigp is p.sigp and np.array_equal(frame.b_sigpp, p.sigp.conj())
+    for big in (frame.b_sigp, frame.b_sigpp):
+        got = ComplexSubspace(big[:, k - n:])
+        want = oracles.complement_by_projector(ComplexSubspace(big[:, :k - n]),
+                                               ComplexSubspace(big))
         assert np.linalg.norm(got.projector() - want.projector(), 2) <= 1e-12
-    assert np.array_equal(frame.quot, p.sigp.basis[:, k - n:])
+    assert np.array_equal(frame.quot, p.sigp[:, k - n:])
 
 
 def test_chart_guard_reads_the_frame_rank_rtol():
@@ -498,13 +534,14 @@ def test_chart_guard_reads_the_frame_rank_rtol():
 
 
 def test_singular_ambient_frame_fails_at_the_chart_torsion():
-    # a hand-built point with Sigma'' = Sigma' repeats the quotient block
-    # in the ambient frame; the frame is built, and the torsion at the
-    # centre (which UniversalSample takes before any solve with the frame)
-    # raises
+    # a hand-built point whose quotient block is real: Sigma'' = conj Sigma'
+    # then holds the same vector, so the ambient frame [Sigma' | Sigma'']
+    # is singular; the frame is built, and the torsion at the centre
+    # (which UniversalSample takes before any solve with the frame) raises
     p = build_fiber(np.array([0.5, 0.7]), perturbed_manifold(1))
-    bad = universal.UniversalPoint(p.n, p.k, p.z, p.sp, p.sp, p.sigp, p.sigp)
-    frame = ChartFrame(bad)
+    sigp = p.sigp.copy()
+    sigp[:, -1] = sigp[:, -1].real
+    frame = ChartFrame(universal.UniversalPoint(p.n, p.k, p.z, sigp))
     assert np.linalg.matrix_rank(frame.ambient_frame) < 2 * p.k
     with pytest.raises(ChartDegeneracy):
         torsion_at(universal_chart(frame))
@@ -539,7 +576,7 @@ def test_versality_rank_invariant_under_chart_rechoice(monkeypatch):
     rechoose_sample_charts(monkeypatch, 5)
     sample = UniversalSample(x, m)
     k = sample.point.k
-    tail = sample.point.sigp.basis[:, k - 1:]
+    tail = sample.point.sigp[:, k - 1:]
     assert abs(np.linalg.norm(tail) - 1.0) > 1e-3  # not orthonormal
     mixed = versality_check(sample)
     assert mixed["surj_rank"] == base["surj_rank"] == 2
@@ -836,6 +873,28 @@ def test_random_compatible_generator_postconditions():
     assert np.max(np.abs(embed.T @ gamma @ embed - om)) < 1e-12
 
 
+def test_random_compatible_generator_redraws_a_degenerate_ambient_form():
+    # the symplectic_pullback stream of seed 2206, in the draw order the
+    # checks used when each drew its own models: the second quadruple's
+    # first 8 x 8 gamma has a Darboux pivot below the guard
+    import zlib
+
+    seed = 2206 ^ zlib.crc32(b"symplectic_pullback")
+    probe = SplitMix64(seed)
+    random_compatible_symplectic(probe, 1, 1)
+    probe.real_matrix(4, 4, 1.0)  # the conjugator of the second pair
+    raw = probe.real_matrix(8, 8, 1.0)  # and its first ambient form
+    with pytest.raises(InvalidParams, match="form is degenerate"):
+        darboux_transform(raw - raw.T)
+    rng = SplitMix64(seed)
+    random_compatible_symplectic(rng, 1, 1)
+    om, jx, gamma, embed = random_compatible_symplectic(rng, 2, 2)
+    assert np.max(np.abs(gamma - (raw - raw.T))) > 0.1
+    assert np.max(np.abs(embed.T @ gamma @ embed - om)) < 1e-12
+    rep = symplectic_pointwise_model(om, jx, {"gamma": gamma, "embed": embed})
+    assert rep["max_residual_compatibility"] <= 1e-10
+
+
 def test_darboux_transform_normalizes_random_forms():
     rng = SplitMix64(7)
     for m in (1, 2, 3):
@@ -967,14 +1026,16 @@ def same_bits(a, b):
 
 
 def assert_fiber_bits(point, want):
-    # the library takes the -i side as the conjugate of the +i side, and
-    # conj turns a +0.0 imaginary part into -0.0, where the oracle's own
-    # SVD and QR of the -i side give +0.0: S'' and Sigma'' agree by value
+    # the library takes S' as the prefix of Sigma' and the -i side as the
+    # conjugate of the +i side, and conj turns a +0.0 imaginary part into
+    # -0.0, where the oracle's own SVD and QR of the -i side give +0.0:
+    # S'' and Sigma'' agree by value
+    sp = point.sigp[:, :point.k - point.n]
     assert same_bits(point.z, want.z)
-    for name in ("sp", "sigp"):
-        assert same_bits(getattr(point, name).basis, getattr(want, name).basis), name
-    for name in ("spp", "sigpp"):
-        assert np.array_equal(getattr(point, name).basis, getattr(want, name).basis), name
+    assert same_bits(point.sigp, want.sigp)
+    assert same_bits(np.ascontiguousarray(sp), want.sp)
+    assert np.array_equal(sp.conj(), want.spp)
+    assert np.array_equal(point.sigp.conj(), want.sigpp)
 
 
 @pytest.mark.parametrize("n, counts", [(1, [6, 7]), (2, [3, 3, 3, 3]),
@@ -1029,11 +1090,13 @@ def test_fiber_whose_horizontal_columns_drop_rank_never_reaches_jf(monkeypatch):
 
     validate = universal.validate_fibers
 
-    def swallow(n, k, z, sp, spp, sigp, sigpp, tol=DEFAULT):
-        sigpp[:, :, 0] = sp[:, :, 0]  # Sigma'' takes in a direction of S'
-        s = np.linalg.svd(np.concatenate([sp, sigpp], axis=2), compute_uv=False)
+    def swallow(n, k, z, sigp, tol=DEFAULT):
+        # a real first column of S' lies in Sigma'' = conj Sigma' too
+        sigp[:, :, 0] = sigp[:, :, 0].real
+        cols = np.concatenate([sigp[:, :, :k - n], sigp.conj()], axis=2)
+        s = np.linalg.svd(cols, compute_uv=False)
         assert np.all(s[:, -1] <= 1e-12 * s[:, 0])
-        validate(n, k, z, sp, spp, sigp, sigpp, tol)
+        validate(n, k, z, sigp, tol)
 
     solves = []
     monkeypatch.setattr(universal, "validate_fibers", swallow)
@@ -1083,34 +1146,45 @@ def test_reconstruction_fails_a_construction_that_reads_j_at_other_rows(monkeypa
     assert record["status"] == "fail" and record["max_residual"] > 0.1
 
 
+def built_stack(m, counts):
+    """(z, Sigma') of build_fibers over a grid, stacked."""
+    points = list(universal.build_fibers(TorusChart(2 * m.n).grid(counts), m))
+    return np.stack([p.z for p in points]), np.stack([p.sigp for p in points])
+
+
 def test_validate_fibers_rejects_the_first_tampered_point_of_a_stack():
-    m = perturbed_manifold(1)
-    points = list(universal.build_fibers(TorusChart(2).grid([2, 2]), m))
-    stack = [np.stack([getattr(p, name).basis for p in points])
-             for name in ("sp", "spp", "sigp", "sigpp")]
-    z = np.stack([p.z for p in points])
-    universal.validate_fibers(1, 4, z, *stack)
-    z[2, 0] += 1e-3j  # the third base point leaves the real locus
-    with pytest.raises(EigenSplitFailure, match="base point is not real"):
-        universal.validate_fibers(1, 4, z, *stack)
-    stack[3][1] = stack[2][1]  # Sigma'' := Sigma' at the second point
-    with pytest.raises(EigenSplitFailure, match="Sigma'' is not the conjugate of Sigma'"):
-        universal.validate_fibers(1, 4, z, *stack)
+    z, sigp = built_stack(perturbed_manifold(1), [2, 2])
+    universal.validate_fibers(1, 4, z, sigp)
+    # a real quotient column at the third point, a nearly real one at the
+    # second: the message reads the sigma_min of the second
+    sigp[2, :, -1] = sigp[2, :, -1].real
+    sigp[1, :, -1] = sigp[1, :, -1].real + 1e-10j * sigp[1, :, -1].imag
+    sigma = np.sqrt(2.0) * np.linalg.svd(
+        np.concatenate([sigp[1].real, sigp[1].imag], axis=1), compute_uv=False)[-1]
+    assert 1e-12 < sigma < 1e-9
+    with pytest.raises(EigenSplitFailure, match="do not split") as raised:
+        universal.validate_fibers(1, 4, z, sigp)
+    reported = float(str(raised.value).split("sigma_min=")[1].rstrip(")"))
+    assert reported == pytest.approx(sigma, rel=1e-3)
+
+
+def test_validate_fibers_rejects_wrong_shapes():
+    z, sigp = built_stack(perturbed_manifold(1), [2, 2])
+    with pytest.raises(DimensionMismatch, match="base point must live in"):
+        universal.validate_fibers(1, 4, z[:, :7], sigp)
+    with pytest.raises(DimensionMismatch, match="Sigma' must live in"):
+        universal.validate_fibers(1, 4, z, sigp[:, :7])
+    with pytest.raises(EigenSplitFailure, match="Sigma' has dimension 3, expected 4"):
+        universal.validate_fibers(1, 4, z, sigp[:, :, :3])
 
 
 def test_real_sigma_prime_in_a_stack_does_not_split():
     # a real Sigma' equals its conjugate, so [Sigma' | Sigma''] has rank k:
-    # the conjugate test passes and the real split SVD must catch it
-    m = perturbed_manifold(1)
-    points = list(universal.build_fibers(TorusChart(2).grid([2, 2]), m))
-    sp, spp, sigp, sigpp = [np.stack([getattr(p, name).basis for p in points])
-                            for name in ("sp", "spp", "sigp", "sigpp")]
-    z = np.stack([p.z for p in points])
+    # the real split SVD must catch it
+    z, sigp = built_stack(perturbed_manifold(1), [2, 2])
     sigp[2] = np.linalg.qr(sigp[2].real)[0]
-    sigpp[2] = sigp[2].conj()
-    sp[2], spp[2] = sigp[2][:, :3], sigpp[2][:, :3]
     with pytest.raises(EigenSplitFailure, match="Sigma' and Sigma'' do not split"):
-        universal.validate_fibers(1, 4, z, sp, spp, sigp, sigpp)
+        universal.validate_fibers(1, 4, z, sigp)
 
 
 @pytest.mark.parametrize("n, counts", [(1, [6, 7]), (2, [3, 3, 3, 3]), (3, [2] * 6)])
@@ -1127,26 +1201,22 @@ def test_real_split_svd_matches_the_complex_one(n, counts):
 
 
 def test_oracle_validate_rejects_hand_built_points():
-    # build_fibers makes containment and conjugation hold by construction,
-    # so only the oracle's validator tests them: on points built by hand,
-    # one tampered subspace at a time
-    p = build_fiber(np.array([0.5, 0.7]), perturbed_manifold(1))
+    # the library's point type makes containment, conjugation and a real
+    # z hold, so only the oracle's validator tests them: on 5-tuples built
+    # by hand, one tampered part at a time
+    p = oracles.build_fiber(np.array([0.5, 0.7]), perturbed_manifold(1))
     k, n = p.k, p.n
     oracles.validate(p)
-
-    def tampered(**parts):
-        names = ("sp", "spp", "sigp", "sigpp")
-        return universal.UniversalPoint(n, k, p.z, *(parts.get(a, getattr(p, a)) for a in names))
-
-    tilted = np.concatenate([p.sigpp.basis[:, :k - n],
-                             p.sigpp.basis[:, k - n:] + 0.1 * p.sigp.basis[:, k - n:]], axis=1)
+    tilted = np.concatenate([p.sigpp[:, :k - n],
+                             p.sigpp[:, k - n:] + 0.1 * p.sigp[:, k - n:]], axis=1)
     cases = [
-        (tampered(sp=p.spp), "S' is not contained in Sigma'"),
-        (tampered(spp=p.sp), "S'' is not contained in Sigma''"),
-        (tampered(spp=ComplexSubspace(p.sigpp.basis[:, 1:k - n + 1])),
-         "S'' is not the conjugate of S'"),
-        (tampered(sigpp=ComplexSubspace.from_columns(tilted)),
+        (p._replace(sp=p.spp), "S' is not contained in Sigma'"),
+        (p._replace(spp=p.sp), "S'' is not contained in Sigma''"),
+        (p._replace(spp=p.sp, sigpp=p.sigp), "Sigma' and Sigma'' do not split"),
+        (p._replace(spp=p.sigpp[:, 1:k - n + 1]), "S'' is not the conjugate of S'"),
+        (p._replace(sigpp=ComplexSubspace.from_columns(tilted).basis),
          "Sigma'' is not the conjugate of Sigma'"),
+        (p._replace(z=p.z + 1e-3j), "base point is not real"),
     ]
     for point, message in cases:
         with pytest.raises(EigenSplitFailure, match=message):
@@ -1202,7 +1272,7 @@ def test_built_points_solve_their_eigen_equations(n):
                (slice(4 * n, 2 * k), np.conj)]
     for x, point in zip(xs, universal.build_fibers(xs, m)):
         frame, jt = doubled_structure(m, x)
-        sigp = point.sigp.basis
+        sigp = point.sigp
         assert solves_eigen_equations(frame, jt, sigp, n, k)
         for rows, change in mutants:
             wrong = mutated(frame, sigp, rows, change)
