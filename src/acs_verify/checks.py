@@ -341,13 +341,10 @@ def _check_reconstruction(ctx: CheckContext) -> CheckResult:
     pts = ctx.points(default_counts=[10] * (2 * m.n))
 
     worst = 0.0
-    # J_f comes from the construction (kernels, frame, QR, quotient map);
-    # the J it must reproduce is evaluated here again, at the rows this
-    # chunk hands over, not taken from the J the construction read. The
-    # two sides share only the input evaluator values, which the fields
-    # tests hold bit for bit to value; a construction that read J at the
-    # wrong rows still fails, which reusing its J would hide. One max per
-    # chunk is the max over its rows, and np.max keeps a NaN
+    # J_f comes from the construction; the J it must reproduce is evaluated
+    # again at the chunk's rows, so a construction that read J at the wrong
+    # rows still fails (README, "Stacked chunks"); the two sides share only
+    # the input evaluator values. np.max keeps a NaN
     for rows, jf in over_chunks(pts, lambda rows: induced_structures(rows, m, ctx.tol)):
         worst = worst_of(worst, float(np.max(np.abs(jf - m.j.values(rows)))))
     return CheckResult(worst, int(len(pts)))

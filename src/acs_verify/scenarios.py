@@ -34,6 +34,10 @@ from .universal import PointwiseACManifold
 
 _SCHEMA_CACHE: dict = {}
 
+# Most points a samples.counts grid may ask for: 771 times the largest
+# bundled or benchmark grid (6^4), as many as the n = 3 default grid
+MAX_GRID_POINTS = 10 ** 6
+
 
 def _non_finite(literal: str):
     raise SchemaError(f"non-finite number {literal} in JSON input")
@@ -125,6 +129,11 @@ def validate_scenario(doc, memo: RunMemo | None = None) -> None:
     samples = doc.get("samples", {})
     if "dims" in samples and samples["dims"] != len(samples["counts"]):
         raise SchemaError("samples.dims must equal len(samples.counts)")
+    points = 1
+    for count in samples.get("counts", []):
+        points *= int(count)  # an integral float such as 1e300 is an integer
+        if points > MAX_GRID_POINTS:
+            raise SchemaError(f"samples.counts asks for more than {MAX_GRID_POINTS} grid points")
     if len({len(row) for row in samples.get("points", [])}) > 1:
         raise SchemaError("samples.points rows must all have the same length")
     checks_for(doc["kind"], doc.get("checks"))

@@ -156,9 +156,9 @@ class UniversalPoint:
         self.z = np.asarray(z, dtype=float).reshape(-1)
         self.sigp = np.asarray(sigp, dtype=complex)
 
-    def validate(self, tol: Tolerances = DEFAULT) -> None:
+    def validate(self) -> None:
         """validate_fibers on this point alone."""
-        validate_fibers(self.n, self.k, self.z[None], self.sigp[None], tol)
+        validate_fibers(self.k, self.z[None], self.sigp[None])
 
 
 def _raise_first(bad: np.ndarray, error) -> None:
@@ -167,24 +167,16 @@ def _raise_first(bad: np.ndarray, error) -> None:
         raise error(int(np.argmax(bad)))
 
 
-def validate_fibers(n: int, k: int, z, sigp, tol: Tolerances = DEFAULT) -> None:
-    """Certify stacked points (z, Sig'), one per leading index, by the tests
-    that can fail on a point of build_fibers: the shapes, then
-    Sig' (+) conj Sig' = C^{2k} (the rest holds by construction, see
-    build_fibers). The split test runs on the whole stack; the first point
-    that fails raises EigenSplitFailure with the message the same test
-    gives a stack of one. With Sig' = A + iB,
-    [Sig' | conj Sig'] = [A | B] [[I, I], [iI, -iI]], whose right factor
-    is sqrt(2) times a unitary: the split test is real."""
+def validate_fibers(k: int, z, sigp) -> None:
+    """Certify the shapes of stacked points (z, Sig'): z of width 2k, Sig'
+    2k x k. Nothing else can fail on a point of build_fibers (reality and
+    S' in Sig' by construction, the split by _split_bound)."""
     if z.shape[1] != 2 * k:
         raise DimensionMismatch("base point must live in C^{2k}")
     if sigp.shape[1] != 2 * k:
         raise DimensionMismatch("Sigma' must live in C^{2k}")
     if sigp.shape[2] != k:
         raise EigenSplitFailure(f"Sigma' has dimension {sigp.shape[2]}, expected {k}")
-    s = np.sqrt(2.0) * np.linalg.svd(np.dstack([sigp.real, sigp.imag]), compute_uv=False)
-    _raise_first(~(s[:, -1] > tol.rank_rtol * s[:, 0]), lambda i: EigenSplitFailure(
-        f"Sigma' and Sigma'' do not split C^{{2k}} (sigma_min={s[i, -1]:.3e})"))
 
 
 # Rows per stacked call of build_fibers, of the reconstruction sweep (J_f
@@ -217,13 +209,30 @@ def over_chunks(xs, stacked):
             yield rows, result
 
 
-def _kernels(mats: np.ndarray, rtol: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _kernels(mats: np.ndarray, rtol: float, dim: int) -> tuple[np.ndarray, ...]:
     """cxlinalg.nullspace of every matrix of a stack: the last dim right
-    singular vectors, and the kernel dimension the rank cutoff gives each
-    matrix (the bases are the kernels where that equals dim)."""
+    singular vectors, the kernel dimension the rank cutoff gives each
+    matrix (the bases are the kernels where that equals dim), and the
+    singular values."""
     _, s, vh = np.linalg.svd(mats)
     found = mats.shape[2] - np.sum(s > rtol * s[:, :1], axis=1)
-    return np.swapaxes(vh[:, mats.shape[2] - dim:].conj(), 1, 2), found
+    return np.swapaxes(vh[:, mats.shape[2] - dim:].conj(), 1, 2), found, s
+
+
+def _split_bound(dg_sv: np.ndarray, ker_plus: np.ndarray) -> np.ndarray:
+    """Lower bound on sigma_min / sigma_max of [Sig' | Sig''] per stacked
+    point, from the singular values of dg and the basis P of ker(J - i):
+    min(sqrt2 s_min(dg), 1) / max(sqrt2 s_max(dg), 1) sqrt(1 - ||P^T P||_2) / 2.
+    The frame F has singular values sqrt2 s(dg) and 1; Sig' = F K' R^-1
+    with K' orthogonal of column norms 1 or sqrt2, so |R| <= sqrt2 |F|;
+    [K' | conj K'] is block diagonal in [P | conj P], whose sigma_min^2 is
+    1 - ||P^T P||_2, and sqrt2 unitaries; |[Sig' | Sig'']| <= sqrt2. So a
+    bound above rank_rtol also keeps the QR diagonal above it (README,
+    "How universal fibers are built")."""
+    frame_sv = np.sqrt(2.0) * dg_sv
+    cond = np.minimum(frame_sv[:, -1], 1.0) / np.maximum(frame_sv[:, 0], 1.0)
+    overlap = np.linalg.norm(np.swapaxes(ker_plus, 1, 2) @ ker_plus, ord=2, axis=(1, 2))
+    return cond * np.sqrt(np.maximum(1.0 - overlap, 0.0)) / 2.0
 
 
 def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
@@ -236,7 +245,7 @@ def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
     taut_dim = k - 2 * n
     dg = m.g.jacobian_values(xs)
     # the SVD that gives NX = ker dg^T is the rank test: dim NX = k - rank dg
-    nx, found = _kernels(np.swapaxes(dg, 1, 2), rtol, taut_dim)
+    nx, found, dg_sv = _kernels(np.swapaxes(dg, 1, 2), rtol, taut_dim)
     nx = nx.real
     _raise_first(found != taut_dim, lambda i: RankDeficientEmbedding(
         f"dg has rank < {2 * n} at x={xs[i].tolist()}"))
@@ -245,17 +254,17 @@ def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
     resid = np.max(np.abs(jx @ jx + eye), axis=(1, 2))
     _raise_first(resid > 1e3 * tol.alg_atol, lambda i: EigenSplitFailure(
         f"||J^2 + Id|| = {resid[i]:.3e} at x={xs[i].tolist()}"))
-    ker_plus, plus_dim = _kernels(jx - 1j * eye, rtol, n)
+    ker_plus, plus_dim, _ = _kernels(jx - 1j * eye, rtol, n)
     _raise_first(plus_dim != n, lambda i: EigenSplitFailure(
         f"eigenspace dims of J ({plus_dim[i]}, {plus_dim[i]}), expected ({n}, {n})"))
+    bound = _split_bound(dg_sv, ker_plus)
+    _raise_first(~(bound > rtol), lambda i: EigenSplitFailure(
+        f"Sigma' and Sigma'' do not split C^{{2k}} (split bound={bound[i]:.3e} "
+        f"at x={xs[i].tolist()})"))
 
     zeros_nx = np.zeros_like(nx)
-    frame = np.concatenate([
-        np.concatenate([dg, dg], axis=1),
-        np.concatenate([dg, -dg], axis=1),
-        np.concatenate([nx, zeros_nx], axis=1),
-        np.concatenate([zeros_nx, nx], axis=1),
-    ], axis=2)
+    frame = np.concatenate([np.concatenate([dg, dg, nx, zeros_nx], axis=2),
+                            np.concatenate([dg, -dg, zeros_nx, nx], axis=2)], axis=1)
     # frame coordinates: S part (ker(J + i) = conj ker(J - i) in the anti
     # block, T+) first, then the quotient part ker(J - i) in the diag block
     cols = np.zeros((len(xs), 2 * k, k), dtype=complex)
@@ -263,13 +272,9 @@ def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
     cols[:, 4 * n:4 * n + taut_dim, n:k - n] = np.eye(taut_dim)
     cols[:, 4 * n + taut_dim:, n:k - n] = -1j * np.eye(taut_dim)
     cols[:, :2 * n, k - n:] = ker_plus
-    sigp, r = np.linalg.qr(frame @ cols)
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    _raise_first(diag.min(axis=1) <= rtol * diag.max(axis=1), lambda i: EigenSplitFailure(
-        "eigenspace columns are numerically dependent"))
-    gx = m.g.values(xs)[:, :, 0]
-    z = np.concatenate([gx, gx], axis=1)
-    validate_fibers(n, k, z, sigp, tol)
+    sigp = np.linalg.qr(frame @ cols)[0]
+    z = np.tile(m.g.values(xs)[:, :, 0], 2)
+    validate_fibers(k, z, sigp)
     return dg, z, sigp
 
 
@@ -291,8 +296,13 @@ def build_fibers(xs, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
     J(x) and F are real, so one SVD gives ker(J - i), ker(J + i) is its
     conjugate, and the -i side is the conjugate of the +i side: reality
     (S'' = conj S', Sig'' = conj Sig', z real) and S' in Sig' hold by
-    construction, so a point keeps only z and Sig', and validate_fibers
-    tests only what can still fail.
+    construction, so a point keeps only z and Sig'.
+
+    The split Sig' (+) Sig'' = C^{2k} is certified before the QR by
+    _split_bound: "Sigma' and Sigma'' do not split" where the bound is at
+    or below rank_rtol, also where the true ratio (at most 2 kappa^2 times
+    the bound, kappa the inverse of its first factor; 2.21 to 2.83 times
+    on the bundled grids) is not. validate_fibers then tests the shapes.
 
     The rows are built FIBER_CHUNK at a time: g, dg and J are evaluated
     for the chunk at once, and every SVD, QR, product and test runs on
@@ -300,8 +310,8 @@ def build_fibers(xs, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
     chunk in which a guard fires is rebuilt one row at a time (see
     over_chunks), so the first bad row raises the error a loop over the
     rows raises there: RankDeficientEmbedding when dg(x) loses rank,
-    EigenSplitFailure when J(x) is not a complex structure or the
-    eigenspace extraction misbehaves.
+    EigenSplitFailure when J(x) is not a complex structure or the split
+    bound fails.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     for _, (_, z, sigp) in over_chunks(xs, lambda rows: _fiber_rows(rows, m, tol)):
@@ -318,32 +328,30 @@ def build_fiber(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT) -> Univers
 # induced structure through the quotient
 # ---------------------------------------------------------------------------
 
-def _induced_from_parts(dg2k: np.ndarray, fibers: np.ndarray,
+def _induced_from_parts(dg: np.ndarray, sigp: np.ndarray,
                         tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Multiplication by i on the quotient C^{2k} / fiber, pulled back to
-    the base through dG, for each stacked point (dg2k: (rows, 2k, 2n);
-    fibers: complex bases (rows, 2k, 2k - n)). Returns the stacked J.
-
-    The trailing n columns W of a complete QR of the fiber are an
-    orthonormal basis of its orthogonal complement, so W^H is the
-    quotient map. C = W^H dG is n x 2n complex, M = [Re C; Im C] is its
-    2n x 2n realification, and J = M^-1 J_std(n) M.
-    """
-    n = dg2k.shape[2] // 2
-    width = fibers.shape[2]
-    if width != dg2k.shape[1] - n:
-        raise DimensionMismatch("fiber does not have complementary dimension")
-    q, _ = np.linalg.qr(fibers, mode="complete")
-    c = np.conj(q[:, :, width:]).transpose(0, 2, 1) @ dg2k
-    mat = np.concatenate([c.real, c.imag], axis=1)
-    # W is orthonormal and its kernel is exactly the fiber (whose columns
-    # validate_fibers certified independent), so |M v| is the distance of
-    # dG v from the fiber. sigma_min(M) is how close the image of dG comes
-    # to the fiber, and sigma_max(M) <= ||dG|| sets the scale, so the
-    # ratio does not move when dG is scaled. A ratio at or below
-    # rank_rtol, the cut-off of every rank decision in the library, means
-    # dG carries some unit tangent to within that relative distance of
-    # the fiber: the tangent meets the fiber at the library's tolerance.
+    """J_f = multiplication by i on C^{2k} / (S' (+) Sig''), pulled back
+    through dG = [dg; dg], per stacked point (dg: (rows, k, 2n); sigp:
+    (rows, 2k, k)). The coefficients of dG on the quotient columns
+    Sig'[:, k - n:] in the basis [Sig' | Sig''] are a quotient map (kernel
+    exactly the fiber), and J_f does not depend on which one reads it. As
+    [Sig' | Sig''] = [A | B] [[I, I], [iI, -iI]] with Sig' = A + iB, one
+    real solve [A | B] Y = dG gives them: M = [Y_A; -Y_B] is twice their
+    realification, and J_f = M^-1 J_std(n) M. A singular [A | B] (a real
+    vector in Sig', hence in Sig'') raises EigenSplitFailure."""
+    k, n = dg.shape[1], dg.shape[2] // 2
+    if sigp.shape[1:] != (2 * k, k):
+        raise DimensionMismatch(f"Sigma' must be {2 * k} x {k}, got {sigp.shape[1:]}")
+    try:
+        y = np.linalg.solve(np.dstack([sigp.real, sigp.imag]), np.hstack([dg, dg]))
+    except np.linalg.LinAlgError:
+        raise EigenSplitFailure(
+            "Sigma' and Sigma'' do not split C^{2k} (singular solve)") from None
+    mat = np.concatenate([y[:, k - n:k], -y[:, 2 * k - n:]], axis=1)
+    # a ratio at or below rank_rtol: dG carries a unit tangent to within
+    # that relative size into the fiber. Read through the orthogonal
+    # complement instead, M gains a factor of condition at most
+    # cond([Sig' | Sig'']) <= 1 / split bound, and the ratio moves by that
     sv = np.linalg.svd(mat, compute_uv=False)
     _raise_first(sv[:, -1] <= tol.rank_rtol * sv[:, 0], lambda i: NotTransverse(
         f"base tangent meets the fiber (sigma_min={sv[i, -1]:.3e})"))
@@ -356,20 +364,13 @@ def _induced_from_parts(dg2k: np.ndarray, fibers: np.ndarray,
 
 def induced_structures(xs, m: PointwiseACManifold,
                        tol: Tolerances = DEFAULT) -> np.ndarray:
-    """J_f at every row x of xs, stacked (rows, 2n, 2n), from one
-    _fiber_rows stack and its dg, with no point objects.
-
-    The fiber S' (+) Sigma'' is read as the columns [S' | conj Sigma'].
-    They are part of [Sigma' | Sigma''], whose sigma_min validate_fibers
-    certified, so they are independent by interlacing, and J_f does not
-    depend on the fiber basis: W spans the orthogonal complement of the
-    fiber whatever basis spans it. The first row at which a guard fires
-    raises; over_chunks turns that into the error of a loop over rows.
-    """
+    """J_f at every row x of xs, stacked (rows, 2n, 2n): _induced_from_parts
+    on one _fiber_rows stack and its dg, with no point objects. The first
+    row at which a guard fires raises; over_chunks turns that into the
+    error of a loop over rows."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     dg, _, sigp = _fiber_rows(xs, m, tol)
-    fibers = np.concatenate([sigp[:, :, :m.k - m.n], sigp.conj()], axis=2)
-    return _induced_from_parts(np.concatenate([dg, dg], axis=1), fibers, tol)
+    return _induced_from_parts(dg, sigp, tol)
 
 
 def induced_structure_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
@@ -384,8 +385,7 @@ def induced_structure_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
     if point is None:
         return induced_structures(x, m, tol)[0]
     dg = m.g.jacobian_values(np.atleast_2d(np.asarray(x, dtype=float)))
-    fiber = np.concatenate([point.sigp[:, :m.k - m.n], point.sigp.conj()], axis=1)
-    return _induced_from_parts(np.concatenate([dg, dg], axis=1), fiber[None], tol)[0]
+    return _induced_from_parts(dg, point.sigp[None], tol)[0]
 
 
 def induced_structure_field(m: PointwiseACManifold,
@@ -452,28 +452,21 @@ class ChartFrame:
     def __init__(self, point: UniversalPoint, tol: Tolerances = DEFAULT):
         self.point = point
         self.tol = tol
-        k, n = point.k, point.n
-        self.k = k
-        self.n = n
+        self.k, self.n = k, n = point.k, point.n
         self.big_n = dimension_universal(n, k)
         self.n_vars, self.rows, self.cols = self.big_n, n, self.big_n - n
         self.b_sigp = point.sigp
         self.b_sigpp = point.sigp.conj()
         self.quot = self.b_sigp[:, k - n:]
         self.rest = np.concatenate([self.b_sigp[:, :k - n], self.b_sigpp], axis=1)
-        # [Sigma' | Sigma'']: validate_fibers certified its rank
+        # [Sigma' | Sigma'']: build_fibers certified its split
         self.ambient_frame = np.concatenate([self.b_sigp, self.b_sigpp], axis=1)
 
     # block slices -----------------------------------------------------------
     def slices(self):
         k, n = self.k, self.n
-        sizes = [n, 2 * k - n, n * (k - n), n * (k - n), k * k, k * k]
-        out = []
-        start = 0
-        for s in sizes:
-            out.append(slice(start, start + s))
-            start += s
-        return out
+        ends = np.cumsum([0, n, 2 * k - n, n * (k - n), n * (k - n), k * k, k * k]).tolist()
+        return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
     def _joint(self, z):
         """joint(z) = [quot | S'(z) | Sigma''(z)] at chart vector z, whose

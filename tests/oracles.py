@@ -1,7 +1,7 @@
 """Reference routes and helpers that only the tests use, kept out of the
 library.
 
-`build_fiber` and `induced_reduced_at` are the one-point-at-a-time
+`build_fiber` and `induced_solve_at` are the one-point-at-a-time
 forms of the library's stacked route (`universal.build_fibers`,
 `universal.induced_structures`). They call only per-point LAPACK and
 field evaluations (`value`, `jacobian_value`), so the tests can compare
@@ -13,11 +13,15 @@ gives +0.0). It returns a `FiberTuple`, the whole 5-tuple with a basis
 of each of S', S'', Sigma' and Sigma'', where a library
 `UniversalPoint` keeps only z and Sigma'; `validate` keeps, for such
 tuples, the containment, conjugation and z-real tests that the
-library's point type makes hold by construction. `induced_at` is the joint
-route the library replaced: it solves [dG | S' | Sigma''] x = i dG in
-realified coordinates, a 4k x 4k system, where the library solves
-2n x 2n through the orthogonal complement of the fiber; the tests hold
-the two routes to the same J_f to a stated bound.
+library's point type makes hold by construction. `split_by_svd` is the
+real SVD of [Sigma' | conj Sigma'] that the library's split test took
+before it read a lower bound off the build (`universal._split_bound`);
+the tests hold the bound below it. `induced_reduced_at` is the quotient
+map the library took before the solve: the orthogonal complement of the
+fiber, from a complete QR. `induced_at` is the joint route before that:
+it solves [dG | S' | Sigma''] x = i dG in realified coordinates, a
+4k x 4k system. The tests hold both to the library's J_f to a stated
+bound.
 `horizontal_qr_basis` is the pivoted-QR orthonormalization of
 [S' | Sigma''] that the library dropped, kept so a test can hold the two
 fiber bases to the same J_f. `reconstruction_report` sweeps a grid
@@ -357,9 +361,10 @@ def induced_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
 def induced_reduced_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
                        point: FiberTuple | None = None) -> np.ndarray:
     """J_f at x through the orthogonal complement of the fiber, one point
-    at a time: the library's route (`universal._induced_from_parts`)
-    with its guards, on 2-d arrays instead of a stack, on the tuple's own
-    S' and Sigma''."""
+    at a time, on the tuple's own S' and Sigma'': the trailing n columns
+    W of a complete QR of [S' | Sigma''] give the quotient map W^H, the
+    route the library took before it read the quotient off one solve
+    against [Sigma' | Sigma'']."""
     if point is None:
         point = build_fiber(x, m, tol)
     fiber = np.concatenate([point.sp, point.sigpp], axis=1)
@@ -375,6 +380,48 @@ def induced_reduced_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
     if resid > 1e3 * tol.alg_atol:
         raise NotAComplexStructure(f"||J_f^2 + Id|| = {resid:.3e}")
     return jf
+
+
+def induced_solve_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
+                     point: FiberTuple | None = None) -> np.ndarray:
+    """J_f at x by the library's route (`universal._induced_from_parts`)
+    with its guards, one point at a time on 2-d arrays: one real solve
+    [Re Sigma' | Im Sigma'] Y = [dg; dg], M = [Y_A; -Y_B] on the quotient
+    rows, J_f = M^-1 J_std M."""
+    if point is None:
+        point = build_fiber(x, m, tol)
+    k, n = m.k, m.n
+    dg = jacobian_value(m.g, np.asarray(x, dtype=float).reshape(-1))
+    try:
+        y = np.linalg.solve(np.hstack([point.sigp.real, point.sigp.imag]), np.vstack([dg, dg]))
+    except np.linalg.LinAlgError:
+        raise EigenSplitFailure("Sigma' and Sigma'' do not split C^{2k} "
+                                "(singular solve)") from None
+    mat = np.vstack([y[k - n:k], -y[2 * k - n:]])
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if sv[-1] <= tol.rank_rtol * sv[0]:
+        raise NotTransverse(f"base tangent meets the fiber (sigma_min={sv[-1]:.3e})")
+    jf = np.linalg.solve(mat, standard_structure(n) @ mat)
+    resid = np.max(np.abs(jf @ jf + np.eye(jf.shape[0])))
+    if resid > 1e3 * tol.alg_atol:
+        raise NotAComplexStructure(f"||J_f^2 + Id|| = {resid:.3e}")
+    return jf
+
+
+def split_by_svd(sigp: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """sigma_min / sigma_max of [Sigma' | conj Sigma'] for each stacked
+    Sigma' (rows, 2k, k), by the real SVD that `validate_fibers` took
+    before `universal._split_bound` replaced it; the first point at or
+    below rank_rtol raises as that test did. With Sigma' = A + iB,
+    [Sigma' | conj Sigma'] = [A | B] [[I, I], [iI, -iI]], whose right
+    factor is sqrt(2) times a unitary."""
+    s = np.sqrt(2.0) * np.linalg.svd(np.dstack([sigp.real, sigp.imag]), compute_uv=False)
+    bad = ~(s[:, -1] > tol.rank_rtol * s[:, 0])
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise EigenSplitFailure(
+            f"Sigma' and Sigma'' do not split C^{{2k}} (sigma_min={s[i, -1]:.3e})")
+    return s[:, -1] / s[:, 0]
 
 
 def reconstruction_report(m: PointwiseACManifold, counts,

@@ -370,6 +370,25 @@ def test_run_dims_counts_mismatch_rejected(tmp_path, capsys):
     assert code == 2 and "dims" in err
 
 
+@pytest.mark.parametrize("count", [1e300, 10 ** 12, 166667],
+                         ids=["float-1e300", "int-1e12", "just-above-the-limit"])
+def test_run_a_counts_grid_above_the_point_limit_exits_two(tmp_path, capsys, count):
+    # 1e300 (an integral float, which the schema reads as an integer) ended
+    # in a ValueError traceback and 10^12 in numpy's _ArrayMemoryError
+    # (7.28 TiB), both out of TorusChart.grid; 166667 * 6 is one grid of
+    # 1000002 points
+    doc = json.loads(find_scenario("universal_n1_k4"))
+    doc["samples"] = {"dims": 2, "counts": [count, 6]}
+    assert_one_line_rejection(*run_doc(tmp_path, capsys, doc), "samples.counts")
+
+
+def test_a_counts_grid_at_the_point_limit_is_accepted():
+    doc = {"id": "x", "kind": "fields", "seed": 1,
+           "samples": {"dims": 2, "counts": [1000, 1000]}}
+    assert scenarios.MAX_GRID_POINTS == 10 ** 6
+    scenarios.validate_scenario(doc)
+
+
 def run_doc(tmp_path, capsys, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

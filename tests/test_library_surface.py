@@ -98,7 +98,8 @@ NOT_CALLED = {
 # while perfbench/tracer.py binds them (ROADMAP item 5). A binding the run
 # starts or stops calling changes this list.
 TRACER_ONLY = {
-    "universal.UniversalPoint.validate": "validate_fibers on one point; tests call it",
+    "universal.UniversalPoint.validate": "the shape tests of validate_fibers on one point; "
+                                         "tests call it",
     "cxlinalg.eigen_split": "the reference eigenspace split of the tests' oracles",
     "cxlinalg.intersect": "subspace intersection, called only by tests",
     "cxlinalg.subspace_eq": "projector equality of subspaces, the tests' comparison",

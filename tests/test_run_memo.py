@@ -83,9 +83,9 @@ def count_rows(monkeypatch):
             return original(xs, m, tol)
         return call
 
-    def counted_validate(n, k, z, *rest):
+    def counted_validate(k, z, sigp):
         validated.extend(z)
-        return validate(n, k, z, *rest)
+        return validate(k, z, sigp)
 
     monkeypatch.setattr(checks, "build_fibers", counted(build))
     monkeypatch.setattr(checks, "induced_structures", counted(sweep))
@@ -179,10 +179,10 @@ def test_failed_fiber_gives_the_same_error_in_both_checks(monkeypatch, order):
     bad = np.concatenate([gx, gx]).astype(complex)
     original = universal.validate_fibers
 
-    def failing(n, k, z, *rest):
+    def failing(k, z, sigp):
         if any(np.array_equal(row, bad) for row in z):
             raise EigenSplitFailure("tampered point")
-        return original(n, k, z, *rest)
+        return original(k, z, sigp)
 
     monkeypatch.setattr(universal, "validate_fibers", failing)
     records, aggregate = run_scenario(doc)

@@ -9,6 +9,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from acs_verify import distribution, universal
@@ -209,15 +210,20 @@ def test_build_fiber_rejects_point_where_j_is_not_complex():
         build_fiber(bad, m)
 
 
-def test_universal_point_validate_catches_tampering():
+def test_a_point_tampered_after_its_build_fails_the_quotient_map():
     m = oracles.default_torus(1)
-    p = build_fiber(np.array([0.5, 0.7]), m)
+    x = np.array([0.5, 0.7])
+    p = build_fiber(x, m)
     p.sigp = p.sigp.copy()
     # a real vector in Sigma' lies in Sigma'' = conj Sigma' too, so the two
-    # cannot split the ambient space
+    # cannot split the ambient space: the shapes still pass, the solve
+    # against [Sigma' | Sigma''] is singular, and the SVD oracle agrees
     p.sigp[:, -1] = p.sigp[:, -1].real
+    p.validate()
     with pytest.raises(EigenSplitFailure, match="do not split"):
-        p.validate()
+        induced_structure_at(x, m, point=p)
+    with pytest.raises(EigenSplitFailure, match="do not split"):
+        oracles.split_by_svd(p.sigp[None])
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +264,19 @@ def test_induced_structure_grid_sweep_n2_small():
 
 
 def test_not_transverse_when_fiber_swallows_base_direction():
+    # for v in NX, (v, v) = 2 Re s with s = (1 + i)(v, -i v) in the T+ part
+    # of S', and conj s lies in S'' inside Sigma'': a real vector of the
+    # fiber S' (+) Sigma''. A dg whose first column is v hands it to dG
     for n in (1, 2, 3):
         m = perturbed_manifold(n)
         x = np.linspace(0.5, 0.7, 2 * n)
-        fib = oracles.horizontal_columns(build_fiber(x, m))
-        dg2k = np.vstack([oracles.jacobian_value(m.g, x)] * 2)
-        bad_cols = np.concatenate(
-            [dg2k[:, :1].astype(complex), fib[:, :-1]], axis=1
-        )
-        bad = ComplexSubspace.from_columns(bad_cols)
+        sigp = build_fiber(x, m).sigp
+        dg = oracles.jacobian_value(m.g, x)
+        swallowed = dg.copy()
+        swallowed[:, 0] = nullspace(dg.T, DEFAULT.rank_rtol)[:, 0].real
+        _induced_from_parts(dg[None], sigp[None])
         with pytest.raises(NotTransverse):
-            _induced_from_parts(dg2k[None], bad.basis[None])
+            _induced_from_parts(swallowed[None], sigp[None])
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -276,10 +284,10 @@ def test_fiber_of_the_wrong_width_is_a_dimension_mismatch(extra):
     m = perturbed_manifold(2)
     x = np.linspace(0.5, 0.7, 4)
     p = build_fiber(x, m)
-    cols = np.concatenate([oracles.horizontal_columns(p), p.sigp], axis=1)
-    dg2k = np.vstack([oracles.jacobian_value(m.g, x)] * 2)
+    cols = np.concatenate([p.sigp, p.sigp.conj()], axis=1)
+    dg = oracles.jacobian_value(m.g, x)
     with pytest.raises(DimensionMismatch):
-        _induced_from_parts(dg2k[None], cols[None, :, :2 * p.k - p.n + extra])
+        _induced_from_parts(dg[None], cols[None, :, :p.k + extra])
 
 
 # ---------------------------------------------------------------------------
@@ -1054,7 +1062,9 @@ def test_stacked_fibers_and_jf_match_the_oracle_bitwise(n, counts, seed):
         for x, point, jf in zip(rows, chunk, jfs):
             want = oracles.build_fiber(x, m)
             assert_fiber_bits(point, want)
-            assert same_bits(jf, oracles.induced_reduced_at(x, m, point=want))
+            assert same_bits(jf, oracles.induced_solve_at(x, m, point=want))
+            # the complete-QR quotient map the solve replaced
+            assert np.max(np.abs(jf - oracles.induced_reduced_at(x, m, point=want))) <= 1e-13
 
 
 @pytest.mark.parametrize("n, counts", [(1, [6, 7]), (2, [3, 3, 3, 3]), (3, [2] * 6)])
@@ -1086,22 +1096,31 @@ def test_horizontal_columns_give_the_jf_of_their_pivoted_qr(n, counts, seed):
 
 
 def test_fiber_whose_horizontal_columns_drop_rank_never_reaches_jf(monkeypatch):
+    # Sigma' tampered after the QR, where the split bound cannot see it:
+    # the quotient solve must fail it with a library error, not a
+    # LinAlgError, and hand out no J_f
     from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
 
     validate = universal.validate_fibers
+    quotient = universal._induced_from_parts
 
-    def swallow(n, k, z, sigp, tol=DEFAULT):
+    def swallow(k, z, sigp):
         # a real first column of S' lies in Sigma'' = conj Sigma' too
+        n = 1
         sigp[:, :, 0] = sigp[:, :, 0].real
         cols = np.concatenate([sigp[:, :, :k - n], sigp.conj()], axis=2)
         s = np.linalg.svd(cols, compute_uv=False)
         assert np.all(s[:, -1] <= 1e-12 * s[:, 0])
-        validate(n, k, z, sigp, tol)
+        validate(k, z, sigp)
 
     solves = []
+
+    def counted(*args):
+        solves.append(quotient(*args))
+        return solves[-1]
+
     monkeypatch.setattr(universal, "validate_fibers", swallow)
-    monkeypatch.setattr(universal, "_induced_from_parts",
-                        lambda *args: solves.append(args))
+    monkeypatch.setattr(universal, "_induced_from_parts", counted)
     doc = parse_scenario(find_scenario("universal_n1_k4"))
     doc["checks"] = ["universal_reconstruction"]
     [record], _ = run_scenario(doc)
@@ -1115,7 +1134,7 @@ def test_chunk_of_one_matches_the_oracle_bitwise(n):
     m = perturbed_manifold(n, seed=5)
     for x in TorusChart(2 * n).grid([2] * (2 * n))[:4]:
         assert_fiber_bits(build_fiber(x, m), oracles.build_fiber(x, m))
-        assert same_bits(induced_structure_at(x, m), oracles.induced_reduced_at(x, m))
+        assert same_bits(induced_structure_at(x, m), oracles.induced_solve_at(x, m))
 
 
 def test_reconstruction_check_matches_the_oracle_sweep():
@@ -1125,10 +1144,15 @@ def test_reconstruction_check_matches_the_oracle_sweep():
     doc = parse_scenario(find_scenario("universal_n1_k4"))
     doc["checks"] = ["universal_reconstruction"]
     [record], _ = run_scenario(doc)
-    rep = reconstruction_report(build_manifold(doc["payload"], doc["seed"]),
-                                doc["samples"]["counts"])
+    m = build_manifold(doc["payload"], doc["seed"])
+    rep = reconstruction_report(m, doc["samples"]["counts"])
     assert record["samples_checked"] == rep["points_checked"]
-    assert record["max_residual"] == rep["max_deviation"]
+    # bit for bit against the one-point solve route, and to roundoff
+    # against the joint route of the sweep
+    worst = max(float(np.max(np.abs(oracles.induced_solve_at(x, m) - m.j.value(x))))
+                for x in TorusChart(2).grid(doc["samples"]["counts"]))
+    assert record["max_residual"] == worst
+    assert abs(record["max_residual"] - rep["max_deviation"]) <= 1e-14
 
 
 def test_reconstruction_fails_a_construction_that_reads_j_at_other_rows(monkeypatch):
@@ -1152,9 +1176,10 @@ def built_stack(m, counts):
     return np.stack([p.z for p in points]), np.stack([p.sigp for p in points])
 
 
-def test_validate_fibers_rejects_the_first_tampered_point_of_a_stack():
+def test_split_svd_rejects_the_first_tampered_point_of_a_stack():
     z, sigp = built_stack(perturbed_manifold(1), [2, 2])
-    universal.validate_fibers(1, 4, z, sigp)
+    universal.validate_fibers(4, z, sigp)
+    oracles.split_by_svd(sigp)
     # a real quotient column at the third point, a nearly real one at the
     # second: the message reads the sigma_min of the second
     sigp[2, :, -1] = sigp[2, :, -1].real
@@ -1163,7 +1188,7 @@ def test_validate_fibers_rejects_the_first_tampered_point_of_a_stack():
         np.concatenate([sigp[1].real, sigp[1].imag], axis=1), compute_uv=False)[-1]
     assert 1e-12 < sigma < 1e-9
     with pytest.raises(EigenSplitFailure, match="do not split") as raised:
-        universal.validate_fibers(1, 4, z, sigp)
+        oracles.split_by_svd(sigp)
     reported = float(str(raised.value).split("sigma_min=")[1].rstrip(")"))
     assert reported == pytest.approx(sigma, rel=1e-3)
 
@@ -1171,20 +1196,24 @@ def test_validate_fibers_rejects_the_first_tampered_point_of_a_stack():
 def test_validate_fibers_rejects_wrong_shapes():
     z, sigp = built_stack(perturbed_manifold(1), [2, 2])
     with pytest.raises(DimensionMismatch, match="base point must live in"):
-        universal.validate_fibers(1, 4, z[:, :7], sigp)
+        universal.validate_fibers(4, z[:, :7], sigp)
     with pytest.raises(DimensionMismatch, match="Sigma' must live in"):
-        universal.validate_fibers(1, 4, z, sigp[:, :7])
+        universal.validate_fibers(4, z, sigp[:, :7])
     with pytest.raises(EigenSplitFailure, match="Sigma' has dimension 3, expected 4"):
-        universal.validate_fibers(1, 4, z, sigp[:, :, :3])
+        universal.validate_fibers(4, z, sigp[:, :, :3])
 
 
 def test_real_sigma_prime_in_a_stack_does_not_split():
     # a real Sigma' equals its conjugate, so [Sigma' | Sigma''] has rank k:
-    # the real split SVD must catch it
-    z, sigp = built_stack(perturbed_manifold(1), [2, 2])
+    # the real split SVD must catch it, and so must the quotient solve
+    m = perturbed_manifold(1)
+    z, sigp = built_stack(m, [2, 2])
     sigp[2] = np.linalg.qr(sigp[2].real)[0]
     with pytest.raises(EigenSplitFailure, match="Sigma' and Sigma'' do not split"):
-        universal.validate_fibers(1, 4, z, sigp)
+        oracles.split_by_svd(sigp)
+    dg = m.g.jacobian_values(TorusChart(2).grid([2, 2]))
+    with pytest.raises(EigenSplitFailure, match="Sigma' and Sigma'' do not split"):
+        _induced_from_parts(dg, sigp)
 
 
 @pytest.mark.parametrize("n, counts", [(1, [6, 7]), (2, [3, 3, 3, 3]), (3, [2] * 6)])
@@ -1198,6 +1227,71 @@ def test_real_split_svd_matches_the_complex_one(n, counts):
     real_sv = np.sqrt(2.0) * np.linalg.svd(
         np.concatenate([sigp.real, sigp.imag], axis=2), compute_uv=False)
     assert np.max(np.abs(real_sv - complex_sv) / complex_sv) <= 1e-13
+
+
+def split_bounds(xs, m, tol=DEFAULT):
+    """(bound, SVD ratio) at every row of xs: _split_bound on the singular
+    values of dg and the basis of ker(J - i) that _fiber_rows reads, and
+    the oracle's split SVD of the Sigma' that _fiber_rows builds."""
+    n, k = m.n, m.k
+    dg, _, sigp = universal._fiber_rows(xs, m, tol)
+    _, _, dg_sv = universal._kernels(np.swapaxes(dg, 1, 2), tol.rank_rtol, k - 2 * n)
+    ker_plus, _, _ = universal._kernels(m.j.values(xs) - 1j * np.eye(2 * n),
+                                        tol.rank_rtol, n)
+    return universal._split_bound(dg_sv, ker_plus), oracles.split_by_svd(sigp, tol)
+
+
+@pytest.mark.parametrize("n, counts", [(1, [6, 7]), (2, [3, 3, 3, 3]), (3, [2] * 6)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_split_bound_never_exceeds_the_svd_ratio(n, counts, seed):
+    m = perturbed_manifold(n, seed=seed)
+    bound, ratio = split_bounds(TorusChart(2 * n).grid(counts), m)
+    assert np.all(bound > DEFAULT.rank_rtol)
+    assert np.all(bound <= ratio)
+
+
+def constant_manifold(n, k, dg, jx):
+    """A stand-in for a PointwiseACManifold with g = 0 and constant dg and
+    J, for _fiber_rows, which reads only n, k and the stacked evaluators."""
+    def stacked(value):
+        return lambda xs: np.repeat(value[None], len(xs), axis=0)
+
+    g = types.SimpleNamespace(jacobian_values=stacked(dg), values=stacked(np.zeros((k, 1))))
+    return types.SimpleNamespace(n=n, k=k, g=g, j=types.SimpleNamespace(values=stacked(jx)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), extra=st.integers(0, 3), seed=st.integers(0, 2 ** 32),
+       scale=st.floats(-3.0, 3.0), spread=st.floats(0.0, 3.0))
+def test_split_bound_never_exceeds_the_svd_ratio_under_search(n, extra, seed, scale, spread):
+    # dg is 10^scale times a random k x 2n matrix, so cond(F) spans orders
+    # of magnitude either way; J = A J_std A^-1 with singular values of A
+    # e^{spread u}, u in [-1, 1], so ||P^T P|| ranges from 0 towards 1.
+    # The rank cut-off is lowered so no guard stops a small bound
+    tol = Tolerances(rank_rtol=1e-13)
+    rng = SplitMix64(seed)
+    k = 2 * n + extra
+    dg = 10.0 ** scale * rng.real_matrix(k, 2 * n)
+    u = np.linalg.qr(rng.real_matrix(2 * n, 2 * n))[0]
+    v = np.linalg.qr(rng.real_matrix(2 * n, 2 * n))[0]
+    a = u @ np.diag(np.exp(spread * rng.reals(2 * n))) @ v
+    jx = a @ standard_structure(n) @ np.linalg.inv(a)
+    bound, ratio = split_bounds(np.zeros((1, 2 * n)), constant_manifold(n, k, dg, jx), tol)
+    assert 0.0 < bound[0] <= ratio[0]
+
+
+def test_nearly_parallel_eigenspaces_do_not_split():
+    # J = A J_std A^-1 with A = diag(1, 1e-9): the +i and -i eigenvectors
+    # (1, -+ 1e-9 i) are 1e-9 apart, eigenvector condition 1e9
+    a = np.diag([1.0, 1e-9])
+    jx = a @ standard_structure(1) @ np.linalg.inv(a)
+    assert np.linalg.cond(np.linalg.eig(jx)[1]) == pytest.approx(1e9, rel=1e-3)
+    j = AlmostComplexField(TorusChart(2), TrigPolyField.constant(2, jx))
+    m = PointwiseACManifold(1, 4, default_torus_embedding(1), j)
+    with pytest.raises(EigenSplitFailure, match="Sigma' and Sigma'' do not split"):
+        build_fiber(np.array([0.5, 0.7]), m)
+    with pytest.raises(EigenSplitFailure, match="Sigma' and Sigma'' do not split"):
+        universal.induced_structures(TorusChart(2).grid([2, 2]), m)
 
 
 def test_oracle_validate_rejects_hand_built_points():
