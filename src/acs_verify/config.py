@@ -1,5 +1,6 @@
-"""Tolerance policy for rank decisions, algebraic identities and FD
-cross-checks, and the residual fold that compares against it."""
+"""Tolerance policy for rank decisions and algebraic identities, and the
+residual fold that compares against it. An FD cross-check is judged
+against its own check's tolerance."""
 from __future__ import annotations
 
 import math
@@ -12,8 +13,6 @@ class Tolerances:
     rank_rtol: float = 1e-8
     # absolute tolerance for algebraic identities evaluated in closed form
     alg_atol: float = 1e-9
-    # relative tolerance when one side of a comparison is finite-difference based
-    fd_rtol: float = 1e-4
 
 
 DEFAULT = Tolerances()

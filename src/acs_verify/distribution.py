@@ -16,9 +16,10 @@ values in the quotient C^n.
 
 All polynomial data is one type, CRPolyMap, a matrix of polynomials in
 z and conj(z); a polynomial chart map is one with no conj powers, so it
-carries an exact holomorphic derivative. CRPolyMap.substitute covers
-both exact recentering (an affine substitution) and the pullback of the
-chart form to a graph z'' = g(z', conj z'). Other chart maps (the
+carries an exact holomorphic derivative. CRPolyMap.substitute gives the
+pullback of the chart form to a graph z'' = g(z', conj z') exactly.
+Torsion off the centre is read through the frame fields
+(torsion_via_frames), not by recentering the chart. Other chart maps (the
 universal model's frame charts) supply their own exact jacobian; the
 m-point circle rule, which keeps the step size large and avoids the
 cancellation of plain small-h differencing, stays as an independent
@@ -377,51 +378,16 @@ def frame_bracket_oracle(chart: DistributionChart, z=None, h: float = 1e-4) -> T
 
 
 # ---------------------------------------------------------------------------
-# recentering
-# ---------------------------------------------------------------------------
-
-def recenter(chart: DistributionChart, new_center) -> DistributionChart:
-    """Present the same distribution in a chart centered at new_center.
-
-    Coordinates are sheared so the fiber at the new center becomes the
-    last N-n coordinate plane: w = L (z - z1) with L = [[I, -a(z1)], [0, I]]
-    and the new matrix map is a(z1 + L^-1 w) - a(z1), which vanishes at
-    w = 0. The chart map must be a CRPolyMap, so the substitution is exact.
-    """
-    if not isinstance(chart.amap, CRPolyMap):
-        raise ShapeMismatch("recenter needs a polynomial chart map")
-    z1 = chart._check_domain(new_center)
-    a1 = chart.a_value(z1)
-    n, big_n = chart.n, chart.big_n
-    l_inv = np.eye(big_n, dtype=complex)
-    l_inv[:n, n:] = a1
-    # z = L^-1 w + z1; each row lists the constant first, then
-    # w_0..w_{N-1}, which fixes the summation order of the new map
-    zero = (0,) * big_n
-    subs = {}
-    for b in range(big_n):
-        form = {(zero, zero): z1[b]}
-        for g in range(big_n):
-            form[(zero[:g] + (1,) + zero[g + 1:], zero)] = l_inv[b, g]
-        subs[(b, 0)] = form
-    new_map = chart.amap.substitute(CRPolyMap(big_n, big_n, 1, subs)) + \
-        CRPolyMap.constant(big_n, -a1)
-    return DistributionChart(n, big_n, new_map, radius=chart.radius)
-
-
-# ---------------------------------------------------------------------------
 # foliation and isotropy
 # ---------------------------------------------------------------------------
 
-def is_foliation(
-    chart: DistributionChart, sample_points, tol: Tolerances = DEFAULT
-) -> tuple[bool, float]:
-    """True iff the torsion vanishes (within fd tolerance) at every sample."""
+def is_foliation(chart: DistributionChart, sample_points) -> float:
+    """The largest norm of the torsion (torsion_via_frames) over the
+    sample points; 0 at every one where the distribution is a foliation."""
     worst = 0.0
     for z in sample_points:
-        local = recenter(chart, z)
-        worst = worst_of(worst, torsion_at(local, tol=tol).norm())
-    return worst <= tol.fd_rtol, worst
+        worst = worst_of(worst, torsion_via_frames(chart, z).norm())
+    return worst
 
 
 def isotropy_test(

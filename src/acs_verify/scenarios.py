@@ -25,7 +25,14 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
-from .checks import Check, CheckContext, RunMemo, build_embedding, checks_for
+from .checks import (
+    DEFAULT_GRID_COUNTS,
+    Check,
+    CheckContext,
+    RunMemo,
+    build_embedding,
+    checks_for,
+)
 from .config import DEFAULT, Tolerances
 from .errors import SchemaError, VerifyError
 from .fields import TorusChart, TrigPolyField
@@ -34,8 +41,9 @@ from .universal import PointwiseACManifold
 
 _SCHEMA_CACHE: dict = {}
 
-# Most points a samples.counts grid may ask for: 771 times the largest
-# bundled or benchmark grid (6^4), as many as the n = 3 default grid
+# Most points a samples.counts grid, or the default grid of a document
+# without samples, may ask for: 771 times the largest bundled or
+# benchmark grid (6^4), as many as the n = 3 universal default grid
 MAX_GRID_POINTS = 10 ** 6
 
 
@@ -182,6 +190,14 @@ def _validate_payload(doc, memo: RunMemo) -> None:
     # the structure's coefficients, shape and angles only: J^2 = -Id stays
     # a check's job
     n = int(payload.get("n", 1))
+    if "samples" not in doc:
+        points = 1
+        for _ in range(2 * n):
+            points *= DEFAULT_GRID_COUNTS[kind]
+            if points > MAX_GRID_POINTS:
+                raise SchemaError(
+                    f"payload.n={n} gives a {kind} scenario without samples a default "
+                    f"grid of more than {MAX_GRID_POINTS} points; give samples")
     trig = payload.get("structure", {}).get("trig")
     if trig is not None:
         try:
@@ -229,7 +245,6 @@ def resolve_tolerances(doc: dict) -> Tolerances:
     return Tolerances(
         rank_rtol=float(over.get("rank_rtol", DEFAULT.rank_rtol)),
         alg_atol=float(over.get("alg_atol", DEFAULT.alg_atol)),
-        fd_rtol=float(over.get("fd_rtol", DEFAULT.fd_rtol)),
     )
 
 

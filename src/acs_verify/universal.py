@@ -157,26 +157,23 @@ class UniversalPoint:
         self.sigp = np.asarray(sigp, dtype=complex)
 
     def validate(self) -> None:
-        """validate_fibers on this point alone."""
-        validate_fibers(self.k, self.z[None], self.sigp[None])
+        """Certify the shapes: z of width 2k, Sig' 2k x k. Nothing else can
+        fail on a point of build_fibers (reality and S' in Sig' by
+        construction, the split by _split_bound), whose z and Sig' have
+        these shapes by construction, so the build does not call it."""
+        if self.z.shape[0] != 2 * self.k:
+            raise DimensionMismatch("base point must live in C^{2k}")
+        if self.sigp.shape[0] != 2 * self.k:
+            raise DimensionMismatch("Sigma' must live in C^{2k}")
+        if self.sigp.shape[1] != self.k:
+            raise EigenSplitFailure(
+                f"Sigma' has dimension {self.sigp.shape[1]}, expected {self.k}")
 
 
 def _raise_first(bad: np.ndarray, error) -> None:
     """Raise error(i) for the first stacked point i where bad holds."""
     if np.any(bad):
         raise error(int(np.argmax(bad)))
-
-
-def validate_fibers(k: int, z, sigp) -> None:
-    """Certify the shapes of stacked points (z, Sig'): z of width 2k, Sig'
-    2k x k. Nothing else can fail on a point of build_fibers (reality and
-    S' in Sig' by construction, the split by _split_bound)."""
-    if z.shape[1] != 2 * k:
-        raise DimensionMismatch("base point must live in C^{2k}")
-    if sigp.shape[1] != 2 * k:
-        raise DimensionMismatch("Sigma' must live in C^{2k}")
-    if sigp.shape[2] != k:
-        raise EigenSplitFailure(f"Sigma' has dimension {sigp.shape[2]}, expected {k}")
 
 
 # Rows per stacked call of build_fibers, of the reconstruction sweep (J_f
@@ -273,9 +270,7 @@ def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
     cols[:, 4 * n + taut_dim:, n:k - n] = -1j * np.eye(taut_dim)
     cols[:, :2 * n, k - n:] = ker_plus
     sigp = np.linalg.qr(frame @ cols)[0]
-    z = np.tile(m.g.values(xs)[:, :, 0], 2)
-    validate_fibers(k, z, sigp)
-    return dg, z, sigp
+    return dg, np.tile(m.g.values(xs)[:, :, 0], 2), sigp
 
 
 def build_fibers(xs, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
@@ -302,7 +297,7 @@ def build_fibers(xs, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
     _split_bound: "Sigma' and Sigma'' do not split" where the bound is at
     or below rank_rtol, also where the true ratio (at most 2 kappa^2 times
     the bound, kappa the inverse of its first factor; 2.21 to 2.83 times
-    on the bundled grids) is not. validate_fibers then tests the shapes.
+    on the bundled grids) is not.
 
     The rows are built FIBER_CHUNK at a time: g, dg and J are evaluated
     for the chunk at once, and every SVD, QR, product and test runs on

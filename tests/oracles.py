@@ -91,11 +91,12 @@ product, so the tests can hold `lvmb.simplex_solve` to it bit for bit.
 The rest are small constructions the tests build their cases from or
 check the library against: subspace containment, realified matrices and
 the reassembly of an eigen splitting, chart fibers and frame vectors, a
-linear change of chart (a black-box chart map under the circle rule)
-and its recentering, coordinate planes, the exact product and Lie
-bracket of trig-poly fields, the per-point jacobian of a column field,
-the product-of-circles torus with the standard structure, and a seeded
-complex vector.
+linear change of chart (a black-box chart map under the circle rule),
+the recentering of a polynomial chart by exact substitution (the
+reference for the library's off-centre torsion) and of a black-box one,
+coordinate planes, the exact product and Lie bracket of trig-poly
+fields, the per-point jacobian of a column field, the product-of-circles
+torus with the standard structure, and a seeded complex vector.
 """
 import itertools
 import math
@@ -196,11 +197,11 @@ def contains(big: ComplexSubspace, small: ComplexSubspace,
 
 
 def validate(point: FiberTuple, tol: Tolerances = DEFAULT) -> None:
-    """The per-point tests of a 5-tuple: the library's `validate_fibers`
-    tests (shapes, the split) in its order, with the containment,
-    conjugation and z-real tests between and after them that the
-    library's point type makes hold, kept here for tuples built by
-    hand."""
+    """The per-point tests of a 5-tuple: the library's shape tests
+    (`UniversalPoint.validate`) and the split, in the order the library
+    once ran them, with the containment, conjugation and z-real tests
+    between and after them that the library's point type makes hold,
+    kept here for tuples built by hand."""
     k, n = point.k, point.n
     if point.z.shape[0] != 2 * k:
         raise DimensionMismatch("base point must live in C^{2k}")
@@ -410,11 +411,11 @@ def induced_solve_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,
 
 def split_by_svd(sigp: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """sigma_min / sigma_max of [Sigma' | conj Sigma'] for each stacked
-    Sigma' (rows, 2k, k), by the real SVD that `validate_fibers` took
-    before `universal._split_bound` replaced it; the first point at or
-    below rank_rtol raises as that test did. With Sigma' = A + iB,
-    [Sigma' | conj Sigma'] = [A | B] [[I, I], [iI, -iI]], whose right
-    factor is sqrt(2) times a unitary."""
+    Sigma' (rows, 2k, k), by the real SVD that the library's stacked
+    validator took before `universal._split_bound` replaced it; the
+    first point at or below rank_rtol raises as that test did. With
+    Sigma' = A + iB, [Sigma' | conj Sigma'] = [A | B] [[I, I], [iI, -iI]],
+    whose right factor is sqrt(2) times a unitary."""
     s = np.sqrt(2.0) * np.linalg.svd(np.dstack([sigp.real, sigp.imag]), compute_uv=False)
     bad = ~(s[:, -1] > tol.rank_rtol * s[:, 0])
     if np.any(bad):
@@ -823,8 +824,39 @@ class CallableChartMap:
         return circle_rule_jacobian(self.fn, z, self.n_vars, self.h)
 
 
+def recenter(chart: DistributionChart, new_center) -> DistributionChart:
+    """Present the same distribution in a chart centered at new_center.
+
+    Coordinates are sheared so the fiber at the new center becomes the
+    last N-n coordinate plane: w = L (z - z1) with L = [[I, -a(z1)], [0, I]]
+    and the new matrix map is a(z1 + L^-1 w) - a(z1), which vanishes at
+    w = 0. The chart map must be a CRPolyMap, so the substitution is exact.
+    torsion_at of the result is the reference that the library's frame
+    route (`distribution.torsion_via_frames`) is held to off the centre.
+    """
+    if not isinstance(chart.amap, CRPolyMap):
+        raise ShapeMismatch("recenter needs a polynomial chart map")
+    z1 = chart._check_domain(new_center)
+    a1 = chart.a_value(z1)
+    n, big_n = chart.n, chart.big_n
+    l_inv = np.eye(big_n, dtype=complex)
+    l_inv[:n, n:] = a1
+    # z = L^-1 w + z1; each row lists the constant first, then
+    # w_0..w_{N-1}, which fixes the summation order of the new map
+    zero = (0,) * big_n
+    subs = {}
+    for b in range(big_n):
+        form = {(zero, zero): z1[b]}
+        for g in range(big_n):
+            form[(zero[:g] + (1,) + zero[g + 1:], zero)] = l_inv[b, g]
+        subs[(b, 0)] = form
+    new_map = chart.amap.substitute(CRPolyMap(big_n, big_n, 1, subs)) + \
+        CRPolyMap.constant(big_n, -a1)
+    return DistributionChart(n, big_n, new_map, radius=chart.radius)
+
+
 def recenter_callable(chart: DistributionChart, new_center) -> DistributionChart:
-    """distribution.recenter for a callable chart map: the same shear
+    """recenter for a callable chart map: the same shear
     w = L (z - z1), L = [[I, -a(z1)], [0, I]], composed numerically, so
     a(z1 + L^-1 w) - a(z1) is differentiated by the circle rule."""
     z1 = chart._check_domain(new_center)

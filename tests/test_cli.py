@@ -389,6 +389,28 @@ def test_a_counts_grid_at_the_point_limit_is_accepted():
     scenarios.validate_scenario(doc)
 
 
+@pytest.mark.parametrize("kind", ["universal", "fields"])
+def test_a_default_grid_above_the_point_limit_is_rejected(kind):
+    # parse only: a run of the n = 4 documents would sweep 10^8 (universal)
+    # or 8^8 (fields) points; n = 3 (10^6 and 8^6) stays accepted
+    text = json.dumps({"id": "x", "kind": kind, "seed": 1, "payload": {"n": 4}})
+    with pytest.raises(SchemaError) as raised:
+        scenarios.parse_scenario(text)
+    message = str(raised.value)
+    assert "\n" not in message and "payload.n=4" in message
+    scenarios.parse_scenario(text.replace('"n": 4', '"n": 3'))
+    scenarios.parse_scenario(json.dumps({
+        "id": "x", "kind": kind, "seed": 1, "payload": {"n": 4},
+        "samples": {"dims": 8, "counts": [2] * 8}}))
+
+
+def test_fd_rtol_is_not_a_tolerance(tmp_path, capsys):
+    # its one reader was a second threshold inside foliation_rank_control
+    doc = json.loads(find_scenario("foliation_control"))
+    doc["tolerances"] = {"fd_rtol": 1e-4}
+    assert_one_line_rejection(*run_doc(tmp_path, capsys, doc), "fd_rtol")
+
+
 def run_doc(tmp_path, capsys, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -591,24 +591,34 @@ def _variation_formula_record(seed, payload=None):
 FIXED_DIMENSIONS = {"instances": 3, "n": 2, "N": 5}
 
 
-@pytest.mark.parametrize("seed", [1064514170, 496500247])
-def test_variation_formula_passes_a_draw_whose_variation_vanishes(seed):
-    # two instances of the first draw and one of the second have neither a
-    # conj-linear term in g nor in v at the base point, so dJ_f = 0 there;
-    # the ratio test read their FD errors as residual 1.0
+# seeds at which, before every graph draw had a conj-linear part, two
+# instances of the first and one of the second had dJ_f = 0 at the base
+# point, and 1260075293, at which all three had
+VANISHING_SEEDS = [1064514170, 496500247, 1260075293]
+
+
+@pytest.mark.parametrize("seed", VANISHING_SEEDS)
+def test_variation_formula_has_a_variation_at_every_instance(monkeypatch, seed):
+    from acs_verify import checks
+
+    djf = checks.variation_djf
+    norms = []
+
+    def recorded(*args, **kwargs):
+        value = djf(*args, **kwargs)
+        norms.append(float(np.max(np.abs(value))))
+        return value
+
+    monkeypatch.setattr(checks, "variation_djf", recorded)
     record = _variation_formula_record(seed, FIXED_DIMENSIONS)
     assert record["status"] == "pass"
     assert record["max_residual"] < 1e-3
-    assert record["samples_checked"] in (2, 4)
+    assert len(norms) == 3 and min(norms) > 1e-2
+    assert record["samples_checked"] == 6
 
 
-@pytest.mark.parametrize("seed, draws", [(1260075293, 4), (1064514170, 3), (None, 3)])
-def test_variation_formula_draws_more_only_when_every_instance_vanishes(
-        monkeypatch, seed, draws):
-    # at 1260075293 all three requested instances have dJ_f = 0, and the
-    # check once failed there with 0 samples; the fourth draw has
-    # ||dJ_f|| = 0.71. A run with an instance above the floor (1064514170
-    # has one) draws only the requested three
+@pytest.mark.parametrize("seed", VANISHING_SEEDS + [None])
+def test_variation_formula_draws_exactly_the_requested_instances(monkeypatch, seed):
     from acs_verify import checks
 
     build = checks.build_graph_scenario
@@ -617,13 +627,11 @@ def test_variation_formula_draws_more_only_when_every_instance_vanishes(
                         lambda *args: calls.append(args) or build(*args))
     record = _variation_formula_record(seed, FIXED_DIMENSIONS)
     assert record["status"] == "pass"
-    assert record["samples_checked"] >= 2
-    assert len(calls) == draws
+    assert len(calls) == 3 and record["samples_checked"] == 6
 
 
-# An instance below the floor has dJ_f = 0, which a scale leaves at 0, so
-# the floor cannot hide a scaled closed form; scaled by 0, every instance
-# falls below it and none is a sample.
+# Scaled by 0, the closed form leaves the whole variation as FD error, and
+# a decade of t no longer divides that error by ten.
 @pytest.mark.parametrize("scale, seed, payload", [
     (1 + 1e-4, None, None),
     (1 + 1e-4, 1, None),
@@ -639,7 +647,35 @@ def test_scaled_variation_fails_variation_formula(monkeypatch, scale, seed, payl
     record = _variation_formula_record(seed, payload)
     assert record["status"] == "fail"
     if scale == 0.0:
-        assert record["samples_checked"] == 0
+        assert record["max_residual"] > 1e-2
+        assert record["samples_checked"] == 2 * (payload or {}).get("instances", 3)
+
+
+GRAPH_DIMENSIONS = [(1, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6)]
+
+
+@pytest.mark.parametrize("n, big_n", GRAPH_DIMENSIONS + [(3, 5)])
+def test_graph_draws_have_full_rank_conj_linear_parts(n, big_n):
+    # every (n, N) that _graph_params draws, and one with N - n < n
+    def rank(mat):
+        s = np.linalg.svd(mat, compute_uv=False)
+        return int(np.sum(s > 1e-8 * s[0]))
+
+    for seed in range(1, 2001):
+        _, emb, var = build_graph_scenario(SplitMix64(seed), n, big_n)
+        assert rank(emb.g.wirtinger_maps()[1].value(emb.base)) == min(n, big_n - n)
+        assert rank(var.v.wirtinger_maps()[1].value(emb.base)) == n
+
+
+def test_graph_params_draw_only_the_tested_dimensions():
+    from acs_verify import checks
+
+    drawn = set()
+    for seed in range(200):
+        ctx = CheckContext(payload={}, tol=DEFAULT, seed=seed, rng=SplitMix64(seed),
+                           samples=None, sample_cap=None)
+        drawn.add(checks._graph_params(ctx)[:2])
+    assert drawn == set(GRAPH_DIMENSIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -675,3 +711,24 @@ def test_torsion_at_mutants_fail_induced_nijenhuis(monkeypatch, mutate):
     monkeypatch.setattr(checks, "torsion_at", lambda chart, tol=DEFAULT:
                         TorsionTensor(mutate(torsion_at(chart, tol=tol).theta)))
     assert _induced_nijenhuis_records()["torsion_double_entry"]["status"] == "fail"
+
+
+# the payload of the benchmark's induced_nijenhuis operation
+BENCHMARK_NIJENHUIS = {"charts": 10, "instances": 5, "pairs": 25, "n": 2, "N": 5}
+
+
+def test_zero_torsion_route_fails_nijenhuis_identity(monkeypatch):
+    # a route that returns N = 0 passed wherever dbar f had rank < 2 at
+    # every instance's base point, the bundled seed among them
+    from acs_verify import checks
+    from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
+
+    monkeypatch.setattr(checks, "nijenhuis_torsion_map", lambda emb, chart, zp, tol=DEFAULT:
+                        lambda zeta, eta: np.zeros(2 * emb.n))
+    assert _induced_nijenhuis_records()["nijenhuis_identity"]["status"] == "fail"
+    doc = parse_scenario(find_scenario("induced_nijenhuis"))
+    doc["payload"] = BENCHMARK_NIJENHUIS
+    doc["checks"] = ["nijenhuis_identity"]
+    for seed in range(1, 11):
+        [record], _ = run_scenario(doc, seed=seed)
+        assert record["status"] == "fail", seed

@@ -98,15 +98,14 @@ NOT_CALLED = {
 # while perfbench/tracer.py binds them (ROADMAP item 5). A binding the run
 # starts or stops calling changes this list.
 TRACER_ONLY = {
-    "universal.UniversalPoint.validate": "the shape tests of validate_fibers on one point; "
-                                         "tests call it",
+    "universal.UniversalPoint.validate": "the shape tests of a point (z, Sigma'), which a "
+                                         "built point passes by construction; tests call it",
     "cxlinalg.eigen_split": "the reference eigenspace split of the tests' oracles",
     "cxlinalg.intersect": "subspace intersection, called only by tests",
     "cxlinalg.subspace_eq": "projector equality of subspaces, the tests' comparison",
     "cxlinalg.direct_sum_test": "the direct-sum test of the tests' fiber oracle",
     "cxlinalg.ComplexSubspace.from_columns": "orthonormalizes columns for the tests' oracles",
     "distribution.circle_rule_jacobian": "the tests' oracle for ChartFrame.a_jacobian",
-    "distribution.torsion_via_frames": "torsion off the centre, called only by tests",
     "induced.nijenhuis_via_torsion": "one pair through nijenhuis_torsion_map; tests call it",
     "induced.dbar_f_fiber_coords": "dbar f in fiber coordinates at one point; tests call it",
     "induced.pullback_quotient": "one quotient pullback at one point; tests call it",

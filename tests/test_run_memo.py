@@ -71,11 +71,12 @@ def test_lvmb_data_is_built_once_per_lvmb_run(monkeypatch, capsys):
 
 def count_rows(monkeypatch):
     """Rows handed by the checks to build_fibers or to the stacked
-    reconstruction sweep (induced_structures), and rows that passed
-    through the stacked validator, in call order."""
+    reconstruction sweep (induced_structures), and rows whose split the
+    stacked build certified (_split_bound, once per built chunk), in call
+    order."""
     built, validated = [], []
     build, sweep = checks.build_fibers, checks.induced_structures
-    validate = universal.validate_fibers
+    split_bound = universal._split_bound
 
     def counted(original):
         def call(xs, m, tol):
@@ -83,13 +84,14 @@ def count_rows(monkeypatch):
             return original(xs, m, tol)
         return call
 
-    def counted_validate(k, z, sigp):
-        validated.extend(z)
-        return validate(k, z, sigp)
+    def counted_split_bound(dg_sv, ker_plus):
+        bound = split_bound(dg_sv, ker_plus)
+        validated.extend(bound)
+        return bound
 
     monkeypatch.setattr(checks, "build_fibers", counted(build))
     monkeypatch.setattr(checks, "induced_structures", counted(sweep))
-    monkeypatch.setattr(universal, "validate_fibers", counted_validate)
+    monkeypatch.setattr(universal, "_split_bound", counted_split_bound)
     return built, validated
 
 
@@ -173,21 +175,15 @@ BAD_INDEX = 7  # in the middle of the first chunk, after the reality points
 @BOTH_ORDERS
 def test_failed_fiber_gives_the_same_error_in_both_checks(monkeypatch, order):
     doc = universal_doc(order)
-    m = checks.build_manifold(doc["payload"], doc["seed"])
     # a row inside the reality points: both checks build it
-    gx = m.g.value(resolve_samples(doc)[REALITY_INDEX])[:, 0]
-    bad = np.concatenate([gx, gx]).astype(complex)
-    original = universal.validate_fibers
-
-    def failing(k, z, sigp):
-        if any(np.array_equal(row, bad) for row in z):
-            raise EigenSplitFailure("tampered point")
-        return original(k, z, sigp)
-
-    monkeypatch.setattr(universal, "validate_fibers", failing)
+    x_bad = resolve_samples(doc)[REALITY_INDEX]
+    monkeypatch.setattr(checks, "build_manifold",
+                        lambda payload, seed: manifold_failing_at(x_bad))
+    with pytest.raises(EigenSplitFailure) as want:
+        oracles.build_fiber(x_bad, manifold_failing_at(x_bad))
     records, aggregate = run_scenario(doc)
     assert not aggregate["passed"]
-    assert [r["error"] for r in records] == ["EigenSplitFailure: tampered point"] * 2
+    assert [r["error"] for r in records] == [f"EigenSplitFailure: {want.value}"] * 2
 
 
 def manifold_failing_at(x_bad):

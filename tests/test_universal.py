@@ -526,8 +526,8 @@ def test_frame_quotient_blocks_span_the_projector_complements(n):
 
 def test_chart_guard_reads_the_frame_rank_rtol():
     # at the centre joint(0) is the ambient frame, a column permutation of
-    # [Sigma' | Sigma''], whose singular-value ratio validate_fibers
-    # certified above rank_rtol
+    # [Sigma' | Sigma''], whose singular-value ratio the build certified
+    # above rank_rtol
     p = build_fiber(np.array([0.5, 0.7]), perturbed_manifold(1))
     sv = np.linalg.svd(ChartFrame(p).ambient_frame, compute_uv=False)
     ratio = sv[-1] / sv[0]
@@ -1101,17 +1101,18 @@ def test_fiber_whose_horizontal_columns_drop_rank_never_reaches_jf(monkeypatch):
     # LinAlgError, and hand out no J_f
     from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
 
-    validate = universal.validate_fibers
+    fiber_rows = universal._fiber_rows
     quotient = universal._induced_from_parts
 
-    def swallow(k, z, sigp):
+    def swallow(xs, m, tol):
         # a real first column of S' lies in Sigma'' = conj Sigma' too
-        n = 1
+        dg, z, sigp = fiber_rows(xs, m, tol)
+        k, n = m.k, m.n
         sigp[:, :, 0] = sigp[:, :, 0].real
         cols = np.concatenate([sigp[:, :, :k - n], sigp.conj()], axis=2)
         s = np.linalg.svd(cols, compute_uv=False)
         assert np.all(s[:, -1] <= 1e-12 * s[:, 0])
-        validate(k, z, sigp)
+        return dg, z, sigp
 
     solves = []
 
@@ -1119,7 +1120,7 @@ def test_fiber_whose_horizontal_columns_drop_rank_never_reaches_jf(monkeypatch):
         solves.append(quotient(*args))
         return solves[-1]
 
-    monkeypatch.setattr(universal, "validate_fibers", swallow)
+    monkeypatch.setattr(universal, "_fiber_rows", swallow)
     monkeypatch.setattr(universal, "_induced_from_parts", counted)
     doc = parse_scenario(find_scenario("universal_n1_k4"))
     doc["checks"] = ["universal_reconstruction"]
@@ -1178,7 +1179,8 @@ def built_stack(m, counts):
 
 def test_split_svd_rejects_the_first_tampered_point_of_a_stack():
     z, sigp = built_stack(perturbed_manifold(1), [2, 2])
-    universal.validate_fibers(4, z, sigp)
+    for zi, si in zip(z, sigp):
+        universal.UniversalPoint(1, 4, zi, si).validate()
     oracles.split_by_svd(sigp)
     # a real quotient column at the third point, a nearly real one at the
     # second: the message reads the sigma_min of the second
@@ -1193,14 +1195,15 @@ def test_split_svd_rejects_the_first_tampered_point_of_a_stack():
     assert reported == pytest.approx(sigma, rel=1e-3)
 
 
-def test_validate_fibers_rejects_wrong_shapes():
+def test_point_validate_rejects_wrong_shapes():
     z, sigp = built_stack(perturbed_manifold(1), [2, 2])
+    point = universal.UniversalPoint
     with pytest.raises(DimensionMismatch, match="base point must live in"):
-        universal.validate_fibers(4, z[:, :7], sigp)
+        point(1, 4, z[0, :7], sigp[0]).validate()
     with pytest.raises(DimensionMismatch, match="Sigma' must live in"):
-        universal.validate_fibers(4, z, sigp[:, :7])
+        point(1, 4, z[0], sigp[0, :7]).validate()
     with pytest.raises(EigenSplitFailure, match="Sigma' has dimension 3, expected 4"):
-        universal.validate_fibers(4, z, sigp[:, :, :3])
+        point(1, 4, z[0], sigp[0, :, :3]).validate()
 
 
 def test_real_sigma_prime_in_a_stack_does_not_split():
