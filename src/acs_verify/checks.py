@@ -1,27 +1,28 @@
 """Named verification checks with formula anchors.
 
 Every check certifies one identity; the anchor field states that identity
-as a formula so reports are self-describing. A check runner receives a
-context with the scenario payload, resolved sample points, numeric
-tolerances, the scenario seed and a per-check random stream. The
-manifold, fields structure, LVMB data and symplectic models come from
-the payload and the seed, so every check sees the same ones; all else a
-check draws (probes, the induced checks' charts and graphs) comes from
-its own stream. Pass/fail is uniform: a check passes when it saw at least
-one sample and its max_residual is finite and <= tolerance, with
-indicator residuals (0 or 1) for verdict-match and control checks.
-Runners fold residuals with worst_of, which keeps a NaN that max would
-drop.
+as a formula so reports are self-describing. A check runner receives the
+run (`Run`: the scenario payload, numeric tolerances, the scenario seed,
+the samples spec and the --samples cap) and a per-check random stream.
+The manifold, fields structure, LVMB data and symplectic models come from
+the payload and the seed: the run builds each on first use, so every
+check sees the same one; all else a check draws (probes, the induced
+checks' charts and graphs) comes from its own stream. Pass/fail is
+uniform: a check passes when it saw at least one sample and its
+max_residual is finite and <= tolerance, with indicator residuals (0 or
+1) for verdict-match and control checks. Runners fold residuals with
+worst_of, which keeps a NaN that max would drop.
 
-The checks of one run share a RunMemo of the constructions that draw
-from no check's rng: the manifold, the fields structure, the LVMB data,
-the symplectic model set and the universal samples that versality and
-isotropy read. Fibers are not shared: reconstruction sweeps the sample
-grid, and fiber reality builds only the points it certifies.
+A check that reads sample points asks the run for them with
+`Run.points(limit)`: the first rows of the scenario's samples, or of the
+kind's one default grid when it gives none, capped by --samples, and only
+those rows are built. Fibers are not shared: reconstruction sweeps every
+point, and fiber reality builds only the points it certifies.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -94,82 +95,78 @@ class CheckResult:
     samples_checked: int
 
 
-class RunMemo:
-    """Constructions shared by the checks of one run (one payload, one
-    seed), dropped when the run returns.
+# Points per axis of the one grid a kind reads on T^{2n} when a scenario
+# gives no samples; validation holds it to scenarios.MAX_GRID_POINTS
+DEFAULT_GRID_COUNTS = {"universal": 10, "fields": 8}
 
-    It holds only constructions that the payload and the scenario seed
-    determine, so a check sees the same object it would have built
-    itself: the manifold, the fields structure, the LVMB data, the
-    symplectic model set and the universal samples of the versality and
-    isotropy checks. Fibers are not held: they cost about 5.8 KB each,
-    and a point is cheap to rebuild. A sample is held: a run builds only
-    a few, and each carries a chart torsion and a differential that cost
-    far more than its fiber. A build that raises stores nothing, so the
-    next check to need it raises the same error.
+
+@dataclass
+class Run:
+    """One scenario run: its payload, tolerances, seed, samples spec and
+    --samples cap, and the constructions its checks share, each built on
+    first use (the LVMB data while the payload is validated) and dropped
+    with the run.
+
+    The constructions are those the payload and the seed determine, so a
+    check sees the object it would have built itself: the manifold, the
+    fields structure, the LVMB data, the symplectic model set and the
+    universal samples of the versality and isotropy checks. Fibers are not
+    held: they cost about 5.8 KB each, and a point is cheap to rebuild. A
+    sample is held: a run builds only a few, and each carries a chart
+    torsion and a differential that cost far more than its fiber. A build
+    that raises stores nothing, so the next check to need it raises the
+    same error.
     """
 
-    def __init__(self):
-        self._manifold = None
-        self._structure = None
-        self._lvmb_data = None
-        self._symplectic = None
-        self._samples: dict[bytes, UniversalSample] = {}
-
-    def manifold(self, payload: dict, seed: int) -> PointwiseACManifold:
-        if self._manifold is None:
-            self._manifold = build_manifold(payload, seed)
-        return self._manifold
-
-    def structure(self, payload: dict, n: int, seed: int) -> AlmostComplexField:
-        if self._structure is None:
-            self._structure = build_structure(payload, n, seed)
-        return self._structure
-
-    def lvmb_data(self, payload: dict) -> LvmbData:
-        if self._lvmb_data is None:
-            self._lvmb_data = LvmbData.from_json_dict(payload["data"])
-        return self._lvmb_data
-
-    def symplectic_models(self, draws: int, seed: int, tol: Tolerances) -> list[dict]:
-        if self._symplectic is None:
-            self._symplectic = build_symplectic_models(draws, seed, tol)
-        return self._symplectic
-
-    def sample(self, x, m: PointwiseACManifold, tol: Tolerances) -> UniversalSample:
-        """UniversalSample(x, m, tol), built on first use."""
-        key = np.asarray(x, dtype=float).tobytes()
-        if key not in self._samples:
-            self._samples[key] = UniversalSample(x, m, tol)
-        return self._samples[key]
-
-
-@dataclass(frozen=True)
-class CheckContext:
+    kind: str
     payload: dict
     tol: Tolerances
     seed: int
-    rng: SplitMix64
-    samples: np.ndarray | None
-    sample_cap: int | None
-    memo: RunMemo = field(default_factory=RunMemo, compare=False, repr=False)
+    samples: dict | None = None
+    sample_cap: int | None = None
+    lvmb_data: LvmbData | None = None  # built by validation of an lvmb payload
+    _universal: dict[bytes, UniversalSample] = field(
+        default_factory=dict, init=False, repr=False)
 
+    @property
+    def n(self) -> int:
+        return int(self.payload.get("n", 1))
+
+    @cached_property
     def manifold(self) -> PointwiseACManifold:
-        return self.memo.manifold(self.payload, self.seed)
+        return build_manifold(self.payload, self.seed)
 
-    def points(self, default_counts):
-        if self.samples is not None:
-            pts = self.samples
-        else:
-            pts = TorusChart(len(default_counts)).grid(default_counts)
-        if self.sample_cap is not None:
-            pts = pts[: self.sample_cap]
-        return pts
+    @cached_property
+    def structure(self) -> AlmostComplexField:
+        return build_structure(self.payload, self.n, self.seed)
+
+    @cached_property
+    def symplectic_models(self) -> list[dict]:
+        draws = self.count(int(self.payload.get("draws", 3)))
+        return build_symplectic_models(draws, self.seed, self.tol)
+
+    def sample(self, x) -> UniversalSample:
+        """UniversalSample(x, manifold, tol), built on first use."""
+        key = np.asarray(x, dtype=float).tobytes()
+        if key not in self._universal:
+            self._universal[key] = UniversalSample(x, self.manifold, self.tol)
+        return self._universal[key]
 
     def count(self, default: int) -> int:
-        if self.sample_cap is not None:
-            return max(1, min(default, self.sample_cap))
-        return default
+        """default, capped by --samples."""
+        return default if self.sample_cap is None else min(default, self.sample_cap)
+
+    def points(self, limit: int | None = None) -> np.ndarray:
+        """The first min(limit, --samples) rows of samples.points, else of
+        the samples.counts grid, else of the kind's default grid
+        ([DEFAULT_GRID_COUNTS]^2n); only those rows are built."""
+        rows = self.sample_cap if limit is None else self.count(limit)
+        spec = self.samples or {}
+        if "points" in spec:
+            return np.asarray(spec["points"][:rows], dtype=float)
+        default = [DEFAULT_GRID_COUNTS[self.kind]] * (2 * self.n)
+        counts = [int(c) for c in spec.get("counts", default)]
+        return TorusChart(len(counts)).grid(counts, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,7 @@ class Check:
     kind: str
     anchor: str
     tolerance: float
-    runner: Callable[[CheckContext], CheckResult]
+    runner: Callable[[Run, SplitMix64], CheckResult]
     opt_in: bool = False
 
 
@@ -215,12 +212,6 @@ def checks_for(kind: str, names=None) -> list[Check]:
 
 def all_checks() -> list[Check]:
     return list(REGISTRY.values())
-
-
-# Points per axis of the largest default grid a kind sweeps on T^{2n}
-# when a scenario gives no samples (reconstruction's, J^2 = -Id's);
-# validation holds that grid to scenarios.MAX_GRID_POINTS
-DEFAULT_GRID_COUNTS = {"universal": 10, "fields": 8}
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +305,21 @@ def build_graph_scenario(rng: SplitMix64, n: int = 1, big_n: int = 3,
     return chart, emb, VariationData(eta, v)
 
 
-def _graph_params(ctx: CheckContext):
+def _graph_params(payload: dict, rng: SplitMix64):
     """Per-instance (n, N, amplitude) for random graph scenarios; absent
     payload entries vary the dimensions draw by draw within n <= 2,
     N <= 6."""
-    n = ctx.payload.get("n")
-    big_n = ctx.payload.get("N")
+    n = payload.get("n")
+    big_n = payload.get("N")
     if n is None:
-        n = ctx.rng.integer(1, 2)
+        n = rng.integer(1, 2)
     else:
         n = int(n)
     if big_n is None:
-        big_n = n + ctx.rng.integer(2, 6 - n)
+        big_n = n + rng.integer(2, 6 - n)
     else:
         big_n = int(big_n)
-    return n, big_n, float(ctx.payload.get("amplitude", 0.8))
+    return n, big_n, float(payload.get("amplitude", 0.8))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +331,7 @@ def _graph_params(ctx: CheckContext):
     "dim Z(n,k) = 2k + 2(k^2 + n(k-n)); dim Zs(n,b,k) = 2bk(2bk+1) + 2n(2bk-n)",
     0.0,
 )
-def _check_dimension_tables(ctx: CheckContext) -> CheckResult:
+def _check_dimension_tables(run: Run, rng: SplitMix64) -> CheckResult:
     worst = 0
     table = {(1, 4): 46, (2, 8): 168, (1, 2): 14}
     for (n, k), expect in table.items():
@@ -358,35 +349,34 @@ def _check_dimension_tables(ctx: CheckContext) -> CheckResult:
     "J_f(x) = J_X(x) through the quotient T_z/(S' (+) Sigma'') at the built 5-tuple",
     1e-8,
 )
-def _check_reconstruction(ctx: CheckContext) -> CheckResult:
-    m = ctx.manifold()
-    pts = ctx.points(default_counts=[DEFAULT_GRID_COUNTS["universal"]] * (2 * m.n))
+def _check_reconstruction(run: Run, rng: SplitMix64) -> CheckResult:
+    m = run.manifold
+    pts = run.points()
 
     worst = 0.0
     # J_f comes from the construction; the J it must reproduce is evaluated
     # again at the chunk's rows, so a construction that read J at the wrong
     # rows still fails (README, "Stacked chunks"); the two sides share only
     # the input evaluator values. np.max keeps a NaN
-    for rows, jf in over_chunks(pts, lambda rows: induced_structures(rows, m, ctx.tol)):
+    for rows, jf in over_chunks(pts, lambda rows: induced_structures(rows, m, run.tol)):
         worst = worst_of(worst, float(np.max(np.abs(jf - m.j.values(rows)))))
     return CheckResult(worst, int(len(pts)))
 
 
 @register(
     "universal_fiber_reality", "universal",
-    "S'' = conj(S'), Sigma'' = conj(Sigma'), |sum p_I^2| / sum |p_I|^2 = 1",
+    "every reality point builds; |det(B^T B)| / det(B^H B) = 1 for B = [S' | conj S']",
     1e-9,
 )
-def _check_fiber_reality(ctx: CheckContext) -> CheckResult:
-    m = ctx.manifold()
-    pts = ctx.points(default_counts=[6] * (2 * m.n))
-    pts = pts[: int(ctx.payload.get("reality_samples", 5))]
+def _check_fiber_reality(run: Run, rng: SplitMix64) -> CheckResult:
+    m = run.manifold
+    pts = run.points(int(run.payload.get("reality_samples", 5)))
     worst = 0.0
     # |sum p_I^2| <= sum |p_I|^2, so a certificate above 1 is as wrong as
     # one below it; the count is of the points certified, not of the grid
     # (reconstruction sweeps that)
-    for point in build_fibers(pts, m, ctx.tol):
-        worst = worst_of(worst, abs(1.0 - plucker_reality_certificate(point, ctx.tol)))
+    for point in build_fibers(pts, m, run.tol):
+        worst = worst_of(worst, abs(1.0 - plucker_reality_certificate(point, run.tol)))
     return CheckResult(worst, int(len(pts)))
 
 
@@ -395,16 +385,15 @@ def _check_fiber_reality(ctx: CheckContext) -> CheckResult:
     "rank_R dbar f = 2n and rank_R (u -> theta(dbar f ., u)) = 2n^2",
     1e-8,
 )
-def _check_versality(ctx: CheckContext) -> CheckResult:
-    m = ctx.manifold()
-    explicit = ctx.payload.get("versality_samples")
-    if explicit is not None:
-        pts = np.asarray(explicit, dtype=float)
-    else:
-        pts = ctx.points(default_counts=[3] * (2 * m.n))[:3]
+def _check_versality(run: Run, rng: SplitMix64) -> CheckResult:
+    explicit = run.payload.get("versality_samples")
+    if explicit is None:
+        pts = run.points(3)
+    else:  # --samples caps these rows as it caps the run's samples
+        pts = np.asarray(explicit[: run.sample_cap], dtype=float)
     worst = 0.0
     for x in pts:
-        rep = versality_check(ctx.memo.sample(x, m, ctx.tol))
+        rep = versality_check(run.sample(x))
         worst = worst_of(worst, float(rep["fiber_membership_residual"]))
         worst = worst_of(worst, float(abs(rep["surj_rank"] - rep["target_rank"])))
         if not rep["inj"]:
@@ -419,13 +408,12 @@ def _check_versality(ctx: CheckContext) -> CheckResult:
     "integrable J: theta(dbar f u, dbar f v) = 0 on the image subspace",
     1e-9, opt_in=True,
 )
-def _check_isotropy(ctx: CheckContext) -> CheckResult:
-    m = ctx.manifold()
-    pts = ctx.points(default_counts=[3] * (2 * m.n))[: ctx.count(3)]
+def _check_isotropy(run: Run, rng: SplitMix64) -> CheckResult:
+    pts = run.points(3)
     worst = 0.0
     for x in pts:
-        sample = ctx.memo.sample(x, m, ctx.tol)
-        ok, pairing = isotropy_test(sample.theta, sample.image(), m.n, ctx.tol)
+        sample = run.sample(x)
+        ok, pairing = isotropy_test(sample.theta, sample.image(), run.n, run.tol)
         worst = worst_of(worst, pairing if ok else max(pairing, 1.0))
     return CheckResult(worst, int(len(pts)))
 
@@ -435,15 +423,15 @@ def _check_isotropy(ctx: CheckContext) -> CheckResult:
     "constant J: N_{J_f} = 0 for the induced field",
     1e-8, opt_in=True,
 )
-def _check_nijenhuis_flat(ctx: CheckContext) -> CheckResult:
-    m = ctx.manifold()
-    jf_field = induced_structure_field(m, ctx.tol)
-    probes = ctx.count(int(ctx.payload.get("probes", 5)))
+def _check_nijenhuis_flat(run: Run, rng: SplitMix64) -> CheckResult:
+    m = run.manifold
+    jf_field = induced_structure_field(m, run.tol)
+    probes = run.count(int(run.payload.get("probes", 5)))
     worst = 0.0
     for _ in range(probes):
-        x = ctx.rng.reals(2 * m.n, 0.0, 2.0 * np.pi)
-        zeta = ctx.rng.reals(2 * m.n)
-        eta = ctx.rng.reals(2 * m.n)
+        x = rng.reals(2 * m.n, 0.0, 2.0 * np.pi)
+        zeta = rng.reals(2 * m.n)
+        eta = rng.reals(2 * m.n)
         val = nijenhuis_direct(jf_field, x, zeta, eta)
         worst = worst_of(worst, float(np.max(np.abs(val))))
     return CheckResult(worst, probes)
@@ -453,11 +441,11 @@ def _check_nijenhuis_flat(ctx: CheckContext) -> CheckResult:
 # induced / torsion checks
 # ---------------------------------------------------------------------------
 
-def _random_chart_draws(ctx: CheckContext, count: int):
+def _random_chart_draws(rng: SplitMix64, count: int):
     for _ in range(count):
-        n = ctx.rng.integer(1, 2)
-        big_n = n + ctx.rng.integer(2, 6 - n)
-        yield random_polynomial_chart(n, big_n, ctx.rng, amplitude=0.8)
+        n = rng.integer(1, 2)
+        big_n = n + rng.integer(2, 6 - n)
+        yield random_polynomial_chart(n, big_n, rng, amplitude=0.8)
 
 
 @register(
@@ -465,11 +453,11 @@ def _random_chart_draws(ctx: CheckContext, count: int):
     "theta_ijk = (d_j a_ik - d_k a_ij)/2 agrees with FD frame brackets",
     1e-6,
 )
-def _check_torsion_double_entry(ctx: CheckContext) -> CheckResult:
-    count = ctx.count(int(ctx.payload.get("charts", 10)))
+def _check_torsion_double_entry(run: Run, rng: SplitMix64) -> CheckResult:
+    count = run.count(int(run.payload.get("charts", 10)))
     worst = 0.0
-    for chart in _random_chart_draws(ctx, count):
-        direct = torsion_at(chart, tol=ctx.tol)
+    for chart in _random_chart_draws(rng, count):
+        direct = torsion_at(chart, tol=run.tol)
         oracle = frame_bracket_oracle(chart)
         # floor 1: the oracle's error h^2/6 |d^3 a| does not shrink with theta
         scale = max(1.0, direct.norm(), oracle.norm())
@@ -482,11 +470,11 @@ def _check_torsion_double_entry(ctx: CheckContext) -> CheckResult:
     "theta(., u, v) = -theta(., v, u) bitwise",
     0.0,
 )
-def _check_torsion_antisymmetry(ctx: CheckContext) -> CheckResult:
-    count = ctx.count(int(ctx.payload.get("charts", 10)))
+def _check_torsion_antisymmetry(run: Run, rng: SplitMix64) -> CheckResult:
+    count = run.count(int(run.payload.get("charts", 10)))
     worst = 0.0
-    for chart in _random_chart_draws(ctx, count):
-        theta = torsion_at(chart, tol=ctx.tol).theta
+    for chart in _random_chart_draws(rng, count):
+        theta = torsion_at(chart, tol=run.tol).theta
         worst = worst_of(worst, float(np.max(
             np.abs(theta + np.transpose(theta, (0, 2, 1))), initial=0.0)))
     return CheckResult(worst, count)
@@ -497,20 +485,20 @@ def _check_torsion_antisymmetry(ctx: CheckContext) -> CheckResult:
     "N_{J_f}(u, v) = 4 theta(dbar_f u, dbar_f v)",
     1e-4,
 )
-def _check_nijenhuis_identity(ctx: CheckContext) -> CheckResult:
-    instances = ctx.count(int(ctx.payload.get("instances", 5)))
-    pairs = int(ctx.payload.get("pairs", 25))
+def _check_nijenhuis_identity(run: Run, rng: SplitMix64) -> CheckResult:
+    instances = run.count(int(run.payload.get("instances", 5)))
+    pairs = int(run.payload.get("pairs", 25))
     worst = 0.0
     for _ in range(instances):
-        chart, emb, _ = build_graph_scenario(ctx.rng, *_graph_params(ctx))
+        chart, emb, _ = build_graph_scenario(rng, *_graph_params(run.payload, rng))
         zp = emb.base
         # both routes depend on the pair only through a last cheap step:
         # build each once per instance, then loop over the pairs
-        via_torsion = nijenhuis_torsion_map(emb, chart, zp, ctx.tol)
+        via_torsion = nijenhuis_torsion_map(emb, chart, zp, run.tol)
         jet = structure_jet(induced_jf_field(emb, chart), realify_vector(zp))
         for _ in range(pairs):
-            zeta = ctx.rng.reals(2 * emb.n)
-            eta = ctx.rng.reals(2 * emb.n)
+            zeta = rng.reals(2 * emb.n)
+            eta = rng.reals(2 * emb.n)
             via_theta = via_torsion(zeta, eta)
             direct = nijenhuis_from_jet(jet, zeta, eta)
             scale = max(1.0, float(np.max(np.abs(direct))))
@@ -523,16 +511,16 @@ def _check_nijenhuis_identity(ctx: CheckContext) -> CheckResult:
     "dJ_f/dt = 2 J_f (f_*^{-1} theta(dbar f ., eta) + dbar_{J_f} v), FD ratio in [8,12]",
     1e-3,
 )
-def _check_variation_formula(ctx: CheckContext) -> CheckResult:
-    instances = ctx.count(int(ctx.payload.get("instances", 3)))
+def _check_variation_formula(run: Run, rng: SplitMix64) -> CheckResult:
+    instances = run.count(int(run.payload.get("instances", 3)))
     worst = 0.0
     for _ in range(instances):
-        chart, emb, var = build_graph_scenario(ctx.rng, *_graph_params(ctx))
+        chart, emb, var = build_graph_scenario(rng, *_graph_params(run.payload, rng))
         zp = emb.base
-        closed = variation_djf(emb, chart, var, zp, ctx.tol)
+        closed = variation_djf(emb, chart, var, zp, run.tol)
         coarse, fine = (
             float(np.max(np.abs(fd - closed)))
-            for fd in variation_fd_oracle(emb, chart, var, zp, (1e-3, 1e-4), ctx.tol))
+            for fd in variation_fd_oracle(emb, chart, var, zp, (1e-3, 1e-4), run.tol))
         # the terminal (finest-step) error is the certified residual; the
         # FD error is sum_k t^k J^(k+1)(0) / (k+1)!, so a decade of t
         # divides it by ~10
@@ -547,14 +535,14 @@ def _check_variation_formula(ctx: CheckContext) -> CheckResult:
     "J_f dJ_f + dJ_f J_f = 0 (derivative of J^2 = -Id)",
     1e-9,
 )
-def _check_variation_anticommutation(ctx: CheckContext) -> CheckResult:
-    instances = ctx.count(int(ctx.payload.get("instances", 3)))
+def _check_variation_anticommutation(run: Run, rng: SplitMix64) -> CheckResult:
+    instances = run.count(int(run.payload.get("instances", 3)))
     worst = 0.0
     for _ in range(instances):
-        chart, emb, var = build_graph_scenario(ctx.rng, *_graph_params(ctx))
+        chart, emb, var = build_graph_scenario(rng, *_graph_params(run.payload, rng))
         zp = emb.base
-        jf = induced_jf(emb, chart, zp, ctx.tol)
-        djf = variation_djf(emb, chart, var, zp, ctx.tol)
+        jf = induced_jf(emb, chart, zp, run.tol)
+        djf = variation_djf(emb, chart, var, zp, run.tol)
         worst = worst_of(worst, float(np.max(np.abs(jf @ djf + djf @ jf))))
     return CheckResult(worst, instances)
 
@@ -564,7 +552,7 @@ def _check_variation_anticommutation(ctx: CheckContext) -> CheckResult:
     "theta = 0 (foliation) forces rank(u -> theta(dbar f ., u)) = 0",
     1e-6,
 )
-def _check_foliation_rank(ctx: CheckContext) -> CheckResult:
+def _check_foliation_rank(run: Run, rng: SplitMix64) -> CheckResult:
     # a = z1^2 (1, i/2): constant direction times one scalar, so the
     # frame brackets cancel exactly and the plane field integrates
     z1_squared = ((2, 0, 0), (0, 0, 0))
@@ -575,9 +563,9 @@ def _check_foliation_rank(ctx: CheckContext) -> CheckResult:
     chart = DistributionChart(1, 3, amap)
     samples = [np.zeros(3, dtype=complex), np.array([0.2, 0.1j, -0.1 + 0.05j])]
     worst = is_foliation(chart, samples)
-    theta = torsion_at(chart, tol=ctx.tol)
-    etas = ctx.rng.complex_matrix(2, 2, 1.0)
-    rep = versality_rank_from_parts(theta, etas, rank_rtol=ctx.tol.rank_rtol)
+    theta = torsion_at(chart, tol=run.tol)
+    etas = rng.complex_matrix(2, 2, 1.0)
+    rep = versality_rank_from_parts(theta, etas, rank_rtol=run.tol.rank_rtol)
     worst = worst_of(worst, float(rep["surj_rank"]))
     return CheckResult(worst, len(samples))
 
@@ -587,31 +575,31 @@ def _check_foliation_rank(ctx: CheckContext) -> CheckResult:
     "dbar f = 0 (holomorphic graph) forces rank(u -> theta(dbar f ., u)) = 0",
     1e-8,
 )
-def _check_pseudoholomorphic_rank(ctx: CheckContext) -> CheckResult:
+def _check_pseudoholomorphic_rank(run: Run, rng: SplitMix64) -> CheckResult:
     n, big_n = 1, 3
-    chart = random_polynomial_chart(n, big_n, ctx.rng, amplitude=0.8)
+    chart = random_polynomial_chart(n, big_n, rng, amplitude=0.8)
     # z-only monomials: the graph is a complex submanifold, so the
     # conjugate-linear differential vanishes identically
     entries = {}
     for i in range(big_n - n):
         cell = {}
         for p in (1, 2):
-            coeff = complex(ctx.rng.uniform(-1, 1), ctx.rng.uniform(-1, 1)) * 0.4
+            coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.4
             cell[((p,), (0,))] = coeff
         entries[(i, 0)] = cell
     g = CRPolyMap(n, big_n - n, 1, entries)
     emb = GraphEmbedding(n, big_n, g)
-    pt = GraphPoint(emb, centered_chart(emb, chart), emb.base, ctx.tol)
+    pt = GraphPoint(emb, centered_chart(emb, chart), emb.base, run.tol)
     dbar = pt.dbar_f(pt.jf())
     etas, _ = pt.fiber_coords(dbar)
     worst = float(np.max(np.abs(dbar)))
     theta = pt.torsion()
-    rep = versality_rank_from_parts(theta, etas, rank_rtol=ctx.tol.rank_rtol)
+    rep = versality_rank_from_parts(theta, etas, rank_rtol=run.tol.rank_rtol)
     # roundoff makes etas tiny but nonzero; count rank against the scale
     # the pairing would have for unit-size etas, not its own top value
     sv = rep["singular_values"]
     floor = max(float(theta.norm()), 1e-12)
-    rank = int(np.sum(sv > ctx.tol.rank_rtol * floor))
+    rank = int(np.sum(sv > run.tol.rank_rtol * floor))
     worst = worst_of(worst, float(rank))
     return CheckResult(worst, 1)
 
@@ -625,10 +613,10 @@ def _check_pseudoholomorphic_rank(ctx: CheckContext) -> CheckResult:
     "all pairs J1, J2 in E: int conv{l_j : J1} meets int conv{l_j : J2} (LP margin >= 1e-9)",
     0.5,
 )
-def _check_lvmb_condition_i(ctx: CheckContext) -> CheckResult:
-    data = ctx.memo.lvmb_data(ctx.payload)
-    rep = check_condition_i(data, ctx.tol)
-    expect = ctx.payload.get("expect", {}).get("condition_i")
+def _check_lvmb_condition_i(run: Run, rng: SplitMix64) -> CheckResult:
+    data = run.lvmb_data
+    rep = check_condition_i(data, run.tol)
+    expect = run.payload.get("expect", {}).get("condition_i")
     worst = 0.0
     if expect is not None and rep["ok"] != bool(expect):
         worst = 1.0
@@ -645,10 +633,10 @@ def _check_lvmb_condition_i(ctx: CheckContext) -> CheckResult:
     "all J in E, k in 0..N: exists k' in J with (J \\ k') + k in E",
     0.5,
 )
-def _check_lvmb_condition_ii(ctx: CheckContext) -> CheckResult:
-    data = ctx.memo.lvmb_data(ctx.payload)
+def _check_lvmb_condition_ii(run: Run, rng: SplitMix64) -> CheckResult:
+    data = run.lvmb_data
     rep = check_condition_ii(data)
-    expect = ctx.payload.get("expect", {})
+    expect = run.payload.get("expect", {})
     worst = 0.0
     if "condition_ii" in expect and rep["ok"] != bool(expect["condition_ii"]):
         worst = 1.0
@@ -661,18 +649,13 @@ def _check_lvmb_condition_ii(ctx: CheckContext) -> CheckResult:
 # symplectic checks
 # ---------------------------------------------------------------------------
 
-def _symplectic_models(ctx: CheckContext) -> list[dict]:
-    draws = ctx.count(int(ctx.payload.get("draws", 3)))
-    return ctx.memo.symplectic_models(draws, ctx.seed, ctx.tol)
-
-
 @register(
     "symplectic_compatibility", "symplectic",
     "Jt^T Gt Jt = Gt and Jt^2 = -Id for Gt = (gamma (+) -gamma)/2",
     1e-10,
 )
-def _check_symplectic_compat(ctx: CheckContext) -> CheckResult:
-    reports = _symplectic_models(ctx)
+def _check_symplectic_compat(run: Run, rng: SplitMix64) -> CheckResult:
+    reports = run.symplectic_models
     worst = worst_of(*(v for r in reports
                        for v in (r["max_residual_compatibility"], r["jsq_residual"])))
     return CheckResult(float(worst), len(reports))
@@ -683,8 +666,8 @@ def _check_symplectic_compat(ctx: CheckContext) -> CheckResult:
     "G*^T Gt G* = omega on the doubled diagonal embedding",
     1e-10,
 )
-def _check_symplectic_pullback(ctx: CheckContext) -> CheckResult:
-    reports = _symplectic_models(ctx)
+def _check_symplectic_pullback(run: Run, rng: SplitMix64) -> CheckResult:
+    reports = run.symplectic_models
     worst = worst_of(*(r["max_residual_pullback"] for r in reports))
     return CheckResult(float(worst), len(reports))
 
@@ -694,8 +677,8 @@ def _check_symplectic_pullback(ctx: CheckContext) -> CheckResult:
     "the sign-flipped doubling (gamma (+) +gamma)/2 violates compatibility",
     0.5,
 )
-def _check_symplectic_control(ctx: CheckContext) -> CheckResult:
-    reports = _symplectic_models(ctx)
+def _check_symplectic_control(run: Run, rng: SplitMix64) -> CheckResult:
+    reports = run.symplectic_models
     min_swap = min(r["swap_residual"] for r in reports)
     return CheckResult(0.0 if min_swap > 1e-2 else 1.0, len(reports))
 
@@ -709,11 +692,10 @@ def _check_symplectic_control(ctx: CheckContext) -> CheckResult:
     "J(x)^2 = -Id pointwise",
     1e-9,
 )
-def _check_structure_squares(ctx: CheckContext) -> CheckResult:
-    n = int(ctx.payload.get("n", 1))
-    j = ctx.memo.structure(ctx.payload, n, ctx.seed)
-    pts = ctx.points(default_counts=[DEFAULT_GRID_COUNTS["fields"]] * (2 * n))
-    eye = np.eye(2 * n)
+def _check_structure_squares(run: Run, rng: SplitMix64) -> CheckResult:
+    j = run.structure
+    pts = run.points()
+    eye = np.eye(2 * run.n)
     worst = 0.0
     # one chunk at a time bounds memory (the n = 3 grid has 8^6 points);
     # one max per chunk is the max over its rows, NaN kept
@@ -727,15 +709,15 @@ def _check_structure_squares(ctx: CheckContext) -> CheckResult:
     "four-bracket N_J from exact partials = FD Lie-bracket evaluation",
     1e-6,
 )
-def _check_nijenhuis_two_routes(ctx: CheckContext) -> CheckResult:
-    n = int(ctx.payload.get("n", 1))
-    j = ctx.memo.structure(ctx.payload, n, ctx.seed)
-    probes = ctx.count(int(ctx.payload.get("probes", 10)))
+def _check_nijenhuis_two_routes(run: Run, rng: SplitMix64) -> CheckResult:
+    n = run.n
+    j = run.structure
+    probes = run.count(int(run.payload.get("probes", 10)))
     worst = 0.0
     for _ in range(probes):
-        x = ctx.rng.reals(2 * n, 0.0, 2.0 * np.pi)
-        zeta = ctx.rng.reals(2 * n)
-        eta = ctx.rng.reals(2 * n)
+        x = rng.reals(2 * n, 0.0, 2.0 * np.pi)
+        zeta = rng.reals(2 * n)
+        eta = rng.reals(2 * n)
         direct = nijenhuis_direct(j, x, zeta, eta)
         oracle = nijenhuis_fd_oracle(j, x, zeta, eta)
         scale = max(1.0, float(np.max(np.abs(direct))))
@@ -748,14 +730,13 @@ def _check_nijenhuis_two_routes(ctx: CheckContext) -> CheckResult:
     "N_J(phi u, psi v) = phi psi N_J(u, v) at the base point",
     1e-9,
 )
-def _check_tensoriality(ctx: CheckContext) -> CheckResult:
-    n = int(ctx.payload.get("n", 1))
-    j = ctx.memo.structure(ctx.payload, n, ctx.seed)
-    probes = ctx.count(int(ctx.payload.get("probes", 3)))
-    d = 2 * n
+def _check_tensoriality(run: Run, rng: SplitMix64) -> CheckResult:
+    j = run.structure
+    probes = run.count(int(run.payload.get("probes", 3)))
+    d = 2 * run.n
     worst = 0.0
     for _ in range(probes):
-        x = ctx.rng.reals(d, 0.0, 2.0 * np.pi)
+        x = rng.reals(d, 0.0, 2.0 * np.pi)
         # the modulators 1 + 0.7 (cos y_0 - cos x_0) and
         # 1 + 0.4 (cos y_{d-1} - cos x_{d-1}) equal 1 at y = x; the check
         # reads only their gradients there
@@ -763,8 +744,8 @@ def _check_tensoriality(ctx: CheckContext) -> CheckResult:
         dphi[0] = -0.7 * np.sin(x[0])
         dpsi = np.zeros(d)
         dpsi[d - 1] = -0.4 * np.sin(x[d - 1])
-        zeta = ctx.rng.reals(d)
-        eta = ctx.rng.reals(d)
+        zeta = rng.reals(d)
+        eta = rng.reals(d)
         _, _, dev = verify_tensoriality(j, x, zeta, eta, dphi, dpsi)
         worst = worst_of(worst, float(dev))
     return CheckResult(worst, probes)

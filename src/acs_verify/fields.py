@@ -20,7 +20,7 @@ Bracket convention: [V, W] = DW . V - DV . W.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +38,10 @@ class TorusChart:
 
     dim: int
 
-    def grid(self, counts, phase: float = 0.37) -> np.ndarray:
-        """Deterministic sample grid, row-major over the axis counts.
+    def grid(self, counts, phase: float = 0.37, rows: int | None = None) -> np.ndarray:
+        """Deterministic sample grid, row-major over the axis counts. When
+        rows is given, only the first rows points are built, point r from
+        its axis indices np.unravel_index(r, counts).
 
         The fixed fractional phase keeps samples off symmetry points such
         as x = 0 or x = pi.
@@ -47,8 +49,10 @@ class TorusChart:
         if len(counts) != self.dim:
             raise DimensionMismatch("one count per axis required")
         axes = [TWO_PI * (np.arange(c) + phase) / c for c in counts]
-        pts = np.array(list(itertools.product(*axes)))
-        return pts.reshape(-1, self.dim)
+        total = math.prod(counts)
+        built = total if rows is None else min(rows, total)
+        index = np.unravel_index(np.arange(built), counts)
+        return np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
 
 
 def _rows(xs, d: int) -> np.ndarray:

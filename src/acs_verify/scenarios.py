@@ -6,11 +6,13 @@ the registered checks of that kind and yields one plain-dict record per
 check plus an aggregate, ready for byte-deterministic serialization
 (sorted keys, compact separators, wall times omitted by default).
 
-Object builders inside checks derive everything from the scenario seed,
-so every check of a run sees the same construction, built once per run
-in the run's memo; probe randomness comes from a per-check stream keyed
-by the check name, which makes the records independent of execution
-order. Checks run one after another.
+run_scenario builds one `checks.Run` per run and hands it to every
+check with the check's own random stream. The run's constructions
+derive from the payload and the scenario seed, so every check of a run
+sees the same one, built on first use; the sample points a check reads
+come from `Run.points`, capped by --samples. Probe randomness comes from
+a per-check stream keyed by the check name, which makes the records
+independent of execution order. Checks run one after another.
 """
 from __future__ import annotations
 
@@ -23,19 +25,18 @@ import zlib
 from importlib import resources
 
 import jsonschema
-import numpy as np
 
 from .checks import (
     DEFAULT_GRID_COUNTS,
     Check,
-    CheckContext,
-    RunMemo,
+    Run,
     build_embedding,
     checks_for,
 )
 from .config import DEFAULT, Tolerances
 from .errors import SchemaError, VerifyError
-from .fields import TorusChart, TrigPolyField
+from .fields import TrigPolyField
+from .lvmb import LvmbData
 from .rng import SplitMix64
 from .universal import PointwiseACManifold
 
@@ -124,12 +125,11 @@ def _schema_error(exc: jsonschema.ValidationError, prefix=()) -> SchemaError:
     return SchemaError(f"scenario invalid at {path}: {exc.message}")
 
 
-def validate_scenario(doc, memo: RunMemo | None = None) -> None:
+def validate_scenario(doc) -> LvmbData | None:
     """Reject a scenario before any check runs: the schema, then the
     check filter, then what the checks of its kind read from payload and
-    samples. A construction built to validate the payload (the LVMB
-    data) goes into memo when one is given, so the run does not build it
-    again."""
+    samples. Returns the LVMB data built to validate an lvmb payload (None
+    for other kinds), so the run does not build it again."""
     try:
         validate_document(doc, "scenario.schema.json")
     except jsonschema.ValidationError as exc:
@@ -149,13 +149,14 @@ def validate_scenario(doc, memo: RunMemo | None = None) -> None:
         checks_for(doc["kind"], list(doc.get("tolerances", {}).get("checks", {})))
     except SchemaError as exc:
         raise SchemaError(f"tolerances.checks: {exc}") from exc
-    _validate_payload(doc, RunMemo() if memo is None else memo)
+    return _validate_payload(doc)
 
 
-def _validate_payload(doc, memo: RunMemo) -> None:
+def _validate_payload(doc) -> LvmbData | None:
     """What the checks of a kind read without a default must be there and
     be accepted by the constructors that read it, and universal and
-    fields sample points live on T^{2n}."""
+    fields sample points live on T^{2n}. Returns the LVMB data of an lvmb
+    payload."""
     kind = doc["kind"]
     payload = doc.get("payload", {})
     if kind == "lvmb":
@@ -166,7 +167,7 @@ def _validate_payload(doc, memo: RunMemo) -> None:
         except jsonschema.ValidationError as exc:
             raise _schema_error(exc, ("payload", "data")) from exc
         try:
-            memo.lvmb_data(payload)
+            return LvmbData.from_json_dict(payload["data"])
         except VerifyError as exc:
             raise SchemaError(f"payload.data rejected: {exc}") from exc
     if kind == "universal":
@@ -186,7 +187,7 @@ def _validate_payload(doc, memo: RunMemo) -> None:
                 f"induced scenarios need payload.N > n (n is 1..2 when absent), "
                 f"got N={payload['N']}" + ("" if n is None else f" and n={n}"))
     if kind not in ("universal", "fields"):
-        return
+        return None
     # the structure's coefficients, shape and angles only: J^2 = -Id stays
     # a check's job
     n = int(payload.get("n", 1))
@@ -231,15 +232,6 @@ def parse_scenario(text: str) -> dict:
     return doc
 
 
-def resolve_samples(doc: dict) -> np.ndarray | None:
-    spec = doc.get("samples")
-    if spec is None:
-        return None
-    if "points" in spec:
-        return np.asarray(spec["points"], dtype=float)
-    return TorusChart(int(spec["dims"])).grid([int(c) for c in spec["counts"]])
-
-
 def resolve_tolerances(doc: dict) -> Tolerances:
     over = doc.get("tolerances", {})
     return Tolerances(
@@ -253,7 +245,7 @@ def check_tolerance(check: Check, doc: dict, tol_scale: float) -> float:
     return float(override.get(check.name, check.tolerance)) * tol_scale
 
 
-def run_check(check: Check, ctx: CheckContext, tolerance: float,
+def run_check(check: Check, run: Run, rng: SplitMix64, tolerance: float,
               timings: bool) -> dict:
     """One record per check; a VerifyError inside a runner is a recorded
     failure under its class name, not a crash, so the rest of the batch
@@ -268,7 +260,7 @@ def run_check(check: Check, ctx: CheckContext, tolerance: float,
         "error": None,
     }
     try:
-        result = check.runner(ctx)
+        result = check.runner(run, rng)
         residual = float(result.max_residual)
         samples = int(result.samples_checked)
         finite = math.isfinite(residual)
@@ -290,8 +282,7 @@ def run_check(check: Check, ctx: CheckContext, tolerance: float,
 def run_scenario(doc: dict, tol_scale: float = 1.0,
                  sample_cap: int | None = None, seed: int | None = None,
                  timings: bool = False) -> tuple[list[dict], dict]:
-    memo = RunMemo()
-    validate_scenario(doc, memo)
+    lvmb_data = validate_scenario(doc)
     if sample_cap is not None and sample_cap < 1:
         raise SchemaError(
             f"sample cap (--samples) must be a positive integer, got {sample_cap}")
@@ -303,19 +294,16 @@ def run_scenario(doc: dict, tol_scale: float = 1.0,
         raise SchemaError(f"seed (--seed) must be an integer in [0, 2^64 - 1], got {seed}")
     kind = doc["kind"]
     run_seed = int(doc["seed"] if seed is None else seed)
-    tol = resolve_tolerances(doc)
-    samples = resolve_samples(doc)
     selected = checks_for(kind, doc.get("checks"))
     if not selected:
         raise SchemaError(f"no checks registered for kind {kind!r}")
-    payload = doc.get("payload", {})
+    run = Run(kind, doc.get("payload", {}), resolve_tolerances(doc), run_seed,
+              doc.get("samples"), sample_cap, lvmb_data)
 
     records = []
     for check in selected:
         rng = SplitMix64(run_seed ^ zlib.crc32(check.name.encode()))
-        ctx = CheckContext(payload=payload, tol=tol, seed=run_seed, rng=rng,
-                           samples=samples, sample_cap=sample_cap, memo=memo)
-        records.append(run_check(check, ctx, check_tolerance(check, doc, tol_scale),
+        records.append(run_check(check, run, rng, check_tolerance(check, doc, tol_scale),
                                  timings))
 
     failed = sum(1 for r in records if r["status"] != "pass")

@@ -13,8 +13,8 @@ import acs_verify
 from acs_verify.checks import (
     REGISTRY,
     Check,
-    CheckContext,
     CheckResult,
+    Run,
     all_checks,
     checks_for,
     worst_of,
@@ -235,13 +235,12 @@ def test_finite_overrides_still_read_as_before():
 
 def test_run_check_without_samples_fails():
     # a scenario cannot ask for this (see the test below), so the check
-    # runs on a context that skipped validate_scenario
+    # runs on a run that skipped validate_scenario
     doc = parse_scenario(find_scenario("universal_n1_k4"))
     doc["payload"]["versality_samples"] = []
     check = REGISTRY["universal_versality"]
-    ctx = CheckContext(payload=doc["payload"], tol=DEFAULT, seed=doc["seed"],
-                       rng=SplitMix64(0), samples=None, sample_cap=None)
-    record = run_check(check, ctx, check.tolerance, timings=False)
+    run = Run("universal", doc["payload"], DEFAULT, doc["seed"])
+    record = run_check(check, run, SplitMix64(0), check.tolerance, timings=False)
     assert record["samples_checked"] == 0 and record["status"] == "fail"
 
 
@@ -290,23 +289,22 @@ def test_worst_of_keeps_nan():
 
 def record_of(runner, tolerance=1.0):
     check = Check("probe_check", "fields", "probe", tolerance, runner)
-    ctx = CheckContext(payload={}, tol=DEFAULT, seed=0, rng=SplitMix64(0),
-                       samples=None, sample_cap=None)
-    return run_check(check, ctx, tolerance, timings=False)
+    return run_check(check, Run("fields", {}, DEFAULT, 0), SplitMix64(0), tolerance,
+                     timings=False)
 
 
 def test_run_check_fails_non_finite_or_empty_results():
-    assert record_of(lambda ctx: CheckResult(0.5, 1))["status"] == "pass"
+    assert record_of(lambda run, rng: CheckResult(0.5, 1))["status"] == "pass"
     for residual, samples in ((math.nan, 3), (math.inf, 3), (0.0, 0)):
-        rec = record_of(lambda ctx, r=residual, s=samples: CheckResult(r, s))
+        rec = record_of(lambda run, rng, r=residual, s=samples: CheckResult(r, s))
         assert rec["status"] == "fail"
         assert rec["samples_checked"] == samples
         json.dumps(rec, allow_nan=False)  # stays strict JSON
-    assert record_of(lambda ctx: CheckResult(math.nan, 3))["max_residual"] is None
+    assert record_of(lambda run, rng: CheckResult(math.nan, 3))["max_residual"] is None
 
 
 def test_run_check_records_error_class():
-    def runner(ctx):
+    def runner(run, rng):
         raise EigenSplitFailure("eigenspace columns are numerically dependent")
 
     rec = record_of(runner)

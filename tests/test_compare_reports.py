@@ -89,3 +89,23 @@ def test_moved_samples_are_a_report_change_not_a_verdict_change():
         ("universal_n2_k8", "1", "universal_fiber_reality", "2e-15", "3e-15"),
     ]
     assert one_sided == {} and not shared_differ and identical == 0
+
+
+def test_a_row_names_the_other_fields_that_moved():
+    compare = load_tool().compare
+    runs = [("universal_n1_k4", None), ("universal_n1_k4", 1)]
+    old_rec = {**record("universal_fiber_reality", 1e-15), "anchor": "old", "tolerance": 1e-9}
+    anchor_only = {**old_rec, "anchor": "new"}
+    both = {**old_rec, "anchor": "new", "tolerance": 1e-8, "max_residual": 2e-15,
+            "samples_checked": 5}
+    old = {"universal_n1_k4 None": report(old_rec), "universal_n1_k4 1": report(old_rec)}
+    new = {"universal_n1_k4 None": report(anchor_only), "universal_n1_k4 1": report(both)}
+    rows, one_sided, shared_differ, identical = compare(runs, old, new)
+    # an anchor-only change is named, not an unexplained row of equal residuals
+    assert rows == [
+        ("universal_n1_k4", "default", "universal_fiber_reality", "1e-15", "1e-15",
+         "moved: anchor"),
+        ("universal_n1_k4", "1", "universal_fiber_reality", "1e-15", "2e-15",
+         "samples 3 -> 5", "moved: anchor, tolerance"),
+    ]
+    assert one_sided == {} and not shared_differ and identical == 0

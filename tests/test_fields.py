@@ -1,3 +1,4 @@
+import itertools
 import re
 from pathlib import Path
 
@@ -29,6 +30,17 @@ def test_grid_is_deterministic_and_sized():
     g = chart.grid([3, 4])
     assert g.shape == (12, 2)
     assert np.array_equal(g, chart.grid([3, 4]))
+
+
+@pytest.mark.parametrize("counts", [[6] * 4, [3] * 6, [4, 4], [10, 10], [7, 10]])
+def test_grid_rows_are_the_rows_of_the_product_of_the_axes(counts):
+    # the reference: the row-major product of the per-axis angles
+    axes = [fl.TWO_PI * (np.arange(c) + 0.37) / c for c in counts]
+    want = np.array(list(itertools.product(*axes)))
+    chart = fl.TorusChart(len(counts))
+    assert chart.grid(counts).tobytes() == want.tobytes()
+    for rows in (1, 5, len(want), len(want) + 3):
+        assert chart.grid(counts, rows=rows).tobytes() == want[:rows].tobytes()
 
 
 def test_value_is_periodic():
@@ -270,9 +282,8 @@ def test_fd_oracle_evaluates_j_2d_plus_1_times_bitwise_as_the_closure_route(
 def tensoriality_record(monkeypatch, j, seed):
     monkeypatch.setattr(checks, "build_structure", lambda payload, n, seed: j)
     check = checks.REGISTRY["nijenhuis_tensoriality"]
-    ctx = checks.CheckContext(payload={"n": j.n, "probes": 4}, tol=DEFAULT, seed=seed,
-                              rng=SplitMix64(seed), samples=None, sample_cap=None)
-    return run_check(check, ctx, check.tolerance, timings=False)
+    run = checks.Run("fields", {"n": j.n, "probes": 4}, DEFAULT, seed)
+    return run_check(check, run, SplitMix64(seed), check.tolerance, timings=False)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -416,9 +427,8 @@ def squares_check(monkeypatch, j, pts):
     the scenario's structure replaced by j."""
     monkeypatch.setattr(checks, "build_structure", lambda payload, n, seed: j)
     check = checks.REGISTRY["structure_squares_to_minus_id"]
-    ctx = checks.CheckContext(payload={"n": j.n}, tol=DEFAULT, seed=0,
-                              rng=SplitMix64(0), samples=pts, sample_cap=None)
-    return run_check(check, ctx, check.tolerance, timings=False)
+    run = checks.Run("fields", {"n": j.n}, DEFAULT, 0, {"points": pts.tolist()})
+    return run_check(check, run, SplitMix64(0), check.tolerance, timings=False)
 
 
 @pytest.mark.parametrize("n, counts", [(1, [7, 10]), (2, [3, 3, 3, 4]), (3, [2, 2, 2, 2, 3, 3])])

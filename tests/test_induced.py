@@ -11,7 +11,7 @@ import pytest
 import oracles
 from oracles import complex_vector
 from acs_verify import induced
-from acs_verify.checks import REGISTRY, CheckContext, build_graph_scenario
+from acs_verify.checks import REGISTRY, Run, build_graph_scenario
 from acs_verify.config import DEFAULT
 from acs_verify.cxlinalg import complexify_vector, realify_vector, standard_structure
 from acs_verify.distribution import (
@@ -393,10 +393,8 @@ def test_nijenhuis_identity_differentiates_jf_once_per_instance(monkeypatch, n, 
         return original(*args, **kwargs)
 
     monkeypatch.setattr(induced, "induced_jf", counted)
-    ctx = CheckContext(payload={"instances": 1, "pairs": pairs, "n": n, "N": n + 2},
-                       tol=DEFAULT, seed=5, rng=SplitMix64(5), samples=None,
-                       sample_cap=None)
-    result = REGISTRY["nijenhuis_identity"].runner(ctx)
+    run = Run("induced", {"instances": 1, "pairs": pairs, "n": n, "N": n + 2}, DEFAULT, 5)
+    result = REGISTRY["nijenhuis_identity"].runner(run, SplitMix64(5))
     assert result.samples_checked == pairs and result.max_residual < 1e-4
     # one J_f for the torsion map, one value and two per partial for the jet
     assert 0 < len(calls) <= 2 + 2 * (2 * n)
@@ -672,9 +670,7 @@ def test_graph_params_draw_only_the_tested_dimensions():
 
     drawn = set()
     for seed in range(200):
-        ctx = CheckContext(payload={}, tol=DEFAULT, seed=seed, rng=SplitMix64(seed),
-                           samples=None, sample_cap=None)
-        drawn.add(checks._graph_params(ctx)[:2])
+        drawn.add(checks._graph_params({}, SplitMix64(seed))[:2])
     assert drawn == set(GRAPH_DIMENSIONS)
 
 

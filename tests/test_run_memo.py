@@ -1,6 +1,7 @@
-"""The per-run memo: what the checks of one run share, and what they must
-not. Counters are monkeypatched onto the module bindings the checks call,
-so each test sees how often a construction is really built.
+"""The run object: what the checks of one run share, what they must not,
+and which sample points they build. Counters are monkeypatched onto the
+module bindings the checks call, so each test sees how often a
+construction is really built.
 """
 import sys
 
@@ -13,14 +14,15 @@ from acs_verify.cli import main
 from acs_verify.config import DEFAULT
 from acs_verify.cxlinalg import standard_structure
 from acs_verify.errors import EigenSplitFailure
-from acs_verify.fields import AlmostComplexField, CallableMatrixField, TorusChart, TrigPolyField
-from acs_verify.lvmb import LvmbData
-from acs_verify.scenarios import (
-    find_scenario,
-    parse_scenario,
-    resolve_samples,
-    run_scenario,
+from acs_verify.fields import (
+    TWO_PI,
+    AlmostComplexField,
+    CallableMatrixField,
+    TorusChart,
+    TrigPolyField,
 )
+from acs_verify.lvmb import LvmbData
+from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
 from acs_verify.universal import PointwiseACManifold, default_torus_embedding
 
 ALL_UNIVERSAL = ["universal_dimension_tables", "universal_reconstruction",
@@ -38,6 +40,12 @@ def count_calls(monkeypatch, owner, name, wrap=None):
 
     monkeypatch.setattr(owner, name, counted if wrap is None else wrap(counted))
     return calls
+
+
+def sample_points(doc):
+    """The rows of the samples.counts grid of doc."""
+    counts = doc["samples"]["counts"]
+    return TorusChart(len(counts)).grid(counts)
 
 
 def universal_doc(checks_run, cap=None):
@@ -99,7 +107,7 @@ def test_fiber_reality_alone_builds_only_its_reality_points_and_counts_them(monk
     doc = universal_doc(["universal_fiber_reality"])
     built, validated = count_rows(monkeypatch)
     records, aggregate = run_scenario(doc)
-    pts = resolve_samples(doc)
+    pts = sample_points(doc)
     wedge = doc["payload"]["reality_samples"]
     assert wedge < len(pts)
     assert aggregate["passed"] and records[0]["samples_checked"] == wedge
@@ -114,7 +122,7 @@ def test_fiber_reality_after_reconstruction_rebuilds_only_plucker_points(monkeyp
     doc = universal_doc(["universal_reconstruction", "universal_fiber_reality"])
     built, validated = count_rows(monkeypatch)
     run_scenario(doc)
-    pts = resolve_samples(doc)
+    pts = sample_points(doc)
     wedge = doc["payload"].get("reality_samples", 5)
     assert len(built) == len(pts) + wedge
     assert [x.tobytes() for x in built[len(pts):]] == [x.tobytes() for x in pts[:wedge]]
@@ -128,7 +136,7 @@ def test_reconstruction_makes_no_point_objects_and_one_dg_per_chunk(monkeypatch)
     jacobians = count_calls(monkeypatch, TrigPolyField, "jacobian_values")
     records, aggregate = run_scenario(doc)
     assert aggregate["passed"]
-    n_pts = len(resolve_samples(doc))
+    n_pts = len(sample_points(doc))
     assert records[0]["samples_checked"] == n_pts
     assert (len(points), len(subspaces)) == (0, 0)
     assert len(jacobians) == -(-n_pts // universal.FIBER_CHUNK)
@@ -176,7 +184,7 @@ BAD_INDEX = 7  # in the middle of the first chunk, after the reality points
 def test_failed_fiber_gives_the_same_error_in_both_checks(monkeypatch, order):
     doc = universal_doc(order)
     # a row inside the reality points: both checks build it
-    x_bad = resolve_samples(doc)[REALITY_INDEX]
+    x_bad = sample_points(doc)[REALITY_INDEX]
     monkeypatch.setattr(checks, "build_manifold",
                         lambda payload, seed: manifold_failing_at(x_bad))
     with pytest.raises(EigenSplitFailure) as want:
@@ -219,7 +227,7 @@ def failing_run(monkeypatch, order, bad_index):
     """The records of a universal run whose J fails at row bad_index of
     the sample grid, and the error the one-point oracle gives there."""
     doc = universal_doc(order)
-    pts = resolve_samples(doc)
+    pts = sample_points(doc)
     m = manifold_failing_at(pts[bad_index])
     with pytest.raises(EigenSplitFailure) as want:
         oracles.build_fiber(pts[bad_index], m)
@@ -268,3 +276,54 @@ def test_symplectic_models_are_built_once_per_symplectic_run(monkeypatch):
     sets.clear()
     records, _ = run_scenario(doc, sample_cap=1)
     assert len(sets) == 1 and [r["samples_checked"] for r in records] == [2] * 3
+
+
+def test_samples_cap_caps_the_versality_samples(monkeypatch):
+    doc = parse_scenario(find_scenario("universal_n2_k8"))
+    doc["checks"] = ["universal_versality"]
+    doc["payload"]["versality_samples"].append([1.7, 0.2, 5.1, 3.3])
+    assert run_scenario(doc)[0][0]["samples_checked"] == 2
+    reports = count_calls(monkeypatch, checks, "versality_check")
+    records, aggregate = run_scenario(doc, sample_cap=1)
+    assert aggregate["passed"] and records[0]["samples_checked"] == 1
+    assert len(reports) == 1
+
+
+def count_grid_rows(monkeypatch):
+    """The number of rows of each grid TorusChart.grid builds, in call order."""
+    rows = []
+    grid = TorusChart.grid
+
+    def counted(self, *args, **kwargs):
+        pts = grid(self, *args, **kwargs)
+        rows.append(len(pts))
+        return pts
+
+    monkeypatch.setattr(TorusChart, "grid", counted)
+    return rows
+
+
+def test_capped_run_without_samples_builds_only_the_rows_it_checks(monkeypatch):
+    # the default grid of n = 3 has 10^6 rows; --samples 1 reads one
+    doc = {"id": "n3", "kind": "universal", "seed": 1, "payload": {"n": 3},
+           "checks": ["universal_reconstruction"]}
+    built, _ = count_rows(monkeypatch)
+    grids = count_grid_rows(monkeypatch)
+    records, aggregate = run_scenario(doc, sample_cap=1)
+    assert aggregate["passed"] and records[0]["samples_checked"] == 1
+    assert len(built) == 1 and grids == [1]
+    # row 0 of the grid: every axis at its first angle, 2 pi 0.37 / 10
+    assert built[0].tobytes() == np.full(6, TWO_PI * 0.37 / 10).tobytes()
+
+
+@pytest.mark.parametrize("name, limit", [
+    ("universal_fiber_reality", 5), ("universal_versality", 3), ("universal_isotropy", 3),
+])
+def test_a_check_without_samples_reads_the_first_rows_of_the_default_grid(
+        monkeypatch, name, limit):
+    doc = {"id": "n1", "kind": "universal", "seed": 1, "payload": {"n": 1},
+           "checks": [name]}
+    grids = count_grid_rows(monkeypatch)
+    records, aggregate = run_scenario(doc)
+    assert aggregate["passed"] and records[0]["samples_checked"] == limit
+    assert grids == [limit]

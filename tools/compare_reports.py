@@ -14,7 +14,12 @@ the trees, one tab-separated row is printed:
 
     scenario  seed  check  old max_residual  new max_residual
 
-and, when `samples_checked` moved, a last column `samples OLD -> NEW`.
+When `samples_checked` moved, a column `samples OLD -> NEW` follows.
+When any field other than the residual, the sample count and the
+verdict moved (the `anchor` or the `tolerance`, say), a last column
+`moved: FIELD, ...` names them, so a record whose residuals agree still
+shows why it differs.
+
 A check that one tree's report holds and the other's lacks gets no row:
 it is named once on stderr with the number of reports it is missing
 from. A summary line on stderr says whether the verdicts (`status` and
@@ -32,6 +37,8 @@ import sys
 
 SEEDS = (None, 1, 2, 3)
 VERDICT_FIELDS = ("status", "error")
+# the fields a row shows in its own columns or the summary line reports
+SHOWN_FIELDS = ("name", "max_residual", "samples_checked", *VERDICT_FIELDS)
 
 # Runs in the child interpreter: argv[1] is the tree, argv[2] the list of
 # (scenario, seed) runs as JSON. Prints {"scenario seed": report} as JSON.
@@ -85,8 +92,10 @@ def compare(runs: list, old: dict, new: dict) -> tuple[list, dict, bool, int]:
     """(rows, one_sided, shared_differ, identical) over the reports of runs.
 
     rows holds a (scenario, seed, check, old residual, new residual) row
-    for each differing record that both reports hold, with a sixth
-    "samples OLD -> NEW" entry when samples_checked moved; one_sided counts,
+    for each differing record that both reports hold, then a
+    "samples OLD -> NEW" entry when samples_checked moved and a
+    "moved: FIELD, ..." entry naming the other fields that moved outside
+    SHOWN_FIELDS; one_sided counts,
     per (tree, check), the reports in which only that tree has the check;
     shared_differ says whether the verdict of a shared record differs;
     identical counts the byte-identical reports.
@@ -113,6 +122,10 @@ def compare(runs: list, old: dict, new: dict) -> tuple[list, dict, bool, int]:
                    repr(a["max_residual"]), repr(b["max_residual"]))
             if a["samples_checked"] != b["samples_checked"]:
                 row += (f"samples {a['samples_checked']} -> {b['samples_checked']}",)
+            other = sorted(f for f in a.keys() | b.keys()
+                           if f not in SHOWN_FIELDS and a.get(f) != b.get(f))
+            if other:
+                row += ("moved: " + ", ".join(other),)
             rows.append(row)
     return rows, one_sided, shared_differ, identical
 
@@ -137,7 +150,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
     for row in rows:
         print("\t".join(row))
-    moved = sum(1 for row in rows if len(row) == 6)
+    moved = sum(1 for row in rows if any(c.startswith("samples ") for c in row[5:]))
     print(f"{identical} of {len(runs)} reports byte-identical; verdicts of the "
           "shared checks " + ("differ" if shared_differ else "agree")
           + f"; samples_checked moved in {moved} records", file=sys.stderr)
