@@ -12,8 +12,6 @@ import argparse
 import json
 import sys
 
-import jsonschema
-
 from .checks import all_checks
 from .errors import SchemaError, VerifyError
 from .lvmb import LvmbData, check_condition_i, check_condition_ii
@@ -89,10 +87,7 @@ def cmd_list_checks() -> int:
 def cmd_lvmb_check(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         doc = load_json(fh.read())
-    try:
-        validate_document(doc, "lvmb_input.schema.json")
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"input invalid: {exc.message}") from exc
+    validate_document(doc, "lvmb_input.schema.json", "input")
     try:
         data = LvmbData.from_json_dict(doc)
     except VerifyError as exc:
@@ -126,7 +121,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # an unreadable or non-UTF-8 file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,8 +24,6 @@ import time
 import zlib
 from importlib import resources
 
-import jsonschema
-
 from .checks import (
     DEFAULT_GRID_COUNTS,
     Check,
@@ -38,6 +36,7 @@ from .errors import SchemaError, VerifyError
 from .fields import TrigPolyField
 from .lvmb import LvmbData
 from .rng import SplitMix64
+from .schema_check import best_error, check_schema, find_errors
 from .universal import PointwiseACManifold
 
 _SCHEMA_CACHE: dict = {}
@@ -69,32 +68,37 @@ def _in_range(parse):
 def load_json(text: str):
     """json.loads for every input document. NaN, Infinity and numbers
     that overflow a double are refused: a non-finite tolerance passes any
-    residual, and NaN is not strict JSON."""
-    return json.loads(text, parse_constant=_non_finite,
-                      parse_float=_in_range(float), parse_int=_in_range(int))
+    residual, and NaN is not strict JSON. So is nesting deeper than the
+    parser's recursion allows."""
+    try:
+        return json.loads(text, parse_constant=_non_finite,
+                          parse_float=_in_range(float), parse_int=_in_range(int))
+    except RecursionError:
+        raise SchemaError("JSON input is nested too deeply to parse") from None
 
 
 def load_schema(name: str) -> dict:
+    """A bundled schema, read and held to what schema_check implements on
+    first use."""
     if name not in _SCHEMA_CACHE:
-        ref = resources.files("acs_verify").joinpath("schemas", name)
-        _SCHEMA_CACHE[name] = json.loads(ref.read_text())
+        schema = json.loads(resources.files("acs_verify").joinpath("schemas", name).read_text())
+        check_schema(schema)
+        _SCHEMA_CACHE[name] = schema
     return _SCHEMA_CACHE[name]
 
 
-_VALIDATORS: dict = {}
-
-
-def validate_document(doc, name: str) -> None:
-    """Raise the ValidationError jsonschema.validate would raise for doc
-    against the bundled schema name. The validator is built on first use.
-    The bundled schemas are checked against their meta-schema by the
-    tests, not at run time: that check tests the files, not the input."""
-    if name not in _VALIDATORS:
-        schema = load_schema(name)
-        _VALIDATORS[name] = jsonschema.validators.validator_for(schema)(schema)
-    error = jsonschema.exceptions.best_match(_VALIDATORS[name].iter_errors(doc))
+def validate_document(doc, name: str, label: str = "scenario", at: tuple = ()) -> None:
+    """Raise SchemaError "<label> invalid at <path>: <message>" with the
+    error jsonschema's best_match picks for doc against the bundled schema
+    name; at prefixes the path."""
+    schema = load_schema(name)
+    try:
+        error = best_error(find_errors(schema, doc))
+    except RecursionError:  # the repr of a value nested nearly as deep as json allows
+        raise SchemaError(f"{label} invalid: a value is nested too deeply") from None
     if error is not None:
-        raise error
+        path = "/".join(str(p) for p in (*at, *error[0])) or "<root>"
+        raise SchemaError(f"{label} invalid at {path}: {error[1]}")
 
 
 def bundled_scenario_names() -> list[str]:
@@ -120,20 +124,12 @@ def find_scenario(ref: str) -> str:
     )
 
 
-def _schema_error(exc: jsonschema.ValidationError, prefix=()) -> SchemaError:
-    path = "/".join(str(p) for p in (*prefix, *exc.absolute_path)) or "<root>"
-    return SchemaError(f"scenario invalid at {path}: {exc.message}")
-
-
 def validate_scenario(doc) -> LvmbData | None:
     """Reject a scenario before any check runs: the schema, then the
     check filter, then what the checks of its kind read from payload and
     samples. Returns the LVMB data built to validate an lvmb payload (None
     for other kinds), so the run does not build it again."""
-    try:
-        validate_document(doc, "scenario.schema.json")
-    except jsonschema.ValidationError as exc:
-        raise _schema_error(exc) from exc
+    validate_document(doc, "scenario.schema.json")
     samples = doc.get("samples", {})
     if "dims" in samples and samples["dims"] != len(samples["counts"]):
         raise SchemaError("samples.dims must equal len(samples.counts)")
@@ -162,10 +158,7 @@ def _validate_payload(doc) -> LvmbData | None:
     if kind == "lvmb":
         if "data" not in payload:
             raise SchemaError("lvmb scenarios need payload.data")
-        try:
-            validate_document(payload["data"], "lvmb_input.schema.json")
-        except jsonschema.ValidationError as exc:
-            raise _schema_error(exc, ("payload", "data")) from exc
+        validate_document(payload["data"], "lvmb_input.schema.json", at=("payload", "data"))
         try:
             return LvmbData.from_json_dict(payload["data"])
         except VerifyError as exc:

@@ -226,6 +226,49 @@ def test_non_finite_numbers_in_the_input_exit_two(tmp_path, capsys, literal, nee
     assert_one_line_rejection(*run_lines(capsys, ["lvmb-check", str(path)]), needle)
 
 
+@pytest.mark.parametrize("command", ["run", "lvmb-check"])
+def test_json_nested_past_the_parser_limit_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000)
+    assert_one_line_rejection(*run_lines(capsys, [command, str(path)]), "nested too deeply")
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        parse_scenario("[" * 3000 + "]" * 3000)
+
+
+def test_a_deep_value_under_samples_points_fails_the_leaf_type_test(tmp_path, capsys):
+    deep = "[" * 200 + "]" * 200
+    text = '{"id": "x", "kind": "fields", "seed": 1, "samples": {"points": [[%s]]}}' % deep
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert_one_line_rejection(*run_lines(capsys, ["run", str(path)]),
+                              f"scenario invalid at samples/points/0/0: {deep} is not of "
+                              f"type 'number'")
+    # a value too deep for the message's repr is refused on one line too
+    value = []
+    for _ in range(2 * sys.getrecursionlimit()):
+        value = [value]
+    doc = {"id": "x", "kind": "fields", "seed": 1, "samples": {"points": [[value]]}}
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        validate_scenario(doc)
+
+
+@pytest.mark.parametrize("command", ["run", "lvmb-check"])
+def test_an_input_file_that_is_not_utf8_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert_one_line_rejection(*run_lines(capsys, [command, str(path)]), "'utf-8' codec")
+
+
+def test_lvmb_check_names_the_path_of_a_schema_violation(tmp_path, capsys):
+    data = json.loads(json.dumps(WRONG_EXPECT["payload"]["data"]))
+    data["ell"][0][0] = [0.0]
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_lines(capsys, ["lvmb-check", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: input invalid at ell/0/0: [0.0] is too short\n"
+
+
 def test_finite_overrides_still_read_as_before():
     doc = parse_scenario(with_override("1e300"))
     assert doc["tolerances"]["checks"]["lvmb_condition_i"] == 1e300
@@ -585,14 +628,14 @@ INVALID_DOCUMENTS = [
 
 
 @pytest.mark.parametrize("name, doc", INVALID_DOCUMENTS)
-def test_cached_validator_raises_what_jsonschema_validate_raises(name, doc):
+def test_validate_document_raises_what_jsonschema_validate_raises(name, doc):
     with pytest.raises(jsonschema.ValidationError) as want:
         jsonschema.validate(doc, load_schema(name))
+    path = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
     for _ in range(2):
-        with pytest.raises(jsonschema.ValidationError) as got:
+        with pytest.raises(SchemaError) as got:
             validate_document(doc, name)
-        assert got.value.message == want.value.message
-        assert list(got.value.absolute_path) == list(want.value.absolute_path)
+        assert str(got.value) == f"scenario invalid at {path}: {want.value.message}"
 
 
 SCHEMA_NAMES = sorted(
@@ -606,17 +649,18 @@ def test_bundled_schema_is_valid_against_its_meta_schema(name):
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
-def test_validation_does_not_check_the_schemas(monkeypatch):
-    # the bundled schemas are checked by the test above, not on every run
-    monkeypatch.setattr(scenarios, "_VALIDATORS", {})
-    cls = jsonschema.validators.validator_for(load_schema("scenario.schema.json"))
-    calls = []
-    monkeypatch.setattr(cls, "check_schema",
-                        classmethod(lambda klass, schema, *a, **k: calls.append(schema)))
-    doc = parse_scenario(find_scenario("lvmb_pass"))
-    validate_scenario(doc)
-    validate_document(doc["payload"]["data"], "lvmb_input.schema.json")
-    assert calls == []
+def test_each_schema_is_checked_once(monkeypatch):
+    # the bundled schemas are checked against their meta-schema by the test
+    # above; a run holds each to the checker's keywords once, when it loads it
+    monkeypatch.setattr(scenarios, "_SCHEMA_CACHE", {})
+    checked = []
+    check_schema = scenarios.check_schema
+    monkeypatch.setattr(scenarios, "check_schema",
+                        lambda schema: checked.append(schema["title"]) or check_schema(schema))
+    for _ in range(2):
+        doc = parse_scenario(find_scenario("lvmb_pass"))
+        validate_document(doc["payload"]["data"], "lvmb_input.schema.json")
+    assert sorted(checked) == ["Combinatorial admissibility input", "Verification scenario"]
 
 
 def test_per_check_tolerance_override():
@@ -721,8 +765,9 @@ def test_lvmb_check_semantic_rejection_exits_two(tmp_path, capsys):
 
 
 # Runs in a fresh interpreter: argv[1] is the `src` directory, argv[2] an
-# lvmb-check input. Prints the exit codes and every scipy module loaded.
-NO_SCIPY_RUNNER = r"""
+# lvmb-check input. Prints the exit codes and every scipy and jsonschema
+# module loaded.
+FRESH_CLI_RUNNER = r"""
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from acs_verify.cli import main
@@ -733,20 +778,32 @@ with contextlib.redirect_stdout(io.StringIO()):
         codes[name] = main(["run", name])
     codes["list-checks"] = main(["list-checks"])
     codes["lvmb-check"] = main(["lvmb-check", sys.argv[2]])
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": loaded}))
+loaded = {top: sorted(m for m in sys.modules if m.split(".")[0] == top)
+          for top in ("scipy", "jsonschema")}
+print(json.dumps({"codes": codes, **loaded}))
 """
 
 
-def test_cli_runs_without_importing_scipy():
+@pytest.fixture(scope="module")
+def fresh_cli_run():
     src = os.path.dirname(os.path.dirname(os.path.abspath(acs_verify.__file__)))
     family = os.path.join(os.path.dirname(__file__), "data",
                           "lvm_m1_N10_weights_form_unstable.json")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNNER, src, family],
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI_RUNNER, src, family],
                           capture_output=True, text=True, env=env, timeout=300,
                           check=True)
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert len(out["codes"]) == len(bundled_scenario_names()) + 2
     assert set(out["codes"].values()) == {0}, out["codes"]
-    assert out["scipy"] == []
+    return out
+
+
+def test_cli_runs_without_importing_scipy(fresh_cli_run):
+    assert fresh_cli_run["scipy"] == []
+
+
+def test_cli_runs_without_importing_jsonschema(fresh_cli_run):
+    # every bundled scenario, list-checks and lvmb-check: the schema checks
+    # are schema_check's, and jsonschema is the tests' oracle only
+    assert fresh_cli_run["jsonschema"] == []
