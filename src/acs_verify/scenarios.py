@@ -24,6 +24,8 @@ import time
 import zlib
 from importlib import resources
 
+import jsonschema
+
 from .checks import (
     DEFAULT_GRID_COUNTS,
     Check,
@@ -36,7 +38,7 @@ from .errors import SchemaError, VerifyError
 from .fields import TrigPolyField
 from .lvmb import LvmbData
 from .rng import SplitMix64
-from .schema_check import best_error, check_schema, find_errors
+from .schema_check import conforms
 from .universal import PointwiseACManifold
 
 _SCHEMA_CACHE: dict = {}
@@ -78,27 +80,34 @@ def load_json(text: str):
 
 
 def load_schema(name: str) -> dict:
-    """A bundled schema, read and held to what schema_check implements on
-    first use."""
     if name not in _SCHEMA_CACHE:
-        schema = json.loads(resources.files("acs_verify").joinpath("schemas", name).read_text())
-        check_schema(schema)
-        _SCHEMA_CACHE[name] = schema
+        ref = resources.files("acs_verify").joinpath("schemas", name)
+        _SCHEMA_CACHE[name] = json.loads(ref.read_text())
     return _SCHEMA_CACHE[name]
 
 
+_VALIDATORS: dict = {}
+
+
 def validate_document(doc, name: str, label: str = "scenario", at: tuple = ()) -> None:
-    """Raise SchemaError "<label> invalid at <path>: <message>" with the
-    error jsonschema's best_match picks for doc against the bundled schema
-    name; at prefixes the path."""
+    """Raise SchemaError "<label> invalid at <path>: <message>" when doc
+    fails the bundled schema name; at prefixes the path. The verdict is
+    schema_check's; the path and message of a failing document are those
+    of the error jsonschema's best_match picks, from a validator built on
+    first use. The bundled schemas are checked against their meta-schema
+    by the tests, not at run time: that check tests the files, not the
+    input."""
     schema = load_schema(name)
+    if conforms(schema, doc):
+        return
+    if name not in _VALIDATORS:
+        _VALIDATORS[name] = jsonschema.validators.validator_for(schema)(schema)
     try:
-        error = best_error(find_errors(schema, doc))
+        error = jsonschema.exceptions.best_match(_VALIDATORS[name].iter_errors(doc))
     except RecursionError:  # the repr of a value nested nearly as deep as json allows
         raise SchemaError(f"{label} invalid: a value is nested too deeply") from None
-    if error is not None:
-        path = "/".join(str(p) for p in (*at, *error[0])) or "<root>"
-        raise SchemaError(f"{label} invalid at {path}: {error[1]}")
+    path = "/".join(str(p) for p in (*at, *error.absolute_path)) or "<root>"
+    raise SchemaError(f"{label} invalid at {path}: {error.message}")
 
 
 def bundled_scenario_names() -> list[str]:

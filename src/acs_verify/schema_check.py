@@ -1,14 +1,15 @@
-"""The JSON Schema checker of the bundled schemas: draft 2020-12 for the
-keywords `find_errors` reads, and a refusal of any other. `find_errors`
-lists a document's errors in the order jsonschema finds them, and
-`best_error` picks the one jsonschema's best_match picks."""
+"""The verdict of draft 2020-12 JSON Schema on a document, for the
+keywords the bundled schemas use: `type`, `properties`, `required`,
+`additionalProperties`, `items`, the size and range keywords in _HOLDS,
+`pattern`, `enum`, `const`, `oneOf` and a local `$ref`. Other keywords
+are ignored; tests/test_schema_check.py holds the bundled schemas to
+this list and the verdicts to jsonschema's. `conforms` descends only
+where the schema does, so a deeply nested value fails the `type` test of
+the leaf it sits in."""
 from __future__ import annotations
 
 import functools
-import heapq
 import re
-
-from .errors import SchemaError
 
 # an integral float is an integer, and a bool is no number
 _TYPES = {"object": lambda x: isinstance(x, dict), "array": lambda x: isinstance(x, list),
@@ -16,127 +17,56 @@ _TYPES = {"object": lambda x: isinstance(x, dict), "array": lambda x: isinstance
           "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
           "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
                                 or isinstance(x, float) and x.is_integer())}
-# keyword: (the type of the values it tests, fails(x, v), message); a size
-# keyword's "a|b" reads a at its edge, v = 1 for a min* and v = 0 for a max*
-_LEAVES = {
-    "const": (None, lambda x, v: not _same(x, v), "{v!r} was expected"),
-    "enum": (None, lambda x, v: not any(_same(x, e) for e in v), "{x!r} is not one of {v!r}"),
-    "pattern": ("string", lambda x, v: not re.search(v, x), "{x!r} does not match {v!r}"),
-    "minimum": ("number", lambda x, v: x < v, "{x!r} is less than the minimum of {v!r}"),
-    "maximum": ("number", lambda x, v: x > v, "{x!r} is greater than the maximum of {v!r}"),
-    "exclusiveMinimum": ("number", lambda x, v: x <= v,
-                         "{x!r} is less than or equal to the minimum of {v!r}"),
-    "minLength": ("string", lambda x, v: len(x) < v, "should be non-empty|is too short"),
-    "minItems": ("array", lambda x, v: len(x) < v, "should be non-empty|is too short"),
-    "maxItems": ("array", lambda x, v: len(x) > v, "is expected to be empty|is too long"),
-    "minProperties": ("object", lambda x, v: len(x) < v,
-                      "should be non-empty|does not have enough properties"),
-    "maxProperties": ("object", lambda x, v: len(x) > v,
-                      "is expected to be empty|has too many properties"),
+# keyword: (the type it applies to, holds(x, value)); other types pass it
+_HOLDS = {
+    "minimum": ("number", lambda x, v: x >= v),
+    "maximum": ("number", lambda x, v: x <= v),
+    "exclusiveMinimum": ("number", lambda x, v: x > v),
+    "minLength": ("string", lambda x, v: len(x) >= v),
+    "pattern": ("string", lambda x, v: re.search(v, x) is not None),
+    "minItems": ("array", lambda x, v: len(x) >= v),
+    "maxItems": ("array", lambda x, v: len(x) <= v),
+    "minProperties": ("object", lambda x, v: len(x) >= v),
+    "maxProperties": ("object", lambda x, v: len(x) <= v),
 }
-_KNOWN = {*_LEAVES, "type", "required", "properties", "additionalProperties", "items",
-          "oneOf", "$ref", "$schema", "$defs", "title", "description"}
 
 
-class _Error:
-    def __init__(self, message, x, schema, weak=False, context=()):
-        self.path, self.message, self.weak, self.context = [], message, weak, context
-        # jsonschema's `not error._matches_type()`
-        self.off_type = "type" not in schema or not _TYPES[schema["type"]](x)
-
-    def relevance(self):  # jsonschema's: shallow, last path, not a oneOf's, off its type
-        return -len(self.path), self.path, not self.weak, self.off_type
-
-
-def best_error(errors) -> tuple[list, str] | None:
-    """(path, message) of the error jsonschema's best_match picks: the most
-    relevant, the first of equals; below a oneOf that no branch matches,
-    the least relevant error of the branches while that one is unique."""
-    best = max(errors, key=_Error.relevance, default=None)
-    if best is None:
-        return None
-    path = list(best.path)
-    while best.context:
-        least = heapq.nsmallest(2, best.context, key=_Error.relevance)
-        if len(least) == 2 and least[0].relevance() == least[1].relevance():
-            break
-        best = least[0]
-        path += best.path
-    return path, best.message
-
-
-def _same(a, b) -> bool:  # jsonschema's `equal` for a scalar b: True is not 1
+def _same(a, b) -> bool:  # JSON equality for a scalar b: true is not 1
     return a is b if isinstance(a, bool) or isinstance(b, bool) else a == b
 
 
-def check_schema(schema) -> None:
-    """Refuse what `find_errors` does not implement: another keyword, a type
-    name outside _TYPES, a list or object under enum or const, a $ref
-    outside the document, a subschema that is not an object."""
-    if (not isinstance(schema, dict) or set(schema) - _KNOWN
-            or schema.get("type", "array") not in [*_TYPES]
-            or any(isinstance(v, (list, dict)) for v in [schema.get("const"),
-                                                          *schema.get("enum", [])])
-            or not schema.get("$ref", "#/").startswith("#/")):
-        raise SchemaError(f"the schema checker does not implement {schema!r}")
-    extra = schema.get("additionalProperties", False)
-    for sub in [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values(),
-                *schema.get("oneOf", []), *([schema["items"]] if "items" in schema else []),
-                *([] if extra is False else [extra])]:
-        check_schema(sub)
-
-
-def find_errors(schema: dict, x, root: dict | None = None) -> list:
-    """The errors of x against schema, a subschema of root (schema itself
-    by default), in the order jsonschema finds them. It descends only
-    where the schema does."""
+def conforms(schema: dict, x, root: dict | None = None) -> bool:
+    """Whether x is valid against schema, a subschema of root (schema
+    itself by default)."""
     root = schema if root is None else root
-    found = []
     for key, v in schema.items():
         if key == "type":
-            if not _TYPES[v](x):
-                found.append(_Error(f"{x!r} is not of type {v!r}", x, schema))
-        elif key in _LEAVES:
-            kind, fails, text = _LEAVES[key]
-            if (kind is None or _TYPES[kind](x)) and fails(x, v):
-                if "|" in text:
-                    text = "{x!r} " + text.split("|")[v != key.startswith("min")]
-                found.append(_Error(text.format(x=x, v=v), x, schema))
-        elif key == "required" and isinstance(x, dict):
-            found += [_Error(f"{n!r} is a required property", x, schema) for n in v if n not in x]
-        elif key == "properties" and isinstance(x, dict):
-            found += _descend([(k, s) for k, s in v.items() if k in x], x, root)
-        elif key == "additionalProperties" and isinstance(x, dict):
-            extra = [k for k in x if k not in schema.get("properties", {})]
-            if v is not False:
-                found += _descend([(k, v) for k in extra], x, root)
-            elif extra:
-                names = ", ".join(map(repr, sorted(extra, key=str)))
-                verb = "was" if len(extra) == 1 else "were"
-                found.append(_Error(f"Additional properties are not allowed ({names} {verb} "
-                                    "unexpected)", x, schema))
-        elif key == "items" and isinstance(x, list):
-            found += _descend([(i, v) for i in range(len(x))], x, root)
+            ok = _TYPES[v](x)
+        elif key in _HOLDS:
+            kind, holds = _HOLDS[key]
+            ok = not _TYPES[kind](x) or holds(x, v)
+        elif key == "const":
+            ok = _same(x, v)
+        elif key == "enum":
+            ok = any(_same(x, e) for e in v)
+        elif not isinstance(x, dict) and key in ("required", "properties",
+                                                 "additionalProperties"):
+            continue
+        elif key == "required":
+            ok = all(name in x for name in v)
+        elif key == "properties":
+            ok = all(conforms(s, x[k], root) for k, s in v.items() if k in x)
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            ok = all(v is not False and conforms(v, x[k], root) for k in x if k not in known)
+        elif key == "items":
+            ok = not isinstance(x, list) or all(conforms(v, item, root) for item in x)
         elif key == "oneOf":
-            branches = [find_errors(s, x, root) for s in v]
-            valid = [s for s, e in zip(v, branches) if not e]
-            if not valid:
-                found.append(_Error(f"{x!r} is not valid under any of the given schemas", x,
-                                    schema, True, [e for es in branches for e in es]))
-            elif len(valid) > 1:
-                each = ", ".join(map(repr, valid[1:] + valid[:1]))
-                found.append(_Error(f"{x!r} is valid under each of {each}", x, schema, True))
+            ok = sum(conforms(s, x, root) for s in v) == 1
         elif key == "$ref":
-            target = functools.reduce(dict.__getitem__, v[2:].split("/"), root)
-            found += find_errors(target, x, root)
-    return found
-
-
-def _descend(pairs, x, root) -> list:
-    """The errors of x[key] against schema for each (key, schema) pair."""
-    found = []
-    for key, schema in pairs:
-        for e in find_errors(schema, x[key], root):
-            e.path.insert(0, key)
-            found.append(e)
-    return found
+            ok = conforms(functools.reduce(dict.__getitem__, v[2:].split("/"), root), x, root)
+        else:
+            continue
+        if not ok:
+            return False
+    return True

@@ -628,7 +628,7 @@ INVALID_DOCUMENTS = [
 
 
 @pytest.mark.parametrize("name, doc", INVALID_DOCUMENTS)
-def test_validate_document_raises_what_jsonschema_validate_raises(name, doc):
+def test_cached_validator_raises_what_jsonschema_validate_raises(name, doc):
     with pytest.raises(jsonschema.ValidationError) as want:
         jsonschema.validate(doc, load_schema(name))
     path = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
@@ -649,18 +649,34 @@ def test_bundled_schema_is_valid_against_its_meta_schema(name):
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
-def test_each_schema_is_checked_once(monkeypatch):
-    # the bundled schemas are checked against their meta-schema by the test
-    # above; a run holds each to the checker's keywords once, when it loads it
-    monkeypatch.setattr(scenarios, "_SCHEMA_CACHE", {})
-    checked = []
-    check_schema = scenarios.check_schema
-    monkeypatch.setattr(scenarios, "check_schema",
-                        lambda schema: checked.append(schema["title"]) or check_schema(schema))
-    for _ in range(2):
-        doc = parse_scenario(find_scenario("lvmb_pass"))
-        validate_document(doc["payload"]["data"], "lvmb_input.schema.json")
-    assert sorted(checked) == ["Combinatorial admissibility input", "Verification scenario"]
+def test_validation_does_not_check_the_schemas(monkeypatch):
+    # the bundled schemas are checked by the test above, not on every run
+    monkeypatch.setattr(scenarios, "_VALIDATORS", {})
+    cls = jsonschema.validators.validator_for(load_schema("scenario.schema.json"))
+    calls = []
+    monkeypatch.setattr(cls, "check_schema",
+                        classmethod(lambda klass, schema, *a, **k: calls.append(schema)))
+    doc = parse_scenario(find_scenario("lvmb_pass"))
+    validate_scenario(doc)
+    validate_document(doc["payload"]["data"], "lvmb_input.schema.json")
+    with pytest.raises(SchemaError):
+        validate_document({}, "lvmb_input.schema.json")
+    assert calls == []
+
+
+def test_accepted_documents_are_checked_without_jsonschema(monkeypatch):
+    # schema_check alone accepts a valid document; jsonschema only builds
+    # the message of a rejected one
+    monkeypatch.setattr(scenarios, "_VALIDATORS", {})
+    monkeypatch.setattr(scenarios, "jsonschema", None)
+    for name in bundled_scenario_names():
+        validate_scenario(parse_scenario(find_scenario(name)))
+    family = os.path.join(os.path.dirname(__file__), "data",
+                          "lvm_m1_N10_weights_form_unstable.json")
+    with open(family, encoding="utf-8") as fh:
+        validate_document(json.load(fh), "lvmb_input.schema.json", "input")
+    with pytest.raises(AttributeError):
+        validate_document({}, "lvmb_input.schema.json")
 
 
 def test_per_check_tolerance_override():
@@ -765,9 +781,8 @@ def test_lvmb_check_semantic_rejection_exits_two(tmp_path, capsys):
 
 
 # Runs in a fresh interpreter: argv[1] is the `src` directory, argv[2] an
-# lvmb-check input. Prints the exit codes and every scipy and jsonschema
-# module loaded.
-FRESH_CLI_RUNNER = r"""
+# lvmb-check input. Prints the exit codes and every scipy module loaded.
+NO_SCIPY_RUNNER = r"""
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from acs_verify.cli import main
@@ -778,32 +793,20 @@ with contextlib.redirect_stdout(io.StringIO()):
         codes[name] = main(["run", name])
     codes["list-checks"] = main(["list-checks"])
     codes["lvmb-check"] = main(["lvmb-check", sys.argv[2]])
-loaded = {top: sorted(m for m in sys.modules if m.split(".")[0] == top)
-          for top in ("scipy", "jsonschema")}
-print(json.dumps({"codes": codes, **loaded}))
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
 """
 
 
-@pytest.fixture(scope="module")
-def fresh_cli_run():
+def test_cli_runs_without_importing_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(acs_verify.__file__)))
     family = os.path.join(os.path.dirname(__file__), "data",
                           "lvm_m1_N10_weights_form_unstable.json")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", FRESH_CLI_RUNNER, src, family],
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNNER, src, family],
                           capture_output=True, text=True, env=env, timeout=300,
                           check=True)
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert len(out["codes"]) == len(bundled_scenario_names()) + 2
     assert set(out["codes"].values()) == {0}, out["codes"]
-    return out
-
-
-def test_cli_runs_without_importing_scipy(fresh_cli_run):
-    assert fresh_cli_run["scipy"] == []
-
-
-def test_cli_runs_without_importing_jsonschema(fresh_cli_run):
-    # every bundled scenario, list-checks and lvmb-check: the schema checks
-    # are schema_check's, and jsonschema is the tests' oracle only
-    assert fresh_cli_run["jsonschema"] == []
+    assert out["scipy"] == []

@@ -203,6 +203,7 @@ def exempt_by(entry, file_name: str, qualname: str) -> bool:
 def test_every_function_and_method_is_reached(tmp_path, capsys, monkeypatch):
     # start from empty schema caches, as a fresh process does
     monkeypatch.setattr(scenarios, "_SCHEMA_CACHE", {})
+    monkeypatch.setattr(scenarios, "_VALIDATORS", {})
     called = called_qualnames(lambda: run_the_cli(tmp_path))
     capsys.readouterr()
     by_name = exempt_by_name()
