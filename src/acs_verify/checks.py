@@ -621,11 +621,16 @@ def _check_lvmb_condition_i(run: Run, rng: SplitMix64) -> CheckResult:
     if expect is not None and rep["ok"] != bool(expect):
         worst = 1.0
     if data.m == 1:
-        poly = check_condition_i_polygon(data)
-        for a, b in zip(rep["pairs"], poly["pairs"]):
-            if a["overlap"] != b["overlap"]:
+        # every pair against the oracle: a listed pair by its verdict, a
+        # pair of two sets that the common point certified as overlapping
+        listed = {(tuple(p["j1"]), tuple(p["j2"])): p["overlap"] for p in rep["pairs"]}
+        covered = {tuple(s["j"]) for s in (rep["common_point"] or {"sets": []})["sets"]}
+        for b in check_condition_i_polygon(data)["pairs"]:
+            key = (tuple(b["j1"]), tuple(b["j2"]))
+            if listed.get(key, key[0] in covered and key[1] in covered) != b["overlap"]:
                 worst = worst_of(worst, 1.0)
-    return CheckResult(worst, len(rep["pairs"]))
+    count = len(data.family)
+    return CheckResult(worst, count * (count + 1) // 2)
 
 
 @register(

@@ -98,6 +98,7 @@ def cmd_lvmb_check(args) -> int:
         "condition_i": rep_i["ok"],
         "condition_ii": rep_ii["ok"],
         "witnesses": {
+            "common_point": rep_i["common_point"],
             "pairs": rep_i["pairs"],
             "counterexample": rep_ii["counterexample"],
         },

@@ -10,11 +10,13 @@ Each member of E is a simplex (2m+1 points in R^{2m}), and for LVM data
 the members are exactly the simplices that hold one point in their
 interior (Meersseman 2000, Bosio 2001). So condition (i) first proposes
 one common interior point, by one small dual LP, and certifies it set by
-set from its barycentric weights. Each pair it does not certify gets an
-LP of its own: maximize the margin eps subject to a common point being a
-convex combination of each hull's vertices with all weights >= eps. For
-full-dimensional hulls a positive optimal margin is equivalent to
-interior intersection. Both LPs go to an in-house dense two-phase
+set from its barycentric weights; the report records the point once with
+each certified set's least weight, which covers every pair of certified
+sets, so its size grows with |E|, not |E|^2. Each pair it does not cover
+gets an LP of its own: maximize the margin eps subject to a common point
+being a convex combination of each hull's vertices with all weights >=
+eps. For full-dimensional hulls a positive optimal margin is equivalent
+to interior intersection. Both LPs go to an in-house dense two-phase
 simplex, which checks its own answer. The 2-D case has an independent
 exact-geometry oracle (convex hull, polygon clipping, shoelace area)
 used to cross-check the LP.
@@ -281,16 +283,19 @@ def barycentric_margins(simplices: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(_checks_out(mats, weights, target), weights.min(axis=1), -np.inf)
 
 
-def _over_pairs(data: LvmbData, verdict, degenerate: dict) -> dict:
+def _over_pairs(data: LvmbData, verdict, degenerate: dict, covered=()) -> dict:
     """Condition (i) over all unordered pairs from E, self-pairs included
     (a set must overlap itself, which is exactly the requirement that its
     hull has nonempty interior), in one fixed order so two routes can be
     compared entrywise. verdict(g1, g2) gives the fields of one pair; a
     DegenerateHull it raises is recorded with the degenerate fields and
-    counts as failure."""
+    counts as failure. A pair of two sets in covered is known to overlap
+    and is left out of the list."""
     pairs = []
     for i1, i2 in itertools.combinations_with_replacement(range(len(data.family)), 2):
         g1, g2 = data.family[i1], data.family[i2]
+        if g1 in covered and g2 in covered:
+            continue
         entry = {"j1": list(g1), "j2": list(g2), "degenerate": False}
         try:
             entry.update(verdict(g1, g2))
@@ -301,16 +306,21 @@ def _over_pairs(data: LvmbData, verdict, degenerate: dict) -> dict:
 
 
 def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
-    """Open-overlap condition, pair by pair (see _over_pairs).
+    """Open-overlap condition: {"ok", "pairs", "common_point"}.
 
     Each set's points and full-dimensionality verdict (one SVD) are
-    computed once per call; a degenerate set fails each of its pairs with
-    its message, g1 before g2, and margin 0. A pair of two sets in which
-    the common_point has every barycentric weight at least MARGIN
-    overlaps with margin min(eps_P, eps_Q), the point's least weights in
-    the two sets: a certified lower bound on the pair's LP optimum, not
-    the optimum. Every other pair goes to hull_overlap_lp; disjoint hulls
-    fail with margin None, and so does a pair whose LP fails its check.
+    computed once per call. The common_point y of the non-degenerate sets
+    certifies each set in which its every barycentric weight is at least
+    MARGIN; "common_point" is {"point": y, "sets": [{"j": J, "margin":
+    eps_J}, ...]}, the certified sets in family order with y's least
+    weight in each, or None when no set is certified. A pair of two
+    certified sets overlaps with margin min(eps_J1, eps_J2) and witness
+    y: a certified lower bound on the pair's LP optimum, not the optimum.
+    Such pairs are not listed; "pairs" holds every other pair, in the
+    order of _over_pairs. A degenerate set fails each of its pairs with
+    its message, g1 before g2, and margin 0. Every other pair goes to
+    hull_overlap_lp; disjoint hulls fail with margin None, and so does a
+    pair whose LP fails its check.
     """
     hulls = {}
     for group in data.family:
@@ -321,7 +331,7 @@ def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
             note = str(exc)
         hulls[group] = points, note
 
-    margins, witness = {}, None
+    margins, certified = {}, None
     solid = [group for group in data.family if hulls[group][1] is None]
     if solid:
         simplices = np.stack([hulls[group][0] for group in solid])
@@ -329,16 +339,15 @@ def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
         if point is not None:
             eps = barycentric_margins(simplices, point).tolist()
             margins = {g: e for g, e in zip(solid, eps) if e >= MARGIN}
-            witness = [float(v) for v in point]
+            if margins:
+                certified = {"point": [float(v) for v in point],
+                             "sets": [{"j": list(g), "margin": e} for g, e in margins.items()]}
 
     def verdict(g1, g2) -> dict:
         (p1, note1), (p2, note2) = hulls[g1], hulls[g2]
         for note in (note1, note2):
             if note is not None:
                 raise DegenerateHull(note)
-        if g1 in margins and g2 in margins:
-            return {"overlap": True, "margin": min(margins[g1], margins[g2]),
-                    "witness": list(witness), "note": "common interior point"}
         try:
             overlap, eps, point = hull_overlap_lp(p1, p2)
         except LPFailure as exc:
@@ -350,7 +359,9 @@ def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
             entry["note"] = "hulls are disjoint"
         return entry
 
-    return _over_pairs(data, verdict, {"margin": 0.0, "witness": None})
+    rep = _over_pairs(data, verdict, {"margin": 0.0, "witness": None}, margins)
+    rep["common_point"] = certified
+    return rep
 
 
 # ---------------------------------------------------------------------------

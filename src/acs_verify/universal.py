@@ -233,10 +233,11 @@ def _split_bound(dg_sv: np.ndarray, ker_plus: np.ndarray) -> np.ndarray:
 
 
 def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
-                tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The validated points over the rows of xs as the stack (dg, z, Sig'),
-    z real, S' and Sig'' being Sig'[:, :, :k - n] and conj Sig' (see
-    build_fibers); the first row at which a guard fires raises."""
+                tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The validated fibers over the rows of xs as the stack (dg, Sig'),
+    S' and Sig'' being Sig'[:, :, :k - n] and conj Sig' (see build_fibers;
+    the base points z are read there, as J_f does not need them); the
+    first row at which a guard fires raises."""
     n, k = m.n, m.k
     rtol = tol.rank_rtol
     taut_dim = k - 2 * n
@@ -269,8 +270,7 @@ def _fiber_rows(xs: np.ndarray, m: PointwiseACManifold,
     cols[:, 4 * n:4 * n + taut_dim, n:k - n] = np.eye(taut_dim)
     cols[:, 4 * n + taut_dim:, n:k - n] = -1j * np.eye(taut_dim)
     cols[:, :2 * n, k - n:] = ker_plus
-    sigp = np.linalg.qr(frame @ cols)[0]
-    return dg, np.tile(m.g.values(xs)[:, :, 0], 2), sigp
+    return dg, np.linalg.qr(frame @ cols)[0]
 
 
 def build_fibers(xs, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
@@ -309,7 +309,12 @@ def build_fibers(xs, m: PointwiseACManifold, tol: Tolerances = DEFAULT):
     bound fails.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    for _, (_, z, sigp) in over_chunks(xs, lambda rows: _fiber_rows(rows, m, tol)):
+
+    def stacked(rows):
+        _, sigp = _fiber_rows(rows, m, tol)
+        return np.tile(m.g.values(rows)[:, :, 0], 2), sigp
+
+    for _, (z, sigp) in over_chunks(xs, stacked):
         for zi, b in zip(z, sigp):
             yield UniversalPoint(m.n, m.k, zi, b)
 
@@ -364,8 +369,7 @@ def induced_structures(xs, m: PointwiseACManifold,
     row at which a guard fires raises; over_chunks turns that into the
     error of a loop over rows."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    dg, _, sigp = _fiber_rows(xs, m, tol)
-    return _induced_from_parts(dg, sigp, tol)
+    return _induced_from_parts(*_fiber_rows(xs, m, tol), tol)
 
 
 def induced_structure_at(x, m: PointwiseACManifold, tol: Tolerances = DEFAULT,

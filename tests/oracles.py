@@ -87,6 +87,10 @@ both bit for bit.
 read the tableau as Python floats: it scans the reduced costs and the
 ratio column one numpy scalar at a time and eliminates with an outer
 product, so the tests can hold `lvmb.simplex_solve` to it bit for bit.
+`pair_overlaps` reads a `check_condition_i` report back into one verdict
+per pair of E, in the polygon route's order, so the two routes can be
+compared pair by pair though the report lists only the pairs that the
+common point does not cover.
 
 The rest are small constructions the tests build their cases from or
 check the library against: subspace containment, realified matrices and
@@ -1174,3 +1178,19 @@ def common_point_weights_program(data: LvmbData):
     c = np.zeros(a.shape[1])
     c[0] = -1.0
     return c, a, b
+
+
+def pair_overlaps(data, rep):
+    """The overlap verdict of every unordered pair of E (self-pairs
+    included) in the order of the polygon route, read from a
+    check_condition_i report: True for a pair of two sets of
+    common_point.sets, the listed entry's verdict for any other pair.
+    Asserts that the two kinds partition the pairs and that the listed
+    ones keep that order."""
+    certified = {tuple(s["j"]) for s in rep["common_point"]["sets"]} if rep["common_point"] else set()
+    listed = [(tuple(p["j1"]), tuple(p["j2"])) for p in rep["pairs"]]
+    verdicts = dict(zip(listed, (p["overlap"] for p in rep["pairs"])))
+    pairs = list(itertools.combinations_with_replacement(data.family, 2))
+    uncovered = [pair for pair in pairs if not (pair[0] in certified and pair[1] in certified)]
+    assert listed == uncovered
+    return [verdicts.get(pair, True) for pair in pairs]

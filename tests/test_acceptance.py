@@ -56,6 +56,7 @@ from acs_verify.universal import (
     versality_check,
     versality_rank_from_parts,
 )
+from oracles import pair_overlaps
 
 
 def report(capsys, num, ok, detail):
@@ -280,8 +281,7 @@ def test_criterion_09_lvmb_conditions(capsys):
         lp = check_condition_i(d)
         poly = check_condition_i_polygon(d)
         agree = agree and lp["ok"] == poly["ok"]
-        agree = agree and all(a["overlap"] == b["overlap"]
-                              for a, b in zip(lp["pairs"], poly["pairs"]))
+        agree = agree and pair_overlaps(d, lp) == [b["overlap"] for b in poly["pairs"]]
     dt = time.perf_counter() - t0
     ok = verdicts and agree and dt < 5.0
     report(capsys, 9, ok,

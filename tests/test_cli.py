@@ -6,6 +6,7 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 import acs_verify
@@ -721,7 +722,37 @@ def test_lvmb_check_passing_family(tmp_path, capsys):
     verdict = json.loads(out)
     assert verdict["condition_i"] and verdict["condition_ii"]
     assert verdict["witnesses"]["counterexample"] is None
-    assert len(verdict["witnesses"]["pairs"]) == 3
+    # one common interior point certifies both sets, so no pair is listed
+    assert verdict["witnesses"]["pairs"] == []
+    common = verdict["witnesses"]["common_point"]
+    assert [s["j"] for s in common["sets"]] == FAMILY["E"]
+    assert min(s["margin"] for s in common["sets"]) >= 1e-9
+
+
+def test_lvmb_check_reports_one_common_point_for_the_seed_83_family(capsys):
+    # 55 sets: 1540 pairs, all covered by one point, in a few KB
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "lvm_m1_N10_weights_form_unstable.json")
+    code, out, err = run_lines(capsys, ["lvmb-check", path])
+    assert code == 0 and err == ""
+    assert len(out.encode()) < 10_000
+    verdict = json.loads(out)
+    assert verdict["condition_i"] and verdict["condition_ii"]
+    assert verdict["witnesses"]["pairs"] == []
+    common = verdict["witnesses"]["common_point"]
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    family = sorted(sorted(g) for g in doc["E"])
+    assert len(common["sets"]) == 55
+    assert [s["j"] for s in common["sets"]] == family
+    # y inside every set by its own barycentric solve of the input forms
+    forms = np.array([[row[0][0], row[0][1]] for row in doc["ell"]])
+    y = np.array(common["point"])
+    for s in common["sets"]:
+        assert s["margin"] >= 1e-9
+        weights = np.linalg.solve(np.vstack([forms[s["j"]].T, np.ones(3)]),
+                                  np.append(y, 1.0))
+        assert weights.min() >= 1e-9
 
 
 def test_lvmb_check_edge_sharing_family_fails(tmp_path, capsys):

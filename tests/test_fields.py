@@ -462,3 +462,32 @@ def test_squares_check_fails_a_nan_at_one_point(monkeypatch):
     record = squares_check(monkeypatch, j, pts)
     assert record["status"] == "fail" and record["max_residual"] is None
     assert squares_check(monkeypatch, j, np.delete(pts, row, axis=0))["status"] == "pass"
+
+
+def two_routes_records(monkeypatch, mutant):
+    """The nijenhuis_two_routes record of fields_basic and fields_n2, with
+    checks.nijenhuis_direct replaced by mutant(direct) when one is given."""
+    from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
+
+    if mutant is not None:
+        direct = checks.nijenhuis_direct
+        monkeypatch.setattr(checks, "nijenhuis_direct",
+                            lambda *args: mutant(direct(*args)))
+    records = {}
+    for name in ("fields_basic", "fields_n2"):
+        doc = parse_scenario(find_scenario(name))
+        doc["checks"] = ["nijenhuis_two_routes"]
+        [records[name]], _ = run_scenario(doc)
+    return records
+
+
+@pytest.mark.parametrize("mutant, floor", [(lambda n: -n, 1.0), (lambda n: 0.0 * n, 0.5)])
+def test_fields_n2_fails_a_wrong_direct_nijenhuis_route(monkeypatch, mutant, floor):
+    # N_J vanishes at n = 1, so fields_basic cannot tell a wrong route
+    # from the right one; at n = 2 it is of order one
+    clean = two_routes_records(monkeypatch, None)
+    assert {r["status"] for r in clean.values()} == {"pass"}
+    records = two_routes_records(monkeypatch, mutant)
+    assert records["fields_basic"]["status"] == "pass"
+    assert records["fields_n2"]["status"] == "fail"
+    assert records["fields_n2"]["max_residual"] > floor

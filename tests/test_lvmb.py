@@ -3,7 +3,9 @@
 The LP route for the overlap condition is cross-checked against an exact
 2-D polygon oracle on every m = 1 instance here, including 20 seeded
 random families. The common-interior-point route is held to the
-pairwise LP route, pair by pair, on seeded LVM-like families.
+pairwise LP route, pair by pair, on seeded LVM-like families; a pair of
+two sets that the common point certifies is not listed, so the tests
+read its verdict through pair_overlaps.
 """
 import itertools
 import json
@@ -30,7 +32,7 @@ from acs_verify.lvmb import (
     simplex_solve,
 )
 from acs_verify.rng import SplitMix64
-from oracles import common_point_weights_program, simplex_solve_loop
+from oracles import common_point_weights_program, pair_overlaps, simplex_solve_loop
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -249,8 +251,8 @@ def test_simplex_refuses_an_answer_that_fails_its_check():
         simplex_solve(c, a, b)
     # the dual form of the same family has one certified common point
     rep = check_condition_i(d)
-    assert rep["ok"]
-    assert {p["note"] for p in rep["pairs"]} == {"common interior point"}
+    assert rep["ok"] and rep["pairs"] == []
+    assert [s["j"] for s in rep["common_point"]["sets"]] == [list(g) for g in d.family]
 
 
 def test_a_failed_lp_fails_its_pair_and_drops_the_common_point(monkeypatch):
@@ -261,7 +263,7 @@ def test_a_failed_lp_fails_its_pair_and_drops_the_common_point(monkeypatch):
 
     monkeypatch.setattr(lvmb, "simplex_solve", failing)
     rep = check_condition_i(d)
-    assert not rep["ok"]
+    assert not rep["ok"] and rep["common_point"] is None
     assert [(p["overlap"], p["margin"], p["witness"], p["degenerate"], p["note"])
             for p in rep["pairs"]] == [
         (False, None, None, False,
@@ -275,9 +277,9 @@ def test_a_failed_lp_fails_its_pair_and_drops_the_common_point(monkeypatch):
 def test_condition_i_single_set_passes_via_self_pair():
     d = data_m1([0, 1, 1j], [[0, 1, 2]], big_n=2)
     rep = check_condition_i(d)
-    assert rep["ok"]
-    assert len(rep["pairs"]) == 1
-    assert rep["pairs"][0]["margin"] > 0.01
+    assert rep["ok"] and rep["pairs"] == []
+    [certified] = rep["common_point"]["sets"]
+    assert certified["j"] == [0, 1, 2] and certified["margin"] > 0.01
 
 
 def test_condition_i_edge_sharing_hulls_fail():
@@ -307,10 +309,12 @@ def test_condition_i_disjoint_hulls_fail_without_witness():
 def test_condition_i_overlapping_variant_passes():
     d = data_m1([0, 1, 1j, 0.25 + 0.25j], [[0, 1, 2], [1, 2, 3]])
     rep = check_condition_i(d)
-    assert rep["ok"]
-    cross = [p for p in rep["pairs"] if p["j1"] != p["j2"]][0]
-    assert cross["overlap"] and cross["margin"] >= 1e-9
-    w = np.array(cross["witness"])
+    assert rep["ok"] and rep["pairs"] == []
+    # the cross pair's margin is the least of the two sets' margins
+    certified = rep["common_point"]["sets"]
+    assert [c["j"] for c in certified] == [[0, 1, 2], [1, 2, 3]]
+    assert min(c["margin"] for c in certified) >= 1e-9
+    w = np.array(rep["common_point"]["point"])
     for group in d.family:
         ok, area = polygon_overlap_oracle(d.hull_points(group), d.hull_points(group))
         assert ok and area > 0.0
@@ -340,9 +344,13 @@ def test_both_routes_record_a_degenerate_hull_in_the_same_pair_order():
     assert poly["pairs"][0] == {
         "j1": [0, 1, 2], "j2": [0, 1, 2], "overlap": False, "area": 0.0,
         "degenerate": True, "note": "hull has empty interior"}
-    keys = [(p["j1"], p["j2"], p["overlap"], p["degenerate"]) for p in lp["pairs"]]
-    assert keys == [(p["j1"], p["j2"], p["overlap"], p["degenerate"]) for p in poly["pairs"]]
+    # the LP route lists every pair the polygon route does but the self
+    # pair of (1, 2, 3), which the common point certifies
+    assert [s["j"] for s in lp["common_point"]["sets"]] == [[1, 2, 3]]
+    keys = [(p["j1"], p["j2"], p["overlap"], p["degenerate"]) for p in poly["pairs"]]
     assert keys[-1] == ([1, 2, 3], [1, 2, 3], True, False)
+    assert [(p["j1"], p["j2"], p["overlap"], p["degenerate"]) for p in lp["pairs"]] == keys[:-1]
+    assert pair_overlaps(d, lp) == [p["overlap"] for p in poly["pairs"]]
 
 
 def test_condition_i_checks_each_hull_once_and_keeps_degenerate_records(monkeypatch):
@@ -381,7 +389,7 @@ def test_condition_i_checks_each_hull_once_and_keeps_degenerate_records(monkeypa
     for _ in range(2):
         calls.clear()
         rep = check_condition_i(d)
-        assert not rep["ok"]
+        assert not rep["ok"] and rep["common_point"] is None
         assert rep["pairs"] == expected
         assert calls == {group: 1 for group in d.family}
     # the polygon route decides degeneracy by its own hulls
@@ -409,8 +417,7 @@ def test_condition_i_lp_agrees_with_polygon_oracle_random():
         lp = check_condition_i(d)
         poly = check_condition_i_polygon(d)
         assert lp["ok"] == poly["ok"]
-        for a, b in zip(lp["pairs"], poly["pairs"]):
-            assert a["overlap"] == b["overlap"], (a, b)
+        assert pair_overlaps(d, lp) == [b["overlap"] for b in poly["pairs"]], (lp, poly)
 
 
 def test_hull_overlap_lp_witness_is_common_point():
@@ -491,55 +498,100 @@ def test_common_point_route_agrees_with_the_pairwise_route(monkeypatch, m, big_n
         for d in family_variants(rng, lvm_like_family(rng, m, big_n)):
             rep = check_condition_i(d)
             ref = pairwise_route(monkeypatch, d)
+            assert ref["common_point"] is None
             assert rep["ok"] == ref["ok"]
-            for got, want in zip(rep["pairs"], ref["pairs"]):
-                assert (got["j1"], got["j2"]) == (want["j1"], want["j2"])
-                assert got["overlap"] == want["overlap"], (got, want)
-                if got.get("note") == "common interior point":
+            eps = {tuple(s["j"]): s["margin"]
+                   for s in (rep["common_point"] or {"sets": []})["sets"]}
+            listed = iter(rep["pairs"])
+            for want in ref["pairs"]:
+                g1, g2 = tuple(want["j1"]), tuple(want["j2"])
+                if g1 in eps and g2 in eps:
+                    # the pair reads as overlapping with margin
+                    # min(eps_J1, eps_J2), a lower bound on its LP optimum
                     certified += 1
-                    assert MARGIN <= got["margin"] <= want["margin"] + 1e-12
+                    assert want["overlap"], want
+                    assert MARGIN <= min(eps[g1], eps[g2]) <= want["margin"] + 1e-12
                 else:
-                    assert got == want
+                    assert next(listed) == want
+            assert next(listed, None) is None
             if m == 1:
                 poly = check_condition_i_polygon(d)
-                assert [p["overlap"] for p in rep["pairs"]] == [
-                    p["overlap"] for p in poly["pairs"]]
+                assert pair_overlaps(d, rep) == [p["overlap"] for p in poly["pairs"]]
     assert certified > 0
+
+
+@pytest.mark.parametrize("m, big_n, seed", [(1, 5, 61), (1, 7, 62), (2, 6, 63), (2, 7, 64)])
+def test_listed_pairs_and_common_point_sets_partition_the_pairs(m, big_n, seed):
+    rng = SplitMix64(seed)
+    listed = covered = 0
+    for d in family_variants(rng, lvm_like_family(rng, m, big_n)):
+        rep = check_condition_i(d)
+        pair_overlaps(d, rep)  # asserts the partition
+        listed += len(rep["pairs"])
+        covered += len(d.family) * (len(d.family) + 1) // 2 - len(rep["pairs"])
+    assert listed > 0 and covered > 0
 
 
 def test_common_point_witness_is_interior_to_every_certified_set():
     d = lvm_like_family(SplitMix64(73), 2, 6)
     rep = check_condition_i(d)
-    witnesses = {tuple(p["witness"]) for p in rep["pairs"]}
-    assert len(witnesses) == 1
-    y = np.array(witnesses.pop())
-    for group in d.family:
+    assert rep["pairs"] == []
+    certified = rep["common_point"]["sets"]
+    assert [s["j"] for s in certified] == [list(g) for g in d.family]
+    y = np.array(rep["common_point"]["point"])
+    for group, s in zip(d.family, certified):
         mat = np.vstack([d.hull_points(group).T, np.ones(5)])
-        assert np.linalg.solve(mat, np.append(y, 1.0)).min() >= MARGIN
+        weights = np.linalg.solve(mat, np.append(y, 1.0))
+        assert weights.min() >= MARGIN
+        assert abs(weights.min() - s["margin"]) <= 1e-12
 
 
 def test_common_point_takes_one_lp_where_the_pairs_took_one_each(monkeypatch):
     d = lvm_like_family(SplitMix64(79), 1, 6)
     count = len(d.family)
     rep, lps = count_lps(monkeypatch, d)
-    assert rep["ok"] and len(rep["pairs"]) == count * (count + 1) // 2
+    assert rep["ok"] and rep["pairs"] == [] and len(rep["common_point"]["sets"]) == count
     assert lps == 1
     with monkeypatch.context() as patch:
         patch.setattr(lvmb, "common_point", lambda simplices: None)
-        _, lps = count_lps(patch, d)
+        rep, lps = count_lps(patch, d)
+    assert len(rep["pairs"]) == count * (count + 1) // 2
     assert lps == count * (count + 1) // 2
 
 
-def test_translated_lvm_family_is_certified_pair_by_pair():
+def test_translated_lvm_family_is_certified_by_one_common_point():
     d = lvm_like_family(SplitMix64(83), 2, 6)
     moved = LvmbData(2, 6, d.family, d.ell + np.array([[3.0 - 2.0j, -1.5 + 4.0j]]))
     for data in (d, moved):
         rep = check_condition_i(data)
-        assert rep["ok"]
-        assert {p["note"] for p in rep["pairs"]} == {"common interior point"}
+        assert rep["ok"] and rep["pairs"] == []
+        assert [s["j"] for s in rep["common_point"]["sets"]] == [list(g) for g in data.family]
     shift = np.array([3.0, -1.5, -2.0, 4.0])
-    assert np.allclose(np.array(check_condition_i(moved)["pairs"][0]["witness"]),
-                       np.array(check_condition_i(d)["pairs"][0]["witness"]) + shift)
+    assert np.allclose(np.array(check_condition_i(moved)["common_point"]["point"]),
+                       np.array(check_condition_i(d)["common_point"]["point"]) + shift)
+
+
+def test_condition_i_check_fails_when_the_oracle_rejects_a_certified_pair(monkeypatch):
+    # lvmb_pass lists no pair: the common point certifies both sets, and
+    # the check must still hold every pair to the polygon oracle
+    from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
+
+    doc = parse_scenario(find_scenario("lvmb_pass"))
+    doc["checks"] = ["lvmb_condition_i"]
+    data = LvmbData.from_json_dict(doc["payload"]["data"])
+    rep = check_condition_i(data)
+    assert rep["pairs"] == [] and len(rep["common_point"]["sets"]) == 2
+    [record], _ = run_scenario(doc)
+    assert (record["status"], record["samples_checked"]) == ("pass", 3)
+    oracle = lvmb.polygon_overlap_oracle
+
+    def rejecting(p1, p2):
+        return (False, 0.0) if not np.array_equal(p1, p2) else oracle(p1, p2)
+
+    monkeypatch.setattr(lvmb, "polygon_overlap_oracle", rejecting)
+    [record], _ = run_scenario(doc)
+    assert (record["status"], record["max_residual"], record["samples_checked"]) == (
+        "fail", 1.0, 3)
 
 
 def test_edge_sharing_hulls_fail_through_the_pairwise_fallback(monkeypatch):
@@ -549,7 +601,7 @@ def test_edge_sharing_hulls_fail_through_the_pairwise_fallback(monkeypatch):
     # the best common point lies on the shared edge, so no set is
     # certified and all three pairs take their own LP
     assert lps == 1 + 3
-    assert all(p.get("note") != "common interior point" for p in rep["pairs"])
+    assert rep["common_point"] is None
     assert [p["overlap"] for p in rep["pairs"]] == [True, False, True]
 
 

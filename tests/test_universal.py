@@ -1106,13 +1106,13 @@ def test_fiber_whose_horizontal_columns_drop_rank_never_reaches_jf(monkeypatch):
 
     def swallow(xs, m, tol):
         # a real first column of S' lies in Sigma'' = conj Sigma' too
-        dg, z, sigp = fiber_rows(xs, m, tol)
+        dg, sigp = fiber_rows(xs, m, tol)
         k, n = m.k, m.n
         sigp[:, :, 0] = sigp[:, :, 0].real
         cols = np.concatenate([sigp[:, :, :k - n], sigp.conj()], axis=2)
         s = np.linalg.svd(cols, compute_uv=False)
         assert np.all(s[:, -1] <= 1e-12 * s[:, 0])
-        return dg, z, sigp
+        return dg, sigp
 
     solves = []
 
@@ -1224,7 +1224,7 @@ def test_real_split_svd_matches_the_complex_one(n, counts):
     # [Sigma' | conj Sigma'] = [Re Sigma' | Im Sigma'] [[I, I], [iI, -iI]],
     # and the right-hand factor is sqrt(2) times a unitary
     m = perturbed_manifold(n, seed=n)
-    _, _, sigp = universal._fiber_rows(TorusChart(2 * n).grid(counts), m, DEFAULT)
+    _, sigp = universal._fiber_rows(TorusChart(2 * n).grid(counts), m, DEFAULT)
     complex_sv = np.linalg.svd(np.concatenate([sigp, sigp.conj()], axis=2),
                                compute_uv=False)
     real_sv = np.sqrt(2.0) * np.linalg.svd(
@@ -1237,7 +1237,7 @@ def split_bounds(xs, m, tol=DEFAULT):
     values of dg and the basis of ker(J - i) that _fiber_rows reads, and
     the oracle's split SVD of the Sigma' that _fiber_rows builds."""
     n, k = m.n, m.k
-    dg, _, sigp = universal._fiber_rows(xs, m, tol)
+    dg, sigp = universal._fiber_rows(xs, m, tol)
     _, _, dg_sv = universal._kernels(np.swapaxes(dg, 1, 2), tol.rank_rtol, k - 2 * n)
     ker_plus, _, _ = universal._kernels(m.j.values(xs) - 1j * np.eye(2 * n),
                                         tol.rank_rtol, n)
@@ -1254,12 +1254,12 @@ def test_split_bound_never_exceeds_the_svd_ratio(n, counts, seed):
 
 
 def constant_manifold(n, k, dg, jx):
-    """A stand-in for a PointwiseACManifold with g = 0 and constant dg and
-    J, for _fiber_rows, which reads only n, k and the stacked evaluators."""
+    """A stand-in for a PointwiseACManifold with constant dg and J and no
+    g values, for _fiber_rows, which reads only n, k, dg and J."""
     def stacked(value):
         return lambda xs: np.repeat(value[None], len(xs), axis=0)
 
-    g = types.SimpleNamespace(jacobian_values=stacked(dg), values=stacked(np.zeros((k, 1))))
+    g = types.SimpleNamespace(jacobian_values=stacked(dg))
     return types.SimpleNamespace(n=n, k=k, g=g, j=types.SimpleNamespace(values=stacked(jx)))
 
 
