@@ -6,20 +6,23 @@ decided: (i) for any two members of E the convex hulls of their forms,
 viewed as point sets in R^{2m}, overlap on a nonempty open set; (ii) the
 family is stable under single-index exchanges.
 
-Each member of E is a simplex (2m+1 points in R^{2m}), and for LVM data
-the members are exactly the simplices that hold one point in their
-interior (Meersseman 2000, Bosio 2001). So condition (i) first proposes
-one common interior point, by one small dual LP, and certifies it set by
-set from its barycentric weights; the report records the point once with
-each certified set's least weight, which covers every pair of certified
-sets, so its size grows with |E|, not |E|^2. Each pair it does not cover
-gets an LP of its own: maximize the margin eps subject to a common point
-being a convex combination of each hull's vertices with all weights >=
-eps. For full-dimensional hulls a positive optimal margin is equivalent
-to interior intersection. Both LPs go to an in-house dense two-phase
-simplex, which checks its own answer. The 2-D case has an independent
-exact-geometry oracle (convex hull, polygon clipping, shoelace area)
-used to cross-check the LP.
+Each member of E is a simplex (2m+1 points in R^{2m}); condition (i)
+reads the family as one stack of them, (|E|, 2m+1, 2m), classifies every
+set as full-dimensional or not by one batched SVD, and goes over the
+pairs by index into that stack. For LVM data the members are exactly the
+simplices that hold one point in their interior (Meersseman 2000, Bosio
+2001). So condition (i) proposes one common interior point, by one small
+dual LP, and certifies it set by set from its barycentric weights; the
+report records the point once with each certified set's least weight,
+which covers every pair of certified sets, so its size grows with |E|,
+not |E|^2. Each pair it does not cover gets an LP of its own: maximize
+the margin eps subject to a common point being a convex combination of
+each hull's vertices with all weights >= eps. For full-dimensional hulls
+a positive optimal margin is equivalent to interior intersection. Both
+LPs go to an in-house dense two-phase simplex, which checks its own
+answer. The 2-D case has an independent exact-geometry oracle (convex
+hull, polygon clipping, shoelace area) used to cross-check the LP.
+Condition (ii) reads the family as a set of frozensets.
 """
 from __future__ import annotations
 
@@ -69,10 +72,11 @@ class LvmbData:
             raise InvalidParams(f"ell must supply {self.big_n + 1} forms with {self.m} coefficients each")
         self.ell = ell
 
-    def hull_points(self, group) -> np.ndarray:
-        """Forms of one index set as rows of real 2m-vectors (Re, Im)."""
-        pts = self.ell[list(group), :]
-        return np.concatenate([pts.real, pts.imag], axis=1)
+    def hull_points(self, groups) -> np.ndarray:
+        """Forms of one index set as rows of real 2m-vectors (Re, Im); of a
+        list of index sets, their stack, one (2m+1) x 2m block per set."""
+        pts = self.ell[list(groups), :]
+        return np.concatenate([pts.real, pts.imag], axis=-1)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LvmbData":
@@ -204,14 +208,6 @@ def simplex_solve(c, a, b, tol: float = 1e-11):
 # condition (i): open overlap of convex hulls
 # ---------------------------------------------------------------------------
 
-def _require_full_dimensional(points: np.ndarray, group, tol: Tolerances) -> None:
-    centered = points - points.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    dim = points.shape[1]
-    if sv.size < dim or sv[dim - 1] <= max(tol.rank_rtol * sv[0], tol.alg_atol):
-        raise DegenerateHull(f"hull of {list(group)} has empty interior")
-
-
 def hull_overlap_lp(p1: np.ndarray, p2: np.ndarray
                     ) -> tuple[bool, float | None, np.ndarray | None]:
     """Maximize eps with sum_i w_i p_i = sum_j v_j q_j, weights >= eps,
@@ -283,22 +279,22 @@ def barycentric_margins(simplices: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(_checks_out(mats, weights, target), weights.min(axis=1), -np.inf)
 
 
-def _over_pairs(data: LvmbData, verdict, degenerate: dict, covered=()) -> dict:
+def _over_pairs(data: LvmbData, verdict, degenerate: dict, covered=frozenset()) -> dict:
     """Condition (i) over all unordered pairs from E, self-pairs included
     (a set must overlap itself, which is exactly the requirement that its
     hull has nonempty interior), in one fixed order so two routes can be
-    compared entrywise. verdict(g1, g2) gives the fields of one pair; a
+    compared entrywise. verdict(i1, i2) gives the fields of the pair of
+    sets i1 <= i2 (indices into E and into its stack of hull points); a
     DegenerateHull it raises is recorded with the degenerate fields and
-    counts as failure. A pair of two sets in covered is known to overlap
-    and is left out of the list."""
+    counts as failure. A pair of two indices in covered is known to
+    overlap and is left out of the list."""
     pairs = []
     for i1, i2 in itertools.combinations_with_replacement(range(len(data.family)), 2):
-        g1, g2 = data.family[i1], data.family[i2]
-        if g1 in covered and g2 in covered:
+        if i1 in covered and i2 in covered:
             continue
-        entry = {"j1": list(g1), "j2": list(g2), "degenerate": False}
+        entry = {"j1": list(data.family[i1]), "j2": list(data.family[i2]), "degenerate": False}
         try:
-            entry.update(verdict(g1, g2))
+            entry.update(verdict(i1, i2))
         except DegenerateHull as exc:
             entry.update(degenerate, overlap=False, degenerate=True, note=str(exc))
         pairs.append(entry)
@@ -308,12 +304,14 @@ def _over_pairs(data: LvmbData, verdict, degenerate: dict, covered=()) -> dict:
 def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
     """Open-overlap condition: {"ok", "pairs", "common_point"}.
 
-    Each set's points and full-dimensionality verdict (one SVD) are
-    computed once per call. The common_point y of the non-degenerate sets
-    certifies each set in which its every barycentric weight is at least
-    MARGIN; "common_point" is {"point": y, "sets": [{"j": J, "margin":
-    eps_J}, ...]}, the certified sets in family order with y's least
-    weight in each, or None when no set is certified. A pair of two
+    The sets' points are stacked once per call, and one batched SVD of
+    the centred simplices decides which are full-dimensional: a set is
+    degenerate when its least singular value is at most max(rank_rtol *
+    its largest, alg_atol). The common_point y of the full-dimensional
+    sets certifies each set in which its every barycentric weight is at
+    least MARGIN; "common_point" is {"point": y, "sets": [{"j": J,
+    "margin": eps_J}, ...]}, the certified sets in family order with y's
+    least weight in each, or None when no set is certified. A pair of two
     certified sets overlaps with margin min(eps_J1, eps_J2) and witness
     y: a certified lower bound on the pair's LP optimum, not the optimum.
     Such pairs are not listed; "pairs" holds every other pair, in the
@@ -322,34 +320,29 @@ def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
     hull_overlap_lp; disjoint hulls fail with margin None, and so does a
     pair whose LP fails its check.
     """
-    hulls = {}
-    for group in data.family:
-        points, note = data.hull_points(group), None
-        try:
-            _require_full_dimensional(points, group, tol)
-        except DegenerateHull as exc:
-            note = str(exc)
-        hulls[group] = points, note
+    points = data.hull_points(data.family)
+    sv = np.linalg.svd(points - points.mean(axis=1, keepdims=True), compute_uv=False)
+    # not "sv > cutoff": a NaN singular value leaves its set full-dimensional
+    solid = ~(sv[:, -1] <= np.maximum(tol.rank_rtol * sv[:, 0], tol.alg_atol))
 
     margins, certified = {}, None
-    solid = [group for group in data.family if hulls[group][1] is None]
-    if solid:
-        simplices = np.stack([hulls[group][0] for group in solid])
+    if solid.any():
+        simplices = points[solid]
         point = common_point(simplices)
         if point is not None:
             eps = barycentric_margins(simplices, point).tolist()
-            margins = {g: e for g, e in zip(solid, eps) if e >= MARGIN}
+            margins = {i: e for i, e in zip(np.flatnonzero(solid).tolist(), eps) if e >= MARGIN}
             if margins:
                 certified = {"point": [float(v) for v in point],
-                             "sets": [{"j": list(g), "margin": e} for g, e in margins.items()]}
+                             "sets": [{"j": list(data.family[i]), "margin": e}
+                                      for i, e in margins.items()]}
 
-    def verdict(g1, g2) -> dict:
-        (p1, note1), (p2, note2) = hulls[g1], hulls[g2]
-        for note in (note1, note2):
-            if note is not None:
-                raise DegenerateHull(note)
+    def verdict(i1, i2) -> dict:
+        for i in (i1, i2):
+            if not solid[i]:
+                raise DegenerateHull(f"hull of {list(data.family[i])} has empty interior")
         try:
-            overlap, eps, point = hull_overlap_lp(p1, p2)
+            overlap, eps, point = hull_overlap_lp(points[i1], points[i2])
         except LPFailure as exc:
             return {"overlap": False, "margin": None, "witness": None,
                     "note": f"linear program failed: {exc}"}
@@ -450,8 +443,10 @@ def check_condition_i_polygon(data: LvmbData) -> dict:
     if data.m != 1:
         raise InvalidParams("polygon oracle only covers m = 1")
 
-    def verdict(g1, g2) -> dict:
-        overlap, area = polygon_overlap_oracle(data.hull_points(g1), data.hull_points(g2))
+    points = data.hull_points(data.family)
+
+    def verdict(i1, i2) -> dict:
+        overlap, area = polygon_overlap_oracle(points[i1], points[i2])
         return {"overlap": overlap, "area": area}
 
     return _over_pairs(data, verdict, {"area": 0.0})
@@ -465,17 +460,13 @@ def check_condition_ii(data: LvmbData) -> dict:
     """For every J in E and every index k, some k' in J must make the
     exchanged set (J - k') + k a member of E; k inside J is witnessed by
     k' = k. Brute force, first violation reported."""
-    members = set(data.family)
+    members = {frozenset(group) for group in data.family}
     for group in data.family:
-        gset = set(group)
+        gset = frozenset(group)
         for k in range(data.big_n + 1):
             if k in gset:
                 continue
-            found = any(
-                tuple(sorted((gset - {kp}) | {k})) in members
-                for kp in group
-            )
-            if not found:
+            if not any(gset - {kp} | {k} in members for kp in group):
                 return {"ok": False, "counterexample": {"J": list(group), "k": k}}
     return {"ok": True, "counterexample": None}
 
@@ -484,17 +475,16 @@ def exchange_closure(data: LvmbData) -> LvmbData:
     """Smallest family containing E and closed under all single-index
     exchanges; the exchange condition holds on the closure by
     construction."""
-    members = set(data.family)
+    members = {frozenset(group) for group in data.family}
     frontier = list(members)
     while frontier:
-        group = frontier.pop()
-        gset = set(group)
+        gset = frontier.pop()
         for k in range(data.big_n + 1):
             if k in gset:
                 continue
-            for kp in group:
-                swapped = tuple(sorted((gset - {kp}) | {k}))
+            for kp in gset:
+                swapped = gset - {kp} | {k}
                 if swapped not in members:
                     members.add(swapped)
                     frontier.append(swapped)
-    return LvmbData(data.m, data.big_n, sorted(members), data.ell)
+    return LvmbData(data.m, data.big_n, members, data.ell)

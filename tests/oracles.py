@@ -87,6 +87,12 @@ both bit for bit.
 read the tableau as Python floats: it scans the reduced costs and the
 ratio column one numpy scalar at a time and eliminates with an outer
 product, so the tests can hold `lvmb.simplex_solve` to it bit for bit.
+`full_dimensional_by_set` is the full-dimensionality test of
+`lvmb.check_condition_i` as it was before the library classified the
+stacked sets by one batched SVD: one SVD per set, with Python's `max`
+for the cutoff. `check_condition_ii_by_sorted_tuples` is the exchange condition as it
+was before it exchanged indices on frozensets: each exchanged set is
+rebuilt as a sorted tuple.
 `pair_overlaps` reads a `check_condition_i` report back into one verdict
 per pair of E, in the polygon route's order, so the two routes can be
 compared pair by pair though the report lists only the pairs that the
@@ -1178,6 +1184,37 @@ def common_point_weights_program(data: LvmbData):
     c = np.zeros(a.shape[1])
     c[0] = -1.0
     return c, a, b
+
+
+def full_dimensional_by_set(data: LvmbData, tol: Tolerances = DEFAULT) -> list[bool]:
+    """Per set of E: its hull has nonempty interior, by one SVD of the
+    centred points; degenerate when the least singular value is at most
+    max(rank_rtol * largest, alg_atol)."""
+    out = []
+    for group in data.family:
+        points = data.hull_points(group)
+        sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+        dim = points.shape[1]
+        out.append(not (sv.size < dim
+                        or sv[dim - 1] <= max(tol.rank_rtol * sv[0], tol.alg_atol)))
+    return out
+
+
+def check_condition_ii_by_sorted_tuples(data: LvmbData) -> dict:
+    """Exchange condition (ii), first violation reported."""
+    members = set(data.family)
+    for group in data.family:
+        gset = set(group)
+        for k in range(data.big_n + 1):
+            if k in gset:
+                continue
+            found = any(
+                tuple(sorted((gset - {kp}) | {k})) in members
+                for kp in group
+            )
+            if not found:
+                return {"ok": False, "counterexample": {"J": list(group), "k": k}}
+    return {"ok": True, "counterexample": None}
 
 
 def pair_overlaps(data, rep):

@@ -1,12 +1,14 @@
 """The report comparison tool compares only the scenarios both trees
 bundle, names a check only one tree runs instead of giving it a
 residual row, and shows a moved sample count in its row without calling
-it a changed verdict; the tool is loaded from its file."""
+it a changed verdict; it gives one row per lvmb-check input whose
+output or exit code moved. The tool is loaded from its file."""
 import importlib.util
 import json
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "compare_reports.py"
 
 
 def load_tool():
@@ -109,3 +111,56 @@ def test_a_row_names_the_other_fields_that_moved():
          "samples 3 -> 5", "moved: anchor, tolerance"),
     ]
     assert one_sided == {} and not shared_differ and identical == 0
+
+
+def lvmb_output(condition_i=True, pairs=(), counterexample=None):
+    return json.dumps({"condition_i": condition_i, "condition_ii": counterexample is None,
+                       "witnesses": {"common_point": None, "pairs": list(pairs),
+                                     "counterexample": counterexample}},
+                      sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_an_lvmb_check_input_whose_output_moved_gets_one_row():
+    compare_lvmb = load_tool().compare_lvmb
+    names = ["scenario lvmb_pass", "benchmark seed 1 lvm_m1_N8", "benchmark seed 1 defect_a:disjoint",
+             "benchmark seed 2 lvm_m2_N9"]
+    pair = {"j1": [0, 1, 2], "j2": [3, 4, 5], "overlap": False}
+    old = {names[0]: (0, lvmb_output()),
+           names[1]: (0, lvmb_output()),
+           names[2]: (1, lvmb_output(False, [pair])),
+           names[3]: (2, "")}
+    new = {names[0]: (0, lvmb_output()),
+           names[1]: (1, lvmb_output(False, [pair], {"J": [0, 1, 2], "k": 3})),
+           names[2]: (1, lvmb_output(False, [dict(pair, overlap=True)])),
+           names[3]: (1, "not json\n")}
+    rows, codes_differ, identical = compare_lvmb(names, old, new)
+    # condition_ii and the counterexample moved with condition_i; the
+    # exit code alone moved on the rejected input
+    assert rows == [
+        ("lvmb-check", names[1], "exit 0 -> 1",
+         "moved: condition_i, condition_ii, witnesses.counterexample, witnesses.pairs"),
+        ("lvmb-check", names[2], "exit 1 -> 1", "moved: witnesses.pairs"),
+        ("lvmb-check", names[3], "exit 2 -> 1", "stdout differs"),
+    ]
+    assert codes_differ and identical == 1
+    # an exit code that moves under an unchanged stdout still differs
+    rows, codes_differ, identical = compare_lvmb(names[:1], old, {names[0]: (1, lvmb_output())})
+    assert rows == [("lvmb-check", names[0], "exit 0 -> 1", "stdout identical")]
+    assert codes_differ and identical == 0
+
+
+def test_the_lvmb_check_inputs_cover_the_bundled_data_and_the_benchmark_seeds():
+    before = sorted(p.name for p in (ROOT / "perfbench").iterdir())
+    inputs = load_tool().lvmb_inputs(str(ROOT / "src"), ["lvmb_fail", "lvmb_pass", "fields_basic"])
+    names = [name for name, _ in inputs]
+    assert names[:3] == ["scenario lvmb_fail", "scenario lvmb_pass",
+                         "tests/data/lvm_m1_N10_weights_form_unstable.json"]
+    # per seed: four families, an extra-set and a disjoint probe, and not
+    # the probe that runs a scenario
+    for seed in (1, 2, 3):
+        assert [n for n in names if n.startswith(f"benchmark seed {seed} ")] == [
+            f"benchmark seed {seed} {op}" for op in (
+                "lvm_m1_N8", "lvm_m1_N10", "lvm_m2_N9", "lvm_m2_N10",
+                "defect_a:lvm_m1_N8_extra", "defect_a:disjoint")]
+    assert len(names) == 21 and all(set(doc) >= {"m", "N", "E", "ell"} for _, doc in inputs)
+    assert sorted(p.name for p in (ROOT / "perfbench").iterdir()) == before

@@ -32,7 +32,13 @@ from acs_verify.lvmb import (
     simplex_solve,
 )
 from acs_verify.rng import SplitMix64
-from oracles import common_point_weights_program, pair_overlaps, simplex_solve_loop
+from oracles import (
+    check_condition_ii_by_sorted_tuples,
+    common_point_weights_program,
+    full_dimensional_by_set,
+    pair_overlaps,
+    simplex_solve_loop,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -357,14 +363,14 @@ def test_condition_i_checks_each_hull_once_and_keeps_degenerate_records(monkeypa
     # (1, 2, 3) and (2, 3, 5) are collinear; each is in pairs as g1, as g2
     # and, in one pair, together, where the note names g1
     d = data_m1([1j, 0, 1, 2, 1 - 1j, 3], [[0, 1, 2], [1, 2, 3], [2, 3, 4], [2, 3, 5]])
-    calls = Counter()
-    require = lvmb._require_full_dimensional
+    shapes = []
+    svd = np.linalg.svd
 
-    def counted(points, group, tol):
-        calls[tuple(group)] += 1
-        return require(points, group, tol)
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(lvmb, "_require_full_dimensional", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
 
     def flat(j1, j2, note):
         return {"j1": j1, "j2": j2, "overlap": False, "margin": 0.0, "witness": None,
@@ -387,16 +393,83 @@ def test_condition_i_checks_each_hull_once_and_keeps_degenerate_records(monkeypa
         flat([2, 3, 5], [2, 3, 5], [2, 3, 5]),
     ]
     for _ in range(2):
-        calls.clear()
+        shapes.clear()
         rep = check_condition_i(d)
         assert not rep["ok"] and rep["common_point"] is None
         assert rep["pairs"] == expected
-        assert calls == {group: 1 for group in d.family}
+        # every hull is classified once, all of them in one batched SVD
+        assert shapes == [(len(d.family), 3, 2)]
     # the polygon route decides degeneracy by its own hulls
-    calls.clear()
+    shapes.clear()
     poly = check_condition_i_polygon(d)
-    assert not calls
+    assert not shapes
     assert [p["degenerate"] for p in poly["pairs"]] == [p["degenerate"] for p in expected]
+
+
+def hull_is_full_dimensional(data, rep):
+    """Per set of E, read from a check_condition_i report: a degenerate
+    set's self-pair is always listed, with "degenerate": true."""
+    flagged = {tuple(p["j1"]) for p in rep["pairs"] if p["j1"] == p["j2"] and p["degenerate"]}
+    return [group not in flagged for group in data.family]
+
+
+def family_with_flat_sets(rng, m, big_n, offset, scale=1.0):
+    """A random family with one injected set whose last form is a real
+    affine combination of its other forms plus offset times a random
+    complex vector (flat for offset 0), and one set holding a form and
+    its repeat; every form is then multiplied by scale."""
+    size = 2 * m + 1
+    forms = rng.complex_matrix(big_n + 1, m, 1.0)
+    groups = [sorted({rng.integer(0, big_n) for _ in range(size)}) for _ in range(3)]
+    start = rng.integer(0, big_n + 1 - size)
+    flat = list(range(start, start + size))
+    weights = rng.reals(size - 1, -1.0, 2.0)
+    weights[-1] = 1.0 - weights[:-1].sum()
+    forms[flat[-1]] = weights @ forms[flat[:-1]] + offset * rng.complex_matrix(1, m, 1.0)[0]
+    outside = [i for i in range(big_n + 1) if i not in flat]
+    twin = outside[rng.integer(0, len(outside) - 1)]
+    forms[twin] = forms[flat[0]]
+    rest = [i for i in range(big_n + 1) if i not in (flat[0], twin)]
+    family = [g for g in groups if len(g) == size] + [flat, [flat[0], twin] + rest[:size - 2]]
+    return LvmbData(m, big_n, family, scale * forms)
+
+
+@pytest.mark.parametrize("m, big_n", [(1, 5), (1, 7), (2, 6), (2, 8)])
+def test_batched_full_dimensionality_matches_the_per_set_svd(m, big_n):
+    rng = SplitMix64(89 + 10 * m + big_n)
+    kinds = Counter()
+    # at scale 1e-3 the absolute floor alg_atol is the larger cutoff
+    for offset, scale in itertools.product((0.0, 1e-11, 1e-9, 1e-8, 1e-7, 1e-3), (1.0, 1e-3)):
+        for _ in range(4):
+            d = family_with_flat_sets(rng, m, big_n, offset, scale)
+            want = full_dimensional_by_set(d)
+            assert hull_is_full_dimensional(d, check_condition_i(d)) == want
+            kinds.update(want)
+    assert kinds[True] > 0 and kinds[False] > 0
+
+
+def test_a_nan_singular_value_leaves_its_set_full_dimensional():
+    # the centred forms of (0, 1, 2) overflow to inf and NaN, so its
+    # singular values are NaN; NaN <= cutoff is false, and the set is not
+    # degenerate, as in the per-set test, where NaN > cutoff would flip it
+    doc = {"m": 1, "N": 3, "E": [[0, 1, 2], [1, 2, 3]],
+           "ell": [[[1.5e308, 0.0]], [[1.5e308, 1.0]], [[-1.0, 1.5e308]], [[0.25, 0.25]]]}
+    d = LvmbData.from_json_dict(doc)
+    with np.errstate(all="ignore"):
+        points = d.hull_points(d.family[0])
+        assert np.isnan(np.linalg.svd(points - points.mean(axis=0), compute_uv=False)).all()
+        assert full_dimensional_by_set(d) == [True, True]
+        rep = check_condition_i(d)
+    assert hull_is_full_dimensional(d, rep) == [True, True]
+    assert not rep["ok"] and rep["pairs"][0]["note"] == "hulls are disjoint"
+
+
+def test_hull_points_of_a_list_of_sets_stacks_the_single_sets():
+    d = random_family(SplitMix64(97), 2, 7, 5)
+    stack = d.hull_points(d.family)
+    assert stack.shape == (len(d.family), 5, 4)
+    for group, block in zip(d.family, stack):
+        assert block.tobytes() == d.hull_points(group).tobytes()
 
 
 def test_condition_i_lp_agrees_with_polygon_oracle_random():
@@ -658,3 +731,26 @@ def test_condition_ii_not_monotone_under_arbitrary_additions():
     assert not rep["ok"]
     assert rep["counterexample"]["J"] == [2, 3, 4]
 
+
+@pytest.mark.parametrize("m, big_n", [(1, 4), (1, 6), (2, 5), (2, 6)])
+def test_condition_ii_matches_the_sorted_tuple_reference(m, big_n):
+    # passing families (an exchange closure, which is every (2m+1)-subset,
+    # and LVM-like families), each also with one or another set removed,
+    # and random families
+    rng = SplitMix64(101 + 10 * m + big_n)
+    seed = LvmbData(m, big_n, [range(2 * m + 1)], rng.complex_matrix(big_n + 1, m, 1.0))
+    closed = exchange_closure(seed)
+    assert closed.family == tuple(itertools.combinations(range(big_n + 1), 2 * m + 1))
+    passing = [closed] + [lvm_like_family(rng, m, big_n) for _ in range(2)]
+    cases = list(passing)
+    for d in passing:
+        for _ in range(2 if len(d.family) > 1 else 0):
+            drop = rng.integer(0, len(d.family) - 1)
+            cases.append(LvmbData(m, big_n, d.family[:drop] + d.family[drop + 1:], d.ell))
+    cases += [random_family(rng, m, big_n, rng.integer(1, 6)) for _ in range(6)]
+    verdicts = Counter()
+    for d in cases:
+        want = check_condition_ii_by_sorted_tuples(d)
+        assert check_condition_ii(d) == want
+        verdicts[want["ok"]] += 1
+    assert verdicts[True] >= len(passing) and verdicts[False] > 0

@@ -20,13 +20,31 @@ verdict moved (the `anchor` or the `tolerance`, say), a last column
 `moved: FIELD, ...` names them, so a record whose residuals agree still
 shows why it differs.
 
+The same interpreters also run `lvmb-check` on a fixed set of inputs:
+the `payload.data` of each lvmb scenario that both trees bundle (read
+from NEW_SRC), tests/data/lvm_m1_N10_weights_form_unstable.json, and
+the `lvmb-check` operations and probes that `generate` of
+perfbench/workloads.py gives the lvmb workload at benchmark seeds 1, 2
+and 3 (written to a temporary directory; nothing under perfbench/ is
+written). For each input whose stdout or exit code differs between the
+trees, one row is printed:
+
+    lvmb-check  input  exit OLD -> NEW  moved: KEY, ...
+
+where the last column names the top-level keys (and the keys under
+`witnesses`) whose values differ; it reads `stdout differs` when an
+output is not JSON and `stdout identical` when only the exit code
+moved.
+
 A check that one tree's report holds and the other's lacks gets no row:
 it is named once on stderr with the number of reports it is missing
 from. A summary line on stderr says whether the verdicts (`status` and
 `error`) of the shared checks agree, and in how many records
-`samples_checked` moved. The exit code is 1 when any shared record's
-verdict differs, or a report holds a check the other lacks; otherwise
-0, also when residuals or sample counts moved.
+`samples_checked` moved, and a second one how many `lvmb-check` outputs
+are byte-identical. The exit code is 1 when any shared record's verdict
+or any `lvmb-check` exit code differs, or a report holds a check the
+other lacks; otherwise 0, also when residuals, sample counts or
+`lvmb-check` output moved.
 """
 from __future__ import annotations
 
@@ -34,26 +52,37 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (None, 1, 2, 3)
+LVMB_BENCH_SEEDS = (1, 2, 3)
+LVMB_DATA_FILES = ("tests/data/lvm_m1_N10_weights_form_unstable.json",)
 VERDICT_FIELDS = ("status", "error")
 # the fields a row shows in its own columns or the summary line reports
 SHOWN_FIELDS = ("name", "max_residual", "samples_checked", *VERDICT_FIELDS)
 
 # Runs in the child interpreter: argv[1] is the tree, argv[2] the list of
-# (scenario, seed) runs as JSON. Prints {"scenario seed": report} as JSON.
+# (scenario, seed) runs and argv[3] the list of (name, path) lvmb-check
+# inputs, as JSON. Prints [{"scenario seed": report}, {name: [exit code,
+# stdout]}] as JSON; stderr is not kept.
 RUNNER = r"""
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from acs_verify.cli import main
-out = {}
+reports, lvmb = {}, {}
 for name, seed in json.loads(sys.argv[2]):
     argv = ["run", name] + ([] if seed is None else ["--seed", str(seed)])
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         main(argv)
-    out[f"{name} {seed}"] = buf.getvalue()
-print(json.dumps(out))
+    reports[f"{name} {seed}"] = buf.getvalue()
+for name, path in json.loads(sys.argv[3]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["lvmb-check", path])
+    lvmb[name] = [code, buf.getvalue()]
+print(json.dumps([reports, lvmb]))
 """
 
 
@@ -69,12 +98,43 @@ def match_scenarios(old: list[str], new: list[str]) -> tuple[list, list, list]:
             sorted(set(new) - set(old)))
 
 
-def run_tree(src: str, runs: list) -> dict:
+def lvmb_inputs(src: str, scenarios: list[str]) -> list[tuple[str, dict]]:
+    """(name, document) of every lvmb-check input, in a fixed order: the
+    payload.data of each named scenario that src bundles as an lvmb one,
+    the data files, then the benchmark's lvmb-check operations and probes
+    at LVMB_BENCH_SEEDS."""
+    out = []
+    for name in scenarios:
+        with open(os.path.join(src, "acs_verify", "scenarios", f"{name}.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc.get("kind") == "lvmb":
+            out.append((f"scenario {name}", doc["payload"]["data"]))
+    for rel in LVMB_DATA_FILES:
+        with open(os.path.join(ROOT, rel), encoding="utf-8") as fh:
+            out.append((rel, json.load(fh)))
+    # write nothing under perfbench/, bytecode included
+    bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+        sys.dont_write_bytecode = bytecode
+    for seed in LVMB_BENCH_SEEDS:
+        spec = workloads.generate("lvmb", seed)
+        out += [(f"benchmark seed {seed} {op['id']}", op["doc"])
+                for op in spec["ops"] + spec["probe"] if op["command"] == "lvmb-check"]
+    return out
+
+
+def run_tree(src: str, runs: list, lvmb: list) -> list:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
     proc = subprocess.run(
-        [sys.executable, "-c", RUNNER, os.path.abspath(src), json.dumps(runs)],
+        [sys.executable, "-c", RUNNER, os.path.abspath(src), json.dumps(runs),
+         json.dumps(lvmb)],
         env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -130,6 +190,37 @@ def compare(runs: list, old: dict, new: dict) -> tuple[list, dict, bool, int]:
     return rows, one_sided, shared_differ, identical
 
 
+def moved_keys(old: str, new: str) -> str:
+    """The keys whose values differ between two lvmb-check outputs, those
+    under "witnesses" as witnesses.KEY; "stdout differs" when either is
+    not JSON."""
+    try:
+        a, b = json.loads(old), json.loads(new)
+    except json.JSONDecodeError:  # the empty stdout of a rejected input
+        return "stdout differs"
+    a, b = ({k: v for k, v in doc.items() if k != "witnesses"}
+            | {f"witnesses.{k}": v for k, v in doc.get("witnesses", {}).items()}
+            for doc in (a, b))
+    keys = sorted(k for k in a.keys() | b.keys() if k not in a or k not in b or a[k] != b[k])
+    return "moved: " + ", ".join(keys) if keys else "stdout differs"
+
+
+def compare_lvmb(names: list, old: dict, new: dict) -> tuple[list, bool, int]:
+    """(rows, codes_differ, identical) over the lvmb-check outputs of
+    names: a ("lvmb-check", name, "exit OLD -> NEW", "moved: ...") row per
+    input whose (exit code, stdout) differs; codes_differ says whether
+    any exit code differs; identical counts the identical outputs."""
+    rows, codes_differ = [], False
+    for name in names:
+        (code_a, out_a), (code_b, out_b) = old[name], new[name]
+        if code_a != code_b:
+            codes_differ = True
+        if (code_a, out_a) != (code_b, out_b):
+            rows.append(("lvmb-check", name, f"exit {code_a} -> {code_b}",
+                         moved_keys(out_a, out_b) if out_a != out_b else "stdout identical"))
+    return rows, codes_differ, len(names) - len(rows)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -143,18 +234,30 @@ def main(argv=None) -> int:
             print(f"only in the {tree} tree, not compared: " + ", ".join(names),
                   file=sys.stderr)
     runs = [(name, seed) for name in shared for seed in SEEDS]
-    rows, one_sided, shared_differ, identical = compare(
-        runs, run_tree(old_src, runs), run_tree(new_src, runs))
+    with tempfile.TemporaryDirectory() as tmp:
+        lvmb = []
+        for index, (name, doc) in enumerate(lvmb_inputs(new_src, shared)):
+            path = os.path.join(tmp, f"lvmb_{index:03d}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            lvmb.append((name, path))
+        (old_reports, old_lvmb), (new_reports, new_lvmb) = (
+            run_tree(old_src, runs, lvmb), run_tree(new_src, runs, lvmb))
+    rows, one_sided, shared_differ, identical = compare(runs, old_reports, new_reports)
+    lvmb_rows, codes_differ, lvmb_identical = compare_lvmb(
+        [name for name, _ in lvmb], old_lvmb, new_lvmb)
     for (tree, check), count in sorted(one_sided.items()):
         print(f"check only in the {tree} tree: {check} ({count} reports)",
               file=sys.stderr)
-    for row in rows:
+    for row in rows + lvmb_rows:
         print("\t".join(row))
     moved = sum(1 for row in rows if any(c.startswith("samples ") for c in row[5:]))
     print(f"{identical} of {len(runs)} reports byte-identical; verdicts of the "
           "shared checks " + ("differ" if shared_differ else "agree")
           + f"; samples_checked moved in {moved} records", file=sys.stderr)
-    return 1 if shared_differ or one_sided else 0
+    print(f"{lvmb_identical} of {len(lvmb)} lvmb-check outputs identical; exit codes "
+          + ("differ" if codes_differ else "agree"), file=sys.stderr)
+    return 1 if shared_differ or one_sided or codes_differ else 0
 
 
 if __name__ == "__main__":
