@@ -9,6 +9,7 @@ check or condition failed, 2 malformed or invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,7 +26,9 @@ from .scenarios import (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="acs-verify",
         description="Numerical certification of transverse-embedding "

@@ -7,22 +7,25 @@ viewed as point sets in R^{2m}, overlap on a nonempty open set; (ii) the
 family is stable under single-index exchanges.
 
 Each member of E is a simplex (2m+1 points in R^{2m}); condition (i)
-reads the family as one stack of them, (|E|, 2m+1, 2m), classifies every
-set as full-dimensional or not by one batched SVD, and goes over the
-pairs by index into that stack. For LVM data the members are exactly the
-simplices that hold one point in their interior (Meersseman 2000, Bosio
-2001). So condition (i) proposes one common interior point, by one small
-dual LP, and certifies it set by set from its barycentric weights; the
-report records the point once with each certified set's least weight,
-which covers every pair of certified sets, so its size grows with |E|,
-not |E|^2. Each pair it does not cover gets an LP of its own: maximize
-the margin eps subject to a common point being a convex combination of
-each hull's vertices with all weights >= eps. For full-dimensional hulls
-a positive optimal margin is equivalent to interior intersection. Both
-LPs go to an in-house dense two-phase simplex, which checks its own
-answer. The 2-D case has an independent exact-geometry oracle (convex
-hull, polygon clipping, shoelace area) used to cross-check the LP.
-Condition (ii) reads the family as a set of frozensets.
+reads the family as one stack of them, (|E|, 2m+1, 2m), put in one
+frame (divided by its largest |coordinate|, centred on its mean point),
+so that its verdicts do not depend on the scale or position of the
+forms. It classifies every set as full-dimensional or not by one
+batched SVD and goes over the pairs by index into that stack. For LVM
+data the members are exactly the simplices that hold one point in their
+interior (Meersseman 2000, Bosio 2001). So condition (i) proposes one
+common interior point, by one small dual LP, and certifies it set by set
+from its barycentric weights; the report records the point once with
+each certified set's least weight, which covers every pair of certified
+sets, so its size grows with |E|, not |E|^2. Each pair it does not cover
+gets the same program on its own two simplices: the best common point
+of the pair, whose least barycentric weight is the pair's margin
+(negative when the hulls are apart). For full-dimensional hulls a
+positive margin is equivalent to interior intersection. The LP goes to
+an in-house dense two-phase simplex, which checks its own answer. The
+2-D case has an independent exact-geometry oracle (convex hull, polygon
+clipping, shoelace area) in a frame of its own, used to cross-check the
+LP. Condition (ii) reads the family as a set of frozensets.
 """
 from __future__ import annotations
 
@@ -70,6 +73,8 @@ class LvmbData:
             ell = None
         if ell is None or ell.shape != (self.big_n + 1, self.m):
             raise InvalidParams(f"ell must supply {self.big_n + 1} forms with {self.m} coefficients each")
+        if not np.isfinite(ell).all():
+            raise InvalidParams("every coefficient of ell must be finite")
         self.ell = ell
 
     def hull_points(self, groups) -> np.ndarray:
@@ -124,12 +129,14 @@ def _checks_out(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
 def simplex_solve(c, a, b, tol: float = 1e-11):
     """Bland-rule two-phase simplex for small dense problems.
 
-    Returns (x, value). Raises Infeasible when no x satisfies the
-    constraints and InvalidParams when the objective is unbounded; the
-    callers never build unbounded programs (the margin variable is boxed
-    by the convexity rows). Raises LPFailure when the answer fails its
-    own check: an entry of x below -tol, or A x - b off by more than
-    1e-9 (1 + max|A| max(1, max|x|) + max|b|) in some row.
+    Returns (x, value, u), u the multipliers of the final basis B:
+    B^T u = c_B, so u is an optimum of the dual program, max b.u s.t.
+    A^T u <= c. Raises Infeasible when no x satisfies the constraints and
+    InvalidParams when the objective is unbounded; the caller never
+    builds unbounded programs (common_point's lives on the simplex
+    sum lam = 1). Raises LPFailure when the answer fails its own check:
+    an entry of x below -tol, or A x - b off by more than 1e-9 (1 +
+    max|A| max(1, max|x|) + max|b|) in some row.
     """
     a = np.asarray(a, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
@@ -201,47 +208,15 @@ def simplex_solve(c, a, b, tol: float = 1e-11):
     if x.min(initial=0.0) < -tol or not _checks_out(a, x, b):
         raise LPFailure(f"simplex answer fails its check (min x {x.min(initial=0.0):.3g}, "
                         f"residual {float(_residual(a, x, b)):.3g})")
-    return x, float(c @ x)
+    # a basic artificial has column e_i and cost 0; a flipped row flips u_i
+    u = np.linalg.solve(np.hstack([a, np.eye(rows)])[:, basis].T,
+                        np.append(c, np.zeros(rows))[basis])
+    return x, float(c @ x), np.where(flip, -u, u)
 
 
 # ---------------------------------------------------------------------------
 # condition (i): open overlap of convex hulls
 # ---------------------------------------------------------------------------
-
-def hull_overlap_lp(p1: np.ndarray, p2: np.ndarray
-                    ) -> tuple[bool, float | None, np.ndarray | None]:
-    """Maximize eps with sum_i w_i p_i = sum_j v_j q_j, weights >= eps,
-    each block summing to 1. Positive optimum certifies open overlap for
-    full-dimensional hulls; the witness is the common point. The program
-    is infeasible exactly when the closed hulls share no point; the
-    margin is then None."""
-    n1, dim = p1.shape
-    n2 = p2.shape[0]
-    cols = 1 + n1 + n2
-    a = np.zeros((dim + 2, cols))
-    a[:dim, 0] = p1.sum(axis=0) - p2.sum(axis=0)
-    a[:dim, 1:1 + n1] = p1.T
-    a[:dim, 1 + n1:] = -p2.T
-    a[dim, 0] = n1
-    a[dim, 1:1 + n1] = 1.0
-    a[dim + 1, 0] = n2
-    a[dim + 1, 1 + n1:] = 1.0
-    b = np.zeros(dim + 2)
-    b[dim] = 1.0
-    b[dim + 1] = 1.0
-    c = np.zeros(cols)
-    c[0] = -1.0
-    try:
-        x, value = simplex_solve(c, a, b)
-    except Infeasible:
-        return False, None, None
-    eps = -value
-    if eps < MARGIN:
-        return False, eps, None
-    weights = x[0] + x[1:1 + n1]
-    witness = weights @ p1
-    return True, eps, witness
-
 
 def _vertex_matrices(simplices: np.ndarray) -> np.ndarray:
     """B_P = [P^T; 1^T] for each simplex P (rows of a K x (d+1) x d stack),
@@ -254,20 +229,20 @@ def common_point(simplices: np.ndarray) -> np.ndarray | None:
     """A point proposed inside every simplex of the stack: the optimum y of
     max eps s.t. w_P(y) = G_P y + h_P >= eps for every P, [G_P | h_P] =
     B_P^-1. That program has a row per vertex of every simplex; its dual,
-    min h.lam s.t. lam >= 0, sum lam = 1, G^T lam = 0, has d + 1 rows.
-    The rows with lam > 0 are tight, so [1, -G_S] [eps; y] = h_S. None
-    when a solve fails; the caller certifies the point itself."""
+    min h.lam s.t. lam >= 0, sum lam = 1, G^T lam = 0, has d + 1 rows,
+    and the simplex multipliers u of its optimal basis are [eps; -y], a
+    vertex of the optimal set: the tight rows alone (lam > 0) do not fix
+    y where that set is more than a point. None when a solve fails; the
+    caller certifies the point itself."""
     dim = simplices.shape[2]
     try:
         inverse = np.linalg.inv(_vertex_matrices(simplices))
         g = inverse[:, :, :dim].reshape(-1, dim)
         h = inverse[:, :, dim].reshape(-1)
-        lam, _ = simplex_solve(h, np.vstack([np.ones(h.size), g.T]), np.eye(dim + 1)[0])
+        _, _, u = simplex_solve(h, np.vstack([np.ones(h.size), g.T]), np.eye(dim + 1)[0])
     except (np.linalg.LinAlgError, Infeasible, LPFailure):
         return None
-    tight = lam > 0.0
-    lhs = np.concatenate([np.ones((int(tight.sum()), 1)), -g[tight]], axis=1)
-    return np.linalg.lstsq(lhs, h[tight], rcond=None)[0][1:]
+    return -u[1:]
 
 
 def barycentric_margins(simplices: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -304,36 +279,52 @@ def _over_pairs(data: LvmbData, verdict, degenerate: dict, covered=frozenset()) 
 def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
     """Open-overlap condition: {"ok", "pairs", "common_point"}.
 
-    The sets' points are stacked once per call, and one batched SVD of
-    the centred simplices decides which are full-dimensional: a set is
-    degenerate when its least singular value is at most max(rank_rtol *
-    its largest, alg_atol). The common_point y of the full-dimensional
-    sets certifies each set in which its every barycentric weight is at
-    least MARGIN; "common_point" is {"point": y, "sets": [{"j": J,
-    "margin": eps_J}, ...]}, the certified sets in family order with y's
-    least weight in each, or None when no set is certified. A pair of two
-    certified sets overlaps with margin min(eps_J1, eps_J2) and witness
-    y: a certified lower bound on the pair's LP optimum, not the optimum.
-    Such pairs are not listed; "pairs" holds every other pair, in the
-    order of _over_pairs. A degenerate set fails each of its pairs with
-    its message, g1 before g2, and margin 0. Every other pair goes to
-    hull_overlap_lp; disjoint hulls fail with margin None, and so does a
-    pair whose LP fails its check.
+    The sets' points are stacked once per call and put in one frame:
+    divided by their largest |coordinate| (unless all are zero), then
+    centred on their mean point. Barycentric weights, and so the
+    verdicts, do not change under that map; points are reported in the
+    input's coordinates. One batched SVD of the centred simplices decides
+    which sets are full-dimensional: a set is degenerate when its least
+    singular value is at most max(rank_rtol * its largest, alg_atol).
+    The common_point y of the full-dimensional sets certifies each set in
+    which its every barycentric weight is at least MARGIN; "common_point"
+    is {"point": y, "sets": [{"j": J, "margin": eps_J}, ...]}, the
+    certified sets in family order with y's least weight in each, or None
+    when no set is certified. A pair of two certified sets overlaps with
+    margin min(eps_J1, eps_J2) and witness y, a certified lower bound on
+    the pair's best margin. Such pairs are not listed; "pairs" holds every
+    other pair, in the order of _over_pairs. A degenerate set fails each
+    of its pairs with its message, g1 before g2, and margin 0. Every
+    other pair takes the common point of its own two simplices: its
+    margin is that point's least weight in the two (negative when the
+    hulls are apart), and it overlaps, with that point as witness, when
+    the margin is at least MARGIN. A pair whose program or weights fail
+    their check fails with margin None.
     """
     points = data.hull_points(data.family)
+    scale = np.abs(points).max() or 1.0
+    points = points / scale
+    centre = points.reshape(-1, points.shape[-1]).mean(axis=0)
+    points = points - centre
     sv = np.linalg.svd(points - points.mean(axis=1, keepdims=True), compute_uv=False)
     # not "sv > cutoff": a NaN singular value leaves its set full-dimensional
     solid = ~(sv[:, -1] <= np.maximum(tol.rank_rtol * sv[:, 0], tol.alg_atol))
 
+    def certify(simplices):
+        """(y in input coordinates, y's least weight per simplex), or
+        (None, None) when the program fails."""
+        y = common_point(simplices)
+        if y is None:
+            return None, None
+        return [float(v) for v in (y + centre) * scale], barycentric_margins(simplices, y).tolist()
+
     margins, certified = {}, None
     if solid.any():
-        simplices = points[solid]
-        point = common_point(simplices)
+        point, eps = certify(points[solid])
         if point is not None:
-            eps = barycentric_margins(simplices, point).tolist()
             margins = {i: e for i, e in zip(np.flatnonzero(solid).tolist(), eps) if e >= MARGIN}
             if margins:
-                certified = {"point": [float(v) for v in point],
+                certified = {"point": point,
                              "sets": [{"j": list(data.family[i]), "margin": e}
                                       for i, e in margins.items()]}
 
@@ -341,16 +332,12 @@ def check_condition_i(data: LvmbData, tol: Tolerances = DEFAULT) -> dict:
         for i in (i1, i2):
             if not solid[i]:
                 raise DegenerateHull(f"hull of {list(data.family[i])} has empty interior")
-        try:
-            overlap, eps, point = hull_overlap_lp(points[i1], points[i2])
-        except LPFailure as exc:
+        point, eps = certify(points[[i1, i2]])
+        if point is None or -np.inf in eps:
             return {"overlap": False, "margin": None, "witness": None,
-                    "note": f"linear program failed: {exc}"}
-        entry = {"overlap": overlap, "margin": eps,
-                 "witness": None if point is None else [float(v) for v in point]}
-        if eps is None:
-            entry["note"] = "hulls are disjoint"
-        return entry
+                    "note": "linear program failed"}
+        overlap = min(eps) >= MARGIN
+        return {"overlap": overlap, "margin": min(eps), "witness": point if overlap else None}
 
     rep = _over_pairs(data, verdict, {"margin": 0.0, "witness": None}, margins)
     rep["common_point"] = certified
@@ -426,7 +413,8 @@ def polygon_area(polygon: np.ndarray) -> float:
 def polygon_overlap_oracle(p1: np.ndarray, p2: np.ndarray,
                            area_tol: float = 1e-12) -> tuple[bool, float]:
     """Exact-geometry verdict for dim 2: hulls overlap openly iff the
-    clipped intersection has positive area."""
+    clipped intersection has area above area_tol times the smaller hull's
+    area."""
     if p1.shape[1] != 2 or p2.shape[1] != 2:
         raise InvalidParams("polygon oracle only covers m = 1")
     h1 = convex_hull_2d(p1)
@@ -434,16 +422,21 @@ def polygon_overlap_oracle(p1: np.ndarray, p2: np.ndarray,
     if h1.shape[0] < 3 or h2.shape[0] < 3:
         raise DegenerateHull("hull has empty interior")
     area = polygon_area(clip_convex(h1, h2))
-    return area > area_tol, area
+    return area > area_tol * min(polygon_area(h1), polygon_area(h2)), area
 
 
 def check_condition_i_polygon(data: LvmbData) -> dict:
     """Condition (i) by the 2-D oracle; m = 1 only. Same pairs, in the
-    same order, as the LP route; degenerate hulls fail with area 0."""
+    same order, as the LP route; degenerate hulls fail with area 0. The
+    points are first scaled by the power of two that brings their largest
+    |coordinate| into [1/2, 1), which is exact, and the areas are those
+    of the scaled points."""
     if data.m != 1:
         raise InvalidParams("polygon oracle only covers m = 1")
 
     points = data.hull_points(data.family)
+    _, exponent = np.frexp(np.abs(points).max())
+    points = np.ldexp(points, -exponent)
 
     def verdict(i1, i2) -> dict:
         overlap, area = polygon_overlap_oracle(points[i1], points[i2])

@@ -87,10 +87,17 @@ both bit for bit.
 read the tableau as Python floats: it scans the reduced costs and the
 ratio column one numpy scalar at a time and eliminates with an outer
 product, so the tests can hold `lvmb.simplex_solve` to it bit for bit.
+`hull_overlap_lp` is the pairwise overlap program of
+`lvmb.check_condition_i` as it was before every pair took the common
+point of its two simplices: the weights form, a block of weights per
+hull, which is infeasible when the hulls are apart and on which the
+Bland simplex is unstable; the tests hold the pair margins to it where
+it returns one.
 `full_dimensional_by_set` is the full-dimensionality test of
 `lvmb.check_condition_i` as it was before the library classified the
 stacked sets by one batched SVD: one SVD per set, with Python's `max`
-for the cutoff. `check_condition_ii_by_sorted_tuples` is the exchange condition as it
+for the cutoff, in the library's scale-normalised frame.
+`check_condition_ii_by_sorted_tuples` is the exchange condition as it
 was before it exchanged indices on frozensets: each exchanged set is
 rebuilt as a sorted tuple.
 `pair_overlaps` reads a `check_condition_i` report back into one verdict
@@ -153,7 +160,7 @@ from acs_verify.fields import (
     structure_jet,
 )
 from acs_verify.induced import GraphEmbedding, GraphPoint, VariationData, _real_linear
-from acs_verify.lvmb import LvmbData
+from acs_verify.lvmb import MARGIN, LvmbData, simplex_solve
 from acs_verify.universal import (
     ChartFrame,
     PointwiseACManifold,
@@ -1157,9 +1164,44 @@ def simplex_solve_loop(c, a, b, tol: float = 1e-11):
     return x, float(c @ x)
 
 
+def hull_overlap_lp(p1: np.ndarray, p2: np.ndarray
+                    ) -> tuple[bool, float | None, np.ndarray | None]:
+    """Maximize eps with sum_i w_i p_i = sum_j v_j q_j, weights >= eps,
+    each block summing to 1. Positive optimum certifies open overlap for
+    full-dimensional hulls; the witness is the common point. The program
+    is infeasible exactly when the closed hulls share no point; the
+    margin is then None. Raises LPFailure when the simplex answer fails
+    its check."""
+    n1, dim = p1.shape
+    n2 = p2.shape[0]
+    cols = 1 + n1 + n2
+    a = np.zeros((dim + 2, cols))
+    a[:dim, 0] = p1.sum(axis=0) - p2.sum(axis=0)
+    a[:dim, 1:1 + n1] = p1.T
+    a[:dim, 1 + n1:] = -p2.T
+    a[dim, 0] = n1
+    a[dim, 1:1 + n1] = 1.0
+    a[dim + 1, 0] = n2
+    a[dim + 1, 1 + n1:] = 1.0
+    b = np.zeros(dim + 2)
+    b[dim] = 1.0
+    b[dim + 1] = 1.0
+    c = np.zeros(cols)
+    c[0] = -1.0
+    try:
+        x, value, _ = simplex_solve(c, a, b)
+    except Infeasible:
+        return False, None, None
+    eps = -value
+    if eps < MARGIN:
+        return False, eps, None
+    weights = x[0] + x[1:1 + n1]
+    return True, eps, weights @ p1
+
+
 def common_point_weights_program(data: LvmbData):
     """(c, a, b) of "one point in every hull, every weight at least eps"
-    in the weights form: the layout of `lvmb.hull_overlap_lp` extended to
+    in the weights form: the layout of `hull_overlap_lp` extended to
     all |E| blocks. Column 0 is eps and block k holds the slacks s_k of
     the weights eps + s_k of set k; the first (|E| - 1) 2m rows equate the
     point of block 0 with that of block k, the last |E| rows make each
@@ -1188,11 +1230,16 @@ def common_point_weights_program(data: LvmbData):
 
 def full_dimensional_by_set(data: LvmbData, tol: Tolerances = DEFAULT) -> list[bool]:
     """Per set of E: its hull has nonempty interior, by one SVD of the
-    centred points; degenerate when the least singular value is at most
-    max(rank_rtol * largest, alg_atol)."""
+    centred points in the frame of `lvmb.check_condition_i` (every form
+    divided by the family's largest |coordinate|, then moved by the mean
+    point of the stacked sets); degenerate when the least singular value
+    is at most max(rank_rtol * largest, alg_atol)."""
+    stack = data.hull_points(data.family)
+    scale = float(np.abs(stack).max()) or 1.0
+    centre = (stack / scale).reshape(-1, stack.shape[-1]).mean(axis=0)
     out = []
     for group in data.family:
-        points = data.hull_points(group)
+        points = data.hull_points(group) / scale - centre
         sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
         dim = points.shape[1]
         out.append(not (sv.size < dim

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -20,6 +22,7 @@ from acs_verify.checks import (
     checks_for,
     worst_of,
 )
+from acs_verify import cli
 from acs_verify.cli import main
 from acs_verify.config import DEFAULT
 from acs_verify.errors import EigenSplitFailure, SchemaError
@@ -42,6 +45,19 @@ def run_lines(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_main_builds_one_parser_and_reports_each_usage_error_on_its_own_stderr():
+    cli.build_parser.cache_clear()
+    for argv, message in ((["run"], "the following arguments are required: scenario"),
+                          (["nonsense"], "invalid choice: 'nonsense'")):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert err.getvalue().startswith("usage: acs-verify") and message in err.getvalue()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def parse_report(text):
@@ -783,8 +799,9 @@ def test_lvmb_check_disjoint_hulls_fail_condition_i(tmp_path, capsys):
     verdict = json.loads(out)
     assert verdict["condition_i"] is False
     cross = verdict["witnesses"]["pairs"][1]
-    assert (cross["overlap"], cross["margin"], cross["witness"]) == (False, None, None)
-    assert cross["note"] == "hulls are disjoint"
+    # the best common point of the two triangles has weight -19/3 in both
+    assert (cross["overlap"], cross["witness"]) == (False, None) and "note" not in cross
+    assert cross["margin"] == pytest.approx(-19.0 / 3.0, rel=1e-12)
 
 
 def test_run_expecting_disjoint_hulls_passes():

@@ -153,8 +153,11 @@ def test_the_lvmb_check_inputs_cover_the_bundled_data_and_the_benchmark_seeds():
     before = sorted(p.name for p in (ROOT / "perfbench").iterdir())
     inputs = load_tool().lvmb_inputs(str(ROOT / "src"), ["lvmb_fail", "lvmb_pass", "fields_basic"])
     names = [name for name, _ in inputs]
-    assert names[:3] == ["scenario lvmb_fail", "scenario lvmb_pass",
-                         "tests/data/lvm_m1_N10_weights_form_unstable.json"]
+    assert names[:8] == ["scenario lvmb_fail", "scenario lvmb_pass",
+                         "tests/data/lvm_m1_N10_weights_form_unstable.json",
+                         "tests/data/lvm_m2_N10_weights_form_lp_failure.json",
+                         "tests/data/lvmb_pass_x1e-12.json", "tests/data/lvmb_pass_x1e12.json",
+                         "tests/data/lvmb_fail_x1e-12.json", "tests/data/lvmb_fail_x1e12.json"]
     # per seed: four families, an extra-set and a disjoint probe, and not
     # the probe that runs a scenario
     for seed in (1, 2, 3):
@@ -162,5 +165,5 @@ def test_the_lvmb_check_inputs_cover_the_bundled_data_and_the_benchmark_seeds():
             f"benchmark seed {seed} {op}" for op in (
                 "lvm_m1_N8", "lvm_m1_N10", "lvm_m2_N9", "lvm_m2_N10",
                 "defect_a:lvm_m1_N8_extra", "defect_a:disjoint")]
-    assert len(names) == 21 and all(set(doc) >= {"m", "N", "E", "ell"} for _, doc in inputs)
+    assert len(names) == 26 and all(set(doc) >= {"m", "N", "E", "ell"} for _, doc in inputs)
     assert sorted(p.name for p in (ROOT / "perfbench").iterdir()) == before

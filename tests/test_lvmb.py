@@ -26,7 +26,6 @@ from acs_verify.lvmb import (
     check_condition_ii,
     convex_hull_2d,
     exchange_closure,
-    hull_overlap_lp,
     polygon_area,
     polygon_overlap_oracle,
     simplex_solve,
@@ -36,6 +35,7 @@ from oracles import (
     check_condition_ii_by_sorted_tuples,
     common_point_weights_program,
     full_dimensional_by_set,
+    hull_overlap_lp,
     pair_overlaps,
     simplex_solve_loop,
 )
@@ -92,7 +92,7 @@ def test_simplex_small_known_optimum():
     c = np.array([-1.0, -1.0, 0.0, 0.0])
     a = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
     b = np.array([4.0, 6.0])
-    x, value = simplex_solve(c, a, b)
+    x, value, _ = simplex_solve(c, a, b)
     assert abs(value + 4.0) < 1e-12
     assert np.max(np.abs(a @ x - b)) < 1e-12
 
@@ -109,7 +109,7 @@ def test_eliminate_matches_the_row_by_row_update_bitwise():
     for _ in range(300):
         rows, cols = rng.integer(2, 7), rng.integer(2, 9)
         tab = rng.real_matrix(rows, cols, 3.0)
-        # exact and signed zeros, which the tableaus of hull_overlap_lp carry
+        # exact and signed zeros, which the tableaus of common_point carry
         tab[tab > 2.0] = 0.0
         tab[tab < -2.0] = -0.0
         leave, enter = rng.integer(0, rows - 1), rng.integer(0, cols - 1)
@@ -127,7 +127,7 @@ def test_simplex_pivot_leaves_the_leaving_row_bitwise_alone():
     # x0 = b0 = -0.0 stays basic from the first pivot on; the row-by-row
     # elimination never touches the pivot row, so the sign bit survives,
     # where subtracting 0 * row from it would give +0.0
-    x, value = simplex_solve([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [-0.0, 1.0])
+    x, value, _ = simplex_solve([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [-0.0, 1.0])
     assert x.tolist() == [0.0, 1.0] and value == 1.0
     assert np.signbit(x[0])
 
@@ -163,16 +163,18 @@ def test_simplex_agrees_with_scipy_on_random_programs():
         ref = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
         if not ref.success:
             continue  # unbounded draw; irrelevant here
-        x, value = simplex_solve(c, a, b)
+        x, value, u = simplex_solve(c, a, b)
         assert np.max(np.abs(a @ x - b)) < 1e-9
         assert abs(value - ref.fun) < 1e-8
+        # u is dual feasible and attains the optimum
+        assert np.max(a.T @ u - c) < 1e-9 and abs(b @ u - value) < 1e-9
         hits += 1
 
 
 def solver_outcome(solve, c, a, b):
     """x and value as bytes (signed zeros count), or the error class."""
     try:
-        x, value = solve(c, a, b)
+        x, value = solve(c, a, b)[:2]
     except (Infeasible, InvalidParams) as exc:
         return type(exc)
     return x.tobytes(), np.float64(value).tobytes()
@@ -190,17 +192,18 @@ def random_family(rng, m, big_n, n_sets):
 
 
 def overlap_programs(monkeypatch, point_pairs):
-    """The (c, a, b) that hull_overlap_lp hands the simplex, pair by pair."""
+    """The (c, a, b) that common_point hands the simplex for the stack of
+    two simplices of each pair, as check_condition_i does for a pair."""
     programs = []
 
     def record(c, a, b):
         programs.append((c.copy(), a.copy(), b.copy()))
-        return simplex_solve_loop(c, a, b)
+        return simplex_solve(c, a, b)
 
     with monkeypatch.context() as patch:
         patch.setattr(lvmb, "simplex_solve", record)
         for p1, p2 in point_pairs:
-            hull_overlap_lp(p1, p2)
+            lvmb.common_point(np.stack([p1, p2]))
     return programs
 
 
@@ -271,9 +274,20 @@ def test_a_failed_lp_fails_its_pair_and_drops_the_common_point(monkeypatch):
     rep = check_condition_i(d)
     assert not rep["ok"] and rep["common_point"] is None
     assert [(p["overlap"], p["margin"], p["witness"], p["degenerate"], p["note"])
-            for p in rep["pairs"]] == [
-        (False, None, None, False,
-         "linear program failed: simplex answer fails its check")] * 3
+            for p in rep["pairs"]] == [(False, None, None, False, "linear program failed")] * 3
+
+
+def test_weights_that_fail_their_check_read_as_a_failed_program(monkeypatch):
+    # barycentric_margins gives -inf for weights that fail their check;
+    # no set is certified on them, and no infinite margin reaches a pair
+    d = data_m1([0, 1, 1j, 0.25 + 0.25j], [[0, 1, 2], [1, 2, 3]])
+    monkeypatch.setattr(lvmb, "barycentric_margins",
+                        lambda simplices, y: np.full(len(simplices), -np.inf))
+    rep = check_condition_i(d)
+    assert not rep["ok"] and rep["common_point"] is None
+    assert [(p["overlap"], p["margin"], p["witness"], p["note"]) for p in rep["pairs"]] == [
+        (False, None, None, "linear program failed")] * 3
+    json.dumps(rep, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +319,10 @@ def test_condition_i_disjoint_hulls_fail_without_witness():
     rep = check_condition_i(d)
     assert not rep["ok"]
     cross = [p for p in rep["pairs"] if p["j1"] != p["j2"]]
+    # the best common point, 19/3 + 19/3 i, has weight -19/3 in both
     assert cross == [{"j1": [0, 1, 2], "j2": [3, 4, 5], "overlap": False,
-                      "margin": None, "witness": None, "degenerate": False,
-                      "note": "hulls are disjoint"}]
+                      "margin": pytest.approx(-19.0 / 3.0, rel=1e-12), "witness": None,
+                      "degenerate": False}]
     assert [p["overlap"] for p in check_condition_i_polygon(d)["pairs"]] == [
         p["overlap"] for p in rep["pairs"]]
 
@@ -326,6 +341,21 @@ def test_condition_i_overlapping_variant_passes():
         assert ok and area > 0.0
     # witness lies strictly inside both triangles
     assert w[0] > 0 and w[1] > 0 and w[0] + w[1] < 1.0
+
+
+def test_a_pair_whose_best_points_form_a_segment_overlaps():
+    # two long triangles, apexes up and down, overlap in a band where only
+    # the two apex weights bind: every point of a segment on y = 1/2 is a
+    # best common point, with margin 1/4, and the tight rows alone leave x
+    # free; the far third set moves the frame's centre off that segment
+    d = data_m1([-10, 10, 2j, -10 + 1j, 10 + 1j, -1j, 105, 106, 105 + 1j],
+                [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+    rep = check_condition_i(d)
+    assert rep["common_point"] is None
+    [pair] = [p for p in rep["pairs"] if (p["j1"], p["j2"]) == ([0, 1, 2], [3, 4, 5])]
+    assert pair["overlap"] and pair["margin"] == pytest.approx(0.25, abs=1e-12)
+    assert pair["witness"][1] == pytest.approx(0.5, abs=1e-12)
+    assert pair_overlaps(d, rep) == [p["overlap"] for p in check_condition_i_polygon(d)["pairs"]]
 
 
 def test_condition_i_degenerate_hull_flagged():
@@ -376,7 +406,7 @@ def test_condition_i_checks_each_hull_once_and_keeps_degenerate_records(monkeypa
         return {"j1": j1, "j2": j2, "overlap": False, "margin": 0.0, "witness": None,
                 "degenerate": True, "note": f"hull of {note} has empty interior"}
 
-    third = 1.0 / 3.0
+    third = pytest.approx(1.0 / 3.0, rel=1e-14)
     expected = [
         {"j1": [0, 1, 2], "j2": [0, 1, 2], "overlap": True, "margin": third,
          "witness": [third, third], "degenerate": False},
@@ -388,7 +418,7 @@ def test_condition_i_checks_each_hull_once_and_keeps_degenerate_records(monkeypa
         flat([1, 2, 3], [2, 3, 4], [1, 2, 3]),
         flat([1, 2, 3], [2, 3, 5], [1, 2, 3]),
         {"j1": [2, 3, 4], "j2": [2, 3, 4], "overlap": True, "margin": third,
-         "witness": [1.0 + third, -third], "degenerate": False},
+         "witness": pytest.approx([4.0 / 3.0, -1.0 / 3.0], rel=1e-14), "degenerate": False},
         flat([2, 3, 4], [2, 3, 5], [2, 3, 5]),
         flat([2, 3, 5], [2, 3, 5], [2, 3, 5]),
     ]
@@ -448,20 +478,44 @@ def test_batched_full_dimensionality_matches_the_per_set_svd(m, big_n):
     assert kinds[True] > 0 and kinds[False] > 0
 
 
-def test_a_nan_singular_value_leaves_its_set_full_dimensional():
-    # the centred forms of (0, 1, 2) overflow to inf and NaN, so its
-    # singular values are NaN; NaN <= cutoff is false, and the set is not
-    # degenerate, as in the per-set test, where NaN > cutoff would flip it
+def test_forms_near_the_largest_double_are_classified_without_overflow():
+    # in the family's frame the forms of (0, 1, 2) are (1, 0), (1, 7e-309)
+    # and (-7e-309, 1): nothing overflows, and the relative test reads the
+    # set as flat, since its least singular value is 1e-308 of its largest
     doc = {"m": 1, "N": 3, "E": [[0, 1, 2], [1, 2, 3]],
            "ell": [[[1.5e308, 0.0]], [[1.5e308, 1.0]], [[-1.0, 1.5e308]], [[0.25, 0.25]]]}
     d = LvmbData.from_json_dict(doc)
-    with np.errstate(all="ignore"):
-        points = d.hull_points(d.family[0])
-        assert np.isnan(np.linalg.svd(points - points.mean(axis=0), compute_uv=False)).all()
-        assert full_dimensional_by_set(d) == [True, True]
+    with np.errstate(all="raise", under="ignore"):
+        assert full_dimensional_by_set(d) == [False, True]
         rep = check_condition_i(d)
+    assert hull_is_full_dimensional(d, rep) == [False, True]
+    assert not rep["ok"]
+    assert rep["pairs"][0]["note"] == "hull of [0, 1, 2] has empty interior"
+
+
+def test_a_nan_singular_value_leaves_its_set_full_dimensional(monkeypatch):
+    # NaN <= cutoff is false, so a set whose singular values come out NaN
+    # is not called degenerate, as in the per-set test, where NaN > cutoff
+    # would flip it; its pairs go to the program, which names the failure
+    d = data_m1([0, 1, 1j, 0.25 + 0.25j], [[0, 1, 2], [1, 2, 3]])
+    svd = np.linalg.svd
+
+    def nan_first(a, *args, **kwargs):
+        sv = svd(a, *args, **kwargs)
+        sv[0] = np.nan
+        return sv
+
+    monkeypatch.setattr(np.linalg, "svd", nan_first)
+    monkeypatch.setattr(lvmb, "common_point", lambda simplices: None)
+    rep = check_condition_i(d)
     assert hull_is_full_dimensional(d, rep) == [True, True]
-    assert not rep["ok"] and rep["pairs"][0]["note"] == "hulls are disjoint"
+    assert not rep["ok"] and rep["pairs"][0]["note"] == "linear program failed"
+
+
+def test_non_finite_forms_are_refused():
+    for bad in (np.inf, np.nan, complex(0.0, -np.inf)):
+        with pytest.raises(InvalidParams, match="finite"):
+            data_m1([0, 1, bad, 0.25 + 0.25j], [[0, 1, 2], [1, 2, 3]])
 
 
 def test_hull_points_of_a_list_of_sets_stacks_the_single_sets():
@@ -493,11 +547,12 @@ def test_condition_i_lp_agrees_with_polygon_oracle_random():
         assert pair_overlaps(d, lp) == [b["overlap"] for b in poly["pairs"]], (lp, poly)
 
 
-def test_hull_overlap_lp_witness_is_common_point():
-    p1 = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    p2 = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
-    ok, eps, witness = hull_overlap_lp(p1, p2)
-    assert ok and eps > 0.01
+def test_pair_witness_is_interior_to_both_hulls(monkeypatch):
+    d = data_m1([0, 2, 2j, 1 + 1j, -1 + 1j, 1 - 1j], [[0, 1, 2], [3, 4, 5]])
+    p1, p2 = d.hull_points((0, 1, 2)), d.hull_points((3, 4, 5))
+    [cross] = [p for p in pairwise_route(monkeypatch, d)["pairs"] if p["j1"] != p["j2"]]
+    assert cross["overlap"] and cross["margin"] > 0.01
+    witness = cross["witness"]
     # witness must be expressible as interior combinations of both
     for pts in (p1, p2):
         hull = convex_hull_2d(pts)
@@ -542,10 +597,25 @@ def family_variants(rng, data):
             LvmbData(data.m, data.big_n, data.family, data.ell + shift)]
 
 
+def no_family_point(patch):
+    """Make common_point fail on its first call, which is the family's;
+    every pair then takes its own, as when the family point certifies no
+    set."""
+    calls = Counter()
+    solve = lvmb.common_point
+
+    def first_fails(simplices):
+        calls["common_point"] += 1
+        return None if calls["common_point"] == 1 else solve(simplices)
+
+    patch.setattr(lvmb, "common_point", first_fails)
+
+
 def pairwise_route(monkeypatch, data):
-    """check_condition_i with no common point: every pair by its own LP."""
+    """check_condition_i with no family point: every pair by the common
+    point of its own two simplices."""
     with monkeypatch.context() as patch:
-        patch.setattr(lvmb, "common_point", lambda simplices: None)
+        no_family_point(patch)
         return check_condition_i(data)
 
 
@@ -593,6 +663,32 @@ def test_common_point_route_agrees_with_the_pairwise_route(monkeypatch, m, big_n
     assert certified > 0
 
 
+@pytest.mark.parametrize("m, big_n", [(1, 5), (1, 7), (2, 6), (2, 7)])
+def test_pair_margins_agree_with_the_weights_form_reference(monkeypatch, m, big_n):
+    # the pair's margin is its best common point's least weight, which is
+    # the optimum of the weights form where that form does not fail; the
+    # reference is infeasible (margin None) where the hulls are apart, and
+    # then the margin is negative
+    rng = SplitMix64(113 + 10 * m + big_n)
+    kinds = Counter()
+    for _ in range(2):
+        for d in family_variants(rng, lvm_like_family(rng, m, big_n)):
+            for p in pairwise_route(monkeypatch, d)["pairs"]:
+                try:
+                    overlap, eps, _ = hull_overlap_lp(d.hull_points(p["j1"]), d.hull_points(p["j2"]))
+                except LPFailure:
+                    kinds["reference failed"] += 1
+                    continue
+                if eps is None:
+                    assert not p["overlap"] and p["margin"] < 0.0, p
+                    kinds["apart"] += 1
+                else:
+                    assert abs(p["margin"] - eps) <= 1e-11, (p, eps)
+                    assert p["overlap"] == overlap
+                    kinds[overlap] += 1
+    assert kinds[True] > 0 and kinds[False] > 0
+
+
 @pytest.mark.parametrize("m, big_n, seed", [(1, 5, 61), (1, 7, 62), (2, 6, 63), (2, 7, 64)])
 def test_listed_pairs_and_common_point_sets_partition_the_pairs(m, big_n, seed):
     rng = SplitMix64(seed)
@@ -626,9 +722,9 @@ def test_common_point_takes_one_lp_where_the_pairs_took_one_each(monkeypatch):
     assert rep["ok"] and rep["pairs"] == [] and len(rep["common_point"]["sets"]) == count
     assert lps == 1
     with monkeypatch.context() as patch:
-        patch.setattr(lvmb, "common_point", lambda simplices: None)
+        no_family_point(patch)
         rep, lps = count_lps(patch, d)
-    assert len(rep["pairs"]) == count * (count + 1) // 2
+    assert rep["ok"] and len(rep["pairs"]) == count * (count + 1) // 2
     assert lps == count * (count + 1) // 2
 
 
@@ -676,6 +772,86 @@ def test_edge_sharing_hulls_fail_through_the_pairwise_fallback(monkeypatch):
     assert lps == 1 + 3
     assert rep["common_point"] is None
     assert [p["overlap"] for p in rep["pairs"]] == [True, False, True]
+
+
+def scaled_scenario(name, scale):
+    """A bundled lvmb scenario with every form multiplied by scale."""
+    from acs_verify.scenarios import find_scenario, parse_scenario
+
+    doc = parse_scenario(find_scenario(name))
+    data = doc["payload"]["data"]
+    data["ell"] = [[[v * scale for v in pair] for pair in row] for row in data["ell"]]
+    return doc
+
+
+@pytest.mark.parametrize("name, holds", [("lvmb_pass", True), ("lvmb_fail", False)])
+def test_condition_i_does_not_depend_on_the_scale_of_the_forms(name, holds):
+    # the condition is affine-invariant; an absolute floor once made every
+    # lvmb_pass hull flat at scale 1e-12, and its cross pair read apart at
+    # 1e100, and the polygon oracle's absolute area test read every
+    # lvmb_pass pair as apart at 1e-300, 1e-12 and 1e300
+    from acs_verify.scenarios import run_scenario
+
+    base = LvmbData.from_json_dict(scaled_scenario(name, 1.0)["payload"]["data"])
+    want = check_condition_i(base)
+    verdicts = pair_overlaps(base, want)
+    assert want["ok"] is holds
+    for scale in (1e-300, 1e-12, 1e12, 1e100, 1e300):
+        doc = scaled_scenario(name, scale)
+        d = LvmbData.from_json_dict(doc["payload"]["data"])
+        rep = check_condition_i(d)
+        assert rep["ok"] is holds, scale
+        assert pair_overlaps(d, rep) == verdicts, scale
+        # margins are barycentric weights, which do not scale
+        assert [p["margin"] for p in rep["pairs"]] == pytest.approx(
+            [p["margin"] for p in want["pairs"]], abs=1e-12)
+        if want["common_point"] is not None:
+            assert [s["margin"] for s in rep["common_point"]["sets"]] == pytest.approx(
+                [s["margin"] for s in want["common_point"]["sets"]], abs=1e-12)
+            assert rep["common_point"]["point"] == pytest.approx(
+                [scale * v for v in want["common_point"]["point"]], rel=1e-12)
+        assert [p["overlap"] for p in check_condition_i_polygon(d)["pairs"]] == verdicts, scale
+        records, aggregate = run_scenario(doc)
+        assert aggregate["passed"], (scale, records)
+
+
+def test_polygon_oracle_reads_small_hulls_of_a_large_family_by_their_own_area():
+    # lvmb_pass's forms times 1e-5 with a unit triangle near 1000 + 0i:
+    # scaled into [1/2, 1), the small triangles have area about 5e-17,
+    # below an absolute floor of 1e-12, while their overlap is a fixed
+    # share of each
+    small = [0, 1e-5, 1e-5j, 0.25e-5 + 0.25e-5j]
+    d = data_m1(small + [1000, 1001, 1000 + 1j], [[0, 1, 2], [1, 2, 3], [4, 5, 6]])
+    rep = check_condition_i(d)
+    poly = check_condition_i_polygon(d)
+    assert [p["overlap"] for p in poly["pairs"]] == pair_overlaps(d, rep) == [
+        True, True, False, True, False, True]
+
+
+def test_a_pair_the_weights_form_failed_on_reads_as_overlapping():
+    # sets (0, 2, 5, 6, 9) and (0, 3, 5, 6, 7) of the benchmark
+    # generator's seed-9 lvm_m2_N10 family, and a third set on the forms
+    # of the first moved by 50 + 50i, so that the family point certifies
+    # no set; the weights form's answer on the first two fails its check
+    with open(os.path.join(DATA, "lvm_m2_N10_weights_form_lp_failure.json"),
+              encoding="utf-8") as fh:
+        d = LvmbData.from_json_dict(json.load(fh))
+    one, two, far = d.family
+    with pytest.raises(LPFailure):
+        hull_overlap_lp(d.hull_points(one), d.hull_points(two))
+    rep = check_condition_i(d)
+    assert not rep["ok"] and rep["common_point"] is None
+    by_pair = {(tuple(p["j1"]), tuple(p["j2"])): p for p in rep["pairs"]}
+    assert len(by_pair) == 6
+    pair = by_pair[one, two]
+    assert pair["overlap"] and pair["margin"] >= MARGIN and "note" not in pair
+    y = np.append(pair["witness"], 1.0)
+    for group in (one, two):
+        weights = np.linalg.solve(np.vstack([d.hull_points(group).T, np.ones(5)]), y)
+        assert weights.min() == pytest.approx(pair["margin"], abs=1e-12)
+    for group in (one, two):
+        assert not by_pair[group, far]["overlap"] and by_pair[group, far]["margin"] < -1.0
+    assert all(by_pair[g, g]["overlap"] for g in d.family)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ shows why it differs.
 
 The same interpreters also run `lvmb-check` on a fixed set of inputs:
 the `payload.data` of each lvmb scenario that both trees bundle (read
-from NEW_SRC), tests/data/lvm_m1_N10_weights_form_unstable.json, and
-the `lvmb-check` operations and probes that `generate` of
-perfbench/workloads.py gives the lvmb workload at benchmark seeds 1, 2
-and 3 (written to a temporary directory; nothing under perfbench/ is
-written). For each input whose stdout or exit code differs between the
+from NEW_SRC), the families saved under tests/data/ (among them
+`lvmb_pass` and `lvmb_fail` with every form scaled by 1e-12 and by
+1e12, so that the scale behaviour stays in view), and the `lvmb-check`
+operations and probes that `generate` of perfbench/workloads.py gives
+the lvmb workload at benchmark seeds 1, 2 and 3 (written to a temporary
+directory; nothing under perfbench/ is written). For each input whose stdout or exit code differs between the
 trees, one row is printed:
 
     lvmb-check  input  exit OLD -> NEW  moved: KEY, ...
@@ -57,7 +58,14 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (None, 1, 2, 3)
 LVMB_BENCH_SEEDS = (1, 2, 3)
-LVMB_DATA_FILES = ("tests/data/lvm_m1_N10_weights_form_unstable.json",)
+LVMB_DATA_FILES = (
+    "tests/data/lvm_m1_N10_weights_form_unstable.json",
+    "tests/data/lvm_m2_N10_weights_form_lp_failure.json",
+    "tests/data/lvmb_pass_x1e-12.json",
+    "tests/data/lvmb_pass_x1e12.json",
+    "tests/data/lvmb_fail_x1e-12.json",
+    "tests/data/lvmb_fail_x1e12.json",
+)
 VERDICT_FIELDS = ("status", "error")
 # the fields a row shows in its own columns or the summary line reports
 SHOWN_FIELDS = ("name", "max_residual", "samples_checked", *VERDICT_FIELDS)
