@@ -172,13 +172,8 @@ def _validate_payload(doc) -> LvmbData | None:
             return LvmbData.from_json_dict(payload["data"])
         except VerifyError as exc:
             raise SchemaError(f"payload.data rejected: {exc}") from exc
-    if kind == "universal":
-        if "n" not in payload:
-            raise SchemaError("universal scenarios need payload.n")
-        try:
-            PointwiseACManifold.check_embedding(*build_embedding(payload))
-        except VerifyError as exc:
-            raise SchemaError(f"payload.embedding rejected: {exc}") from exc
+    if kind == "universal" and "n" not in payload:
+        raise SchemaError("universal scenarios need payload.n")
     if kind == "induced":
         # absent dimensions are drawn: n from 1..2, N from n+2..6
         n = payload.get("n")
@@ -190,17 +185,27 @@ def _validate_payload(doc) -> LvmbData | None:
                 f"got N={payload['N']}" + ("" if n is None else f" and n={n}"))
     if kind not in ("universal", "fields"):
         return None
+    # the grid bound or the sample width ties n to the input's size before
+    # anything of size O(n^2) is built (8^21 > MAX_GRID_POINTS); .6g keeps a
+    # huge n short
+    n = int(payload.get("n", 1))
+    if "samples" not in doc and DEFAULT_GRID_COUNTS[kind] ** min(2 * n, 21) > MAX_GRID_POINTS:
+        raise SchemaError(
+            f"payload.n={n:.6g} gives a {kind} scenario without samples a default "
+            f"grid of more than {MAX_GRID_POINTS} points; give samples")
+    samples = doc.get("samples", {})
+    dims = [len(row) for row in samples.get("points", [])]
+    if "dims" in samples:
+        dims.append(samples["dims"])
+    if kind == "universal":
+        dims += [len(row) for row in payload.get("versality_samples", [])]
+    for d in dims:
+        if d != 2 * n:
+            raise SchemaError(
+                f"a {kind} scenario with n={n:.6g} needs sample points with "
+                f"2n={2 * n:.6g} coordinates, got {d}")
     # the structure's coefficients, shape and angles only: J^2 = -Id stays
     # a check's job
-    n = int(payload.get("n", 1))
-    if "samples" not in doc:
-        points = 1
-        for _ in range(2 * n):
-            points *= DEFAULT_GRID_COUNTS[kind]
-            if points > MAX_GRID_POINTS:
-                raise SchemaError(
-                    f"payload.n={n} gives a {kind} scenario without samples a default "
-                    f"grid of more than {MAX_GRID_POINTS} points; give samples")
     trig = payload.get("structure", {}).get("trig")
     if trig is not None:
         try:
@@ -215,17 +220,11 @@ def _validate_payload(doc) -> LvmbData | None:
             raise SchemaError(
                 f"payload.structure rejected: J must be defined on T^{{2n}}, "
                 f"so every freq needs 2n={2 * n} entries at n={n}")
-    samples = doc.get("samples", {})
-    dims = [len(row) for row in samples.get("points", [])]
-    if "dims" in samples:
-        dims.append(samples["dims"])
     if kind == "universal":
-        dims += [len(row) for row in payload.get("versality_samples", [])]
-    for d in dims:
-        if d != 2 * n:
-            raise SchemaError(
-                f"a {kind} scenario with n={n} needs sample points with "
-                f"2n={2 * n} coordinates, got {d}")
+        try:
+            PointwiseACManifold.check_embedding(*build_embedding(payload))
+        except VerifyError as exc:
+            raise SchemaError(f"payload.embedding rejected: {exc}") from exc
 
 
 def parse_scenario(text: str) -> dict:

@@ -177,11 +177,11 @@ def _raise_first(bad: np.ndarray, error) -> None:
 
 
 # Rows per stacked call of build_fibers, of the reconstruction sweep (J_f
-# and the J it is compared with) and of the J^2 = -Id check's slices.
-# Peak memory grows with it: against chunks of one row, the peak RSS of a
-# universal_n2_k8 run rose by under 0.1 MB at 32 rows, 0.5 MB at 64,
-# 2.3 MB at 128 and 7.2 MB at 256, while the time fell no further.
-FIBER_CHUNK = 32
+# and the J it is compared with) and of the J^2 = -Id check's slices. Each
+# chunk pays a fixed cost of small numpy calls around its LAPACK calls; 128
+# is the most rows that keep the process peak RSS flat, and the sweep's
+# traced peak on universal_n3_k12 is 3.7 MiB there (README, "Chunk size").
+FIBER_CHUNK = 128
 
 
 def over_chunks(xs, stacked):

@@ -462,6 +462,41 @@ def test_a_default_grid_above_the_point_limit_is_rejected(kind):
         "samples": {"dims": 8, "counts": [2] * 8}}))
 
 
+# Runs in a fresh interpreter under a 2 GiB address-space limit, so a
+# validation that builds arrays of size O(n^2) fails there instead of
+# taking the machine's memory: argv[1] is the `src` directory, argv[2] a
+# scenario file; exits with main's code.
+LIMITED_RUNNER = r"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+sys.path.insert(0, sys.argv[1])
+from acs_verify.cli import main
+raise SystemExit(main(["run", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("samples", [False, True], ids=["default-grid", "with-samples"])
+@pytest.mark.parametrize("n, shown", [(1e300, "1e+300"), (10 ** 7, "1e+07")],
+                         ids=["float-1e300", "int-1e7"])
+def test_a_huge_n_exits_two_before_the_embedding_is_built(tmp_path, samples, n, shown):
+    # the default torus embedding of T^{2n} in R^{4n} is O(n^2) in memory:
+    # built before the grid bound and the sample width were checked, n = 10^7
+    # ended in a 305 MiB _ArrayMemoryError and 1e300 ran out of memory
+    doc = json.loads(find_scenario("universal_n1_k4"))
+    doc["payload"]["n"] = n
+    if not samples:
+        del doc["samples"]
+    path = tmp_path / "huge_n.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(acs_verify.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", LIMITED_RUNNER, src, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert f"n={shown}" in proc.stderr and len(proc.stderr) < 200
+
+
 def test_fd_rtol_is_not_a_tolerance(tmp_path, capsys):
     # its one reader was a second threshold inside foliation_rank_control
     doc = json.loads(find_scenario("foliation_control"))

@@ -2,10 +2,13 @@
 bundle, names a check only one tree runs instead of giving it a
 residual row, and shows a moved sample count in its row without calling
 it a changed verdict; it gives one row per lvmb-check input whose
-output or exit code moved. The tool is loaded from its file."""
+output or exit code moved, and sets an environment variable only in the
+tree it names. The tool is loaded from its file."""
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_reports.py"
@@ -167,3 +170,34 @@ def test_the_lvmb_check_inputs_cover_the_bundled_data_and_the_benchmark_seeds():
                 "defect_a:lvm_m1_N8_extra", "defect_a:disjoint")]
     assert len(names) == 26 and all(set(doc) >= {"m", "N", "E", "ell"} for _, doc in inputs)
     assert sorted(p.name for p in (ROOT / "perfbench").iterdir()) == before
+
+
+STUB_CLI = '''import os
+
+
+def main(argv):
+    print(os.environ.get("OPENBLAS_CORETYPE"), os.environ.get("OPENBLAS_NUM_THREADS"))
+    return 0
+'''
+
+
+def test_env_old_and_env_new_reach_only_their_own_tree(tmp_path, monkeypatch):
+    tool = load_tool()
+    args = tool.parse_args(["--env-old", "OPENBLAS_CORETYPE=Prescott", "--env-new",
+                            "OPENBLAS_CORETYPE=Haswell", "--env-new", "EMPTY=", "a", "b"])
+    assert (args.old_src, args.new_src) == ("a", "b")
+    assert dict(args.env_old) == {"OPENBLAS_CORETYPE": "Prescott"}
+    assert dict(args.env_new) == {"OPENBLAS_CORETYPE": "Haswell", "EMPTY": ""}
+    with pytest.raises(SystemExit):
+        tool.parse_args(["--env-old", "OPENBLAS_CORETYPE", "a", "b"])
+    # a tree whose cli prints what its interpreter sees: the extra
+    # variable is set there, over this environment and after the pins
+    (tmp_path / "acs_verify").mkdir()
+    (tmp_path / "acs_verify" / "__init__.py").write_text("")
+    (tmp_path / "acs_verify" / "cli.py").write_text(STUB_CLI)
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Zen")
+    shown = {}
+    for name, extra in (("prescott", {"OPENBLAS_CORETYPE": "Prescott"}), ("none", None)):
+        reports, _ = tool.run_tree(str(tmp_path), [("x", None)], [], extra)
+        shown[name] = reports["x None"]
+    assert shown == {"prescott": "Prescott 1\n", "none": "Zen 1\n"}

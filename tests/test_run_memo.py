@@ -4,6 +4,7 @@ module bindings the checks call, so each test sees how often a
 construction is really built.
 """
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from acs_verify.fields import (
     TrigPolyField,
 )
 from acs_verify.lvmb import LvmbData
-from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
+from acs_verify.rng import SplitMix64
+from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario, serialize_report
 from acs_verify.universal import PointwiseACManifold, default_torus_embedding
 
 ALL_UNIVERSAL = ["universal_dimension_tables", "universal_reconstruction",
@@ -129,7 +131,14 @@ def test_fiber_reality_after_reconstruction_rebuilds_only_plucker_points(monkeyp
     assert len(validated) == len(pts) + wedge
 
 
+# rows per chunk while a test crosses chunk boundaries, whatever the
+# shipped FIBER_CHUNK: the 100 rows of universal_n1_k4 are 9 full chunks
+# and a ragged one, the 36 of a [6, 6] grid 3 and a ragged one
+TEST_CHUNK = 11
+
+
 def test_reconstruction_makes_no_point_objects_and_one_dg_per_chunk(monkeypatch):
+    monkeypatch.setattr(universal, "FIBER_CHUNK", TEST_CHUNK)
     doc = universal_doc(["universal_reconstruction"])
     points = count_calls(monkeypatch, universal.UniversalPoint, "__init__")
     subspaces = count_calls(monkeypatch, cxlinalg.ComplexSubspace, "__init__")
@@ -139,10 +148,12 @@ def test_reconstruction_makes_no_point_objects_and_one_dg_per_chunk(monkeypatch)
     n_pts = len(sample_points(doc))
     assert records[0]["samples_checked"] == n_pts
     assert (len(points), len(subspaces)) == (0, 0)
-    assert len(jacobians) == -(-n_pts // universal.FIBER_CHUNK)
+    assert n_pts // TEST_CHUNK >= 2 and n_pts % TEST_CHUNK
+    assert len(jacobians) == -(-n_pts // TEST_CHUNK)
 
 
 def test_reconstruction_evaluates_j_once_per_chunk_on_each_side(monkeypatch):
+    monkeypatch.setattr(universal, "FIBER_CHUNK", TEST_CHUNK)
     doc = universal_doc(["universal_reconstruction"])
     callers = []
 
@@ -155,11 +166,42 @@ def test_reconstruction_evaluates_j_once_per_chunk_on_each_side(monkeypatch):
     count_calls(monkeypatch, AlmostComplexField, "values", by_caller)
     value = count_calls(monkeypatch, AlmostComplexField, "value")
     records, aggregate = run_scenario(doc)
-    chunks = -(-records[0]["samples_checked"] // universal.FIBER_CHUNK)
-    assert aggregate["passed"] and chunks > 1
+    n_pts = records[0]["samples_checked"]
+    assert aggregate["passed"] and n_pts // TEST_CHUNK >= 2 and n_pts % TEST_CHUNK
+    chunks = -(-n_pts // TEST_CHUNK)
     assert len(value) == 2  # the field constructor's own validation
     assert sorted(callers) == (["acs_verify.checks"] * chunks
                                + ["acs_verify.universal"] * chunks)
+
+
+@pytest.mark.parametrize("name", ["universal_n1_k4", "universal_n2_k8",
+                                  "universal_n3_k12", "fields_n2"])
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, name):
+    # numpy's stacked SVD, QR, solve and matmul treat each matrix of a
+    # stack as they treat it alone (README, "Stacked chunks"), so a chunk
+    # of one row, a ragged chunk and the shipped one give the same bytes
+    doc = parse_scenario(find_scenario(name))
+    reports = []
+    for chunk in (1, 7, universal.FIBER_CHUNK):
+        monkeypatch.setattr(universal, "FIBER_CHUNK", chunk)
+        reports.append(serialize_report(*run_scenario(doc)))
+    assert reports[1:] == reports[:1] * 2
+
+
+def test_the_reconstruction_sweep_stays_within_5_mib():
+    # the sweep's traced peak grows with FIBER_CHUNK (README, "Chunk size"):
+    # 1.0 MiB at 32 rows, 3.7 MiB at 128 and 7.2 MiB at 256 on this grid
+    doc = parse_scenario(find_scenario("universal_n3_k12"))
+    run = checks.Run("universal", doc["payload"], DEFAULT, doc["seed"], doc["samples"])
+    run.manifold  # built before the trace: the sweep's own arrays are measured
+    tracemalloc.start()
+    try:
+        result = checks.REGISTRY["universal_reconstruction"].runner(run, SplitMix64(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.samples_checked == 3 ** 6
+    assert peak <= 5 * 2 ** 20
 
 
 def test_memo_leaves_reports_unchanged():
@@ -206,9 +248,10 @@ def manifold_failing_at(x_bad):
     return PointwiseACManifold(1, 4, default_torus_embedding(1), j)
 
 
-def test_failed_chunk_raises_the_oracle_error_and_records_the_points_before():
+def test_failed_chunk_raises_the_oracle_error_and_records_the_points_before(monkeypatch):
+    monkeypatch.setattr(universal, "FIBER_CHUNK", TEST_CHUNK)
     pts = TorusChart(2).grid([6, 6])
-    assert len(pts) > universal.FIBER_CHUNK > BAD_INDEX
+    assert len(pts) // TEST_CHUNK >= 2 and len(pts) % TEST_CHUNK and TEST_CHUNK > BAD_INDEX
     m = manifold_failing_at(pts[BAD_INDEX])
     with pytest.raises(EigenSplitFailure) as want:
         oracles.build_fiber(pts[BAD_INDEX], m)

@@ -1046,18 +1046,25 @@ def assert_fiber_bits(point, want):
     assert np.array_equal(point.sigp.conj(), want.sigpp)
 
 
+# rows per chunk while a test crosses chunk boundaries, whatever the
+# shipped FIBER_CHUNK: each grid below is two or more full chunks and a
+# ragged last one
+TEST_CHUNK = 11
+
+
 @pytest.mark.parametrize("n, counts", [(1, [6, 7]), (2, [3, 3, 3, 3]),
                                        (3, [3, 3, 2, 2, 2, 2])])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_stacked_fibers_and_jf_match_the_oracle_bitwise(n, counts, seed):
+def test_stacked_fibers_and_jf_match_the_oracle_bitwise(monkeypatch, n, counts, seed):
+    monkeypatch.setattr(universal, "FIBER_CHUNK", TEST_CHUNK)
     m = perturbed_manifold(n, seed=seed)
     pts = TorusChart(2 * n).grid(counts)
-    assert len(pts) % universal.FIBER_CHUNK != 0
+    assert len(pts) // TEST_CHUNK >= 2 and len(pts) % TEST_CHUNK != 0
     points = list(universal.build_fibers(pts, m))
     assert len(points) == len(pts)
-    for start in range(0, len(pts), universal.FIBER_CHUNK):
-        rows = pts[start:start + universal.FIBER_CHUNK]
-        chunk = points[start:start + universal.FIBER_CHUNK]
+    for start in range(0, len(pts), TEST_CHUNK):
+        rows = pts[start:start + TEST_CHUNK]
+        chunk = points[start:start + TEST_CHUNK]
         jfs = universal.induced_structures(rows, m)
         for x, point, jf in zip(rows, chunk, jfs):
             want = oracles.build_fiber(x, m)

@@ -1,6 +1,6 @@
 """Compare the reports of the bundled scenarios between two source trees.
 
-    python tools/compare_reports.py OLD_SRC NEW_SRC
+    python tools/compare_reports.py [--env-old KEY=VALUE] [--env-new KEY=VALUE] OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that each hold an `acs_verify`
 package (the `src` directory of a checkout). Every scenario that both
@@ -8,6 +8,13 @@ trees bundle is run against each tree at its own seed and at `--seed` 1,
 2 and 3, through `acs_verify.cli.main`, one fresh interpreter per tree
 with OPENBLAS_NUM_THREADS=1. A scenario that only one tree bundles is
 named on stderr and not compared.
+
+`--env-old` and `--env-new` (each repeatable) set an environment
+variable in the old or the new tree's interpreter only, after the
+thread pins. So one tree can be compared with itself under two OpenBLAS
+kernels:
+
+    python tools/compare_reports.py --env-old OPENBLAS_CORETYPE=Prescott --env-new OPENBLAS_CORETYPE=Haswell src src
 
 For each check record that both reports hold and that differs between
 the trees, one tab-separated row is printed:
@@ -49,6 +56,7 @@ other lacks; otherwise 0, also when residuals, sample counts or
 """
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -136,10 +144,14 @@ def lvmb_inputs(src: str, scenarios: list[str]) -> list[tuple[str, dict]]:
     return out
 
 
-def run_tree(src: str, runs: list, lvmb: list) -> list:
+def run_tree(src: str, runs: list, lvmb: list, extra_env: dict | None = None) -> list:
+    """[reports, lvmb outputs] of one tree, from one fresh interpreter
+    whose environment is this one's with the thread pins, no PYTHONPATH,
+    and extra_env on top."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
+    env.update(extra_env or {})
     proc = subprocess.run(
         [sys.executable, "-c", RUNNER, os.path.abspath(src), json.dumps(runs),
          json.dumps(lvmb)],
@@ -229,12 +241,30 @@ def compare_lvmb(names: list, old: dict, new: dict) -> tuple[list, bool, int]:
     return rows, codes_differ, len(names) - len(rows)
 
 
+def env_pair(text: str) -> tuple[str, str]:
+    """(KEY, VALUE) of a KEY=VALUE argument; VALUE may be empty."""
+    key, sep, value = text.partition("=")
+    if not key or not sep:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    return key, value
+
+
+def parse_args(argv) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="compare_reports.py",
+        description="Compare the reports of the bundled scenarios between two source trees.")
+    parser.add_argument("old_src", metavar="OLD_SRC")
+    parser.add_argument("new_src", metavar="NEW_SRC")
+    for side in ("old", "new"):
+        parser.add_argument(f"--env-{side}", action="append", type=env_pair, default=[],
+                            metavar="KEY=VALUE",
+                            help=f"set KEY in the {side} tree's interpreter (repeatable)")
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    old_src, new_src = argv
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    old_src, new_src = args.old_src, args.new_src
     shared, only_old, only_new = match_scenarios(scenario_names(old_src),
                                                  scenario_names(new_src))
     for tree, names in (("old", only_old), ("new", only_new)):
@@ -250,7 +280,8 @@ def main(argv=None) -> int:
                 json.dump(doc, fh)
             lvmb.append((name, path))
         (old_reports, old_lvmb), (new_reports, new_lvmb) = (
-            run_tree(old_src, runs, lvmb), run_tree(new_src, runs, lvmb))
+            run_tree(old_src, runs, lvmb, dict(args.env_old)),
+            run_tree(new_src, runs, lvmb, dict(args.env_new)))
     rows, one_sided, shared_differ, identical = compare(runs, old_reports, new_reports)
     lvmb_rows, codes_differ, lvmb_identical = compare_lvmb(
         [name for name, _ in lvmb], old_lvmb, new_lvmb)
