@@ -305,10 +305,11 @@ class TorsionTensor:
             raise ShapeMismatch("torsion tensor must have shape (n, m, m)")
 
     def apply(self, eta, lam) -> np.ndarray:
-        """Bilinear map value in the quotient C^n: da(eta)lam - da(lam)eta."""
-        eta = np.asarray(eta, dtype=complex).reshape(-1)
-        lam = np.asarray(lam, dtype=complex).reshape(-1)
-        return 2.0 * np.einsum("ijk,j,k->i", self.theta, eta, lam)
+        """Bilinear map value in the quotient C^n: da(eta)lam - da(lam)eta,
+        for one pair of m-vectors or for each row of two (P, m) stacks."""
+        eta = np.asarray(eta, dtype=complex)
+        lam = np.asarray(lam, dtype=complex)
+        return 2.0 * np.einsum("ijk,...j,...k->...i", self.theta, eta, lam)
 
     def norm(self) -> float:
         return float(np.max(np.abs(self.theta), initial=0.0))

@@ -361,25 +361,26 @@ class AlmostComplexField:
 # ---------------------------------------------------------------------------
 
 def structure_jet(j, x):
-    """(J(x), [d_0 J(x), ..., d_{2n-1} J(x)]): every value the four-bracket
-    formula reads at x, each evaluated once."""
+    """(J(x), dJ(x)): every value the four-bracket formula reads at x,
+    each evaluated once; dJ[i] = d_i J(x), stacked (2n, 2n, 2n), each
+    slice in the memory order of its partial."""
     jm = j.value(x)
-    return jm, [j.partial_value(i, x) for i in range(jm.shape[0])]
+    return jm, np.stack([j.partial_value(i, x) for i in range(jm.shape[0])])
 
 
 def _directional_dj(partials, w):
-    """sum_i w_i d_i J(x) from the partials of a jet."""
-    w = np.asarray(w, dtype=float).reshape(-1)
-    out = np.zeros((w.shape[0], w.shape[0]))
-    for i, wi in enumerate(w):
-        if wi != 0.0:
-            out += wi * partials[i]
-    return out
+    """sum_i w_i d_i J(x) from the partials of a jet, for each row of w
+    (..., 2n). The products w_i d_i J are added in the order of i, so a
+    row of a stack gets the bits it gets alone. The sum is C-ordered
+    whatever the order of the partials, so its matrix-vector products
+    take the BLAS kernel of a C array, as the sum of one pair always did."""
+    return np.add.reduce(np.multiply(w[..., :, None, None], partials, order="C"), axis=-3)
 
 
 def nijenhuis_from_jet(jet, zeta, eta) -> np.ndarray:
     """N_J(zeta, eta) at the point of a structure_jet, from the
-    four-bracket definition.
+    four-bracket definition, for one pair of 2n-vectors or for each row
+    of two (P, 2n) stacks.
 
     For constant extensions of the input vectors the brackets collapse to
     directional derivatives of J:
@@ -387,19 +388,21 @@ def nijenhuis_from_jet(jet, zeta, eta) -> np.ndarray:
         N = -dJ(J zeta) eta + dJ(J eta) zeta + J dJ(zeta) eta - J dJ(eta) zeta
     """
     jm, partials = jet
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    eta = np.asarray(eta, dtype=float).reshape(-1)
-    out = -_directional_dj(partials, jm @ zeta) @ eta
-    out += _directional_dj(partials, jm @ eta) @ zeta
-    out += jm @ (_directional_dj(partials, zeta) @ eta)
-    out -= jm @ (_directional_dj(partials, eta) @ zeta)
-    return out
+    # as (..., 2n, 1) columns every product is a matrix-vector one, per
+    # row, as for a single pair
+    zeta = np.asarray(zeta, dtype=float)[..., None]
+    eta = np.asarray(eta, dtype=float)[..., None]
+    out = -_directional_dj(partials, (jm @ zeta)[..., 0]) @ eta
+    out += _directional_dj(partials, (jm @ eta)[..., 0]) @ zeta
+    out += jm @ (_directional_dj(partials, zeta[..., 0]) @ eta)
+    out -= jm @ (_directional_dj(partials, eta[..., 0]) @ zeta)
+    return out[..., 0]
 
 
 def nijenhuis_direct(j: AlmostComplexField, x, zeta, eta) -> np.ndarray:
     """N_J(zeta, eta) at x from the four-bracket definition; to evaluate
     many pairs at one point, build the jet once and call
-    nijenhuis_from_jet."""
+    nijenhuis_from_jet on stacks of them."""
     return nijenhuis_from_jet(structure_jet(j, x), zeta, eta)
 
 

@@ -361,22 +361,27 @@ def variation_fd_oracle(emb: GraphEmbedding, chart: DistributionChart,
 
 def nijenhuis_torsion_map(emb: GraphEmbedding, chart: DistributionChart, zp,
                           tol: Tolerances = DEFAULT):
-    """The map (zeta_r, eta_r) -> N_{J_f}(zeta, eta) at one point zp.
+    """The map (zeta_r, eta_r) -> N_{J_f}(zeta, eta) at one point zp, for
+    one pair of realified 2n-vectors or for each row of two (P, 2n)
+    stacks.
 
     J_f, dbar f in fiber coordinates and theta depend on zp only, so
     they are built here once on one GraphPoint, whose joint matrix the
     J_f solve and every pair share. Each call is one torsion contraction
-    and one solve: the operations of pullback_quotient(4 theta(dbar f .
-    zeta, dbar f . eta)), in its order, so the result is bitwise the same.
+    and one joint solve with a right-hand side per pair: the operations
+    of pullback_quotient(4 theta(dbar f . zeta, dbar f . eta)), in its
+    order, so each pair's result is bitwise the same.
     """
     pt = GraphPoint(emb, chart, zp, tol)
     etas, _ = pt.fiber_coords(pt.dbar_f(pt.jf()))
     theta = pt.torsion()
 
     def nijenhuis(zeta_r, eta_r) -> np.ndarray:
-        eta_1 = etas @ np.asarray(zeta_r, dtype=float).reshape(-1)
-        eta_2 = etas @ np.asarray(eta_r, dtype=float).reshape(-1)
-        return pt.pullback(4.0 * theta.apply(eta_1, eta_2))
+        # etas times (..., 2n, 1) columns is a matrix-vector product per
+        # pair; the matrix product etas @ zetas.T rounds differently
+        eta_1 = (etas @ np.asarray(zeta_r, dtype=float)[..., None])[..., 0]
+        eta_2 = (etas @ np.asarray(eta_r, dtype=float)[..., None])[..., 0]
+        return pt.pullback(4.0 * theta.apply(eta_1, eta_2).T).T
 
     return nijenhuis
 

@@ -39,7 +39,7 @@ from .fields import TrigPolyField
 from .lvmb import LvmbData
 from .rng import SplitMix64
 from .schema_check import conforms
-from .universal import PointwiseACManifold
+from .universal import PointwiseACManifold, dimension_universal
 
 _SCHEMA_CACHE: dict = {}
 
@@ -47,6 +47,17 @@ _SCHEMA_CACHE: dict = {}
 # without samples, may ask for: 771 times the largest bundled or
 # benchmark grid (6^4), as many as the n = 3 universal default grid
 MAX_GRID_POINTS = 10 ** 6
+
+# Largest ambient dimension N of an induced payload: ten times the N = 6
+# the drawn dimensions reach. At N = 64 the variation checks take about
+# 4 s per instance; N = 3000 asked for arrays of 2N x 2(N - n) doubles
+MAX_INDUCED_N = 64
+
+# Most bytes the complex (n, N - n, N) chart Jacobian of a universal
+# payload (ChartFrame.a_jacobian, N = dim Z(n, k)) may take: 16 n (N - n) N
+# is 6.4 MB for the largest bundled document (n = 3, k = 12) and 78 MB at
+# n = 5, k = 20; n = 16, k = 64 asks for 23.1 GiB
+MAX_JACOBIAN_BYTES = 2 ** 27
 
 
 def _non_finite(literal: str):
@@ -183,6 +194,10 @@ def _validate_payload(doc) -> LvmbData | None:
             raise SchemaError(
                 f"induced scenarios need payload.N > n (n is 1..2 when absent), "
                 f"got N={payload['N']}" + ("" if n is None else f" and n={n}"))
+        if payload.get("N", 0) > MAX_INDUCED_N:
+            raise SchemaError(
+                f"payload.N={payload['N']:.6g} is above the limit of {MAX_INDUCED_N} "
+                f"for induced scenarios")
     if kind not in ("universal", "fields"):
         return None
     # the grid bound or the sample width ties n to the input's size before
@@ -221,6 +236,15 @@ def _validate_payload(doc) -> LvmbData | None:
                 f"payload.structure rejected: J must be defined on T^{{2n}}, "
                 f"so every freq needs 2n={2 * n} entries at n={n}")
     if kind == "universal":
+        # the Jacobian's size from n and k alone, before the embedding is
+        # built; k <= n (no Jacobian) is the embedding check's to reject
+        k = int(payload.get("k", 4 * n))
+        big_n = dimension_universal(n, k) if k > n else n
+        if 16 * n * (big_n - n) * big_n > MAX_JACOBIAN_BYTES:
+            raise SchemaError(
+                f"payload.n={n:.6g} and payload.k={k:.6g} ask for a chart Jacobian of "
+                f"16 n (N - n) N bytes with N = dim Z(n, k), above the limit of "
+                f"{MAX_JACOBIAN_BYTES} bytes")
         try:
             PointwiseACManifold.check_embedding(*build_embedding(payload))
         except VerifyError as exc:

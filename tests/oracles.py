@@ -83,6 +83,10 @@ was when it took the modulators as scalar trig-poly fields (built by
 `trig_modulator`) and read their gradients off their partial fields;
 the library now takes the gradients. The tests hold the library to
 both bit for bit.
+`nijenhuis_from_jet_by_pair` and `nijenhuis_torsion_map_by_pair` are
+the two routes of `nijenhuis_identity` as they were before they took
+stacks of pairs: one pair per call, one matrix-vector product, sum and
+solve at a time. The tests hold the stacked routes to them bit for bit.
 `simplex_solve_loop` is the Bland simplex as it was before pivot choice
 read the tableau as Python floats: it scans the reduced costs and the
 ratio column one numpy scalar at a time and eliminates with an outer
@@ -1033,6 +1037,46 @@ def nijenhuis_fd_oracle_by_closures(j: AlmostComplexField, x, zeta, eta,
     bracket_z_je = d_je @ zeta
     bracket_jz_e = -d_jz @ eta
     return -bracket_jj + jm @ bracket_z_je + jm @ bracket_jz_e
+
+
+def nijenhuis_from_jet_by_pair(jet, zeta, eta) -> np.ndarray:
+    """N_J(zeta, eta) from a structure jet, one pair of 2n-vectors: each
+    directional derivative is summed into zeros one weight at a time,
+    zero weights skipped."""
+    jm, partials = jet
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    eta = np.asarray(eta, dtype=float).reshape(-1)
+
+    def directional_dj(w):
+        out = np.zeros((w.shape[0], w.shape[0]))
+        for i, wi in enumerate(w):
+            if wi != 0.0:
+                out += wi * partials[i]
+        return out
+
+    out = -directional_dj(jm @ zeta) @ eta
+    out += directional_dj(jm @ eta) @ zeta
+    out += jm @ (directional_dj(zeta) @ eta)
+    out -= jm @ (directional_dj(eta) @ zeta)
+    return out
+
+
+def nijenhuis_torsion_map_by_pair(emb: GraphEmbedding, chart: DistributionChart, zp,
+                                  tol: Tolerances = DEFAULT):
+    """The map (zeta_r, eta_r) -> 4 theta(dbar f . zeta, dbar f . eta)
+    pulled back to the chart, one pair of realified 2n-vectors per call:
+    two matrix-vector products, one contraction "ijk,j,k->i" and a
+    one-vector joint solve."""
+    pt = GraphPoint(emb, chart, zp, tol)
+    etas, _ = pt.fiber_coords(pt.dbar_f(pt.jf()))
+    theta = pt.torsion().theta
+
+    def nijenhuis(zeta_r, eta_r) -> np.ndarray:
+        eta_1 = etas @ np.asarray(zeta_r, dtype=float).reshape(-1)
+        eta_2 = etas @ np.asarray(eta_r, dtype=float).reshape(-1)
+        return pt.pullback(4.0 * (2.0 * np.einsum("ijk,j,k->i", theta, eta_1, eta_2)))
+
+    return nijenhuis
 
 
 def trig_modulator(x, freq, cos: float, sin: float) -> TrigPolyField:

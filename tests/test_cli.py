@@ -475,6 +475,15 @@ raise SystemExit(main(["run", sys.argv[2]]))
 """
 
 
+def run_limited(tmp_path, doc) -> subprocess.CompletedProcess:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(acs_verify.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", LIMITED_RUNNER, src, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("samples", [False, True], ids=["default-grid", "with-samples"])
 @pytest.mark.parametrize("n, shown", [(1e300, "1e+300"), (10 ** 7, "1e+07")],
                          ids=["float-1e300", "int-1e7"])
@@ -486,15 +495,50 @@ def test_a_huge_n_exits_two_before_the_embedding_is_built(tmp_path, samples, n, 
     doc["payload"]["n"] = n
     if not samples:
         del doc["samples"]
-    path = tmp_path / "huge_n.json"
-    path.write_text(json.dumps(doc))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(acs_verify.__file__)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", LIMITED_RUNNER, src, str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_limited(tmp_path, doc)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
     assert f"n={shown}" in proc.stderr and len(proc.stderr) < 200
+
+
+@pytest.mark.parametrize("doc, needle", [
+    ({"id": "i", "kind": "induced", "seed": 1, "payload": {"n": 2, "N": 10 ** 7}},
+     "payload.N=1e+07"),
+    ({"id": "i", "kind": "induced", "seed": 1, "payload": {"n": 2, "N": 3000}},
+     "payload.N=3000"),
+    ({"id": "u", "kind": "universal", "seed": 1, "payload": {"n": 16},
+      "samples": {"points": [[0.1] * 32]}}, "payload.n=16 and payload.k=64"),
+    ({"id": "u", "kind": "universal", "seed": 1, "payload": {"n": 1, "k": 1e300},
+      "samples": {"points": [[0.1, 0.2]]}}, "payload.k=1e+300"),
+], ids=["induced-N-1e7", "induced-N-3000", "universal-n16-samples", "universal-k-1e300"])
+def test_a_payload_over_the_work_budget_exits_two_before_anything_is_built(
+        tmp_path, doc, needle):
+    # under the 2 GiB limit, induced N = 10^7 ended in a MemoryError out of
+    # random_polynomial_chart and N = 3000 in an _ArrayMemoryError on a
+    # (6000, 2998) array; n = 16 with explicit samples asked for 23.1 GiB
+    # in ChartFrame.a_jacobian, and k = 1e300 ran out of memory
+    proc = run_limited(tmp_path, doc)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert needle in proc.stderr and len(proc.stderr) < 200
+
+
+def test_payloads_at_the_work_budget_are_accepted():
+    assert (scenarios.MAX_INDUCED_N, scenarios.MAX_JACOBIAN_BYTES) == (64, 2 ** 27)
+    scenarios.validate_scenario({"id": "i", "kind": "induced", "seed": 1,
+                                 "payload": {"n": 2, "N": 64}})
+    # n = 5, k = 20: N = 990 and 16 n (N - n) N = 78 MB
+    scenarios.validate_scenario({"id": "u", "kind": "universal", "seed": 1,
+                                 "payload": {"n": 5, "k": 20},
+                                 "samples": {"points": [[0.1] * 10]}})
+    with pytest.raises(SchemaError, match="payload.N=65"):
+        scenarios.validate_scenario({"id": "i", "kind": "induced", "seed": 1,
+                                     "payload": {"n": 2, "N": 65}})
+    # n = 6, k = 24: N = 1416 and 191 MB
+    with pytest.raises(SchemaError, match="payload.n=6 and payload.k=24"):
+        scenarios.validate_scenario({"id": "u", "kind": "universal", "seed": 1,
+                                     "payload": {"n": 6},
+                                     "samples": {"points": [[0.1] * 12]}})
 
 
 def test_fd_rtol_is_not_a_tolerance(tmp_path, capsys):

@@ -3,7 +3,8 @@ bundle, names a check only one tree runs instead of giving it a
 residual row, and shows a moved sample count in its row without calling
 it a changed verdict; it gives one row per lvmb-check input whose
 output or exit code moved, and sets an environment variable only in the
-tree it names. The tool is loaded from its file."""
+tree it names; the induced benchmark's run operations are compared too.
+The tool is loaded from its file."""
 import importlib.util
 import json
 from pathlib import Path
@@ -169,6 +170,22 @@ def test_the_lvmb_check_inputs_cover_the_bundled_data_and_the_benchmark_seeds():
                 "lvm_m1_N8", "lvm_m1_N10", "lvm_m2_N9", "lvm_m2_N10",
                 "defect_a:lvm_m1_N8_extra", "defect_a:disjoint")]
     assert len(names) == 26 and all(set(doc) >= {"m", "N", "E", "ell"} for _, doc in inputs)
+    assert sorted(p.name for p in (ROOT / "perfbench").iterdir()) == before
+
+
+def test_the_induced_benchmark_runs_are_compared_at_the_benchmark_seeds():
+    before = sorted(p.name for p in (ROOT / "perfbench").iterdir())
+    runs = load_tool().benchmark_operations("induced", "run")
+    # per seed: the two timed runs, then the three torsion_double_entry
+    # probes; the n = 2, N = 5 payload of the benchmark among them
+    assert len(runs) == 15
+    for seed in (1, 2, 3):
+        ops = [(name.split(" ", 3)[3], doc) for name, doc in runs
+               if name.startswith(f"benchmark seed {seed} ")]
+        assert [name.split("@")[0] for name, _ in ops] == [
+            "induced_nijenhuis", "induced_variation"] + ["defect_b:torsion_double_entry"] * 3
+        assert ops[0][1]["payload"] == {"charts": 10, "instances": 5, "pairs": 25,
+                                        "n": 2, "N": 5}
     assert sorted(p.name for p in (ROOT / "perfbench").iterdir()) == before
 
 

@@ -5,14 +5,17 @@ quotient construction for J_F, deformed-graph finite differences for the
 variation, and the four-bracket Nijenhuis evaluation on the realified
 chart for the torsion identity.
 """
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 import oracles
 from oracles import complex_vector
 from acs_verify import induced
-from acs_verify.checks import REGISTRY, Run, build_graph_scenario
-from acs_verify.config import DEFAULT
+from acs_verify.checks import REGISTRY, Run, _graph_params, build_graph_scenario
+from acs_verify.config import DEFAULT, worst_of
 from acs_verify.cxlinalg import complexify_vector, realify_vector, standard_structure
 from acs_verify.distribution import (
     CRPolyMap,
@@ -21,7 +24,7 @@ from acs_verify.distribution import (
     torsion_via_frames,
 )
 from acs_verify.errors import NotNormalized, NotTransverse, ShapeMismatch
-from acs_verify.fields import nijenhuis_direct
+from acs_verify.fields import nijenhuis_direct, nijenhuis_from_jet, structure_jet
 from acs_verify.induced import (
     GraphEmbedding,
     VariationData,
@@ -39,6 +42,7 @@ from acs_verify.induced import (
     variation_fd_oracle,
 )
 from acs_verify.rng import SplitMix64
+from acs_verify.scenarios import find_scenario, parse_scenario, run_scenario
 
 
 def poly_chart(n, big_n, assignments):
@@ -382,6 +386,93 @@ def test_nijenhuis_torsion_map_matches_per_pair_route_bitwise(n, big_n):
             assert np.array_equal(got, pullback_quotient(emb, chart, zp, q_repr))
 
 
+# the payload of the benchmark's induced_nijenhuis operation
+BENCHMARK_NIJENHUIS = {"charts": 10, "instances": 5, "pairs": 25, "n": 2, "N": 5}
+
+
+@pytest.mark.parametrize("n, big_n", [(1, 3), (2, 5), (2, 6)])
+def test_stacked_nijenhuis_routes_match_the_per_pair_routes_bitwise(n, big_n):
+    rng = SplitMix64(91 + big_n)
+    for _ in range(3):
+        chart, emb, _ = build_graph_scenario(rng, n, big_n)
+        zp = emb.base
+        via_map = nijenhuis_torsion_map(emb, chart, zp)
+        by_pair = oracles.nijenhuis_torsion_map_by_pair(emb, chart, zp)
+        jet = structure_jet(induced_jf_field(emb, chart), realify_vector(zp))
+        zetas, etas = rng.reals(2 * n * 9).reshape(9, 2 * n), rng.reals(2 * n * 9).reshape(9, 2 * n)
+        stacks = [(zetas, etas), (zetas[:1], etas[:1]), (zetas[-1:], etas[-1:])]
+        for zs, es in stacks:
+            via_theta, direct = via_map(zs, es), nijenhuis_from_jet(jet, zs, es)
+            assert via_theta.shape == direct.shape == zs.shape
+            for zeta, eta, got_theta, got_direct in zip(zs, es, via_theta, direct):
+                assert np.array_equal(got_theta, by_pair(zeta, eta))
+                assert np.array_equal(got_direct, oracles.nijenhuis_from_jet_by_pair(jet, zeta, eta))
+                # one pair, as nijenhuis_direct and nijenhuis_via_torsion call them
+                assert np.array_equal(via_map(zeta, eta), got_theta)
+                assert np.array_equal(nijenhuis_from_jet(jet, zeta, eta), got_direct)
+
+
+def nijenhuis_identity_by_pair(run: Run, rng: SplitMix64) -> tuple[float, int]:
+    """The nijenhuis_identity check as a loop over its pairs, each drawn
+    zeta then eta and taken through the per-pair routes of the oracles."""
+    instances = run.count(int(run.payload.get("instances", 5)))
+    pairs = int(run.payload.get("pairs", 25))
+    worst = 0.0
+    for _ in range(instances):
+        chart, emb, _ = build_graph_scenario(rng, *_graph_params(run.payload, rng))
+        via_torsion = oracles.nijenhuis_torsion_map_by_pair(emb, chart, emb.base, run.tol)
+        jet = structure_jet(induced_jf_field(emb, chart), realify_vector(emb.base))
+        for _ in range(pairs):
+            zeta = rng.reals(2 * emb.n)
+            eta = rng.reals(2 * emb.n)
+            direct = oracles.nijenhuis_from_jet_by_pair(jet, zeta, eta)
+            scale = max(1.0, float(np.max(np.abs(direct))))
+            worst = worst_of(worst, float(np.max(np.abs(via_torsion(zeta, eta) - direct))) / scale)
+    return worst, instances * pairs
+
+
+@pytest.mark.parametrize("payload, seed", [
+    (None, None),
+    (BENCHMARK_NIJENHUIS, 1), (BENCHMARK_NIJENHUIS, 2), (BENCHMARK_NIJENHUIS, 3),
+    ({"instances": 2, "pairs": 300}, 4),
+], ids=["bundled", "benchmark-1", "benchmark-2", "benchmark-3", "three-blocks"])
+def test_nijenhuis_identity_record_matches_a_per_pair_loop(payload, seed):
+    # both sides run on this machine's BLAS kernel, so the bits agree on any
+    doc = parse_scenario(find_scenario("induced_nijenhuis"))
+    if payload is not None:
+        doc["payload"] = payload
+    doc["checks"] = ["nijenhuis_identity"]
+    [record], aggregate = run_scenario(doc, seed=seed)
+    run = Run("induced", doc["payload"], DEFAULT, aggregate["seed"])
+    worst, samples = nijenhuis_identity_by_pair(
+        run, SplitMix64(aggregate["seed"] ^ zlib.crc32(b"nijenhuis_identity")))
+    assert record["status"] == "pass" and record["samples_checked"] == samples
+    assert np.float64(record["max_residual"]).tobytes() == np.float64(worst).tobytes()
+
+
+def _nijenhuis_identity_peak(payload) -> int:
+    run = Run("induced", payload, DEFAULT, 5)
+    tracemalloc.start()
+    try:
+        REGISTRY["nijenhuis_identity"].runner(run, SplitMix64(5))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_nijenhuis_identity_memory_stays_flat_in_the_pair_count(monkeypatch):
+    # pairs go through the routes FIBER_CHUNK = 128 at a time: a block
+    # peaks at about 4 times the 25-pair run (64 KB), and 2000 pairs in
+    # one stack at about 60 times
+    from acs_verify import checks
+
+    payload = {"instances": 1, "n": 2, "N": 5}
+    few = _nijenhuis_identity_peak(dict(payload, pairs=25))
+    assert _nijenhuis_identity_peak(dict(payload, pairs=2000)) <= 8 * few
+    monkeypatch.setattr(checks, "FIBER_CHUNK", 2000)
+    assert _nijenhuis_identity_peak(dict(payload, pairs=2000)) > 8 * few
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("pairs", [1, 9])
 def test_nijenhuis_identity_differentiates_jf_once_per_instance(monkeypatch, n, pairs):
@@ -709,8 +800,34 @@ def test_torsion_at_mutants_fail_induced_nijenhuis(monkeypatch, mutate):
     assert _induced_nijenhuis_records()["torsion_double_entry"]["status"] == "fail"
 
 
-# the payload of the benchmark's induced_nijenhuis operation
-BENCHMARK_NIJENHUIS = {"charts": 10, "instances": 5, "pairs": 25, "n": 2, "N": 5}
+def _last_row_scaled(stack):
+    out = np.array(stack)
+    out[-1] *= 1 + 1e-3
+    return out
+
+
+@pytest.mark.parametrize("route", ["direct", "torsion"])
+def test_one_route_off_in_the_last_row_of_its_stack_fails_nijenhuis_identity(
+        monkeypatch, route):
+    # a relative error of 1e-3 in the last pair of each stack only, one
+    # route at a time: a reduction that dropped a row, or that read the
+    # rows of one route in another order, would pass
+    from acs_verify import checks
+
+    if route == "direct":
+        direct = checks.nijenhuis_from_jet
+        monkeypatch.setattr(checks, "nijenhuis_from_jet",
+                            lambda jet, zeta, eta: _last_row_scaled(direct(jet, zeta, eta)))
+    else:
+        torsion_map = checks.nijenhuis_torsion_map
+
+        def corrupted(emb, chart, zp, tol=DEFAULT):
+            via = torsion_map(emb, chart, zp, tol)
+            return lambda zeta, eta: _last_row_scaled(via(zeta, eta))
+
+        monkeypatch.setattr(checks, "nijenhuis_torsion_map", corrupted)
+    record = _induced_nijenhuis_records()["nijenhuis_identity"]
+    assert record["status"] == "fail" and record["max_residual"] > 1e-4
 
 
 def test_zero_torsion_route_fails_nijenhuis_identity(monkeypatch):

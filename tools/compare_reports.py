@@ -7,7 +7,11 @@ package (the `src` directory of a checkout). Every scenario that both
 trees bundle is run against each tree at its own seed and at `--seed` 1,
 2 and 3, through `acs_verify.cli.main`, one fresh interpreter per tree
 with OPENBLAS_NUM_THREADS=1. A scenario that only one tree bundles is
-named on stderr and not compared.
+named on stderr and not compared. So are the `run` operations and
+probes that `generate` of perfbench/workloads.py gives the induced
+workload at benchmark seeds 1, 2 and 3, each at the seed its document
+holds, so the benchmark's own payloads (n = 2, N = 5) are compared too;
+their rows name them `benchmark seed SEED OPERATION`.
 
 `--env-old` and `--env-new` (each repeatable) set an environment
 variable in the old or the new tree's interpreter only, after the
@@ -32,10 +36,10 @@ the `payload.data` of each lvmb scenario that both trees bundle (read
 from NEW_SRC), the families saved under tests/data/ (among them
 `lvmb_pass` and `lvmb_fail` with every form scaled by 1e-12 and by
 1e12, so that the scale behaviour stays in view), and the `lvmb-check`
-operations and probes that `generate` of perfbench/workloads.py gives
-the lvmb workload at benchmark seeds 1, 2 and 3 (written to a temporary
-directory; nothing under perfbench/ is written). For each input whose stdout or exit code differs between the
-trees, one row is printed:
+operations and probes that `generate` gives the lvmb workload at
+benchmark seeds 1, 2 and 3. The benchmark inputs are written to a
+temporary directory; nothing under perfbench/ is written. For each input
+whose stdout or exit code differs between the trees, one row is printed:
 
     lvmb-check  input  exit OLD -> NEW  moved: KEY, ...
 
@@ -65,7 +69,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (None, 1, 2, 3)
-LVMB_BENCH_SEEDS = (1, 2, 3)
+BENCH_SEEDS = (1, 2, 3)
 LVMB_DATA_FILES = (
     "tests/data/lvm_m1_N10_weights_form_unstable.json",
     "tests/data/lvm_m2_N10_weights_form_lp_failure.json",
@@ -79,16 +83,18 @@ VERDICT_FIELDS = ("status", "error")
 SHOWN_FIELDS = ("name", "max_residual", "samples_checked", *VERDICT_FIELDS)
 
 # Runs in the child interpreter: argv[1] is the tree, argv[2] the list of
-# (scenario, seed) runs and argv[3] the list of (name, path) lvmb-check
-# inputs, as JSON. Prints [{"scenario seed": report}, {name: [exit code,
-# stdout]}] as JSON; stderr is not kept.
+# (scenario, seed) runs, argv[3] the list of (name, path) lvmb-check
+# inputs and argv[4] the {scenario: path} files of the runs that are not
+# bundled scenarios, as JSON. Prints [{"scenario seed": report}, {name:
+# [exit code, stdout]}] as JSON; stderr is not kept.
 RUNNER = r"""
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from acs_verify.cli import main
 reports, lvmb = {}, {}
+paths = json.loads(sys.argv[4])
 for name, seed in json.loads(sys.argv[2]):
-    argv = ["run", name] + ([] if seed is None else ["--seed", str(seed)])
+    argv = ["run", paths.get(name, name)] + ([] if seed is None else ["--seed", str(seed)])
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         main(argv)
@@ -114,11 +120,31 @@ def match_scenarios(old: list[str], new: list[str]) -> tuple[list, list, list]:
             sorted(set(new) - set(old)))
 
 
+def benchmark_operations(workload: str, command: str) -> list[tuple[str, dict]]:
+    """("benchmark seed SEED OPERATION", document) of every operation and
+    probe that perfbench's generate gives workload at BENCH_SEEDS and
+    that runs command."""
+    # write nothing under perfbench/, bytecode included
+    bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+        sys.dont_write_bytecode = bytecode
+    out = []
+    for seed in BENCH_SEEDS:
+        spec = workloads.generate(workload, seed)
+        out += [(f"benchmark seed {seed} {op['id']}", op["doc"])
+                for op in spec["ops"] + spec["probe"] if op["command"] == command]
+    return out
+
+
 def lvmb_inputs(src: str, scenarios: list[str]) -> list[tuple[str, dict]]:
     """(name, document) of every lvmb-check input, in a fixed order: the
     payload.data of each named scenario that src bundles as an lvmb one,
     the data files, then the benchmark's lvmb-check operations and probes
-    at LVMB_BENCH_SEEDS."""
+    at BENCH_SEEDS."""
     out = []
     for name in scenarios:
         with open(os.path.join(src, "acs_verify", "scenarios", f"{name}.json"),
@@ -129,32 +155,22 @@ def lvmb_inputs(src: str, scenarios: list[str]) -> list[tuple[str, dict]]:
     for rel in LVMB_DATA_FILES:
         with open(os.path.join(ROOT, rel), encoding="utf-8") as fh:
             out.append((rel, json.load(fh)))
-    # write nothing under perfbench/, bytecode included
-    bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-        sys.dont_write_bytecode = bytecode
-    for seed in LVMB_BENCH_SEEDS:
-        spec = workloads.generate("lvmb", seed)
-        out += [(f"benchmark seed {seed} {op['id']}", op["doc"])
-                for op in spec["ops"] + spec["probe"] if op["command"] == "lvmb-check"]
-    return out
+    return out + benchmark_operations("lvmb", "lvmb-check")
 
 
-def run_tree(src: str, runs: list, lvmb: list, extra_env: dict | None = None) -> list:
+def run_tree(src: str, runs: list, lvmb: list, extra_env: dict | None = None,
+             paths: dict | None = None) -> list:
     """[reports, lvmb outputs] of one tree, from one fresh interpreter
     whose environment is this one's with the thread pins, no PYTHONPATH,
-    and extra_env on top."""
+    and extra_env on top; a run whose scenario paths names is read from
+    that file."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
     env.update(extra_env or {})
     proc = subprocess.run(
         [sys.executable, "-c", RUNNER, os.path.abspath(src), json.dumps(runs),
-         json.dumps(lvmb)],
+         json.dumps(lvmb), json.dumps(paths or {})],
         env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -271,17 +287,23 @@ def main(argv=None) -> int:
         if names:
             print(f"only in the {tree} tree, not compared: " + ", ".join(names),
                   file=sys.stderr)
-    runs = [(name, seed) for name in shared for seed in SEEDS]
     with tempfile.TemporaryDirectory() as tmp:
-        lvmb = []
-        for index, (name, doc) in enumerate(lvmb_inputs(new_src, shared)):
-            path = os.path.join(tmp, f"lvmb_{index:03d}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-            lvmb.append((name, path))
+        def written(inputs, prefix):
+            out = []
+            for index, (name, doc) in enumerate(inputs):
+                path = os.path.join(tmp, f"{prefix}_{index:03d}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh)
+                out.append((name, path))
+            return out
+
+        lvmb = written(lvmb_inputs(new_src, shared), "lvmb")
+        paths = dict(written(benchmark_operations("induced", "run"), "run"))
+        runs = [(name, seed) for name in shared for seed in SEEDS]
+        runs += [(name, None) for name in paths]
         (old_reports, old_lvmb), (new_reports, new_lvmb) = (
-            run_tree(old_src, runs, lvmb, dict(args.env_old)),
-            run_tree(new_src, runs, lvmb, dict(args.env_new)))
+            run_tree(old_src, runs, lvmb, dict(args.env_old), paths),
+            run_tree(new_src, runs, lvmb, dict(args.env_new), paths))
     rows, one_sided, shared_differ, identical = compare(runs, old_reports, new_reports)
     lvmb_rows, codes_differ, lvmb_identical = compare_lvmb(
         [name for name, _ in lvmb], old_lvmb, new_lvmb)
@@ -291,7 +313,8 @@ def main(argv=None) -> int:
     for row in rows + lvmb_rows:
         print("\t".join(row))
     moved = sum(1 for row in rows if any(c.startswith("samples ") for c in row[5:]))
-    print(f"{identical} of {len(runs)} reports byte-identical; verdicts of the "
+    print(f"{identical} of {len(runs)} reports byte-identical ({len(runs) - len(paths)} "
+          f"of bundled scenarios, {len(paths)} of induced benchmark operations); verdicts of the "
           "shared checks " + ("differ" if shared_differ else "agree")
           + f"; samples_checked moved in {moved} records", file=sys.stderr)
     print(f"{lvmb_identical} of {len(lvmb)} lvmb-check outputs identical; exit codes "
